@@ -77,16 +77,24 @@ class ExperimentConfig:
             errors.append("grid must be positive")
         if self.example in (3, 6) and self.grid % 2:
             errors.append("examples 3 and 6 need an even grid")
+        if not self.modes:
+            errors.append("modes must not be empty")
         if any(k < 0 for k in self.modes):
             errors.append("modes must be nonnegative")
+        for name in ("lam", "omega"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                errors.append(f"{name} must be positive and finite, got {value}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            errors.append(f"tol must be positive and finite, got {self.tol}")
+        if self.workers < 1:
+            errors.append("workers must be at least 1")
         if self.reference not in ("auto", "analytic", "fine", "none"):
             errors.append(f"unknown reference mode {self.reference!r}")
         if self.reference == "fine" and self.nref is None:
             errors.append("reference='fine' needs --nref")
         if self.nref is not None and self.nref < self.grid:
             errors.append("nref must not be below the grid")
-        if self.overall and max(self.overall) > max(self.modes, default=-1):
-            pass  # extra modes are solved on demand
         if self.precond_family not in (0, 1):
             errors.append("precond family must be 0 or 1")
         if self.m1_variant not in ("extra", "full"):

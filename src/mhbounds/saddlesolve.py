@@ -1,20 +1,23 @@
 """Preconditioned MinRes for the mode systems, with a sparse direct oracle.
 
-The block-diagonal preconditioners are applied through exact sparse
-factorizations of their diagonal blocks.  For problem II's Schur-complement
-blocks containing M K^{-1} M, the inverse is applied either through an
-equivalent augmented sparse factorization (default, exact) or through an
-inner conjugate-gradient iteration with a spectrally equivalent
-factorized preconditioner.
+Every block of the block-diagonal preconditioners is diagonal in the 2-D
+type-I sine basis of the interior grid: the stiffness matrix exactly (it is
+the 5-point stencil on this mesh), the mass matrix through a spectrally
+equivalent tensor-product surrogate.  Problem II's Schur complements, which
+contain M K^{-1} M or K M^{-1} K, are then diagonal too.  A preconditioner is
+a stacked symbol array applied by one fast sine transform pair (the fast
+Poisson solver of Buzbee, Golub and Nielson); no factorization is built.
+The sparse LU `direct_solve` is the reference solver of the tests.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.fft as sfft
 import scipy.sparse.linalg as spla
 
 from .systems import ModeMatrices, ModeSolution, ModeSystem, split_solution
@@ -44,38 +47,28 @@ class SolveStats:
 class BlockDiagPrecond:
     """Symmetric positive definite block-diagonal preconditioner.
 
-    `solvers` is a list of (block_size, apply_inverse) pairs; `matvecs`
-    optionally carries the forward block applications for spectrum probes.
+    `symbol` holds the DST-I eigenvalues of the blocks, shape (blocks, m, m)
+    with m = n - 1 interior nodes per side, blocks in the unknown ordering
+    of the mode system.  Between one orthonormal DST-I pair over all blocks,
+    `apply` divides by the symbol and `matvec` multiplies by it.
     """
 
-    def __init__(self, solvers, matvecs=None, family: str = "none"):
-        self.solvers = solvers
-        self.matvecs = matvecs
-        self.family = family
-        self.dim = sum(n for n, _ in solvers)
+    def __init__(self, symbol: np.ndarray):
+        self.symbol = symbol
+        self.dim = symbol.size
+
+    def _transform(self, v: np.ndarray, op) -> np.ndarray:
+        coef = sfft.dstn(v.reshape(self.symbol.shape), type=1, norm="ortho", axes=(1, 2))
+        return sfft.dstn(op(coef, self.symbol), type=1, norm="ortho", axes=(1, 2)).ravel()
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(r)
-        at = 0
-        for n, solve in self.solvers:
-            out[at : at + n] = solve(r[at : at + n])
-            at += n
-        return out
+        return self._transform(r, np.divide)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.matvecs is None:
-            raise NotImplementedError("forward application not available")
-        out = np.empty_like(v)
-        at = 0
-        for (n, _), mv in zip(self.solvers, self.matvecs):
-            out[at : at + n] = mv(v[at : at + n])
-            at += n
-        return out
+        return self._transform(v, np.multiply)
 
 
 class IdentityPrecond:
-    family = "none"
-
     def apply(self, r: np.ndarray) -> np.ndarray:
         return r
 
@@ -83,129 +76,58 @@ class IdentityPrecond:
         return v
 
 
-def _factor(mat: sp.spmatrix):
-    return spla.factorized(mat.tocsc())
+def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """DST-I eigenvalues of K and of the tensor mass surrogate M~.
+
+    On the uniform right-triangle mesh the interior stiffness matrix is the
+    5-point stencil, so mu_K is exact.  The 7-point mass stencil couples
+    each node to one diagonal pair only; averaging it with the other
+    diagonal pair gives M~ = h^2/12 (6 + 2 cos a + 2 cos b + 2 cos a cos b),
+    spectrally equivalent to M.
+    """
+    m = math.isqrt(mats.K.shape[0])
+    h = 1.0 / (m + 1)
+    c = np.cos(np.pi * np.arange(1, m + 1) * h)
+    ca, cb = c[:, None], c[None, :]
+    mu_K = 4.0 - 2.0 * ca - 2.0 * cb
+    mu_M = h * h / 12.0 * (6.0 + 2.0 * ca + 2.0 * cb + 2.0 * ca * cb)
+    return mu_K, mu_M
+
+
+def _blocks(state: np.ndarray, adjoint: np.ndarray, k: int) -> BlockDiagPrecond:
+    """Stack the (y, p) blocks of mode k; k > 0 repeats each for cos and sin."""
+    reps = 1 if k == 0 else 2
+    return BlockDiagPrecond(np.stack([state] * reps + [adjoint] * reps))
 
 
 def build_precond_I(mats: ModeMatrices, k: int, lam: float, omega: float) -> BlockDiagPrecond:
     """diag(D_k, D_k, D_k/lam, D_k/lam) with D_k = sqrt(lam) K_nu + k w sqrt(lam) M_sigma + M."""
     if lam <= 0:
         raise ValueError("lam must be positive")
+    mu_K, mu_M = _grid_symbols(mats)
     sq = np.sqrt(lam)
-    D = (sq * mats.K_nu + k * omega * sq * mats.M_sigma + mats.M).tocsc()
-    solve = _factor(D)
-    n = D.shape[0]
-    mv = D.dot
-    if k == 0:
-        solvers = [(n, solve), (n, lambda r: lam * solve(r))]
-        matvecs = [mv, lambda v: mv(v) / lam]
-    else:
-        solvers = [
-            (n, solve),
-            (n, solve),
-            (n, lambda r: lam * solve(r)),
-            (n, lambda r: lam * solve(r)),
-        ]
-        matvecs = [mv, mv, lambda v: mv(v) / lam, lambda v: mv(v) / lam]
-    return BlockDiagPrecond(solvers, matvecs, family="I")
-
-
-class _AugmentedSchurSolve:
-    """Exact inverse of B + c^2 * M A^{-1} M via one sparse factorization.
-
-    Solving (B + c^2 M A^{-1} M) x = b is equivalent to the augmented
-    symmetric system [[B, c M], [c M, -A]] (x, z) = (b, 0).
-    """
-
-    def __init__(self, B: sp.spmatrix, M: sp.spmatrix, A: sp.spmatrix, c: float):
-        n = B.shape[0]
-        aug = sp.bmat([[B, c * M], [c * M, -A]], format="csc")
-        self._solve = _factor(aug)
-        self._n = n
-
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        rhs = np.concatenate([b, np.zeros(self._n)])
-        return self._solve(rhs)[: self._n]
-
-
-class _InnerCgSchurSolve:
-    """Inverse of B + c^2 M A^{-1} M by preconditioned conjugate gradients.
-
-    Matvecs use a cached factorization of A; the CG preconditioner is a
-    factorization of the spectrally equivalent B + c M.
-    """
-
-    def __init__(self, B, M, A, c: float, tol: float = 1e-12):
-        self.B = B.tocsr()
-        self.M = M.tocsr()
-        self.c = c
-        self.tol = tol
-        self._A_solve = _factor(A)
-        self._prec = _factor((B + abs(c) * M).tocsc())
-
-    def _matvec(self, v):
-        return self.B @ v + self.c**2 * (self.M @ self._A_solve(self.M @ v))
-
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        op = spla.LinearOperator(self.B.shape, matvec=self._matvec)
-        prec = spla.LinearOperator(self.B.shape, matvec=self._prec)
-        x, info = spla.cg(op, b, rtol=self.tol, atol=0.0, M=prec, maxiter=400)
-        if info != 0:
-            raise RuntimeError(f"inner CG did not converge (info={info})")
-        return x
+    D = sq * mats.nu * mu_K + (k * omega * sq * mats.sigma + 1.0) * mu_M
+    return _blocks(D, D / lam, k)
 
 
 def build_precond_II(
-    mats: ModeMatrices,
-    k: int,
-    lam: float,
-    omega: float,
-    family: int = 0,
-    inner: str = "exact",
+    mats: ModeMatrices, k: int, lam: float, omega: float, family: int = 0
 ) -> BlockDiagPrecond:
     """Schur-complement preconditioners for problem II (constant sigma, nu).
 
     family 0: diag(K, K, S_k, S_k), S_k = nu K + M/lam + (k w sigma)^2 M K^{-1} M
     family 1: diag(R_k, R_k, M/lam, M/lam), R_k = K + (k w sigma)^2 lam M + nu^2 lam K M^{-1} K
     """
-    K, M = mats.K, mats.M
-    nu, sigma = mats.nu, mats.sigma
-    n = K.shape[0]
-    kws = k * omega * sigma
-    schur_cls = _AugmentedSchurSolve if inner == "exact" else _InnerCgSchurSolve
+    mu_K, mu_M = _grid_symbols(mats)
+    nu = mats.nu
+    kws = k * omega * mats.sigma
     if family == 0:
-        B = (nu * K + (1.0 / lam) * M).tocsr()
-        K_solve = _factor(K)
-        if k == 0:
-            S_solve = _factor(B.tocsc())
-            solvers = [(n, K_solve), (n, S_solve)]
-            matvecs = [K.dot, B.dot]
-        else:
-            S_solve = schur_cls(B, M, K, kws)
-            S_mv = lambda v: B @ v + kws**2 * (M @ K_solve(M @ v))
-            solvers = [(n, K_solve), (n, K_solve), (n, S_solve), (n, S_solve)]
-            matvecs = [K.dot, K.dot, S_mv, S_mv]
-    elif family == 1:
-        M_solve = _factor(M)
-        if k == 0:
-            R_solve = schur_cls(K, K, M, np.sqrt(lam) * nu)
-            solvers = [(n, lambda r: lam * M_solve(r)), (n, R_solve)]
-            matvecs = [lambda v: (M @ v) / lam,
-                       lambda v: K @ v + lam * nu**2 * (K @ M_solve(K @ v))]
-        else:
-            B = (K + kws**2 * lam * M).tocsr()
-            R_solve = schur_cls(B, K, M, np.sqrt(lam) * nu)
-            R_mv = lambda v: B @ v + lam * nu**2 * (K @ M_solve(K @ v))
-            solvers = [
-                (n, R_solve),
-                (n, R_solve),
-                (n, lambda r: lam * M_solve(r)),
-                (n, lambda r: lam * M_solve(r)),
-            ]
-            matvecs = [R_mv, R_mv, lambda v: (M @ v) / lam, lambda v: (M @ v) / lam]
-    else:
-        raise ValueError("family must be 0 or 1")
-    return BlockDiagPrecond(solvers, matvecs, family=f"II-Schur{family}")
+        S = nu * mu_K + mu_M / lam + kws**2 * mu_M**2 / mu_K
+        return _blocks(mu_K, S, k)
+    if family == 1:
+        R = mu_K + kws**2 * lam * mu_M + nu**2 * lam * mu_K**2 / mu_M
+        return _blocks(R, mu_M / lam, k)
+    raise ValueError("family must be 0 or 1")
 
 
 def minres(
@@ -314,18 +236,9 @@ def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None):
     )
 
 
-_direct_cache: dict[int, object] = {}
-
-
-def direct_solve(system: ModeSystem, cache: bool = True) -> ModeSolution:
+def direct_solve(system: ModeSystem) -> ModeSolution:
     """Sparse LU oracle; raises on singular systems or poor residuals."""
-    key = id(system.matrix)
-    solve = _direct_cache.get(key) if cache else None
-    if solve is None:
-        solve = spla.factorized(system.matrix.tocsc())
-        if cache:
-            _direct_cache[key] = solve
-    x = solve(system.rhs)
+    x = spla.factorized(system.matrix.tocsc())(system.rhs)
     resid = np.linalg.norm(system.matrix @ x - system.rhs)
     scale = np.linalg.norm(system.rhs)
     if scale > 0 and resid > 1e-10 * scale:

@@ -246,7 +246,7 @@ def test_criterion_7f_minres_direct_agreement():
                 else:
                     P = build_precond_II(mats, k, case.lam, case.omega)
                 sol, stats = minres(system, P, tol=1e-10, maxiter=300)
-                ref = direct_solve(system, cache=False)
+                ref = direct_solve(system)
                 num = den = 0.0
                 for a, b in ((sol.y_c, ref.y_c), (sol.p_c, ref.p_c)):
                     e = a - b

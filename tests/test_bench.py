@@ -84,7 +84,7 @@ def test_zero_data_zero_bounds():
     mats = build_matrices(ctx)
     n = ctx.K.shape[0]
     system = build_mode_system("I", mats, 1, 1.0, 1.0, np.zeros(n), np.zeros(n))
-    sol = direct_solve(system, cache=False)
+    sol = direct_solve(system)
     data = ModeData(k=1, y_qp_c=np.zeros_like(ctx.qw), y_qp_s=np.zeros_like(ctx.qw))
     mb = evaluate_mode("I", ctx, mats, BoundParams(lam=1.0, omega=1.0), sol, data)
     assert mb.majorant == 0.0
@@ -141,6 +141,16 @@ def test_cli_validation_exit_codes(capsys):
     assert main(["--example", "3", "--grid", "33"]) == 2
     assert main(["--example", "1", "--problem", "II"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lambda", "0"), ("--omega", "0"), ("--omega", "-1"),
+    ("--tol", "-1"), ("--workers", "0"), ("--modes", "3-1"),
+])
+def test_cli_rejects_bad_values(flag, value, capsys):
+    assert main(["--example", "1", "--grid", "4", flag, value]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_cli_parser_ranges():

@@ -65,7 +65,7 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu):
         )
     system = build_mode_system(problem, mats, k, lam, omega, rhs_c,
                                None if k == 0 else rhs_s)
-    sol = direct_solve(system, cache=False)
+    sol = direct_solve(system)
     return ctx, mats, params, sol, data
 
 
@@ -181,7 +181,7 @@ def test_bracketing_example1_coarse(ctx16):
     for k in (0, 1):
         rc, rs = bind.rhs(k)
         system = build_mode_system("I", mats, k, case.lam, case.omega, rc, rs)
-        sol = direct_solve(system, cache=False)
+        sol = direct_solve(system)
         mb = evaluate_mode("I", ctx16, mats, params, sol, bind.mode_data(k))
         ref = bind.reference_cost(k)
         assert mb.minorant <= ref * (1 + 1e-3)

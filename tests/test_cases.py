@@ -136,7 +136,7 @@ def test_error_norms_decrease(ctx8, ctx16):
         bind = CaseBind(case, ctx)
         rc, rs = bind.rhs(1)
         sysk = build_mode_system("I", mats, 1, case.lam, case.omega, rc, rs)
-        sol = direct_solve(sysk, cache=False)
+        sol = direct_solve(sysk)
         l2, h1 = bind.error_norms(1, sol)
         assert l2 > 0 and h1 > 0
         errs.append((l2, h1))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
+import scipy.linalg
 import scipy.sparse as sp
 
 from mhbounds import mesh as meshmod
+from mhbounds.bench import ExperimentConfig, run
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import (
+    _grid_symbols,
     build_precond_I,
     build_precond_II,
     direct_solve,
@@ -21,7 +25,7 @@ def test_identity_precond_small_system(ctx2):
     mats = build_matrices(ctx2)
     sysk = build_mode_system("I", mats, 1, LAM, OMEGA, np.array([2.0]), np.array([-1.0]))
     sol, stats = minres(sysk, None, tol=1e-12, maxiter=10)
-    ref = direct_solve(sysk, cache=False)
+    ref = direct_solve(sysk)
     assert stats.iterations <= 4  # Krylov dimension bound
     assert stats.converged
     assert abs(sol.y_c[0] - ref.y_c[0]) < 1e-9
@@ -80,15 +84,6 @@ def test_precond_II_blocks_scalar(ctx2):
     assert abs(P2.apply(w)[0] - 1.0 / r) < 1e-12
 
 
-def test_precond_II_inner_strategies_agree(ctx8, rng):
-    mats = build_matrices(ctx8)
-    exact = build_precond_II(mats, 3, LAM, OMEGA, family=0, inner="exact")
-    iterative = build_precond_II(mats, 3, LAM, OMEGA, family=0, inner="cg")
-    r = rng.standard_normal(4 * ctx8.K.shape[0])
-    a, b = exact.apply(r), iterative.apply(r)
-    assert np.linalg.norm(a - b) < 1e-8 * np.linalg.norm(a)
-
-
 def test_precond_positive_definite(ctx8, rng):
     mats = build_matrices(ctx8)
     for P in (
@@ -133,7 +128,7 @@ def test_minres_agrees_with_direct(ctx16):
         sysk = build_mode_system("I", mats, k, case.lam, case.omega, rc, rs)
         P = build_precond_I(mats, k, case.lam, case.omega)
         sol, stats = minres(sysk, P, tol=1e-10)
-        ref = direct_solve(sysk, cache=False)
+        ref = direct_solve(sysk)
         num = np.sqrt((sol.y_c - ref.y_c) @ (mats.M @ (sol.y_c - ref.y_c)))
         den = np.sqrt(ref.y_c @ (mats.M @ ref.y_c))
         assert num < 1e-8 * den
@@ -160,7 +155,7 @@ def test_direct_solve_reports_singular():
     bad = ModeSystem(problem="I", k=0, lam=1.0, omega=1.0, mats=mats,
                      matrix=A, rhs=np.array([1.0, 0.0]))
     with pytest.raises(RuntimeError):
-        direct_solve(bad, cache=False)
+        direct_solve(bad)
 
 
 def test_breakdown_is_clean_termination(rng):
@@ -184,3 +179,61 @@ def test_residual_trace_csv(tmp_path, ctx8, rng):
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,residual"
     assert len(lines) == len(stats.residuals) + 1
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+def test_sine_transform_diagonalizes_stiffness(n, rng):
+    ctx = FemContext(meshmod.build(n))
+    mu_K, _ = _grid_symbols(build_matrices(ctx))
+    v = rng.standard_normal(ctx.K.shape[0])
+    coef = sfft.dstn(v.reshape(mu_K.shape), type=1, norm="ortho")
+    Kv = sfft.dstn(mu_K * coef, type=1, norm="ortho").ravel()
+    ref = ctx.K @ v
+    assert np.linalg.norm(Kv - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_mass_surrogate_spectrally_equivalent(n):
+    ctx = FemContext(meshmod.build(n))
+    _, mu_M = _grid_symbols(build_matrices(ctx))
+    m = mu_M.shape[0]
+    S = sfft.dst(np.eye(m), type=1, norm="ortho", axis=0)
+    M_tilde = np.kron(S, S) @ np.diag(mu_M.ravel()) @ np.kron(S, S)
+    theta = scipy.linalg.eigh(ctx.M.toarray(), M_tilde, eigvals_only=True)
+    assert 0.6 <= theta.min() and theta.max() <= 1.4
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_precond_apply_inverts_matvec(ctx8, rng, k):
+    mats = build_matrices(ctx8, sigma=1.5, nu=0.7)
+    for P in (
+        build_precond_I(mats, k, LAM, OMEGA),
+        build_precond_II(mats, k, LAM, OMEGA, family=0),
+        build_precond_II(mats, k, LAM, OMEGA, family=1),
+    ):
+        v = rng.standard_normal(P.dim)
+        assert P.dim == (2 if k == 0 else 4) * ctx8.K.shape[0]
+        assert np.linalg.norm(P.apply(P.matvec(v)) - v) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_precond_II_family1_mode0_converges(rng):
+    # the state block carries R_0 and the adjoint block M/lam, as for k > 0
+    ctx = FemContext(meshmod.build(16))
+    mats = build_matrices(ctx)
+    n = ctx.K.shape[0]
+    sysk = build_mode_system("II", mats, 0, LAM, OMEGA, rng.standard_normal(n))
+    sol, stats = minres(sysk, build_precond_II(mats, 0, LAM, OMEGA, family=1), tol=1e-10, maxiter=300)
+    ref = direct_solve(sysk)
+    assert stats.converged
+    assert stats.iterations <= 40
+    for a, b in ((sol.y_c, ref.y_c), (sol.p_c, ref.p_c)):
+        assert np.linalg.norm(a - b) <= 1e-7 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("example", [1, 4])
+@pytest.mark.parametrize("grid", [1, 2])
+def test_run_on_tiny_grids(example, grid):
+    rep = run(ExperimentConfig(example=example, grid=grid, modes=(0, 1)))
+    assert len(rep.rows) == 2
+    for row in rep.rows:
+        assert np.isfinite(row.minorant) and np.isfinite(row.majorant)

@@ -37,7 +37,7 @@ def test_mode1_scalar_matrix_and_solve(ctx2):
     )
     assert np.abs(sysk.matrix.toarray() - expect).max() < 1e-14
     x = oracle.dense_solve(expect, sysk.rhs)
-    sol = direct_solve(sysk, cache=False)
+    sol = direct_solve(sysk)
     got = np.array([sol.y_c[0], sol.y_s[0], sol.p_c[0], sol.p_s[0]])
     assert np.abs(got - x).max() < 1e-12
 
@@ -56,7 +56,7 @@ def test_mode1_problem_ii_scalar(ctx2):
     )
     assert np.abs(sysk.matrix.toarray() - expect).max() < 1e-14
     x = oracle.dense_solve(expect, sysk.rhs)
-    sol = direct_solve(sysk, cache=False)
+    sol = direct_solve(sysk)
     got = np.array([sol.y_c[0], sol.y_s[0], sol.p_c[0], sol.p_s[0]])
     assert np.abs(got - x).max() < 1e-12
 
@@ -66,7 +66,7 @@ def test_zero_data_zero_solution(ctx8):
     n = ctx8.K.shape[0]
     for problem in ("I", "II"):
         sysk = build_mode_system(problem, mats, 2, LAM, OMEGA, np.zeros(n), np.zeros(n))
-        sol = direct_solve(sysk, cache=False)
+        sol = direct_solve(sysk)
         assert np.abs(sol.y_c).max() == 0.0
         assert np.abs(sol.p_s).max() == 0.0
 
@@ -90,7 +90,7 @@ def test_schur_elimination_mode0(ctx8, rng):
     n = ctx8.K.shape[0]
     rhs = rng.standard_normal(n)
     sys0 = build_mode_system("I", mats, 0, LAM, OMEGA, rhs)
-    sol = direct_solve(sys0, cache=False)
+    sol = direct_solve(sys0)
     Minv = spla.factorized(mats.M.tocsc())
     lhs = mats.M @ sol.y_c + LAM * (mats.K @ Minv(mats.K @ sol.y_c))
     assert np.linalg.norm(lhs - rhs) < 1e-9 * np.linalg.norm(rhs)
@@ -116,7 +116,7 @@ def test_problem_ii_tracking_trend(ctx8, rng):
     errs = []
     for lam in (100.0, 10.0, 1.0, 0.1):
         sys0 = build_mode_system("II", mats, 0, lam, OMEGA, rhs)
-        sol = direct_solve(sys0, cache=False)
+        sol = direct_solve(sys0)
         e = sol.y_c - w
         errs.append(np.sqrt(e @ (mats.K @ e)))
     assert errs[3] < errs[2] < errs[1] < errs[0]
