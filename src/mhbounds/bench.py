@@ -30,6 +30,7 @@ from .bounds import (
     efficiency_indices,
     evaluate_mode,
     m1_index,
+    mode_cost,
 )
 from .cases import CaseBind, ExampleCase, make_case
 from .femcore import FemContext, prolong
@@ -203,31 +204,15 @@ def fine_grid_reference(case: ExampleCase, nref: int, ks, config: ExperimentConf
     costs, fields = {}, {}
     for k in ks:
         sol, _ = fine.solve_mode(k)
-        data = fine.bind.mode_data(k)
-        ctx = fine.ctx
-        misfit = energy = 0.0
-        parts = [(sol.y_c, sol.p_c, data.y_qp_c, data.g_qp_c)]
-        if k > 0:
-            parts.append((sol.y_s, sol.p_s, data.y_qp_s, data.g_qp_s))
-        store = []
-        for yv, pv, yd_qp, gd_qp in parts:
-            y_full = ctx.to_full(yv)
-            if case.problem == "I":
-                misfit += ctx.norm2(ctx.p1_at_qp(y_full) - yd_qp)
-            else:
-                misfit += ctx.vec_norm2(ctx.p1_grad(y_full)[:, None, :] - gd_qp)
-            energy += float(pv @ (fine.mats.M @ pv))
-            store.append(y_full)
-        costs[k] = 0.5 * misfit + energy / (2 * case.lam)
-        fields[k] = store
+        costs[k] = mode_cost(case.problem, fine.ctx, fine.mats, case.lam, sol, fine.bind.mode_data(k))
+        fields[k] = [fine.ctx.to_full(y) for y in sol.stacked()[0]]
     return costs, fields, fine
 
 
 def _fine_error_norms(fine, fields_k, coarse_ctx, sol):
     """(||e||^2, ||grad e||^2) of the coarse state against the fine one."""
-    parts = [sol.y_c] if sol.y_s is None else [sol.y_c, sol.y_s]
     l2 = h1 = 0.0
-    for ref_full, vec in zip(fields_k, parts):
+    for ref_full, vec in zip(fields_k, sol.stacked()[0]):
         e = ref_full - prolong(coarse_ctx.mesh, coarse_ctx.to_full(vec), fine.mesh)
         l2 += float(e @ (fine.ctx.M_full @ e))
         h1 += float(e @ (fine.ctx.K_full @ e))

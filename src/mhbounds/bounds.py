@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import fluxrecon
-from .femcore import FemContext
+from .femcore import QUAD_BARY, QUAD_W, FemContext, per_class
 from .systems import ModeMatrices, ModeSolution
 
 UNIT_SQUARE_FRIEDRICHS = 1.0 / (np.sqrt(2.0) * np.pi)
@@ -98,27 +98,23 @@ class ResidualSet:
     r3: float
     r4: float
 
-    def as_tuple(self):
-        return self.r1, self.r2, self.r3, self.r4
-
 
 @dataclass
 class ModeData:
     """Per-mode data samples entering misfits, residuals and right-hand sides.
 
-    Problem I carries scalar desired-state values at the quadrature points;
-    problem II carries desired-gradient vectors at the quadrature points and
-    the edge-flux degrees of freedom of the same data (for the adjoint flux
-    reconstruction).  Sine parts are None for mode 0.
+    The cosine and sine parts are stacked on a leading axis of length P (one
+    part for mode 0, two otherwise).  Problem I carries the desired state at
+    the quadrature points, y_qp (P, T, Q); problem II the desired gradient
+    at the quadrature points, g_qp (P, T, Q, 2), and the edge-flux degrees of
+    freedom of the same data, g_edge (P, E), for the adjoint flux
+    reconstruction.
     """
 
     k: int
-    y_qp_c: Optional[np.ndarray] = None
-    y_qp_s: Optional[np.ndarray] = None
-    g_qp_c: Optional[np.ndarray] = None
-    g_qp_s: Optional[np.ndarray] = None
-    g_edge_c: Optional[np.ndarray] = None
-    g_edge_s: Optional[np.ndarray] = None
+    y_qp: Optional[np.ndarray] = None
+    g_qp: Optional[np.ndarray] = None
+    g_edge: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -143,9 +139,61 @@ class ModeBounds:
         return self.majorant - self.minorant
 
 
-def _tri_means(ctx: FemContext, v_full: np.ndarray) -> np.ndarray:
-    """Per-triangle mean of a P1 field."""
-    return v_full[ctx.mesh.triangles].mean(axis=1)
+def _p1_norm2(ctx: FemContext, vert: np.ndarray) -> float:
+    """Exact squared L2 norm of P1 fields from vertex values (..., T, 3).
+
+    Per triangle the P1 mass form gives area/12 (sum a_i^2 + (sum a_i)^2).
+    """
+    sums = vert @ np.ones(3)
+    return ctx.mesh.tri_area / 12 * float(np.vdot(vert, vert) + np.vdot(sums, sums))
+
+
+def _rt0_norm2(ctx: FemContext, const: np.ndarray, div: np.ndarray) -> float:
+    """Exact squared L2 norm of tau(x) = const + div/2 (x - c) per triangle.
+
+    The linear part has zero mean, so the cross term vanishes.
+    """
+    return ctx.mesh.tri_area * float(
+        np.vdot(const, const) + 0.25 * ctx.offset_moment * np.vdot(div, div)
+    )
+
+
+def _qp_norm2(ctx: FemContext, values: np.ndarray) -> float:
+    """Squared L2 norm of values at the quadrature points, (..., T, Q)."""
+    flat = values.reshape(-1, values.shape[-1])
+    return ctx.mesh.tri_area * float(np.einsum("tq,tq->q", flat, flat) @ QUAD_W)
+
+
+def _state_misfit(problem: str, ctx: FemContext, y_vert, y_grad, data: ModeData):
+    """Squared data misfit of the stacked state parts.
+
+    Returns the misfit and, for problem I, its quadrature-point values
+    (P, T, Q), which the adjoint residual reuses.
+    """
+    if problem == "I":
+        values = y_vert @ QUAD_BARY.T - data.y_qp
+        return _qp_norm2(ctx, values), values
+    misfit = sum(_qp_norm2(ctx, y_grad[..., d, None] - data.g_qp[..., d]) for d in range(2))
+    return misfit, None
+
+
+def _adjoint_mass(mats: ModeMatrices, ps: np.ndarray) -> tuple[np.ndarray, float]:
+    """M p of the stacked adjoint parts, (P, m), and p^T M p summed over the parts."""
+    mp = (mats.M @ ps.T).T
+    return mp, float(np.vdot(ps, mp))
+
+
+def mode_cost(problem: str, ctx: FemContext, mats: ModeMatrices, lam: float,
+              sol: ModeSolution, data: ModeData) -> float:
+    """Cost 1/2 ||misfit||^2 + p^T M p / (2 lam) of a discrete mode pair.
+
+    The misfit and control-energy terms of `evaluate_mode`, without the
+    flux reconstructions; the control is u = -p / lam.
+    """
+    ys, ps = sol.stacked()
+    y_vert = ctx.vertex_values(ys)
+    misfit, _ = _state_misfit(problem, ctx, y_vert, per_class(y_vert, ctx.class_grads), data)
+    return 0.5 * misfit + _adjoint_mass(mats, ps)[1] / (2 * lam)
 
 
 def _match_boundary_divergence(mesh, flux, target_div: np.ndarray) -> None:
@@ -156,26 +204,15 @@ def _match_boundary_divergence(mesh, flux, target_div: np.ndarray) -> None:
     their degrees of freedom are free to absorb it.  The defect of each
     boundary triangle is split equally among its boundary edges.
     """
-    area = 0.5 * mesh.h * mesh.h
-    is_boundary_edge = mesh.edge_tris[:, 1] < 0
-    tri_bnd = is_boundary_edge[mesh.tri_edges]  # (T, 3)
-    n_bnd = tri_bnd.sum(axis=1)
-    tris = np.flatnonzero(n_bnd > 0)
-    div = fluxrecon.divergence(flux)
-    defect = (target_div[tris] - div[tris]) * area / n_bnd[tris]
-    for t, d in zip(tris, defect):
-        for local in range(3):
-            if tri_bnd[t, local]:
-                e = mesh.tri_edges[t, local]
-                flux.coeffs[e] += mesh.tri_edge_sign[t, local] * d
-
-
-def _pairs(sol: ModeSolution, ctx: FemContext):
-    y_c = ctx.to_full(sol.y_c)
-    p_c = ctx.to_full(sol.p_c)
-    y_s = ctx.to_full(sol.y_s) if sol.y_s is not None else None
-    p_s = ctx.to_full(sol.p_s) if sol.p_s is not None else None
-    return y_c, y_s, p_c, p_s
+    edges = np.flatnonzero(mesh.edge_tris[:, 1] < 0)
+    tris = mesh.edge_tris[edges, 0]
+    shares = np.bincount(tris, minlength=mesh.num_triangles)[tris]
+    local_sign = mesh.tri_edge_sign[tris] * (mesh.tri_edges[tris] == edges[:, None])
+    tri_flux = flux.coeffs[..., mesh.tri_edges[tris]] * mesh.tri_edge_sign[tris]
+    div = tri_flux.sum(axis=-1) / mesh.tri_area
+    defect = (target_div[..., tris] - div) * mesh.tri_area / shares
+    # every boundary edge has a single triangle, so the indices are unique
+    flux.coeffs[..., edges] += local_sign.sum(axis=1) * defect
 
 
 def evaluate_mode(
@@ -186,75 +223,72 @@ def evaluate_mode(
     sol: ModeSolution,
     data: ModeData,
 ) -> ModeBounds:
-    """Residuals, optimized majorant, minorant and error majorant of mode k."""
+    """Residuals, optimized majorant, minorant and error majorant of mode k.
+
+    The cosine and sine parts are evaluated together, stacked on a leading
+    axis.  Residuals that are piecewise polynomial (P1 or RT0 per triangle)
+    are integrated exactly in closed form; the misfit and the residual that
+    contains the data are integrated by the 7-point rule.
+    """
     k = sol.k
     lam = params.lam
-    kw = k * params.omega
     nu, sigma = params.nu, params.sigma
     cf, mu1 = params.c_friedrichs, params.mu1
 
-    y_c, y_s, p_c, p_s = _pairs(sol, ctx)
-    comp = [(y_c, p_c, data.y_qp_c, data.g_qp_c, data.g_edge_c, -1.0, y_s, p_s)]
-    if k > 0:
-        comp.append((y_s, p_s, data.y_qp_s, data.g_qp_s, data.g_edge_s, +1.0, y_c, p_c))
+    ys, ps = sol.stacked()
+    y_vert, p_vert = ctx.vertex_values(ys), ctx.vertex_values(ps)
+    y_grad, p_grad = per_class(y_vert, ctx.class_grads), per_class(p_vert, ctx.class_grads)
+    # time-derivative coupling: the cosine part pairs with -(sine part) and
+    # the sine part with +(cosine part), both scaled by k omega sigma
+    couple = k * params.omega * sigma * np.array([-1.0, 1.0])[: len(ys)]
 
-    r1_sq = r2_sq = r3_sq = r4_sq = 0.0
-    misfit = 0.0
-    for w, q, yd_qp, gd_qp, gd_edge, perp_sign, w_other, q_other in comp:
-        grad_w = ctx.p1_grad(w)  # (T, 2)
-        grad_q = ctx.p1_grad(q)
-        q_qp = ctx.p1_at_qp(q)
+    def perp(parts):
+        return couple.reshape((-1,) + (1,) * (parts.ndim - 1)) * parts[::-1]
 
-        tau = fluxrecon.reconstruct_p0(ctx.mesh, nu * grad_w)
-        r1_vals = fluxrecon.divergence(tau)[:, None] - q_qp / lam
-        if k > 0:
-            r1_vals = r1_vals + perp_sign * kw * sigma * ctx.p1_at_qp(w_other)
-        r1_sq += ctx.norm2(r1_vals)
-        r2_sq += ctx.vec_norm2(fluxrecon.at_qp(ctx, tau) - nu * grad_w[:, None, :])
+    tau_c, tau_div = fluxrecon.affine_form(ctx, fluxrecon.reconstruct_p0(ctx.mesh, nu * y_grad))
+    r1_vert = perp(y_vert)
+    r1_vert -= p_vert / lam
+    r1_vert += tau_div[..., None]
+    r1_sq = _p1_norm2(ctx, r1_vert)
+    r2_sq = _rt0_norm2(ctx, tau_c - nu * y_grad, tau_div)
 
-        if problem == "I":
-            w_qp = ctx.p1_at_qp(w)
-            misfit += ctx.norm2(w_qp - yd_qp)
-            rho = fluxrecon.reconstruct_p0(ctx.mesh, nu * grad_q)
-            r3_vals = fluxrecon.divergence(rho)[:, None] + w_qp - yd_qp
-            r4_vals = fluxrecon.at_qp(ctx, rho) - nu * grad_q[:, None, :]
-        else:
-            misfit += ctx.vec_norm2(grad_w[:, None, :] - gd_qp)
-            # adjoint flux approximates nu grad(p) - (grad(y) - g_d); its exact
-            # divergence is minus the time-derivative term, so the one-sided
-            # boundary traces are corrected to match that target per triangle
-            # (interior normal continuity untouched, so still in H(div))
-            rho = fluxrecon.reconstruct_p0(ctx.mesh, nu * grad_q - grad_w)
-            rho = fluxrecon.RTFlux(ctx.mesh, rho.coeffs + gd_edge)
-            if k > 0:
-                target_div = -perp_sign * kw * sigma * _tri_means(ctx, q_other)
-            else:
-                target_div = np.zeros(ctx.mesh.num_triangles)
-            _match_boundary_divergence(ctx.mesh, rho, target_div)
-            r3_vals = fluxrecon.divergence(rho)[:, None] + np.zeros_like(q_qp)
-            target = (nu * grad_q - grad_w)[:, None, :] + gd_qp
-            r4_vals = fluxrecon.at_qp(ctx, rho) - target
-        if k > 0:
-            r3_vals = r3_vals + perp_sign * kw * sigma * ctx.p1_at_qp(q_other)
-        r3_sq += ctx.norm2(r3_vals)
-        r4_sq += ctx.vec_norm2(r4_vals)
+    misfit, misfit_qp = _state_misfit(problem, ctx, y_vert, y_grad, data)
+    if problem == "I":
+        rho_c, rho_div = fluxrecon.affine_form(ctx, fluxrecon.reconstruct_p0(ctx.mesh, nu * p_grad))
+        r3_qp = (rho_div[..., None] + perp(p_vert)) @ QUAD_BARY.T
+        r3_qp += misfit_qp
+        r3_sq = _qp_norm2(ctx, r3_qp)
+        r4_sq = _rt0_norm2(ctx, rho_c - nu * p_grad, rho_div)
+    else:
+        # adjoint flux approximates nu grad(p) - (grad(y) - g_d); its exact
+        # divergence is minus the time-derivative term, so the one-sided
+        # boundary traces are corrected to match that target per triangle
+        # (interior normal continuity untouched, so still in H(div))
+        target = nu * p_grad - y_grad
+        rho = fluxrecon.reconstruct_p0(ctx.mesh, target)
+        rho.coeffs += data.g_edge
+        p_mean = p_vert @ np.full(3, 1 / 3)
+        _match_boundary_divergence(ctx.mesh, rho, -perp(p_mean))
+        rho_c, rho_div = fluxrecon.affine_form(ctx, rho)
+        r3_sq = _p1_norm2(ctx, rho_div[..., None] + perp(p_vert))
+        # rho - target - g_d at the quadrature points, one component at a
+        # time: (const_d, div/2) per triangle times (1, (x_q - c)_d) per class
+        const, half_div = rho_c - target, 0.5 * rho_div
+        offsets = ctx.class_qp_offsets
+        r4_sq = 0.0
+        for d in range(2):
+            rows = np.stack([const[..., d], half_div], axis=-1)
+            maps = np.stack([np.ones_like(offsets[..., d]), offsets[..., d]], axis=1)
+            r4_sq += _qp_norm2(ctx, per_class(rows, maps) - data.g_qp[..., d])
 
     res = ResidualSet(np.sqrt(r1_sq), np.sqrt(r2_sq), np.sqrt(r3_sq), np.sqrt(r4_sq))
 
-    control_energy = float(sol.p_c @ (mats.M @ sol.p_c)) / (2 * lam)
-    if k > 0:
-        control_energy += float(sol.p_s @ (mats.M @ sol.p_s)) / (2 * lam)
-
-    # bilinear pairing of state against adjoint and the adjoint mass term
-    bilin = float(sol.y_c @ (mats.K_nu @ sol.p_c))
-    quad = float(sol.p_c @ (mats.M @ sol.p_c)) / lam
-    if k > 0:
-        bilin += float(sol.y_s @ (mats.K_nu @ sol.p_s))
-        bilin += kw * (
-            float(sol.y_s @ (mats.M_sigma @ sol.p_c))
-            - float(sol.y_c @ (mats.M_sigma @ sol.p_s))
-        )
-        quad += float(sol.p_s @ (mats.M @ sol.p_s)) / lam
+    mp, p_mass = _adjoint_mass(mats, ps)
+    control_energy = p_mass / (2 * lam)
+    quad = p_mass / lam
+    # bilinear pairing of state against adjoint, with the time-derivative
+    # coupling  k omega sigma (y_s . M p_c - y_c . M p_s)
+    bilin = float(np.vdot(ys, (mats.K_nu @ ps.T).T + perp(mp)))
     # Problem I subtracts the pairing (benchmark-calibrated orientation,
     # equal to 2/lam ||p||^2 at the discrete solution); problem II uses the
     # orientation under which the term vanishes at the discrete solution.
@@ -290,11 +324,6 @@ def evaluate_mode(
         m1=m1,
         m1_extra=m1_extra,
     )
-
-
-def mode_residuals(problem, ctx, mats, params, sol, data) -> ResidualSet:
-    """Residual norms alone (shares the evaluation path with the bounds)."""
-    return evaluate_mode(problem, ctx, mats, params, sol, data).residuals
 
 
 @dataclass

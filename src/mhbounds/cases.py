@@ -196,14 +196,20 @@ _CASE_SPECS = {
 
 
 def make_case(ident: int, lam: float | None = None, omega: float | None = None) -> ExampleCase:
-    """Benchmark case by id 1..6, optionally overriding lambda and omega."""
+    """Benchmark case by id 1..6, optionally overriding lambda and omega.
+
+    Raises:
+        ValueError: for an unknown id or a non-finite or non-positive
+            lambda or omega.
+    """
     if ident not in _CASE_SPECS:
         raise ValueError(f"unknown example id {ident}")
     spec = dict(_CASE_SPECS[ident])
-    if lam is not None:
-        spec["lam"] = lam
-    if omega is not None:
-        spec["omega"] = omega
+    for name, value in (("lam", lam), ("omega", omega)):
+        if value is not None:
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+            spec[name] = value
     return ExampleCase(ident=ident, **spec)
 
 
@@ -254,18 +260,13 @@ class CaseBind:
 
     def mode_data(self, k: int) -> ModeData:
         c, s = self.case.mode_pair(k)
+        coef = np.array([c] if k == 0 else [c, s])
         if self.case.problem == "I":
-            return ModeData(
-                k=k,
-                y_qp_c=c * self.s_qp,
-                y_qp_s=None if k == 0 else s * self.s_qp,
-            )
+            return ModeData(k=k, y_qp=coef[:, None, None] * self.s_qp)
         return ModeData(
             k=k,
-            g_qp_c=c * self.v_qp,
-            g_qp_s=None if k == 0 else s * self.v_qp,
-            g_edge_c=c * self.v_edge,
-            g_edge_s=None if k == 0 else s * self.v_edge,
+            g_qp=coef[:, None, None, None] * self.v_qp,
+            g_edge=coef[:, None] * self.v_edge,
         )
 
     def reference_cost(self, k: int) -> float:

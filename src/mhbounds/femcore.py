@@ -96,6 +96,10 @@ def assemble_mass(mesh, sigma: float = 1.0, full: bool = False) -> sp.csr_matrix
 class FemContext:
     """Cached mesh-dependent arrays shared by assembly and bound evaluation.
 
+    Triangle t of the uniform mesh belongs to orientation class t % 2, and
+    every per-triangle geometric map is one of two constants; the `class_*`
+    arrays hold them with the class on the leading axis.
+
     Attributes:
         mesh: the underlying UniformMesh.
         K, M: unit-coefficient stiffness/mass on interior nodes.
@@ -104,6 +108,12 @@ class FemContext:
         area: per-triangle areas, (T,).
         qp: quadrature point coordinates, (T, Q, 2).
         qw: per-point weights scaled by area, (T, Q).
+        class_grads: P1 basis gradients per class, (2, 3, 2).
+        class_rt0_form: centroid value (c - P_i) / (2 A) and divergence
+            1 / A of the RT0 basis function with unit outward flux through
+            the edge opposite local vertex i, per class, (2, 3, 3).
+        class_qp_offsets: quadrature points minus the centroid, (2, Q, 2).
+        offset_moment: mean of |x - c|^2 over a triangle.
     """
 
     def __init__(self, mesh):
@@ -112,6 +122,15 @@ class FemContext:
         p = mesh.nodes[mesh.triangles]
         self.qp = np.einsum("qk,tkd->tqd", QUAD_BARY, p)
         self.qw = self.area[:, None] * QUAD_W[None, :]
+        corners = p[:2]
+        centroid = corners.mean(axis=1, keepdims=True)
+        self.class_grads = self.grads[:2]
+        area = self.area[:2, None, None]
+        self.class_rt0_form = np.concatenate(
+            [(centroid - corners) / (2 * area), np.broadcast_to(1 / area, (2, 3, 1))], axis=-1
+        )
+        self.class_qp_offsets = QUAD_BARY @ corners - centroid
+        self.offset_moment = float(QUAD_W @ np.sum(self.class_qp_offsets[0] ** 2, axis=1))
         self.K_full = assemble_stiffness(mesh, 1.0, full=True)
         self.M_full = assemble_mass(mesh, 1.0, full=True)
         idx = mesh.interior_nodes
@@ -132,6 +151,25 @@ class FemContext:
     def interpolate(self, f: Callable) -> np.ndarray:
         """Nodal interpolant of f(x, y), full vector."""
         return f(self.mesh.nodes[:, 0], self.mesh.nodes[:, 1])
+
+    def vertex_values(self, v_int: np.ndarray) -> np.ndarray:
+        """Vertex values of stacked interior-node P1 fields, (P, m) -> (P, T, 3).
+
+        Slices the (n+1) x (n+1) node grid, without an index gather: cell
+        (cx, cy) holds the lower triangle (v00, v10, v11) and then the upper
+        one (v00, v11, v01), as `mesh.triangles` numbers them.
+        """
+        n = self.mesh.n
+        parts = v_int.shape[0]
+        grid = np.zeros((parts, n + 1, n + 1))
+        grid[:, 1:-1, 1:-1] = v_int.reshape(parts, n - 1, n - 1)
+        v00, v10 = grid[:, :-1, :-1], grid[:, :-1, 1:]
+        v01, v11 = grid[:, 1:, :-1], grid[:, 1:, 1:]
+        out = np.empty((parts, n, n, 2, 3))
+        for cls, corners in enumerate(((v00, v10, v11), (v00, v11, v01))):
+            for local, v in enumerate(corners):
+                out[:, :, :, cls, local] = v
+        return out.reshape(parts, 2 * n * n, 3)
 
     def p1_at_qp(self, v_full: np.ndarray) -> np.ndarray:
         """P1 field values at the quadrature points, (T, Q)."""
@@ -197,6 +235,21 @@ class FemContext:
         out = np.zeros(self.mesh.num_nodes)
         np.add.at(out, self.mesh.triangles.ravel(), contrib.ravel())
         return out if full else out[self.mesh.interior_nodes]
+
+
+def per_class(values: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Contract per-triangle rows with their class map, (..., T, K) -> (..., T, D).
+
+    `maps` is (2, K, D): row t of the result is values[t] @ maps[t % 2].
+    Consecutive triangles pair up, so this is one matrix product of the
+    (..., T/2, 2K) rows with the block-diagonal (2K, 2D) class matrix.
+    """
+    *lead, tris, width = values.shape
+    depth = maps.shape[-1]
+    block = np.zeros((2 * width, 2 * depth))
+    block[:width, :depth] = maps[0]
+    block[width:, depth:] = maps[1]
+    return (values.reshape(-1, 2 * width) @ block).reshape(*lead, tris, depth)
 
 
 def assemble_load(mesh, f: Callable, full: bool = False) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .femcore import FemContext
+from .femcore import FemContext, per_class
 
 
 @dataclass
@@ -39,20 +39,20 @@ class RTFlux:
 
 
 def reconstruct_p0(mesh, field: np.ndarray) -> RTFlux:
-    """Edge-average a per-triangle constant vector field, (T, 2) -> RTFlux.
+    """Edge-average per-triangle constant vector fields, (..., T, 2) -> RTFlux.
 
     Interior edges take the arithmetic mean of the two one-sided normal
-    traces; boundary edges the single trace.
+    traces; boundary edges the single trace.  Leading axes stack fields.
     """
     t0 = mesh.edge_tris[:, 0]
-    t1 = mesh.edge_tris[:, 1]
-    flux0 = np.einsum("ed,ed->e", field[t0], mesh.edge_normal)
-    flux1 = np.where(
-        t1 >= 0,
-        np.einsum("ed,ed->e", field[np.maximum(t1, 0)], mesh.edge_normal),
-        flux0,
-    )
-    return RTFlux(mesh, 0.5 * (flux0 + flux1) * mesh.edge_length)
+    t1 = np.where(mesh.edge_tris[:, 1] >= 0, mesh.edge_tris[:, 1], t0)
+    nx, ny = mesh.edge_normal.T
+
+    def trace(tris):
+        side = np.take(field, tris, axis=-2)
+        return side[..., 0] * nx + side[..., 1] * ny
+
+    return RTFlux(mesh, 0.5 * (trace(t0) + trace(t1)) * mesh.edge_length)
 
 
 def reconstruct(ctx: FemContext, w_full: np.ndarray, nu: float = 1.0) -> RTFlux:
@@ -68,53 +68,13 @@ def reconstruct_from_callable(mesh, g) -> RTFlux:
     return RTFlux(mesh, normal_flux * mesh.edge_length)
 
 
-def divergence(flux: RTFlux) -> np.ndarray:
-    """Per-triangle divergence, (T,)."""
-    mesh = flux.mesh
-    signed = flux.coeffs[mesh.tri_edges] * mesh.tri_edge_sign  # (T, 3)
-    return signed.sum(axis=1) / (0.5 * mesh.h * mesh.h)
+def affine_form(ctx: FemContext, flux: RTFlux) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid values (..., T, 2) and divergences (..., T) of RT0 fields.
 
-
-def at_points(flux: RTFlux, points: np.ndarray) -> np.ndarray:
-    """Evaluate the flux at points given per triangle, (T, Q, 2) -> (T, Q, 2).
-
-    Basis: the function attached to edge e (opposite local vertex i) inside
-    triangle t is sign * (x - P_i) / (2 A); its normal-flux integral is one
-    on edge e and zero on the other two.
+    Inside each triangle an RT0 field is tau(x) = tau(c) + div/2 (x - c),
+    so the pair determines it exactly.
     """
     mesh = flux.mesh
-    area2 = mesh.h * mesh.h  # = 2 * triangle area
-    opp = mesh.nodes[mesh.triangles]  # (T, 3, 2)
-    coef = flux.coeffs[mesh.tri_edges] * mesh.tri_edge_sign / area2  # (T, 3)
-    # sum_i coef_i * (x - P_i) = (sum coef_i) * x - sum coef_i P_i
-    total = coef.sum(axis=1)
-    offset = np.einsum("tk,tkd->td", coef, opp)
-    return total[:, None, None] * points - offset[:, None, :]
-
-
-def at_qp(ctx: FemContext, flux: RTFlux) -> np.ndarray:
-    """Evaluate the flux at the context's quadrature points."""
-    return at_points(flux, ctx.qp)
-
-
-def normal_jumps(ctx: FemContext, flux: RTFlux) -> np.ndarray:
-    """Mismatch of the normal component across interior edges (should be 0).
-
-    Evaluates the reconstructed field from both adjacent triangles at the
-    edge midpoint and differences the normal components.
-    """
-    mesh = flux.mesh
-    interior = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
-    mid = 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
-    jumps = np.empty(len(interior))
-    for j, e in enumerate(interior):
-        vals = []
-        for t in mesh.edge_tris[e]:
-            pts = mid[e][None, None, :]
-            area2 = mesh.h * mesh.h
-            coef = flux.coeffs[mesh.tri_edges[t]] * mesh.tri_edge_sign[t] / area2
-            opp = mesh.nodes[mesh.triangles[t]]
-            val = coef.sum() * pts[0, 0] - coef @ opp
-            vals.append(val @ mesh.edge_normal[e])
-        jumps[j] = vals[0] - vals[1]
-    return jumps
+    outward = np.take(flux.coeffs, mesh.tri_edges, axis=-1) * mesh.tri_edge_sign
+    form = per_class(outward, ctx.class_rt0_form)
+    return form[..., :2], form[..., 2]

@@ -71,6 +71,12 @@ class ModeSolution:
     y_s: np.ndarray | None = None
     p_s: np.ndarray | None = None
 
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """State and adjoint with the cosine and sine parts on a leading axis, (P, m)."""
+        if self.y_s is None:
+            return self.y_c[None, :], self.p_c[None, :]
+        return np.stack([self.y_c, self.y_s]), np.stack([self.p_c, self.p_s])
+
     @property
     def u_c(self) -> np.ndarray:
         return -self.p_c / self.lam

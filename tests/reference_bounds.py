@@ -1,0 +1,155 @@
+"""Quadrature reference for the per-mode bound evaluation.
+
+This is the loop-over-parts evaluation that `bounds.evaluate_mode` replaced:
+every residual is sampled at the 7 quadrature points of every triangle and
+integrated by the degree-5 rule, with the cosine and sine parts handled one
+after the other.  The tests compare the batched exact-integral evaluation
+against it.  It is self-contained (its own RT0 helpers) so that a change to
+`fluxrecon` cannot move both sides at once.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from mhbounds.bounds import ModeBounds, ResidualSet, majorant_form, optimize_majorant_params
+
+
+def rt0_reconstruct(mesh, field):
+    """Edge-averaged normal-flux dofs of a per-triangle constant field (T, 2)."""
+    t0 = mesh.edge_tris[:, 0]
+    t1 = mesh.edge_tris[:, 1]
+    flux0 = np.einsum("ed,ed->e", field[t0], mesh.edge_normal)
+    flux1 = np.where(
+        t1 >= 0,
+        np.einsum("ed,ed->e", field[np.maximum(t1, 0)], mesh.edge_normal),
+        flux0,
+    )
+    return 0.5 * (flux0 + flux1) * mesh.edge_length
+
+
+def rt0_divergence(mesh, coeffs):
+    signed = coeffs[mesh.tri_edges] * mesh.tri_edge_sign
+    return signed.sum(axis=1) / (0.5 * mesh.h * mesh.h)
+
+
+def rt0_at_points(mesh, coeffs, points):
+    """RT0 field with edge dofs `coeffs` at per-triangle points (T, Q, 2).
+
+    The function attached to edge e (opposite local vertex i) inside
+    triangle t is sign * (x - P_i) / (2 A).
+    """
+    area2 = mesh.h * mesh.h
+    opp = mesh.nodes[mesh.triangles]
+    coef = coeffs[mesh.tri_edges] * mesh.tri_edge_sign / area2
+    total = coef.sum(axis=1)
+    offset = np.einsum("tk,tkd->td", coef, opp)
+    return total[:, None, None] * points - offset[:, None, :]
+
+
+def _match_boundary_divergence(mesh, coeffs, target_div):
+    area = 0.5 * mesh.h * mesh.h
+    is_boundary_edge = mesh.edge_tris[:, 1] < 0
+    tri_bnd = is_boundary_edge[mesh.tri_edges]
+    n_bnd = tri_bnd.sum(axis=1)
+    tris = np.flatnonzero(n_bnd > 0)
+    div = rt0_divergence(mesh, coeffs)
+    defect = (target_div[tris] - div[tris]) * area / n_bnd[tris]
+    for t, d in zip(tris, defect):
+        for local in range(3):
+            if tri_bnd[t, local]:
+                e = mesh.tri_edges[t, local]
+                coeffs[e] += mesh.tri_edge_sign[t, local] * d
+
+
+def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds:
+    """Residuals, majorant, minorant and error majorant by 7-point quadrature."""
+    mesh = ctx.mesh
+    k = sol.k
+    lam = params.lam
+    kw = k * params.omega
+    nu, sigma = params.nu, params.sigma
+    cf, mu1 = params.c_friedrichs, params.mu1
+
+    def part(arr, j):
+        return None if arr is None or j >= len(arr) else arr[j]
+
+    y_c, p_c = ctx.to_full(sol.y_c), ctx.to_full(sol.p_c)
+    y_s = ctx.to_full(sol.y_s) if sol.y_s is not None else None
+    p_s = ctx.to_full(sol.p_s) if sol.p_s is not None else None
+    comp = [(y_c, p_c, part(data.y_qp, 0), part(data.g_qp, 0), part(data.g_edge, 0), -1.0, y_s, p_s)]
+    if k > 0:
+        comp.append((y_s, p_s, part(data.y_qp, 1), part(data.g_qp, 1), part(data.g_edge, 1), +1.0, y_c, p_c))
+
+    r1_sq = r2_sq = r3_sq = r4_sq = 0.0
+    misfit = 0.0
+    for w, q, yd_qp, gd_qp, gd_edge, perp_sign, w_other, q_other in comp:
+        grad_w = ctx.p1_grad(w)
+        grad_q = ctx.p1_grad(q)
+        q_qp = ctx.p1_at_qp(q)
+
+        tau = rt0_reconstruct(mesh, nu * grad_w)
+        r1_vals = rt0_divergence(mesh, tau)[:, None] - q_qp / lam
+        if k > 0:
+            r1_vals = r1_vals + perp_sign * kw * sigma * ctx.p1_at_qp(w_other)
+        r1_sq += ctx.norm2(r1_vals)
+        r2_sq += ctx.vec_norm2(rt0_at_points(mesh, tau, ctx.qp) - nu * grad_w[:, None, :])
+
+        if problem == "I":
+            w_qp = ctx.p1_at_qp(w)
+            misfit += ctx.norm2(w_qp - yd_qp)
+            rho = rt0_reconstruct(mesh, nu * grad_q)
+            r3_vals = rt0_divergence(mesh, rho)[:, None] + w_qp - yd_qp
+            r4_vals = rt0_at_points(mesh, rho, ctx.qp) - nu * grad_q[:, None, :]
+        else:
+            misfit += ctx.vec_norm2(grad_w[:, None, :] - gd_qp)
+            rho = rt0_reconstruct(mesh, nu * grad_q - grad_w) + gd_edge
+            if k > 0:
+                target_div = -perp_sign * kw * sigma * q_other[mesh.triangles].mean(axis=1)
+            else:
+                target_div = np.zeros(mesh.num_triangles)
+            _match_boundary_divergence(mesh, rho, target_div)
+            r3_vals = rt0_divergence(mesh, rho)[:, None] + np.zeros_like(q_qp)
+            target = (nu * grad_q - grad_w)[:, None, :] + gd_qp
+            r4_vals = rt0_at_points(mesh, rho, ctx.qp) - target
+        if k > 0:
+            r3_vals = r3_vals + perp_sign * kw * sigma * ctx.p1_at_qp(q_other)
+        r3_sq += ctx.norm2(r3_vals)
+        r4_sq += ctx.vec_norm2(r4_vals)
+
+    res = ResidualSet(np.sqrt(r1_sq), np.sqrt(r2_sq), np.sqrt(r3_sq), np.sqrt(r4_sq))
+
+    control_energy = float(sol.p_c @ (mats.M @ sol.p_c)) / (2 * lam)
+    if k > 0:
+        control_energy += float(sol.p_s @ (mats.M @ sol.p_s)) / (2 * lam)
+
+    bilin = float(sol.y_c @ (mats.K_nu @ sol.p_c))
+    quad = float(sol.p_c @ (mats.M @ sol.p_c)) / lam
+    if k > 0:
+        bilin += float(sol.y_s @ (mats.K_nu @ sol.p_s))
+        bilin += kw * (
+            float(sol.y_s @ (mats.M_sigma @ sol.p_c))
+            - float(sol.y_c @ (mats.M_sigma @ sol.p_s))
+        )
+        quad += float(sol.p_s @ (mats.M @ sol.p_s)) / lam
+    mixed = quad - bilin if problem == "I" else quad + bilin
+
+    alpha, beta = optimize_majorant_params(misfit, res.r2, res.r1, params)
+    majorant = majorant_form(misfit, res.r2, res.r1, alpha, beta, params, P=control_energy)
+
+    adj = cf * res.r3 + res.r4
+    sta = cf * res.r1 + res.r2
+    minorant = (
+        0.5 * misfit
+        + control_energy
+        - mixed
+        - cf**2 / (mu1**2 * lam) * adj**2
+        - sta * adj / mu1
+    )
+    m1_extra = 3 * lam / (4 * cf**2) * sta**2
+    m1 = majorant - minorant + m1_extra
+    return ModeBounds(
+        k=k, problem=problem, minorant=minorant, majorant=majorant,
+        alpha=alpha, beta=beta, residuals=res, misfit=misfit,
+        control_energy=control_energy, mixed=mixed, m1=m1, m1_extra=m1_extra,
+    )

@@ -85,7 +85,7 @@ def test_zero_data_zero_bounds():
     n = ctx.K.shape[0]
     system = build_mode_system("I", mats, 1, 1.0, 1.0, np.zeros(n), np.zeros(n))
     sol = direct_solve(system)
-    data = ModeData(k=1, y_qp_c=np.zeros_like(ctx.qw), y_qp_s=np.zeros_like(ctx.qw))
+    data = ModeData(k=1, y_qp=np.zeros((2,) + ctx.qw.shape))
     mb = evaluate_mode("I", ctx, mats, BoundParams(lam=1.0, omega=1.0), sol, data)
     assert mb.majorant == 0.0
     assert mb.minorant == 0.0

@@ -117,6 +117,13 @@ def test_case_construction():
         make_case(3).reference_cost(0)
 
 
+@pytest.mark.parametrize("name", ["lam", "omega"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_make_case_rejects_bad_parameters(name, value):
+    with pytest.raises(ValueError, match=name):
+        make_case(1, **{name: value})
+
+
 def test_bind_rejects_odd_grid_for_indicator_cases():
     ctx = FemContext(meshmod.build(3))
     with pytest.raises(ValueError):

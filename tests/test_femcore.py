@@ -10,6 +10,7 @@ from mhbounds.femcore import (
     assemble_stiffness,
     l2_norm_squared,
     p1_eval_at,
+    per_class,
     prolong,
 )
 
@@ -155,3 +156,41 @@ def test_matrix_market_export(tmp_path, ctx2):
     text = path.read_text()
     assert text.startswith("%%MatrixMarket")
     assert f"{ctx2.mesh.num_nodes} {ctx2.mesh.num_nodes}" in text
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_vertex_values_match_triangle_gather(n, rng):
+    ctx = FemContext(meshmod.build(n))
+    v_int = rng.standard_normal((2, ctx.mesh.num_interior))
+    expect = np.stack([ctx.to_full(v)[ctx.mesh.triangles] for v in v_int])
+    assert np.array_equal(ctx.vertex_values(v_int), expect)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_class_maps_match_per_triangle_geometry(n, rng):
+    ctx = FemContext(meshmod.build(n))
+    mesh = ctx.mesh
+    corners = mesh.nodes[mesh.triangles]
+    centroid = corners.mean(axis=1, keepdims=True)
+    cls = np.arange(mesh.num_triangles) % 2
+    # every triangle's geometry is its class's
+    assert np.allclose(ctx.grads, ctx.class_grads[cls], rtol=0, atol=1e-12 * n)
+    assert np.allclose(ctx.qp - centroid, ctx.class_qp_offsets[cls], rtol=0, atol=1e-14)
+    assert np.allclose((centroid - corners) / (2 * mesh.tri_area),
+                       ctx.class_rt0_form[cls, :, :2], rtol=0, atol=1e-12 * n)
+    assert np.allclose(ctx.class_rt0_form[..., 2], 1 / mesh.tri_area, rtol=1e-14)
+    # per_class applies the class map row by row
+    vert = rng.standard_normal((3, mesh.num_triangles, 3))
+    expect = np.einsum("ptk,tkd->ptd", vert, ctx.grads)
+    assert np.allclose(per_class(vert, ctx.class_grads), expect, rtol=1e-13, atol=1e-13 * n)
+    # mean of |x - c|^2 over a triangle is (sum of squared sides) / 36,
+    # h^2 / 9 for the right isosceles triangles with legs h
+    assert abs(ctx.offset_moment - mesh.h**2 / 9) < 1e-15
+
+
+def test_exact_p1_norm_matches_mass_matrix(ctx8, rng):
+    from mhbounds.bounds import _p1_norm2
+
+    v = rng.standard_normal((2, ctx8.mesh.num_interior))
+    expect = sum(float(u @ (ctx8.M @ u)) for u in v)
+    assert abs(_p1_norm2(ctx8, ctx8.vertex_values(v)) - expect) < 1e-13 * expect

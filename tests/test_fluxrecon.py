@@ -2,6 +2,30 @@ import numpy as np
 
 from mhbounds import fluxrecon, mesh as meshmod
 from mhbounds.femcore import FemContext
+from reference_bounds import rt0_at_points
+
+
+def normal_jumps(flux):
+    """Mismatch of the normal component across interior edges (should be 0).
+
+    Evaluates the reconstructed field from both adjacent triangles at the
+    edge midpoint and differences the normal components.
+    """
+    mesh = flux.mesh
+    interior = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    mid = 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
+    jumps = np.empty(len(interior))
+    for j, e in enumerate(interior):
+        vals = []
+        for t in mesh.edge_tris[e]:
+            pts = mid[e][None, None, :]
+            area2 = mesh.h * mesh.h
+            coef = flux.coeffs[mesh.tri_edges[t]] * mesh.tri_edge_sign[t] / area2
+            opp = mesh.nodes[mesh.triangles[t]]
+            val = coef.sum() * pts[0, 0] - coef @ opp
+            vals.append(val @ mesh.edge_normal[e])
+        jumps[j] = vals[0] - vals[1]
+    return jumps
 
 
 def test_linear_potential_exact(ctx8):
@@ -9,9 +33,9 @@ def test_linear_potential_exact(ctx8):
     w = 0.3 + 1.7 * mesh.nodes[:, 0] - 0.9 * mesh.nodes[:, 1]
     tau = fluxrecon.reconstruct(ctx8, w, nu=2.0)
     grad = 2.0 * ctx8.p1_grad(w)
-    err = fluxrecon.at_qp(ctx8, tau) - grad[:, None, :]
+    err = rt0_at_points(mesh, tau.coeffs, ctx8.qp) - grad[:, None, :]
     assert np.abs(err).max() < 1e-13
-    assert np.abs(fluxrecon.divergence(tau)).max() < 1e-11
+    assert np.abs(fluxrecon.affine_form(ctx8, tau)[1]).max() < 1e-11
 
 
 def test_boundary_edge_one_sided(ctx8, rng):
@@ -26,13 +50,14 @@ def test_boundary_edge_one_sided(ctx8, rng):
         assert abs(tau.coeffs[e] - expect) < 1e-14
 
 
-def test_single_edge_divergence(mesh8):
+def test_single_edge_divergence(ctx8):
+    mesh8 = ctx8.mesh
     coeffs = np.zeros(mesh8.num_edges)
     interior = np.flatnonzero(mesh8.edge_tris[:, 1] >= 0)
     e = interior[7]
     coeffs[e] = 1.0
     flux = fluxrecon.RTFlux(mesh8, coeffs)
-    div = fluxrecon.divergence(flux)
+    div = fluxrecon.affine_form(ctx8, flux)[1]
     area = 0.5 * mesh8.h**2
     t0, t1 = mesh8.edge_tris[e]
     vals = sorted([div[t0], div[t1]])
@@ -45,7 +70,7 @@ def test_gauss_identity_per_triangle(ctx8, rng):
     # integral of the divergence equals the boundary flux, edge by edge
     mesh = ctx8.mesh
     flux = fluxrecon.RTFlux(mesh, rng.standard_normal(mesh.num_edges))
-    div = fluxrecon.divergence(flux)
+    div = fluxrecon.affine_form(ctx8, flux)[1]
     area = 0.5 * mesh.h**2
     signed = (flux.coeffs[mesh.tri_edges] * mesh.tri_edge_sign).sum(axis=1)
     assert np.abs(div * area - signed).max() < 1e-13
@@ -54,14 +79,35 @@ def test_gauss_identity_per_triangle(ctx8, rng):
     mid = 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
     for e in rng.integers(0, mesh.num_edges, size=10):
         t = mesh.edge_tris[e, 0]
-        val = fluxrecon.at_points(flux, mid[e][None, None, :].repeat(mesh.num_triangles, 0))[t, 0]
+        val = rt0_at_points(mesh, flux.coeffs, mid[e][None, None, :].repeat(mesh.num_triangles, 0))[t, 0]
         assert abs(val @ mesh.edge_normal[e] * mesh.edge_length[e] - flux.coeffs[e]) < 1e-12
+
+
+def test_affine_form_matches_pointwise_evaluation(ctx8, rng):
+    # tau(c) + div/2 (x - c) reproduces the RT0 field at every quadrature
+    # point, for stacked fields
+    mesh = ctx8.mesh
+    flux = fluxrecon.RTFlux(mesh, rng.standard_normal((2, mesh.num_edges)))
+    centre, div = fluxrecon.affine_form(ctx8, flux)
+    offsets = ctx8.qp - ctx8.qp.mean(axis=1, keepdims=True)
+    for part in range(2):
+        expect = rt0_at_points(mesh, flux.coeffs[part], ctx8.qp)
+        got = centre[part][:, None, :] + 0.5 * div[part][:, None, None] * offsets
+        assert np.abs(got - expect).max() < 1e-12 * np.abs(expect).max()
+
+
+def test_stacked_reconstruction_matches_single(ctx8, rng):
+    fields = rng.standard_normal((2, ctx8.mesh.num_triangles, 2))
+    stacked = fluxrecon.reconstruct_p0(ctx8.mesh, fields).coeffs
+    for part in range(2):
+        single = fluxrecon.reconstruct_p0(ctx8.mesh, fields[part]).coeffs
+        assert np.array_equal(stacked[part], single)
 
 
 def test_normal_continuity(ctx8, rng):
     w = rng.standard_normal(ctx8.mesh.num_nodes)
     tau = fluxrecon.reconstruct(ctx8, w)
-    assert np.abs(fluxrecon.normal_jumps(ctx8, tau)).max() < 1e-13
+    assert np.abs(normal_jumps(tau)).max() < 1e-13
 
 
 def test_reconstruction_convergence():
@@ -71,7 +117,7 @@ def test_reconstruction_convergence():
         w = ctx.interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         tau = fluxrecon.reconstruct(ctx, w)
         grad = ctx.p1_grad(w)
-        errs.append(np.sqrt(ctx.vec_norm2(fluxrecon.at_qp(ctx, tau) - grad[:, None, :])))
+        errs.append(np.sqrt(ctx.vec_norm2(rt0_at_points(ctx.mesh, tau.coeffs, ctx.qp) - grad[:, None, :])))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) > 0.9
 
