@@ -78,6 +78,8 @@ class ExperimentConfig:
             errors.append("grid must be positive")
         if self.example in (3, 6) and self.grid % 2:
             errors.append("examples 3 and 6 need an even grid")
+        if self.example in (3, 6) and self.nref is not None and self.nref % 2:
+            errors.append("examples 3 and 6 need an even reference grid")
         if not self.modes:
             errors.append("modes must not be empty")
         if any(k < 0 for k in self.modes):
@@ -350,13 +352,30 @@ def _overall_row(case, params, reports, n_trunc, config, ref_kind) -> TableRow:
     )
 
 
+def _sweep_configs(config: ExperimentConfig, grids, mode: int) -> list[ExperimentConfig]:
+    return [replace(config, grid=n, modes=(mode,), overall=(), out=None) for n in grids]
+
+
+def _errors(configs) -> list[str]:
+    """Validation errors of all configurations, each message once."""
+    return list(dict.fromkeys(err for c in configs for err in c.validate()))
+
+
 def grid_sweep(config: ExperimentConfig, grids, mode: int = 0) -> list[TableRow]:
-    """One row per grid for a fixed mode, labelled like '64x64'."""
+    """One row per grid for a fixed mode, labelled like '64x64'.
+
+    Raises:
+        ValueError: before any solve, if the configuration of any grid is
+            invalid.
+    """
+    configs = _sweep_configs(config, grids, mode)
+    errors = _errors(configs)
+    if errors:
+        raise ValueError("; ".join(errors))
     rows = []
-    for n in grids:
-        rep = run(replace(config, grid=n, modes=(mode,), overall=(), out=None))
-        row = rep.rows[0]
-        row.label = f"{n}x{n}"
+    for cfg in configs:
+        row = run(cfg).rows[0]
+        row.label = f"{cfg.grid}x{cfg.grid}"
         rows.append(row)
     return rows
 
@@ -469,7 +488,11 @@ def main(argv=None) -> int:
         workers=args.workers,
         out=args.out,
     )
-    errors = config.validate()
+    # a sweep replaces the grid, so every swept grid is checked instead
+    configs = [config]
+    if args.sweep and config.modes:
+        configs = _sweep_configs(config, args.sweep, config.modes[0])
+    errors = _errors(configs)
     if args.problem is not None:
         expected = "I" if args.example <= 3 else "II"
         if args.problem != expected:

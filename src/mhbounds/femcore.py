@@ -1,9 +1,11 @@
 """P1 finite element assembly and spatial quadrature on the uniform mesh.
 
-Element stiffness and mass matrices are exact closed forms; load vectors
-and data-bearing norms use a 7-point rule that is exact for polynomials of
-total degree 5 (so squares of the piecewise-quadratic integrands appearing
-in the bound evaluation are integrated exactly).
+The stiffness and mass matrices are the 5-point and 7-point stencils of
+the two constant element matrices, built directly in CSR; load vectors are
+summed onto the node grid by slicing.  Loads and data-bearing norms use a
+7-point rule that is exact for polynomials of total degree 5 (so squares
+of the piecewise-quadratic integrands appearing in the bound evaluation
+are integrated exactly).
 
 Homogeneous Dirichlet conditions are imposed by restriction to interior
 nodes; `full=True` variants keep all nodes for pre-elimination checks.
@@ -15,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+
+from .mesh import CLASS_CORNERS, add_cell_corners, cell_corners
 
 # 7-point degree-5 rule on the reference triangle, barycentric coordinates
 # and weights normalized to sum to 1.
@@ -37,60 +41,52 @@ QUAD_BARY = np.array(
 QUAD_W = np.array([9.0 / 40.0, _W1, _W1, _W1, _W2, _W2, _W2])
 
 
-def _tri_geometry(mesh):
-    """Per-triangle P1 gradients (T, 3, 2) and signed areas (T,)."""
-    p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
-    b = np.stack(
-        [
-            p[:, 1, 1] - p[:, 2, 1],
-            p[:, 2, 1] - p[:, 0, 1],
-            p[:, 0, 1] - p[:, 1, 1],
-        ],
-        axis=1,
-    )
-    c = np.stack(
-        [
-            p[:, 2, 0] - p[:, 1, 0],
-            p[:, 0, 0] - p[:, 2, 0],
-            p[:, 1, 0] - p[:, 0, 0],
-        ],
-        axis=1,
-    )
-    area2 = (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
-    grads = np.stack([b, c], axis=2) / area2[:, None, None]
+def _class_geometry(corners: np.ndarray):
+    """P1 basis gradients (2, 3, 2) and areas (2,) of the two class triangles."""
+    edge = np.roll(corners, -1, axis=1) - np.roll(corners, -2, axis=1)
+    side1, side2 = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    area2 = side1[:, 0] * side2[:, 1] - side2[:, 0] * side1[:, 1]
+    grads = np.stack([edge[..., 1], -edge[..., 0]], axis=-1) / area2[:, None, None]
     return grads, 0.5 * area2
 
 
-def _scatter_symmetric(mesh, local, full):
-    """Assemble (T, 3, 3) local blocks into a CSR matrix."""
-    tris = mesh.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    mat = sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(mesh.num_nodes, mesh.num_nodes)
-    ).tocsr()
-    if full:
-        return mat
-    idx = mesh.interior_nodes
-    return mat[idx][:, idx].tocsr()
+def _stencil_bands(local: np.ndarray, n: int) -> dict:
+    """Per-class element matrices (2, 3, 3) summed over all cells.
+
+    Returns {(dr, dc): (n+1, n+1) grid}: entry [r, c] couples node (r, c)
+    with node (r + dr, c + dc).  Zero element entries make no band, so the
+    stiffness gets the 5-point and the mass the 7-point stencil.
+    """
+    bands = {}
+    for cls, corners in enumerate(CLASS_CORNERS):
+        for i, (ri, ci) in enumerate(corners):
+            for j, (rj, cj) in enumerate(corners):
+                if local[cls, i, j] != 0:
+                    band = bands.setdefault((rj - ri, cj - ci), np.zeros((n + 1, n + 1)))
+                    band[ri : ri + n, ci : ci + n] += local[cls, i, j]
+    return bands
 
 
-def assemble_stiffness(mesh, nu: float = 1.0, full: bool = False) -> sp.csr_matrix:
-    """Stiffness matrix with entries nu * (grad phi_i, grad phi_j)."""
-    grads, area = _tri_geometry(mesh)
-    local = nu * np.einsum("tid,tjd,t->tij", grads, grads, area)
-    return _scatter_symmetric(mesh, local, full)
+def _stencil_csr(bands: dict, lo: int, hi: int) -> sp.csr_matrix:
+    """CSR matrix of the stencil on the nodes with row and column in [lo, hi).
 
-
-def assemble_mass(mesh, sigma: float = 1.0, full: bool = False) -> sp.csr_matrix:
-    """Mass matrix with entries sigma * (phi_i, phi_j)."""
-    _, area = _tri_geometry(mesh)
-    base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = sigma * area[:, None, None] * base[None, :, :]
-    return _scatter_symmetric(mesh, local, full)
+    Couplings to nodes outside the block are dropped, which restricts to the
+    interior nodes for (lo, hi) = (1, n).  Rows are lexicographic, and the
+    bands in (dr, dc) order give sorted column indices.
+    """
+    m = hi - lo
+    row, col = np.ogrid[:m, :m]
+    node = np.arange(m * m, dtype=np.int32).reshape(m, m)
+    offsets = sorted(bands)
+    keep = np.stack(
+        [(0 <= row + dr) & (row + dr < m) & (0 <= col + dc) & (col + dc < m) for dr, dc in offsets],
+        axis=-1,
+    )
+    values = np.stack([bands[o][lo:hi, lo:hi] for o in offsets], axis=-1)
+    columns = np.stack([node + (dr * m + dc) for dr, dc in offsets], axis=-1)
+    indptr = np.zeros(m * m + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=-1).ravel(), out=indptr[1:])
+    return sp.csr_matrix((values[keep], columns[keep], indptr), shape=(m * m, m * m))
 
 
 class FemContext:
@@ -104,10 +100,8 @@ class FemContext:
         mesh: the underlying UniformMesh.
         K, M: unit-coefficient stiffness/mass on interior nodes.
         K_full, M_full: pre-elimination variants on all nodes.
-        grads: per-triangle P1 basis gradients, (T, 3, 2).
-        area: per-triangle areas, (T,).
         qp: quadrature point coordinates, (T, Q, 2).
-        qw: per-point weights scaled by area, (T, Q).
+        qw: per-point weights scaled by area, (T, Q) (a read-only view).
         class_grads: P1 basis gradients per class, (2, 3, 2).
         class_rt0_form: centroid value (c - P_i) / (2 A) and divergence
             1 / A of the RT0 basis function with unit outward flux through
@@ -118,24 +112,35 @@ class FemContext:
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.grads, self.area = _tri_geometry(mesh)
-        p = mesh.nodes[mesh.triangles]
-        self.qp = np.einsum("qk,tkd->tqd", QUAD_BARY, p)
-        self.qw = self.area[:, None] * QUAD_W[None, :]
-        corners = p[:2]
+        n, h = mesh.n, mesh.h
+        # class triangles of cell (0, 0), as (x, y) = h (column, row)
+        unit = np.array(CLASS_CORNERS, dtype=float)[..., ::-1]
+        corners = h * unit
+        self.class_grads, area = _class_geometry(corners)
         centroid = corners.mean(axis=1, keepdims=True)
-        self.class_grads = self.grads[:2]
-        area = self.area[:2, None, None]
+        area = area[:, None, None]
         self.class_rt0_form = np.concatenate(
             [(centroid - corners) / (2 * area), np.broadcast_to(1 / area, (2, 3, 1))], axis=-1
         )
         self.class_qp_offsets = QUAD_BARY @ corners - centroid
         self.offset_moment = float(QUAD_W @ np.sum(self.class_qp_offsets[0] ** 2, axis=1))
-        self.K_full = assemble_stiffness(mesh, 1.0, full=True)
-        self.M_full = assemble_mass(mesh, 1.0, full=True)
-        idx = mesh.interior_nodes
-        self.K = self.K_full[idx][:, idx].tocsr()
-        self.M = self.M_full[idx][:, idx].tocsr()
+
+        # quadrature points: cell origin (c h, r h) plus the class points
+        origin = np.arange(n) * h
+        class_qp = QUAD_BARY @ corners  # (2, Q, 2)
+        qp = np.empty((n, n) + class_qp.shape)
+        qp[..., 0] = origin[None, :, None, None] + class_qp[..., 0]
+        qp[..., 1] = origin[:, None, None, None] + class_qp[..., 1]
+        self.qp = qp.reshape(mesh.num_triangles, len(QUAD_W), 2)
+        self.qw = np.broadcast_to(mesh.tri_area * QUAD_W, self.qp.shape[:2])
+
+        # the unit stiffness is scale free, so take it on the unit cell,
+        # where its entries 0, +-1/2 and 1 are exact
+        unit_grads, unit_area = _class_geometry(unit)
+        stiffness = _stencil_bands(np.einsum("cid,cjd,c->cij", unit_grads, unit_grads, unit_area), n)
+        mass = _stencil_bands(np.broadcast_to(mesh.tri_area / 12 * (1 + np.eye(3)), (2, 3, 3)), n)
+        self.K_full, self.M_full = (_stencil_csr(b, 0, n + 1) for b in (stiffness, mass))
+        self.K, self.M = (_stencil_csr(b, 1, n) for b in (stiffness, mass))
 
     # -- nodal field helpers -------------------------------------------------
 
@@ -155,21 +160,19 @@ class FemContext:
     def vertex_values(self, v_int: np.ndarray) -> np.ndarray:
         """Vertex values of stacked interior-node P1 fields, (P, m) -> (P, T, 3).
 
-        Slices the (n+1) x (n+1) node grid, without an index gather: cell
-        (cx, cy) holds the lower triangle (v00, v10, v11) and then the upper
-        one (v00, v11, v01), as `mesh.triangles` numbers them.
+        Slices the (n+1) x (n+1) node grid, without an index gather.
         """
         n = self.mesh.n
         parts = v_int.shape[0]
         grid = np.zeros((parts, n + 1, n + 1))
         grid[:, 1:-1, 1:-1] = v_int.reshape(parts, n - 1, n - 1)
-        v00, v10 = grid[:, :-1, :-1], grid[:, :-1, 1:]
-        v01, v11 = grid[:, 1:, :-1], grid[:, 1:, 1:]
-        out = np.empty((parts, n, n, 2, 3))
-        for cls, corners in enumerate(((v00, v10, v11), (v00, v11, v01))):
-            for local, v in enumerate(corners):
-                out[:, :, :, cls, local] = v
-        return out.reshape(parts, 2 * n * n, 3)
+        return cell_corners(grid, n).reshape(parts, 2 * n * n, 3)
+
+    def _node_sums(self, contrib: np.ndarray, full: bool) -> np.ndarray:
+        """Sum per-triangle vertex contributions (T, 3) onto the nodes."""
+        n = self.mesh.n
+        grid = add_cell_corners(contrib.reshape(n, n, 2, 3), n)
+        return grid.ravel() if full else grid[1:-1, 1:-1].ravel()
 
     def p1_at_qp(self, v_full: np.ndarray) -> np.ndarray:
         """P1 field values at the quadrature points, (T, Q)."""
@@ -178,8 +181,7 @@ class FemContext:
 
     def p1_grad(self, v_full: np.ndarray) -> np.ndarray:
         """Piecewise-constant gradient of a P1 field, (T, 2)."""
-        vert = v_full[self.mesh.triangles]
-        return np.einsum("tk,tkd->td", vert, self.grads)
+        return per_class(v_full[self.mesh.triangles], self.class_grads)
 
     def data_at_qp(self, f: Callable) -> np.ndarray:
         """Scalar data values at the quadrature points, (T, Q)."""
@@ -210,19 +212,11 @@ class FemContext:
 
     def load(self, f: Callable, full: bool = False) -> np.ndarray:
         """Load vector (f, phi_i) by quadrature."""
-        vals = self.data_at_qp(f) * self.qw  # (T, Q)
-        contrib = np.einsum("tq,qk->tk", vals, QUAD_BARY)
-        out = np.zeros(self.mesh.num_nodes)
-        np.add.at(out, self.mesh.triangles.ravel(), contrib.ravel())
-        return out if full else out[self.mesh.interior_nodes]
+        return self.load_from_qp(self.data_at_qp(f), full)
 
     def load_from_qp(self, values_qp: np.ndarray, full: bool = False) -> np.ndarray:
         """Load vector from data already sampled at quadrature points."""
-        vals = values_qp * self.qw
-        contrib = np.einsum("tq,qk->tk", vals, QUAD_BARY)
-        out = np.zeros(self.mesh.num_nodes)
-        np.add.at(out, self.mesh.triangles.ravel(), contrib.ravel())
-        return out if full else out[self.mesh.interior_nodes]
+        return self._node_sums((values_qp * self.qw) @ QUAD_BARY, full)
 
     def gradient_load(self, g: Callable, full: bool = False) -> np.ndarray:
         """Load vector (g, grad phi_i) for vector-valued data g."""
@@ -230,11 +224,8 @@ class FemContext:
         return self.gradient_load_from_qp(vals, full)
 
     def gradient_load_from_qp(self, values_qp: np.ndarray, full: bool = False) -> np.ndarray:
-        weighted = np.einsum("tq,tqd->td", self.qw, values_qp)  # (T, 2)
-        contrib = np.einsum("td,tkd->tk", weighted, self.grads)
-        out = np.zeros(self.mesh.num_nodes)
-        np.add.at(out, self.mesh.triangles.ravel(), contrib.ravel())
-        return out if full else out[self.mesh.interior_nodes]
+        weighted = self.mesh.tri_area * np.einsum("tqd,q->td", values_qp, QUAD_W)
+        return self._node_sums(per_class(weighted, self.class_grads.transpose(0, 2, 1)), full)
 
 
 def per_class(values: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -250,21 +241,6 @@ def per_class(values: np.ndarray, maps: np.ndarray) -> np.ndarray:
     block[:width, :depth] = maps[0]
     block[width:, depth:] = maps[1]
     return (values.reshape(-1, 2 * width) @ block).reshape(*lead, tris, depth)
-
-
-def assemble_load(mesh, f: Callable, full: bool = False) -> np.ndarray:
-    return FemContext(mesh).load(f, full)
-
-
-def assemble_gradient_load(mesh, g: Callable, full: bool = False) -> np.ndarray:
-    return FemContext(mesh).gradient_load(g, full)
-
-
-def export_matrix_market(matrix: sp.spmatrix, path) -> None:
-    """Dump a sparse matrix in Matrix Market coordinate format (debug aid)."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(matrix))
 
 
 def p1_eval_at(mesh, v_full: np.ndarray, pts: np.ndarray) -> np.ndarray:

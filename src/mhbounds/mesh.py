@@ -3,8 +3,10 @@
 Every square cell of an n x n grid is split along the bottom-left ->
 top-right diagonal, so all triangles fall into two congruent orientation
 classes and every element matrix is one of two constants.  Nodes are
-numbered lexicographically by (row, column), which makes assembly and the
-sparse matrix layout deterministic.
+numbered lexicographically by (row, column), cell (r, c) holds triangles
+2 (r n + c) (lower) and 2 (r n + c) + 1 (upper), and edges are numbered by
+(low node, high node).  Every index array is built in closed form from
+this numbering, by slicing the (n+1) x (n+1) node grid.
 """
 
 from __future__ import annotations
@@ -12,6 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# (row, column) offsets of the local vertices within their cell: the lower
+# triangle (v00, v10, v11), then the upper one (v00, v11, v01)
+CLASS_CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
+
+# +1 where the global normal of the edge opposite local vertex i points out
+# of the triangle: global normals are (0, -1) on horizontal, (1, 0) on
+# vertical and (1, -1)/sqrt(2) on diagonal edges
+CLASS_EDGE_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -69,19 +81,28 @@ class UniformMesh:
     def tri_area(self) -> float:
         return 0.5 * self.h * self.h
 
-    def edge_of(self, tri: int, local_edge: int) -> int:
-        """Global edge index of the edge opposite local vertex `local_edge`."""
-        return int(self.tri_edges[tri, local_edge])
 
-    def dump(self, path) -> None:
-        """Plain-text node and triangle listing (debugging aid)."""
-        with open(path, "w") as fh:
-            fh.write(f"# nodes {self.num_nodes}\n")
-            for i, (x, y) in enumerate(self.nodes):
-                fh.write(f"{i} {x:.17g} {y:.17g}\n")
-            fh.write(f"# triangles {self.num_triangles}\n")
-            for t, (a, b, c) in enumerate(self.triangles):
-                fh.write(f"{t} {a} {b} {c}\n")
+def cell_corners(grid: np.ndarray, n: int) -> np.ndarray:
+    """Node-grid values at the triangle vertices, (..., n+1, n+1) -> (..., n, n, 2, 3).
+
+    Axes -4 and -3 are the cell row and column, axis -2 the class; reshaped
+    to (..., 2 n^2, 3) this is the `triangles` numbering.
+    """
+    out = np.empty(grid.shape[:-2] + (n, n, 2, 3), dtype=grid.dtype)
+    for cls, corners in enumerate(CLASS_CORNERS):
+        for local, (r, c) in enumerate(corners):
+            out[..., cls, local] = grid[..., r : r + n, c : c + n]
+    return out
+
+
+def add_cell_corners(values: np.ndarray, n: int) -> np.ndarray:
+    """Sum per-vertex triangle values onto the node grid, the transpose of
+    `cell_corners`: (..., n, n, 2, 3) -> (..., n+1, n+1)."""
+    out = np.zeros(values.shape[:-4] + (n + 1, n + 1))
+    for cls, corners in enumerate(CLASS_CORNERS):
+        for local, (r, c) in enumerate(corners):
+            out[..., r : r + n, c : c + n] += values[..., cls, local]
+    return out
 
 
 def build(n: int) -> UniformMesh:
@@ -96,64 +117,52 @@ def build(n: int) -> UniformMesh:
     side = n + 1
     ix, iy = np.meshgrid(np.arange(side), np.arange(side))
     nodes = np.column_stack([ix.ravel() * h, iy.ravel() * h])
+    node_grid = np.arange(side * side).reshape(side, side)
+    triangles = cell_corners(node_grid, n).reshape(-1, 3)
 
-    # cell (cx, cy): lower triangle (v00, v10, v11), upper (v00, v11, v01)
-    cx, cy = np.meshgrid(np.arange(n), np.arange(n))
-    cx = cx.ravel()
-    cy = cy.ravel()
-    v00 = cy * side + cx
-    v10 = v00 + 1
-    v01 = v00 + side
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+    # Edges sorted by (low node, high node): node (r, c) owns its
+    # horizontal, vertical and diagonal edge, in that order, where each
+    # exists.  ids[r, c, kind] is the global index of that edge.
+    row, col = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    has = np.stack([col < n, row < n, (row < n) & (col < n)], axis=-1)
+    ids = np.cumsum(has.ravel()).reshape(side, side, 3) - 1
+    owner, kind = np.divmod(np.flatnonzero(has), 3)
+    edges = np.column_stack([owner, owner + np.array([1, side, side + 1])[kind]])
 
-    # edge i is opposite local vertex i
-    pairs = np.concatenate(
+    # edge i is opposite local vertex i: the lower triangle of cell (r, c)
+    # has (vertical at c+1, diagonal, horizontal), the upper one
+    # (horizontal at r+1, vertical, diagonal)
+    horiz, vert, diag = ids[..., 0], ids[..., 1], ids[..., 2]
+    cells = (slice(0, n), slice(0, n))
+    tri_edges = np.stack(
         [
-            triangles[:, [1, 2]],
-            triangles[:, [2, 0]],
-            triangles[:, [0, 1]],
-        ]
-    )
-    pairs_sorted = np.sort(pairs, axis=1)
-    edges, tri_edges_flat = np.unique(pairs_sorted, axis=0, return_inverse=True)
+            np.stack([vert[:n, 1:], diag[cells], horiz[cells]], axis=-1),
+            np.stack([horiz[1:, :n], vert[cells], diag[cells]], axis=-1),
+        ],
+        axis=2,
+    ).reshape(-1, 3)
+
+    # the two triangles of an edge see it at different local indices, so
+    # each pass over one local index writes every edge at most once, and
+    # the triangle with the lower local index comes first
     num_tris = triangles.shape[0]
-    tri_edges = tri_edges_flat.reshape(3, num_tris).T.copy()
+    edge_tris = np.full((edges.shape[0], 2), -1, dtype=np.int64)
+    tri_ids = np.arange(num_tris)
+    for local in range(3):
+        e = tri_edges[:, local]
+        second = edge_tris[e, 0] >= 0
+        edge_tris[e[~second], 0] = tri_ids[~second]
+        edge_tris[e[second], 1] = tri_ids[second]
 
-    num_edges = edges.shape[0]
-    edge_tris = np.full((num_edges, 2), -1, dtype=np.int64)
-    tri_ids = np.tile(np.arange(num_tris), 3)
-    order = np.argsort(tri_edges_flat, kind="stable")
-    sorted_tris = tri_ids[order]
-    first = np.searchsorted(tri_edges_flat[order], np.arange(num_edges))
-    counts = np.diff(np.append(first, 3 * num_tris))
-    edge_tris[:, 0] = sorted_tris[first]
-    two = counts == 2
-    edge_tris[two, 1] = sorted_tris[first[two] + 1]
-
-    vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
+    # edge vectors (high node minus low node) from the node spacing, which
+    # is h only up to rounding; step[n] pads the edges that do not exist
+    row_of, col_of = np.divmod(owner, side)
+    step = np.append(np.diff(np.arange(side) * h), 0.0)
+    vec = np.column_stack([step[col_of] * (kind != 1), step[row_of] * (kind != 0)])
     edge_length = np.hypot(vec[:, 0], vec[:, 1])
     edge_normal = np.column_stack([vec[:, 1], -vec[:, 0]]) / edge_length[:, None]
 
-    # outward test: normal against (edge midpoint - opposite vertex)
-    mid = 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])
-    tri_edge_sign = np.empty((num_tris, 3))
-    for local in range(3):
-        e = tri_edges[:, local]
-        opp = nodes[triangles[:, local]]
-        dot = np.einsum("ij,ij->i", edge_normal[e], mid[e] - opp)
-        tri_edge_sign[:, local] = np.where(dot > 0.0, 1.0, -1.0)
-
-    on_boundary = (
-        (nodes[:, 0] == 0.0)
-        | (nodes[:, 0] == 1.0)
-        | (nodes[:, 1] == 0.0)
-        | (nodes[:, 1] == 1.0)
-    )
+    on_boundary = ((row == 0) | (row == n) | (col == 0) | (col == n)).ravel()
     interior_nodes = np.flatnonzero(~on_boundary)
 
     return UniformMesh(
@@ -166,7 +175,7 @@ def build(n: int) -> UniformMesh:
         edge_length=edge_length,
         edge_normal=edge_normal,
         tri_edges=tri_edges,
-        tri_edge_sign=tri_edge_sign,
+        tri_edge_sign=np.tile(CLASS_EDGE_SIGN, (n * n, 1)),
         boundary_node=on_boundary,
         interior_nodes=interior_nodes,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .femcore import FemContext, assemble_mass, assemble_stiffness
+from .femcore import FemContext
 
 PROBLEMS = ("I", "II")
 

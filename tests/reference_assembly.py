@@ -1,0 +1,163 @@
+"""Generic unstructured set-up, the reference for the closed-form one.
+
+`build_mesh` numbers edges by `np.unique` over the sorted vertex pairs of
+every triangle and finds their triangles by a stable argsort; the
+assembly gathers `nodes[triangles]`, forms per-triangle element matrices
+and scatters them as COO blocks; the loads are summed by `np.add.at`.
+Nothing here reads the structure of the grid beyond `mesh.triangles` and
+`mesh.nodes`, so the tests can check `mesh.build` and `FemContext`
+against it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from mhbounds.femcore import QUAD_BARY, QUAD_W
+from mhbounds.mesh import UniformMesh
+
+
+def build_mesh(n: int) -> UniformMesh:
+    """The uniform mesh, numbered by sorting instead of in closed form."""
+    h = 1.0 / n
+    side = n + 1
+    ix, iy = np.meshgrid(np.arange(side), np.arange(side))
+    nodes = np.column_stack([ix.ravel() * h, iy.ravel() * h])
+
+    # cell (cx, cy): lower triangle (v00, v10, v11), upper (v00, v11, v01)
+    cx, cy = np.meshgrid(np.arange(n), np.arange(n))
+    cx = cx.ravel()
+    cy = cy.ravel()
+    v00 = cy * side + cx
+    v10 = v00 + 1
+    v01 = v00 + side
+    v11 = v01 + 1
+    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
+    triangles[0::2] = np.column_stack([v00, v10, v11])
+    triangles[1::2] = np.column_stack([v00, v11, v01])
+
+    # edge i is opposite local vertex i
+    pairs = np.concatenate(
+        [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]]
+    )
+    edges, tri_edges_flat = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+    num_tris = triangles.shape[0]
+    tri_edges = tri_edges_flat.reshape(3, num_tris).T.copy()
+
+    num_edges = edges.shape[0]
+    edge_tris = np.full((num_edges, 2), -1, dtype=np.int64)
+    tri_ids = np.tile(np.arange(num_tris), 3)
+    order = np.argsort(tri_edges_flat, kind="stable")
+    sorted_tris = tri_ids[order]
+    first = np.searchsorted(tri_edges_flat[order], np.arange(num_edges))
+    counts = np.diff(np.append(first, 3 * num_tris))
+    edge_tris[:, 0] = sorted_tris[first]
+    two = counts == 2
+    edge_tris[two, 1] = sorted_tris[first[two] + 1]
+
+    vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
+    edge_length = np.hypot(vec[:, 0], vec[:, 1])
+    edge_normal = np.column_stack([vec[:, 1], -vec[:, 0]]) / edge_length[:, None]
+
+    # outward test: normal against (edge midpoint - opposite vertex)
+    mid = 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])
+    tri_edge_sign = np.empty((num_tris, 3))
+    for local in range(3):
+        e = tri_edges[:, local]
+        opp = nodes[triangles[:, local]]
+        dot = np.einsum("ij,ij->i", edge_normal[e], mid[e] - opp)
+        tri_edge_sign[:, local] = np.where(dot > 0.0, 1.0, -1.0)
+
+    # by coordinate, which misses nodes whose ix * h rounds below 1 (n = 49)
+    on_boundary = (
+        (nodes[:, 0] == 0.0)
+        | (nodes[:, 0] == 1.0)
+        | (nodes[:, 1] == 0.0)
+        | (nodes[:, 1] == 1.0)
+    )
+    return UniformMesh(
+        n=n,
+        h=h,
+        nodes=nodes,
+        triangles=triangles,
+        edges=edges,
+        edge_tris=edge_tris,
+        edge_length=edge_length,
+        edge_normal=edge_normal,
+        tri_edges=tri_edges,
+        tri_edge_sign=tri_edge_sign,
+        boundary_node=on_boundary,
+        interior_nodes=np.flatnonzero(~on_boundary),
+    )
+
+
+def tri_geometry(mesh):
+    """Per-triangle P1 gradients (T, 3, 2) and signed areas (T,)."""
+    p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
+    b = np.stack(
+        [p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]],
+        axis=1,
+    )
+    c = np.stack(
+        [p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]],
+        axis=1,
+    )
+    area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+        p[:, 2, 0] - p[:, 0, 0]
+    ) * (p[:, 1, 1] - p[:, 0, 1])
+    grads = np.stack([b, c], axis=2) / area2[:, None, None]
+    return grads, 0.5 * area2
+
+
+def quadrature_points(mesh) -> np.ndarray:
+    """Quadrature point coordinates per triangle, (T, Q, 2)."""
+    return np.einsum("qk,tkd->tqd", QUAD_BARY, mesh.nodes[mesh.triangles])
+
+
+def _scatter_symmetric(mesh, local, full):
+    """Assemble (T, 3, 3) local blocks into a CSR matrix."""
+    tris = mesh.triangles
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    mat = sp.coo_matrix(
+        (local.ravel(), (rows, cols)), shape=(mesh.num_nodes, mesh.num_nodes)
+    ).tocsr()
+    if full:
+        return mat
+    idx = mesh.interior_nodes
+    return mat[idx][:, idx].tocsr()
+
+
+def assemble_stiffness(mesh, full: bool = False) -> sp.csr_matrix:
+    """Stiffness matrix with entries (grad phi_i, grad phi_j)."""
+    grads, area = tri_geometry(mesh)
+    local = np.einsum("tid,tjd,t->tij", grads, grads, area)
+    return _scatter_symmetric(mesh, local, full)
+
+
+def assemble_mass(mesh, full: bool = False) -> sp.csr_matrix:
+    """Mass matrix with entries (phi_i, phi_j)."""
+    _, area = tri_geometry(mesh)
+    local = area[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+    return _scatter_symmetric(mesh, local, full)
+
+
+def _add_at(mesh, contrib, full):
+    out = np.zeros(mesh.num_nodes)
+    np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
+    return out if full else out[mesh.interior_nodes]
+
+
+def load_from_qp(mesh, values_qp: np.ndarray, full: bool = False) -> np.ndarray:
+    """Load vector (f, phi_i) from values at the quadrature points (T, Q)."""
+    _, area = tri_geometry(mesh)
+    vals = values_qp * (area[:, None] * QUAD_W[None, :])
+    return _add_at(mesh, np.einsum("tq,qk->tk", vals, QUAD_BARY), full)
+
+
+def gradient_load_from_qp(mesh, values_qp: np.ndarray, full: bool = False) -> np.ndarray:
+    """Load vector (g, grad phi_i) from vector values at the quadrature points (T, Q, 2)."""
+    grads, area = tri_geometry(mesh)
+    weighted = np.einsum("tq,tqd->td", area[:, None] * QUAD_W[None, :], values_qp)
+    return _add_at(mesh, np.einsum("td,tkd->tk", weighted, grads), full)

@@ -3,6 +3,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from mhbounds import bench
 from mhbounds.bench import (
     ExperimentConfig,
     build_parser,
@@ -143,14 +144,26 @@ def test_cli_validation_exit_codes(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--lambda", "0"), ("--omega", "0"), ("--omega", "-1"),
-    ("--tol", "-1"), ("--workers", "0"), ("--modes", "3-1"),
-])
-def test_cli_rejects_bad_values(flag, value, capsys):
-    assert main(["--example", "1", "--grid", "4", flag, value]) == 2
+@pytest.mark.parametrize("args", [
+    ["--lambda", "0"], ["--omega", "0"], ["--omega", "-1"],
+    ["--tol", "-1"], ["--workers", "0"], ["--modes", "3-1"],
+    ["--sweep", "0,4"],
+    ["--example", "3", "--sweep", "8,9"],
+    ["--example", "3", "--grid", "8", "--nref", "9", "--modes", "1"],
+    ["--example", "6", "--grid", "8", "--nref", "9"],
+], ids="-".join)
+def test_cli_rejects_bad_values(args, capsys, monkeypatch):
+    # nothing may be solved before the configuration is rejected
+    monkeypatch.setattr(bench, "run", None)
+    assert main(["--example", "1", "--grid", "4"] + args) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_grid_sweep_checks_every_grid_first(monkeypatch):
+    monkeypatch.setattr(bench, "run", None)
+    with pytest.raises(ValueError, match="even grid"):
+        grid_sweep(ExperimentConfig(example=3), (8, 9))
 
 
 def test_cli_parser_ranges():

@@ -2,17 +2,9 @@ import numpy as np
 import pytest
 
 from mhbounds import mesh as meshmod
-from mhbounds.femcore import (
-    FemContext,
-    assemble_gradient_load,
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-    l2_norm_squared,
-    p1_eval_at,
-    per_class,
-    prolong,
-)
+from mhbounds.femcore import QUAD_W, FemContext, l2_norm_squared, p1_eval_at, per_class, prolong
+from mhbounds.systems import build_matrices
+import reference_assembly as ref
 
 
 def test_single_interior_node_entries(ctx2):
@@ -21,14 +13,29 @@ def test_single_interior_node_entries(ctx2):
     assert abs(ctx2.M[0, 0] - 0.125) < 1e-14
 
 
-def test_coefficient_scaling(mesh2):
-    K1 = assemble_stiffness(mesh2, 1.0, full=True)
-    K2 = assemble_stiffness(mesh2, 2.0, full=True)
-    assert abs((K2 - 2 * K1)).max() < 1e-14
-    M1 = assemble_mass(mesh2, 1.0, full=True)
-    M3 = assemble_mass(mesh2, 3.0, full=True)
-    assert abs((M3 - 3 * M1)).max() < 1e-14
-    assert M1.toarray().min() >= 0
+def test_coefficient_scaling(ctx8):
+    mats = build_matrices(ctx8, sigma=3.0, nu=2.0)
+    assert abs(mats.K_nu - 2 * ctx8.K).max() < 1e-14
+    assert abs(mats.M_sigma - 3 * ctx8.M).max() < 1e-14
+    assert ctx8.M_full.toarray().min() >= 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+def test_stencils_match_scatter_assembly(n):
+    # n = 1 has no interior node and n = 2 one
+    mesh = meshmod.build(n)
+    ctx = FemContext(mesh)
+    for A, B in [
+        (ctx.K, ref.assemble_stiffness(mesh)),
+        (ctx.M, ref.assemble_mass(mesh)),
+        (ctx.K_full, ref.assemble_stiffness(mesh, full=True)),
+        (ctx.M_full, ref.assemble_mass(mesh, full=True)),
+    ]:
+        a, b = A.toarray(), B.toarray()
+        assert np.abs(a - b).max(initial=0) <= 1e-15 * np.abs(b).max(initial=0)
+        assert np.all(A.data != 0)
+        assert A.has_sorted_indices and A.has_canonical_format
+        assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
 
 
 def test_constants_in_stiffness_kernel(ctx16):
@@ -47,11 +54,30 @@ def test_symmetry_and_definiteness(ctx16, rng):
             assert v @ (A @ v) > 0
 
 
-def test_load_vectors(ctx16):
+def test_load_vectors(ctx2, ctx16):
     zero = ctx16.load(lambda x, y: np.zeros_like(x))
     assert np.all(zero == 0)
     const = ctx16.load(lambda x, y: np.ones_like(x))
     assert np.allclose(const, ctx16.mesh.h**2, atol=1e-15)
+    assert ctx2.load(lambda x, y: np.ones_like(x)).shape == (1,)
+    g = ctx2.gradient_load(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+    assert g.shape == (1,)
+    assert ctx2.load(lambda x, y: np.ones_like(x), full=True).shape == (9,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_sliced_loads_match_add_at(n, rng):
+    mesh = meshmod.build(n)
+    ctx = FemContext(mesh)
+    values = rng.standard_normal(ctx.qw.shape)
+    vectors = rng.standard_normal(ctx.qw.shape + (2,))
+    for full in (False, True):
+        for got, expect in [
+            (ctx.load_from_qp(values, full), ref.load_from_qp(mesh, values, full)),
+            (ctx.gradient_load_from_qp(vectors, full), ref.gradient_load_from_qp(mesh, vectors, full)),
+        ]:
+            assert got.shape == expect.shape
+            assert np.abs(got - expect).max(initial=0) <= 1e-14 * np.abs(expect).max(initial=0)
 
 
 def test_rayleigh_quotient_eigenfunction():
@@ -126,13 +152,6 @@ def test_galerkin_consistency_order():
     assert min(rates) > 1.8
 
 
-def test_module_level_wrappers(mesh2):
-    v = assemble_load(mesh2, lambda x, y: np.ones_like(x))
-    assert v.shape == (1,)
-    g = assemble_gradient_load(mesh2, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
-    assert g.shape == (1,)
-
-
 def test_p1_eval_and_prolong(rng):
     coarse = meshmod.build(4)
     fine = meshmod.build(8)
@@ -148,16 +167,6 @@ def test_p1_eval_and_prolong(rng):
     assert abs(v @ (ctx_c.K_full @ v) - w @ (ctx_f.K_full @ w)) < 1e-12
 
 
-def test_matrix_market_export(tmp_path, ctx2):
-    from mhbounds.femcore import export_matrix_market
-
-    path = tmp_path / "K.mtx"
-    export_matrix_market(ctx2.K_full, path)
-    text = path.read_text()
-    assert text.startswith("%%MatrixMarket")
-    assert f"{ctx2.mesh.num_nodes} {ctx2.mesh.num_nodes}" in text
-
-
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_vertex_values_match_triangle_gather(n, rng):
     ctx = FemContext(meshmod.build(n))
@@ -170,19 +179,27 @@ def test_vertex_values_match_triangle_gather(n, rng):
 def test_class_maps_match_per_triangle_geometry(n, rng):
     ctx = FemContext(meshmod.build(n))
     mesh = ctx.mesh
+    grads, area = ref.tri_geometry(mesh)
     corners = mesh.nodes[mesh.triangles]
     centroid = corners.mean(axis=1, keepdims=True)
+    qp = ref.quadrature_points(mesh)
     cls = np.arange(mesh.num_triangles) % 2
     # every triangle's geometry is its class's
-    assert np.allclose(ctx.grads, ctx.class_grads[cls], rtol=0, atol=1e-12 * n)
-    assert np.allclose(ctx.qp - centroid, ctx.class_qp_offsets[cls], rtol=0, atol=1e-14)
-    assert np.allclose((centroid - corners) / (2 * mesh.tri_area),
+    assert np.allclose(grads, ctx.class_grads[cls], rtol=0, atol=1e-12 * n)
+    assert np.allclose(area, mesh.tri_area, rtol=1e-14, atol=0)
+    assert np.allclose(ctx.qw, area[:, None] * QUAD_W, rtol=1e-14, atol=0)
+    assert np.allclose(ctx.qp, qp, rtol=0, atol=1e-15)
+    assert np.allclose(qp - centroid, ctx.class_qp_offsets[cls], rtol=0, atol=1e-14)
+    assert np.allclose((centroid - corners) / (2 * area[:, None, None]),
                        ctx.class_rt0_form[cls, :, :2], rtol=0, atol=1e-12 * n)
     assert np.allclose(ctx.class_rt0_form[..., 2], 1 / mesh.tri_area, rtol=1e-14)
     # per_class applies the class map row by row
     vert = rng.standard_normal((3, mesh.num_triangles, 3))
-    expect = np.einsum("ptk,tkd->ptd", vert, ctx.grads)
+    expect = np.einsum("ptk,tkd->ptd", vert, grads)
     assert np.allclose(per_class(vert, ctx.class_grads), expect, rtol=1e-13, atol=1e-13 * n)
+    w = rng.standard_normal(mesh.num_nodes)
+    expect = np.einsum("tk,tkd->td", w[mesh.triangles], grads)
+    assert np.allclose(ctx.p1_grad(w), expect, rtol=1e-13, atol=1e-13 * n)
     # mean of |x - c|^2 over a triangle is (sum of squared sides) / 36,
     # h^2 / 9 for the right isosceles triangles with legs h
     assert abs(ctx.offset_moment - mesh.h**2 / 9) < 1e-15

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mhbounds import mesh as meshmod
+from reference_assembly import build_mesh
 
 
 @pytest.mark.parametrize(
     "n,nodes,tris,interior",
-    [(1, 4, 2, 0), (2, 9, 8, 1), (16, 289, 512, 225)],
+    [(1, 4, 2, 0), (2, 9, 8, 1), (16, 289, 512, 225), (49, 2500, 4802, 2304)],
 )
 def test_counts(n, nodes, tris, interior):
     m = meshmod.build(n)
@@ -50,7 +53,7 @@ def test_edge_count_euler(mesh2):
 def test_edge_incidence_symmetric(mesh8):
     for t in range(mesh8.num_triangles):
         for local in range(3):
-            e = mesh8.edge_of(t, local)
+            e = mesh8.tri_edges[t, local]
             assert t in mesh8.edge_tris[e]
     counts = (mesh8.edge_tris >= 0).sum(axis=1)
     boundary = mesh8.edge_tris[:, 1] < 0
@@ -66,7 +69,7 @@ def test_shared_diagonal_edge(mesh2):
     shared = nodes_l & nodes_u
     diag = None
     for local in range(3):
-        e = mesh2.edge_of(lower, local)
+        e = mesh2.tri_edges[lower, local]
         if set(mesh2.edges[e]) == shared:
             diag = e
     assert diag is not None
@@ -74,9 +77,15 @@ def test_shared_diagonal_edge(mesh2):
     assert set(mesh2.edge_tris[diag]) == {lower, upper}
 
 
-def test_dump_roundtrip(tmp_path, mesh2):
-    path = tmp_path / "mesh.txt"
-    mesh2.dump(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "# nodes 9"
-    assert len(text) == 1 + 9 + 1 + 8
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 33])
+def test_closed_form_matches_sorted_numbering(n):
+    closed, ref = meshmod.build(n), build_mesh(n)
+    for f in dataclasses.fields(closed):
+        a, b = getattr(closed, f.name), getattr(ref, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype, f.name
+            assert np.array_equal(a, b), f.name
+            if a.dtype.kind == "f":
+                assert np.array_equal(np.signbit(a), np.signbit(b)), f.name
+        else:
+            assert a == b, f.name

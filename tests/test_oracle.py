@@ -3,7 +3,7 @@ import pytest
 
 from mhbounds import mesh as meshmod, oracle
 from mhbounds.bounds import BoundParams
-from mhbounds.femcore import assemble_mass, assemble_stiffness
+from mhbounds.femcore import FemContext
 
 
 def test_element_matrices_basics():
@@ -19,8 +19,9 @@ def test_dense_assembly_matches_sparse():
     for n in (2, 3, 5):
         mesh = meshmod.build(n)
         Kd, Md = oracle.assemble_dense(mesh, nu=1.7, sigma=0.6)
-        Ks = assemble_stiffness(mesh, 1.7).toarray()
-        Ms = assemble_mass(mesh, 0.6).toarray()
+        ctx = FemContext(mesh)
+        Ks = 1.7 * ctx.K.toarray()
+        Ms = 0.6 * ctx.M.toarray()
         assert np.abs(Kd - Ks).max() < 1e-13
         assert np.abs(Md - Ms).max() < 1e-13
     # the one-interior-node stiffness entry
