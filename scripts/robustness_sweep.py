@@ -34,9 +34,9 @@ def main():
             mats = build_matrices(ctx)
             bind = CaseBind(case, ctx)
             for k in args.modes:
-                rhs_c, rhs_s = bind.rhs(k)
+                rhs = bind.rhs(k)
                 for lam in args.lambdas:
-                    system = build_mode_system(problem, mats, k, lam, case.omega, rhs_c, rhs_s)
+                    system = build_mode_system(problem, mats, k, lam, case.omega, rhs)
                     if problem == "I":
                         precond = build_precond_I(mats, k, lam, case.omega)
                     else:

@@ -65,8 +65,6 @@ class ExperimentConfig:
     precond_family: int = 0
     nref: int | None = None
     reference: str = "auto"  # auto | analytic | fine | none
-    alpha_tail: float = 1e-8
-    m1_variant: str = "extra"  # "extra" or "full" numerator for ieff_m1
     workers: int = 1
     out: str | None = None
 
@@ -94,14 +92,14 @@ class ExperimentConfig:
             errors.append("workers must be at least 1")
         if self.reference not in ("auto", "analytic", "fine", "none"):
             errors.append(f"unknown reference mode {self.reference!r}")
+        if self.reference == "analytic" and self.example in (3, 6):
+            errors.append("examples 3 and 6 have no analytic reference")
         if self.reference == "fine" and self.nref is None:
             errors.append("reference='fine' needs --nref")
         if self.nref is not None and self.nref < self.grid:
             errors.append("nref must not be below the grid")
         if self.precond_family not in (0, 1):
             errors.append("precond family must be 0 or 1")
-        if self.m1_variant not in ("extra", "full"):
-            errors.append("m1 variant must be 'extra' or 'full'")
         return errors
 
 
@@ -145,7 +143,6 @@ class BoundsReport:
     rows: list = field(default_factory=list)
     overall_rows: list = field(default_factory=list)
     reference_kind: str = "none"
-    notes: list = field(default_factory=list)
 
     @property
     def all_rows(self):
@@ -162,15 +159,11 @@ class _Solver:
         self.ctx = FemContext(self.mesh)
         self.mats = build_matrices(self.ctx, case.sigma, case.nu)
         self.bind = CaseBind(case, self.ctx)
-        self.params = BoundParams(
-            lam=case.lam, omega=case.omega, sigma=case.sigma, nu=case.nu,
-            alpha_tail=config.alpha_tail,
-        )
+        self.params = BoundParams(lam=case.lam, omega=case.omega, sigma=case.sigma, nu=case.nu)
 
     def solve_mode(self, k: int):
-        rhs_c, rhs_s = self.bind.rhs(k)
         system = build_mode_system(
-            self.case.problem, self.mats, k, self.case.lam, self.case.omega, rhs_c, rhs_s
+            self.case.problem, self.mats, k, self.case.lam, self.case.omega, self.bind.rhs(k)
         )
         if self.case.problem == "I":
             precond = build_precond_I(self.mats, k, self.case.lam, self.case.omega)
@@ -207,14 +200,14 @@ def fine_grid_reference(case: ExampleCase, nref: int, ks, config: ExperimentConf
     for k in ks:
         sol, _ = fine.solve_mode(k)
         costs[k] = mode_cost(case.problem, fine.ctx, fine.mats, case.lam, sol, fine.bind.mode_data(k))
-        fields[k] = [fine.ctx.to_full(y) for y in sol.stacked()[0]]
+        fields[k] = [fine.ctx.to_full(y) for y in sol.y]
     return costs, fields, fine
 
 
 def _fine_error_norms(fine, fields_k, coarse_ctx, sol):
     """(||e||^2, ||grad e||^2) of the coarse state against the fine one."""
     l2 = h1 = 0.0
-    for ref_full, vec in zip(fields_k, sol.stacked()[0]):
+    for ref_full, vec in zip(fields_k, sol.y):
         e = ref_full - prolong(coarse_ctx.mesh, coarse_ctx.to_full(vec), fine.mesh)
         l2 += float(e @ (fine.ctx.M_full @ e))
         h1 += float(e @ (fine.ctx.K_full @ e))
@@ -282,11 +275,11 @@ def run(config: ExperimentConfig) -> BoundsReport:
 
     for k in sorted(config.modes):
         rep = reports[k]
-        report.rows.append(_mode_row(case, params, rep, config))
+        report.rows.append(_mode_row(case, params, rep))
 
     for n_trunc in config.overall:
         report.overall_rows.append(
-            _overall_row(case, params, reports, n_trunc, config, kind)
+            _overall_row(case, params, reports, n_trunc, kind)
         )
     if config.out:
         out = Path(config.out)
@@ -297,16 +290,12 @@ def run(config: ExperimentConfig) -> BoundsReport:
     return report
 
 
-def _m1_numerator(b: ModeBounds, variant: str) -> float:
-    return b.m1_extra if variant == "extra" else b.m1
-
-
-def _mode_row(case, params, rep: ModeReport, config) -> TableRow:
+def _mode_row(case, params, rep: ModeReport) -> TableRow:
     b = rep.bounds
     idx = efficiency_indices(b.minorant, b.majorant, rep.reference if np.isfinite(rep.reference) else None)
     if np.isfinite(rep.err_l2):
         err2 = rep.combined_err2(case.problem, params)
-        ieff_m1 = m1_index(_m1_numerator(b, config.m1_variant), err2)
+        ieff_m1 = m1_index(b.m1_extra, err2)
     else:
         ieff_m1 = np.nan
     return TableRow(
@@ -321,7 +310,7 @@ def _mode_row(case, params, rep: ModeReport, config) -> TableRow:
     )
 
 
-def _overall_row(case, params, reports, n_trunc, config, ref_kind) -> TableRow:
+def _overall_row(case, params, reports, n_trunc, ref_kind) -> TableRow:
     used = [reports[k].bounds for k in range(n_trunc + 1)]
     remainder = case.remainder(n_trunc).value
     total = aggregate(used, params, remainder)
@@ -333,8 +322,8 @@ def _overall_row(case, params, reports, n_trunc, config, ref_kind) -> TableRow:
         err2 += 0.5 * T * sum(
             reports[k].combined_err2(case.problem, params) for k in range(1, n_trunc + 1)
         )
-        num = _m1_numerator(reports[0].bounds, config.m1_variant) * T + 0.5 * T * sum(
-            _m1_numerator(reports[k].bounds, config.m1_variant) for k in range(1, n_trunc + 1)
+        num = reports[0].bounds.m1_extra * T + 0.5 * T * sum(
+            reports[k].bounds.m1_extra for k in range(1, n_trunc + 1)
         )
         ieff_m1 = m1_index(num, err2)
     else:
@@ -421,8 +410,6 @@ def write_markdown(report: BoundsReport, path) -> None:
             for v in vals[2:]
         ]
         lines.append("| " + " | ".join(cells) + " |")
-    for note in report.notes:
-        lines.extend(["", f"note: {note}"])
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fluxrecon
 from .femcore import QUAD_BARY, QUAD_W, FemContext, per_class
-from .systems import ModeMatrices, ModeSolution
+from .systems import ModeMatrices, ModeSolution, quarter_turn
 
 UNIT_SQUARE_FRIEDRICHS = 1.0 / (np.sqrt(2.0) * np.pi)
 
@@ -179,7 +179,7 @@ def _state_misfit(problem: str, ctx: FemContext, y_vert, y_grad, data: ModeData)
 
 def _adjoint_mass(mats: ModeMatrices, ps: np.ndarray) -> tuple[np.ndarray, float]:
     """M p of the stacked adjoint parts, (P, m), and p^T M p summed over the parts."""
-    mp = (mats.M @ ps.T).T
+    mp = mats.M_stencil(ps)
     return mp, float(np.vdot(ps, mp))
 
 
@@ -190,10 +190,9 @@ def mode_cost(problem: str, ctx: FemContext, mats: ModeMatrices, lam: float,
     The misfit and control-energy terms of `evaluate_mode`, without the
     flux reconstructions; the control is u = -p / lam.
     """
-    ys, ps = sol.stacked()
-    y_vert = ctx.vertex_values(ys)
+    y_vert = ctx.vertex_values(sol.y)
     misfit, _ = _state_misfit(problem, ctx, y_vert, per_class(y_vert, ctx.class_grads), data)
-    return 0.5 * misfit + _adjoint_mass(mats, ps)[1] / (2 * lam)
+    return 0.5 * misfit + _adjoint_mass(mats, sol.p)[1] / (2 * lam)
 
 
 def _match_boundary_divergence(mesh, flux, target_div: np.ndarray) -> None:
@@ -235,18 +234,13 @@ def evaluate_mode(
     nu, sigma = params.nu, params.sigma
     cf, mu1 = params.c_friedrichs, params.mu1
 
-    ys, ps = sol.stacked()
+    ys, ps = sol.y, sol.p
     y_vert, p_vert = ctx.vertex_values(ys), ctx.vertex_values(ps)
     y_grad, p_grad = per_class(y_vert, ctx.class_grads), per_class(p_vert, ctx.class_grads)
-    # time-derivative coupling: the cosine part pairs with -(sine part) and
-    # the sine part with +(cosine part), both scaled by k omega sigma
-    couple = k * params.omega * sigma * np.array([-1.0, 1.0])[: len(ys)]
-
-    def perp(parts):
-        return couple.reshape((-1,) + (1,) * (parts.ndim - 1)) * parts[::-1]
+    kws = k * params.omega * sigma
 
     tau_c, tau_div = fluxrecon.affine_form(ctx, fluxrecon.reconstruct_p0(ctx.mesh, nu * y_grad))
-    r1_vert = perp(y_vert)
+    r1_vert = quarter_turn(y_vert, kws)
     r1_vert -= p_vert / lam
     r1_vert += tau_div[..., None]
     r1_sq = _p1_norm2(ctx, r1_vert)
@@ -255,7 +249,7 @@ def evaluate_mode(
     misfit, misfit_qp = _state_misfit(problem, ctx, y_vert, y_grad, data)
     if problem == "I":
         rho_c, rho_div = fluxrecon.affine_form(ctx, fluxrecon.reconstruct_p0(ctx.mesh, nu * p_grad))
-        r3_qp = (rho_div[..., None] + perp(p_vert)) @ QUAD_BARY.T
+        r3_qp = (rho_div[..., None] + quarter_turn(p_vert, kws)) @ QUAD_BARY.T
         r3_qp += misfit_qp
         r3_sq = _qp_norm2(ctx, r3_qp)
         r4_sq = _rt0_norm2(ctx, rho_c - nu * p_grad, rho_div)
@@ -268,9 +262,9 @@ def evaluate_mode(
         rho = fluxrecon.reconstruct_p0(ctx.mesh, target)
         rho.coeffs += data.g_edge
         p_mean = p_vert @ np.full(3, 1 / 3)
-        _match_boundary_divergence(ctx.mesh, rho, -perp(p_mean))
+        _match_boundary_divergence(ctx.mesh, rho, -quarter_turn(p_mean, kws))
         rho_c, rho_div = fluxrecon.affine_form(ctx, rho)
-        r3_sq = _p1_norm2(ctx, rho_div[..., None] + perp(p_vert))
+        r3_sq = _p1_norm2(ctx, rho_div[..., None] + quarter_turn(p_vert, kws))
         # rho - target - g_d at the quadrature points, one component at a
         # time: (const_d, div/2) per triangle times (1, (x_q - c)_d) per class
         const, half_div = rho_c - target, 0.5 * rho_div
@@ -288,7 +282,7 @@ def evaluate_mode(
     quad = p_mass / lam
     # bilinear pairing of state against adjoint, with the time-derivative
     # coupling  k omega sigma (y_s . M p_c - y_c . M p_s)
-    bilin = float(np.vdot(ys, (mats.K_nu @ ps.T).T + perp(mp)))
+    bilin = float(np.vdot(ys, nu * mats.K_stencil(ps) + quarter_turn(mp, kws)))
     # Problem I subtracts the pairing (benchmark-calibrated orientation,
     # equal to 2/lam ||p||^2 at the discrete solution); problem II uses the
     # orientation under which the term vanishes at the discrete solution.

@@ -18,6 +18,7 @@ import numpy as np
 from . import fluxrecon, oracle
 from .bounds import ModeData
 from .femcore import FemContext
+from .systems import mode_parts
 from .timefourier import RemainderTerm, TimeSignalCoeffs, fourier_coeffs, remainder_parseval, remainder_from_tail
 
 PI = np.pi
@@ -213,13 +214,6 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
     return ExampleCase(ident=ident, **spec)
 
 
-def example_data(ident: int, k: int):
-    """Mode-k data factors of a case: (spatial callable, (cos, sin) pair)."""
-    case = make_case(ident)
-    spatial = case.spatial_scalar if case.problem == "I" else case.spatial_vector
-    return spatial, case.mode_pair(k)
-
-
 class CaseBind:
     """A case attached to a discretization: right-hand sides, mode data
     samples, and analytic-reference error norms."""
@@ -251,16 +245,17 @@ class CaseBind:
                 self.s_qp = ctx.data_at_qp(_sin_sin)
                 self.load_s = ctx.load_from_qp(self.s_qp)
 
-    def rhs(self, k: int):
-        c, s = self.case.mode_pair(k)
+    def _mode_coefs(self, k: int) -> np.ndarray:
+        """The (cosine, sine) time coefficients of the data, one per part, (P,)."""
+        return np.array(self.case.mode_pair(k))[: mode_parts(k)]
+
+    def rhs(self, k: int) -> np.ndarray:
+        """Stacked data load vectors of mode k, (P, m)."""
         base = self.load_s if self.case.problem == "I" else self.gload_v
-        if k == 0:
-            return c * base, None
-        return c * base, s * base
+        return self._mode_coefs(k)[:, None] * base
 
     def mode_data(self, k: int) -> ModeData:
-        c, s = self.case.mode_pair(k)
-        coef = np.array([c] if k == 0 else [c, s])
+        coef = self._mode_coefs(k)
         if self.case.problem == "I":
             return ModeData(k=k, y_qp=coef[:, None, None] * self.s_qp)
         return ModeData(
@@ -281,14 +276,9 @@ class CaseBind:
         case = self.case
         if not case.has_analytic_reference:
             raise ValueError("no analytic reference")
-        kappa = case.eigen_kappa
-        a_c, a_s = case.exact_state_mode(k)
-        parts = [(a_c, sol.y_c)]
-        if k > 0:
-            parts.append((a_s, sol.y_s))
-        l2 = h1 = 0.0
-        for a, vec in parts:
-            cross = float(self.load_s @ vec)
-            l2 += a * a * 0.25 - 2 * a * cross + float(vec @ (self.ctx.M @ vec))
-            h1 += a * a * kappa * 0.25 - 2 * a * kappa * cross + float(vec @ (self.ctx.K @ vec))
+        a = np.array(case.exact_state_mode(k))[: mode_parts(k)]
+        # the exact part's profile terms: a^2 ||S||^2 - 2 a (S, y_h)
+        profile = float(0.25 * a @ a - 2 * a @ (sol.y @ self.load_s))
+        l2 = profile + float(np.vdot(sol.y, self.ctx.M_stencil(sol.y)))
+        h1 = case.eigen_kappa * profile + float(np.vdot(sol.y, self.ctx.K_stencil(sol.y)))
         return l2, h1

@@ -1,11 +1,12 @@
 """P1 finite element assembly and spatial quadrature on the uniform mesh.
 
 The stiffness and mass matrices are the 5-point and 7-point stencils of
-the two constant element matrices, built directly in CSR; load vectors are
-summed onto the node grid by slicing.  Loads and data-bearing norms use a
-7-point rule that is exact for polynomials of total degree 5 (so squares
-of the piecewise-quadratic integrands appearing in the bound evaluation
-are integrated exactly).
+the two constant element matrices, built directly in CSR and applied to
+interior fields by slicing the node grid; load vectors are summed onto the
+node grid by slicing.  Loads and data-bearing norms use a 7-point rule
+that is exact for polynomials of total degree 5 (so squares of the
+piecewise-quadratic integrands appearing in the bound evaluation are
+integrated exactly).
 
 Homogeneous Dirichlet conditions are imposed by restriction to interior
 nodes; `full=True` variants keep all nodes for pre-elimination checks.
@@ -89,6 +90,56 @@ def _stencil_csr(bands: dict, lo: int, hi: int) -> sp.csr_matrix:
     return sp.csr_matrix((values[keep], columns[keep], indptr), shape=(m * m, m * m))
 
 
+# interior rows per band of a stencil product: the stacked shifted slices
+# of one band stay in cache, and the temporaries stay small on large grids
+STENCIL_ROWS = 16
+
+
+class Stencil:
+    """An operator on the m x m interior nodes given by a constant stencil.
+
+    `weights` maps an offset (dr, dc) to the weight that couples node (r, c)
+    with node (r + dr, c + dc): a scalar, applied to each part of a stacked
+    field alike, or a (Q, Q) block coupling the Q parts.  The boundary nodes
+    are the zero padding of the node grid, so a product is the sum of the
+    shifted slices of one padded grid times their weights, taken as one
+    matrix product per band of rows.  `nnz` counts the entries the
+    assembled matrix would store.
+    """
+
+    def __init__(self, weights: dict, m: int):
+        self.m = m
+        self.weights = weights
+        self._offsets = sorted(weights)
+        self._blocks = np.array([weights[o] for o in self._offsets])
+        self.nnz = sum(
+            np.count_nonzero(w) * max(m - abs(dr), 0) * max(m - abs(dc), 0)
+            for (dr, dc), w in zip(self._offsets, self._blocks)
+        )
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """Product with stacked interior fields, (Q, m * m) -> (Q, m * m)."""
+        m, parts = self.m, len(v)
+        blocks = self._blocks
+        if blocks.ndim == 1:
+            blocks = blocks[:, None, None] * np.eye(parts)
+        coef = blocks.transpose(1, 0, 2).reshape(parts, -1)
+        grid = np.zeros((parts, m + 2, m + 2))
+        grid[:, 1:-1, 1:-1] = v.reshape(parts, m, m)
+        out = np.empty((parts, m, m))
+        for r0 in range(0, m, STENCIL_ROWS):
+            r1 = min(r0 + STENCIL_ROWS, m)
+            shifted = np.stack(
+                [grid[:, 1 + r0 + dr : 1 + r1 + dr, 1 + dc : 1 + dc + m] for dr, dc in self._offsets]
+            )
+            out[:, r0:r1] = (coef @ shifted.reshape(coef.shape[1], -1)).reshape(parts, r1 - r0, m)
+        return out.reshape(v.shape)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Product of a block stencil with the flat vector of its stacked parts."""
+        return self(x.reshape(self._blocks.shape[1], -1)).ravel()
+
+
 class FemContext:
     """Cached mesh-dependent arrays shared by assembly and bound evaluation.
 
@@ -99,6 +150,7 @@ class FemContext:
     Attributes:
         mesh: the underlying UniformMesh.
         K, M: unit-coefficient stiffness/mass on interior nodes.
+        K_stencil, M_stencil: the same two matrices applied by grid slicing.
         K_full, M_full: pre-elimination variants on all nodes.
         qp: quadrature point coordinates, (T, Q, 2).
         qw: per-point weights scaled by area, (T, Q) (a read-only view).
@@ -137,10 +189,18 @@ class FemContext:
         # the unit stiffness is scale free, so take it on the unit cell,
         # where its entries 0, +-1/2 and 1 are exact
         unit_grads, unit_area = _class_geometry(unit)
-        stiffness = _stencil_bands(np.einsum("cid,cjd,c->cij", unit_grads, unit_grads, unit_area), n)
-        mass = _stencil_bands(np.broadcast_to(mesh.tri_area / 12 * (1 + np.eye(3)), (2, 3, 3)), n)
+        local = (
+            np.einsum("cid,cjd,c->cij", unit_grads, unit_grads, unit_area),
+            np.broadcast_to(mesh.tri_area / 12 * (1 + np.eye(3)), (2, 3, 3)),
+        )
+        stiffness, mass = (_stencil_bands(a, n) for a in local)
         self.K_full, self.M_full = (_stencil_csr(b, 0, n + 1) for b in (stiffness, mass))
         self.K, self.M = (_stencil_csr(b, 1, n) for b in (stiffness, mass))
+        # the centre node of a 2 x 2 cell grid touches all six triangles
+        # around it, as every interior node does
+        self.K_stencil, self.M_stencil = (
+            Stencil({o: band[1, 1] for o, band in _stencil_bands(a, 2).items()}, n - 1) for a in local
+        )
 
     # -- nodal field helpers -------------------------------------------------
 
@@ -149,9 +209,6 @@ class FemContext:
         out = np.zeros(self.mesh.num_nodes)
         out[self.mesh.interior_nodes] = v_int
         return out
-
-    def to_interior(self, v_full: np.ndarray) -> np.ndarray:
-        return v_full[self.mesh.interior_nodes]
 
     def interpolate(self, f: Callable) -> np.ndarray:
         """Nodal interpolant of f(x, y), full vector."""

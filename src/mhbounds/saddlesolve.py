@@ -1,4 +1,4 @@
-"""Preconditioned MinRes for the mode systems, with a sparse direct oracle.
+"""Preconditioned MinRes for the matrix-free mode systems.
 
 Every block of the block-diagonal preconditioners is diagonal in the 2-D
 type-I sine basis of the interior grid: the stiffness matrix exactly (it is
@@ -7,20 +7,17 @@ equivalent tensor-product surrogate.  Problem II's Schur complements, which
 contain M K^{-1} M or K M^{-1} K, are then diagonal too.  A preconditioner is
 a stacked symbol array applied by one fast sine transform pair (the fast
 Poisson solver of Buzbee, Golub and Nielson); no factorization is built.
-The sparse LU `direct_solve` is the reference solver of the tests.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
-import scipy.sparse.linalg as spla
 
-from .systems import ModeMatrices, ModeSolution, ModeSystem, split_solution
+from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_parts
 
 
 @dataclass
@@ -35,13 +32,6 @@ class SolveStats:
     def monotone(self) -> bool:
         r = self.residuals
         return all(r[i + 1] <= r[i] * (1 + 1e-12) for i in range(len(r) - 1))
-
-    def trace_to_csv(self, path) -> None:
-        """Per-iteration preconditioned residual norms (debug aid)."""
-        with open(path, "w") as fh:
-            fh.write("iteration,residual\n")
-            for i, r in enumerate(self.residuals):
-                fh.write(f"{i},{r!r}\n")
 
 
 class BlockDiagPrecond:
@@ -85,7 +75,7 @@ def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
     diagonal pair gives M~ = h^2/12 (6 + 2 cos a + 2 cos b + 2 cos a cos b),
     spectrally equivalent to M.
     """
-    m = math.isqrt(mats.K.shape[0])
+    m = mats.K_stencil.m
     h = 1.0 / (m + 1)
     c = np.cos(np.pi * np.arange(1, m + 1) * h)
     ca, cb = c[:, None], c[None, :]
@@ -95,13 +85,13 @@ def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _blocks(state: np.ndarray, adjoint: np.ndarray, k: int) -> BlockDiagPrecond:
-    """Stack the (y, p) blocks of mode k; k > 0 repeats each for cos and sin."""
-    reps = 1 if k == 0 else 2
-    return BlockDiagPrecond(np.stack([state] * reps + [adjoint] * reps))
+    """Stack the (y, p) blocks of mode k, each repeated for its P parts."""
+    parts = mode_parts(k)
+    return BlockDiagPrecond(np.stack([state] * parts + [adjoint] * parts))
 
 
 def build_precond_I(mats: ModeMatrices, k: int, lam: float, omega: float) -> BlockDiagPrecond:
-    """diag(D_k, D_k, D_k/lam, D_k/lam) with D_k = sqrt(lam) K_nu + k w sqrt(lam) M_sigma + M."""
+    """diag(D_k, D_k, D_k/lam, D_k/lam) with D_k = sqrt(lam) nu K + k w sqrt(lam) sigma M + M."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     mu_K, mu_M = _grid_symbols(mats)
@@ -143,12 +133,11 @@ def minres(
     maxiter steps, or after exactly `fixed_iters` steps when given.  Lanczos
     breakdown with a nonconverged residual is reported in the stats.
     """
-    A = system.matrix
-    b = system.rhs
     x, stats = minres_raw(
-        A, b, precond, tol=tol, maxiter=maxiter, fixed_iters=fixed_iters
+        system.matrix, system.rhs, precond, tol=tol, maxiter=maxiter, fixed_iters=fixed_iters
     )
-    return split_solution(system, x), stats
+    y, p = x.reshape(2, mode_parts(system.k), -1)
+    return ModeSolution(system.k, y, p), stats
 
 
 def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None):
@@ -234,13 +223,3 @@ def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None):
         breakdown=breakdown,
         residuals=trace,
     )
-
-
-def direct_solve(system: ModeSystem) -> ModeSolution:
-    """Sparse LU oracle; raises on singular systems or poor residuals."""
-    x = spla.factorized(system.matrix.tocsc())(system.rhs)
-    resid = np.linalg.norm(system.matrix @ x - system.rhs)
-    scale = np.linalg.norm(system.rhs)
-    if scale > 0 and resid > 1e-10 * scale:
-        raise RuntimeError(f"direct solve residual {resid:.2e} exceeds tolerance")
-    return split_solution(system, x)

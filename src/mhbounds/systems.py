@@ -1,31 +1,51 @@
-"""Per-mode block saddle-point systems for the two optimization problems.
+"""Per-mode saddle-point systems of the two optimization problems, matrix-free.
 
-Problem I tracks a desired state (mass-matrix leading blocks), problem II a
-desired gradient (stiffness leading blocks).  Unknown ordering is
-(y_cos, y_sin, p_cos, p_sin); the sine parts are absent for mode 0.  The
+The unknowns of mode k are stacked as (2, P, m * m): state y and adjoint p,
+each with its cosine part and, for k > 0, its sine part (P = 2; mode 0 has
+P = 1).  Every mode has the one operator [[L, -nu K - J M], [-nu K + J M,
+-M / lam]], with the leading block L = M for problem I (a desired state) or
+K for problem II (a desired gradient), and J the quarter turn of the time
+derivative, k omega sigma (-sine part, +cosine part); mode 0 is kw = 0.  It
+is applied as a stencil on the node grid, so no matrix is stored.  The
 control never appears as an unknown; it is recovered as u = -p / lambda.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .femcore import FemContext
+from .femcore import FemContext, Stencil
 
 PROBLEMS = ("I", "II")
 
 
+def mode_parts(k: int) -> int:
+    """Number P of stacked parts of mode k: the cosine part, and the sine part for k > 0."""
+    return 1 + min(k, 1)
+
+
+def quarter_turn(parts: np.ndarray, kws: float) -> np.ndarray:
+    """Time-derivative coupling of stacked (cosine, sine) parts, (P, ...) -> (P, ...).
+
+    The cosine part pairs with -(sine part) and the sine part with
+    +(cosine part), both scaled by kws = k omega sigma.
+    """
+    sign = kws * np.array([-1.0, 1.0])[: len(parts)]
+    return sign.reshape((-1,) + (1,) * (parts.ndim - 1)) * parts[::-1]
+
+
 @dataclass
 class ModeMatrices:
-    """Interior-node matrices entering every mode system."""
+    """Interior-node stiffness K and mass M, as CSR matrices and as stencils,
+    with the constant coefficients sigma and nu."""
 
     K: sp.csr_matrix
     M: sp.csr_matrix
-    K_nu: sp.csr_matrix
-    M_sigma: sp.csr_matrix
+    K_stencil: Stencil
+    M_stencil: Stencil
     sigma: float
     nu: float
 
@@ -34,56 +54,32 @@ def build_matrices(ctx: FemContext, sigma: float = 1.0, nu: float = 1.0) -> Mode
     if sigma <= 0 or nu <= 0:
         raise ValueError("coefficients must be positive constants")
     return ModeMatrices(
-        K=ctx.K, M=ctx.M, K_nu=(nu * ctx.K).tocsr(), M_sigma=(sigma * ctx.M).tocsr(),
+        K=ctx.K, M=ctx.M, K_stencil=ctx.K_stencil, M_stencil=ctx.M_stencil,
         sigma=sigma, nu=nu,
     )
 
 
 @dataclass
 class ModeSystem:
-    """Symmetric indefinite block system of one Fourier mode."""
+    """Operator and right-hand side of one Fourier mode, on flat stacked unknowns."""
 
     problem: str
     k: int
     lam: float
     omega: float
     mats: ModeMatrices
-    matrix: sp.csr_matrix
+    matrix: Stencil
     rhs: np.ndarray
-
-    @property
-    def n_interior(self) -> int:
-        return self.mats.M.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
 class ModeSolution:
-    """Nodal coefficients of one mode's state and adjoint (interior nodes)."""
+    """Nodal coefficients of one mode's state and adjoint on the interior
+    nodes, with the cosine and sine parts stacked, (P, m * m) each."""
 
     k: int
-    lam: float
-    y_c: np.ndarray
-    p_c: np.ndarray
-    y_s: np.ndarray | None = None
-    p_s: np.ndarray | None = None
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """State and adjoint with the cosine and sine parts on a leading axis, (P, m)."""
-        if self.y_s is None:
-            return self.y_c[None, :], self.p_c[None, :]
-        return np.stack([self.y_c, self.y_s]), np.stack([self.p_c, self.p_s])
-
-    @property
-    def u_c(self) -> np.ndarray:
-        return -self.p_c / self.lam
-
-    @property
-    def u_s(self) -> np.ndarray | None:
-        return None if self.p_s is None else -self.p_s / self.lam
+    y: np.ndarray
+    p: np.ndarray
 
 
 def build_mode_system(
@@ -92,60 +88,32 @@ def build_mode_system(
     k: int,
     lam: float,
     omega: float,
-    rhs_c: np.ndarray,
-    rhs_s: np.ndarray | None = None,
+    rhs: np.ndarray,
 ) -> ModeSystem:
-    """Assemble the block operator and right-hand side for mode k.
+    """The operator and right-hand side of mode k.
 
-    `rhs_c`/`rhs_s` are the data load vectors: (data, phi_i) for problem I,
+    The operator is the stencil of K and M with (2P, 2P) blocks as weights:
+    at each offset, the K weight times the coefficients of K in the block
+    operator plus the M weight times those of M.  `rhs` holds the stacked
+    data load vectors (P, m * m): (data, phi_i) for problem I,
     (data, grad phi_i) for problem II.
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem tag {problem!r}")
     if k < 0:
         raise ValueError("mode index must be nonnegative")
-    lead = mats.M if problem == "I" else mats.K
-    Kn = mats.K_nu
-    Ms = mats.M_sigma
-    n = lead.shape[0]
-    if k == 0:
-        A = sp.bmat([[lead, -Kn], [-Kn, -(1.0 / lam) * mats.M]], format="csr")
-        rhs = np.concatenate([rhs_c, np.zeros(n)])
-    else:
-        if rhs_s is None:
-            rhs_s = np.zeros(n)
-        kw = k * omega
-        Z = None
-        A = sp.bmat(
-            [
-                [lead, Z, -Kn, kw * Ms],
-                [Z, lead, -kw * Ms, -Kn],
-                [-Kn, -kw * Ms, -(1.0 / lam) * mats.M, Z],
-                [kw * Ms, -Kn, Z, -(1.0 / lam) * mats.M],
-            ],
-            format="csr",
-        )
-        rhs = np.concatenate([rhs_c, rhs_s, np.zeros(n), np.zeros(n)])
+    parts = mode_parts(k)
+    if rhs.shape != (parts, mats.M.shape[0]):
+        raise ValueError(f"mode {k} needs a right-hand side of shape {(parts, mats.M.shape[0])}")
+    eye = np.eye(parts)
+    turn = quarter_turn(eye, k * omega * mats.sigma)
+    lead_K, lead_M = (0.0, 1.0) if problem == "I" else (1.0, 0.0)
+    coef_K = np.block([[lead_K * eye, -mats.nu * eye], [-mats.nu * eye, 0 * eye]])
+    coef_M = np.block([[lead_M * eye, -turn], [turn, -eye / lam]])
+    K, M = mats.K_stencil.weights, mats.M_stencil.weights
+    blocks = {o: K.get(o, 0.0) * coef_K + M.get(o, 0.0) * coef_M for o in K.keys() | M.keys()}
     return ModeSystem(
-        problem=problem, k=k, lam=lam, omega=omega, mats=mats, matrix=A, rhs=rhs
+        problem=problem, k=k, lam=lam, omega=omega, mats=mats,
+        matrix=Stencil(blocks, mats.M_stencil.m),
+        rhs=np.concatenate([rhs, np.zeros_like(rhs)]).ravel(),
     )
-
-
-def split_solution(system: ModeSystem, x: np.ndarray) -> ModeSolution:
-    n = system.n_interior
-    if system.k == 0:
-        return ModeSolution(k=0, lam=system.lam, y_c=x[:n], p_c=x[n:])
-    return ModeSolution(
-        k=system.k,
-        lam=system.lam,
-        y_c=x[:n],
-        y_s=x[n : 2 * n],
-        p_c=x[2 * n : 3 * n],
-        p_s=x[3 * n :],
-    )
-
-
-def join_solution(system: ModeSystem, sol: ModeSolution) -> np.ndarray:
-    if system.k == 0:
-        return np.concatenate([sol.y_c, sol.p_c])
-    return np.concatenate([sol.y_c, sol.y_s, sol.p_c, sol.p_s])

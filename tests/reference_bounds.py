@@ -74,9 +74,12 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
     def part(arr, j):
         return None if arr is None or j >= len(arr) else arr[j]
 
-    y_c, p_c = ctx.to_full(sol.y_c), ctx.to_full(sol.p_c)
-    y_s = ctx.to_full(sol.y_s) if sol.y_s is not None else None
-    p_s = ctx.to_full(sol.p_s) if sol.p_s is not None else None
+    sol_y_c, sol_p_c = sol.y[0], sol.p[0]
+    sol_y_s, sol_p_s = (sol.y[1], sol.p[1]) if k > 0 else (None, None)
+    Kn, Ms = mats.nu * mats.K, mats.sigma * mats.M
+    y_c, p_c = ctx.to_full(sol_y_c), ctx.to_full(sol_p_c)
+    y_s = ctx.to_full(sol_y_s) if sol_y_s is not None else None
+    p_s = ctx.to_full(sol_p_s) if sol_p_s is not None else None
     comp = [(y_c, p_c, part(data.y_qp, 0), part(data.g_qp, 0), part(data.g_edge, 0), -1.0, y_s, p_s)]
     if k > 0:
         comp.append((y_s, p_s, part(data.y_qp, 1), part(data.g_qp, 1), part(data.g_edge, 1), +1.0, y_c, p_c))
@@ -119,19 +122,19 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
 
     res = ResidualSet(np.sqrt(r1_sq), np.sqrt(r2_sq), np.sqrt(r3_sq), np.sqrt(r4_sq))
 
-    control_energy = float(sol.p_c @ (mats.M @ sol.p_c)) / (2 * lam)
+    control_energy = float(sol_p_c @ (mats.M @ sol_p_c)) / (2 * lam)
     if k > 0:
-        control_energy += float(sol.p_s @ (mats.M @ sol.p_s)) / (2 * lam)
+        control_energy += float(sol_p_s @ (mats.M @ sol_p_s)) / (2 * lam)
 
-    bilin = float(sol.y_c @ (mats.K_nu @ sol.p_c))
-    quad = float(sol.p_c @ (mats.M @ sol.p_c)) / lam
+    bilin = float(sol_y_c @ (Kn @ sol_p_c))
+    quad = float(sol_p_c @ (mats.M @ sol_p_c)) / lam
     if k > 0:
-        bilin += float(sol.y_s @ (mats.K_nu @ sol.p_s))
+        bilin += float(sol_y_s @ (Kn @ sol_p_s))
         bilin += kw * (
-            float(sol.y_s @ (mats.M_sigma @ sol.p_c))
-            - float(sol.y_c @ (mats.M_sigma @ sol.p_s))
+            float(sol_y_s @ (Ms @ sol_p_c))
+            - float(sol_y_c @ (Ms @ sol_p_s))
         )
-        quad += float(sol.p_s @ (mats.M @ sol.p_s)) / lam
+        quad += float(sol_p_s @ (mats.M @ sol_p_s)) / lam
     mixed = quad - bilin if problem == "I" else quad + bilin
 
     alpha, beta = optimize_majorant_params(misfit, res.r2, res.r1, params)

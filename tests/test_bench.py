@@ -78,13 +78,13 @@ def test_zero_data_zero_bounds():
     import mhbounds.mesh as meshmod
     from mhbounds.bounds import BoundParams, ModeData, evaluate_mode
     from mhbounds.femcore import FemContext
-    from mhbounds.saddlesolve import direct_solve
     from mhbounds.systems import build_matrices, build_mode_system
+    from reference_systems import direct_solve
 
     ctx = FemContext(meshmod.build(4))
     mats = build_matrices(ctx)
     n = ctx.K.shape[0]
-    system = build_mode_system("I", mats, 1, 1.0, 1.0, np.zeros(n), np.zeros(n))
+    system = build_mode_system("I", mats, 1, 1.0, 1.0, np.zeros((2, n)))
     sol = direct_solve(system)
     data = ModeData(k=1, y_qp=np.zeros((2,) + ctx.qw.shape))
     mb = evaluate_mode("I", ctx, mats, BoundParams(lam=1.0, omega=1.0), sol, data)
@@ -151,6 +151,8 @@ def test_cli_validation_exit_codes(capsys):
     ["--example", "3", "--sweep", "8,9"],
     ["--example", "3", "--grid", "8", "--nref", "9", "--modes", "1"],
     ["--example", "6", "--grid", "8", "--nref", "9"],
+    ["--example", "3", "--grid", "8", "--reference", "analytic"],
+    ["--example", "6", "--grid", "8", "--reference", "analytic"],
 ], ids="-".join)
 def test_cli_rejects_bad_values(args, capsys, monkeypatch):
     # nothing may be solved before the configuration is rejected

@@ -18,9 +18,10 @@ from mhbounds.bounds import (
 )
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext
-from mhbounds.saddlesolve import build_precond_I, build_precond_II, direct_solve, minres
-from mhbounds.systems import build_matrices, build_mode_system
+from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
+from mhbounds.systems import ModeSolution, build_matrices, build_mode_system
 from reference_bounds import evaluate_mode_reference, rt0_at_points
+from reference_systems import direct_solve
 
 
 def _params(lam=0.1, omega=1.0, **kw):
@@ -57,7 +58,7 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None):
             g_qp=np.broadcast_to(g[:, :, None, :], (parts,) + ctx.qp.shape).copy(),
             g_edge=fluxrecon.reconstruct_p0(ctx.mesh, g).coeffs,
         )
-    system = build_mode_system(problem, mats, k, lam, omega, *rhs)
+    system = build_mode_system(problem, mats, k, lam, omega, np.stack(rhs))
     if steps is None:
         sol = direct_solve(system)
     elif problem == "I":
@@ -158,12 +159,7 @@ def test_scaling_covariance():
     ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
     base = evaluate_mode(problem, ctx, mats, params, sol, data)
     for s in (2.0, 10.0):
-        from mhbounds.systems import ModeSolution
-
-        scaled_sol = ModeSolution(
-            k=k, lam=lam, y_c=s * sol.y_c, p_c=s * sol.p_c,
-            y_s=s * sol.y_s, p_s=s * sol.p_s,
-        )
+        scaled_sol = ModeSolution(k=k, y=s * sol.y, p=s * sol.p)
         scaled_data = ModeData(k=k, y_qp=s * data.y_qp)
         mb = evaluate_mode(problem, ctx, mats, params, scaled_sol, scaled_data)
         assert abs(mb.majorant - s**2 * base.majorant) < 1e-9 * s**2 * abs(base.majorant)
@@ -176,8 +172,7 @@ def test_bracketing_example1_coarse(ctx16):
     mats = build_matrices(ctx16)
     bind = CaseBind(case, ctx16)
     for k in (0, 1):
-        rc, rs = bind.rhs(k)
-        system = build_mode_system("I", mats, k, case.lam, case.omega, rc, rs)
+        system = build_mode_system("I", mats, k, case.lam, case.omega, bind.rhs(k))
         sol = direct_solve(system)
         mb = evaluate_mode("I", ctx16, mats, params, sol, bind.mode_data(k))
         ref = bind.reference_cost(k)
@@ -271,7 +266,7 @@ def test_evaluate_mode_matches_reference_on_cases(ident):
     params = _params(case.lam, case.omega)
     build = build_precond_I if case.problem == "I" else build_precond_II
     for k in (0, 1):
-        system = build_mode_system(case.problem, mats, k, case.lam, case.omega, *bind.rhs(k))
+        system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
         sol, _ = minres(system, build(mats, k, case.lam, case.omega), tol=1e-10)
         data = bind.mode_data(k)
         _assert_bounds_match(
@@ -290,7 +285,7 @@ def _case_grid(ident, n):
 def _stopped_bounds(ident, n, k, steps):
     """Bounds of mode k after exactly `steps` MinRes steps from zero, with J*."""
     case, ctx, mats, bind = _case_grid(ident, n)
-    system = build_mode_system(case.problem, mats, k, case.lam, case.omega, *bind.rhs(k))
+    system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
     build = build_precond_I if case.problem == "I" else build_precond_II
     sol, _ = minres(system, build(mats, k, case.lam, case.omega), fixed_iters=steps)
     mb = evaluate_mode(case.problem, ctx, mats, _params(case.lam, case.omega), sol,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mhbounds import oracle
-from mhbounds.cases import CaseBind, ExampleCase, box_mode_coefficient, example_data, make_case
+from mhbounds.cases import CaseBind, ExampleCase, box_mode_coefficient, make_case
 from mhbounds.femcore import FemContext
 from mhbounds import mesh as meshmod
 
@@ -45,8 +45,9 @@ def test_indicator_coefficients():
 
 
 def test_gradient_case_components_match_indicator():
-    spatial, pair = example_data(6, 2)
-    assert pair == (0.0, 0.0)
+    case = make_case(6)
+    assert case.mode_pair(2) == (0.0, 0.0)
+    spatial = case.spatial_vector
     x = np.array([0.7, 0.2])
     y = np.array([0.8, 0.8])
     gx, gy = spatial(x, y)
@@ -133,16 +134,15 @@ def test_bind_rejects_odd_grid_for_indicator_cases():
 
 
 def test_error_norms_decrease(ctx8, ctx16):
-    from mhbounds.saddlesolve import direct_solve
     from mhbounds.systems import build_matrices, build_mode_system
+    from reference_systems import direct_solve
 
     case = make_case(1)
     errs = []
     for ctx in (ctx8, ctx16):
         mats = build_matrices(ctx)
         bind = CaseBind(case, ctx)
-        rc, rs = bind.rhs(1)
-        sysk = build_mode_system("I", mats, 1, case.lam, case.omega, rc, rs)
+        sysk = build_mode_system("I", mats, 1, case.lam, case.omega, bind.rhs(1))
         sol = direct_solve(sysk)
         l2, h1 = bind.error_norms(1, sol)
         assert l2 > 0 and h1 > 0

@@ -3,7 +3,7 @@ import pytest
 
 from mhbounds import mesh as meshmod
 from mhbounds.femcore import QUAD_W, FemContext, l2_norm_squared, p1_eval_at, per_class, prolong
-from mhbounds.systems import build_matrices
+from mhbounds.systems import build_matrices, build_mode_system
 import reference_assembly as ref
 
 
@@ -13,18 +13,33 @@ def test_single_interior_node_entries(ctx2):
     assert abs(ctx2.M[0, 0] - 0.125) < 1e-14
 
 
-def test_coefficient_scaling(ctx8):
+def test_coefficient_scaling(ctx8, rng):
+    # nu scales the state-adjoint coupling -nu K, sigma the time-derivative
+    # coupling -k omega sigma M; apply the mode-1 operator to p_c alone
     mats = build_matrices(ctx8, sigma=3.0, nu=2.0)
-    assert abs(mats.K_nu - 2 * ctx8.K).max() < 1e-14
-    assert abs(mats.M_sigma - 3 * ctx8.M).max() < 1e-14
+    n = ctx8.K.shape[0]
+    p = rng.standard_normal(n)
+    system = build_mode_system("II", mats, 1, 0.1, 1.0, np.zeros((2, n)))
+    y_c, y_s = (system.matrix @ np.concatenate([np.zeros(2 * n), p, np.zeros(n)]))[: 2 * n].reshape(2, n)
+    assert np.abs(y_c + 2 * ctx8.K @ p).max() < 1e-14 * np.abs(ctx8.K @ p).max()
+    assert np.abs(y_s + 3 * ctx8.M @ p).max() < 1e-14 * np.abs(ctx8.M @ p).max()
     assert ctx8.M_full.toarray().min() >= 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
-def test_stencils_match_scatter_assembly(n):
-    # n = 1 has no interior node and n = 2 one
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 32])
+def test_stencils_match_scatter_assembly(n, rng):
+    # n = 1 has no interior node and n = 2 one; n = 32 applies the stencils
+    # in two bands of rows, the last one short
     mesh = meshmod.build(n)
     ctx = FemContext(mesh)
+    v = rng.standard_normal((3, ctx.K.shape[0]))
+    for apply, A, B in [
+        (ctx.K_stencil, ctx.K, ref.assemble_stiffness(mesh)),
+        (ctx.M_stencil, ctx.M, ref.assemble_mass(mesh)),
+    ]:
+        expect = v @ B.toarray().T
+        assert np.abs(apply(v) - expect).max(initial=0) <= 1e-14 * np.abs(expect).max(initial=0)
+        assert apply.nnz == A.nnz
     for A, B in [
         (ctx.K, ref.assemble_stiffness(mesh)),
         (ctx.M, ref.assemble_mass(mesh)),

@@ -4,8 +4,8 @@ import scipy.sparse.linalg as spla
 
 from mhbounds import mesh as meshmod, oracle
 from mhbounds.femcore import FemContext
-from mhbounds.saddlesolve import direct_solve
-from mhbounds.systems import build_matrices, build_mode_system
+from mhbounds.systems import build_matrices, build_mode_system, mode_parts
+from reference_systems import assemble, dense, direct_solve
 
 LAM, OMEGA = 0.1, 1.0
 
@@ -16,17 +16,16 @@ def _mats(ctx, sigma=1.0, nu=1.0):
 
 def test_mode0_block_layout(ctx2):
     mats = _mats(ctx2)
-    sys0 = build_mode_system("I", mats, 0, LAM, OMEGA, np.array([1.0]))
-    dense = sys0.matrix.toarray()
+    sys0 = build_mode_system("I", mats, 0, LAM, OMEGA, np.array([[1.0]]))
     expect = np.array([[0.125, -4.0], [-4.0, -1.25]])
-    assert np.abs(dense - expect).max() < 1e-14
+    assert np.abs(dense(sys0) - expect).max() < 1e-14
     assert np.allclose(sys0.rhs, [1.0, 0.0])
 
 
 def test_mode1_scalar_matrix_and_solve(ctx2):
     mats = _mats(ctx2)
     M, K = 0.125, 4.0
-    sysk = build_mode_system("I", mats, 1, LAM, OMEGA, np.array([2.0]), np.array([-1.0]))
+    sysk = build_mode_system("I", mats, 1, LAM, OMEGA, np.array([[2.0], [-1.0]]))
     expect = np.array(
         [
             [M, 0, -K, OMEGA * M],
@@ -35,17 +34,17 @@ def test_mode1_scalar_matrix_and_solve(ctx2):
             [OMEGA * M, -K, 0, -M / LAM],
         ]
     )
-    assert np.abs(sysk.matrix.toarray() - expect).max() < 1e-14
+    assert np.abs(dense(sysk) - expect).max() < 1e-14
     x = oracle.dense_solve(expect, sysk.rhs)
     sol = direct_solve(sysk)
-    got = np.array([sol.y_c[0], sol.y_s[0], sol.p_c[0], sol.p_s[0]])
+    got = np.concatenate([sol.y.ravel(), sol.p.ravel()])
     assert np.abs(got - x).max() < 1e-12
 
 
 def test_mode1_problem_ii_scalar(ctx2):
     mats = _mats(ctx2)
     M, K = 0.125, 4.0
-    sysk = build_mode_system("II", mats, 1, LAM, OMEGA, np.array([1.0]), np.array([0.5]))
+    sysk = build_mode_system("II", mats, 1, LAM, OMEGA, np.array([[1.0], [0.5]]))
     expect = np.array(
         [
             [K, 0, -K, OMEGA * M],
@@ -54,10 +53,10 @@ def test_mode1_problem_ii_scalar(ctx2):
             [OMEGA * M, -K, 0, -M / LAM],
         ]
     )
-    assert np.abs(sysk.matrix.toarray() - expect).max() < 1e-14
+    assert np.abs(dense(sysk) - expect).max() < 1e-14
     x = oracle.dense_solve(expect, sysk.rhs)
     sol = direct_solve(sysk)
-    got = np.array([sol.y_c[0], sol.y_s[0], sol.p_c[0], sol.p_s[0]])
+    got = np.concatenate([sol.y.ravel(), sol.p.ravel()])
     assert np.abs(got - x).max() < 1e-12
 
 
@@ -65,22 +64,22 @@ def test_zero_data_zero_solution(ctx8):
     mats = _mats(ctx8)
     n = ctx8.K.shape[0]
     for problem in ("I", "II"):
-        sysk = build_mode_system(problem, mats, 2, LAM, OMEGA, np.zeros(n), np.zeros(n))
+        sysk = build_mode_system(problem, mats, 2, LAM, OMEGA, np.zeros((2, n)))
         sol = direct_solve(sysk)
-        assert np.abs(sol.y_c).max() == 0.0
-        assert np.abs(sol.p_s).max() == 0.0
+        assert np.abs(sol.y).max() == 0.0
+        assert np.abs(sol.p).max() == 0.0
 
 
 def test_operator_symmetry(ctx8, rng):
     mats = _mats(ctx8, sigma=1.3, nu=0.7)
     n = ctx8.K.shape[0]
     for problem in ("I", "II"):
-        sysk = build_mode_system(problem, mats, 3, 0.05, 2.0, np.zeros(n))
+        sysk = build_mode_system(problem, mats, 3, 0.05, 2.0, np.zeros((2, n)))
         A = sysk.matrix
-        scale = abs(A).max()
+        scale = abs(assemble(sysk)).max()
         for _ in range(100):
-            x = rng.standard_normal(A.shape[0])
-            y = rng.standard_normal(A.shape[0])
+            x = rng.standard_normal(sysk.rhs.size)
+            y = rng.standard_normal(sysk.rhs.size)
             assert abs((A @ x) @ y - x @ (A @ y)) < 1e-13 * scale * np.linalg.norm(x) * np.linalg.norm(y)
 
 
@@ -89,18 +88,18 @@ def test_schur_elimination_mode0(ctx8, rng):
     mats = _mats(ctx8)
     n = ctx8.K.shape[0]
     rhs = rng.standard_normal(n)
-    sys0 = build_mode_system("I", mats, 0, LAM, OMEGA, rhs)
-    sol = direct_solve(sys0)
+    sys0 = build_mode_system("I", mats, 0, LAM, OMEGA, rhs[None])
+    y = direct_solve(sys0).y[0]
     Minv = spla.factorized(mats.M.tocsc())
-    lhs = mats.M @ sol.y_c + LAM * (mats.K @ Minv(mats.K @ sol.y_c))
+    lhs = mats.M @ y + LAM * (mats.K @ Minv(mats.K @ y))
     assert np.linalg.norm(lhs - rhs) < 1e-9 * np.linalg.norm(rhs)
 
 
 def test_weak_form_residual(ctx8, rng):
     mats = _mats(ctx8)
     n = ctx8.K.shape[0]
-    sysk = build_mode_system("I", mats, 1, LAM, OMEGA, rng.standard_normal(n), rng.standard_normal(n))
-    x = spla.spsolve(sysk.matrix.tocsc(), sysk.rhs)
+    sysk = build_mode_system("I", mats, 1, LAM, OMEGA, rng.standard_normal((2, n)))
+    x = spla.spsolve(assemble(sysk).tocsc(), sysk.rhs)
     r = sysk.matrix @ x - sysk.rhs
     for _ in range(20):
         z = rng.standard_normal(len(r))
@@ -115,9 +114,8 @@ def test_problem_ii_tracking_trend(ctx8, rng):
     rhs = mats.K @ w
     errs = []
     for lam in (100.0, 10.0, 1.0, 0.1):
-        sys0 = build_mode_system("II", mats, 0, lam, OMEGA, rhs)
-        sol = direct_solve(sys0)
-        e = sol.y_c - w
+        sys0 = build_mode_system("II", mats, 0, lam, OMEGA, rhs[None])
+        e = direct_solve(sys0).y[0] - w
         errs.append(np.sqrt(e @ (mats.K @ e)))
     assert errs[3] < errs[2] < errs[1] < errs[0]
 
@@ -125,8 +123,25 @@ def test_problem_ii_tracking_trend(ctx8, rng):
 def test_invalid_inputs(ctx2):
     mats = _mats(ctx2)
     with pytest.raises(ValueError):
-        build_mode_system("III", mats, 0, LAM, OMEGA, np.array([1.0]))
+        build_mode_system("III", mats, 0, LAM, OMEGA, np.array([[1.0]]))
     with pytest.raises(ValueError):
-        build_mode_system("I", mats, -1, LAM, OMEGA, np.array([1.0]))
+        build_mode_system("I", mats, -1, LAM, OMEGA, np.array([[1.0]]))
+    with pytest.raises(ValueError):
+        build_mode_system("I", mats, 1, LAM, OMEGA, np.array([[1.0]]))  # mode 1 has two parts
     with pytest.raises(ValueError):
         build_matrices(ctx2, sigma=-1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16])
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("problem", ["I", "II"])
+def test_operator_matches_assembly(problem, k, n, rng):
+    # n = 1 has no interior node and n = 2 one
+    ctx = FemContext(meshmod.build(n))
+    mats = _mats(ctx, sigma=1.3, nu=0.7)
+    sysk = build_mode_system(problem, mats, k, 0.05, 2.0, np.zeros((mode_parts(k), ctx.K.shape[0])))
+    A, ref = sysk.matrix, assemble(sysk)
+    assert A.nnz == ref.nnz
+    x, y = rng.standard_normal((2, sysk.rhs.size))
+    assert np.linalg.norm(A @ x - ref @ x) <= 1e-13 * np.linalg.norm(ref @ x)
+    assert abs(x @ (A @ y) - y @ (A @ x)) <= 1e-13 * np.abs(ref.data).max(initial=0) * np.linalg.norm(x) * np.linalg.norm(y)
