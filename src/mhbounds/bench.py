@@ -88,6 +88,8 @@ class ExperimentConfig:
                 errors.append(f"{name} must be positive and finite, got {value}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             errors.append(f"tol must be positive and finite, got {self.tol}")
+        if self.maxiter < 1:
+            errors.append(f"maxiter must be at least 1, got {self.maxiter}")
         if self.workers < 1:
             errors.append("workers must be at least 1")
         if self.reference not in ("auto", "analytic", "fine", "none"):

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import fluxrecon
-from .femcore import QUAD_BARY, QUAD_W, FemContext, per_class
+from .femcore import FemContext
+from .mesh import CLASS_CORNERS
 from .systems import ModeMatrices, ModeSolution, quarter_turn
 
 UNIT_SQUARE_FRIEDRICHS = 1.0 / (np.sqrt(2.0) * np.pi)
@@ -101,20 +102,28 @@ class ResidualSet:
 
 @dataclass
 class ModeData:
-    """Per-mode data samples entering misfits, residuals and right-hand sides.
+    """Per-mode data entering misfits, residuals and right-hand sides.
 
     The cosine and sine parts are stacked on a leading axis of length P (one
-    part for mode 0, two otherwise).  Problem I carries the desired state at
-    the quadrature points, y_qp (P, T, Q); problem II the desired gradient
-    at the quadrature points, g_qp (P, T, Q, 2), and the edge-flux degrees of
-    freedom of the same data, g_edge (P, E), for the adjoint flux
-    reconstruction.
+    part for mode 0, two otherwise), and the data enter through their
+    per-triangle projections (see `FemContext.project_p1`/`project_rt0`).
+    Per-triangle arrays are class planes (see `femcore`).  Problem I
+    carries the vertex values of the desired state's P1 projection, y_vert
+    (P, 2, 3, n, n); problem II the RT0 projection of the desired gradient,
+    g_mean + g_div/2 (x - c) with g_mean (P, 2, 2, n, n) and g_div
+    (P, 2, n, n), and the edge-flux degrees of freedom of the same data,
+    g_flux (a GridFlux of P stacked fields), for the adjoint flux
+    reconstruction.  `rest` is the squared quadrature norm of what the
+    projections leave over, summed over the parts: the residuals are
+    piecewise polynomials orthogonal to it, so it adds to each data term.
     """
 
     k: int
-    y_qp: Optional[np.ndarray] = None
-    g_qp: Optional[np.ndarray] = None
-    g_edge: Optional[np.ndarray] = None
+    rest: float = 0.0
+    y_vert: Optional[np.ndarray] = None
+    g_mean: Optional[np.ndarray] = None
+    g_div: Optional[np.ndarray] = None
+    g_flux: Optional[fluxrecon.GridFlux] = None
 
 
 @dataclass
@@ -139,17 +148,35 @@ class ModeBounds:
         return self.majorant - self.minorant
 
 
-def _p1_norm2(ctx: FemContext, vert: np.ndarray) -> float:
-    """Exact squared L2 norm of P1 fields from vertex values (..., T, 3).
+def _p1_norm2(ctx: FemContext, grid: np.ndarray, shift=None, vert=None) -> float:
+    """Exact squared L2 norm of stacked fields that are P1 per triangle.
 
-    Per triangle the P1 mass form gives area/12 (sum a_i^2 + (sum a_i)^2).
+    On each triangle the field is the nodal field `grid` (P, n+1, n+1), plus
+    the per-triangle constant `shift` (P, 2, n, n), minus the per-triangle
+    vertex values `vert` (P, 2, 3, n, n); either may be absent.  Per
+    triangle the P1 mass form gives area/12 (sum a_i^2 + (sum a_i)^2),
+    summed one class and one local vertex at a time over slices of the grid.
     """
-    sums = vert @ np.ones(3)
-    return ctx.mesh.tri_area / 12 * float(np.vdot(vert, vert) + np.vdot(sums, sums))
+    n = ctx.mesh.n
+    total = 0.0
+    for cls, corners in enumerate(CLASS_CORNERS):
+        sums = 0.0
+        for i, (r, c) in enumerate(corners):
+            a = grid[..., r : r + n, c : c + n]
+            if shift is not None:
+                a = a + shift[..., cls, :, :]
+            if vert is not None:
+                a = a - vert[..., cls, i, :, :]
+            a = np.ascontiguousarray(a)
+            total += np.vdot(a, a)
+            sums = sums + a
+        total += np.vdot(sums, sums)
+    return ctx.mesh.tri_area / 12 * float(total)
 
 
 def _rt0_norm2(ctx: FemContext, const: np.ndarray, div: np.ndarray) -> float:
-    """Exact squared L2 norm of tau(x) = const + div/2 (x - c) per triangle.
+    """Exact squared L2 norm of tau(x) = const + div/2 (x - c) per triangle,
+    from class planes const (P, 2, 2, n, n) and div (P, 2, n, n).
 
     The linear part has zero mean, so the cross term vanishes.
     """
@@ -158,28 +185,20 @@ def _rt0_norm2(ctx: FemContext, const: np.ndarray, div: np.ndarray) -> float:
     )
 
 
-def _qp_norm2(ctx: FemContext, values: np.ndarray) -> float:
-    """Squared L2 norm of values at the quadrature points, (..., T, Q)."""
-    flat = values.reshape(-1, values.shape[-1])
-    return ctx.mesh.tri_area * float(np.einsum("tq,tq->q", flat, flat) @ QUAD_W)
+def _state_misfit(problem: str, ctx: FemContext, y_grid, y_grad, data: ModeData) -> float:
+    """Squared data misfit of the stacked state parts, in closed form.
 
-
-def _state_misfit(problem: str, ctx: FemContext, y_vert, y_grad, data: ModeData):
-    """Squared data misfit of the stacked state parts.
-
-    Returns the misfit and, for problem I, its quadrature-point values
-    (P, T, Q), which the adjoint residual reuses.
+    The state minus the data's projection is P1 (problem I) or RT0
+    (problem II) per triangle; the remainder of the projection adds its norm.
     """
     if problem == "I":
-        values = y_vert @ QUAD_BARY.T - data.y_qp
-        return _qp_norm2(ctx, values), values
-    misfit = sum(_qp_norm2(ctx, y_grad[..., d, None] - data.g_qp[..., d]) for d in range(2))
-    return misfit, None
+        return _p1_norm2(ctx, y_grid, vert=data.y_vert) + data.rest
+    return _rt0_norm2(ctx, y_grad - data.g_mean, -data.g_div) + data.rest
 
 
 def _adjoint_mass(mats: ModeMatrices, ps: np.ndarray) -> tuple[np.ndarray, float]:
     """M p of the stacked adjoint parts, (P, m), and p^T M p summed over the parts."""
-    mp = mats.M_stencil(ps)
+    mp = mats.M(ps)
     return mp, float(np.vdot(ps, mp))
 
 
@@ -190,28 +209,20 @@ def mode_cost(problem: str, ctx: FemContext, mats: ModeMatrices, lam: float,
     The misfit and control-energy terms of `evaluate_mode`, without the
     flux reconstructions; the control is u = -p / lam.
     """
-    y_vert = ctx.vertex_values(sol.y)
-    misfit, _ = _state_misfit(problem, ctx, y_vert, per_class(y_vert, ctx.class_grads), data)
+    y_grid = ctx.node_grid(sol.y)
+    y_grad = ctx.cell_gradients(y_grid) if problem == "II" else None
+    misfit = _state_misfit(problem, ctx, y_grid, y_grad, data)
     return 0.5 * misfit + _adjoint_mass(mats, sol.p)[1] / (2 * lam)
 
 
-def _match_boundary_divergence(mesh, flux, target_div: np.ndarray) -> None:
-    """Adjust boundary-edge coefficients so boundary triangles hit target_div.
-
-    One-sided edge averaging leaves an O(1) divergence defect on the
-    boundary strip; since boundary edges carry no continuity constraint,
-    their degrees of freedom are free to absorb it.  The defect of each
-    boundary triangle is split equally among its boundary edges.
-    """
-    edges = np.flatnonzero(mesh.edge_tris[:, 1] < 0)
-    tris = mesh.edge_tris[edges, 0]
-    shares = np.bincount(tris, minlength=mesh.num_triangles)[tris]
-    local_sign = mesh.tri_edge_sign[tris] * (mesh.tri_edges[tris] == edges[:, None])
-    tri_flux = flux.coeffs[..., mesh.tri_edges[tris]] * mesh.tri_edge_sign[tris]
-    div = tri_flux.sum(axis=-1) / mesh.tri_area
-    defect = (target_div[..., tris] - div) * mesh.tri_area / shares
-    # every boundary edge has a single triangle, so the indices are unique
-    flux.coeffs[..., edges] += local_sign.sum(axis=1) * defect
+def _centroid_values(grid: np.ndarray) -> np.ndarray:
+    """Centroid values of P1 fields on the node grid, as class planes (..., 2, n, n)."""
+    n = grid.shape[-1] - 1
+    out = np.zeros(grid.shape[:-2] + (2, n, n))
+    for cls, corners in enumerate(CLASS_CORNERS):
+        for r, c in corners:
+            out[..., cls, :, :] += grid[..., r : r + n, c : c + n]
+    return out / 3
 
 
 def evaluate_mode(
@@ -226,32 +237,36 @@ def evaluate_mode(
 
     The cosine and sine parts are evaluated together, stacked on a leading
     axis.  Residuals that are piecewise polynomial (P1 or RT0 per triangle)
-    are integrated exactly in closed form; the misfit and the residual that
-    contains the data are integrated by the 7-point rule.
+    are integrated exactly in closed form; so are the misfit and the
+    residual that contains the data, against the data's per-triangle
+    projection, plus the stored norm of the projection's remainder.  The
+    averaged fluxes are built and read by slicing the edge planes.
     """
     k = sol.k
     lam = params.lam
     nu, sigma = params.nu, params.sigma
     cf, mu1 = params.c_friedrichs, params.mu1
 
+    mesh = ctx.mesh
     ys, ps = sol.y, sol.p
-    y_vert, p_vert = ctx.vertex_values(ys), ctx.vertex_values(ps)
-    y_grad, p_grad = per_class(y_vert, ctx.class_grads), per_class(p_vert, ctx.class_grads)
+    y_grid, p_grid = ctx.node_grid(ys), ctx.node_grid(ps)
+    y_grad, p_grad = ctx.cell_gradients(y_grid), ctx.cell_gradients(p_grid)
     kws = k * params.omega * sigma
 
-    tau_c, tau_div = fluxrecon.affine_form(ctx, fluxrecon.reconstruct_p0(ctx.mesh, nu * y_grad))
-    r1_vert = quarter_turn(y_vert, kws)
-    r1_vert -= p_vert / lam
-    r1_vert += tau_div[..., None]
-    r1_sq = _p1_norm2(ctx, r1_vert)
+    tau_c, tau_div = fluxrecon.grid_affine_form(ctx, fluxrecon.grid_average(mesh, nu * y_grad))
+    r1_grid = quarter_turn(y_grid, kws)
+    r1_grid -= p_grid / lam
+    r1_sq = _p1_norm2(ctx, r1_grid, shift=tau_div)
     r2_sq = _rt0_norm2(ctx, tau_c - nu * y_grad, tau_div)
 
-    misfit, misfit_qp = _state_misfit(problem, ctx, y_vert, y_grad, data)
+    misfit = _state_misfit(problem, ctx, y_grid, y_grad, data)
     if problem == "I":
-        rho_c, rho_div = fluxrecon.affine_form(ctx, fluxrecon.reconstruct_p0(ctx.mesh, nu * p_grad))
-        r3_qp = (rho_div[..., None] + quarter_turn(p_vert, kws)) @ QUAD_BARY.T
-        r3_qp += misfit_qp
-        r3_sq = _qp_norm2(ctx, r3_qp)
+        rho_c, rho_div = fluxrecon.grid_affine_form(ctx, fluxrecon.grid_average(mesh, nu * p_grad))
+        # div(rho) + time coupling + state - data: P1 per triangle against
+        # the data's projection, plus the projection's remainder
+        r3_grid = quarter_turn(p_grid, kws)
+        r3_grid += y_grid
+        r3_sq = _p1_norm2(ctx, r3_grid, shift=rho_div, vert=data.y_vert) + data.rest
         r4_sq = _rt0_norm2(ctx, rho_c - nu * p_grad, rho_div)
     else:
         # adjoint flux approximates nu grad(p) - (grad(y) - g_d); its exact
@@ -259,21 +274,13 @@ def evaluate_mode(
         # boundary traces are corrected to match that target per triangle
         # (interior normal continuity untouched, so still in H(div))
         target = nu * p_grad - y_grad
-        rho = fluxrecon.reconstruct_p0(ctx.mesh, target)
-        rho.coeffs += data.g_edge
-        p_mean = p_vert @ np.full(3, 1 / 3)
-        _match_boundary_divergence(ctx.mesh, rho, -quarter_turn(p_mean, kws))
-        rho_c, rho_div = fluxrecon.affine_form(ctx, rho)
-        r3_sq = _p1_norm2(ctx, rho_div[..., None] + quarter_turn(p_vert, kws))
-        # rho - target - g_d at the quadrature points, one component at a
-        # time: (const_d, div/2) per triangle times (1, (x_q - c)_d) per class
-        const, half_div = rho_c - target, 0.5 * rho_div
-        offsets = ctx.class_qp_offsets
-        r4_sq = 0.0
-        for d in range(2):
-            rows = np.stack([const[..., d], half_div], axis=-1)
-            maps = np.stack([np.ones_like(offsets[..., d]), offsets[..., d]], axis=1)
-            r4_sq += _qp_norm2(ctx, per_class(rows, maps) - data.g_qp[..., d])
+        rho = fluxrecon.grid_average(mesh, target) + data.g_flux
+        fluxrecon.grid_match_boundary_divergence(mesh, rho, -quarter_turn(_centroid_values(p_grid), kws))
+        rho_c, rho_div = fluxrecon.grid_affine_form(ctx, rho)
+        r3_sq = _p1_norm2(ctx, quarter_turn(p_grid, kws), shift=rho_div)
+        # rho - target - g_d: RT0 per triangle against the data's
+        # projection, plus the projection's remainder
+        r4_sq = _rt0_norm2(ctx, rho_c - target - data.g_mean, rho_div - data.g_div) + data.rest
 
     res = ResidualSet(np.sqrt(r1_sq), np.sqrt(r2_sq), np.sqrt(r3_sq), np.sqrt(r4_sq))
 
@@ -282,7 +289,7 @@ def evaluate_mode(
     quad = p_mass / lam
     # bilinear pairing of state against adjoint, with the time-derivative
     # coupling  k omega sigma (y_s . M p_c - y_c . M p_s)
-    bilin = float(np.vdot(ys, nu * mats.K_stencil(ps) + quarter_turn(mp, kws)))
+    bilin = float(np.vdot(ys, nu * mats.K(ps) + quarter_turn(mp, kws)))
     # Problem I subtracts the pairing (benchmark-calibrated orientation,
     # equal to 2/lam ||p||^2 at the discrete solution); problem II uses the
     # orientation under which the term vanishes at the discrete solution.

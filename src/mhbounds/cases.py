@@ -10,16 +10,18 @@ closed-form Fourier coefficients (odd cosine modes only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import fluxrecon, oracle
 from .bounds import ModeData
-from .femcore import FemContext
+from .femcore import FemContext, class_planes
 from .systems import mode_parts
-from .timefourier import RemainderTerm, TimeSignalCoeffs, fourier_coeffs, remainder_parseval, remainder_from_tail
+from .timefourier import (
+    RemainderTerm, SampledSignal, TimeSignalCoeffs, remainder_from_tail, remainder_parseval, sample_periodic,
+)
 
 PI = np.pi
 PI2 = PI * PI
@@ -121,14 +123,22 @@ class ExampleCase:
     def period(self) -> float:
         return 2.0 * PI / self.omega
 
+    @cached_property
+    def _time_samples(self) -> SampledSignal:
+        """The time factor over one period, sampled once per case."""
+        return sample_periodic(self.time_factor, self.omega, panels=256, order=12)
+
     def time_coeffs(self, k_max: int) -> TimeSignalCoeffs:
         if self.analytic_modes:
             cos = np.array([box_mode_coefficient(k) for k in range(1, k_max + 1)])
             return TimeSignalCoeffs(omega=self.omega, c0=0.5, cos=cos, sin=np.zeros(k_max))
-        return _numeric_coeffs(self.ident, self.omega, k_max)
+        return self._time_samples.table(k_max)
 
     def mode_pair(self, k: int) -> tuple[float, float]:
-        return self.time_coeffs(max(k, 1)).mode(k)
+        """(cosine, sine) coefficients of mode k of the time factor alone."""
+        if self.analytic_modes:
+            return box_mode_coefficient(k), 0.0
+        return self._time_samples.mode(k)
 
     def remainder(self, n_modes: int) -> RemainderTerm:
         """Tail energy (T/2) sum_{k>N} ||data mode||^2."""
@@ -166,12 +176,6 @@ class ExampleCase:
         if not self.has_analytic_reference:
             raise ValueError(f"case {self.ident} has no analytic reference")
         return oracle.time_mode_pair(self.exact_y_time, self.omega, k)
-
-
-@lru_cache(maxsize=None)
-def _numeric_coeffs(ident: int, omega: float, k_max: int) -> TimeSignalCoeffs:
-    factor = {1: _g1, 2: _g2, 4: _g4, 5: _g5}[ident]
-    return fourier_coeffs(factor, omega, k_max, panels=256, order=12)
 
 
 _CASE_SPECS = {
@@ -215,8 +219,13 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
 
 
 class CaseBind:
-    """A case attached to a discretization: right-hand sides, mode data
-    samples, and analytic-reference error norms."""
+    """A case attached to a discretization: right-hand sides, per-triangle
+    data projections, and analytic-reference error norms.
+
+    The data profile is sampled at the quadrature points once, for its load
+    vector and its projection (P1 for a desired state, RT0 for a desired
+    gradient); the samples are not kept.
+    """
 
     def __init__(self, case: ExampleCase, ctx: FemContext):
         self.case = case
@@ -225,25 +234,23 @@ class CaseBind:
         if case.analytic_modes and mesh.n % 2 == 1:
             raise ValueError("indicator data requires an even grid")
         if case.problem == "I":
-            self.s_qp = ctx.data_at_qp(case.spatial_scalar)
-            self.load_s = ctx.load_from_qp(self.s_qp)
+            s_qp = ctx.data_at_qp(case.spatial_scalar)
+            self.load_s = ctx.load_from_qp(s_qp)
+            self.s_vert, self.rest = ctx.project_p1(s_qp)
         else:
-            self.v_qp = ctx.vector_data_at_qp(case.spatial_vector)
-            self.gload_v = ctx.gradient_load_from_qp(self.v_qp)
+            v_qp = ctx.vector_data_at_qp(case.spatial_vector)
+            self.gload_v = ctx.gradient_load_from_qp(v_qp)
+            self.v_mean, self.v_div, self.rest = ctx.project_rt0(v_qp)
             if case.ident == 6:
                 centers = mesh.nodes[mesh.triangles].mean(axis=1)
                 vx, vy = case.spatial_vector(centers[:, 0], centers[:, 1])
-                self.v_edge = fluxrecon.reconstruct_p0(
-                    mesh, np.column_stack([vx, vy])
-                ).coeffs
+                field = class_planes(np.column_stack([vx, vy]), mesh.n)
+                self.v_flux = fluxrecon.grid_average(mesh, field)
             else:
-                self.v_edge = fluxrecon.reconstruct_from_callable(
-                    mesh, case.spatial_vector
-                ).coeffs
+                self.v_flux = fluxrecon.grid_from_callable(mesh, case.spatial_vector)
             # state profile quantities for the analytic error norms
             if case.has_analytic_reference:
-                self.s_qp = ctx.data_at_qp(_sin_sin)
-                self.load_s = ctx.load_from_qp(self.s_qp)
+                self.load_s = ctx.load(_sin_sin)
 
     def _mode_coefs(self, k: int) -> np.ndarray:
         """The (cosine, sine) time coefficients of the data, one per part, (P,)."""
@@ -256,12 +263,15 @@ class CaseBind:
 
     def mode_data(self, k: int) -> ModeData:
         coef = self._mode_coefs(k)
+        rest = float(coef @ coef) * self.rest
         if self.case.problem == "I":
-            return ModeData(k=k, y_qp=coef[:, None, None] * self.s_qp)
+            return ModeData(k=k, rest=rest, y_vert=np.multiply.outer(coef, self.s_vert))
         return ModeData(
             k=k,
-            g_qp=coef[:, None, None, None] * self.v_qp,
-            g_edge=coef[:, None] * self.v_edge,
+            rest=rest,
+            g_mean=np.multiply.outer(coef, self.v_mean),
+            g_div=np.multiply.outer(coef, self.v_div),
+            g_flux=self.v_flux.scaled(coef),
         )
 
     def reference_cost(self, k: int) -> float:
@@ -279,6 +289,6 @@ class CaseBind:
         a = np.array(case.exact_state_mode(k))[: mode_parts(k)]
         # the exact part's profile terms: a^2 ||S||^2 - 2 a (S, y_h)
         profile = float(0.25 * a @ a - 2 * a @ (sol.y @ self.load_s))
-        l2 = profile + float(np.vdot(sol.y, self.ctx.M_stencil(sol.y)))
-        h1 = case.eigen_kappa * profile + float(np.vdot(sol.y, self.ctx.K_stencil(sol.y)))
+        l2 = profile + float(np.vdot(sol.y, self.ctx.M(sol.y)))
+        h1 = case.eigen_kappa * profile + float(np.vdot(sol.y, self.ctx.K(sol.y)))
         return l2, h1

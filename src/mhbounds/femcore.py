@@ -10,6 +10,12 @@ integrated exactly).
 
 Homogeneous Dirichlet conditions are imposed by restriction to interior
 nodes; `full=True` variants keep all nodes for pre-elimination checks.
+
+Per-triangle arrays come in two layouts.  Quadrature-point samples follow
+the triangle numbering, (..., T, Q).  The bound evaluation holds its
+per-triangle fields as class planes, (..., 2, n, n) for one value and
+(..., 2, K, n, n) for K values per triangle: the orientation class first,
+then the cell row and column, so every operation on them is a plane slice.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import CLASS_CORNERS, add_cell_corners, cell_corners
+from .mesh import CLASS_CORNERS, add_cell_corners
 
 # 7-point degree-5 rule on the reference triangle, barycentric coordinates
 # and weights normalized to sum to 1.
@@ -90,6 +96,20 @@ def _stencil_csr(bands: dict, lo: int, hi: int) -> sp.csr_matrix:
     return sp.csr_matrix((values[keep], columns[keep], indptr), shape=(m * m, m * m))
 
 
+def element_matrices(mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-coefficient P1 stiffness and mass element matrices per class, (2, 3, 3) each.
+
+    The stiffness is scale free, so it is taken on the unit cell, where its
+    entries 0, +-1/2 and 1 are exact.
+    """
+    unit = np.array(CLASS_CORNERS, dtype=float)[..., ::-1]
+    unit_grads, unit_area = _class_geometry(unit)
+    return (
+        np.einsum("cid,cjd,c->cij", unit_grads, unit_grads, unit_area),
+        np.broadcast_to(mesh.tri_area / 12 * (1 + np.eye(3)), (2, 3, 3)),
+    )
+
+
 # interior rows per band of a stencil product: the stacked shifted slices
 # of one band stay in cache, and the temporaries stay small on large grids
 STENCIL_ROWS = 16
@@ -103,8 +123,9 @@ class Stencil:
     field alike, or a (Q, Q) block coupling the Q parts.  The boundary nodes
     are the zero padding of the node grid, so a product is the sum of the
     shifted slices of one padded grid times their weights, taken as one
-    matrix product per band of rows.  `nnz` counts the entries the
-    assembled matrix would store.
+    matrix product per band of rows.  `shape` is that of the matrix acting
+    on the flat stacked parts, and `nnz` counts the entries the assembled
+    matrix would store.
     """
 
     def __init__(self, weights: dict, m: int):
@@ -112,6 +133,8 @@ class Stencil:
         self.weights = weights
         self._offsets = sorted(weights)
         self._blocks = np.array([weights[o] for o in self._offsets])
+        self._parts = 1 if self._blocks.ndim == 1 else self._blocks.shape[1]
+        self.shape = (self._parts * m * m,) * 2
         self.nnz = sum(
             np.count_nonzero(w) * max(m - abs(dr), 0) * max(m - abs(dc), 0)
             for (dr, dc), w in zip(self._offsets, self._blocks)
@@ -136,8 +159,8 @@ class Stencil:
         return out.reshape(v.shape)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Product of a block stencil with the flat vector of its stacked parts."""
-        return self(x.reshape(self._blocks.shape[1], -1)).ravel()
+        """Product with the flat vector of the stacked parts (one for a scalar stencil)."""
+        return self(x.reshape(self._parts, -1)).ravel()
 
 
 class FemContext:
@@ -149,15 +172,16 @@ class FemContext:
 
     Attributes:
         mesh: the underlying UniformMesh.
-        K, M: unit-coefficient stiffness/mass on interior nodes.
-        K_stencil, M_stencil: the same two matrices applied by grid slicing.
-        K_full, M_full: pre-elimination variants on all nodes.
-        qp: quadrature point coordinates, (T, Q, 2).
+        K, M: unit-coefficient stiffness/mass on interior nodes, as stencils
+            applied by grid slicing.
+        K_full, M_full: pre-elimination CSR matrices on all nodes.
         qw: per-point weights scaled by area, (T, Q) (a read-only view).
         class_grads: P1 basis gradients per class, (2, 3, 2).
         class_rt0_form: centroid value (c - P_i) / (2 A) and divergence
             1 / A of the RT0 basis function with unit outward flux through
             the edge opposite local vertex i, per class, (2, 3, 3).
+        class_qp: quadrature points of the class triangles of cell (0, 0),
+            (2, Q, 2).
         class_qp_offsets: quadrature points minus the centroid, (2, Q, 2).
         offset_moment: mean of |x - c|^2 over a triangle.
     """
@@ -174,31 +198,16 @@ class FemContext:
         self.class_rt0_form = np.concatenate(
             [(centroid - corners) / (2 * area), np.broadcast_to(1 / area, (2, 3, 1))], axis=-1
         )
-        self.class_qp_offsets = QUAD_BARY @ corners - centroid
+        self.class_qp = QUAD_BARY @ corners
+        self.class_qp_offsets = self.class_qp - centroid
         self.offset_moment = float(QUAD_W @ np.sum(self.class_qp_offsets[0] ** 2, axis=1))
+        self.qw = np.broadcast_to(mesh.tri_area * QUAD_W, (mesh.num_triangles, len(QUAD_W)))
 
-        # quadrature points: cell origin (c h, r h) plus the class points
-        origin = np.arange(n) * h
-        class_qp = QUAD_BARY @ corners  # (2, Q, 2)
-        qp = np.empty((n, n) + class_qp.shape)
-        qp[..., 0] = origin[None, :, None, None] + class_qp[..., 0]
-        qp[..., 1] = origin[:, None, None, None] + class_qp[..., 1]
-        self.qp = qp.reshape(mesh.num_triangles, len(QUAD_W), 2)
-        self.qw = np.broadcast_to(mesh.tri_area * QUAD_W, self.qp.shape[:2])
-
-        # the unit stiffness is scale free, so take it on the unit cell,
-        # where its entries 0, +-1/2 and 1 are exact
-        unit_grads, unit_area = _class_geometry(unit)
-        local = (
-            np.einsum("cid,cjd,c->cij", unit_grads, unit_grads, unit_area),
-            np.broadcast_to(mesh.tri_area / 12 * (1 + np.eye(3)), (2, 3, 3)),
-        )
-        stiffness, mass = (_stencil_bands(a, n) for a in local)
-        self.K_full, self.M_full = (_stencil_csr(b, 0, n + 1) for b in (stiffness, mass))
-        self.K, self.M = (_stencil_csr(b, 1, n) for b in (stiffness, mass))
+        local = element_matrices(mesh)
+        self.K_full, self.M_full = (_stencil_csr(_stencil_bands(a, n), 0, n + 1) for a in local)
         # the centre node of a 2 x 2 cell grid touches all six triangles
         # around it, as every interior node does
-        self.K_stencil, self.M_stencil = (
+        self.K, self.M = (
             Stencil({o: band[1, 1] for o, band in _stencil_bands(a, 2).items()}, n - 1) for a in local
         )
 
@@ -214,16 +223,30 @@ class FemContext:
         """Nodal interpolant of f(x, y), full vector."""
         return f(self.mesh.nodes[:, 0], self.mesh.nodes[:, 1])
 
-    def vertex_values(self, v_int: np.ndarray) -> np.ndarray:
-        """Vertex values of stacked interior-node P1 fields, (P, m) -> (P, T, 3).
-
-        Slices the (n+1) x (n+1) node grid, without an index gather.
-        """
+    def node_grid(self, v_int: np.ndarray) -> np.ndarray:
+        """Stacked interior fields (P, m) on the zero-padded node grid, (P, n+1, n+1)."""
         n = self.mesh.n
         parts = v_int.shape[0]
         grid = np.zeros((parts, n + 1, n + 1))
         grid[:, 1:-1, 1:-1] = v_int.reshape(parts, n - 1, n - 1)
-        return cell_corners(grid, n).reshape(parts, 2 * n * n, 3)
+        return grid
+
+    def cell_gradients(self, grid: np.ndarray) -> np.ndarray:
+        """Gradients of P1 fields on the node grid, (..., n+1, n+1) -> class
+        planes (..., 2, 2, n, n) (class, then component).
+
+        Each class gradient is a pair of node differences along the legs of
+        its triangle, taken by slicing the node grid.
+        """
+        n, h = self.mesh.n, self.mesh.h
+        low, high = grid[..., :-1, :], grid[..., 1:, :]  # rows r and r + 1
+        out = np.empty(grid.shape[:-2] + (2, 2, n, n))
+        np.subtract(low[..., 1:], low[..., :-1], out=out[..., 0, 0, :, :])
+        np.subtract(high[..., 1:], low[..., 1:], out=out[..., 0, 1, :, :])
+        np.subtract(high[..., 1:], high[..., :-1], out=out[..., 1, 0, :, :])
+        np.subtract(high[..., :-1], low[..., :-1], out=out[..., 1, 1, :, :])
+        out /= h
+        return out
 
     def _node_sums(self, contrib: np.ndarray, full: bool) -> np.ndarray:
         """Sum per-triangle vertex contributions (T, 3) onto the nodes."""
@@ -240,17 +263,74 @@ class FemContext:
         """Piecewise-constant gradient of a P1 field, (T, 2)."""
         return per_class(v_full[self.mesh.triangles], self.class_grads)
 
+    # -- data at the quadrature points -----------------------------------------
+
+    def _qp_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """x (1, n, 2, Q) and y (n, 1, 2, Q) of the quadrature points: the cell
+        origins (c h, r h) plus the class points, broadcasting to (n, n, 2, Q)."""
+        origin = np.arange(self.mesh.n) * self.mesh.h
+        x = origin[None, :, None, None] + self.class_qp[..., 0]
+        y = origin[:, None, None, None] + self.class_qp[..., 1]
+        return x, y
+
     def data_at_qp(self, f: Callable) -> np.ndarray:
-        """Scalar data values at the quadrature points, (T, Q)."""
-        return f(self.qp[:, :, 0], self.qp[:, :, 1])
+        """Scalar data values at the quadrature points, (T, Q).
+
+        f is called on coordinate arrays that broadcast against each other,
+        one row and one column of cells each.
+        """
+        x, y = self._qp_axes()
+        return np.broadcast_to(f(x, y), np.broadcast_shapes(x.shape, y.shape)).reshape(self.qw.shape)
 
     def vector_data_at_qp(self, g: Callable) -> np.ndarray:
         """Vector data values at the quadrature points, (T, Q, 2)."""
-        gx, gy = g(self.qp[:, :, 0], self.qp[:, :, 1])
-        out = np.empty(self.qp.shape)
-        out[:, :, 0] = gx
-        out[:, :, 1] = gy
-        return out
+        x, y = self._qp_axes()
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        out = np.empty(shape + (2,))
+        for d, values in enumerate(g(x, y)):
+            out[..., d] = values
+        return out.reshape(self.qw.shape + (2,))
+
+    # -- per-triangle projections of data samples ------------------------------
+
+    def project_p1(self, values_qp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-triangle projection of samples (..., T, Q) onto P1, and its remainder.
+
+        The projection is orthogonal in the quadrature inner product, which
+        is exact on P1 x P1: with the moments m_i = A sum_q w_q f_q
+        lambda_i(x_q), the vertex values are 12 / A (m - sum(m) / 4).
+        Returns the vertex values as class planes (..., 2, 3, n, n) and the
+        squared quadrature norm of what the projection leaves over, summed
+        over triangles (...).
+        """
+        moments = (values_qp * QUAD_W) @ QUAD_BARY  # m / A
+        vert = 12 * (moments - moments.sum(axis=-1, keepdims=True) / 4)
+        rest = values_qp - vert @ QUAD_BARY.T
+        rest_norm2 = self.mesh.tri_area * ((rest * rest) @ QUAD_W).sum(axis=-1)
+        return class_planes(vert, self.mesh.n), rest_norm2
+
+    def project_rt0(self, values_qp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-triangle projection of vector samples (..., T, Q, 2) onto RT0.
+
+        On each triangle the local RT0 space a + b (x - c) has the constants
+        orthogonal to x - c, so the projection is the mean a plus the slope
+        b = mean(f . (x - c)) / mean(|x - c|^2).  Returns, as class planes,
+        the mean (..., 2, 2, n, n) and the divergence 2 b (..., 2, n, n),
+        which put the projection in the tau(c) + div/2 (x - c) form of
+        `fluxrecon`, and the squared quadrature norm of the remainder,
+        summed over triangles (...).
+        """
+        *lead, tris, points, _ = values_qp.shape
+        pairs = values_qp.reshape(*lead, tris // 2, 2, points, 2)
+        offsets = self.class_qp_offsets
+        mean = np.einsum("...qd,q->...d", pairs, QUAD_W)
+        weighted = offsets * QUAD_W[:, None] / self.offset_moment
+        slope = np.einsum("...cqd,cqd->...c", pairs, weighted)
+        rest = pairs - mean[..., None, :] - slope[..., None, None] * offsets
+        rest_norm2 = ((rest * rest).sum(axis=-1) @ QUAD_W).reshape(*lead, -1).sum(axis=-1)
+        form = np.concatenate([mean, 2 * slope[..., None]], axis=-1).reshape(*lead, tris, 3)
+        planes = class_planes(form, self.mesh.n)
+        return planes[..., :2, :, :], planes[..., 2, :, :], self.mesh.tri_area * rest_norm2
 
     # -- integration ---------------------------------------------------------
 
@@ -298,6 +378,13 @@ def per_class(values: np.ndarray, maps: np.ndarray) -> np.ndarray:
     block[:width, :depth] = maps[0]
     block[width:, depth:] = maps[1]
     return (values.reshape(-1, 2 * width) @ block).reshape(*lead, tris, depth)
+
+
+def class_planes(values: np.ndarray, n: int) -> np.ndarray:
+    """Per-triangle rows in the triangle numbering as class planes,
+    (..., T, K) -> (..., 2, K, n, n)."""
+    cells = values.reshape(values.shape[:-2] + (n, n, 2, values.shape[-1]))
+    return np.ascontiguousarray(np.moveaxis(cells, (-4, -3), (-2, -1)))
 
 
 def p1_eval_at(mesh, v_full: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
     diagonal pair gives M~ = h^2/12 (6 + 2 cos a + 2 cos b + 2 cos a cos b),
     spectrally equivalent to M.
     """
-    m = mats.K_stencil.m
+    m = mats.K.m
     h = 1.0 / (m + 1)
     c = np.cos(np.pi * np.arange(1, m + 1) * h)
     ca, cb = c[:, None], c[None, :]

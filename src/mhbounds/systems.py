@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-
 from .femcore import FemContext, Stencil
 
 PROBLEMS = ("I", "II")
@@ -39,13 +37,11 @@ def quarter_turn(parts: np.ndarray, kws: float) -> np.ndarray:
 
 @dataclass
 class ModeMatrices:
-    """Interior-node stiffness K and mass M, as CSR matrices and as stencils,
-    with the constant coefficients sigma and nu."""
+    """Interior-node stiffness K and mass M, as stencils, with the constant
+    coefficients sigma and nu."""
 
-    K: sp.csr_matrix
-    M: sp.csr_matrix
-    K_stencil: Stencil
-    M_stencil: Stencil
+    K: Stencil
+    M: Stencil
     sigma: float
     nu: float
 
@@ -53,10 +49,7 @@ class ModeMatrices:
 def build_matrices(ctx: FemContext, sigma: float = 1.0, nu: float = 1.0) -> ModeMatrices:
     if sigma <= 0 or nu <= 0:
         raise ValueError("coefficients must be positive constants")
-    return ModeMatrices(
-        K=ctx.K, M=ctx.M, K_stencil=ctx.K_stencil, M_stencil=ctx.M_stencil,
-        sigma=sigma, nu=nu,
-    )
+    return ModeMatrices(K=ctx.K, M=ctx.M, sigma=sigma, nu=nu)
 
 
 @dataclass
@@ -110,10 +103,10 @@ def build_mode_system(
     lead_K, lead_M = (0.0, 1.0) if problem == "I" else (1.0, 0.0)
     coef_K = np.block([[lead_K * eye, -mats.nu * eye], [-mats.nu * eye, 0 * eye]])
     coef_M = np.block([[lead_M * eye, -turn], [turn, -eye / lam]])
-    K, M = mats.K_stencil.weights, mats.M_stencil.weights
+    K, M = mats.K.weights, mats.M.weights
     blocks = {o: K.get(o, 0.0) * coef_K + M.get(o, 0.0) * coef_M for o in K.keys() | M.keys()}
     return ModeSystem(
         problem=problem, k=k, lam=lam, omega=omega, mats=mats,
-        matrix=Stencil(blocks, mats.M_stencil.m),
+        matrix=Stencil(blocks, mats.M.m),
         rhs=np.concatenate([rhs, np.zeros_like(rhs)]).ravel(),
     )

@@ -58,6 +58,58 @@ def gauss_panels(a: float, b: float, panels: int, order: int):
     return nodes, weights
 
 
+@dataclass(frozen=True)
+class SampledSignal:
+    """One period of a T-periodic signal at the nodes of a composite Gauss
+    rule; every Fourier coefficient is one weighted sum over the samples."""
+
+    omega: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
+
+    @property
+    def period(self) -> float:
+        return 2.0 * np.pi / self.omega
+
+    def _sums(self, ks: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The mean and the cosine and sine coefficients of modes ks."""
+        period = self.period
+        c0 = float(np.dot(self.weights, self.values)) / period
+        phases = np.multiply.outer(ks, self.nodes) * self.omega
+        cos = (2.0 / period) * (np.cos(phases) * self.values) @ self.weights
+        sin = (2.0 / period) * (np.sin(phases) * self.values) @ self.weights
+        return c0, cos, sin
+
+    def table(self, k_max: int) -> TimeSignalCoeffs:
+        """Coefficients of modes 0..k_max.
+
+        Raises:
+            ValueError: if k_max < 0.
+        """
+        if k_max < 0:
+            raise ValueError("k_max must be nonnegative")
+        c0, cos, sin = self._sums(np.arange(1, k_max + 1))
+        return TimeSignalCoeffs(omega=self.omega, c0=c0, cos=cos, sin=sin)
+
+    def mode(self, k: int) -> tuple[float, float]:
+        """(cosine, sine) pair of mode k alone; mode 0 returns (mean, 0).
+
+        Raises:
+            ValueError: if k < 0.
+        """
+        if k < 0:
+            raise ValueError("mode index must be nonnegative")
+        c0, cos, sin = self._sums(np.arange(k, k + 1) if k else np.arange(0))
+        return (c0, 0.0) if k == 0 else (float(cos[0]), float(sin[0]))
+
+
+def sample_periodic(u: Callable, omega: float, panels: int = 64, order: int = 8) -> SampledSignal:
+    """Samples of u over one period at the nodes of `gauss_panels`."""
+    t, w = gauss_panels(0.0, 2.0 * np.pi / omega, panels, order)
+    return SampledSignal(omega=omega, nodes=t, weights=w, values=u(t))
+
+
 def fourier_coeffs(
     u: Callable,
     omega: float,
@@ -75,15 +127,7 @@ def fourier_coeffs(
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    period = 2.0 * np.pi / omega
-    t, w = gauss_panels(0.0, period, panels, order)
-    vals = u(t)
-    c0 = float(np.dot(w, vals)) / period
-    k = np.arange(1, k_max + 1)
-    phases = np.multiply.outer(k, t) * omega
-    cos = (2.0 / period) * (np.cos(phases) * vals) @ w
-    sin = (2.0 / period) * (np.sin(phases) * vals) @ w
-    return TimeSignalCoeffs(omega=omega, c0=c0, cos=cos, sin=sin)
+    return sample_periodic(u, omega, panels, order).table(k_max)
 
 
 def perp(u: TimeSignalCoeffs) -> TimeSignalCoeffs:

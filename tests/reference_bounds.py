@@ -5,14 +5,75 @@ every residual is sampled at the 7 quadrature points of every triangle and
 integrated by the degree-5 rule, with the cosine and sine parts handled one
 after the other.  The tests compare the batched exact-integral evaluation
 against it.  It is self-contained (its own RT0 helpers) so that a change to
-`fluxrecon` cannot move both sides at once.
+`fluxrecon` cannot move both sides at once.  It reads the data as samples at
+the quadrature points (`QuadratureData`); `project` turns the same samples
+into the per-triangle projections that `evaluate_mode` reads.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
-from mhbounds.bounds import ModeBounds, ResidualSet, majorant_form, optimize_majorant_params
+from mhbounds.bounds import ModeBounds, ModeData, ResidualSet, majorant_form, optimize_majorant_params
+from mhbounds.fluxrecon import GridFlux
+from reference_assembly import quadrature_points
+from reference_systems import stencil_csr
+
+
+@dataclass
+class QuadratureData:
+    """Mode data as quadrature-point samples, stacked over the P parts: the
+    desired state y_qp (P, T, Q), or the desired gradient g_qp (P, T, Q, 2)
+    with its edge fluxes g_edge (P, E)."""
+
+    k: int
+    y_qp: Optional[np.ndarray] = None
+    g_qp: Optional[np.ndarray] = None
+    g_edge: Optional[np.ndarray] = None
+
+
+def plane_ids(mesh):
+    """Edge ids on the horizontal, vertical and diagonal planes of a
+    GridFlux, placed by the end nodes of each edge."""
+    n, side = mesh.n, mesh.n + 1
+    low, high = mesh.edges.T
+    row, col = np.divmod(low, side)
+    planes = (np.full((n + 1, n), -1), np.full((n, n + 1), -1), np.full((n, n), -1))
+    for plane, step in zip(planes, (1, side, side + 1)):
+        e = np.flatnonzero(high - low == step)
+        plane[row[e], col[e]] = e
+    assert all(np.all(plane >= 0) for plane in planes)
+    return planes
+
+
+def edge_planes(mesh, coeffs) -> GridFlux:
+    """Edge-numbered coefficients (..., E) on the GridFlux planes."""
+    return GridFlux(*(coeffs[..., ids] for ids in plane_ids(mesh)))
+
+
+def project(ctx, samples: QuadratureData) -> ModeData:
+    """The ModeData of `evaluate_mode` built from quadrature samples."""
+    if samples.y_qp is not None:
+        vert, rest = ctx.project_p1(samples.y_qp)
+        return ModeData(k=samples.k, rest=float(rest.sum()), y_vert=vert)
+    mean, div, rest = ctx.project_rt0(samples.g_qp)
+    return ModeData(k=samples.k, rest=float(rest.sum()), g_mean=mean, g_div=div,
+                    g_flux=edge_planes(ctx.mesh, samples.g_edge))
+
+
+def tri_scalars(planes):
+    """Class planes (..., 2, n, n) in the triangle numbering, (..., T)."""
+    cells = np.moveaxis(planes, -3, -1)
+    return cells.reshape(cells.shape[:-3] + (-1,))
+
+
+def tri_rows(planes):
+    """Class planes (..., 2, K, n, n) in the triangle numbering, (..., T, K)."""
+    cells = np.moveaxis(planes, (-2, -1), (-4, -3))
+    return cells.reshape(cells.shape[:-4] + (-1, cells.shape[-1]))
 
 
 def rt0_reconstruct(mesh, field):
@@ -63,8 +124,11 @@ def _match_boundary_divergence(mesh, coeffs, target_div):
 
 
 def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds:
-    """Residuals, majorant, minorant and error majorant by 7-point quadrature."""
+    """Residuals, majorant, minorant and error majorant by 7-point quadrature,
+    from the quadrature samples `data` (a QuadratureData)."""
     mesh = ctx.mesh
+    points = quadrature_points(mesh)
+    K, M = stencil_csr(mats.K), stencil_csr(mats.M)
     k = sol.k
     lam = params.lam
     kw = k * params.omega
@@ -76,7 +140,7 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
 
     sol_y_c, sol_p_c = sol.y[0], sol.p[0]
     sol_y_s, sol_p_s = (sol.y[1], sol.p[1]) if k > 0 else (None, None)
-    Kn, Ms = mats.nu * mats.K, mats.sigma * mats.M
+    Kn, Ms = mats.nu * K, mats.sigma * M
     y_c, p_c = ctx.to_full(sol_y_c), ctx.to_full(sol_p_c)
     y_s = ctx.to_full(sol_y_s) if sol_y_s is not None else None
     p_s = ctx.to_full(sol_p_s) if sol_p_s is not None else None
@@ -96,14 +160,14 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
         if k > 0:
             r1_vals = r1_vals + perp_sign * kw * sigma * ctx.p1_at_qp(w_other)
         r1_sq += ctx.norm2(r1_vals)
-        r2_sq += ctx.vec_norm2(rt0_at_points(mesh, tau, ctx.qp) - nu * grad_w[:, None, :])
+        r2_sq += ctx.vec_norm2(rt0_at_points(mesh, tau, points) - nu * grad_w[:, None, :])
 
         if problem == "I":
             w_qp = ctx.p1_at_qp(w)
             misfit += ctx.norm2(w_qp - yd_qp)
             rho = rt0_reconstruct(mesh, nu * grad_q)
             r3_vals = rt0_divergence(mesh, rho)[:, None] + w_qp - yd_qp
-            r4_vals = rt0_at_points(mesh, rho, ctx.qp) - nu * grad_q[:, None, :]
+            r4_vals = rt0_at_points(mesh, rho, points) - nu * grad_q[:, None, :]
         else:
             misfit += ctx.vec_norm2(grad_w[:, None, :] - gd_qp)
             rho = rt0_reconstruct(mesh, nu * grad_q - grad_w) + gd_edge
@@ -114,7 +178,7 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
             _match_boundary_divergence(mesh, rho, target_div)
             r3_vals = rt0_divergence(mesh, rho)[:, None] + np.zeros_like(q_qp)
             target = (nu * grad_q - grad_w)[:, None, :] + gd_qp
-            r4_vals = rt0_at_points(mesh, rho, ctx.qp) - target
+            r4_vals = rt0_at_points(mesh, rho, points) - target
         if k > 0:
             r3_vals = r3_vals + perp_sign * kw * sigma * ctx.p1_at_qp(q_other)
         r3_sq += ctx.norm2(r3_vals)
@@ -122,19 +186,19 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
 
     res = ResidualSet(np.sqrt(r1_sq), np.sqrt(r2_sq), np.sqrt(r3_sq), np.sqrt(r4_sq))
 
-    control_energy = float(sol_p_c @ (mats.M @ sol_p_c)) / (2 * lam)
+    control_energy = float(sol_p_c @ (M @ sol_p_c)) / (2 * lam)
     if k > 0:
-        control_energy += float(sol_p_s @ (mats.M @ sol_p_s)) / (2 * lam)
+        control_energy += float(sol_p_s @ (M @ sol_p_s)) / (2 * lam)
 
     bilin = float(sol_y_c @ (Kn @ sol_p_c))
-    quad = float(sol_p_c @ (mats.M @ sol_p_c)) / lam
+    quad = float(sol_p_c @ (M @ sol_p_c)) / lam
     if k > 0:
         bilin += float(sol_y_s @ (Kn @ sol_p_s))
         bilin += kw * (
             float(sol_y_s @ (Ms @ sol_p_c))
             - float(sol_y_c @ (Ms @ sol_p_s))
         )
-        quad += float(sol_p_s @ (mats.M @ sol_p_s)) / lam
+        quad += float(sol_p_s @ (M @ sol_p_s)) / lam
     mixed = quad - bilin if problem == "I" else quad + bilin
 
     alpha, beta = optimize_majorant_params(misfit, res.r2, res.r1, params)

@@ -4,6 +4,7 @@ This is the `sp.bmat` assembly that the matrix-free block stencil of
 `systems.build_mode_system` replaced, with its separate mode-0 and mode-k
 layouts, and the sparse LU solver that was the oracle of the MinRes tests.
 The tests compare the operator and the iterative solutions against it.
+`stencil_csr` assembles the interior K and M from their stencils.
 """
 
 from __future__ import annotations
@@ -12,26 +13,37 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from mhbounds.femcore import Stencil, _stencil_csr
 from mhbounds.systems import ModeSolution, ModeSystem
+
+
+def stencil_csr(op) -> sp.csr_matrix:
+    """The CSR matrix of a scalar stencil on the m x m interior nodes; a
+    sparse matrix passes through."""
+    if not isinstance(op, Stencil):
+        return sp.csr_matrix(op)
+    m = op.m
+    return _stencil_csr({o: np.full((m, m), w) for o, w in op.weights.items()}, 0, m)
 
 
 def assemble(system: ModeSystem) -> sp.csr_matrix:
     """The block matrix of the system, unknowns ordered (y_c, y_s, p_c, p_s)."""
     mats = system.mats
-    lead = mats.M if system.problem == "I" else mats.K
-    Kn = (mats.nu * mats.K).tocsr()
-    Ms = (mats.sigma * mats.M).tocsr()
+    K, M = stencil_csr(mats.K), stencil_csr(mats.M)
+    lead = M if system.problem == "I" else K
+    Kn = mats.nu * K
+    Ms = mats.sigma * M
     lam = system.lam
     if system.k == 0:
-        return sp.bmat([[lead, -Kn], [-Kn, -(1.0 / lam) * mats.M]], format="csr")
+        return sp.bmat([[lead, -Kn], [-Kn, -(1.0 / lam) * M]], format="csr")
     kw = system.k * system.omega
     Z = None
     return sp.bmat(
         [
             [lead, Z, -Kn, kw * Ms],
             [Z, lead, -kw * Ms, -Kn],
-            [-Kn, -kw * Ms, -(1.0 / lam) * mats.M, Z],
-            [kw * Ms, -Kn, Z, -(1.0 / lam) * mats.M],
+            [-Kn, -kw * Ms, -(1.0 / lam) * M, Z],
+            [kw * Ms, -Kn, Z, -(1.0 / lam) * M],
         ],
         format="csr",
     )

@@ -18,6 +18,7 @@ from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import build_matrices, build_mode_system
 from reference_systems import direct_solve
+from reference_assembly import quadrature_points
 from reference_bounds import rt0_at_points
 
 
@@ -143,6 +144,7 @@ def test_criterion_6_example3_indices():
 
 def test_criterion_7a_sandwich_random():
     from test_bounds import _random_config, _solve_random
+    from reference_bounds import project
     from mhbounds.bounds import evaluate_mode
 
     rng = np.random.default_rng(42)
@@ -150,7 +152,7 @@ def test_criterion_7a_sandwich_random():
     for _ in range(200):
         problem, n, k, lam, omega, sigma, nu = _random_config(rng)
         ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(problem, ctx, mats, params, sol, data)
+        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
         slack = (mb.minorant - mb.majorant) / max(abs(mb.majorant), 1e-12)
         worst = max(worst, slack)
         assert mb.minorant <= mb.majorant + 1e-9 * abs(mb.majorant)
@@ -206,7 +208,7 @@ def test_criterion_7d_flux_exactness():
     mesh = ctx.mesh
     w = 1.0 + 2.0 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1]
     tau = fluxrecon.reconstruct(ctx, w, nu=1.5)
-    r2 = np.abs(rt0_at_points(mesh, tau.coeffs, ctx.qp) - 1.5 * ctx.p1_grad(w)[:, None, :]).max()
+    r2 = np.abs(rt0_at_points(mesh, tau.coeffs, quadrature_points(mesh)) - 1.5 * ctx.p1_grad(w)[:, None, :]).max()
     rng = np.random.default_rng(5)
     flux = fluxrecon.RTFlux(mesh, rng.standard_normal(mesh.num_edges))
     signed = (flux.coeffs[mesh.tri_edges] * mesh.tri_edge_sign).sum(axis=1)

@@ -86,7 +86,7 @@ def test_zero_data_zero_bounds():
     n = ctx.K.shape[0]
     system = build_mode_system("I", mats, 1, 1.0, 1.0, np.zeros((2, n)))
     sol = direct_solve(system)
-    data = ModeData(k=1, y_qp=np.zeros((2,) + ctx.qw.shape))
+    data = ModeData(k=1, y_vert=np.zeros((2, 2, 3, 4, 4)))
     mb = evaluate_mode("I", ctx, mats, BoundParams(lam=1.0, omega=1.0), sol, data)
     assert mb.majorant == 0.0
     assert mb.minorant == 0.0
@@ -187,3 +187,13 @@ def test_workers_match_sequential():
     for a, b in zip(seq.rows, par.rows):
         assert a.minorant == b.minorant
         assert a.majorant == b.majorant
+
+
+@pytest.mark.parametrize("maxiter", [0, -5])
+def test_run_rejects_maxiter_below_one(maxiter):
+    # no solve may end before its first step and still fill a table row
+    config = ExperimentConfig(example=1, grid=8, maxiter=maxiter)
+    assert config.validate() == [f"maxiter must be at least 1, got {maxiter}"]
+    with pytest.raises(ValueError, match="maxiter"):
+        run(config)
+    assert not ExperimentConfig(example=1, grid=8, maxiter=1).validate()

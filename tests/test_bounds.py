@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from mhbounds import fluxrecon, mesh as meshmod, oracle
 from mhbounds.bounds import (
     BoundParams,
-    ModeData,
     aggregate,
     combined_norm_weights,
     efficiency_indices,
@@ -19,8 +18,9 @@ from mhbounds.bounds import (
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
-from mhbounds.systems import ModeSolution, build_matrices, build_mode_system
-from reference_bounds import evaluate_mode_reference, rt0_at_points
+from mhbounds.systems import ModeSolution, build_matrices, build_mode_system, mode_parts
+from reference_assembly import quadrature_points
+from reference_bounds import QuadratureData, evaluate_mode_reference, project, rt0_at_points
 from reference_systems import direct_solve
 
 
@@ -39,25 +39,34 @@ def _random_config(rng):
     return problem, n, k, lam, omega, sigma, nu
 
 
-def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None):
-    """Random data on an n x n grid, solved directly or by `steps` MinRes steps."""
+def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0.0):
+    """Random data on an n x n grid, solved directly or by `steps` MinRes steps.
+
+    The data are a random P1 field (problem I) or its gradient (problem II),
+    plus `noise` times a random value at every quadrature point, which
+    leaves a remainder outside the per-triangle projections.  Returns the
+    quadrature samples of the data, with the right-hand side their loads.
+    """
     ctx = FemContext(meshmod.build(n))
     mats = build_matrices(ctx, sigma, nu)
     params = BoundParams(lam=lam, omega=omega, sigma=sigma, nu=nu)
-    parts = 1 if k == 0 else 2
+    parts = mode_parts(k)
+    shape = (parts,) + ctx.qw.shape
     if problem == "I":
         d = rng.standard_normal((2, ctx.mesh.num_nodes))[:parts]
-        rhs = [(ctx.M_full @ v)[ctx.mesh.interior_nodes] for v in d]
-        data = ModeData(k=k, y_qp=np.stack([ctx.p1_at_qp(v) for v in d]))
+        y_qp = np.stack([ctx.p1_at_qp(v) for v in d])
+        if noise:
+            y_qp += noise * rng.standard_normal(shape)
+        rhs = [ctx.load_from_qp(v) for v in y_qp]
+        data = QuadratureData(k=k, y_qp=y_qp)
     else:
         w = rng.standard_normal((2, ctx.mesh.num_nodes))[:parts]
         g = np.stack([ctx.p1_grad(v) for v in w])
-        rhs = [(ctx.K_full @ v)[ctx.mesh.interior_nodes] for v in w]
-        data = ModeData(
-            k=k,
-            g_qp=np.broadcast_to(g[:, :, None, :], (parts,) + ctx.qp.shape).copy(),
-            g_edge=fluxrecon.reconstruct_p0(ctx.mesh, g).coeffs,
-        )
+        g_qp = np.broadcast_to(g[:, :, None, :], shape + (2,)).copy()
+        if noise:
+            g_qp += noise * rng.standard_normal(shape + (2,))
+        rhs = [ctx.gradient_load_from_qp(v) for v in g_qp]
+        data = QuadratureData(k=k, g_qp=g_qp, g_edge=fluxrecon.reconstruct_p0(ctx.mesh, g).coeffs)
     system = build_mode_system(problem, mats, k, lam, omega, np.stack(rhs))
     if steps is None:
         sol = direct_solve(system)
@@ -116,8 +125,10 @@ def test_flux_residual_grows_under_perturbation(ctx8, rng):
     tau = fluxrecon.reconstruct(ctx8, w)
     grad = ctx8.p1_grad(w)
 
+    points = quadrature_points(ctx8.mesh)
+
     def r2(flux):
-        values = rt0_at_points(ctx8.mesh, flux.coeffs, ctx8.qp)
+        values = rt0_at_points(ctx8.mesh, flux.coeffs, points)
         return np.sqrt(ctx8.vec_norm2(values - grad[:, None, :]))
 
     base = r2(tau)
@@ -135,7 +146,7 @@ def test_mixed_term_identities(rng):
         local = np.random.default_rng(seed)
         problem, n, k, lam, omega, sigma, nu = _random_config(local)
         ctx, mats, params, sol, data = _solve_random(local, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(problem, ctx, mats, params, sol, data)
+        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
         scale = max(abs(mb.mixed), 2 * mb.control_energy, 1e-12)
         if problem == "I":
             assert abs(mb.mixed - 4 * mb.control_energy) < 1e-8 * scale
@@ -148,7 +159,7 @@ def test_sandwich_random_configs():
     for _ in range(30):
         problem, n, k, lam, omega, sigma, nu = _random_config(rng)
         ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(problem, ctx, mats, params, sol, data)
+        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
         assert mb.minorant <= mb.majorant + 1e-9 * abs(mb.majorant)
         assert mb.m1 >= mb.m_plain >= -1e-9 * abs(mb.majorant)
 
@@ -156,11 +167,11 @@ def test_sandwich_random_configs():
 def test_scaling_covariance():
     rng = np.random.default_rng(3)
     problem, n, k, lam, omega, sigma, nu = "I", 5, 2, 0.3, 1.4, 1.0, 1.0
-    ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
-    base = evaluate_mode(problem, ctx, mats, params, sol, data)
+    ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu, noise=0.3)
+    base = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
     for s in (2.0, 10.0):
         scaled_sol = ModeSolution(k=k, y=s * sol.y, p=s * sol.p)
-        scaled_data = ModeData(k=k, y_qp=s * data.y_qp)
+        scaled_data = project(ctx, QuadratureData(k=k, y_qp=s * data.y_qp))
         mb = evaluate_mode(problem, ctx, mats, params, scaled_sol, scaled_data)
         assert abs(mb.majorant - s**2 * base.majorant) < 1e-9 * s**2 * abs(base.majorant)
         assert abs(mb.minorant - s**2 * base.minorant) < 1e-9 * s**2 * abs(base.majorant)
@@ -185,7 +196,7 @@ def test_aggregate_shape():
     rng = np.random.default_rng(0)
     _, _, params2, sol, data = _solve_random(rng, "I", 4, 0, 0.1, 1.0, 1.0, 1.0)
     ctx, mats, params2, sol, data = _solve_random(rng, "I", 4, 0, 0.1, 1.0, 1.0, 1.0)
-    b0 = evaluate_mode("I", ctx, mats, params2, sol, data)
+    b0 = evaluate_mode("I", ctx, mats, params2, sol, project(ctx, data))
     total = aggregate([b0], params2, remainder=10.0)
     T = params2.period
     assert abs(total.minorant - (T * b0.minorant + 5.0)) < 1e-12 * max(1, abs(total.minorant))
@@ -242,7 +253,8 @@ def _assert_bounds_match(new, ref, rtol=1e-12):
 @pytest.mark.parametrize("steps", [None, 1, 2, 3])
 def test_evaluate_mode_matches_quadrature_reference(problem, k, steps):
     # converged (direct) solutions and MinRes iterates stopped early, with
-    # random lambda, omega, sigma, nu and data
+    # random lambda, omega, sigma, nu and data that the projections do not
+    # reproduce; the reference reads the samples the projections came from
     rng = np.random.default_rng(100 * k + (steps or 0) + (50 if problem == "II" else 0))
     for _ in range(3):
         n = int(rng.integers(2, 9))
@@ -250,11 +262,15 @@ def test_evaluate_mode_matches_quadrature_reference(problem, k, steps):
         omega = float(rng.uniform(0.3, 5.0))
         sigma, nu = (float(v) for v in rng.uniform(0.5, 2.0, size=2))
         ctx, mats, params, sol, data = _solve_random(
-            rng, problem, n, k, lam, omega, sigma, nu, steps=steps
+            rng, problem, n, k, lam, omega, sigma, nu, steps=steps, noise=0.5
         )
-        new = evaluate_mode(problem, ctx, mats, params, sol, data)
+        projected = project(ctx, data)
+        new = evaluate_mode(problem, ctx, mats, params, sol, projected)
         ref = evaluate_mode_reference(problem, ctx, mats, params, sol, data)
         _assert_bounds_match(new, ref)
+        # the noise has squared norm 0.25 per part and component, most of
+        # it outside the projections
+        assert projected.rest > 0.05
 
 
 @pytest.mark.parametrize("ident", [1, 4])
@@ -265,13 +281,23 @@ def test_evaluate_mode_matches_reference_on_cases(ident):
     bind = CaseBind(case, ctx)
     params = _params(case.lam, case.omega)
     build = build_precond_I if case.problem == "I" else build_precond_II
+    # the case's data at the quadrature points and its edge fluxes, which
+    # CaseBind projects once and does not keep
+    if case.problem == "I":
+        profile = dict(y_qp=ctx.data_at_qp(case.spatial_scalar))
+    else:
+        edges = fluxrecon.reconstruct_from_callable(ctx.mesh, case.spatial_vector).coeffs
+        profile = dict(g_qp=ctx.vector_data_at_qp(case.spatial_vector), g_edge=edges)
     for k in (0, 1):
         system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
         sol, _ = minres(system, build(mats, k, case.lam, case.omega), tol=1e-10)
-        data = bind.mode_data(k)
+        coef = np.array(case.mode_pair(k))[: mode_parts(k)]
+        samples = QuadratureData(k, **{
+            name: np.multiply.outer(coef, value) for name, value in profile.items()
+        })
         _assert_bounds_match(
-            evaluate_mode(case.problem, ctx, mats, params, sol, data),
-            evaluate_mode_reference(case.problem, ctx, mats, params, sol, data),
+            evaluate_mode(case.problem, ctx, mats, params, sol, bind.mode_data(k)),
+            evaluate_mode_reference(case.problem, ctx, mats, params, sol, samples),
         )
 
 

@@ -5,6 +5,7 @@ from mhbounds import oracle
 from mhbounds.cases import CaseBind, ExampleCase, box_mode_coefficient, make_case
 from mhbounds.femcore import FemContext
 from mhbounds import mesh as meshmod
+from mhbounds.timefourier import fourier_coeffs
 
 PI = np.pi
 
@@ -149,3 +150,15 @@ def test_error_norms_decrease(ctx8, ctx16):
         errs.append((l2, h1))
     assert errs[1][0] < errs[0][0] / 8  # about fourth order in the squared L2 error
     assert errs[1][1] < errs[0][1] / 3  # about second order in the squared H1 error
+
+
+@pytest.mark.parametrize("ident", [1, 2, 4, 5])
+def test_mode_pair_matches_coefficient_table(ident):
+    # mode_pair(k) is the quadrature of mode k alone, from the time factor
+    # sampled once per case; it equals mode k of the full coefficient table
+    case = make_case(ident)
+    table = fourier_coeffs(case.time_factor, case.omega, 9, panels=256, order=12)
+    scale = max(abs(table.c0), np.abs(table.cos).max(), np.abs(table.sin).max())
+    for k in range(10):
+        got, expect = case.mode_pair(k), table.mode(k)
+        assert np.allclose(got, expect, rtol=0, atol=1e-14 * scale), (k, got, expect)

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mhbounds import mesh as meshmod
-from mhbounds.femcore import QUAD_W, FemContext, l2_norm_squared, p1_eval_at, per_class, prolong
+from mhbounds.femcore import QUAD_BARY, QUAD_W, FemContext, _stencil_bands, _stencil_csr, element_matrices, l2_norm_squared, p1_eval_at, per_class, prolong
+from mhbounds.mesh import cell_corners
 from mhbounds.systems import build_matrices, build_mode_system
 import reference_assembly as ref
+from reference_bounds import tri_rows, tri_scalars
+from reference_systems import stencil_csr
 
 
 def test_single_interior_node_entries(ctx2):
     assert ctx2.K.shape == (1, 1)
-    assert abs(ctx2.K[0, 0] - 4.0) < 1e-14
-    assert abs(ctx2.M[0, 0] - 0.125) < 1e-14
+    assert abs(stencil_csr(ctx2.K)[0, 0] - 4.0) < 1e-14
+    assert abs(stencil_csr(ctx2.M)[0, 0] - 0.125) < 1e-14
 
 
 def test_coefficient_scaling(ctx8, rng):
@@ -21,8 +25,8 @@ def test_coefficient_scaling(ctx8, rng):
     p = rng.standard_normal(n)
     system = build_mode_system("II", mats, 1, 0.1, 1.0, np.zeros((2, n)))
     y_c, y_s = (system.matrix @ np.concatenate([np.zeros(2 * n), p, np.zeros(n)]))[: 2 * n].reshape(2, n)
-    assert np.abs(y_c + 2 * ctx8.K @ p).max() < 1e-14 * np.abs(ctx8.K @ p).max()
-    assert np.abs(y_s + 3 * ctx8.M @ p).max() < 1e-14 * np.abs(ctx8.M @ p).max()
+    assert np.abs(y_c + 2 * (ctx8.K @ p)).max() < 1e-14 * np.abs(ctx8.K @ p).max()
+    assert np.abs(y_s + 3 * (ctx8.M @ p)).max() < 1e-14 * np.abs(ctx8.M @ p).max()
     assert ctx8.M_full.toarray().min() >= 0
 
 
@@ -32,17 +36,22 @@ def test_stencils_match_scatter_assembly(n, rng):
     # in two bands of rows, the last one short
     mesh = meshmod.build(n)
     ctx = FemContext(mesh)
+    # the interior CSR matrices of the stencil bands of the whole grid, and
+    # those of the stencils' own weights
+    interior = [_stencil_csr(_stencil_bands(a, n), 1, n) for a in element_matrices(mesh)]
     v = rng.standard_normal((3, ctx.K.shape[0]))
     for apply, A, B in [
-        (ctx.K_stencil, ctx.K, ref.assemble_stiffness(mesh)),
-        (ctx.M_stencil, ctx.M, ref.assemble_mass(mesh)),
+        (ctx.K, interior[0], ref.assemble_stiffness(mesh)),
+        (ctx.M, interior[1], ref.assemble_mass(mesh)),
     ]:
         expect = v @ B.toarray().T
         assert np.abs(apply(v) - expect).max(initial=0) <= 1e-14 * np.abs(expect).max(initial=0)
         assert apply.nnz == A.nnz
+        assert apply.shape == A.shape
+        assert np.array_equal(stencil_csr(apply).toarray(), A.toarray())
     for A, B in [
-        (ctx.K, ref.assemble_stiffness(mesh)),
-        (ctx.M, ref.assemble_mass(mesh)),
+        (interior[0], ref.assemble_stiffness(mesh)),
+        (interior[1], ref.assemble_mass(mesh)),
         (ctx.K_full, ref.assemble_stiffness(mesh, full=True)),
         (ctx.M_full, ref.assemble_mass(mesh, full=True)),
     ]:
@@ -61,7 +70,7 @@ def test_constants_in_stiffness_kernel(ctx16):
 
 
 def test_symmetry_and_definiteness(ctx16, rng):
-    for A in (ctx16.K, ctx16.M):
+    for A in (stencil_csr(ctx16.K), stencil_csr(ctx16.M)):
         d = abs(A - A.T)
         assert d.max() < 1e-14
         for _ in range(100):
@@ -183,11 +192,21 @@ def test_p1_eval_and_prolong(rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_vertex_values_match_triangle_gather(n, rng):
+def test_node_grid_corners_match_triangle_gather(n, rng):
     ctx = FemContext(meshmod.build(n))
     v_int = rng.standard_normal((2, ctx.mesh.num_interior))
     expect = np.stack([ctx.to_full(v)[ctx.mesh.triangles] for v in v_int])
-    assert np.array_equal(ctx.vertex_values(v_int), expect)
+    got = cell_corners(ctx.node_grid(v_int), n).reshape(expect.shape)
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_cell_gradients_match_class_maps(n, rng):
+    ctx = FemContext(meshmod.build(n))
+    v_int = rng.standard_normal((2, ctx.mesh.num_interior))
+    expect = np.stack([ctx.p1_grad(ctx.to_full(v)) for v in v_int])
+    got = ctx.cell_gradients(ctx.node_grid(v_int))
+    assert np.allclose(tri_rows(got), expect, rtol=0, atol=1e-13 * n)
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -203,7 +222,9 @@ def test_class_maps_match_per_triangle_geometry(n, rng):
     assert np.allclose(grads, ctx.class_grads[cls], rtol=0, atol=1e-12 * n)
     assert np.allclose(area, mesh.tri_area, rtol=1e-14, atol=0)
     assert np.allclose(ctx.qw, area[:, None] * QUAD_W, rtol=1e-14, atol=0)
-    assert np.allclose(ctx.qp, qp, rtol=0, atol=1e-15)
+    points = np.stack([ctx.data_at_qp(lambda x, y: x), ctx.data_at_qp(lambda x, y: y)], axis=-1)
+    assert np.allclose(points, qp, rtol=0, atol=1e-15)
+    assert np.allclose(ctx.vector_data_at_qp(lambda x, y: (x, y)), qp, rtol=0, atol=1e-15)
     assert np.allclose(qp - centroid, ctx.class_qp_offsets[cls], rtol=0, atol=1e-14)
     assert np.allclose((centroid - corners) / (2 * area[:, None, None]),
                        ctx.class_rt0_form[cls, :, :2], rtol=0, atol=1e-12 * n)
@@ -225,4 +246,49 @@ def test_exact_p1_norm_matches_mass_matrix(ctx8, rng):
 
     v = rng.standard_normal((2, ctx8.mesh.num_interior))
     expect = sum(float(u @ (ctx8.M @ u)) for u in v)
-    assert abs(_p1_norm2(ctx8, ctx8.vertex_values(v)) - expect) < 1e-13 * expect
+    grid = ctx8.node_grid(v)
+    assert abs(_p1_norm2(ctx8, grid) - expect) < 1e-13 * expect
+    # a per-triangle shift and discontinuous vertex values, against the
+    # quadrature of the same P1 field
+    n = ctx8.mesh.n
+    shift = rng.standard_normal((2, 2, n, n))
+    vert = rng.standard_normal((2, 2, 3, n, n))
+    values = cell_corners(grid, n).reshape(2, -1, 3) + tri_scalars(shift)[..., None] - tri_rows(vert)
+    expect = sum(ctx8.norm2(part @ QUAD_BARY.T) for part in values)
+    assert abs(_p1_norm2(ctx8, grid, shift, vert) - expect) < 1e-13 * expect
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), parts=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_projections_leave_orthogonal_remainder(n, parts, seed, scale):
+    # the remainder of each per-triangle projection has zero moments against
+    # local P1 (problem I) and local RT0 (problem II), so the squared
+    # quadrature norm splits into the projection's exact norm plus it
+    from mhbounds.bounds import _p1_norm2, _rt0_norm2
+
+    ctx = FemContext(meshmod.build(n))
+    rng = np.random.default_rng(seed)
+    values = scale * rng.standard_normal((parts,) + ctx.qw.shape)
+    vert, rest = ctx.project_p1(values)
+    remainder = values - tri_rows(vert) @ QUAD_BARY.T
+    moments = (remainder * ctx.qw) @ QUAD_BARY
+    total = sum(ctx.norm2(part) for part in values)
+    assert np.abs(moments).max() <= 1e-13 * np.sqrt(total * ctx.mesh.tri_area)
+    assert np.allclose(rest, [ctx.norm2(part) for part in remainder], rtol=1e-13, atol=0)
+    exact = _p1_norm2(ctx, np.zeros((parts, n + 1, n + 1)), vert=vert)
+    assert abs(exact + rest.sum() - total) <= 1e-13 * total
+
+    vectors = scale * rng.standard_normal((parts,) + ctx.qw.shape + (2,))
+    mean, div, rest = ctx.project_rt0(vectors)
+    points = ref.quadrature_points(ctx.mesh)
+    offsets = points - points.mean(axis=1, keepdims=True)
+    projection = tri_rows(mean)[..., None, :] + 0.5 * tri_scalars(div)[..., None, None] * offsets
+    remainder = vectors - projection
+    weights = ctx.qw[..., None]
+    total = sum(ctx.vec_norm2(part) for part in vectors)
+    bound = 1e-13 * np.sqrt(total * ctx.mesh.tri_area)
+    assert np.abs((remainder * weights).sum(axis=-2)).max() <= bound
+    assert np.abs((remainder * offsets * weights).sum(axis=(-2, -1))).max() <= bound * ctx.mesh.h
+    assert np.allclose(rest, [ctx.vec_norm2(part) for part in remainder], rtol=1e-13, atol=0)
+    assert abs(_rt0_norm2(ctx, mean, div) + rest.sum() - total) <= 1e-13 * total

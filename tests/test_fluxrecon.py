@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from mhbounds import fluxrecon, mesh as meshmod
-from mhbounds.femcore import FemContext
-from reference_bounds import rt0_at_points
+from mhbounds.femcore import FemContext, class_planes
+from reference_assembly import quadrature_points
+from reference_bounds import _match_boundary_divergence, edge_planes, rt0_at_points, tri_rows, tri_scalars
 
 
 def normal_jumps(flux):
@@ -33,7 +35,7 @@ def test_linear_potential_exact(ctx8):
     w = 0.3 + 1.7 * mesh.nodes[:, 0] - 0.9 * mesh.nodes[:, 1]
     tau = fluxrecon.reconstruct(ctx8, w, nu=2.0)
     grad = 2.0 * ctx8.p1_grad(w)
-    err = rt0_at_points(mesh, tau.coeffs, ctx8.qp) - grad[:, None, :]
+    err = rt0_at_points(mesh, tau.coeffs, quadrature_points(mesh)) - grad[:, None, :]
     assert np.abs(err).max() < 1e-13
     assert np.abs(fluxrecon.affine_form(ctx8, tau)[1]).max() < 1e-11
 
@@ -89,9 +91,9 @@ def test_affine_form_matches_pointwise_evaluation(ctx8, rng):
     mesh = ctx8.mesh
     flux = fluxrecon.RTFlux(mesh, rng.standard_normal((2, mesh.num_edges)))
     centre, div = fluxrecon.affine_form(ctx8, flux)
-    offsets = ctx8.qp - ctx8.qp.mean(axis=1, keepdims=True)
+    offsets = quadrature_points(mesh) - quadrature_points(mesh).mean(axis=1, keepdims=True)
     for part in range(2):
-        expect = rt0_at_points(mesh, flux.coeffs[part], ctx8.qp)
+        expect = rt0_at_points(mesh, flux.coeffs[part], quadrature_points(mesh))
         got = centre[part][:, None, :] + 0.5 * div[part][:, None, None] * offsets
         assert np.abs(got - expect).max() < 1e-12 * np.abs(expect).max()
 
@@ -117,7 +119,7 @@ def test_reconstruction_convergence():
         w = ctx.interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         tau = fluxrecon.reconstruct(ctx, w)
         grad = ctx.p1_grad(w)
-        errs.append(np.sqrt(ctx.vec_norm2(rt0_at_points(ctx.mesh, tau.coeffs, ctx.qp) - grad[:, None, :])))
+        errs.append(np.sqrt(ctx.vec_norm2(rt0_at_points(ctx.mesh, tau.coeffs, quadrature_points(ctx.mesh)) - grad[:, None, :])))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) > 0.9
 
@@ -128,3 +130,49 @@ def test_callable_dofs_constant_field(mesh8):
     )
     expect = (2.0 * mesh8.edge_normal[:, 0] - mesh8.edge_normal[:, 1]) * mesh8.edge_length
     assert np.abs(flux.coeffs - expect).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+def test_grid_fluxes_match_edge_arrays(n, rng):
+    # the sliced path against the edge-numbered, gather-based one: averaged
+    # fluxes of stacked fields, their per-triangle form, the data edge
+    # fluxes of both kinds, and the boundary divergence match
+    ctx = FemContext(meshmod.build(n))
+    mesh = ctx.mesh
+    fields = rng.standard_normal((2, mesh.num_triangles, 2))
+    grid = fluxrecon.grid_average(mesh, class_planes(fields, n))
+    edges = fluxrecon.reconstruct_p0(mesh, fields)
+    _assert_planes_equal(grid, edge_planes(mesh, edges.coeffs))
+    centre, div = fluxrecon.grid_affine_form(ctx, grid)
+    expect_centre, expect_div = fluxrecon.affine_form(ctx, edges)
+    scale = np.abs(expect_centre).max()
+    assert np.abs(tri_rows(centre) - expect_centre).max() <= 1e-13 * scale
+    assert np.abs(tri_scalars(div) - expect_div).max() <= 1e-13 * np.abs(expect_div).max()
+
+    def g(x, y):
+        return np.cos(3 * x) * np.sin(2 * y), x * x - y
+
+    _assert_planes_equal(fluxrecon.grid_from_callable(mesh, g),
+                         edge_planes(mesh, fluxrecon.reconstruct_from_callable(mesh, g).coeffs))
+    constant = fluxrecon.grid_from_callable(mesh, lambda x, y: (2.0, -1.0))
+    _assert_planes_equal(constant, edge_planes(mesh, fluxrecon.reconstruct_from_callable(
+        mesh, lambda x, y: (np.full_like(x, 2.0), np.full_like(x, -1.0))).coeffs))
+
+    target = rng.standard_normal((2, 2, n, n))
+    coeffs = rng.standard_normal((2, mesh.num_edges))
+    grid = edge_planes(mesh, coeffs)
+    fluxrecon.grid_match_boundary_divergence(mesh, grid, target)
+    for part in range(2):
+        _match_boundary_divergence(mesh, coeffs[part], tri_scalars(target[part]))
+    _assert_planes_equal(grid, edge_planes(mesh, coeffs))
+    # every boundary triangle, the two corner ones included, hits its target
+    div = fluxrecon.grid_affine_form(ctx, grid)[1]
+    corners = [(0, 0, n - 1), (1, n - 1, 0)]
+    for cls, r, c in corners + [(0, 0, 0), (1, n - 1, n - 1), (0, n // 2, n - 1), (1, n // 2, 0)]:
+        assert np.allclose(div[:, cls, r, c], target[:, cls, r, c], rtol=1e-12, atol=1e-12)
+
+
+def _assert_planes_equal(got, expect):
+    for a, b in zip((got.horiz, got.vert, got.diag), (expect.horiz, expect.vert, expect.diag)):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max(initial=0) <= 1e-14 * max(np.abs(b).max(initial=0), 1.0)

@@ -4,6 +4,7 @@ import pytest
 from mhbounds import mesh as meshmod, oracle
 from mhbounds.bounds import BoundParams
 from mhbounds.femcore import FemContext
+from reference_systems import stencil_csr
 
 
 def test_element_matrices_basics():
@@ -20,8 +21,8 @@ def test_dense_assembly_matches_sparse():
         mesh = meshmod.build(n)
         Kd, Md = oracle.assemble_dense(mesh, nu=1.7, sigma=0.6)
         ctx = FemContext(mesh)
-        Ks = 1.7 * ctx.K.toarray()
-        Ms = 0.6 * ctx.M.toarray()
+        Ks = 1.7 * stencil_csr(ctx.K).toarray()
+        Ms = 0.6 * stencil_csr(ctx.M).toarray()
         assert np.abs(Kd - Ks).max() < 1e-13
         assert np.abs(Md - Ms).max() < 1e-13
     # the one-interior-node stiffness entry

@@ -13,6 +13,7 @@ from mhbounds.timefourier import (
     parseval_norm2,
     perp,
     remainder_parseval,
+    sample_periodic,
 )
 
 coeff_arrays = st.lists(
@@ -117,3 +118,15 @@ def test_overall_from_modes():
     assert overall_from_modes(0.0, [], T, remainder=3.5) == 3.5
     assert abs(overall_from_modes(0.0, [2.0], T) - 2 * np.pi) < 1e-14
     assert abs(overall_from_modes(1.0, [2.0, 4.0], T, 1.0) - (T + 3 * T + 1)) < 1e-12
+
+
+def test_sampled_mode_matches_coefficients():
+    u = lambda t: np.exp(np.sin(t)) * np.cos(3 * t)  # noqa: E731
+    table = fourier_coeffs(u, 1.3, 7, panels=32, order=10)
+    samples = sample_periodic(u, 1.3, panels=32, order=10)
+    for k in range(8):
+        assert np.allclose(samples.mode(k), table.mode(k), rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        samples.mode(-1)
+    with pytest.raises(ValueError):
+        samples.table(-1)
