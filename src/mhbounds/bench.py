@@ -102,6 +102,8 @@ class ExperimentConfig:
             errors.append("nref must not be below the grid")
         if self.precond_family not in (0, 1):
             errors.append("precond family must be 0 or 1")
+        elif self.precond_family == 1 and not self.paper_mode:
+            errors.append("precond family 1 needs paper mode (it picks among the paper's preconditioners)")
         return errors
 
 
@@ -164,21 +166,19 @@ class _Solver:
         self.params = BoundParams(lam=case.lam, omega=case.omega, sigma=case.sigma, nu=case.nu)
 
     def solve_mode(self, k: int):
-        system = build_mode_system(
-            self.case.problem, self.mats, k, self.case.lam, self.case.omega, self.bind.rhs(k)
-        )
-        if self.case.problem == "I":
-            precond = build_precond_I(self.mats, k, self.case.lam, self.case.omega)
+        """Solve mode k: to the tolerance with |A~_k|^{-1}, or in paper mode
+        for exactly 8 steps with the paper's block-diagonal preconditioner."""
+        case, config = self.case, self.config
+        system = build_mode_system(case.problem, self.mats, k, case.lam, case.omega, self.bind.rhs(k))
+        absolute = not config.paper_mode
+        if case.problem == "I":
+            precond = build_precond_I(self.mats, k, case.lam, case.omega, absolute=absolute)
         else:
             precond = build_precond_II(
-                self.mats, k, self.case.lam, self.case.omega,
-                family=self.config.precond_family,
+                self.mats, k, case.lam, case.omega, family=config.precond_family, absolute=absolute
             )
-        fixed = 8 if self.config.paper_mode else None
-        return minres(
-            system, precond, tol=self.config.tol, maxiter=self.config.maxiter,
-            fixed_iters=fixed,
-        )
+        fixed = None if absolute else 8
+        return minres(system, precond, tol=config.tol, maxiter=config.maxiter, fixed_iters=fixed)
 
     def run_mode(self, k: int) -> ModeReport:
         start = time.perf_counter()
@@ -451,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-mode", action="store_true",
                    help="run exactly 8 MinRes steps instead of a tolerance")
     p.add_argument("--family", type=int, default=0, choices=[0, 1],
-                   help="Schur preconditioner family (problem II)")
+                   help="Schur preconditioner family of the paper's problem II "
+                        "runs; needs --paper-mode")
     p.add_argument("--nref", type=int, default=None, help="fine reference grid")
     p.add_argument("--reference", default="auto",
                    choices=["auto", "analytic", "fine", "none"])

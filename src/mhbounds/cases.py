@@ -222,9 +222,10 @@ class CaseBind:
     """A case attached to a discretization: right-hand sides, per-triangle
     data projections, and analytic-reference error norms.
 
-    The data profile is sampled at the quadrature points once, for its load
-    vector and its projection (P1 for a desired state, RT0 for a desired
-    gradient); the samples are not kept.
+    The data profile is sampled at the quadrature points once, one block of
+    cell rows at a time, for its load vector and its projection (P1 for a
+    desired state, RT0 for a desired gradient); the samples are not kept
+    (see `FemContext.project_data`).
     """
 
     def __init__(self, case: ExampleCase, ctx: FemContext):
@@ -234,13 +235,11 @@ class CaseBind:
         if case.analytic_modes and mesh.n % 2 == 1:
             raise ValueError("indicator data requires an even grid")
         if case.problem == "I":
-            s_qp = ctx.data_at_qp(case.spatial_scalar)
-            self.load_s = ctx.load_from_qp(s_qp)
-            self.s_vert, self.rest = ctx.project_p1(s_qp)
+            self.load_s, (self.s_vert,), self.rest = ctx.project_data(case.spatial_scalar)
         else:
-            v_qp = ctx.vector_data_at_qp(case.spatial_vector)
-            self.gload_v = ctx.gradient_load_from_qp(v_qp)
-            self.v_mean, self.v_div, self.rest = ctx.project_rt0(v_qp)
+            self.gload_v, (self.v_mean, self.v_div), self.rest = ctx.project_data(
+                case.spatial_vector, vector=True
+            )
             if case.ident == 6:
                 centers = mesh.nodes[mesh.triangles].mean(axis=1)
                 vx, vy = case.spatial_vector(centers[:, 0], centers[:, 1])

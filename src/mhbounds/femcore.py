@@ -114,6 +114,11 @@ def element_matrices(mesh) -> tuple[np.ndarray, np.ndarray]:
 # of one band stay in cache, and the temporaries stay small on large grids
 STENCIL_ROWS = 16
 
+# cell rows per block when data are sampled and projected without keeping
+# the samples: one block of samples and its remainder temporaries is alive
+# at a time, which bounds the set-up's transient memory on large grids
+SAMPLE_ROWS = 32
+
 
 class Stencil:
     """An operator on the m x m interior nodes given by a constant stencil.
@@ -265,31 +270,68 @@ class FemContext:
 
     # -- data at the quadrature points -----------------------------------------
 
-    def _qp_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """x (1, n, 2, Q) and y (n, 1, 2, Q) of the quadrature points: the cell
-        origins (c h, r h) plus the class points, broadcasting to (n, n, 2, Q)."""
+    def _qp_axes(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """x (1, n, 2, Q) and y (R, 1, 2, Q) of the quadrature points in the
+        cell rows `rows`: the cell origins (c h, r h) plus the class points,
+        broadcasting to (R, n, 2, Q)."""
         origin = np.arange(self.mesh.n) * self.mesh.h
         x = origin[None, :, None, None] + self.class_qp[..., 0]
-        y = origin[:, None, None, None] + self.class_qp[..., 1]
+        y = origin[rows, None, None, None] + self.class_qp[..., 1]
         return x, y
 
-    def data_at_qp(self, f: Callable) -> np.ndarray:
-        """Scalar data values at the quadrature points, (T, Q).
+    def data_at_qp(self, f: Callable, rows: slice = slice(None)) -> np.ndarray:
+        """Scalar data values at the quadrature points of the cell rows `rows`
+        (all by default), (T, Q) for T triangles of those rows.
 
         f is called on coordinate arrays that broadcast against each other,
         one row and one column of cells each.
         """
-        x, y = self._qp_axes()
-        return np.broadcast_to(f(x, y), np.broadcast_shapes(x.shape, y.shape)).reshape(self.qw.shape)
+        x, y = self._qp_axes(rows)
+        return np.broadcast_to(f(x, y), np.broadcast_shapes(x.shape, y.shape)).reshape(-1, len(QUAD_W))
 
-    def vector_data_at_qp(self, g: Callable) -> np.ndarray:
-        """Vector data values at the quadrature points, (T, Q, 2)."""
-        x, y = self._qp_axes()
+    def vector_data_at_qp(self, g: Callable, rows: slice = slice(None)) -> np.ndarray:
+        """Vector data values at the quadrature points of the cell rows `rows`
+        (all by default), (T, Q, 2)."""
+        x, y = self._qp_axes(rows)
         shape = np.broadcast_shapes(x.shape, y.shape)
         out = np.empty(shape + (2,))
         for d, values in enumerate(g(x, y)):
             out[..., d] = values
-        return out.reshape(self.qw.shape + (2,))
+        return out.reshape(-1, len(QUAD_W), 2)
+
+    def project_data(self, f: Callable, vector: bool = False):
+        """Load vector and per-triangle projection of data f, whose samples are not kept.
+
+        Returns (load, planes, rest) as `load_terms` with `project_p1` give
+        them for scalar data, planes = [vertex values], or
+        `gradient_load_terms` with `project_rt0` for vector data,
+        planes = [mean, divergence], on the whole sample array.  The data
+        are sampled and projected SAMPLE_ROWS cell rows at a time.
+        """
+        n = self.mesh.n
+        if vector:
+            load_terms, project = self.gradient_load_terms, self.project_rt0
+        else:
+            load_terms, project = self.load_terms, self.project_p1
+        terms = np.empty((n, 2 * n, 3))
+        planes, rest = [], 0.0
+        for rows, values in self._row_samples(f, vector):
+            terms[rows] = load_terms(values).reshape(-1, 2 * n, 3)
+            *parts, part_rest = project(values)
+            if not planes:
+                planes = [np.empty(p.shape[:-2] + (n, n)) for p in parts]
+            for plane, part in zip(planes, parts):
+                plane[..., rows, :] = part
+            rest += float(part_rest)
+        return self._node_sums(terms.reshape(-1, 3), False), planes, rest
+
+    def _row_samples(self, f: Callable, vector: bool = False):
+        """(rows, samples of f) for each block of SAMPLE_ROWS cell rows, in order."""
+        sample = self.vector_data_at_qp if vector else self.data_at_qp
+        n = self.mesh.n
+        for start in range(0, n, SAMPLE_ROWS):
+            rows = slice(start, min(start + SAMPLE_ROWS, n))
+            yield rows, sample(f, rows)
 
     # -- per-triangle projections of data samples ------------------------------
 
@@ -348,21 +390,18 @@ class FemContext:
     # -- load vectors ----------------------------------------------------------
 
     def load(self, f: Callable, full: bool = False) -> np.ndarray:
-        """Load vector (f, phi_i) by quadrature."""
-        return self.load_from_qp(self.data_at_qp(f), full)
+        """Load vector (f, phi_i) by quadrature, sampling SAMPLE_ROWS cell rows at a time."""
+        terms = [self.load_terms(values) for _, values in self._row_samples(f)]
+        return self._node_sums(np.concatenate(terms), full)
 
-    def load_from_qp(self, values_qp: np.ndarray, full: bool = False) -> np.ndarray:
-        """Load vector from data already sampled at quadrature points."""
-        return self._node_sums((values_qp * self.qw) @ QUAD_BARY, full)
+    def load_terms(self, values_qp: np.ndarray) -> np.ndarray:
+        """Per-triangle load terms (f, lambda_i)_T of samples (T, Q), (T, 3)."""
+        return (values_qp * (self.mesh.tri_area * QUAD_W)) @ QUAD_BARY
 
-    def gradient_load(self, g: Callable, full: bool = False) -> np.ndarray:
-        """Load vector (g, grad phi_i) for vector-valued data g."""
-        vals = self.vector_data_at_qp(g)
-        return self.gradient_load_from_qp(vals, full)
-
-    def gradient_load_from_qp(self, values_qp: np.ndarray, full: bool = False) -> np.ndarray:
+    def gradient_load_terms(self, values_qp: np.ndarray) -> np.ndarray:
+        """Per-triangle gradient load terms (g, grad lambda_i)_T of vector samples (T, Q, 2), (T, 3)."""
         weighted = self.mesh.tri_area * np.einsum("tqd,q->td", values_qp, QUAD_W)
-        return self._node_sums(per_class(weighted, self.class_grads.transpose(0, 2, 1)), full)
+        return per_class(weighted, self.class_grads.transpose(0, 2, 1))
 
 
 def per_class(values: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -382,8 +421,8 @@ def per_class(values: np.ndarray, maps: np.ndarray) -> np.ndarray:
 
 def class_planes(values: np.ndarray, n: int) -> np.ndarray:
     """Per-triangle rows in the triangle numbering as class planes,
-    (..., T, K) -> (..., 2, K, n, n)."""
-    cells = values.reshape(values.shape[:-2] + (n, n, 2, values.shape[-1]))
+    (..., T, K) -> (..., 2, K, R, n) for the T = 2 R n triangles of R cell rows."""
+    cells = values.reshape(values.shape[:-2] + (-1, n, 2, values.shape[-1]))
     return np.ascontiguousarray(np.moveaxis(cells, (-4, -3), (-2, -1)))
 
 

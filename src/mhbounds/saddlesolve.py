@@ -1,12 +1,25 @@
 """Preconditioned MinRes for the matrix-free mode systems.
 
-Every block of the block-diagonal preconditioners is diagonal in the 2-D
-type-I sine basis of the interior grid: the stiffness matrix exactly (it is
-the 5-point stencil on this mesh), the mass matrix through a spectrally
-equivalent tensor-product surrogate.  Problem II's Schur complements, which
-contain M K^{-1} M or K M^{-1} K, are then diagonal too.  A preconditioner is
-a stacked symbol array applied by one fast sine transform pair (the fast
-Poisson solver of Buzbee, Golub and Nielson); no factorization is built.
+Every preconditioner is diagonal in the 2-D type-I sine basis of the
+interior grid up to a symmetric (2P, 2P) matrix per frequency, so it is
+applied by one fast sine transform pair (the fast Poisson solver of Buzbee,
+Golub and Nielson) around a small per-frequency product; no factorization
+is built.  The stiffness matrix K is diagonal in that basis exactly (it is
+the 5-point stencil on this mesh), the mass matrix M through a spectrally
+equivalent tensor-product surrogate M~.
+
+With M replaced by M~, the mode operator becomes the surrogate operator
+A~_k.  In the complex form z = cosine part + i sine part, A~_k is one
+Hermitian 2 x 2 matrix on (y, p) per frequency, so |A~_k|^{-1} has a closed
+form, applied as two (2P, 2P) products per frequency; it preconditions
+every tolerance-driven solve (absolute-value preconditioning, Vecharynski
+and Knyazev 2013).  The paper's block-diagonal preconditioners, whose Schur
+complements contain M K^{-1} M or K M^{-1} K, divide by their symbol; they
+reproduce its fixed-step runs.  `build_precond_I/II` build either kind.
+
+MinRes measures its residual in the norm of the preconditioner's inverse,
+so a tolerance means a different Euclidean accuracy under each
+preconditioner.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as sfft
 
-from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_parts
+from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_coefficients, mode_parts
 
 
 @dataclass
@@ -34,36 +47,63 @@ class SolveStats:
         return all(r[i + 1] <= r[i] * (1 + 1e-12) for i in range(len(r) - 1))
 
 
-class BlockDiagPrecond:
-    """Symmetric positive definite block-diagonal preconditioner.
+class SpectralPrecond:
+    """Symmetric positive definite preconditioner diagonal in the DST-I basis
+    up to a (Q, Q) matrix per frequency, Q the stacked parts of the mode
+    system in its unknown ordering.
 
-    `symbol` holds the DST-I eigenvalues of the blocks, shape (blocks, m, m)
-    with m = n - 1 interior nodes per side, blocks in the unknown ordering
-    of the mode system.  Between one orthonormal DST-I pair over all blocks,
-    `apply` divides by the symbol and `matvec` multiplies by it.
+    `apply` takes the per-frequency product `_inverse` of the sine
+    coefficients (Q, m, m), m = n - 1 interior nodes per side, between one
+    orthonormal DST-I pair over all parts.
     """
 
-    def __init__(self, symbol: np.ndarray):
-        self.symbol = symbol
-        self.dim = symbol.size
-
-    def _transform(self, v: np.ndarray, op) -> np.ndarray:
-        coef = sfft.dstn(v.reshape(self.symbol.shape), type=1, norm="ortho", axes=(1, 2))
-        return sfft.dstn(op(coef, self.symbol), type=1, norm="ortho", axes=(1, 2)).ravel()
+    def __init__(self, parts_shape: tuple[int, int, int]):
+        self._parts_shape = parts_shape
+        self.dim = int(np.prod(parts_shape))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        return self._transform(r, np.divide)
+        coef = sfft.dstn(r.reshape(self._parts_shape), type=1, norm="ortho", axes=(1, 2))
+        return sfft.dstn(self._inverse(coef), type=1, norm="ortho", axes=(1, 2)).ravel()
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._transform(v, np.multiply)
+
+class BlockDiagPrecond(SpectralPrecond):
+    """Block-diagonal preconditioner; `symbol` (Q, m, m) holds the DST-I
+    eigenvalues of its blocks, and `apply` divides by it."""
+
+    def __init__(self, symbol: np.ndarray):
+        super().__init__(symbol.shape)
+        self.symbol = symbol
+
+    def _inverse(self, coef: np.ndarray) -> np.ndarray:
+        return coef / self.symbol
+
+
+class AbsPrecond(SpectralPrecond):
+    """|A~_k|^{-1} as the closed form ((t^2 + 2 q) I - t H) / (q s) per frequency.
+
+    H = coef_K mu_K + coef_M mu_M is the surrogate operator at a frequency
+    (see `_abs_precond`).  `coefs` stacks coef_K over coef_M, (2Q, Q), and
+    the planes are `diag` = (t^2 + 2 q) / (q s), (m, m), and `scales`
+    = t (mu_K, mu_M) / (q s), (2, 1, m, m): `apply` takes one (2Q, Q)
+    product of the sine coefficients and three planes.
+    """
+
+    def __init__(self, coefs: np.ndarray, diag: np.ndarray, scales: np.ndarray):
+        super().__init__((coefs.shape[1],) + diag.shape)
+        self.coefs, self.diag, self.scales = coefs, diag, scales
+
+    def _inverse(self, coef: np.ndarray) -> np.ndarray:
+        terms = (self.coefs @ coef.reshape(len(coef), -1)).reshape((2,) + coef.shape)
+        terms *= self.scales
+        out = self.diag * coef
+        out -= terms[0]
+        out -= terms[1]
+        return out
 
 
 class IdentityPrecond:
     def apply(self, r: np.ndarray) -> np.ndarray:
         return r
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return v
 
 
 def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -90,10 +130,45 @@ def _blocks(state: np.ndarray, adjoint: np.ndarray, k: int) -> BlockDiagPrecond:
     return BlockDiagPrecond(np.stack([state] * parts + [adjoint] * parts))
 
 
-def build_precond_I(mats: ModeMatrices, k: int, lam: float, omega: float) -> BlockDiagPrecond:
-    """diag(D_k, D_k, D_k/lam, D_k/lam) with D_k = sqrt(lam) nu K + k w sqrt(lam) sigma M + M."""
+def _abs_precond(problem: str, mats: ModeMatrices, k: int, lam: float, omega: float) -> AbsPrecond:
+    """|A~_k|^{-1}, the inverse absolute value of the surrogate operator of mode k.
+
+    Per frequency A~_k is H = [[a, b], [conj(b), -c]] on (y, p) in complex
+    form, with a = mu_M (problem I) or mu_K (problem II), c = mu_M / lam and
+    b = -nu mu_K - i k w sigma mu_M.  With t = a - c, q = a c + |b|^2 > 0 and
+    s = sqrt(t^2 + 4 q), the gap between the two eigenvalues of H,
+    |H|^{-1} = ((t^2 + 2 q) I - t H) / (q s).  The real form of H on the
+    cosine and sine parts is the mode operator's coefficient blocks with K
+    and M replaced by their symbols, and the formula holds for it unchanged.
+    """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    mu_K, mu_M = _grid_symbols(mats)
+    coef_K, coef_M = mode_coefficients(problem, mats, k, lam, omega)
+
+    def H(i, j):
+        return coef_K[i, j] * mu_K + coef_M[i, j] * mu_M
+
+    parts = mode_parts(k)
+    a, c = H(0, 0), -H(-1, -1)
+    # |b|^2 is the squared norm of the first row of the (y, p) block
+    q = a * c + sum(H(0, j) ** 2 for j in range(parts, 2 * parts))
+    t = a - c
+    qs = q * np.sqrt(t * t + 4 * q)
+    scales = np.stack([t * mu_K, t * mu_M])[:, None] / qs
+    return AbsPrecond(np.concatenate([coef_K, coef_M]), (t * t + 2 * q) / qs, scales)
+
+
+def build_precond_I(
+    mats: ModeMatrices, k: int, lam: float, omega: float, absolute: bool = False
+) -> SpectralPrecond:
+    """Problem I: the paper's diag(D_k, D_k, D_k/lam, D_k/lam) with
+    D_k = sqrt(lam) nu K + k w sqrt(lam) sigma M + M, or with `absolute`
+    the inverse absolute value |A~_k|^{-1} of the surrogate operator."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if absolute:
+        return _abs_precond("I", mats, k, lam, omega)
     mu_K, mu_M = _grid_symbols(mats)
     sq = np.sqrt(lam)
     D = sq * mats.nu * mu_K + (k * omega * sq * mats.sigma + 1.0) * mu_M
@@ -101,23 +176,27 @@ def build_precond_I(mats: ModeMatrices, k: int, lam: float, omega: float) -> Blo
 
 
 def build_precond_II(
-    mats: ModeMatrices, k: int, lam: float, omega: float, family: int = 0
-) -> BlockDiagPrecond:
-    """Schur-complement preconditioners for problem II (constant sigma, nu).
+    mats: ModeMatrices, k: int, lam: float, omega: float, family: int = 0, absolute: bool = False
+) -> SpectralPrecond:
+    """Problem II: the paper's Schur-complement preconditioners (constant
+    sigma, nu), or with `absolute` the inverse absolute value |A~_k|^{-1}
+    of the surrogate operator, for which `family` is not read.
 
     family 0: diag(K, K, S_k, S_k), S_k = nu K + M/lam + (k w sigma)^2 M K^{-1} M
     family 1: diag(R_k, R_k, M/lam, M/lam), R_k = K + (k w sigma)^2 lam M + nu^2 lam K M^{-1} K
     """
+    if family not in (0, 1):
+        raise ValueError("family must be 0 or 1")
+    if absolute:
+        return _abs_precond("II", mats, k, lam, omega)
     mu_K, mu_M = _grid_symbols(mats)
     nu = mats.nu
     kws = k * omega * mats.sigma
     if family == 0:
         S = nu * mu_K + mu_M / lam + kws**2 * mu_M**2 / mu_K
         return _blocks(mu_K, S, k)
-    if family == 1:
-        R = mu_K + kws**2 * lam * mu_M + nu**2 * lam * mu_K**2 / mu_M
-        return _blocks(R, mu_M / lam, k)
-    raise ValueError("family must be 0 or 1")
+    R = mu_K + kws**2 * lam * mu_M + nu**2 * lam * mu_K**2 / mu_M
+    return _blocks(R, mu_M / lam, k)
 
 
 def minres(
@@ -129,9 +208,13 @@ def minres(
 ) -> tuple[ModeSolution, SolveStats]:
     """Preconditioned minimal residual iteration.
 
-    Stops when the preconditioned residual drops below tol * initial, after
+    Stops when the residual in the preconditioner's norm, sqrt(r . P r) for
+    `precond.apply` = P, drops below tol times its initial value, after
     maxiter steps, or after exactly `fixed_iters` steps when given.  Lanczos
     breakdown with a nonconverged residual is reported in the stats.
+    `SolveStats.relative_residual` is that preconditioned ratio, so the
+    Euclidean ||b - A x|| / ||b|| reached at a given tol depends on the
+    preconditioner.
     """
     x, stats = minres_raw(
         system.matrix, system.rhs, precond, tol=tol, maxiter=maxiter, fixed_iters=fixed_iters

@@ -75,6 +75,26 @@ class ModeSolution:
     p: np.ndarray
 
 
+def mode_coefficients(
+    problem: str, mats: ModeMatrices, k: int, lam: float, omega: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (2P, 2P) coefficients of K and of M in the operator of mode k.
+
+    The operator is K (x) coef_K + M (x) coef_M on the stacked (y, p) x
+    (cosine, sine) unknowns.
+    """
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem tag {problem!r}")
+    if k < 0:
+        raise ValueError("mode index must be nonnegative")
+    eye = np.eye(mode_parts(k))
+    turn = quarter_turn(eye, k * omega * mats.sigma)
+    lead_K, lead_M = (0.0, 1.0) if problem == "I" else (1.0, 0.0)
+    coef_K = np.block([[lead_K * eye, -mats.nu * eye], [-mats.nu * eye, 0 * eye]])
+    coef_M = np.block([[lead_M * eye, -turn], [turn, -eye / lam]])
+    return coef_K, coef_M
+
+
 def build_mode_system(
     problem: str,
     mats: ModeMatrices,
@@ -91,18 +111,10 @@ def build_mode_system(
     data load vectors (P, m * m): (data, phi_i) for problem I,
     (data, grad phi_i) for problem II.
     """
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem tag {problem!r}")
-    if k < 0:
-        raise ValueError("mode index must be nonnegative")
+    coef_K, coef_M = mode_coefficients(problem, mats, k, lam, omega)
     parts = mode_parts(k)
     if rhs.shape != (parts, mats.M.shape[0]):
         raise ValueError(f"mode {k} needs a right-hand side of shape {(parts, mats.M.shape[0])}")
-    eye = np.eye(parts)
-    turn = quarter_turn(eye, k * omega * mats.sigma)
-    lead_K, lead_M = (0.0, 1.0) if problem == "I" else (1.0, 0.0)
-    coef_K = np.block([[lead_K * eye, -mats.nu * eye], [-mats.nu * eye, 0 * eye]])
-    coef_M = np.block([[lead_M * eye, -turn], [turn, -eye / lam]])
     K, M = mats.K.weights, mats.M.weights
     blocks = {o: K.get(o, 0.0) * coef_K + M.get(o, 0.0) * coef_M for o in K.keys() | M.keys()}
     return ModeSystem(

@@ -153,6 +153,7 @@ def test_cli_validation_exit_codes(capsys):
     ["--example", "6", "--grid", "8", "--nref", "9"],
     ["--example", "3", "--grid", "8", "--reference", "analytic"],
     ["--example", "6", "--grid", "8", "--reference", "analytic"],
+    ["--example", "4", "--family", "1"],
 ], ids="-".join)
 def test_cli_rejects_bad_values(args, capsys, monkeypatch):
     # nothing may be solved before the configuration is rejected

@@ -19,7 +19,7 @@ from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import ModeSolution, build_matrices, build_mode_system, mode_parts
-from reference_assembly import quadrature_points
+from reference_assembly import gradient_load_from_qp, load_from_qp, quadrature_points
 from reference_bounds import QuadratureData, evaluate_mode_reference, project, rt0_at_points
 from reference_systems import direct_solve
 
@@ -57,7 +57,7 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
         y_qp = np.stack([ctx.p1_at_qp(v) for v in d])
         if noise:
             y_qp += noise * rng.standard_normal(shape)
-        rhs = [ctx.load_from_qp(v) for v in y_qp]
+        rhs = [load_from_qp(ctx.mesh, v) for v in y_qp]
         data = QuadratureData(k=k, y_qp=y_qp)
     else:
         w = rng.standard_normal((2, ctx.mesh.num_nodes))[:parts]
@@ -65,7 +65,7 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
         g_qp = np.broadcast_to(g[:, :, None, :], shape + (2,)).copy()
         if noise:
             g_qp += noise * rng.standard_normal(shape + (2,))
-        rhs = [ctx.gradient_load_from_qp(v) for v in g_qp]
+        rhs = [gradient_load_from_qp(ctx.mesh, v) for v in g_qp]
         data = QuadratureData(k=k, g_qp=g_qp, g_edge=fluxrecon.reconstruct_p0(ctx.mesh, g).coeffs)
     system = build_mode_system(problem, mats, k, lam, omega, np.stack(rhs))
     if steps is None:
@@ -308,12 +308,16 @@ def _case_grid(ident, n):
     return case, ctx, build_matrices(ctx), CaseBind(case, ctx)
 
 
-def _stopped_bounds(ident, n, k, steps):
-    """Bounds of mode k after exactly `steps` MinRes steps from zero, with J*."""
+def _stopped_bounds(ident, n, k, steps, absolute=False):
+    """Bounds of mode k after exactly `steps` MinRes steps from zero, with J*.
+
+    The steps are preconditioned by the paper's block-diagonal
+    preconditioner, or with `absolute` by the solver's |A~_k|^{-1}.
+    """
     case, ctx, mats, bind = _case_grid(ident, n)
     system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
     build = build_precond_I if case.problem == "I" else build_precond_II
-    sol, _ = minres(system, build(mats, k, case.lam, case.omega), fixed_iters=steps)
+    sol, _ = minres(system, build(mats, k, case.lam, case.omega, absolute=absolute), fixed_iters=steps)
     mb = evaluate_mode(case.problem, ctx, mats, _params(case.lam, case.omega), sol,
                        bind.mode_data(k))
     return mb, bind.reference_cost(k)
@@ -326,9 +330,10 @@ def _stopped_bounds(ident, n, k, steps):
     n=st.integers(2, 32),
     k=st.integers(0, 4),
     steps=st.integers(0, 8),
+    absolute=st.booleans(),
 )
-def test_sandwich_any_iterate_problem_I(ident, n, k, steps):
-    mb, exact = _stopped_bounds(ident, n, k, steps)
+def test_sandwich_any_iterate_problem_I(ident, n, k, steps, absolute):
+    mb, exact = _stopped_bounds(ident, n, k, steps, absolute)
     assert mb.minorant <= exact <= mb.majorant
 
 
@@ -338,9 +343,10 @@ def test_sandwich_any_iterate_problem_I(ident, n, k, steps):
     n=st.integers(2, 32),
     k=st.integers(0, 4),
     steps=st.integers(0, 8).filter(lambda s: s != 1),
+    absolute=st.booleans(),
 )
-def test_sandwich_any_iterate_problem_II(ident, n, k, steps):
-    mb, exact = _stopped_bounds(ident, n, k, steps)
+def test_sandwich_any_iterate_problem_II(ident, n, k, steps, absolute):
+    mb, exact = _stopped_bounds(ident, n, k, steps, absolute)
     assert mb.minorant <= exact <= mb.majorant
 
 

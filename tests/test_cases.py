@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mhbounds import oracle
+from mhbounds import femcore, oracle
 from mhbounds.cases import CaseBind, ExampleCase, box_mode_coefficient, make_case
 from mhbounds.femcore import FemContext
 from mhbounds import mesh as meshmod
@@ -162,3 +162,20 @@ def test_mode_pair_matches_coefficient_table(ident):
     for k in range(10):
         got, expect = case.mode_pair(k), table.mode(k)
         assert np.allclose(got, expect, rtol=0, atol=1e-14 * scale), (k, got, expect)
+
+
+@pytest.mark.parametrize("ident", [1, 4, 6])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_bind_in_row_blocks_matches_one_block(monkeypatch, ident, rows):
+    # loads, projections and remainder do not depend on how many cell rows
+    # are sampled at a time
+    ctx = FemContext(meshmod.build(12))
+    case = make_case(ident)
+    whole = CaseBind(case, ctx)
+    monkeypatch.setattr(femcore, "SAMPLE_ROWS", rows)
+    blocked = CaseBind(case, ctx)
+    names = ("load_s", "s_vert") if case.problem == "I" else ("gload_v", "v_mean", "v_div")
+    for name in names:
+        a, b = getattr(whole, name), getattr(blocked, name)
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max(), name
+    assert abs(whole.rest - blocked.rest) <= 1e-14 * whole.rest

@@ -78,13 +78,18 @@ def test_symmetry_and_definiteness(ctx16, rng):
             assert v @ (A @ v) > 0
 
 
+def _gradient_load(ctx, g):
+    """Load vector (g, grad phi_i) of vector data g."""
+    return ctx.project_data(g, vector=True)[0]
+
+
 def test_load_vectors(ctx2, ctx16):
     zero = ctx16.load(lambda x, y: np.zeros_like(x))
     assert np.all(zero == 0)
     const = ctx16.load(lambda x, y: np.ones_like(x))
     assert np.allclose(const, ctx16.mesh.h**2, atol=1e-15)
     assert ctx2.load(lambda x, y: np.ones_like(x)).shape == (1,)
-    g = ctx2.gradient_load(lambda x, y: (np.ones_like(x), np.zeros_like(x)))
+    g = _gradient_load(ctx2, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     assert g.shape == (1,)
     assert ctx2.load(lambda x, y: np.ones_like(x), full=True).shape == (9,)
 
@@ -97,8 +102,8 @@ def test_sliced_loads_match_add_at(n, rng):
     vectors = rng.standard_normal(ctx.qw.shape + (2,))
     for full in (False, True):
         for got, expect in [
-            (ctx.load_from_qp(values, full), ref.load_from_qp(mesh, values, full)),
-            (ctx.gradient_load_from_qp(vectors, full), ref.gradient_load_from_qp(mesh, vectors, full)),
+            (ctx._node_sums(ctx.load_terms(values), full), ref.load_from_qp(mesh, values, full)),
+            (ctx._node_sums(ctx.gradient_load_terms(vectors), full), ref.gradient_load_from_qp(mesh, vectors, full)),
         ]:
             assert got.shape == expect.shape
             assert np.abs(got - expect).max(initial=0) <= 1e-14 * np.abs(expect).max(initial=0)
@@ -113,7 +118,7 @@ def test_rayleigh_quotient_eigenfunction():
 
 
 def test_gradient_load(ctx16):
-    zero = ctx16.gradient_load(lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
+    zero = _gradient_load(ctx16, lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
     assert np.all(zero == 0)
 
     def grad_ss(x, y):
@@ -122,14 +127,14 @@ def test_gradient_load(ctx16):
             np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
         )
 
-    g = ctx16.gradient_load(grad_ss)
+    g = _gradient_load(ctx16, grad_ss)
     interp = ctx16.interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     ref = (ctx16.K_full @ interp)[ctx16.mesh.interior_nodes]
     assert np.abs(g - ref).max() < 10 * ctx16.mesh.h**2
 
 
 def test_gradient_load_symmetry_cancellation(ctx2):
-    g = ctx2.gradient_load(lambda x, y: (np.ones_like(x), np.ones_like(x)))
+    g = _gradient_load(ctx2, lambda x, y: (np.ones_like(x), np.ones_like(x)))
     assert np.abs(g).max() < 1e-15
 
 
@@ -145,7 +150,7 @@ def test_gradient_load_order(rng):
                 np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
             )
 
-        g = ctx.gradient_load(grad_ss)
+        g = _gradient_load(ctx, grad_ss)
         interp = ctx.interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         ref = (ctx.K_full @ interp)[ctx.mesh.interior_nodes]
         errs.append(np.abs(g - ref).max())
