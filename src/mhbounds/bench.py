@@ -191,29 +191,36 @@ class _Solver:
         return ModeReport(k=k, t_sec=elapsed, bounds=bounds, stats=stats, solution=sol)
 
 
-def fine_grid_reference(case: ExampleCase, nref: int, ks, config: ExperimentConfig):
-    """Reference costs and state fields from a finer-grid solve.
+def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, solutions: dict,
+                        config: ExperimentConfig):
+    """Reference costs and error norms from a finer-grid solve.
 
-    Returns (costs, fields, fine_solver); costs[k] is the per-mode cost of
-    the fine solution, fields[k] the full nodal state pair for error norms.
+    `solutions` maps each mode k to the coarse solution on `coarse_ctx`.
+    Returns (costs, norms): costs[k] is the per-mode cost of the fine
+    solution, norms[k] the (||e||^2, ||grad e||^2) of the coarse state
+    against it, taken right after mode k's fine solve, so no fine field
+    outlives its mode.
     """
     fine = _Solver(case, nref, config)
-    costs, fields = {}, {}
-    for k in ks:
-        sol, _ = fine.solve_mode(k)
-        costs[k] = mode_cost(case.problem, fine.ctx, fine.mats, case.lam, sol, fine.bind.mode_data(k))
-        fields[k] = [fine.ctx.to_full(y) for y in sol.y]
-    return costs, fields, fine
+    costs, norms = {}, {}
+    for k, sol in solutions.items():
+        fine_sol, _ = fine.solve_mode(k)
+        costs[k] = mode_cost(case.problem, fine.ctx, fine.mats, case.lam, fine_sol, fine.bind.mode_data(k))
+        norms[k] = _fine_error_norms(fine.ctx, fine_sol, coarse_ctx, sol)
+    return costs, norms
 
 
-def _fine_error_norms(fine, fields_k, coarse_ctx, sol):
-    """(||e||^2, ||grad e||^2) of the coarse state against the fine one."""
-    l2 = h1 = 0.0
-    for ref_full, vec in zip(fields_k, sol.y):
-        e = ref_full - prolong(coarse_ctx.mesh, coarse_ctx.to_full(vec), fine.mesh)
-        l2 += float(e @ (fine.ctx.M_full @ e))
-        h1 += float(e @ (fine.ctx.K_full @ e))
-    return l2, h1
+def _fine_error_norms(fine_ctx: FemContext, fine_sol, coarse_ctx: FemContext, sol):
+    """(||e||^2, ||grad e||^2) of the coarse state against the fine one.
+
+    The coarse state is evaluated at the fine nodes; both fields vanish on
+    the boundary, so the norms of their difference e are the quadratic
+    forms of the fine interior mass and stiffness stencils.
+    """
+    n = fine_ctx.mesh.n
+    coarse = prolong(coarse_ctx.node_grid(sol.y), n)[:, 1:-1, 1:-1]
+    e = fine_sol.y - coarse.reshape(len(coarse), -1)
+    return float(np.vdot(e, fine_ctx.M(e))), float(np.vdot(e, fine_ctx.K(e)))
 
 
 def _overall_reference(case: ExampleCase) -> float:
@@ -270,10 +277,11 @@ def run(config: ExperimentConfig) -> BoundsReport:
             rep.reference = solver.bind.reference_cost(k)
             rep.err_l2, rep.err_h1 = solver.bind.error_norms(k, rep.solution)
     elif kind == "fine":
-        costs, fields, fine = fine_grid_reference(case, config.nref, needed, config)
+        solutions = {k: rep.solution for k, rep in reports.items()}
+        costs, norms = fine_grid_reference(case, config.nref, solver.ctx, solutions, config)
         for k, rep in reports.items():
             rep.reference = costs[k]
-            rep.err_l2, rep.err_h1 = _fine_error_norms(fine, fields[k], solver.ctx, rep.solution)
+            rep.err_l2, rep.err_h1 = norms[k]
 
     for k in sorted(config.modes):
         rep = reports[k]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fluxrecon, oracle
 from .bounds import ModeData
-from .femcore import FemContext, class_planes
+from .femcore import FemContext
 from .systems import mode_parts
 from .timefourier import (
     RemainderTerm, SampledSignal, TimeSignalCoeffs, remainder_from_tail, remainder_parseval, sample_periodic,
@@ -157,25 +157,40 @@ class ExampleCase:
     def has_analytic_reference(self) -> bool:
         return self.exact_y_time is not None
 
+    @cached_property
+    def _exact_samples(self) -> tuple[SampledSignal, SampledSignal]:
+        """The exact state's and control's time factors over one period,
+        sampled once per case by the rule of `_time_samples`."""
+        return tuple(
+            sample_periodic(f, self.omega, panels=256, order=12)
+            for f in (self.exact_y_time, self.exact_u_time)
+        )
+
     def reference_cost(self, k: int) -> float:
-        """Exact per-mode optimal cost from the analytic solution."""
+        """Exact per-mode optimal cost from the analytic solution.
+
+        The state, control and data share one spatial profile, so the cost
+        is the squared misfit of the time coefficients times the profile's
+        misfit norm (for gradient tracking the squared norm of its gradient,
+        with `data_scale` mapping the data's time coefficients onto it) plus
+        the control energy.
+        """
         if not self.has_analytic_reference:
             raise ValueError(f"case {self.ident} has no analytic reference")
         if self.problem == "I":
             misfit_norm2, scale = self.spatial_norm2, 1.0
         else:
             misfit_norm2, scale = self.eigen_kappa * 0.25, self.data_scale
-        return oracle.spacetime_cost(
-            k, self.lam, self.omega,
-            self.exact_y_time, self.exact_u_time, self.time_factor,
-            misfit_norm2, 0.25, data_scale=scale,
-        )
+        y_samples, u_samples = self._exact_samples
+        y, u = np.array(y_samples.mode(k)), np.array(u_samples.mode(k))
+        misfit = y - scale * np.array(self._time_samples.mode(k))
+        return 0.5 * float(misfit @ misfit) * misfit_norm2 + 0.5 * self.lam * float(u @ u) * 0.25
 
     def exact_state_mode(self, k: int) -> tuple[float, float]:
         """Fourier pair of the exact state's time factor."""
         if not self.has_analytic_reference:
             raise ValueError(f"case {self.ident} has no analytic reference")
-        return oracle.time_mode_pair(self.exact_y_time, self.omega, k)
+        return self._exact_samples[0].mode(k)
 
 
 _CASE_SPECS = {
@@ -241,9 +256,7 @@ class CaseBind:
                 case.spatial_vector, vector=True
             )
             if case.ident == 6:
-                centers = mesh.nodes[mesh.triangles].mean(axis=1)
-                vx, vy = case.spatial_vector(centers[:, 0], centers[:, 1])
-                field = class_planes(np.column_stack([vx, vy]), mesh.n)
+                field = ctx.vector_data_at_centroids(case.spatial_vector)
                 self.v_flux = fluxrecon.grid_average(mesh, field)
             else:
                 self.v_flux = fluxrecon.grid_from_callable(mesh, case.spatial_vector)

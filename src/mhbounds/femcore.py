@@ -1,15 +1,18 @@
 """P1 finite element assembly and spatial quadrature on the uniform mesh.
 
 The stiffness and mass matrices are the 5-point and 7-point stencils of
-the two constant element matrices, built directly in CSR and applied to
-interior fields by slicing the node grid; load vectors are summed onto the
+the two constant element matrices, applied to interior fields by slicing
+the node grid; no matrix is assembled.  Load vectors are summed onto the
 node grid by slicing.  Loads and data-bearing norms use a 7-point rule
 that is exact for polynomials of total degree 5 (so squares of the
 piecewise-quadratic integrands appearing in the bound evaluation are
 integrated exactly).
 
 Homogeneous Dirichlet conditions are imposed by restriction to interior
-nodes; `full=True` variants keep all nodes for pre-elimination checks.
+nodes; `load(full=True)` keeps all nodes for pre-elimination checks.
+Nothing here reads the mesh's index arrays: every per-triangle array is
+laid out by the cell numbering, and every coordinate is a cell origin plus
+a point of the class triangle.
 
 Per-triangle arrays come in two layouts.  Quadrature-point samples follow
 the triangle numbering, (..., T, Q).  The bound evaluation holds its
@@ -23,7 +26,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import CLASS_CORNERS, add_cell_corners
 
@@ -72,28 +74,6 @@ def _stencil_bands(local: np.ndarray, n: int) -> dict:
                     band = bands.setdefault((rj - ri, cj - ci), np.zeros((n + 1, n + 1)))
                     band[ri : ri + n, ci : ci + n] += local[cls, i, j]
     return bands
-
-
-def _stencil_csr(bands: dict, lo: int, hi: int) -> sp.csr_matrix:
-    """CSR matrix of the stencil on the nodes with row and column in [lo, hi).
-
-    Couplings to nodes outside the block are dropped, which restricts to the
-    interior nodes for (lo, hi) = (1, n).  Rows are lexicographic, and the
-    bands in (dr, dc) order give sorted column indices.
-    """
-    m = hi - lo
-    row, col = np.ogrid[:m, :m]
-    node = np.arange(m * m, dtype=np.int32).reshape(m, m)
-    offsets = sorted(bands)
-    keep = np.stack(
-        [(0 <= row + dr) & (row + dr < m) & (0 <= col + dc) & (col + dc < m) for dr, dc in offsets],
-        axis=-1,
-    )
-    values = np.stack([bands[o][lo:hi, lo:hi] for o in offsets], axis=-1)
-    columns = np.stack([node + (dr * m + dc) for dr, dc in offsets], axis=-1)
-    indptr = np.zeros(m * m + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=-1).ravel(), out=indptr[1:])
-    return sp.csr_matrix((values[keep], columns[keep], indptr), shape=(m * m, m * m))
 
 
 def element_matrices(mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -179,12 +159,12 @@ class FemContext:
         mesh: the underlying UniformMesh.
         K, M: unit-coefficient stiffness/mass on interior nodes, as stencils
             applied by grid slicing.
-        K_full, M_full: pre-elimination CSR matrices on all nodes.
-        qw: per-point weights scaled by area, (T, Q) (a read-only view).
         class_grads: P1 basis gradients per class, (2, 3, 2).
         class_rt0_form: centroid value (c - P_i) / (2 A) and divergence
             1 / A of the RT0 basis function with unit outward flux through
             the edge opposite local vertex i, per class, (2, 3, 3).
+        class_centroids: centroids of the class triangles of cell (0, 0),
+            (2, 2).
         class_qp: quadrature points of the class triangles of cell (0, 0),
             (2, Q, 2).
         class_qp_offsets: quadrature points minus the centroid, (2, Q, 2).
@@ -199,6 +179,7 @@ class FemContext:
         corners = h * unit
         self.class_grads, area = _class_geometry(corners)
         centroid = corners.mean(axis=1, keepdims=True)
+        self.class_centroids = centroid[:, 0]
         area = area[:, None, None]
         self.class_rt0_form = np.concatenate(
             [(centroid - corners) / (2 * area), np.broadcast_to(1 / area, (2, 3, 1))], axis=-1
@@ -206,27 +187,15 @@ class FemContext:
         self.class_qp = QUAD_BARY @ corners
         self.class_qp_offsets = self.class_qp - centroid
         self.offset_moment = float(QUAD_W @ np.sum(self.class_qp_offsets[0] ** 2, axis=1))
-        self.qw = np.broadcast_to(mesh.tri_area * QUAD_W, (mesh.num_triangles, len(QUAD_W)))
 
-        local = element_matrices(mesh)
-        self.K_full, self.M_full = (_stencil_csr(_stencil_bands(a, n), 0, n + 1) for a in local)
         # the centre node of a 2 x 2 cell grid touches all six triangles
         # around it, as every interior node does
         self.K, self.M = (
-            Stencil({o: band[1, 1] for o, band in _stencil_bands(a, 2).items()}, n - 1) for a in local
+            Stencil({o: band[1, 1] for o, band in _stencil_bands(a, 2).items()}, n - 1)
+            for a in element_matrices(mesh)
         )
 
     # -- nodal field helpers -------------------------------------------------
-
-    def to_full(self, v_int: np.ndarray) -> np.ndarray:
-        """Zero-extend an interior coefficient vector to all nodes."""
-        out = np.zeros(self.mesh.num_nodes)
-        out[self.mesh.interior_nodes] = v_int
-        return out
-
-    def interpolate(self, f: Callable) -> np.ndarray:
-        """Nodal interpolant of f(x, y), full vector."""
-        return f(self.mesh.nodes[:, 0], self.mesh.nodes[:, 1])
 
     def node_grid(self, v_int: np.ndarray) -> np.ndarray:
         """Stacked interior fields (P, m) on the zero-padded node grid, (P, n+1, n+1)."""
@@ -259,15 +228,6 @@ class FemContext:
         grid = add_cell_corners(contrib.reshape(n, n, 2, 3), n)
         return grid.ravel() if full else grid[1:-1, 1:-1].ravel()
 
-    def p1_at_qp(self, v_full: np.ndarray) -> np.ndarray:
-        """P1 field values at the quadrature points, (T, Q)."""
-        vert = v_full[self.mesh.triangles]  # (T, 3)
-        return np.einsum("tk,qk->tq", vert, QUAD_BARY)
-
-    def p1_grad(self, v_full: np.ndarray) -> np.ndarray:
-        """Piecewise-constant gradient of a P1 field, (T, 2)."""
-        return per_class(v_full[self.mesh.triangles], self.class_grads)
-
     # -- data at the quadrature points -----------------------------------------
 
     def _qp_axes(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -288,6 +248,15 @@ class FemContext:
         """
         x, y = self._qp_axes(rows)
         return np.broadcast_to(f(x, y), np.broadcast_shapes(x.shape, y.shape)).reshape(-1, len(QUAD_W))
+
+    def vector_data_at_centroids(self, g: Callable) -> np.ndarray:
+        """Vector data values at the triangle centroids, as class planes
+        (2, 2, n, n) (class, then component); g is called as in `data_at_qp`."""
+        n = self.mesh.n
+        origin = np.arange(n) * self.mesh.h
+        x = origin[None, None, :] + self.class_centroids[:, 0, None, None]
+        y = origin[None, :, None] + self.class_centroids[:, 1, None, None]
+        return np.stack([np.broadcast_to(v, (2, n, n)) for v in g(x, y)], axis=1)
 
     def vector_data_at_qp(self, g: Callable, rows: slice = slice(None)) -> np.ndarray:
         """Vector data values at the quadrature points of the cell rows `rows`
@@ -374,19 +343,6 @@ class FemContext:
         planes = class_planes(form, self.mesh.n)
         return planes[..., :2, :, :], planes[..., 2, :, :], self.mesh.tri_area * rest_norm2
 
-    # -- integration ---------------------------------------------------------
-
-    def integrate(self, values_qp: np.ndarray) -> float:
-        """Integral over the domain of per-quadrature-point values (T, Q)."""
-        return float(np.sum(self.qw * values_qp))
-
-    def norm2(self, values_qp: np.ndarray) -> float:
-        return self.integrate(values_qp**2)
-
-    def vec_norm2(self, values_qp: np.ndarray) -> float:
-        """Squared L2 norm of a vector field given at quadrature points."""
-        return self.integrate(np.sum(values_qp**2, axis=2))
-
     # -- load vectors ----------------------------------------------------------
 
     def load(self, f: Callable, full: bool = False) -> np.ndarray:
@@ -426,58 +382,32 @@ def class_planes(values: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(cells, (-4, -3), (-2, -1)))
 
 
-def p1_eval_at(mesh, v_full: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a nodal P1 field at arbitrary points of the unit square.
+def p1_eval_at(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Evaluate P1 fields given on the node grid, (..., n+1, n+1), at the
+    points (x, y) of the unit square; x and y broadcast against each other.
 
     Exact on mesh lines, so prolongation onto a nested refinement is exact.
     """
-    n = mesh.n
-    side = n + 1
-    x = np.clip(pts[:, 0], 0.0, 1.0) * n
-    y = np.clip(pts[:, 1], 0.0, 1.0) * n
+    n = grid.shape[-1] - 1
+    x = np.clip(x, 0.0, 1.0) * n
+    y = np.clip(y, 0.0, 1.0) * n
     cx = np.minimum(x.astype(np.int64), n - 1)
     cy = np.minimum(y.astype(np.int64), n - 1)
     xi = x - cx
     eta = y - cy
-    v00 = v_full[cy * side + cx]
-    v10 = v_full[cy * side + cx + 1]
-    v01 = v_full[(cy + 1) * side + cx]
-    v11 = v_full[(cy + 1) * side + cx + 1]
+    v00 = grid[..., cy, cx]
+    v10 = grid[..., cy, cx + 1]
+    v01 = grid[..., cy + 1, cx]
+    v11 = grid[..., cy + 1, cx + 1]
     lower = v00 * (1 - xi) + v10 * (xi - eta) + v11 * eta
     upper = v00 * (1 - eta) + v11 * xi + v01 * (eta - xi)
     return np.where(xi >= eta, lower, upper)
 
 
-def prolong(coarse_mesh, v_full_coarse: np.ndarray, fine_mesh) -> np.ndarray:
-    """Nodal values of a coarse P1 field on a finer mesh (exact when nested)."""
-    return p1_eval_at(coarse_mesh, v_full_coarse, fine_mesh.nodes)
-
-
-def l2_norm_squared(ctx: FemContext, field) -> float:
-    """Exact squared L2 norm of a piecewise polynomial field.
-
-    `field` is a descriptor tuple:
-        ("const", value)        constant scalar field,
-        ("p1", full_coeffs)     nodal P1 field,
-        ("p0", tri_values)      per-triangle constants,
-        ("qp", values, degree)  values at quadrature points with a declared
-                                per-triangle polynomial degree.
-
-    Raises:
-        ValueError: when the declared degree exceeds what the quadrature
-            integrates exactly after squaring (degree > 2).
-    """
-    kind = field[0]
-    if kind == "const":
-        return float(field[1]) ** 2
-    if kind == "p1":
-        return ctx.norm2(ctx.p1_at_qp(field[1]))
-    if kind == "p0":
-        vals = np.broadcast_to(field[1][:, None], ctx.qw.shape)
-        return ctx.norm2(vals)
-    if kind == "qp":
-        _, values, degree = field
-        if degree > 2:
-            raise ValueError(f"piecewise degree {degree} not integrated exactly")
-        return ctx.norm2(values)
-    raise ValueError(f"unknown field descriptor {kind!r}")
+def prolong(grid: np.ndarray, n_fine: int) -> np.ndarray:
+    """P1 fields on a node grid, (..., n+1, n+1), evaluated at the nodes of
+    the grid with n_fine cells per side, (..., n_fine+1, n_fine+1) (exact
+    when nested).  The points are the fine grid's coordinate axes, as the
+    fine mesh places its nodes."""
+    axis = np.arange(n_fine + 1) * (1.0 / n_fine)
+    return p1_eval_at(grid, axis[None, :], axis[:, None])

@@ -8,7 +8,7 @@ and its divergence is constant per triangle.
 
 Two storage layouts carry the same degrees of freedom.  `RTFlux` holds them
 as one array in the mesh's edge numbering and reaches the triangles by index
-gathers.  `GridFlux` holds them on three planes, one per edge kind of the
+gathers; it reads the mesh's index arrays and serves as the tests' reference.  `GridFlux` holds them on three planes, one per edge kind of the
 uniform mesh, and every per-mode operation on it (averaging, the boundary
 divergence match, the per-triangle form) is a sum of plane slices.
 """
@@ -60,11 +60,6 @@ def reconstruct_p0(mesh, field: np.ndarray) -> RTFlux:
         return side[..., 0] * nx + side[..., 1] * ny
 
     return RTFlux(mesh, 0.5 * (trace(t0) + trace(t1)) * mesh.edge_length)
-
-
-def reconstruct(ctx: FemContext, w_full: np.ndarray, nu: float = 1.0) -> RTFlux:
-    """Averaged-flux reconstruction of nu * grad(w) for a nodal P1 field."""
-    return reconstruct_p0(ctx.mesh, nu * ctx.p1_grad(w_full))
 
 
 def reconstruct_from_callable(mesh, g) -> RTFlux:

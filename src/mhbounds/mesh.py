@@ -12,6 +12,7 @@ this numbering, by slicing the (n+1) x (n+1) node grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +27,24 @@ CLASS_CORNERS = (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (1, 0)))
 CLASS_EDGE_SIGN = np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
 
 
+class _IndexArray:
+    """A `UniformMesh` index array, read from the arrays `index_arrays`
+    builds on first use and the mesh then keeps."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, mesh, owner=None):
+        return self if mesh is None else mesh._index[self.name]
+
+
 @dataclass(frozen=True)
 class UniformMesh:
     """Triangulation of (0,1)^2 into 2 n^2 right triangles.
+
+    Only n and h are stored.  The index arrays below are built together, by
+    `index_arrays`, the first time one of them is read; the solves and the
+    bound evaluation work on the node grid and never read them.
 
     Attributes:
         n: number of cells per side.
@@ -50,32 +66,37 @@ class UniformMesh:
 
     n: int
     h: float
-    nodes: np.ndarray
-    triangles: np.ndarray
-    edges: np.ndarray
-    edge_tris: np.ndarray
-    edge_length: np.ndarray
-    edge_normal: np.ndarray
-    tri_edges: np.ndarray
-    tri_edge_sign: np.ndarray
-    boundary_node: np.ndarray
-    interior_nodes: np.ndarray
+
+    @cached_property
+    def _index(self) -> dict:
+        return index_arrays(self.n)
+
+    nodes = _IndexArray()
+    triangles = _IndexArray()
+    edges = _IndexArray()
+    edge_tris = _IndexArray()
+    edge_length = _IndexArray()
+    edge_normal = _IndexArray()
+    tri_edges = _IndexArray()
+    tri_edge_sign = _IndexArray()
+    boundary_node = _IndexArray()
+    interior_nodes = _IndexArray()
 
     @property
     def num_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return (self.n + 1) ** 2
 
     @property
     def num_triangles(self) -> int:
-        return self.triangles.shape[0]
+        return 2 * self.n * self.n
 
     @property
     def num_edges(self) -> int:
-        return self.edges.shape[0]
+        return self.n * (3 * self.n + 2)
 
     @property
     def num_interior(self) -> int:
-        return self.interior_nodes.shape[0]
+        return (self.n - 1) ** 2
 
     @property
     def tri_area(self) -> float:
@@ -106,13 +127,18 @@ def add_cell_corners(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def build(n: int) -> UniformMesh:
-    """Build the uniform mesh with n cells per side.
+    """The uniform mesh with n cells per side; its index arrays are built on first read.
 
     Raises:
         ValueError: if n < 1.
     """
     if n < 1:
         raise ValueError(f"grid parameter must be a positive integer, got {n}")
+    return UniformMesh(n=n, h=1.0 / n)
+
+
+def index_arrays(n: int) -> dict:
+    """The index arrays of the mesh with n cells per side, by name (see `UniformMesh`)."""
     h = 1.0 / n
     side = n + 1
     ix, iy = np.meshgrid(np.arange(side), np.arange(side))
@@ -165,9 +191,7 @@ def build(n: int) -> UniformMesh:
     on_boundary = ((row == 0) | (row == n) | (col == 0) | (col == n)).ravel()
     interior_nodes = np.flatnonzero(~on_boundary)
 
-    return UniformMesh(
-        n=n,
-        h=h,
+    return dict(
         nodes=nodes,
         triangles=triangles,
         edges=edges,

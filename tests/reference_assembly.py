@@ -7,6 +7,11 @@ and scatters them as COO blocks; the loads are summed by `np.add.at`.
 Nothing here reads the structure of the grid beyond `mesh.triangles` and
 `mesh.nodes`, so the tests can check `mesh.build` and `FemContext`
 against it.
+
+The nodal-field helpers below (zero extension, interpolation, values and
+gradients by `triangles` gathers, and the 7-point quadrature norms) work
+on all-node vectors and per-quadrature-point samples, the layouts the
+reference evaluations use; the run path never forms either.
 """
 
 from __future__ import annotations
@@ -14,12 +19,20 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from mhbounds.femcore import QUAD_BARY, QUAD_W
-from mhbounds.mesh import UniformMesh
+from types import SimpleNamespace
+
+from mhbounds.femcore import QUAD_BARY, QUAD_W, per_class
+
+# the index arrays of a UniformMesh, which it builds on first read
+MESH_ARRAYS = (
+    "nodes", "triangles", "edges", "edge_tris", "edge_length", "edge_normal",
+    "tri_edges", "tri_edge_sign", "boundary_node", "interior_nodes",
+)
 
 
-def build_mesh(n: int) -> UniformMesh:
-    """The uniform mesh, numbered by sorting instead of in closed form."""
+def build_mesh(n: int) -> SimpleNamespace:
+    """The uniform mesh's n, h and index arrays (`MESH_ARRAYS`), numbered by
+    sorting instead of in closed form."""
     h = 1.0 / n
     side = n + 1
     ix, iy = np.meshgrid(np.arange(side), np.arange(side))
@@ -76,7 +89,7 @@ def build_mesh(n: int) -> UniformMesh:
         | (nodes[:, 1] == 0.0)
         | (nodes[:, 1] == 1.0)
     )
-    return UniformMesh(
+    return SimpleNamespace(
         n=n,
         h=h,
         nodes=nodes,
@@ -161,3 +174,77 @@ def gradient_load_from_qp(mesh, values_qp: np.ndarray, full: bool = False) -> np
     grads, area = tri_geometry(mesh)
     weighted = np.einsum("tq,tqd->td", area[:, None] * QUAD_W[None, :], values_qp)
     return _add_at(mesh, np.einsum("td,tkd->tk", weighted, grads), full)
+
+
+# -- nodal fields and quadrature norms ---------------------------------------
+
+
+def to_full(ctx, v_int: np.ndarray) -> np.ndarray:
+    """Zero-extend an interior coefficient vector to all nodes."""
+    out = np.zeros(ctx.mesh.num_nodes)
+    out[ctx.mesh.interior_nodes] = v_int
+    return out
+
+
+def interpolate(ctx, f) -> np.ndarray:
+    """Nodal interpolant of f(x, y), all-node vector."""
+    return f(ctx.mesh.nodes[:, 0], ctx.mesh.nodes[:, 1])
+
+
+def p1_at_qp(ctx, v_full: np.ndarray) -> np.ndarray:
+    """P1 field values at the quadrature points, (T, Q)."""
+    return np.einsum("tk,qk->tq", v_full[ctx.mesh.triangles], QUAD_BARY)
+
+
+def p1_grad(ctx, v_full: np.ndarray) -> np.ndarray:
+    """Piecewise-constant gradient of a P1 field by the class maps, (T, 2)."""
+    return per_class(v_full[ctx.mesh.triangles], ctx.class_grads)
+
+
+def quadrature_weights(ctx) -> np.ndarray:
+    """Per-point weights scaled by area, (T, Q) (a read-only view)."""
+    mesh = ctx.mesh
+    return np.broadcast_to(mesh.tri_area * QUAD_W, (mesh.num_triangles, len(QUAD_W)))
+
+
+def integrate(ctx, values_qp: np.ndarray) -> float:
+    """Integral over the domain of per-quadrature-point values (T, Q)."""
+    return float(np.sum(quadrature_weights(ctx) * values_qp))
+
+
+def norm2(ctx, values_qp: np.ndarray) -> float:
+    return integrate(ctx, values_qp**2)
+
+
+def vec_norm2(ctx, values_qp: np.ndarray) -> float:
+    """Squared L2 norm of a vector field given at quadrature points, (T, Q, 2)."""
+    return integrate(ctx, np.sum(values_qp**2, axis=2))
+
+
+def l2_norm_squared(ctx, field) -> float:
+    """Exact squared L2 norm of a piecewise polynomial field.
+
+    `field` is a descriptor tuple:
+        ("const", value)        constant scalar field,
+        ("p1", full_coeffs)     nodal P1 field,
+        ("p0", tri_values)      per-triangle constants,
+        ("qp", values, degree)  values at quadrature points with a declared
+                                per-triangle polynomial degree.
+
+    Raises:
+        ValueError: when the declared degree exceeds what the quadrature
+            integrates exactly after squaring (degree > 2).
+    """
+    kind = field[0]
+    if kind == "const":
+        return float(field[1]) ** 2
+    if kind == "p1":
+        return norm2(ctx, p1_at_qp(ctx, field[1]))
+    if kind == "p0":
+        return norm2(ctx, np.broadcast_to(field[1][:, None], quadrature_weights(ctx).shape))
+    if kind == "qp":
+        _, values, degree = field
+        if degree > 2:
+            raise ValueError(f"piecewise degree {degree} not integrated exactly")
+        return norm2(ctx, values)
+    raise ValueError(f"unknown field descriptor {kind!r}")

@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from mhbounds.bounds import ModeBounds, ModeData, ResidualSet, majorant_form, optimize_majorant_params
-from mhbounds.fluxrecon import GridFlux
-from reference_assembly import quadrature_points
+from mhbounds.fluxrecon import GridFlux, RTFlux, reconstruct_p0
+from reference_assembly import norm2, p1_at_qp, p1_grad, quadrature_points, to_full, vec_norm2
 from reference_systems import stencil_csr
 
 
@@ -74,6 +74,11 @@ def tri_rows(planes):
     """Class planes (..., 2, K, n, n) in the triangle numbering, (..., T, K)."""
     cells = np.moveaxis(planes, (-2, -1), (-4, -3))
     return cells.reshape(cells.shape[:-4] + (-1, cells.shape[-1]))
+
+
+def reconstruct(ctx, w_full: np.ndarray, nu: float = 1.0) -> RTFlux:
+    """Averaged-flux reconstruction of nu * grad(w) for a nodal P1 field."""
+    return reconstruct_p0(ctx.mesh, nu * p1_grad(ctx, w_full))
 
 
 def rt0_reconstruct(mesh, field):
@@ -141,9 +146,9 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
     sol_y_c, sol_p_c = sol.y[0], sol.p[0]
     sol_y_s, sol_p_s = (sol.y[1], sol.p[1]) if k > 0 else (None, None)
     Kn, Ms = mats.nu * K, mats.sigma * M
-    y_c, p_c = ctx.to_full(sol_y_c), ctx.to_full(sol_p_c)
-    y_s = ctx.to_full(sol_y_s) if sol_y_s is not None else None
-    p_s = ctx.to_full(sol_p_s) if sol_p_s is not None else None
+    y_c, p_c = to_full(ctx, sol_y_c), to_full(ctx, sol_p_c)
+    y_s = to_full(ctx, sol_y_s) if sol_y_s is not None else None
+    p_s = to_full(ctx, sol_p_s) if sol_p_s is not None else None
     comp = [(y_c, p_c, part(data.y_qp, 0), part(data.g_qp, 0), part(data.g_edge, 0), -1.0, y_s, p_s)]
     if k > 0:
         comp.append((y_s, p_s, part(data.y_qp, 1), part(data.g_qp, 1), part(data.g_edge, 1), +1.0, y_c, p_c))
@@ -151,25 +156,25 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
     r1_sq = r2_sq = r3_sq = r4_sq = 0.0
     misfit = 0.0
     for w, q, yd_qp, gd_qp, gd_edge, perp_sign, w_other, q_other in comp:
-        grad_w = ctx.p1_grad(w)
-        grad_q = ctx.p1_grad(q)
-        q_qp = ctx.p1_at_qp(q)
+        grad_w = p1_grad(ctx, w)
+        grad_q = p1_grad(ctx, q)
+        q_qp = p1_at_qp(ctx, q)
 
         tau = rt0_reconstruct(mesh, nu * grad_w)
         r1_vals = rt0_divergence(mesh, tau)[:, None] - q_qp / lam
         if k > 0:
-            r1_vals = r1_vals + perp_sign * kw * sigma * ctx.p1_at_qp(w_other)
-        r1_sq += ctx.norm2(r1_vals)
-        r2_sq += ctx.vec_norm2(rt0_at_points(mesh, tau, points) - nu * grad_w[:, None, :])
+            r1_vals = r1_vals + perp_sign * kw * sigma * p1_at_qp(ctx, w_other)
+        r1_sq += norm2(ctx, r1_vals)
+        r2_sq += vec_norm2(ctx, rt0_at_points(mesh, tau, points) - nu * grad_w[:, None, :])
 
         if problem == "I":
-            w_qp = ctx.p1_at_qp(w)
-            misfit += ctx.norm2(w_qp - yd_qp)
+            w_qp = p1_at_qp(ctx, w)
+            misfit += norm2(ctx, w_qp - yd_qp)
             rho = rt0_reconstruct(mesh, nu * grad_q)
             r3_vals = rt0_divergence(mesh, rho)[:, None] + w_qp - yd_qp
             r4_vals = rt0_at_points(mesh, rho, points) - nu * grad_q[:, None, :]
         else:
-            misfit += ctx.vec_norm2(grad_w[:, None, :] - gd_qp)
+            misfit += vec_norm2(ctx, grad_w[:, None, :] - gd_qp)
             rho = rt0_reconstruct(mesh, nu * grad_q - grad_w) + gd_edge
             if k > 0:
                 target_div = -perp_sign * kw * sigma * q_other[mesh.triangles].mean(axis=1)
@@ -180,9 +185,9 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
             target = (nu * grad_q - grad_w)[:, None, :] + gd_qp
             r4_vals = rt0_at_points(mesh, rho, points) - target
         if k > 0:
-            r3_vals = r3_vals + perp_sign * kw * sigma * ctx.p1_at_qp(q_other)
-        r3_sq += ctx.norm2(r3_vals)
-        r4_sq += ctx.vec_norm2(r4_vals)
+            r3_vals = r3_vals + perp_sign * kw * sigma * p1_at_qp(ctx, q_other)
+        r3_sq += norm2(ctx, r3_vals)
+        r4_sq += vec_norm2(ctx, r4_vals)
 
     res = ResidualSet(np.sqrt(r1_sq), np.sqrt(r2_sq), np.sqrt(r3_sq), np.sqrt(r4_sq))
 

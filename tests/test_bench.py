@@ -1,9 +1,10 @@
 import filecmp
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mhbounds import bench
+from mhbounds import bench, mesh as meshmod
 from mhbounds.bench import (
     ExperimentConfig,
     build_parser,
@@ -14,6 +15,9 @@ from mhbounds.bench import (
     write_csv,
     write_markdown,
 )
+from mhbounds.femcore import FemContext
+from mhbounds.systems import ModeSolution, mode_parts
+from reference_assembly import assemble_mass, assemble_stiffness, to_full
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +202,65 @@ def test_run_rejects_maxiter_below_one(maxiter):
     with pytest.raises(ValueError, match="maxiter"):
         run(config)
     assert not ExperimentConfig(example=1, grid=8, maxiter=1).validate()
+
+
+def test_run_path_reads_only_the_node_grid(monkeypatch):
+    # runs, analytic and fine-grid references (nested and not) never build
+    # the mesh's index arrays, and no module of the package imports
+    # scipy.sparse, so no all-node matrix is assembled either
+    def refuse(n):
+        raise AssertionError(f"index arrays of the n={n} mesh built on the run path")
+
+    monkeypatch.setattr(meshmod, "index_arrays", refuse)
+    configs = [
+        ExperimentConfig(example=1, grid=8, modes=(0, 1), overall=(1,)),
+        ExperimentConfig(example=4, grid=8, modes=(0, 1), overall=(1,)),
+        ExperimentConfig(example=6, grid=8, modes=(0, 1), nref=16),
+        ExperimentConfig(example=3, grid=8, modes=(0, 1), nref=16),
+        ExperimentConfig(example=3, grid=8, modes=(0, 1), nref=12),
+    ]
+    for config in configs:
+        report = run(config)
+        assert all(np.isfinite(row.majorant) for row in report.all_rows)
+        assert all(np.isfinite(rep.err_l2) for rep in report.mode_reports.values())
+    assert grid_sweep(ExperimentConfig(example=1, modes=(0,)), (4, 8))
+    package = Path(bench.__file__).parent
+    assert not [p.name for p in package.glob("*.py") if "scipy.sparse" in p.read_text()]
+
+
+def _p1_at_nodes(mesh, v_full, points):
+    """P1 field values at points, each from the first triangle whose
+    barycentric coordinates it has all nonnegative (to rounding)."""
+    corners = mesh.nodes[mesh.triangles]  # (T, 3, 2)
+    out = np.empty(len(points))
+    for i, x in enumerate(points):
+        a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+        det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
+        l1 = ((x[0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (c[:, 0] - a[:, 0]) * (x[1] - a[:, 1])) / det
+        l2 = ((b[:, 0] - a[:, 0]) * (x[1] - a[:, 1]) - (x[0] - a[:, 0]) * (b[:, 1] - a[:, 1])) / det
+        bary = np.stack([1 - l1 - l2, l1, l2], axis=1)
+        t = np.flatnonzero((bary >= -1e-12).all(axis=1))[0]
+        out[i] = bary[t] @ v_full[mesh.triangles[t]]
+    return out
+
+
+@pytest.mark.parametrize("n,nref", [(4, 8), (4, 12), (6, 8), (5, 5)])
+@pytest.mark.parametrize("k", [0, 2])
+def test_fine_error_norms_match_all_node_quadratic_forms(n, nref, k, rng):
+    # the stencil quadratic forms of the interior difference equal e . M e
+    # and e . K e with the tests' all-node matrices and the coarse field
+    # evaluated at the fine nodes triangle by triangle
+    coarse, fine = FemContext(meshmod.build(n)), FemContext(meshmod.build(nref))
+    parts = mode_parts(k)
+    sol = ModeSolution(k, rng.standard_normal((parts, (n - 1) ** 2)), None)
+    fine_sol = ModeSolution(k, rng.standard_normal((parts, (nref - 1) ** 2)), None)
+    l2, h1 = bench._fine_error_norms(fine, fine_sol, coarse, sol)
+    K_full = assemble_stiffness(fine.mesh, full=True)
+    M_full = assemble_mass(fine.mesh, full=True)
+    expect_l2 = expect_h1 = 0.0
+    for y_fine, y_coarse in zip(fine_sol.y, sol.y):
+        e = to_full(fine, y_fine) - _p1_at_nodes(coarse.mesh, to_full(coarse, y_coarse), fine.mesh.nodes)
+        expect_l2 += e @ (M_full @ e)
+        expect_h1 += e @ (K_full @ e)
+    assert abs(l2 - expect_l2) <= 1e-12 * expect_l2
+    assert abs(h1 - expect_h1) <= 1e-12 * expect_h1

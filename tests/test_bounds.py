@@ -19,8 +19,10 @@ from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import ModeSolution, build_matrices, build_mode_system, mode_parts
-from reference_assembly import gradient_load_from_qp, load_from_qp, quadrature_points
-from reference_bounds import QuadratureData, evaluate_mode_reference, project, rt0_at_points
+from reference_assembly import (
+    gradient_load_from_qp, load_from_qp, p1_at_qp, p1_grad, quadrature_points, quadrature_weights, vec_norm2,
+)
+from reference_bounds import QuadratureData, evaluate_mode_reference, project, reconstruct, rt0_at_points
 from reference_systems import direct_solve
 
 
@@ -51,17 +53,17 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
     mats = build_matrices(ctx, sigma, nu)
     params = BoundParams(lam=lam, omega=omega, sigma=sigma, nu=nu)
     parts = mode_parts(k)
-    shape = (parts,) + ctx.qw.shape
+    shape = (parts,) + quadrature_weights(ctx).shape
     if problem == "I":
         d = rng.standard_normal((2, ctx.mesh.num_nodes))[:parts]
-        y_qp = np.stack([ctx.p1_at_qp(v) for v in d])
+        y_qp = np.stack([p1_at_qp(ctx, v) for v in d])
         if noise:
             y_qp += noise * rng.standard_normal(shape)
         rhs = [load_from_qp(ctx.mesh, v) for v in y_qp]
         data = QuadratureData(k=k, y_qp=y_qp)
     else:
         w = rng.standard_normal((2, ctx.mesh.num_nodes))[:parts]
-        g = np.stack([ctx.p1_grad(v) for v in w])
+        g = np.stack([p1_grad(ctx, v) for v in w])
         g_qp = np.broadcast_to(g[:, :, None, :], shape + (2,)).copy()
         if noise:
             g_qp += noise * rng.standard_normal(shape + (2,))
@@ -122,14 +124,14 @@ def test_flux_residual_grows_under_perturbation(ctx8, rng):
     # convexity: moving away from any point in at least one of the two
     # opposite directions increases the distance to the gradient field
     w = rng.standard_normal(ctx8.mesh.num_nodes)
-    tau = fluxrecon.reconstruct(ctx8, w)
-    grad = ctx8.p1_grad(w)
+    tau = reconstruct(ctx8, w)
+    grad = p1_grad(ctx8, w)
 
     points = quadrature_points(ctx8.mesh)
 
     def r2(flux):
         values = rt0_at_points(ctx8.mesh, flux.coeffs, points)
-        return np.sqrt(ctx8.vec_norm2(values - grad[:, None, :]))
+        return np.sqrt(vec_norm2(ctx8, values - grad[:, None, :]))
 
     base = r2(tau)
     for _ in range(20):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mhbounds import femcore, oracle
+from mhbounds import cases, femcore, oracle
 from mhbounds.cases import CaseBind, ExampleCase, box_mode_coefficient, make_case
 from mhbounds.femcore import FemContext
 from mhbounds import mesh as meshmod
@@ -179,3 +179,34 @@ def test_bind_in_row_blocks_matches_one_block(monkeypatch, ident, rows):
         a, b = getattr(whole, name), getattr(blocked, name)
         assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max(), name
     assert abs(whole.rest - blocked.rest) <= 1e-14 * whole.rest
+
+
+@pytest.mark.parametrize("ident", [1, 2, 4, 5])
+def test_analytic_reference_from_case_samples(monkeypatch, ident):
+    # reference_cost and exact_state_mode read the exact state, control and
+    # data time factors sampled once per case, and agree with the oracle's
+    # quadrature, which samples them again on every call
+    calls = []
+    sample = cases.sample_periodic
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return sample(f, *args, **kwargs)
+
+    monkeypatch.setattr(cases, "sample_periodic", counted)
+    case = make_case(ident)
+    if case.problem == "I":
+        misfit_norm2, scale = case.spatial_norm2, 1.0
+    else:
+        misfit_norm2, scale = case.eigen_kappa * 0.25, case.data_scale
+    for k in range(9):
+        expect = oracle.spacetime_cost(
+            k, case.lam, case.omega, case.exact_y_time, case.exact_u_time, case.time_factor,
+            misfit_norm2, 0.25, data_scale=scale,
+        )
+        assert abs(case.reference_cost(k) - expect) <= 1e-13 * expect, k
+        pair = oracle.time_mode_pair(case.exact_y_time, case.omega, k)
+        assert np.allclose(case.exact_state_mode(k), pair, rtol=0, atol=1e-14 * max(np.abs(pair).max(), 1.0)), k
+    assert sorted(f.__name__ for f in calls) == sorted(
+        f.__name__ for f in (case.time_factor, case.exact_y_time, case.exact_u_time)
+    )

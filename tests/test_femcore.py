@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhbounds import mesh as meshmod
-from mhbounds.femcore import QUAD_BARY, QUAD_W, FemContext, _stencil_bands, _stencil_csr, element_matrices, l2_norm_squared, p1_eval_at, per_class, prolong
+from mhbounds.femcore import QUAD_BARY, QUAD_W, FemContext, _stencil_bands, element_matrices, p1_eval_at, per_class, prolong
 from mhbounds.mesh import cell_corners
 from mhbounds.systems import build_matrices, build_mode_system
 import reference_assembly as ref
 from reference_bounds import tri_rows, tri_scalars
-from reference_systems import stencil_csr
+from reference_systems import bands_csr, full_matrices, stencil_csr
 
 
 def test_single_interior_node_entries(ctx2):
@@ -27,7 +27,7 @@ def test_coefficient_scaling(ctx8, rng):
     y_c, y_s = (system.matrix @ np.concatenate([np.zeros(2 * n), p, np.zeros(n)]))[: 2 * n].reshape(2, n)
     assert np.abs(y_c + 2 * (ctx8.K @ p)).max() < 1e-14 * np.abs(ctx8.K @ p).max()
     assert np.abs(y_s + 3 * (ctx8.M @ p)).max() < 1e-14 * np.abs(ctx8.M @ p).max()
-    assert ctx8.M_full.toarray().min() >= 0
+    assert full_matrices(ctx8.mesh)[1].toarray().min() >= 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 32])
@@ -38,7 +38,8 @@ def test_stencils_match_scatter_assembly(n, rng):
     ctx = FemContext(mesh)
     # the interior CSR matrices of the stencil bands of the whole grid, and
     # those of the stencils' own weights
-    interior = [_stencil_csr(_stencil_bands(a, n), 1, n) for a in element_matrices(mesh)]
+    interior = [bands_csr(_stencil_bands(a, n), 1, n) for a in element_matrices(mesh)]
+    K_full, M_full = full_matrices(mesh)
     v = rng.standard_normal((3, ctx.K.shape[0]))
     for apply, A, B in [
         (ctx.K, interior[0], ref.assemble_stiffness(mesh)),
@@ -52,8 +53,8 @@ def test_stencils_match_scatter_assembly(n, rng):
     for A, B in [
         (interior[0], ref.assemble_stiffness(mesh)),
         (interior[1], ref.assemble_mass(mesh)),
-        (ctx.K_full, ref.assemble_stiffness(mesh, full=True)),
-        (ctx.M_full, ref.assemble_mass(mesh, full=True)),
+        (K_full, ref.assemble_stiffness(mesh, full=True)),
+        (M_full, ref.assemble_mass(mesh, full=True)),
     ]:
         a, b = A.toarray(), B.toarray()
         assert np.abs(a - b).max(initial=0) <= 1e-15 * np.abs(b).max(initial=0)
@@ -64,9 +65,10 @@ def test_stencils_match_scatter_assembly(n, rng):
 
 def test_constants_in_stiffness_kernel(ctx16):
     ones = np.ones(ctx16.mesh.num_nodes)
-    assert np.abs(ctx16.K_full @ ones).max() < 1e-13
+    K_full, M_full = full_matrices(ctx16.mesh)
+    assert np.abs(K_full @ ones).max() < 1e-13
     # partition of unity: total mass is the domain area
-    assert abs(ones @ (ctx16.M_full @ ones) - 1.0) < 1e-13
+    assert abs(ones @ (M_full @ ones) - 1.0) < 1e-13
 
 
 def test_symmetry_and_definiteness(ctx16, rng):
@@ -98,8 +100,8 @@ def test_load_vectors(ctx2, ctx16):
 def test_sliced_loads_match_add_at(n, rng):
     mesh = meshmod.build(n)
     ctx = FemContext(mesh)
-    values = rng.standard_normal(ctx.qw.shape)
-    vectors = rng.standard_normal(ctx.qw.shape + (2,))
+    values = rng.standard_normal(ref.quadrature_weights(ctx).shape)
+    vectors = rng.standard_normal(ref.quadrature_weights(ctx).shape + (2,))
     for full in (False, True):
         for got, expect in [
             (ctx._node_sums(ctx.load_terms(values), full), ref.load_from_qp(mesh, values, full)),
@@ -128,9 +130,10 @@ def test_gradient_load(ctx16):
         )
 
     g = _gradient_load(ctx16, grad_ss)
-    interp = ctx16.interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    ref = (ctx16.K_full @ interp)[ctx16.mesh.interior_nodes]
-    assert np.abs(g - ref).max() < 10 * ctx16.mesh.h**2
+    interp = ref.interpolate(ctx16, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    K_full = full_matrices(ctx16.mesh)[0]
+    expect = (K_full @ interp)[ctx16.mesh.interior_nodes]
+    assert np.abs(g - expect).max() < 10 * ctx16.mesh.h**2
 
 
 def test_gradient_load_symmetry_cancellation(ctx2):
@@ -151,22 +154,22 @@ def test_gradient_load_order(rng):
             )
 
         g = _gradient_load(ctx, grad_ss)
-        interp = ctx.interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-        ref = (ctx.K_full @ interp)[ctx.mesh.interior_nodes]
-        errs.append(np.abs(g - ref).max())
+        interp = ref.interpolate(ctx, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        expect = (full_matrices(ctx.mesh)[0] @ interp)[ctx.mesh.interior_nodes]
+        errs.append(np.abs(g - expect).max())
     assert errs[1] < errs[0] / 3.0  # observed order about 2
 
 
 def test_norm_descriptors(ctx8, rng):
-    assert abs(l2_norm_squared(ctx8, ("const", 1.0)) - 1.0) < 1e-15
-    x_interp = ctx8.interpolate(lambda x, y: x)
-    assert abs(l2_norm_squared(ctx8, ("p1", x_interp)) - 1.0 / 3.0) < 1e-14
+    assert abs(ref.l2_norm_squared(ctx8, ("const", 1.0)) - 1.0) < 1e-15
+    x_interp = ref.interpolate(ctx8, lambda x, y: x)
+    assert abs(ref.l2_norm_squared(ctx8, ("p1", x_interp)) - 1.0 / 3.0) < 1e-14
     v = rng.standard_normal(ctx8.mesh.num_nodes)
-    assert abs(l2_norm_squared(ctx8, ("p1", v)) - v @ (ctx8.M_full @ v)) < 1e-13
+    assert abs(ref.l2_norm_squared(ctx8, ("p1", v)) - v @ (full_matrices(ctx8.mesh)[1] @ v)) < 1e-13
     with pytest.raises(ValueError):
-        l2_norm_squared(ctx8, ("qp", np.ones_like(ctx8.qw), 3))
+        ref.l2_norm_squared(ctx8, ("qp", np.ones_like(ref.quadrature_weights(ctx8)), 3))
     with pytest.raises(ValueError):
-        l2_norm_squared(ctx8, ("mystery", None))
+        ref.l2_norm_squared(ctx8, ("mystery", None))
 
 
 def test_galerkin_consistency_order():
@@ -175,8 +178,8 @@ def test_galerkin_consistency_order():
     errs = []
     for n in (8, 16, 32):
         ctx = FemContext(meshmod.build(n))
-        u = ctx.interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-        errs.append(abs(u @ (ctx.K_full @ u) - exact))
+        u = ref.interpolate(ctx, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        errs.append(abs(u @ (full_matrices(ctx.mesh)[0] @ u) - exact))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) > 1.8
 
@@ -185,22 +188,28 @@ def test_p1_eval_and_prolong(rng):
     coarse = meshmod.build(4)
     fine = meshmod.build(8)
     v = rng.standard_normal(coarse.num_nodes)
+    grid = v.reshape(5, 5)
     # exact at the coarse nodes themselves
-    assert np.allclose(p1_eval_at(coarse, v, coarse.nodes), v, atol=1e-14)
+    assert np.allclose(p1_eval_at(grid, coarse.nodes[:, 0], coarse.nodes[:, 1]), v, atol=1e-14)
+    # the fine grid's axes give its nodes, in the mesh's numbering
+    w = prolong(grid, 8).ravel()
+    assert np.array_equal(w, p1_eval_at(grid, fine.nodes[:, 0], fine.nodes[:, 1]))
     # nested prolongation preserves integrals of the field exactly
-    ctx_c, ctx_f = FemContext(coarse), FemContext(fine)
-    w = prolong(coarse, v, fine)
+    (K_c, M_c), (K_f, M_f) = full_matrices(coarse), full_matrices(fine)
     ones_c = np.ones(coarse.num_nodes)
     ones_f = np.ones(fine.num_nodes)
-    assert abs(v @ (ctx_c.M_full @ ones_c) - w @ (ctx_f.M_full @ ones_f)) < 1e-14
-    assert abs(v @ (ctx_c.K_full @ v) - w @ (ctx_f.K_full @ w)) < 1e-12
+    assert abs(v @ (M_c @ ones_c) - w @ (M_f @ ones_f)) < 1e-14
+    assert abs(v @ (K_c @ v) - w @ (K_f @ w)) < 1e-12
+    # stacked fields are prolonged one by one
+    stacked = rng.standard_normal((2, 5, 5))
+    assert np.array_equal(prolong(stacked, 8)[1], prolong(stacked[1], 8))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_node_grid_corners_match_triangle_gather(n, rng):
     ctx = FemContext(meshmod.build(n))
     v_int = rng.standard_normal((2, ctx.mesh.num_interior))
-    expect = np.stack([ctx.to_full(v)[ctx.mesh.triangles] for v in v_int])
+    expect = np.stack([ref.to_full(ctx, v)[ctx.mesh.triangles] for v in v_int])
     got = cell_corners(ctx.node_grid(v_int), n).reshape(expect.shape)
     assert np.array_equal(got, expect)
 
@@ -209,7 +218,7 @@ def test_node_grid_corners_match_triangle_gather(n, rng):
 def test_cell_gradients_match_class_maps(n, rng):
     ctx = FemContext(meshmod.build(n))
     v_int = rng.standard_normal((2, ctx.mesh.num_interior))
-    expect = np.stack([ctx.p1_grad(ctx.to_full(v)) for v in v_int])
+    expect = np.stack([ref.p1_grad(ctx, ref.to_full(ctx, v)) for v in v_int])
     got = ctx.cell_gradients(ctx.node_grid(v_int))
     assert np.allclose(tri_rows(got), expect, rtol=0, atol=1e-13 * n)
 
@@ -226,7 +235,7 @@ def test_class_maps_match_per_triangle_geometry(n, rng):
     # every triangle's geometry is its class's
     assert np.allclose(grads, ctx.class_grads[cls], rtol=0, atol=1e-12 * n)
     assert np.allclose(area, mesh.tri_area, rtol=1e-14, atol=0)
-    assert np.allclose(ctx.qw, area[:, None] * QUAD_W, rtol=1e-14, atol=0)
+    assert np.allclose(ref.quadrature_weights(ctx), area[:, None] * QUAD_W, rtol=1e-14, atol=0)
     points = np.stack([ctx.data_at_qp(lambda x, y: x), ctx.data_at_qp(lambda x, y: y)], axis=-1)
     assert np.allclose(points, qp, rtol=0, atol=1e-15)
     assert np.allclose(ctx.vector_data_at_qp(lambda x, y: (x, y)), qp, rtol=0, atol=1e-15)
@@ -240,7 +249,7 @@ def test_class_maps_match_per_triangle_geometry(n, rng):
     assert np.allclose(per_class(vert, ctx.class_grads), expect, rtol=1e-13, atol=1e-13 * n)
     w = rng.standard_normal(mesh.num_nodes)
     expect = np.einsum("tk,tkd->td", w[mesh.triangles], grads)
-    assert np.allclose(ctx.p1_grad(w), expect, rtol=1e-13, atol=1e-13 * n)
+    assert np.allclose(ref.p1_grad(ctx, w), expect, rtol=1e-13, atol=1e-13 * n)
     # mean of |x - c|^2 over a triangle is (sum of squared sides) / 36,
     # h^2 / 9 for the right isosceles triangles with legs h
     assert abs(ctx.offset_moment - mesh.h**2 / 9) < 1e-15
@@ -259,7 +268,7 @@ def test_exact_p1_norm_matches_mass_matrix(ctx8, rng):
     shift = rng.standard_normal((2, 2, n, n))
     vert = rng.standard_normal((2, 2, 3, n, n))
     values = cell_corners(grid, n).reshape(2, -1, 3) + tri_scalars(shift)[..., None] - tri_rows(vert)
-    expect = sum(ctx8.norm2(part @ QUAD_BARY.T) for part in values)
+    expect = sum(ref.norm2(ctx8, part @ QUAD_BARY.T) for part in values)
     assert abs(_p1_norm2(ctx8, grid, shift, vert) - expect) < 1e-13 * expect
 
 
@@ -274,26 +283,26 @@ def test_projections_leave_orthogonal_remainder(n, parts, seed, scale):
 
     ctx = FemContext(meshmod.build(n))
     rng = np.random.default_rng(seed)
-    values = scale * rng.standard_normal((parts,) + ctx.qw.shape)
+    values = scale * rng.standard_normal((parts,) + ref.quadrature_weights(ctx).shape)
     vert, rest = ctx.project_p1(values)
     remainder = values - tri_rows(vert) @ QUAD_BARY.T
-    moments = (remainder * ctx.qw) @ QUAD_BARY
-    total = sum(ctx.norm2(part) for part in values)
+    moments = (remainder * ref.quadrature_weights(ctx)) @ QUAD_BARY
+    total = sum(ref.norm2(ctx, part) for part in values)
     assert np.abs(moments).max() <= 1e-13 * np.sqrt(total * ctx.mesh.tri_area)
-    assert np.allclose(rest, [ctx.norm2(part) for part in remainder], rtol=1e-13, atol=0)
+    assert np.allclose(rest, [ref.norm2(ctx, part) for part in remainder], rtol=1e-13, atol=0)
     exact = _p1_norm2(ctx, np.zeros((parts, n + 1, n + 1)), vert=vert)
     assert abs(exact + rest.sum() - total) <= 1e-13 * total
 
-    vectors = scale * rng.standard_normal((parts,) + ctx.qw.shape + (2,))
+    vectors = scale * rng.standard_normal((parts,) + ref.quadrature_weights(ctx).shape + (2,))
     mean, div, rest = ctx.project_rt0(vectors)
     points = ref.quadrature_points(ctx.mesh)
     offsets = points - points.mean(axis=1, keepdims=True)
     projection = tri_rows(mean)[..., None, :] + 0.5 * tri_scalars(div)[..., None, None] * offsets
     remainder = vectors - projection
-    weights = ctx.qw[..., None]
-    total = sum(ctx.vec_norm2(part) for part in vectors)
+    weights = ref.quadrature_weights(ctx)[..., None]
+    total = sum(ref.vec_norm2(ctx, part) for part in vectors)
     bound = 1e-13 * np.sqrt(total * ctx.mesh.tri_area)
     assert np.abs((remainder * weights).sum(axis=-2)).max() <= bound
     assert np.abs((remainder * offsets * weights).sum(axis=(-2, -1))).max() <= bound * ctx.mesh.h
-    assert np.allclose(rest, [ctx.vec_norm2(part) for part in remainder], rtol=1e-13, atol=0)
+    assert np.allclose(rest, [ref.vec_norm2(ctx, part) for part in remainder], rtol=1e-13, atol=0)
     assert abs(_rt0_norm2(ctx, mean, div) + rest.sum() - total) <= 1e-13 * total

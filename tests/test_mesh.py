@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from mhbounds import mesh as meshmod
-from reference_assembly import build_mesh
+from reference_assembly import MESH_ARRAYS, build_mesh
 
 
 @pytest.mark.parametrize(
@@ -80,12 +78,32 @@ def test_shared_diagonal_edge(mesh2):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 33])
 def test_closed_form_matches_sorted_numbering(n):
     closed, ref = meshmod.build(n), build_mesh(n)
-    for f in dataclasses.fields(closed):
-        a, b = getattr(closed, f.name), getattr(ref, f.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype, f.name
-            assert np.array_equal(a, b), f.name
-            if a.dtype.kind == "f":
-                assert np.array_equal(np.signbit(a), np.signbit(b)), f.name
-        else:
-            assert a == b, f.name
+    assert (closed.n, closed.h) == (ref.n, ref.h)
+    assert len(MESH_ARRAYS) == 10
+    for name in MESH_ARRAYS:
+        a, b = getattr(closed, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+        if a.dtype.kind == "f":
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+def test_index_arrays_built_once_on_first_read(monkeypatch):
+    # a mesh holds n and h; its index arrays are built together the first
+    # time one is read, and then kept
+    calls = []
+    build_index = meshmod.index_arrays
+
+    def counted(n):
+        calls.append(n)
+        return build_index(n)
+
+    monkeypatch.setattr(meshmod, "index_arrays", counted)
+    mesh = meshmod.build(5)
+    assert (mesh.num_nodes, mesh.num_triangles, mesh.num_edges, mesh.num_interior) == (36, 50, 85, 16)
+    assert calls == []
+    for name in MESH_ARRAYS:
+        assert getattr(mesh, name) is getattr(mesh, name)
+    assert calls == [5]
+    assert mesh.num_edges == mesh.edges.shape[0]
+    assert mesh.num_interior == mesh.interior_nodes.shape[0]
