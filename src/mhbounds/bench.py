@@ -166,18 +166,20 @@ class _Solver:
         self.params = BoundParams(lam=case.lam, omega=case.omega, sigma=case.sigma, nu=case.nu)
 
     def solve_mode(self, k: int):
-        """Solve mode k: to the tolerance with |A~_k|^{-1}, or in paper mode
-        for exactly 8 steps with the paper's block-diagonal preconditioner."""
+        """Solve mode k: to the tolerance by GMRES with A~_k^{-1}, or in paper
+        mode by exactly 8 MinRes steps with the paper's block-diagonal
+        preconditioner."""
         case, config = self.case, self.config
         system = build_mode_system(case.problem, self.mats, k, case.lam, case.omega, self.bind.rhs(k))
-        absolute = not config.paper_mode
+        converge = not config.paper_mode
         if case.problem == "I":
-            precond = build_precond_I(self.mats, k, case.lam, case.omega, absolute=absolute)
+            precond = build_precond_I(self.mats, k, case.lam, case.omega, surrogate_inverse=converge)
         else:
             precond = build_precond_II(
-                self.mats, k, case.lam, case.omega, family=config.precond_family, absolute=absolute
+                self.mats, k, case.lam, case.omega, family=config.precond_family,
+                surrogate_inverse=converge,
             )
-        fixed = None if absolute else 8
+        fixed = None if converge else 8
         return minres(system, precond, tol=config.tol, maxiter=config.maxiter, fixed_iters=fixed)
 
     def run_mode(self, k: int) -> ModeReport:
@@ -455,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sanity check: expected problem tag of the example")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="stop each mode's solve when ||b - A x|| <= tol ||b|| "
+                        "(not read with --paper-mode)")
     p.add_argument("--paper-mode", action="store_true",
                    help="run exactly 8 MinRes steps instead of a tolerance")
     p.add_argument("--family", type=int, default=0, choices=[0, 1],

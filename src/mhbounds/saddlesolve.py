@@ -1,4 +1,4 @@
-"""Preconditioned MinRes for the matrix-free mode systems.
+"""Krylov solvers for the matrix-free mode systems and their preconditioners.
 
 Every preconditioner is diagonal in the 2-D type-I sine basis of the
 interior grid up to a symmetric (2P, 2P) matrix per frequency, so it is
@@ -10,16 +10,20 @@ equivalent tensor-product surrogate M~.
 
 With M replaced by M~, the mode operator becomes the surrogate operator
 A~_k.  In the complex form z = cosine part + i sine part, A~_k is one
-Hermitian 2 x 2 matrix on (y, p) per frequency, so |A~_k|^{-1} has a closed
-form, applied as two (2P, 2P) products per frequency; it preconditions
-every tolerance-driven solve (absolute-value preconditioning, Vecharynski
-and Knyazev 2013).  The paper's block-diagonal preconditioners, whose Schur
-complements contain M K^{-1} M or K M^{-1} K, divide by their symbol; they
-reproduce its fixed-step runs.  `build_precond_I/II` build either kind.
-
-MinRes measures its residual in the norm of the preconditioner's inverse,
-so a tolerance means a different Euclidean accuracy under each
+Hermitian 2 x 2 matrix on (y, p) per frequency, so its inverse A~_k^{-1}
+has a closed form, applied as two (2P, 2P) products per frequency.  It is
+indefinite like A_k, and the eigenvalues of A_k A~_k^{-1} cluster around
++1, so every tolerance-driven solve runs GMRES right-preconditioned by it
+(Saad and Schultz 1986), which gains on that cluster at every step.  The
+paper's block-diagonal preconditioners, whose Schur complements contain
+M K^{-1} M or K M^{-1} K, divide by their symbol; they are positive
+definite and reproduce its fixed-step MinRes runs.  `build_precond_I/II`
+build either kind, and `minres` picks the solver that fits the
 preconditioner.
+
+GMRES stops on the Euclidean relative residual ||b - A x|| / ||b||,
+recomputed from its iterate; MinRes measures its residual in the norm of
+the preconditioner's inverse.
 """
 
 from __future__ import annotations
@@ -31,6 +35,12 @@ import numpy as np
 import scipy.fft as sfft
 
 from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_coefficients, mode_parts
+
+# Basis vectors GMRES keeps before it restarts from the true residual.  The
+# basis is its largest memory, at most 0.6 GB for a k > 0 mode at n=1024;
+# no solve measured so far (random data, lambda down to 1e-4) takes more
+# than 14 steps, so none restarts.
+GMRES_RESTART = 16
 
 
 @dataclass
@@ -48,7 +58,7 @@ class SolveStats:
 
 
 class SpectralPrecond:
-    """Symmetric positive definite preconditioner diagonal in the DST-I basis
+    """Symmetric preconditioner diagonal in the DST-I basis
     up to a (Q, Q) matrix per frequency, Q the stacked parts of the mode
     system in its unknown ordering.
 
@@ -78,14 +88,14 @@ class BlockDiagPrecond(SpectralPrecond):
         return coef / self.symbol
 
 
-class AbsPrecond(SpectralPrecond):
-    """|A~_k|^{-1} as the closed form ((t^2 + 2 q) I - t H) / (q s) per frequency.
+class SurrogateInversePrecond(SpectralPrecond):
+    """A~_k^{-1} as the closed form (H - t I) / q per frequency.
 
     H = coef_K mu_K + coef_M mu_M is the surrogate operator at a frequency
-    (see `_abs_precond`).  `coefs` stacks coef_K over coef_M, (2Q, Q), and
-    the planes are `diag` = (t^2 + 2 q) / (q s), (m, m), and `scales`
-    = t (mu_K, mu_M) / (q s), (2, 1, m, m): `apply` takes one (2Q, Q)
-    product of the sine coefficients and three planes.
+    (see `_surrogate_inverse`).  `coefs` stacks coef_K over coef_M, (2Q, Q),
+    and the planes are `diag` = -t / q, (m, m), and `scales` = -(mu_K, mu_M)
+    / q, (2, 1, m, m): `apply` takes one (2Q, Q) product of the sine
+    coefficients and three planes.
     """
 
     def __init__(self, coefs: np.ndarray, diag: np.ndarray, scales: np.ndarray):
@@ -130,16 +140,18 @@ def _blocks(state: np.ndarray, adjoint: np.ndarray, k: int) -> BlockDiagPrecond:
     return BlockDiagPrecond(np.stack([state] * parts + [adjoint] * parts))
 
 
-def _abs_precond(problem: str, mats: ModeMatrices, k: int, lam: float, omega: float) -> AbsPrecond:
-    """|A~_k|^{-1}, the inverse absolute value of the surrogate operator of mode k.
+def _surrogate_inverse(
+    problem: str, mats: ModeMatrices, k: int, lam: float, omega: float
+) -> SurrogateInversePrecond:
+    """A~_k^{-1}, the inverse of the surrogate operator of mode k.
 
     Per frequency A~_k is H = [[a, b], [conj(b), -c]] on (y, p) in complex
     form, with a = mu_M (problem I) or mu_K (problem II), c = mu_M / lam and
-    b = -nu mu_K - i k w sigma mu_M.  With t = a - c, q = a c + |b|^2 > 0 and
-    s = sqrt(t^2 + 4 q), the gap between the two eigenvalues of H,
-    |H|^{-1} = ((t^2 + 2 q) I - t H) / (q s).  The real form of H on the
-    cosine and sine parts is the mode operator's coefficient blocks with K
-    and M replaced by their symbols, and the formula holds for it unchanged.
+    b = -nu mu_K - i k w sigma mu_M.  With its trace t = a - c and
+    q = a c + |b|^2 > 0, minus its determinant, H^2 = t H + q I, so
+    H^{-1} = (H - t I) / q.  The real form of H on the cosine and sine
+    parts is the mode operator's coefficient blocks with K and M replaced by
+    their symbols, and the formula holds for it unchanged.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -153,22 +165,20 @@ def _abs_precond(problem: str, mats: ModeMatrices, k: int, lam: float, omega: fl
     a, c = H(0, 0), -H(-1, -1)
     # |b|^2 is the squared norm of the first row of the (y, p) block
     q = a * c + sum(H(0, j) ** 2 for j in range(parts, 2 * parts))
-    t = a - c
-    qs = q * np.sqrt(t * t + 4 * q)
-    scales = np.stack([t * mu_K, t * mu_M])[:, None] / qs
-    return AbsPrecond(np.concatenate([coef_K, coef_M]), (t * t + 2 * q) / qs, scales)
+    scales = np.stack([mu_K, mu_M])[:, None] / -q
+    return SurrogateInversePrecond(np.concatenate([coef_K, coef_M]), (c - a) / q, scales)
 
 
 def build_precond_I(
-    mats: ModeMatrices, k: int, lam: float, omega: float, absolute: bool = False
+    mats: ModeMatrices, k: int, lam: float, omega: float, surrogate_inverse: bool = False
 ) -> SpectralPrecond:
     """Problem I: the paper's diag(D_k, D_k, D_k/lam, D_k/lam) with
-    D_k = sqrt(lam) nu K + k w sqrt(lam) sigma M + M, or with `absolute`
-    the inverse absolute value |A~_k|^{-1} of the surrogate operator."""
+    D_k = sqrt(lam) nu K + k w sqrt(lam) sigma M + M, or with
+    `surrogate_inverse` the inverse A~_k^{-1} of the surrogate operator."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if absolute:
-        return _abs_precond("I", mats, k, lam, omega)
+    if surrogate_inverse:
+        return _surrogate_inverse("I", mats, k, lam, omega)
     mu_K, mu_M = _grid_symbols(mats)
     sq = np.sqrt(lam)
     D = sq * mats.nu * mu_K + (k * omega * sq * mats.sigma + 1.0) * mu_M
@@ -176,19 +186,24 @@ def build_precond_I(
 
 
 def build_precond_II(
-    mats: ModeMatrices, k: int, lam: float, omega: float, family: int = 0, absolute: bool = False
+    mats: ModeMatrices,
+    k: int,
+    lam: float,
+    omega: float,
+    family: int = 0,
+    surrogate_inverse: bool = False,
 ) -> SpectralPrecond:
     """Problem II: the paper's Schur-complement preconditioners (constant
-    sigma, nu), or with `absolute` the inverse absolute value |A~_k|^{-1}
-    of the surrogate operator, for which `family` is not read.
+    sigma, nu), or with `surrogate_inverse` the inverse A~_k^{-1} of the
+    surrogate operator, for which `family` is not read.
 
     family 0: diag(K, K, S_k, S_k), S_k = nu K + M/lam + (k w sigma)^2 M K^{-1} M
     family 1: diag(R_k, R_k, M/lam, M/lam), R_k = K + (k w sigma)^2 lam M + nu^2 lam K M^{-1} K
     """
     if family not in (0, 1):
         raise ValueError("family must be 0 or 1")
-    if absolute:
-        return _abs_precond("II", mats, k, lam, omega)
+    if surrogate_inverse:
+        return _surrogate_inverse("II", mats, k, lam, omega)
     mu_K, mu_M = _grid_symbols(mats)
     nu = mats.nu
     kws = k * omega * mats.sigma
@@ -206,21 +221,105 @@ def minres(
     maxiter: int = 200,
     fixed_iters: int | None = None,
 ) -> tuple[ModeSolution, SolveStats]:
-    """Preconditioned minimal residual iteration.
+    """Solve one mode system with the Krylov method that fits `precond`.
 
-    Stops when the residual in the preconditioner's norm, sqrt(r . P r) for
-    `precond.apply` = P, drops below tol times its initial value, after
-    maxiter steps, or after exactly `fixed_iters` steps when given.  Lanczos
-    breakdown with a nonconverged residual is reported in the stats.
-    `SolveStats.relative_residual` is that preconditioned ratio, so the
-    Euclidean ||b - A x|| / ||b|| reached at a given tol depends on the
-    preconditioner.
+    The surrogate inverse A~_k^{-1} is indefinite, so it preconditions
+    GMRES (`gmres_raw`), which stops when ||b - A x|| <= tol ||b||; the
+    paper's positive definite preconditioners, or none, precondition MinRes
+    (`minres_raw`), which stops on the residual in the preconditioner's
+    norm.  Both stop after maxiter steps, or take exactly `fixed_iters`
+    steps when given, and `SolveStats.relative_residual` is the ratio they
+    stop on.
     """
-    x, stats = minres_raw(
+    solve = gmres_raw if isinstance(precond, SurrogateInversePrecond) else minres_raw
+    x, stats = solve(
         system.matrix, system.rhs, precond, tol=tol, maxiter=maxiter, fixed_iters=fixed_iters
     )
     y, p = x.reshape(2, mode_parts(system.k), -1)
     return ModeSolution(system.k, y, p), stats
+
+
+def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None):
+    """Right-preconditioned GMRES with modified Gram-Schmidt and Givens rotations.
+
+    x = P u minimizes ||b - A x|| over the Krylov space of A P, with
+    P = `precond.apply`.  A cycle ends when the rotated residual estimate
+    drops below tol ||b|| or after GMRES_RESTART steps; x is then updated by
+    one product P (V y) and the next cycle restarts from the true residual
+    b - A x, until that meets tol, maxiter steps are spent or exactly
+    `fixed_iters` steps are taken.  An invariant Krylov space (h_{j+1,j} =
+    0) ends the solve; it is a breakdown only if the residual is not small.
+    """
+    start = time.perf_counter()
+    x = np.zeros(b.shape[0])
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x, SolveStats(0, 0.0, time.perf_counter() - start, True, residuals=[0.0])
+
+    limit = fixed_iters if fixed_iters is not None else maxiter
+    target = tol * bnorm
+    eps = np.finfo(float).eps
+    trace = [bnorm]
+    r, rnorm = b, bnorm
+    # scratch for the in-place vector updates, so no step allocates one
+    scaled = np.empty_like(x)
+    itn = 0
+    invariant = False
+    while itn < limit and not invariant:
+        basis = [r / rnorm]
+        # the Hessenberg matrix, reduced to upper triangular by the rotations
+        R = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        cs, sn = np.zeros(GMRES_RESTART), np.zeros(GMRES_RESTART)
+        g = np.zeros(GMRES_RESTART + 1)
+        g[0] = rnorm
+        j = 0
+        while j < GMRES_RESTART and itn < limit:
+            w = A @ precond.apply(basis[j])
+            wnorm = np.linalg.norm(w)
+            h = R[:, j]
+            for i, v in enumerate(basis):
+                h[i] = np.dot(v, w)
+                w -= np.multiply(v, h[i], out=scaled)
+            h[j + 1] = np.linalg.norm(w)
+            for i in range(j):
+                h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+            invariant = h[j + 1] <= eps * wnorm
+            rho = max(np.hypot(h[j], h[j + 1]), eps * wnorm)
+            cs[j], sn[j] = h[j] / rho, h[j + 1] / rho
+            next_norm = h[j + 1]
+            h[j], h[j + 1] = rho, 0.0
+            g[j + 1] = -sn[j] * g[j]
+            g[j] *= cs[j]
+            j += 1
+            itn += 1
+            trace.append(float(abs(g[j])))
+            if invariant or (fixed_iters is None and abs(g[j]) <= target):
+                break
+            if j < GMRES_RESTART and itn < limit:
+                w /= next_norm
+                basis.append(w)
+        coef = np.linalg.solve(R[:j, :j], g[:j])
+        z = basis[0]
+        z *= coef[0]
+        for i in range(1, j):
+            z += np.multiply(basis[i], coef[i], out=scaled)
+        x += precond.apply(z)
+        r = b - A @ x
+        rnorm = float(np.linalg.norm(r))
+        if fixed_iters is None and rnorm <= target:
+            break
+
+    relres = rnorm / bnorm
+    breakdown = bool(invariant and relres > tol)
+    converged = relres <= tol or (fixed_iters is not None and itn == fixed_iters)
+    return x, SolveStats(
+        iterations=itn,
+        relative_residual=relres,
+        wall_time=time.perf_counter() - start,
+        converged=bool(converged and not breakdown),
+        breakdown=breakdown,
+        residuals=trace,
+    )
 
 
 def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None):
@@ -296,13 +395,13 @@ def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None):
             breakdown = abs(phibar) > tol * beta1
             break
 
-    relres = abs(phibar) / beta1
+    relres = float(abs(phibar) / beta1)
     converged = relres <= tol or (fixed_iters is not None and itn == fixed_iters)
     return x, SolveStats(
         iterations=itn,
         relative_residual=relres,
         wall_time=time.perf_counter() - start,
-        converged=converged and not breakdown,
-        breakdown=breakdown,
+        converged=bool(converged and not breakdown),
+        breakdown=bool(breakdown),
         residuals=trace,
     )

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mhbounds import fluxrecon, mesh as meshmod, oracle
 from mhbounds.bounds import (
@@ -310,16 +310,18 @@ def _case_grid(ident, n):
     return case, ctx, build_matrices(ctx), CaseBind(case, ctx)
 
 
-def _stopped_bounds(ident, n, k, steps, absolute=False):
-    """Bounds of mode k after exactly `steps` MinRes steps from zero, with J*.
+def _stopped_bounds(ident, n, k, steps, surrogate_inverse=False):
+    """Bounds of mode k after exactly `steps` Krylov steps from zero, with J*.
 
-    The steps are preconditioned by the paper's block-diagonal
-    preconditioner, or with `absolute` by the solver's |A~_k|^{-1}.
+    The steps are MinRes preconditioned by the paper's block-diagonal
+    preconditioner, or with `surrogate_inverse` the solver's GMRES
+    preconditioned by A~_k^{-1}.
     """
     case, ctx, mats, bind = _case_grid(ident, n)
     system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
     build = build_precond_I if case.problem == "I" else build_precond_II
-    sol, _ = minres(system, build(mats, k, case.lam, case.omega, absolute=absolute), fixed_iters=steps)
+    precond = build(mats, k, case.lam, case.omega, surrogate_inverse=surrogate_inverse)
+    sol, _ = minres(system, precond, fixed_iters=steps)
     mb = evaluate_mode(case.problem, ctx, mats, _params(case.lam, case.omega), sol,
                        bind.mode_data(k))
     return mb, bind.reference_cost(k)
@@ -332,10 +334,10 @@ def _stopped_bounds(ident, n, k, steps, absolute=False):
     n=st.integers(2, 32),
     k=st.integers(0, 4),
     steps=st.integers(0, 8),
-    absolute=st.booleans(),
+    surrogate_inverse=st.booleans(),
 )
-def test_sandwich_any_iterate_problem_I(ident, n, k, steps, absolute):
-    mb, exact = _stopped_bounds(ident, n, k, steps, absolute)
+def test_sandwich_any_iterate_problem_I(ident, n, k, steps, surrogate_inverse):
+    mb, exact = _stopped_bounds(ident, n, k, steps, surrogate_inverse)
     assert mb.minorant <= exact <= mb.majorant
 
 
@@ -344,11 +346,15 @@ def test_sandwich_any_iterate_problem_I(ident, n, k, steps, absolute):
     ident=st.sampled_from([4, 5]),
     n=st.integers(2, 32),
     k=st.integers(0, 4),
-    steps=st.integers(0, 8).filter(lambda s: s != 1),
-    absolute=st.booleans(),
+    steps=st.integers(0, 8),
+    surrogate_inverse=st.booleans(),
 )
-def test_sandwich_any_iterate_problem_II(ident, n, k, steps, absolute):
-    mb, exact = _stopped_bounds(ident, n, k, steps, absolute)
+# the configuration of the known defect below, after one GMRES step
+@example(ident=4, n=32, k=0, steps=1, surrogate_inverse=True)
+def test_sandwich_any_iterate_problem_II(ident, n, k, steps, surrogate_inverse):
+    # one step of the paper's MinRes is the known defect below
+    assume(surrogate_inverse or steps != 1)
+    mb, exact = _stopped_bounds(ident, n, k, steps, surrogate_inverse)
     assert mb.minorant <= exact <= mb.majorant
 
 

@@ -5,13 +5,15 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from mhbounds import mesh as meshmod
-from mhbounds.bench import ExperimentConfig, run
+from mhbounds import saddlesolve
+from mhbounds.bench import ExperimentConfig, _Solver, run
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import (
     _grid_symbols,
     build_precond_I,
     build_precond_II,
+    gmres_raw,
     minres,
     minres_raw,
 )
@@ -91,8 +93,6 @@ def test_precond_positive_definite(ctx8, rng):
         build_precond_I(mats, 2, LAM, OMEGA),
         build_precond_II(mats, 2, LAM, OMEGA, family=0),
         build_precond_II(mats, 2, LAM, OMEGA, family=1),
-        build_precond_I(mats, 2, LAM, OMEGA, absolute=True),
-        build_precond_II(mats, 2, LAM, OMEGA, absolute=True),
     ):
         for _ in range(100):
             v = rng.standard_normal(P.dim)
@@ -229,7 +229,7 @@ def test_precond_apply_inverts_matvec(ctx8, rng, k):
 @pytest.mark.parametrize("problem", ["I", "II"])
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_abs_precond_is_inverse_absolute_value(n, problem, k):
-    # |A~_k|^{-1} against the eigendecomposition of the surrogate operator
+    # the surrogate inverse against the dense surrogate operator
     # K (x) coef_K + M~ (x) coef_M, at random lambda, omega, sigma and nu
     rng = np.random.default_rng([n, k, len(problem)])
     lam, omega = 10 ** rng.uniform(-3, 1), rng.uniform(0.3, 5.0)
@@ -238,21 +238,106 @@ def test_abs_precond_is_inverse_absolute_value(n, problem, k):
     mu_K, mu_M = _grid_symbols(mats)
     coef_K, coef_M = mode_coefficients(problem, mats, k, lam, omega)
     A = np.kron(coef_K, S @ np.diag(mu_K.ravel()) @ S) + np.kron(coef_M, S @ np.diag(mu_M.ravel()) @ S)
-    theta, V = np.linalg.eigh(A)
-    expect = (V / np.abs(theta)) @ V.T
     build = build_precond_I if problem == "I" else build_precond_II
-    G = _dense_apply(build(mats, k, lam, omega, absolute=True))
+    G = _dense_apply(build(mats, k, lam, omega, surrogate_inverse=True))
+    assert np.abs(G @ A - np.eye(len(A))).max() <= 1e-12
+    expect = np.linalg.inv(A)
     assert np.abs(G - expect).max() <= 1e-12 * np.abs(expect).max()
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
-    assert np.linalg.eigvalsh(G).min() > 0
 
 
 def test_abs_precond_robust_at_small_lambda():
-    # example 3 (lambda = 0.01) at n=64, k=1 took 22 steps with the paper's
-    # block-diagonal preconditioner
+    # example 3 (lambda = 0.01) at n=64, k=1 took 22 steps of MinRes with
+    # the paper's block-diagonal preconditioner and 8 with |A~_k|^{-1}
     rep = run(ExperimentConfig(example=3, grid=64, modes=(1,), reference="none"))
     stats = rep.mode_reports[1].stats
-    assert stats.converged and stats.iterations <= 10
+    assert stats.converged and stats.iterations <= 4
+
+
+@pytest.mark.parametrize("example", [1, 3, 4])
+@pytest.mark.parametrize("k", [0, 1])
+def test_converged_solve_reports_euclidean_residual(example, k):
+    # ||b - A x|| / ||b|| recomputed with the mode stencil from the solution
+    tol = 1e-10
+    solver = _Solver(make_case(example), 32, ExperimentConfig(example=example, grid=32, tol=tol))
+    sol, stats = solver.solve_mode(k)
+    case = solver.case
+    system = build_mode_system(case.problem, solver.mats, k, case.lam, case.omega, solver.bind.rhs(k))
+    x = np.concatenate([sol.y, sol.p]).ravel()
+    ratio = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
+    assert stats.converged and ratio <= 2 * tol
+    assert abs(ratio - stats.relative_residual) <= 1e-3 * ratio
+
+
+class _DensePrecond:
+    def __init__(self, P):
+        self.P = P
+
+    def apply(self, r):
+        return self.P @ r
+
+
+def _nonsymmetric_system(n=40):
+    rng = np.random.default_rng(7)
+    A = np.diag(np.linspace(1.0, 4.0, n)) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    # a perturbed inverse, so the preconditioned operator is near the identity
+    P = np.linalg.inv(A + 0.05 * rng.standard_normal((n, n)) / np.sqrt(n))
+    return A, _DensePrecond(P), rng.standard_normal(n)
+
+
+def test_gmres_solves_nonsymmetric_system():
+    A, P, b = _nonsymmetric_system()
+    x, stats = gmres_raw(A, b, P, tol=1e-10, maxiter=50)
+    relres = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert stats.converged and not stats.breakdown
+    assert relres <= 1e-10
+    assert stats.relative_residual == pytest.approx(relres, rel=1e-9)
+    assert stats.monotone()
+    assert len(stats.residuals) == stats.iterations + 1
+
+
+def test_gmres_restarted_reaches_same_solution(monkeypatch):
+    A, P, b = _nonsymmetric_system()
+    x, stats = gmres_raw(A, b, P, tol=1e-12, maxiter=50)
+    monkeypatch.setattr(saddlesolve, "GMRES_RESTART", 2)
+    x2, stats2 = gmres_raw(A, b, P, tol=1e-12, maxiter=50)
+    assert stats.converged and stats2.converged
+    assert stats2.iterations >= stats.iterations
+    assert np.linalg.norm(x2 - x) <= 1e-9 * np.linalg.norm(x)
+
+
+def test_gmres_fixed_steps():
+    A, P, b = _nonsymmetric_system()
+    x, stats = gmres_raw(A, b, P, tol=1e-10, fixed_iters=0)
+    assert stats.iterations == 0 and np.abs(x).max() == 0.0
+    assert stats.relative_residual == 1.0
+    for steps in (1, 3):
+        x, stats = gmres_raw(A, b, P, tol=1e-10, fixed_iters=steps)
+        assert stats.iterations == steps and stats.converged
+        relres = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        assert stats.relative_residual == pytest.approx(relres, rel=1e-12)
+
+
+def test_gmres_invariant_subspace_is_convergence():
+    # rhs inside a two-dimensional invariant subspace of A P = D
+    D = np.diag([1.0, 2.0, 3.0, 4.0])
+    b = np.array([0.0, 1.0, 1.0, 0.0])
+    x, stats = gmres_raw(D, b, _DensePrecond(np.eye(4)), tol=1e-14, maxiter=10)
+    assert stats.iterations == 2
+    assert stats.converged and not stats.breakdown
+    assert np.abs(x - [0.0, 0.5, 1.0 / 3.0, 0.0]).max() <= 1e-14
+
+
+def test_stats_flags_are_python_bools(ctx8, rng):
+    mats = build_matrices(ctx8)
+    n = ctx8.K.shape[0]
+    sysk = build_mode_system("I", mats, 1, LAM, OMEGA, rng.standard_normal((2, n)))
+    for surrogate_inverse in (True, False):
+        P = build_precond_I(mats, 1, LAM, OMEGA, surrogate_inverse=surrogate_inverse)
+        for kwargs in (dict(tol=1e-10), dict(maxiter=1), dict(fixed_iters=2)):
+            _, stats = minres(sysk, P, **kwargs)
+            assert type(stats.converged) is bool and type(stats.breakdown) is bool
+            assert type(stats.relative_residual) is float
 
 
 def test_precond_II_family1_mode0_converges(rng):
