@@ -14,6 +14,7 @@ import argparse
 import csv
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import mesh as meshmod
-from . import oracle
 from .bounds import (
     BoundParams,
     ModeBounds,
@@ -226,19 +226,12 @@ def _fine_error_norms(fine_ctx: FemContext, fine_sol, coarse_ctx: FemContext, so
 
 
 def _overall_reference(case: ExampleCase) -> float:
-    """Exact total cost of an analytic case by time quadrature."""
-    lam, omega = case.lam, case.omega
-    if case.problem == "I":
-        mis = oracle.time_norm2(
-            lambda t: case.exact_y_time(t) - case.time_factor(t), omega
-        ) * 0.25
-    else:
-        mis = oracle.time_norm2(
-            lambda t: case.exact_y_time(t) - case.time_factor(t) * case.data_scale,
-            omega,
-        ) * (case.eigen_kappa * 0.25)
-    energy = oracle.time_norm2(case.exact_u_time, omega) * 0.25
-    return 0.5 * mis + 0.5 * lam * energy
+    """Exact total cost of an analytic case, by the time quadrature of the
+    case's samples."""
+    y, u = case._exact_samples
+    scale, misfit_norm2 = (1.0, 0.25) if case.problem == "I" else (case.data_scale, case.eigen_kappa * 0.25)
+    misfit = replace(y, values=y.values - scale * case._time_samples.values)
+    return 0.5 * misfit.norm2() * misfit_norm2 + 0.5 * case.lam * u.norm2() * 0.25
 
 
 def run(config: ExperimentConfig) -> BoundsReport:
@@ -257,6 +250,14 @@ def run(config: ExperimentConfig) -> BoundsReport:
             reports = {r.k: r for r in pool.map(solver.run_mode, needed)}
     else:
         reports = {k: solver.run_mode(k) for k in needed}
+    for k, rep in reports.items():
+        if not rep.stats.converged:
+            outcome = "broke down" if rep.stats.breakdown else "did not converge"
+            warnings.warn(
+                f"example {config.example}, grid {config.grid}, mode k={k}: the solve {outcome} "
+                f"(relative residual {rep.stats.relative_residual:.3e})",
+                RuntimeWarning, stacklevel=2,
+            )
 
     report = BoundsReport(
         config=config, problem=case.problem, params=params, mode_reports=reports
@@ -391,18 +392,6 @@ def write_csv(report_or_rows, path) -> None:
         writer.writerow(COLUMNS)
         for row in rows:
             writer.writerow([row.label] + [repr(float(v)) for v in row.as_list()[1:]])
-
-
-def read_csv(path) -> list[TableRow]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != COLUMNS:
-            raise ValueError(f"unexpected table header {header}")
-        return [
-            TableRow(rec[0], *[float(v) for v in rec[1:]])
-            for rec in reader
-        ]
 
 
 def write_markdown(report: BoundsReport, path) -> None:

@@ -19,28 +19,30 @@ from .femcore import FemContext
 from .mesh import CLASS_CORNERS
 from .systems import ModeMatrices, ModeSolution, quarter_turn
 
-UNIT_SQUARE_FRIEDRICHS = 1.0 / (np.sqrt(2.0) * np.pi)
+# Friedrichs constant of the unit square, ||v|| <= C_F ||grad v|| on H^1_0
+C_FRIEDRICHS = 1.0 / (np.sqrt(2.0) * np.pi)
+# weight (1 + ALPHA_TAIL) / 2 of the truncation remainder in the overall
+# majorant; its infimum is the limit ALPHA_TAIL -> 0
+ALPHA_TAIL = 1e-8
+# the optimized majorant parameters are clipped to [ALPHA_FLOOR, ALPHA_CAP]
+# and [ALPHA_FLOOR, BETA_CAP], so degenerate residuals stay finite
+ALPHA_FLOOR = 1e-8
+ALPHA_CAP = 1e8
+BETA_CAP = 1e8
 
 
 @dataclass
 class BoundParams:
-    """Constants entering the bound formulas.
+    """Problem constants entering the bound formulas.
 
     mu1 = min(nu, sigma)/sqrt(2); gamma = (1+a)(1+b) C_F^2 / (2 a mu1^2) > 0
-    for all positive parameter pairs.  alpha_tail weights the truncation
-    remainder in the overall majorant (its infimum is the limit
-    alpha_tail -> 0).
+    for all positive parameter pairs.
     """
 
     lam: float
     omega: float
     sigma: float = 1.0
     nu: float = 1.0
-    c_friedrichs: float = UNIT_SQUARE_FRIEDRICHS
-    alpha_tail: float = 1e-8
-    alpha_floor: float = 1e-8
-    alpha_cap: float = 1e8
-    beta_cap: float = 1e8
 
     @property
     def mu1(self) -> float:
@@ -51,7 +53,7 @@ class BoundParams:
         return 2.0 * np.pi / self.omega
 
     def gamma(self, alpha: float, beta: float) -> float:
-        return (1 + alpha) * (1 + beta) * self.c_friedrichs**2 / (2 * alpha * self.mu1**2)
+        return (1 + alpha) * (1 + beta) * C_FRIEDRICHS**2 / (2 * alpha * self.mu1**2)
 
 
 def majorant_form(A: float, B: float, C: float, alpha: float, beta: float,
@@ -61,8 +63,7 @@ def majorant_form(A: float, B: float, C: float, alpha: float, beta: float,
     A = squared data misfit, B = flux residual norm, C = equation residual
     norm, P = the control-energy term (parameter independent).
     """
-    cf = params.c_friedrichs
-    return (1 + alpha) / 2 * A + P + params.gamma(alpha, beta) * (B**2 + cf**2 / beta * C**2)
+    return (1 + alpha) / 2 * A + P + params.gamma(alpha, beta) * (B**2 + C_FRIEDRICHS**2 / beta * C**2)
 
 
 def optimize_majorant_params(A: float, B: float, C: float, params: BoundParams) -> tuple[float, float]:
@@ -70,23 +71,23 @@ def optimize_majorant_params(A: float, B: float, C: float, params: BoundParams) 
 
     beta* = C_F C / B makes the weighted residual combination collapse to
     (B + C_F C)^2; alpha* = sqrt(2 H / A) balances the misfit against the
-    residual term H.  Degenerate inputs are clipped to the configured
-    floor/cap so the evaluation stays finite.
+    residual term H.  Degenerate inputs are clipped to ALPHA_FLOOR and the
+    caps so the evaluation stays finite.
     """
-    cf = params.c_friedrichs
+    cf = C_FRIEDRICHS
     if B > 0 and C > 0:
         beta = cf * C / B
     else:
-        beta = params.beta_cap if B == 0 else params.alpha_floor
-    beta = float(np.clip(beta, params.alpha_floor, params.beta_cap))
+        beta = BETA_CAP if B == 0 else ALPHA_FLOOR
+    beta = float(np.clip(beta, ALPHA_FLOOR, BETA_CAP))
     H = cf**2 * (B + cf * C) ** 2 / (2 * params.mu1**2)
     if A > 0 and H > 0:
         alpha = np.sqrt(2 * H / A)
     elif H == 0:
-        alpha = params.alpha_floor
+        alpha = ALPHA_FLOOR
     else:
-        alpha = params.alpha_cap
-    alpha = float(np.clip(alpha, params.alpha_floor, params.alpha_cap))
+        alpha = ALPHA_CAP
+    alpha = float(np.clip(alpha, ALPHA_FLOOR, ALPHA_CAP))
     return alpha, beta
 
 
@@ -142,10 +143,6 @@ class ModeBounds:
     mixed: float
     m1: float
     m1_extra: float
-
-    @property
-    def m_plain(self) -> float:
-        return self.majorant - self.minorant
 
 
 def _p1_norm2(ctx: FemContext, grid: np.ndarray, shift=None, vert=None) -> float:
@@ -245,7 +242,7 @@ def evaluate_mode(
     k = sol.k
     lam = params.lam
     nu, sigma = params.nu, params.sigma
-    cf, mu1 = params.c_friedrichs, params.mu1
+    cf, mu1 = C_FRIEDRICHS, params.mu1
 
     mesh = ctx.mesh
     ys, ps = sol.y, sol.p
@@ -338,16 +335,12 @@ class OverallBounds:
     n_modes: int
     remainder: float
 
-    @property
-    def gap(self) -> float:
-        return self.majorant - self.minorant
-
 
 def aggregate(mode_bounds: list[ModeBounds], params: BoundParams, remainder: float) -> OverallBounds:
     """Combine mode bounds: T * mode0 + (T/2) * sum of the higher modes.
 
     The remainder enters the minorant with weight 1/2 and the majorant with
-    (1 + alpha_tail)/2; the error majorant aggregates without a remainder.
+    (1 + ALPHA_TAIL)/2; the error majorant aggregates without a remainder.
     """
     by_k = sorted(mode_bounds, key=lambda b: b.k)
     if not by_k or by_k[0].k != 0:
@@ -358,7 +351,7 @@ def aggregate(mode_bounds: list[ModeBounds], params: BoundParams, remainder: flo
     upper = (
         T * b0.majorant
         + 0.5 * T * sum(b.majorant for b in rest)
-        + 0.5 * (1 + params.alpha_tail) * remainder
+        + 0.5 * (1 + ALPHA_TAIL) * remainder
     )
     m1 = T * b0.m1 + 0.5 * T * sum(b.m1 for b in rest)
     m1_extra = T * b0.m1_extra + 0.5 * T * sum(b.m1_extra for b in rest)
@@ -374,7 +367,7 @@ def combined_norm_weights(problem: str, params: BoundParams, k: int) -> tuple[fl
 
     The squared mode error norm is w_l2 ||e_k||^2 + w_h1 ||grad e_k||^2.
     """
-    c = params.lam * params.mu1**2 / (2 * params.c_friedrichs**2)
+    c = params.lam * params.mu1**2 / (2 * C_FRIEDRICHS**2)
     if problem == "I":
         return (0.5 + k * params.omega * c, c) if k > 0 else (0.5, c)
     return (k * params.omega * c, 0.5 + c) if k > 0 else (0.0, 0.5 + c)

@@ -15,13 +15,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import fluxrecon, oracle
+from . import fluxrecon
 from .bounds import ModeData
 from .femcore import FemContext
 from .systems import mode_parts
-from .timefourier import (
-    RemainderTerm, SampledSignal, TimeSignalCoeffs, remainder_from_tail, remainder_parseval, sample_periodic,
-)
+from .timefourier import RemainderTerm, SampledSignal, remainder_parseval, sample_periodic
 
 PI = np.pi
 PI2 = PI * PI
@@ -128,12 +126,6 @@ class ExampleCase:
         """The time factor over one period, sampled once per case."""
         return sample_periodic(self.time_factor, self.omega, panels=256, order=12)
 
-    def time_coeffs(self, k_max: int) -> TimeSignalCoeffs:
-        if self.analytic_modes:
-            cos = np.array([box_mode_coefficient(k) for k in range(1, k_max + 1)])
-            return TimeSignalCoeffs(omega=self.omega, c0=0.5, cos=cos, sin=np.zeros(k_max))
-        return self._time_samples.table(k_max)
-
     def mode_pair(self, k: int) -> tuple[float, float]:
         """(cosine, sine) coefficients of mode k of the time factor alone."""
         if self.analytic_modes:
@@ -148,10 +140,9 @@ class ExampleCase:
             partial = float(np.sum(1.0 / ks[ks % 2 == 1] ** 2))
             tail = (4.0 / PI2) * (PI2 / 8.0 - partial)
             value = 0.5 * self.period * tail * self.spatial_norm2
-            return remainder_from_tail(value, n_modes)
-        tn2 = oracle.time_norm2(self.time_factor, self.omega, panels=512, order=12)
-        coeffs = self.time_coeffs(n_modes)
-        return remainder_parseval(tn2, coeffs, n_modes, self.spatial_norm2)
+            return RemainderTerm(value=float(value))
+        samples = self._time_samples
+        return remainder_parseval(samples.norm2(), samples.table(n_modes), n_modes, self.spatial_norm2)
 
     @property
     def has_analytic_reference(self) -> bool:

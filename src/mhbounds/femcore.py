@@ -9,10 +9,8 @@ piecewise-quadratic integrands appearing in the bound evaluation are
 integrated exactly).
 
 Homogeneous Dirichlet conditions are imposed by restriction to interior
-nodes; `load(full=True)` keeps all nodes for pre-elimination checks.
-Nothing here reads the mesh's index arrays: every per-triangle array is
-laid out by the cell numbering, and every coordinate is a cell origin plus
-a point of the class triangle.
+nodes.  Every per-triangle array is laid out by the cell numbering, and
+every coordinate is a cell origin plus a point of the class triangle.
 
 Per-triangle arrays come in two layouts.  Quadrature-point samples follow
 the triangle numbering, (..., T, Q).  The bound evaluation holds its
@@ -222,11 +220,10 @@ class FemContext:
         out /= h
         return out
 
-    def _node_sums(self, contrib: np.ndarray, full: bool) -> np.ndarray:
-        """Sum per-triangle vertex contributions (T, 3) onto the nodes."""
+    def _node_sums(self, contrib: np.ndarray) -> np.ndarray:
+        """Sum per-triangle vertex contributions (T, 3) onto the interior nodes."""
         n = self.mesh.n
-        grid = add_cell_corners(contrib.reshape(n, n, 2, 3), n)
-        return grid.ravel() if full else grid[1:-1, 1:-1].ravel()
+        return add_cell_corners(contrib.reshape(n, n, 2, 3), n)[1:-1, 1:-1].ravel()
 
     # -- data at the quadrature points -----------------------------------------
 
@@ -292,7 +289,7 @@ class FemContext:
             for plane, part in zip(planes, parts):
                 plane[..., rows, :] = part
             rest += float(part_rest)
-        return self._node_sums(terms.reshape(-1, 3), False), planes, rest
+        return self._node_sums(terms.reshape(-1, 3)), planes, rest
 
     def _row_samples(self, f: Callable, vector: bool = False):
         """(rows, samples of f) for each block of SAMPLE_ROWS cell rows, in order."""
@@ -345,10 +342,10 @@ class FemContext:
 
     # -- load vectors ----------------------------------------------------------
 
-    def load(self, f: Callable, full: bool = False) -> np.ndarray:
+    def load(self, f: Callable) -> np.ndarray:
         """Load vector (f, phi_i) by quadrature, sampling SAMPLE_ROWS cell rows at a time."""
         terms = [self.load_terms(values) for _, values in self._row_samples(f)]
-        return self._node_sums(np.concatenate(terms), full)
+        return self._node_sums(np.concatenate(terms))
 
     def load_terms(self, values_qp: np.ndarray) -> np.ndarray:
         """Per-triangle load terms (f, lambda_i)_T of samples (T, Q), (T, 3)."""

@@ -6,11 +6,9 @@ the mesh's global edge normal).  The normal component is single-valued
 across interior edges by construction, the field is linear per triangle,
 and its divergence is constant per triangle.
 
-Two storage layouts carry the same degrees of freedom.  `RTFlux` holds them
-as one array in the mesh's edge numbering and reaches the triangles by index
-gathers; it reads the mesh's index arrays and serves as the tests' reference.  `GridFlux` holds them on three planes, one per edge kind of the
-uniform mesh, and every per-mode operation on it (averaging, the boundary
-divergence match, the per-triangle form) is a sum of plane slices.
+`GridFlux` holds the degrees of freedom on three planes, one per edge kind
+of the uniform mesh, and every per-mode operation on it (averaging, the
+boundary divergence match, the per-triangle form) is a sum of plane slices.
 """
 
 from __future__ import annotations
@@ -19,67 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .femcore import FemContext, per_class
+from .femcore import FemContext
 from .mesh import CLASS_EDGE_SIGN
-
-
-@dataclass
-class RTFlux:
-    """Raviart-Thomas field of lowest order on a UniformMesh.
-
-    coeffs[e] = integral over edge e of (flux . global_normal_e).
-    """
-
-    mesh: object
-    coeffs: np.ndarray
-
-    def __add__(self, other: "RTFlux") -> "RTFlux":
-        return RTFlux(self.mesh, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "RTFlux") -> "RTFlux":
-        return RTFlux(self.mesh, self.coeffs - other.coeffs)
-
-    def __mul__(self, s: float) -> "RTFlux":
-        return RTFlux(self.mesh, s * self.coeffs)
-
-    __rmul__ = __mul__
-
-
-def reconstruct_p0(mesh, field: np.ndarray) -> RTFlux:
-    """Edge-average per-triangle constant vector fields, (..., T, 2) -> RTFlux.
-
-    Interior edges take the arithmetic mean of the two one-sided normal
-    traces; boundary edges the single trace.  Leading axes stack fields.
-    """
-    t0 = mesh.edge_tris[:, 0]
-    t1 = np.where(mesh.edge_tris[:, 1] >= 0, mesh.edge_tris[:, 1], t0)
-    nx, ny = mesh.edge_normal.T
-
-    def trace(tris):
-        side = np.take(field, tris, axis=-2)
-        return side[..., 0] * nx + side[..., 1] * ny
-
-    return RTFlux(mesh, 0.5 * (trace(t0) + trace(t1)) * mesh.edge_length)
-
-
-def reconstruct_from_callable(mesh, g) -> RTFlux:
-    """Edge degrees of freedom of continuous vector data, by midpoint value."""
-    mid = 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
-    gx, gy = g(mid[:, 0], mid[:, 1])
-    normal_flux = gx * mesh.edge_normal[:, 0] + gy * mesh.edge_normal[:, 1]
-    return RTFlux(mesh, normal_flux * mesh.edge_length)
-
-
-def affine_form(ctx: FemContext, flux: RTFlux) -> tuple[np.ndarray, np.ndarray]:
-    """Centroid values (..., T, 2) and divergences (..., T) of RT0 fields.
-
-    Inside each triangle an RT0 field is tau(x) = tau(c) + div/2 (x - c),
-    so the pair determines it exactly.
-    """
-    mesh = flux.mesh
-    outward = np.take(flux.coeffs, mesh.tri_edges, axis=-1) * mesh.tri_edge_sign
-    form = per_class(outward, ctx.class_rt0_form)
-    return form[..., :2], form[..., 2]
 
 
 @dataclass
@@ -90,7 +29,7 @@ class GridFlux:
     horiz[..., r, c], (..., n+1, n): edge (r, c)-(r, c+1), normal (0, -1);
     vert[..., r, c], (..., n, n+1): edge (r, c)-(r+1, c), normal (1, 0);
     diag[..., r, c], (..., n, n): edge (r, c)-(r+1, c+1), normal (1, -1)/sqrt(2).
-    Each entry is the `RTFlux` coefficient of the same edge.
+    Each entry is the integral of the normal component over the edge.
     """
 
     horiz: np.ndarray
@@ -116,8 +55,8 @@ def grid_average(mesh, field: np.ndarray) -> GridFlux:
     """Edge-average per-triangle constant vector fields, given as class planes
     (..., 2, 2, n, n) (class, then component), -> GridFlux.
 
-    The sliced form of `reconstruct_p0`: interior edges take the mean of
-    the two one-sided normal traces, boundary edges the single trace.
+    Interior edges take the mean of the two one-sided normal traces,
+    boundary edges the single trace.
     """
     n, h = mesh.n, mesh.h
     lead = field.shape[:-4]
@@ -139,8 +78,7 @@ def grid_average(mesh, field: np.ndarray) -> GridFlux:
 
 
 def grid_from_callable(mesh, g) -> GridFlux:
-    """Edge degrees of freedom of continuous vector data by midpoint value,
-    the sliced form of `reconstruct_from_callable`."""
+    """Edge degrees of freedom of continuous vector data, by midpoint value."""
     n, h = mesh.n, mesh.h
     line = np.arange(n + 1) * h
     mid = 0.5 * (line[:-1] + line[1:])
@@ -186,7 +124,11 @@ def grid_match_boundary_divergence(mesh, flux: GridFlux, target_div: np.ndarray)
 
 def grid_affine_form(ctx: FemContext, flux: GridFlux) -> tuple[np.ndarray, np.ndarray]:
     """Centroid values (..., 2, 2, n, n) and divergences (..., 2, n, n) of RT0
-    fields, as class planes: the sliced form of `affine_form`."""
+    fields, as class planes.
+
+    Inside each triangle an RT0 field is tau(x) = tau(c) + div/2 (x - c),
+    so the pair determines it exactly.
+    """
     diag = flux.diag
     lead, n = diag.shape[:-2], diag.shape[-1]
     form = CLASS_EDGE_SIGN[:, :, None] * ctx.class_rt0_form  # per unit global flux

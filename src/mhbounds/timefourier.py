@@ -1,15 +1,14 @@
 """Fourier machinery in the time direction.
 
-Coefficient extraction of periodic signals, the quarter-turn operator that
-represents the half time derivative in symmetric weak forms, the weighted
-inner products built from mode sums, truncation remainders, and the
-assembly of space-time quantities from per-mode values.
+Coefficient extraction of periodic signals sampled once at the nodes of a
+composite Gauss rule, norms over one period from the same samples, and the
+truncation remainder of a Fourier series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,12 +32,6 @@ class TimeSignalCoeffs:
     @property
     def k_max(self) -> int:
         return len(self.cos)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        k = np.arange(1, self.k_max + 1)
-        phases = np.multiply.outer(t, k) * self.omega
-        return self.c0 + np.cos(phases) @ self.cos + np.sin(phases) @ self.sin
 
     def mode(self, k: int) -> tuple[float, float]:
         """(cosine, sine) pair of mode k; mode 0 returns (c0, 0)."""
@@ -103,6 +96,10 @@ class SampledSignal:
         c0, cos, sin = self._sums(np.arange(k, k + 1) if k else np.arange(0))
         return (c0, 0.0) if k == 0 else (float(cos[0]), float(sin[0]))
 
+    def norm2(self) -> float:
+        """Integral of the squared signal over one period."""
+        return float(np.dot(self.weights, self.values**2))
+
 
 def sample_periodic(u: Callable, omega: float, panels: int = 64, order: int = 8) -> SampledSignal:
     """Samples of u over one period at the nodes of `gauss_panels`."""
@@ -110,81 +107,19 @@ def sample_periodic(u: Callable, omega: float, panels: int = 64, order: int = 8)
     return SampledSignal(omega=omega, nodes=t, weights=w, values=u(t))
 
 
-def fourier_coeffs(
-    u: Callable,
-    omega: float,
-    k_max: int,
-    panels: int = 64,
-    order: int = 8,
-) -> TimeSignalCoeffs:
-    """Fourier coefficients of u over one period by composite quadrature.
-
-    Exact (to ~1e-12) for band-limited u; the default 64x8 points resolve
-    the analytic-in-time data of the benchmark examples.
-
-    Raises:
-        ValueError: if k_max < 0.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    return sample_periodic(u, omega, panels, order).table(k_max)
-
-
-def perp(u: TimeSignalCoeffs) -> TimeSignalCoeffs:
-    """Quarter-turn of the zero-mean part: mode k maps (c, s) -> (s, -c)."""
-    return TimeSignalCoeffs(omega=u.omega, c0=0.0, cos=u.sin.copy(), sin=-u.cos.copy())
-
-
-def dt(u: TimeSignalCoeffs) -> TimeSignalCoeffs:
-    """Time derivative: mode k maps (c, s) -> (k w s, -k w c)."""
-    k = np.arange(1, u.k_max + 1)
-    return TimeSignalCoeffs(
-        omega=u.omega, c0=0.0, cos=k * u.omega * u.sin, sin=-k * u.omega * u.cos
-    )
-
-
-def inner_l2(u: TimeSignalCoeffs, v: TimeSignalCoeffs, weight: float = 1.0) -> float:
-    """L2(0,T) inner product from mode sums (spatial part scalar)."""
-    period = u.period
-    return weight * period * (
-        u.c0 * v.c0 + 0.5 * (np.dot(u.cos, v.cos) + np.dot(u.sin, v.sin))
-    )
-
-
-def inner_half_deriv(u: TimeSignalCoeffs, v: TimeSignalCoeffs, weight: float = 1.0) -> float:
-    """Half-derivative inner product (T/2) sum_k k w <u_k, v_k>."""
-    k = np.arange(1, u.k_max + 1)
-    period = u.period
-    return weight * 0.5 * period * float(
-        np.sum(k * u.omega * (u.cos * v.cos + u.sin * v.sin))
-    )
-
-
-def parseval_norm2(u: TimeSignalCoeffs) -> float:
-    """(1/T) * integral of u^2 over one period, from the coefficients."""
-    return u.c0**2 + 0.5 * float(np.sum(u.cos**2 + u.sin**2))
-
-
 @dataclass
 class RemainderTerm:
-    """Truncation tail (T/2) * sum_{k>N} ||data mode k||^2 with its accuracy."""
+    """Truncation tail (T/2) * sum_{k>N} ||data mode k||^2."""
 
     value: float
-    n_modes: int
-    tail_error: float = 0.0
 
 
-def remainder_parseval(
-    time_norm2: float,
-    coeffs: TimeSignalCoeffs,
-    n_modes: int,
-    spatial_norm2: float,
-    quadrature_error: float = 1e-12,
-) -> RemainderTerm:
+def remainder_parseval(time_norm2: float, coeffs: TimeSignalCoeffs, n_modes: int,
+                       spatial_norm2: float) -> RemainderTerm:
     """Tail energy via Parseval: total minus the retained modes.
 
     `time_norm2` is the integral of the squared time factor over one period
-    (computed by quadrature); the data is the time factor times a fixed
+    (see `SampledSignal.norm2`); the data is the time factor times a fixed
     spatial profile with squared norm `spatial_norm2`.
     """
     if n_modes > coeffs.k_max:
@@ -194,25 +129,4 @@ def remainder_parseval(
         np.sum(coeffs.cos[:n_modes] ** 2 + coeffs.sin[:n_modes] ** 2)
     )
     value = (time_norm2 - retained) * spatial_norm2
-    return RemainderTerm(
-        value=float(value),
-        n_modes=n_modes,
-        tail_error=abs(time_norm2) * spatial_norm2 * quadrature_error,
-    )
-
-
-def remainder_from_tail(tail_sum: float, n_modes: int, tail_error: float = 0.0) -> RemainderTerm:
-    """Tail energy given in closed form (data with analytic coefficients)."""
-    return RemainderTerm(value=float(tail_sum), n_modes=n_modes, tail_error=tail_error)
-
-
-def overall_from_modes(
-    mode0_value: float,
-    mode_values: Sequence[float],
-    period: float,
-    remainder: float = 0.0,
-) -> float:
-    """Space-time total T * v_0 + (T/2) * sum_k v_k + remainder."""
-    return float(
-        period * mode0_value + 0.5 * period * float(np.sum(mode_values)) + remainder
-    )
+    return RemainderTerm(value=float(value))

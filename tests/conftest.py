@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from mhbounds import mesh as meshmod
 from mhbounds.femcore import FemContext
+from reference_assembly import build_mesh
 
 
 @pytest.fixture(scope="session")
 def mesh2():
-    return meshmod.build(2)
+    return build_mesh(2)
 
 
 @pytest.fixture(scope="session")
 def mesh8():
-    return meshmod.build(8)
+    return build_mesh(8)
 
 
 @pytest.fixture(scope="session")
 def mesh16():
-    return meshmod.build(16)
+    return build_mesh(16)
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,14 @@
-"""Generic unstructured set-up, the reference for the closed-form one.
+"""Generic unstructured set-up, the reference for the node-grid one.
 
-`build_mesh` numbers edges by `np.unique` over the sorted vertex pairs of
-every triangle and finds their triangles by a stable argsort; the
-assembly gathers `nodes[triangles]`, forms per-triangle element matrices
-and scatters them as COO blocks; the loads are summed by `np.add.at`.
-Nothing here reads the structure of the grid beyond `mesh.triangles` and
-`mesh.nodes`, so the tests can check `mesh.build` and `FemContext`
-against it.
+`build_mesh` gives the uniform mesh the index arrays of an unstructured
+one: it numbers edges by `np.unique` over the sorted vertex pairs of every
+triangle and finds their triangles by a stable argsort.  The assembly
+gathers `nodes[triangles]`, forms per-triangle element matrices and
+scatters them as COO blocks; the loads are summed by `np.add.at`.  Nothing
+here reads the structure of the grid beyond `mesh.triangles` and
+`mesh.nodes`, so the tests can check `FemContext` and the sliced fluxes
+against it.  A `build_mesh` mesh also carries `n`, `h` and `tri_area`, all
+that `FemContext` reads, so a context can be built on it.
 
 The nodal-field helpers below (zero extension, interpolation, values and
 gradients by `triangles` gathers, and the 7-point quadrature norms) work
@@ -23,16 +25,19 @@ from types import SimpleNamespace
 
 from mhbounds.femcore import QUAD_BARY, QUAD_W, per_class
 
-# the index arrays of a UniformMesh, which it builds on first read
-MESH_ARRAYS = (
-    "nodes", "triangles", "edges", "edge_tris", "edge_length", "edge_normal",
-    "tri_edges", "tri_edge_sign", "boundary_node", "interior_nodes",
-)
-
 
 def build_mesh(n: int) -> SimpleNamespace:
-    """The uniform mesh's n, h and index arrays (`MESH_ARRAYS`), numbered by
-    sorting instead of in closed form."""
+    """The uniform mesh with n cells per side, with its index arrays.
+
+    Besides n, h, tri_area and the num_* counts: node coordinates `nodes`
+    numbered by (row, column); `triangles` (T, 3), counterclockwise, cell
+    (r, c) holding triangles 2 (r n + c) (lower) and 2 (r n + c) + 1; sorted
+    `edges` (E, 2), low node first, with lengths, global unit normals (the
+    edge direction turned clockwise) and their triangles `edge_tris` (E, 2),
+    -1 second on the boundary; `tri_edges` (T, 3), the edge opposite each
+    local vertex, with `tri_edge_sign` +1 where its normal points out;
+    `boundary_node` flags and the lexicographic `interior_nodes`.
+    """
     h = 1.0 / n
     side = n + 1
     ix, iy = np.meshgrid(np.arange(side), np.arange(side))
@@ -82,16 +87,17 @@ def build_mesh(n: int) -> SimpleNamespace:
         dot = np.einsum("ij,ij->i", edge_normal[e], mid[e] - opp)
         tri_edge_sign[:, local] = np.where(dot > 0.0, 1.0, -1.0)
 
-    # by coordinate, which misses nodes whose ix * h rounds below 1 (n = 49)
-    on_boundary = (
-        (nodes[:, 0] == 0.0)
-        | (nodes[:, 0] == 1.0)
-        | (nodes[:, 1] == 0.0)
-        | (nodes[:, 1] == 1.0)
-    )
+    # by row and column index: a coordinate test misses the nodes whose
+    # n * (1 / n) rounds below 1 (n = 49, 98, 196)
+    on_boundary = ((ix == 0) | (ix == n) | (iy == 0) | (iy == n)).ravel()
     return SimpleNamespace(
         n=n,
         h=h,
+        tri_area=0.5 * h * h,
+        num_nodes=side * side,
+        num_triangles=num_tris,
+        num_edges=num_edges,
+        num_interior=(n - 1) ** 2,
         nodes=nodes,
         triangles=triangles,
         edges=edges,
@@ -156,24 +162,24 @@ def assemble_mass(mesh, full: bool = False) -> sp.csr_matrix:
     return _scatter_symmetric(mesh, local, full)
 
 
-def _add_at(mesh, contrib, full):
+def _add_at(mesh, contrib):
     out = np.zeros(mesh.num_nodes)
     np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
-    return out if full else out[mesh.interior_nodes]
+    return out[mesh.interior_nodes]
 
 
-def load_from_qp(mesh, values_qp: np.ndarray, full: bool = False) -> np.ndarray:
+def load_from_qp(mesh, values_qp: np.ndarray) -> np.ndarray:
     """Load vector (f, phi_i) from values at the quadrature points (T, Q)."""
     _, area = tri_geometry(mesh)
     vals = values_qp * (area[:, None] * QUAD_W[None, :])
-    return _add_at(mesh, np.einsum("tq,qk->tk", vals, QUAD_BARY), full)
+    return _add_at(mesh, np.einsum("tq,qk->tk", vals, QUAD_BARY))
 
 
-def gradient_load_from_qp(mesh, values_qp: np.ndarray, full: bool = False) -> np.ndarray:
+def gradient_load_from_qp(mesh, values_qp: np.ndarray) -> np.ndarray:
     """Load vector (g, grad phi_i) from vector values at the quadrature points (T, Q, 2)."""
     grads, area = tri_geometry(mesh)
     weighted = np.einsum("tq,tqd->td", area[:, None] * QUAD_W[None, :], values_qp)
-    return _add_at(mesh, np.einsum("td,tkd->tk", weighted, grads), full)
+    return _add_at(mesh, np.einsum("td,tkd->tk", weighted, grads))
 
 
 # -- nodal fields and quadrature norms ---------------------------------------

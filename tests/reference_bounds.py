@@ -4,10 +4,15 @@ This is the loop-over-parts evaluation that `bounds.evaluate_mode` replaced:
 every residual is sampled at the 7 quadrature points of every triangle and
 integrated by the degree-5 rule, with the cosine and sine parts handled one
 after the other.  The tests compare the batched exact-integral evaluation
-against it.  It is self-contained (its own RT0 helpers) so that a change to
+against it.  It is self-contained (its own edge-numbered RT0 helpers; of
+`fluxrecon` it takes only the `GridFlux` container) so that a change to
 `fluxrecon` cannot move both sides at once.  It reads the data as samples at
 the quadrature points (`QuadratureData`); `project` turns the same samples
 into the per-triangle projections that `evaluate_mode` reads.
+
+It also holds the brute-force references of the bound parameters (a log-grid
+search) and of the exact per-mode costs (time quadrature of an analytic
+optimal pair).
 """
 
 from __future__ import annotations
@@ -17,8 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from mhbounds.bounds import ModeBounds, ModeData, ResidualSet, majorant_form, optimize_majorant_params
-from mhbounds.fluxrecon import GridFlux, RTFlux, reconstruct_p0
+from mhbounds.bounds import (
+    C_FRIEDRICHS, ModeBounds, ModeData, ResidualSet, majorant_form, optimize_majorant_params,
+)
+from mhbounds.fluxrecon import GridFlux
+from mhbounds.timefourier import sample_periodic
 from reference_assembly import norm2, p1_at_qp, p1_grad, quadrature_points, to_full, vec_norm2
 from reference_systems import stencil_csr
 
@@ -54,6 +62,16 @@ def edge_planes(mesh, coeffs) -> GridFlux:
     return GridFlux(*(coeffs[..., ids] for ids in plane_ids(mesh)))
 
 
+def edge_coeffs(mesh, flux: GridFlux) -> np.ndarray:
+    """The GridFlux planes as edge-numbered coefficients (..., E), the
+    inverse of `edge_planes`."""
+    lead = flux.diag.shape[:-2]
+    out = np.empty(lead + (mesh.num_edges,))
+    for ids, plane in zip(plane_ids(mesh), (flux.horiz, flux.vert, flux.diag)):
+        out[..., ids] = plane
+    return out
+
+
 def project(ctx, samples: QuadratureData) -> ModeData:
     """The ModeData of `evaluate_mode` built from quadrature samples."""
     if samples.y_qp is not None:
@@ -76,11 +94,6 @@ def tri_rows(planes):
     return cells.reshape(cells.shape[:-4] + (-1, cells.shape[-1]))
 
 
-def reconstruct(ctx, w_full: np.ndarray, nu: float = 1.0) -> RTFlux:
-    """Averaged-flux reconstruction of nu * grad(w) for a nodal P1 field."""
-    return reconstruct_p0(ctx.mesh, nu * p1_grad(ctx, w_full))
-
-
 def rt0_reconstruct(mesh, field):
     """Edge-averaged normal-flux dofs of a per-triangle constant field (T, 2)."""
     t0 = mesh.edge_tris[:, 0]
@@ -92,6 +105,14 @@ def rt0_reconstruct(mesh, field):
         flux0,
     )
     return 0.5 * (flux0 + flux1) * mesh.edge_length
+
+
+def rt0_from_callable(mesh, g):
+    """Normal-flux dofs of continuous vector data g(x, y) -> (gx, gy), by
+    the value at each edge midpoint."""
+    mid = 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
+    gx, gy = g(mid[:, 0], mid[:, 1])
+    return (gx * mesh.edge_normal[:, 0] + gy * mesh.edge_normal[:, 1]) * mesh.edge_length
 
 
 def rt0_divergence(mesh, coeffs):
@@ -138,7 +159,7 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
     lam = params.lam
     kw = k * params.omega
     nu, sigma = params.nu, params.sigma
-    cf, mu1 = params.c_friedrichs, params.mu1
+    cf, mu1 = C_FRIEDRICHS, params.mu1
 
     def part(arr, j):
         return None if arr is None or j >= len(arr) else arr[j]
@@ -225,3 +246,41 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
         alpha=alpha, beta=beta, residuals=res, misfit=misfit,
         control_energy=control_energy, mixed=mixed, m1=m1, m1_extra=m1_extra,
     )
+
+
+# -- brute-force references of the bound parameters and the exact costs ------
+
+
+def grid_search_alpha_beta(A, B, C, params, P: float = 0.0, points: int = 40):
+    """Minimize the parameterized upper-bound form over a log-spaced grid."""
+    grid = np.logspace(-6.0, 6.0, points)
+    best = (np.inf, None, None)
+    for a in grid:
+        for b in grid:
+            val = majorant_form(A, B, C, a, b, params, P=P)
+            if val < best[0]:
+                best = (val, a, b)
+    return best[1], best[2], best[0]
+
+
+def time_mode_pair(f, omega: float, k: int, panels: int = 256, order: int = 12):
+    """(cosine, sine) Fourier coefficient pair of a time factor, from the
+    coefficient table of modes 0..max(k, 1)."""
+    return sample_periodic(f, omega, panels, order).table(max(k, 1)).mode(k)
+
+
+def spacetime_cost(k, lam, omega, y_time, u_time, data_time, misfit_norm2, control_norm2,
+                   data_scale=1.0, panels=256, order=12) -> float:
+    """Exact per-mode cost of an analytic optimal pair, by time quadrature.
+
+    The state, control and data share one spatial profile; `misfit_norm2`
+    scales the squared misfit coefficient (for gradient tracking this is
+    the squared norm of the profile's gradient and `data_scale` maps the
+    data's time coefficients onto that gradient).
+    """
+    yc, ys = time_mode_pair(y_time, omega, k, panels, order)
+    uc, us = time_mode_pair(u_time, omega, k, panels, order)
+    dc, ds = time_mode_pair(data_time, omega, k, panels, order)
+    misfit = (yc - data_scale * dc) ** 2 + (ys - data_scale * ds) ** 2
+    energy = uc**2 + us**2
+    return 0.5 * misfit * misfit_norm2 + 0.5 * lam * energy * control_norm2

@@ -6,7 +6,9 @@ layouts, and the sparse LU solver that was the oracle of the MinRes tests.
 The tests compare the operator and the iterative solutions against it.
 `stencil_csr` assembles the interior K and M from their stencils, and
 `bands_csr` the stiffness and mass on any block of nodes (all of them
-included) from the stencil bands of the whole grid.
+included) from the stencil bands of the whole grid.  `scalar_mode_solve` is
+the continuous mode system for data whose spatial profile is a
+Dirichlet-Laplacian eigenfunction.
 """
 
 from __future__ import annotations
@@ -96,3 +98,25 @@ def direct_solve(system: ModeSystem) -> ModeSolution:
         raise RuntimeError(f"direct solve residual {resid:.2e} exceeds tolerance")
     y, p = x.reshape(2, -1, system.mats.M.shape[0])
     return ModeSolution(system.k, y, p)
+
+
+def scalar_mode_solve(problem, k, lam, omega, sigma, nu, kappa, data_c, data_s=0.0):
+    """Continuous mode solution when the data's spatial profile is a
+    Dirichlet-Laplacian eigenfunction with eigenvalue kappa.
+
+    All mode operators act within the span of the eigenfunction, so the
+    coupled system collapses to 4 scalar unknowns (y_cos, y_sin, p_cos,
+    p_sin); for mode 0 the sine pair decouples and vanishes with data_s.
+    For problem II, `data_c/s` is the coefficient of grad(eigenfunction) in
+    the desired gradient.
+    """
+    lead = 1.0 if problem == "I" else kappa
+    kws = k * omega * sigma
+    A = np.array([
+        [lead, 0.0, -nu * kappa, kws],
+        [0.0, lead, -kws, -nu * kappa],
+        [-nu * kappa, -kws, -1.0 / lam, 0.0],
+        [kws, -nu * kappa, 0.0, -1.0 / lam],
+    ])
+    a_c, a_s, b_c, b_s = np.linalg.solve(A, [lead * data_c, lead * data_s, 0.0, 0.0])
+    return a_c, a_s, b_c, b_s

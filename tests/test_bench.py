@@ -1,4 +1,6 @@
+import dataclasses
 import filecmp
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +12,14 @@ from mhbounds.bench import (
     build_parser,
     grid_sweep,
     main,
-    read_csv,
     run,
     write_csv,
     write_markdown,
 )
 from mhbounds.femcore import FemContext
 from mhbounds.systems import ModeSolution, mode_parts
-from reference_assembly import assemble_mass, assemble_stiffness, to_full
+from reference_assembly import assemble_mass, assemble_stiffness, build_mesh, to_full
+from test_tables import read_csv
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +181,11 @@ def test_cli_parser_ranges():
 
 
 def test_paper_mode_close_to_tolerance_mode():
-    a = run(ExperimentConfig(example=1, grid=16, modes=(0,), tol=1e-11))
-    b = run(ExperimentConfig(example=1, grid=16, modes=(0,), paper_mode=True))
+    # neither run warns: every mode converges, or takes its 8 paper steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = run(ExperimentConfig(example=1, grid=16, modes=(0,), tol=1e-11))
+        b = run(ExperimentConfig(example=1, grid=16, modes=(0,), paper_mode=True))
     ra, rb = a.rows[0], b.rows[0]
     assert abs(ra.minorant - rb.minorant) < 5e-3 * abs(ra.minorant)
     assert abs(ra.majorant - rb.majorant) < 5e-3 * abs(ra.majorant)
@@ -204,26 +209,31 @@ def test_run_rejects_maxiter_below_one(maxiter):
     assert not ExperimentConfig(example=1, grid=8, maxiter=1).validate()
 
 
-def test_run_path_reads_only_the_node_grid(monkeypatch):
-    # runs, analytic and fine-grid references (nested and not) never build
-    # the mesh's index arrays, and no module of the package imports
-    # scipy.sparse, so no all-node matrix is assembled either
-    def refuse(n):
-        raise AssertionError(f"index arrays of the n={n} mesh built on the run path")
+def test_unconverged_mode_warns():
+    # a solve stopped short of the tolerance reaches the table, with one
+    # RuntimeWarning per such mode naming the run and the residual
+    with pytest.warns(RuntimeWarning) as record:
+        report = run(ExperimentConfig(example=1, grid=8, modes=(0, 2), maxiter=1))
+    stats = {k: rep.stats for k, rep in report.mode_reports.items()}
+    assert not any(s.converged for s in stats.values())
+    messages = [str(w.message) for w in record]
+    assert len(messages) == 2
+    for k, message in zip((0, 2), messages):
+        assert message.startswith(f"example 1, grid 8, mode k={k}: the solve did not converge")
+        assert f"relative residual {stats[k].relative_residual:.3e}" in message
+    assert all(np.isfinite(row.majorant) for row in report.rows)
 
-    monkeypatch.setattr(meshmod, "index_arrays", refuse)
-    configs = [
-        ExperimentConfig(example=1, grid=8, modes=(0, 1), overall=(1,)),
-        ExperimentConfig(example=4, grid=8, modes=(0, 1), overall=(1,)),
-        ExperimentConfig(example=6, grid=8, modes=(0, 1), nref=16),
-        ExperimentConfig(example=3, grid=8, modes=(0, 1), nref=16),
-        ExperimentConfig(example=3, grid=8, modes=(0, 1), nref=12),
-    ]
-    for config in configs:
-        report = run(config)
+
+def test_run_path_reads_only_the_node_grid():
+    # a mesh holds n and h only, so runs, analytic and fine-grid references
+    # (nested and not) work on the node grid; and no module of the package
+    # imports scipy.sparse, so no all-node matrix is assembled either
+    assert tuple(f.name for f in dataclasses.fields(meshmod.UniformMesh)) == ("n", "h")
+    for example, nref in ((1, None), (4, None), (6, 16), (3, 16), (3, 12)):
+        overall = (1,) if nref is None else ()
+        report = run(ExperimentConfig(example=example, grid=8, modes=(0, 1), overall=overall, nref=nref))
         assert all(np.isfinite(row.majorant) for row in report.all_rows)
         assert all(np.isfinite(rep.err_l2) for rep in report.mode_reports.values())
-    assert grid_sweep(ExperimentConfig(example=1, modes=(0,)), (4, 8))
     package = Path(bench.__file__).parent
     assert not [p.name for p in package.glob("*.py") if "scipy.sparse" in p.read_text()]
 
@@ -250,7 +260,7 @@ def test_fine_error_norms_match_all_node_quadratic_forms(n, nref, k, rng):
     # the stencil quadratic forms of the interior difference equal e . M e
     # and e . K e with the tests' all-node matrices and the coarse field
     # evaluated at the fine nodes triangle by triangle
-    coarse, fine = FemContext(meshmod.build(n)), FemContext(meshmod.build(nref))
+    coarse, fine = FemContext(build_mesh(n)), FemContext(build_mesh(nref))
     parts = mode_parts(k)
     sol = ModeSolution(k, rng.standard_normal((parts, (n - 1) ** 2)), None)
     fine_sol = ModeSolution(k, rng.standard_normal((parts, (nref - 1) ** 2)), None)

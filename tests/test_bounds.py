@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mhbounds import fluxrecon, mesh as meshmod, oracle
+from mhbounds import fluxrecon, mesh as meshmod
 from mhbounds.bounds import (
+    ALPHA_FLOOR,
+    ALPHA_TAIL,
+    BETA_CAP,
+    C_FRIEDRICHS,
     BoundParams,
+    _rt0_norm2,
     aggregate,
     combined_norm_weights,
     efficiency_indices,
@@ -19,10 +24,10 @@ from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import ModeSolution, build_matrices, build_mode_system, mode_parts
-from reference_assembly import (
-    gradient_load_from_qp, load_from_qp, p1_at_qp, p1_grad, quadrature_points, quadrature_weights, vec_norm2,
+from reference_assembly import build_mesh, gradient_load_from_qp, load_from_qp, p1_at_qp, p1_grad, quadrature_weights
+from reference_bounds import (
+    QuadratureData, evaluate_mode_reference, grid_search_alpha_beta, project, rt0_from_callable, rt0_reconstruct,
 )
-from reference_bounds import QuadratureData, evaluate_mode_reference, project, reconstruct, rt0_at_points
 from reference_systems import direct_solve
 
 
@@ -49,7 +54,7 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
     leaves a remainder outside the per-triangle projections.  Returns the
     quadrature samples of the data, with the right-hand side their loads.
     """
-    ctx = FemContext(meshmod.build(n))
+    ctx = FemContext(build_mesh(n))
     mats = build_matrices(ctx, sigma, nu)
     params = BoundParams(lam=lam, omega=omega, sigma=sigma, nu=nu)
     parts = mode_parts(k)
@@ -68,7 +73,8 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
         if noise:
             g_qp += noise * rng.standard_normal(shape + (2,))
         rhs = [gradient_load_from_qp(ctx.mesh, v) for v in g_qp]
-        data = QuadratureData(k=k, g_qp=g_qp, g_edge=fluxrecon.reconstruct_p0(ctx.mesh, g).coeffs)
+        g_edge = np.stack([rt0_reconstruct(ctx.mesh, part) for part in g])
+        data = QuadratureData(k=k, g_qp=g_qp, g_edge=g_edge)
     system = build_mode_system(problem, mats, k, lam, omega, np.stack(rhs))
     if steps is None:
         sol = direct_solve(system)
@@ -85,7 +91,7 @@ def test_closed_form_beats_grid_search(rng):
         A, B, C = rng.uniform(0.01, 100.0, size=3)
         alpha, beta = optimize_majorant_params(A, B, C, params)
         ours = majorant_form(A, B, C, alpha, beta, params)
-        _, _, best = oracle.grid_search_alpha_beta(A, B, C, params)
+        _, _, best = grid_search_alpha_beta(A, B, C, params)
         assert ours <= best * (1 + 1e-10)
 
 
@@ -102,14 +108,14 @@ def test_parameter_guards():
     params = _params()
     # no flux residual: the beta -> infinity limit value is attained
     alpha, beta = optimize_majorant_params(2.0, 0.0, 3.0, params)
-    assert beta == params.beta_cap
+    assert beta == BETA_CAP
     value = majorant_form(2.0, 0.0, 3.0, alpha, beta, params)
-    H = params.c_friedrichs**4 * 9.0 / (2 * params.mu1**2)
+    H = C_FRIEDRICHS**4 * 9.0 / (2 * params.mu1**2)
     limit = 1.0 + np.sqrt(2 * H * 2.0) + H
     assert abs(value - limit) < 1e-5 * limit
     # everything zero: alpha pinned at the floor, value reduces to P
     alpha, beta = optimize_majorant_params(0.0, 0.0, 0.0, params)
-    assert alpha == params.alpha_floor
+    assert alpha == ALPHA_FLOOR
     assert majorant_form(0.0, 0.0, 0.0, alpha, beta, params, P=7.0) == 7.0
 
 
@@ -123,21 +129,19 @@ def test_gamma_positive(rng):
 def test_flux_residual_grows_under_perturbation(ctx8, rng):
     # convexity: moving away from any point in at least one of the two
     # opposite directions increases the distance to the gradient field
-    w = rng.standard_normal(ctx8.mesh.num_nodes)
-    tau = reconstruct(ctx8, w)
-    grad = p1_grad(ctx8, w)
-
-    points = quadrature_points(ctx8.mesh)
+    mesh = ctx8.mesh
+    grad = ctx8.cell_gradients(rng.standard_normal((mesh.n + 1, mesh.n + 1)))
+    tau = fluxrecon.grid_average(mesh, grad)
 
     def r2(flux):
-        values = rt0_at_points(ctx8.mesh, flux.coeffs, points)
-        return np.sqrt(vec_norm2(ctx8, values - grad[:, None, :]))
+        centre, div = fluxrecon.grid_affine_form(ctx8, flux)
+        return np.sqrt(_rt0_norm2(ctx8, centre - grad, div))
 
     base = r2(tau)
     for _ in range(20):
-        delta = rng.standard_normal(ctx8.mesh.num_edges)
-        plus = r2(fluxrecon.RTFlux(ctx8.mesh, tau.coeffs + delta))
-        minus = r2(fluxrecon.RTFlux(ctx8.mesh, tau.coeffs - delta))
+        delta = [rng.standard_normal(a.shape) for a in (tau.horiz, tau.vert, tau.diag)]
+        plus = r2(tau + fluxrecon.GridFlux(*delta))
+        minus = r2(tau + fluxrecon.GridFlux(*(-d for d in delta)))
         assert max(plus, minus) > base
 
 
@@ -163,7 +167,7 @@ def test_sandwich_random_configs():
         ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
         mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
         assert mb.minorant <= mb.majorant + 1e-9 * abs(mb.majorant)
-        assert mb.m1 >= mb.m_plain >= -1e-9 * abs(mb.majorant)
+        assert mb.m1 >= mb.majorant - mb.minorant >= -1e-9 * abs(mb.majorant)
 
 
 def test_scaling_covariance():
@@ -202,7 +206,7 @@ def test_aggregate_shape():
     total = aggregate([b0], params2, remainder=10.0)
     T = params2.period
     assert abs(total.minorant - (T * b0.minorant + 5.0)) < 1e-12 * max(1, abs(total.minorant))
-    expected_tail = 0.5 * (1 + params2.alpha_tail) * 10.0
+    expected_tail = 0.5 * (1 + ALPHA_TAIL) * 10.0
     assert abs(total.majorant - (T * b0.majorant + expected_tail)) < 1e-12 * max(1, abs(total.majorant))
     with pytest.raises(ValueError):
         aggregate([], params2, 0.0)
@@ -210,7 +214,7 @@ def test_aggregate_shape():
 
 def test_combined_norm_weights():
     params = _params(lam=0.1, omega=1.0)
-    c = 0.1 * params.mu1**2 / (2 * params.c_friedrichs**2)
+    c = 0.1 * params.mu1**2 / (2 * C_FRIEDRICHS**2)
     assert combined_norm_weights("I", params, 0) == (0.5, c)
     assert combined_norm_weights("I", params, 3) == (0.5 + 3 * c, c)
     assert combined_norm_weights("II", params, 0) == (0.0, 0.5 + c)
@@ -278,7 +282,7 @@ def test_evaluate_mode_matches_quadrature_reference(problem, k, steps):
 @pytest.mark.parametrize("ident", [1, 4])
 def test_evaluate_mode_matches_reference_on_cases(ident):
     case = make_case(ident)
-    ctx = FemContext(meshmod.build(12))
+    ctx = FemContext(build_mesh(12))
     mats = build_matrices(ctx)
     bind = CaseBind(case, ctx)
     params = _params(case.lam, case.omega)
@@ -288,7 +292,7 @@ def test_evaluate_mode_matches_reference_on_cases(ident):
     if case.problem == "I":
         profile = dict(y_qp=ctx.data_at_qp(case.spatial_scalar))
     else:
-        edges = fluxrecon.reconstruct_from_callable(ctx.mesh, case.spatial_vector).coeffs
+        edges = rt0_from_callable(ctx.mesh, case.spatial_vector)
         profile = dict(g_qp=ctx.vector_data_at_qp(case.spatial_vector), g_edge=edges)
     for k in (0, 1):
         system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from mhbounds import cases, femcore, oracle
+from mhbounds import cases, femcore
 from mhbounds.cases import CaseBind, ExampleCase, box_mode_coefficient, make_case
 from mhbounds.femcore import FemContext
 from mhbounds import mesh as meshmod
-from mhbounds.timefourier import fourier_coeffs
+from mhbounds.timefourier import sample_periodic
+from reference_bounds import spacetime_cost, time_mode_pair
+from reference_systems import scalar_mode_solve
 
 PI = np.pi
 
@@ -36,12 +38,12 @@ def test_indicator_case_remainder_closed_form():
 
 def test_indicator_coefficients():
     case = make_case(3)
-    coeffs = case.time_coeffs(8)
-    assert np.all(coeffs.sin == 0)
-    assert coeffs.c0 == 0.5
-    assert abs(coeffs.cos[0] + 2 / PI) < 1e-15
+    pairs = np.array([case.mode_pair(k) for k in range(9)])
+    assert np.all(pairs[:, 1] == 0)
+    assert pairs[0, 0] == 0.5
+    assert abs(pairs[1, 0] + 2 / PI) < 1e-15
     for k in (2, 4, 6, 8):
-        assert abs(coeffs.cos[k - 1]) < 1e-15
+        assert abs(pairs[k, 0]) < 1e-15
     assert abs(box_mode_coefficient(3) - 2 / (3 * PI)) < 1e-15
 
 
@@ -90,12 +92,12 @@ def test_reference_routes_agree():
         for k in (0, 1, 3):
             c, s = case.mode_pair(k)
             if case.problem == "I":
-                a_c, a_s, b_c, b_s = oracle.scalar_mode_solve(
+                a_c, a_s, b_c, b_s = scalar_mode_solve(
                     "I", k, case.lam, case.omega, 1.0, 1.0, kappa, c, s
                 )
                 misfit = ((a_c - c) ** 2 + (a_s - s) ** 2) * 0.25
             else:
-                a_c, a_s, b_c, b_s = oracle.scalar_mode_solve(
+                a_c, a_s, b_c, b_s = scalar_mode_solve(
                     "II", k, case.lam, case.omega, 1.0, 1.0, kappa, c / PI, s / PI
                 )
                 misfit = ((a_c - c / PI) ** 2 + (a_s - s / PI) ** 2) * (kappa * 0.25)
@@ -157,7 +159,7 @@ def test_mode_pair_matches_coefficient_table(ident):
     # mode_pair(k) is the quadrature of mode k alone, from the time factor
     # sampled once per case; it equals mode k of the full coefficient table
     case = make_case(ident)
-    table = fourier_coeffs(case.time_factor, case.omega, 9, panels=256, order=12)
+    table = sample_periodic(case.time_factor, case.omega, panels=256, order=12).table(9)
     scale = max(abs(table.c0), np.abs(table.cos).max(), np.abs(table.sin).max())
     for k in range(10):
         got, expect = case.mode_pair(k), table.mode(k)
@@ -184,7 +186,7 @@ def test_bind_in_row_blocks_matches_one_block(monkeypatch, ident, rows):
 @pytest.mark.parametrize("ident", [1, 2, 4, 5])
 def test_analytic_reference_from_case_samples(monkeypatch, ident):
     # reference_cost and exact_state_mode read the exact state, control and
-    # data time factors sampled once per case, and agree with the oracle's
+    # data time factors sampled once per case, and agree with the reference
     # quadrature, which samples them again on every call
     calls = []
     sample = cases.sample_periodic
@@ -200,12 +202,12 @@ def test_analytic_reference_from_case_samples(monkeypatch, ident):
     else:
         misfit_norm2, scale = case.eigen_kappa * 0.25, case.data_scale
     for k in range(9):
-        expect = oracle.spacetime_cost(
+        expect = spacetime_cost(
             k, case.lam, case.omega, case.exact_y_time, case.exact_u_time, case.time_factor,
             misfit_norm2, 0.25, data_scale=scale,
         )
         assert abs(case.reference_cost(k) - expect) <= 1e-13 * expect, k
-        pair = oracle.time_mode_pair(case.exact_y_time, case.omega, k)
+        pair = time_mode_pair(case.exact_y_time, case.omega, k)
         assert np.allclose(case.exact_state_mode(k), pair, rtol=0, atol=1e-14 * max(np.abs(pair).max(), 1.0)), k
     assert sorted(f.__name__ for f in calls) == sorted(
         f.__name__ for f in (case.time_factor, case.exact_y_time, case.exact_u_time)

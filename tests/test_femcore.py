@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mhbounds import mesh as meshmod
 from mhbounds.femcore import QUAD_BARY, QUAD_W, FemContext, _stencil_bands, element_matrices, p1_eval_at, per_class, prolong
-from mhbounds.mesh import cell_corners
+from mhbounds.mesh import add_cell_corners
 from mhbounds.systems import build_matrices, build_mode_system
 import reference_assembly as ref
 from reference_bounds import tri_rows, tri_scalars
@@ -34,7 +33,7 @@ def test_coefficient_scaling(ctx8, rng):
 def test_stencils_match_scatter_assembly(n, rng):
     # n = 1 has no interior node and n = 2 one; n = 32 applies the stencils
     # in two bands of rows, the last one short
-    mesh = meshmod.build(n)
+    mesh = ref.build_mesh(n)
     ctx = FemContext(mesh)
     # the interior CSR matrices of the stencil bands of the whole grid, and
     # those of the stencils' own weights
@@ -93,26 +92,24 @@ def test_load_vectors(ctx2, ctx16):
     assert ctx2.load(lambda x, y: np.ones_like(x)).shape == (1,)
     g = _gradient_load(ctx2, lambda x, y: (np.ones_like(x), np.zeros_like(x)))
     assert g.shape == (1,)
-    assert ctx2.load(lambda x, y: np.ones_like(x), full=True).shape == (9,)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
 def test_sliced_loads_match_add_at(n, rng):
-    mesh = meshmod.build(n)
+    mesh = ref.build_mesh(n)
     ctx = FemContext(mesh)
     values = rng.standard_normal(ref.quadrature_weights(ctx).shape)
     vectors = rng.standard_normal(ref.quadrature_weights(ctx).shape + (2,))
-    for full in (False, True):
-        for got, expect in [
-            (ctx._node_sums(ctx.load_terms(values), full), ref.load_from_qp(mesh, values, full)),
-            (ctx._node_sums(ctx.gradient_load_terms(vectors), full), ref.gradient_load_from_qp(mesh, vectors, full)),
-        ]:
-            assert got.shape == expect.shape
-            assert np.abs(got - expect).max(initial=0) <= 1e-14 * np.abs(expect).max(initial=0)
+    for got, expect in [
+        (ctx._node_sums(ctx.load_terms(values)), ref.load_from_qp(mesh, values)),
+        (ctx._node_sums(ctx.gradient_load_terms(vectors)), ref.gradient_load_from_qp(mesh, vectors)),
+    ]:
+        assert got.shape == expect.shape
+        assert np.abs(got - expect).max(initial=0) <= 1e-14 * np.abs(expect).max(initial=0)
 
 
 def test_rayleigh_quotient_eigenfunction():
-    m = meshmod.build(64)
+    m = ref.build_mesh(64)
     ctx = FemContext(m)
     v = ctx.load(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     rq = (v @ (ctx.K @ v)) / (v @ (ctx.M @ v))
@@ -145,7 +142,7 @@ def test_gradient_load_order(rng):
     # against the stiffness-times-interpolant oracle, refining once
     errs = []
     for n in (8, 16):
-        ctx = FemContext(meshmod.build(n))
+        ctx = FemContext(ref.build_mesh(n))
 
         def grad_ss(x, y):
             return (
@@ -177,7 +174,7 @@ def test_galerkin_consistency_order():
     exact = np.pi**2 / 2  # for sin(pi x) sin(pi y)
     errs = []
     for n in (8, 16, 32):
-        ctx = FemContext(meshmod.build(n))
+        ctx = FemContext(ref.build_mesh(n))
         u = ref.interpolate(ctx, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         errs.append(abs(u @ (full_matrices(ctx.mesh)[0] @ u) - exact))
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -185,8 +182,8 @@ def test_galerkin_consistency_order():
 
 
 def test_p1_eval_and_prolong(rng):
-    coarse = meshmod.build(4)
-    fine = meshmod.build(8)
+    coarse = ref.build_mesh(4)
+    fine = ref.build_mesh(8)
     v = rng.standard_normal(coarse.num_nodes)
     grid = v.reshape(5, 5)
     # exact at the coarse nodes themselves
@@ -207,16 +204,25 @@ def test_p1_eval_and_prolong(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_node_grid_corners_match_triangle_gather(n, rng):
-    ctx = FemContext(meshmod.build(n))
-    v_int = rng.standard_normal((2, ctx.mesh.num_interior))
-    expect = np.stack([ref.to_full(ctx, v)[ctx.mesh.triangles] for v in v_int])
-    got = cell_corners(ctx.node_grid(v_int), n).reshape(expect.shape)
-    assert np.array_equal(got, expect)
+    # the node grid holds the all-node field in the mesh's node numbering,
+    # and summing per-vertex triangle values onto it is the transpose of
+    # the triangles gather
+    ctx = FemContext(ref.build_mesh(n))
+    mesh = ctx.mesh
+    v_int = rng.standard_normal((2, mesh.num_interior))
+    expect = np.stack([ref.to_full(ctx, v) for v in v_int])
+    assert np.array_equal(ctx.node_grid(v_int).reshape(expect.shape), expect)
+    values = rng.standard_normal((2, mesh.num_triangles, 3))
+    expect = np.zeros((2, mesh.num_nodes))
+    for part in range(2):
+        np.add.at(expect[part], mesh.triangles, values[part])
+    got = add_cell_corners(values.reshape(2, n, n, 2, 3), n).reshape(expect.shape)
+    assert np.allclose(got, expect, rtol=1e-15, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_cell_gradients_match_class_maps(n, rng):
-    ctx = FemContext(meshmod.build(n))
+    ctx = FemContext(ref.build_mesh(n))
     v_int = rng.standard_normal((2, ctx.mesh.num_interior))
     expect = np.stack([ref.p1_grad(ctx, ref.to_full(ctx, v)) for v in v_int])
     got = ctx.cell_gradients(ctx.node_grid(v_int))
@@ -225,7 +231,7 @@ def test_cell_gradients_match_class_maps(n, rng):
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_class_maps_match_per_triangle_geometry(n, rng):
-    ctx = FemContext(meshmod.build(n))
+    ctx = FemContext(ref.build_mesh(n))
     mesh = ctx.mesh
     grads, area = ref.tri_geometry(mesh)
     corners = mesh.nodes[mesh.triangles]
@@ -267,7 +273,7 @@ def test_exact_p1_norm_matches_mass_matrix(ctx8, rng):
     n = ctx8.mesh.n
     shift = rng.standard_normal((2, 2, n, n))
     vert = rng.standard_normal((2, 2, 3, n, n))
-    values = cell_corners(grid, n).reshape(2, -1, 3) + tri_scalars(shift)[..., None] - tri_rows(vert)
+    values = grid.reshape(2, -1)[:, ctx8.mesh.triangles] + tri_scalars(shift)[..., None] - tri_rows(vert)
     expect = sum(ref.norm2(ctx8, part @ QUAD_BARY.T) for part in values)
     assert abs(_p1_norm2(ctx8, grid, shift, vert) - expect) < 1e-13 * expect
 
@@ -281,7 +287,7 @@ def test_projections_leave_orthogonal_remainder(n, parts, seed, scale):
     # quadrature norm splits into the projection's exact norm plus it
     from mhbounds.bounds import _p1_norm2, _rt0_norm2
 
-    ctx = FemContext(meshmod.build(n))
+    ctx = FemContext(ref.build_mesh(n))
     rng = np.random.default_rng(seed)
     values = scale * rng.standard_normal((parts,) + ref.quadrature_weights(ctx).shape)
     vert, rest = ctx.project_p1(values)

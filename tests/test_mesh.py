@@ -1,8 +1,11 @@
+"""The reference mesh's index arrays, and their agreement with the class
+layout (`CLASS_CORNERS`, `CLASS_EDGE_SIGN`) that the run path slices by."""
+
 import numpy as np
 import pytest
 
 from mhbounds import mesh as meshmod
-from reference_assembly import MESH_ARRAYS, build_mesh
+from reference_assembly import build_mesh
 
 
 @pytest.mark.parametrize(
@@ -10,10 +13,11 @@ from reference_assembly import MESH_ARRAYS, build_mesh
     [(1, 4, 2, 0), (2, 9, 8, 1), (16, 289, 512, 225), (49, 2500, 4802, 2304)],
 )
 def test_counts(n, nodes, tris, interior):
-    m = meshmod.build(n)
-    assert m.num_nodes == nodes
-    assert m.num_triangles == tris
-    assert m.num_interior == interior
+    m = build_mesh(n)
+    assert m.num_nodes == nodes == len(m.nodes)
+    assert m.num_triangles == tris == len(m.triangles)
+    assert m.num_interior == interior == len(m.interior_nodes)
+    assert m.num_edges == n * (3 * n + 2) == len(m.edges)
 
 
 def test_rejects_zero():
@@ -32,14 +36,15 @@ def test_signed_areas_and_total(mesh16):
 
 
 def test_boundary_flags(mesh16):
-    on = (
-        (mesh16.nodes[:, 0] == 0)
-        | (mesh16.nodes[:, 0] == 1)
-        | (mesh16.nodes[:, 1] == 0)
-        | (mesh16.nodes[:, 1] == 1)
-    )
-    assert np.array_equal(mesh16.boundary_node, on)
-    assert np.all(~mesh16.boundary_node[mesh16.interior_nodes])
+    # by position, to half a cell: the coordinate n * (1 / n) of the last
+    # row and column need not round to 1 (it does not for n = 49 and 98)
+    for mesh in (mesh16, build_mesh(49), build_mesh(98)):
+        x, y = mesh.nodes.T
+        near = 0.5 * mesh.h
+        on = (x < near) | (x > 1 - near) | (y < near) | (y > 1 - near)
+        assert np.array_equal(mesh.boundary_node, on)
+        assert mesh.boundary_node.sum() == 4 * mesh.n
+        assert np.array_equal(mesh.interior_nodes, np.flatnonzero(~on))
 
 
 def test_edge_count_euler(mesh2):
@@ -75,35 +80,26 @@ def test_shared_diagonal_edge(mesh2):
     assert set(mesh2.edge_tris[diag]) == {lower, upper}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 33])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 33, 49])
 def test_closed_form_matches_sorted_numbering(n):
-    closed, ref = meshmod.build(n), build_mesh(n)
-    assert (closed.n, closed.h) == (ref.n, ref.h)
-    assert len(MESH_ARRAYS) == 10
-    for name in MESH_ARRAYS:
-        a, b = getattr(closed, name), getattr(ref, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
-        if a.dtype.kind == "f":
-            assert np.array_equal(np.signbit(a), np.signbit(b)), name
-
-
-def test_index_arrays_built_once_on_first_read(monkeypatch):
-    # a mesh holds n and h; its index arrays are built together the first
-    # time one is read, and then kept
-    calls = []
-    build_index = meshmod.index_arrays
-
-    def counted(n):
-        calls.append(n)
-        return build_index(n)
-
-    monkeypatch.setattr(meshmod, "index_arrays", counted)
-    mesh = meshmod.build(5)
-    assert (mesh.num_nodes, mesh.num_triangles, mesh.num_edges, mesh.num_interior) == (36, 50, 85, 16)
-    assert calls == []
-    for name in MESH_ARRAYS:
-        assert getattr(mesh, name) is getattr(mesh, name)
-    assert calls == [5]
-    assert mesh.num_edges == mesh.edges.shape[0]
-    assert mesh.num_interior == mesh.interior_nodes.shape[0]
+    # the closed forms the run path slices by (the node grid, the class
+    # corners and edge signs) against the numbering found by sorting
+    grid, ref = meshmod.build(n), build_mesh(n)
+    assert (grid.n, grid.h, grid.tri_area) == (ref.n, ref.h, ref.tri_area)
+    side = n + 1
+    row, col = np.divmod(np.arange(side * side), side)
+    assert np.array_equal(ref.nodes, np.column_stack([col * grid.h, row * grid.h]))
+    node_grid = np.arange(side * side).reshape(side, side)
+    cells = ref.triangles.reshape(n, n, 2, 3)
+    for cls, corners in enumerate(meshmod.CLASS_CORNERS):
+        for local, (r, c) in enumerate(corners):
+            assert np.array_equal(cells[:, :, cls, local], node_grid[r : r + n, c : c + n])
+    assert np.array_equal(ref.tri_edge_sign, np.tile(meshmod.CLASS_EDGE_SIGN, (n * n, 1)))
+    on_boundary = (row == 0) | (row == n) | (col == 0) | (col == n)
+    assert np.array_equal(ref.boundary_node, on_boundary)
+    assert np.array_equal(ref.interior_nodes, np.flatnonzero(~on_boundary))
+    # edges are horizontal, vertical or diagonal with length h up to rounding
+    step = np.diff(ref.edges, axis=1).ravel()
+    assert set(np.unique(step)) <= {1, side, side + 1}
+    assert np.allclose(ref.edge_length, np.where(step == side + 1, np.sqrt(2.0), 1.0) * grid.h,
+                       rtol=1e-14, atol=0)

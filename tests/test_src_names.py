@@ -1,0 +1,89 @@
+"""Every public function and class of the package has a reader outside the tests.
+
+A module-level definition of `src/mhbounds` is read when the package's
+module-level code, `scripts/`, `perfbench/` or the body of another read
+definition loads it by name, by an imported name or as an attribute of its
+module; any other attribute (`self.x`), and a string in `scripts/` or
+`perfbench/` (perfbench patches functions by name), counts for every
+module's `x`.  Grown to a fixpoint, so a helper read only by unread ones is
+caught too.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mhbounds"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _aliases(tree) -> tuple[dict, dict]:
+    """(names, modules) bound by the package imports of `tree`: an imported
+    name maps to its `module.name`, an imported package module to its stem."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = (node.module or "").removeprefix("mhbounds").lstrip(".")
+        if not (node.level or (node.module or "").startswith("mhbounds")):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name
+            if source:
+                names[bound] = f"{source}.{alias.name}"
+            else:
+                modules[bound] = alias.name
+    return names, modules
+
+
+def _reads(node, module: str, local: set, aliases: tuple, strings: bool = False) -> set:
+    """What `node` loads: qualified `module.name`s, and `*.name` for an
+    attribute (or, with `strings`, a string) that may belong to any module."""
+    names, modules = aliases
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            if sub.id in names:
+                out.add(names[sub.id])
+            elif sub.id in local:
+                out.add(f"{module}.{sub.id}")
+        elif isinstance(sub, ast.Attribute):
+            owner = sub.value.id if isinstance(sub.value, ast.Name) else None
+            out.add(f"{modules[owner]}.{sub.attr}" if owner in modules else f"*.{sub.attr}")
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            out.add(f"*.{sub.value}")
+    return out
+
+
+def unread_public_names(package: Path = PACKAGE, readers=("scripts", "perfbench")) -> list:
+    """`module.name` of every public module-level function or class of
+    `package` that nothing outside the tests reads, sorted."""
+    bodies = {}  # module.name -> what its definition reads
+    live = set()
+    for path in sorted(package.glob("*.py")):
+        module, tree = path.stem, ast.parse(path.read_text(), filename=str(path))
+        local = {node.name for node in tree.body if isinstance(node, DEFINITIONS)}
+        aliases = _aliases(tree)
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                bodies[f"{module}.{node.name}"] = _reads(node, module, local, aliases)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                live |= _reads(node, module, local, aliases)
+    for folder in readers:
+        for path in sorted((package.parents[1] / folder).glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            live |= _reads(tree, path.stem, set(), _aliases(tree), strings=True)
+
+    def is_read(qualified):
+        return qualified in live or "*." + qualified.split(".", 1)[1] in live
+
+    expanded = set()
+    while grow := [q for q in bodies if q not in expanded and is_read(q)]:
+        for qualified in grow:
+            expanded.add(qualified)
+            live |= bodies[qualified]
+    return sorted(q for q in bodies if not q.split(".", 1)[1].startswith("_") and not is_read(q))
+
+
+def test_every_public_src_name_has_a_reader():
+    unread = unread_public_names()
+    assert not unread, f"public names that only the tests read (move them to tests/): {unread}"

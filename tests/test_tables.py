@@ -1,12 +1,23 @@
 """Spot checks of computed bounds against the transcribed reference tables."""
 
+import csv
 from pathlib import Path
 
 import pytest
 
-from mhbounds.bench import ExperimentConfig, read_csv, run
+from mhbounds.bench import COLUMNS, ExperimentConfig, TableRow, run
 
 TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
+
+
+def read_csv(path) -> list[TableRow]:
+    """The rows of a table written by `bench.write_csv`, or of a transcribed one."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != COLUMNS:
+            raise ValueError(f"unexpected table header {header}")
+        return [TableRow(rec[0], *[float(v) for v in rec[1:]]) for rec in reader]
 
 
 def _fixture_row(name, label):
