@@ -335,10 +335,7 @@ def _overall_row(case, params, reports, n_trunc, ref_kind) -> TableRow:
         err2 += 0.5 * T * sum(
             reports[k].combined_err2(case.problem, params) for k in range(1, n_trunc + 1)
         )
-        num = reports[0].bounds.m1_extra * T + 0.5 * T * sum(
-            reports[k].bounds.m1_extra for k in range(1, n_trunc + 1)
-        )
-        ieff_m1 = m1_index(num, err2)
+        ieff_m1 = m1_index(total.m1_extra, err2)
     else:
         ieff_m1 = np.nan
     t_total = sum(reports[k].t_sec for k in range(n_trunc + 1))

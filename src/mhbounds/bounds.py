@@ -107,7 +107,7 @@ class ModeData:
 
     The cosine and sine parts are stacked on a leading axis of length P (one
     part for mode 0, two otherwise), and the data enter through their
-    per-triangle projections (see `FemContext.project_p1`/`project_rt0`).
+    per-triangle projections (see `FemContext.project_data`).
     Per-triangle arrays are class planes (see `femcore`).  Problem I
     carries the vertex values of the desired state's P1 projection, y_vert
     (P, 2, 3, n, n); problem II the RT0 projection of the desired gradient,
@@ -330,10 +330,7 @@ class OverallBounds:
 
     minorant: float
     majorant: float
-    m1: float
     m1_extra: float
-    n_modes: int
-    remainder: float
 
 
 def aggregate(mode_bounds: list[ModeBounds], params: BoundParams, remainder: float) -> OverallBounds:
@@ -353,13 +350,8 @@ def aggregate(mode_bounds: list[ModeBounds], params: BoundParams, remainder: flo
         + 0.5 * T * sum(b.majorant for b in rest)
         + 0.5 * (1 + ALPHA_TAIL) * remainder
     )
-    m1 = T * b0.m1 + 0.5 * T * sum(b.m1 for b in rest)
     m1_extra = T * b0.m1_extra + 0.5 * T * sum(b.m1_extra for b in rest)
-    n_modes = max(b.k for b in by_k)
-    return OverallBounds(
-        minorant=lower, majorant=upper, m1=m1, m1_extra=m1_extra,
-        n_modes=n_modes, remainder=remainder,
-    )
+    return OverallBounds(minorant=lower, majorant=upper, m1_extra=m1_extra)
 
 
 def combined_norm_weights(problem: str, params: BoundParams, k: int) -> tuple[float, float]:

@@ -3,10 +3,12 @@
 The stiffness and mass matrices are the 5-point and 7-point stencils of
 the two constant element matrices, applied to interior fields by slicing
 the node grid; no matrix is assembled.  Load vectors are summed onto the
-node grid by slicing.  Loads and data-bearing norms use a 7-point rule
-that is exact for polynomials of total degree 5 (so squares of the
-piecewise-quadratic integrands appearing in the bound evaluation are
-integrated exactly).
+node grid by slicing.  Data are sampled one block of cell rows at a time,
+and one product with a class-constant matrix maps a block's samples to
+their load terms, per-triangle projection and remainder.  Loads and
+data-bearing norms use a 7-point rule that is exact for polynomials of
+total degree 5 (so squares of the piecewise-quadratic integrands appearing
+in the bound evaluation are integrated exactly).
 
 Homogeneous Dirichlet conditions are imposed by restriction to interior
 nodes.  Every per-triangle array is laid out by the cell numbering, and
@@ -93,8 +95,8 @@ def element_matrices(mesh) -> tuple[np.ndarray, np.ndarray]:
 STENCIL_ROWS = 16
 
 # cell rows per block when data are sampled and projected without keeping
-# the samples: one block of samples and its remainder temporaries is alive
-# at a time, which bounds the set-up's transient memory on large grids
+# the samples: one block of samples and its image under the class maps is
+# alive at a time, which bounds the set-up's transient memory on large grids
 SAMPLE_ROWS = 32
 
 
@@ -185,6 +187,9 @@ class FemContext:
         self.class_qp = QUAD_BARY @ corners
         self.class_qp_offsets = self.class_qp - centroid
         self.offset_moment = float(QUAD_W @ np.sum(self.class_qp_offsets[0] ** 2, axis=1))
+        self._scalar_map, self._vector_map = (
+            _block_map(maps) for maps in self._sample_maps()
+        )
 
         # the centre node of a 2 x 2 cell grid touches all six triangles
         # around it, as every interior node does
@@ -192,6 +197,41 @@ class FemContext:
             Stencil({o: band[1, 1] for o, band in _stencil_bands(a, 2).items()}, n - 1)
             for a in element_matrices(mesh)
         )
+
+    def _sample_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The linear maps from one triangle's quadrature samples to what
+        `project_data` keeps of them, per class.
+
+        Scalar (2, Q, 3 + 3 + Q): the load terms A sum_q w_q f_q lambda_i(x_q),
+        the P1 vertex values 12 / A (m - sum(m) / 4) of the moments
+        m_i = A sum_q w_q f_q lambda_i(x_q), and the remainder f_q minus the
+        projection at x_q.  Vector (2, 2Q, 3 + 2 + 1 + 2Q), samples ordered
+        (point, component): the gradient load terms A sum_q w_q g_q . grad
+        lambda_i, the mean sum_q w_q g_q, the divergence 2 b of the slope
+        b = sum_q w_q g_q . (x_q - c) / offset_moment, and the remainder
+        g_q - mean - b (x_q - c).
+        """
+        points, area = len(QUAD_W), self.mesh.tri_area
+        weight = QUAD_W[:, None]
+        bary = weight * QUAD_BARY
+        vert = 12 * (bary - weight / 4)
+        scalar = np.hstack([area * bary, vert, np.eye(points) - vert @ QUAD_BARY.T])
+
+        offsets = self.class_qp_offsets.reshape(2, 2 * points)
+        mean = (weight[..., None] * np.eye(2)).reshape(2 * points, 2)
+        slope = np.repeat(QUAD_W, 2) * offsets / self.offset_moment
+        resid = np.eye(2 * points) - np.tile(mean, points) - slope[:, :, None] * offsets[:, None, :]
+        grad_load = area * weight[..., None] * self.class_grads.transpose(0, 2, 1)[:, None]
+        vector = np.concatenate(
+            [
+                grad_load.reshape(2, 2 * points, 3),
+                np.broadcast_to(mean, (2,) + mean.shape),
+                2 * slope[..., None],
+                resid,
+            ],
+            axis=-1,
+        )
+        return np.broadcast_to(scalar, (2,) + scalar.shape), vector
 
     # -- nodal field helpers -------------------------------------------------
 
@@ -220,10 +260,11 @@ class FemContext:
         out /= h
         return out
 
-    def _node_sums(self, contrib: np.ndarray) -> np.ndarray:
-        """Sum per-triangle vertex contributions (T, 3) onto the interior nodes."""
-        n = self.mesh.n
-        return add_cell_corners(contrib.reshape(n, n, 2, 3), n)[1:-1, 1:-1].ravel()
+    def _node_sums(self, planes: np.ndarray) -> np.ndarray:
+        """Sum per-triangle vertex contributions, class planes (2, 3, n, n),
+        onto the interior nodes."""
+        cells = np.moveaxis(planes, (0, 1), (-2, -1))
+        return add_cell_corners(cells, self.mesh.n)[1:-1, 1:-1].ravel()
 
     # -- data at the quadrature points -----------------------------------------
 
@@ -268,115 +309,71 @@ class FemContext:
     def project_data(self, f: Callable, vector: bool = False):
         """Load vector and per-triangle projection of data f, whose samples are not kept.
 
-        Returns (load, planes, rest) as `load_terms` with `project_p1` give
-        them for scalar data, planes = [vertex values], or
-        `gradient_load_terms` with `project_rt0` for vector data,
-        planes = [mean, divergence], on the whole sample array.  The data
-        are sampled and projected SAMPLE_ROWS cell rows at a time.
+        Returns (load, planes, rest).  For scalar data, load holds
+        (f, phi_i) and planes = [vertex values (2, 3, n, n)] of the P1
+        projection, orthogonal in the quadrature inner product, which is
+        exact on P1 x P1.  For vector data, load holds (g, grad phi_i) and
+        planes = [mean (2, 2, n, n), divergence (2, n, n)] of the RT0
+        projection mean + div/2 (x - c), the tau(c) + div/2 (x - c) form of
+        `fluxrecon`.  rest is the squared quadrature norm of what the
+        projection leaves over, summed from its values at the quadrature
+        points.  Each block of SAMPLE_ROWS cell rows of samples gives all of
+        it in one product with the class maps (see `_sample_maps`).
         """
         n = self.mesh.n
-        if vector:
-            load_terms, project = self.gradient_load_terms, self.project_rt0
-        else:
-            load_terms, project = self.load_terms, self.project_p1
-        terms = np.empty((n, 2 * n, 3))
+        maps = self._vector_map if vector else self._scalar_map
+        # columns of the maps: 3 load terms, 3 plane values, the remainder
+        parts = (slice(3, 5), 5) if vector else (slice(3, 6),)
+        weights = np.repeat(QUAD_W, 2 if vector else 1)  # of the remainder's columns
+        loads = np.empty((2, 3, n, n))
         planes, rest = [], 0.0
-        for rows, values in self._row_samples(f, vector):
-            terms[rows] = load_terms(values).reshape(-1, 2 * n, 3)
-            *parts, part_rest = project(values)
+        for rows, out in self._mapped_samples(f, maps, vector):
+            loads[:, :, rows] = out[:, :3]
             if not planes:
-                planes = [np.empty(p.shape[:-2] + (n, n)) for p in parts]
+                planes = [np.empty(out[:, part].shape[:-2] + (n, n)) for part in parts]
             for plane, part in zip(planes, parts):
-                plane[..., rows, :] = part
-            rest += float(part_rest)
-        return self._node_sums(terms.reshape(-1, 3)), planes, rest
-
-    def _row_samples(self, f: Callable, vector: bool = False):
-        """(rows, samples of f) for each block of SAMPLE_ROWS cell rows, in order."""
-        sample = self.vector_data_at_qp if vector else self.data_at_qp
-        n = self.mesh.n
-        for start in range(0, n, SAMPLE_ROWS):
-            rows = slice(start, min(start + SAMPLE_ROWS, n))
-            yield rows, sample(f, rows)
-
-    # -- per-triangle projections of data samples ------------------------------
-
-    def project_p1(self, values_qp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-triangle projection of samples (..., T, Q) onto P1, and its remainder.
-
-        The projection is orthogonal in the quadrature inner product, which
-        is exact on P1 x P1: with the moments m_i = A sum_q w_q f_q
-        lambda_i(x_q), the vertex values are 12 / A (m - sum(m) / 4).
-        Returns the vertex values as class planes (..., 2, 3, n, n) and the
-        squared quadrature norm of what the projection leaves over, summed
-        over triangles (...).
-        """
-        moments = (values_qp * QUAD_W) @ QUAD_BARY  # m / A
-        vert = 12 * (moments - moments.sum(axis=-1, keepdims=True) / 4)
-        rest = values_qp - vert @ QUAD_BARY.T
-        rest_norm2 = self.mesh.tri_area * ((rest * rest) @ QUAD_W).sum(axis=-1)
-        return class_planes(vert, self.mesh.n), rest_norm2
-
-    def project_rt0(self, values_qp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-triangle projection of vector samples (..., T, Q, 2) onto RT0.
-
-        On each triangle the local RT0 space a + b (x - c) has the constants
-        orthogonal to x - c, so the projection is the mean a plus the slope
-        b = mean(f . (x - c)) / mean(|x - c|^2).  Returns, as class planes,
-        the mean (..., 2, 2, n, n) and the divergence 2 b (..., 2, n, n),
-        which put the projection in the tau(c) + div/2 (x - c) form of
-        `fluxrecon`, and the squared quadrature norm of the remainder,
-        summed over triangles (...).
-        """
-        *lead, tris, points, _ = values_qp.shape
-        pairs = values_qp.reshape(*lead, tris // 2, 2, points, 2)
-        offsets = self.class_qp_offsets
-        mean = np.einsum("...qd,q->...d", pairs, QUAD_W)
-        weighted = offsets * QUAD_W[:, None] / self.offset_moment
-        slope = np.einsum("...cqd,cqd->...c", pairs, weighted)
-        rest = pairs - mean[..., None, :] - slope[..., None, None] * offsets
-        rest_norm2 = ((rest * rest).sum(axis=-1) @ QUAD_W).reshape(*lead, -1).sum(axis=-1)
-        form = np.concatenate([mean, 2 * slope[..., None]], axis=-1).reshape(*lead, tris, 3)
-        planes = class_planes(form, self.mesh.n)
-        return planes[..., :2, :, :], planes[..., 2, :, :], self.mesh.tri_area * rest_norm2
-
-    # -- load vectors ----------------------------------------------------------
+                plane[..., rows, :] = out[:, part]
+            resid = out[:, 6:]
+            np.square(resid, out=resid)
+            rest += float(weights @ resid.sum(axis=(-2, -1)).sum(axis=0))
+        return self._node_sums(loads), planes, self.mesh.tri_area * rest
 
     def load(self, f: Callable) -> np.ndarray:
-        """Load vector (f, phi_i) by quadrature, sampling SAMPLE_ROWS cell rows at a time."""
-        terms = [self.load_terms(values) for _, values in self._row_samples(f)]
-        return self._node_sums(np.concatenate(terms))
+        """Load vector (f, phi_i) by quadrature: the load columns of the scalar class maps."""
+        n = self.mesh.n
+        loads = np.empty((2, 3, n, n))
+        for rows, out in self._mapped_samples(f, self._scalar_map[:, :3]):
+            loads[:, :, rows] = out
+        return self._node_sums(loads)
 
-    def load_terms(self, values_qp: np.ndarray) -> np.ndarray:
-        """Per-triangle load terms (f, lambda_i)_T of samples (T, Q), (T, 3)."""
-        return (values_qp * (self.mesh.tri_area * QUAD_W)) @ QUAD_BARY
+    def _mapped_samples(self, f: Callable, maps: np.ndarray, vector: bool = False):
+        """(rows, the class maps applied to the samples of f) for each block of
+        SAMPLE_ROWS cell rows, in order, as class planes (2, D, R, n).
 
-    def gradient_load_terms(self, values_qp: np.ndarray) -> np.ndarray:
-        """Per-triangle gradient load terms (g, grad lambda_i)_T of vector samples (T, Q, 2), (T, 3)."""
-        weighted = self.mesh.tri_area * np.einsum("tqd,q->td", values_qp, QUAD_W)
-        return per_class(weighted, self.class_grads.transpose(0, 2, 1))
-
-
-def per_class(values: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Contract per-triangle rows with their class map, (..., T, K) -> (..., T, D).
-
-    `maps` is (2, K, D): row t of the result is values[t] @ maps[t % 2].
-    Consecutive triangles pair up, so this is one matrix product of the
-    (..., T/2, 2K) rows with the block-diagonal (2K, 2D) class matrix.
-    """
-    *lead, tris, width = values.shape
-    depth = maps.shape[-1]
-    block = np.zeros((2 * width, 2 * depth))
-    block[:width, :depth] = maps[0]
-    block[width:, depth:] = maps[1]
-    return (values.reshape(-1, 2 * width) @ block).reshape(*lead, tris, depth)
+        `maps` (2, D, 2S) is the transposed block-diagonal class map of the
+        S samples of a lower and an upper triangle.  Every block is written
+        to one buffer, so it is valid only until the next one is produced.
+        """
+        n = self.mesh.n
+        sample = self.vector_data_at_qp if vector else self.data_at_qp
+        cols = maps.reshape(-1, maps.shape[-1])
+        buffer = np.empty(len(cols) * min(SAMPLE_ROWS, n) * n)
+        for start in range(0, n, SAMPLE_ROWS):
+            rows = slice(start, min(start + SAMPLE_ROWS, n))
+            pairs = sample(f, rows).reshape(-1, cols.shape[1])
+            out = buffer[: len(cols) * len(pairs)].reshape(len(cols), len(pairs))
+            np.matmul(cols, pairs.T, out=out)
+            yield rows, out.reshape(2, -1, rows.stop - start, n)
 
 
-def class_planes(values: np.ndarray, n: int) -> np.ndarray:
-    """Per-triangle rows in the triangle numbering as class planes,
-    (..., T, K) -> (..., 2, K, R, n) for the T = 2 R n triangles of R cell rows."""
-    cells = values.reshape(values.shape[:-2] + (-1, n, 2, values.shape[-1]))
-    return np.ascontiguousarray(np.moveaxis(cells, (-4, -3), (-2, -1)))
+def _block_map(maps: np.ndarray) -> np.ndarray:
+    """Per-class maps (2, S, D) of one triangle's samples as the transposed
+    block-diagonal map (2, D, 2S) of a lower and an upper triangle's."""
+    samples, depth = maps.shape[1:]
+    block = np.zeros((2, depth, 2, samples))
+    block[0, :, 0] = maps[0].T
+    block[1, :, 1] = maps[1].T
+    return block.reshape(2, depth, 2 * samples)
 
 
 def p1_eval_at(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

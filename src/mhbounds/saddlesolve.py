@@ -37,9 +37,9 @@ import scipy.fft as sfft
 from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_coefficients, mode_parts
 
 # Basis vectors GMRES keeps before it restarts from the true residual.  The
-# basis is its largest memory, at most 0.6 GB for a k > 0 mode at n=1024;
-# no solve measured so far (random data, lambda down to 1e-4) takes more
-# than 14 steps, so none restarts.
+# basis and its preconditioned images are its largest memory, at most
+# 1.1 GB for a k > 0 mode at n=1024; no solve measured so far (random data,
+# lambda down to 1e-4) takes more than 14 steps, so none restarts.
 GMRES_RESTART = 16
 
 
@@ -51,10 +51,6 @@ class SolveStats:
     converged: bool
     breakdown: bool = False
     residuals: list = field(default_factory=list)
-
-    def monotone(self) -> bool:
-        r = self.residuals
-        return all(r[i + 1] <= r[i] * (1 + 1e-12) for i in range(len(r) - 1))
 
 
 class SpectralPrecond:
@@ -245,10 +241,11 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None):
     x = P u minimizes ||b - A x|| over the Krylov space of A P, with
     P = `precond.apply`.  A cycle ends when the rotated residual estimate
     drops below tol ||b|| or after GMRES_RESTART steps; x is then updated by
-    one product P (V y) and the next cycle restarts from the true residual
-    b - A x, until that meets tol, maxiter steps are spent or exactly
-    `fixed_iters` steps are taken.  An invariant Krylov space (h_{j+1,j} =
-    0) ends the solve; it is a breakdown only if the residual is not small.
+    sum_j y_j z_j from the products z_j = P v_j that the steps took, and the
+    next cycle restarts from the true residual b - A x, until that meets
+    tol, maxiter steps are spent or exactly `fixed_iters` steps are taken.
+    An invariant Krylov space (h_{j+1,j} = 0) ends the solve; it is a
+    breakdown only if the residual is not small.
     """
     start = time.perf_counter()
     x = np.zeros(b.shape[0])
@@ -267,6 +264,7 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None):
     invariant = False
     while itn < limit and not invariant:
         basis = [r / rnorm]
+        preconditioned = []  # z_j = P v_j
         # the Hessenberg matrix, reduced to upper triangular by the rotations
         R = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
         cs, sn = np.zeros(GMRES_RESTART), np.zeros(GMRES_RESTART)
@@ -274,7 +272,8 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None):
         g[0] = rnorm
         j = 0
         while j < GMRES_RESTART and itn < limit:
-            w = A @ precond.apply(basis[j])
+            preconditioned.append(precond.apply(basis[j]))
+            w = A @ preconditioned[j]
             wnorm = np.linalg.norm(w)
             h = R[:, j]
             for i, v in enumerate(basis):
@@ -299,11 +298,8 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None):
                 w /= next_norm
                 basis.append(w)
         coef = np.linalg.solve(R[:j, :j], g[:j])
-        z = basis[0]
-        z *= coef[0]
-        for i in range(1, j):
-            z += np.multiply(basis[i], coef[i], out=scaled)
-        x += precond.apply(z)
+        for z, c in zip(preconditioned, coef):
+            x += np.multiply(z, c, out=scaled)
         r = b - A @ x
         rnorm = float(np.linalg.norm(r))
         if fixed_iters is None and rnorm <= target:

@@ -13,7 +13,10 @@ that `FemContext` reads, so a context can be built on it.
 The nodal-field helpers below (zero extension, interpolation, values and
 gradients by `triangles` gathers, and the 7-point quadrature norms) work
 on all-node vectors and per-quadrature-point samples, the layouts the
-reference evaluations use; the run path never forms either.
+reference evaluations use; the run path never forms either.  So do the
+per-triangle load terms and P1 / RT0 projections of whole sample arrays,
+each its own pass over the samples, against which the fused class-map
+product of `FemContext.project_data` is checked.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import scipy.sparse as sp
 
 from types import SimpleNamespace
 
-from mhbounds.femcore import QUAD_BARY, QUAD_W, per_class
+from mhbounds.femcore import QUAD_BARY, QUAD_W
 
 
 def build_mesh(n: int) -> SimpleNamespace:
@@ -254,3 +257,78 @@ def l2_norm_squared(ctx, field) -> float:
             raise ValueError(f"piecewise degree {degree} not integrated exactly")
         return norm2(ctx, values)
     raise ValueError(f"unknown field descriptor {kind!r}")
+
+
+# -- per-triangle load terms and projections of samples ----------------------
+
+
+def per_class(values: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Contract per-triangle rows with their class map, (..., T, K) -> (..., T, D).
+
+    `maps` is (2, K, D): row t of the result is values[t] @ maps[t % 2].
+    Consecutive triangles pair up, so this is one matrix product of the
+    (..., T/2, 2K) rows with the block-diagonal (2K, 2D) class matrix.
+    """
+    *lead, tris, width = values.shape
+    depth = maps.shape[-1]
+    block = np.zeros((2 * width, 2 * depth))
+    block[:width, :depth] = maps[0]
+    block[width:, depth:] = maps[1]
+    return (values.reshape(-1, 2 * width) @ block).reshape(*lead, tris, depth)
+
+
+def class_planes(values: np.ndarray, n: int) -> np.ndarray:
+    """Per-triangle rows in the triangle numbering as class planes,
+    (..., T, K) -> (..., 2, K, R, n) for the T = 2 R n triangles of R cell rows."""
+    cells = values.reshape(values.shape[:-2] + (-1, n, 2, values.shape[-1]))
+    return np.ascontiguousarray(np.moveaxis(cells, (-4, -3), (-2, -1)))
+
+
+def load_terms(ctx, values_qp: np.ndarray) -> np.ndarray:
+    """Per-triangle load terms (f, lambda_i)_T of samples (T, Q), (T, 3)."""
+    return (values_qp * (ctx.mesh.tri_area * QUAD_W)) @ QUAD_BARY
+
+
+def gradient_load_terms(ctx, values_qp: np.ndarray) -> np.ndarray:
+    """Per-triangle gradient load terms (g, grad lambda_i)_T of vector samples (T, Q, 2), (T, 3)."""
+    weighted = ctx.mesh.tri_area * np.einsum("tqd,q->td", values_qp, QUAD_W)
+    return per_class(weighted, ctx.class_grads.transpose(0, 2, 1))
+
+
+def project_p1(ctx, values_qp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-triangle projection of samples (..., T, Q) onto P1, and its remainder.
+
+    The projection is orthogonal in the quadrature inner product, which
+    is exact on P1 x P1: with the moments m_i = A sum_q w_q f_q
+    lambda_i(x_q), the vertex values are 12 / A (m - sum(m) / 4).
+    Returns the vertex values as class planes (..., 2, 3, n, n) and the
+    squared quadrature norm of what the projection leaves over, summed
+    over triangles (...).
+    """
+    moments = (values_qp * QUAD_W) @ QUAD_BARY  # m / A
+    vert = 12 * (moments - moments.sum(axis=-1, keepdims=True) / 4)
+    rest = values_qp - vert @ QUAD_BARY.T
+    rest_norm2 = ctx.mesh.tri_area * ((rest * rest) @ QUAD_W).sum(axis=-1)
+    return class_planes(vert, ctx.mesh.n), rest_norm2
+
+
+def project_rt0(ctx, values_qp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-triangle projection of vector samples (..., T, Q, 2) onto RT0.
+
+    On each triangle the local RT0 space a + b (x - c) has the constants
+    orthogonal to x - c, so the projection is the mean a plus the slope
+    b = mean(f . (x - c)) / mean(|x - c|^2).  Returns, as class planes,
+    the mean (..., 2, 2, n, n) and the divergence 2 b (..., 2, n, n), and
+    the squared quadrature norm of the remainder, summed over triangles (...).
+    """
+    *lead, tris, points, _ = values_qp.shape
+    pairs = values_qp.reshape(*lead, tris // 2, 2, points, 2)
+    offsets = ctx.class_qp_offsets
+    mean = np.einsum("...qd,q->...d", pairs, QUAD_W)
+    weighted = offsets * QUAD_W[:, None] / ctx.offset_moment
+    slope = np.einsum("...cqd,cqd->...c", pairs, weighted)
+    rest = pairs - mean[..., None, :] - slope[..., None, None] * offsets
+    rest_norm2 = ((rest * rest).sum(axis=-1) @ QUAD_W).reshape(*lead, -1).sum(axis=-1)
+    form = np.concatenate([mean, 2 * slope[..., None]], axis=-1).reshape(*lead, tris, 3)
+    planes = class_planes(form, ctx.mesh.n)
+    return planes[..., :2, :, :], planes[..., 2, :, :], ctx.mesh.tri_area * rest_norm2

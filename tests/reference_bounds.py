@@ -27,7 +27,9 @@ from mhbounds.bounds import (
 )
 from mhbounds.fluxrecon import GridFlux
 from mhbounds.timefourier import sample_periodic
-from reference_assembly import norm2, p1_at_qp, p1_grad, quadrature_points, to_full, vec_norm2
+from reference_assembly import (
+    norm2, p1_at_qp, p1_grad, project_p1, project_rt0, quadrature_points, to_full, vec_norm2,
+)
 from reference_systems import stencil_csr
 
 
@@ -75,9 +77,9 @@ def edge_coeffs(mesh, flux: GridFlux) -> np.ndarray:
 def project(ctx, samples: QuadratureData) -> ModeData:
     """The ModeData of `evaluate_mode` built from quadrature samples."""
     if samples.y_qp is not None:
-        vert, rest = ctx.project_p1(samples.y_qp)
+        vert, rest = project_p1(ctx, samples.y_qp)
         return ModeData(k=samples.k, rest=float(rest.sum()), y_vert=vert)
-    mean, div, rest = ctx.project_rt0(samples.g_qp)
+    mean, div, rest = project_rt0(ctx, samples.g_qp)
     return ModeData(k=samples.k, rest=float(rest.sum()), g_mean=mean, g_div=div,
                     g_flux=edge_planes(ctx.mesh, samples.g_edge))
 

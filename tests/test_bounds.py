@@ -208,6 +208,7 @@ def test_aggregate_shape():
     assert abs(total.minorant - (T * b0.minorant + 5.0)) < 1e-12 * max(1, abs(total.minorant))
     expected_tail = 0.5 * (1 + ALPHA_TAIL) * 10.0
     assert abs(total.majorant - (T * b0.majorant + expected_tail)) < 1e-12 * max(1, abs(total.majorant))
+    assert total.m1_extra == T * b0.m1_extra
     with pytest.raises(ValueError):
         aggregate([], params2, 0.0)
 

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mhbounds.femcore import QUAD_BARY, QUAD_W, FemContext, _stencil_bands, element_matrices, p1_eval_at, per_class, prolong
+from mhbounds.cases import make_case
+from mhbounds.femcore import (
+    QUAD_BARY, QUAD_W, SAMPLE_ROWS, FemContext, _stencil_bands, element_matrices, p1_eval_at, prolong,
+)
 from mhbounds.mesh import add_cell_corners
 from mhbounds.systems import build_matrices, build_mode_system
 import reference_assembly as ref
@@ -101,8 +104,9 @@ def test_sliced_loads_match_add_at(n, rng):
     values = rng.standard_normal(ref.quadrature_weights(ctx).shape)
     vectors = rng.standard_normal(ref.quadrature_weights(ctx).shape + (2,))
     for got, expect in [
-        (ctx._node_sums(ctx.load_terms(values)), ref.load_from_qp(mesh, values)),
-        (ctx._node_sums(ctx.gradient_load_terms(vectors)), ref.gradient_load_from_qp(mesh, vectors)),
+        (ctx._node_sums(ref.class_planes(ref.load_terms(ctx, values), n)), ref.load_from_qp(mesh, values)),
+        (ctx._node_sums(ref.class_planes(ref.gradient_load_terms(ctx, vectors), n)),
+         ref.gradient_load_from_qp(mesh, vectors)),
     ]:
         assert got.shape == expect.shape
         assert np.abs(got - expect).max(initial=0) <= 1e-14 * np.abs(expect).max(initial=0)
@@ -252,7 +256,7 @@ def test_class_maps_match_per_triangle_geometry(n, rng):
     # per_class applies the class map row by row
     vert = rng.standard_normal((3, mesh.num_triangles, 3))
     expect = np.einsum("ptk,tkd->ptd", vert, grads)
-    assert np.allclose(per_class(vert, ctx.class_grads), expect, rtol=1e-13, atol=1e-13 * n)
+    assert np.allclose(ref.per_class(vert, ctx.class_grads), expect, rtol=1e-13, atol=1e-13 * n)
     w = rng.standard_normal(mesh.num_nodes)
     expect = np.einsum("tk,tkd->td", w[mesh.triangles], grads)
     assert np.allclose(ref.p1_grad(ctx, w), expect, rtol=1e-13, atol=1e-13 * n)
@@ -278,6 +282,78 @@ def test_exact_p1_norm_matches_mass_matrix(ctx8, rng):
     assert abs(_p1_norm2(ctx8, grid, shift, vert) - expect) < 1e-13 * expect
 
 
+def _sampled(ctx, values):
+    """A data callable that returns the given samples, (T, Q) or (T, Q, 2),
+    at the quadrature points `FemContext` asks for, one block of cell rows
+    at a time; the row of a point is that of its cell origin."""
+    n, h = ctx.mesh.n, ctx.mesh.h
+    cells = values.reshape((n, n, 2, len(QUAD_W)) + values.shape[2:])
+
+    def f(x, y):
+        block = cells[np.floor(y[:, 0, 0, 0] / h).astype(int)]
+        return block if block.ndim == 4 else (block[..., 0], block[..., 1])
+
+    return f
+
+
+def _assert_close(got, expect, rtol, scale=None):
+    scale = np.abs(expect).max(initial=0) if scale is None else scale
+    assert got.shape == expect.shape
+    assert np.abs(got - expect).max(initial=0) <= rtol * scale
+
+
+def _assert_projection_matches_reference(ctx, f, vector):
+    """`project_data` of data f against the separate passes of the reference:
+    the load vector and the planes to 1e-12 of their size, rest to 1e-10 of
+    itself above the rounding floor of the samples' norm, where the
+    projection is exact."""
+    mesh = ctx.mesh
+    load, planes, rest = ctx.project_data(f, vector)
+    if vector:
+        vectors = ctx.vector_data_at_qp(f)
+        mean, div = planes
+        expect_mean, expect_div, expect_rest = ref.project_rt0(ctx, vectors)
+        _assert_close(load, ref.gradient_load_from_qp(mesh, vectors), 1e-12)
+        _assert_close(mean, expect_mean, 1e-12)
+        # the divergence times h is the size of the slope's part of the field
+        scale = max(np.abs(expect_div).max(), np.abs(expect_mean).max() * mesh.n)
+        _assert_close(div, expect_div, 1e-12, scale)
+        floor = ref.vec_norm2(ctx, vectors)
+    else:
+        values = ctx.data_at_qp(f)
+        expect_vert, expect_rest = ref.project_p1(ctx, values)
+        expect_load = ref.load_from_qp(mesh, values)
+        _assert_close(load, expect_load, 1e-12)
+        _assert_close(ctx.load(f), expect_load, 1e-12)
+        _assert_close(planes[0], expect_vert, 1e-12)
+        floor = ref.norm2(ctx, values)
+    assert rest >= 0
+    assert abs(rest - expect_rest) <= 1e-10 * expect_rest + 1e-28 * floor
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, 5, 40, 70]), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_fused_projection_matches_reference(n, seed, scale):
+    # n = 40 and 70 end in a partial block of cell rows
+    assert 40 % SAMPLE_ROWS and 70 % SAMPLE_ROWS
+    ctx = FemContext(ref.build_mesh(n))
+    rng = np.random.default_rng(seed)
+    shape = ref.quadrature_weights(ctx).shape
+    for vector, values in [(False, rng.standard_normal(shape)), (True, rng.standard_normal(shape + (2,)))]:
+        _assert_projection_matches_reference(ctx, _sampled(ctx, scale * values), vector)
+
+
+@pytest.mark.parametrize("n", [40, 70])
+@pytest.mark.parametrize("example", [1, 3, 4, 6])
+def test_fused_projection_of_example_data(n, example):
+    # the indicator data of examples 3 and 6 change only across mesh lines,
+    # so their projections are exact: rest and divergence are rounding
+    case = make_case(example)
+    vector = case.problem == "II"
+    f = case.spatial_vector if vector else case.spatial_scalar
+    _assert_projection_matches_reference(FemContext(ref.build_mesh(n)), f, vector)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), parts=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
        scale=st.floats(1e-3, 1e3))
@@ -290,7 +366,9 @@ def test_projections_leave_orthogonal_remainder(n, parts, seed, scale):
     ctx = FemContext(ref.build_mesh(n))
     rng = np.random.default_rng(seed)
     values = scale * rng.standard_normal((parts,) + ref.quadrature_weights(ctx).shape)
-    vert, rest = ctx.project_p1(values)
+    vert, rest = (np.stack(a) for a in zip(*(
+        (vert, rest) for _, (vert,), rest in (ctx.project_data(_sampled(ctx, part)) for part in values)
+    )))
     remainder = values - tri_rows(vert) @ QUAD_BARY.T
     moments = (remainder * ref.quadrature_weights(ctx)) @ QUAD_BARY
     total = sum(ref.norm2(ctx, part) for part in values)
@@ -300,7 +378,10 @@ def test_projections_leave_orthogonal_remainder(n, parts, seed, scale):
     assert abs(exact + rest.sum() - total) <= 1e-13 * total
 
     vectors = scale * rng.standard_normal((parts,) + ref.quadrature_weights(ctx).shape + (2,))
-    mean, div, rest = ctx.project_rt0(vectors)
+    mean, div, rest = (np.stack(a) for a in zip(*(
+        (mean, div, rest)
+        for _, (mean, div), rest in (ctx.project_data(_sampled(ctx, part), vector=True) for part in vectors)
+    )))
     points = ref.quadrature_points(ctx.mesh)
     offsets = points - points.mean(axis=1, keepdims=True)
     projection = tri_rows(mean)[..., None, :] + 0.5 * tri_scalars(div)[..., None, None] * offsets

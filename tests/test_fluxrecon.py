@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mhbounds import fluxrecon
-from mhbounds.femcore import FemContext, class_planes
-from reference_assembly import build_mesh, interpolate, p1_grad, quadrature_points, vec_norm2
+from mhbounds.femcore import FemContext
+from reference_assembly import build_mesh, class_planes, interpolate, p1_grad, quadrature_points, vec_norm2
 from reference_bounds import (
     _match_boundary_divergence, edge_coeffs, edge_planes, rt0_at_points, rt0_divergence, rt0_from_callable,
     rt0_reconstruct, tri_rows, tri_scalars,

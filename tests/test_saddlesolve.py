@@ -42,14 +42,20 @@ def test_zero_rhs(ctx8):
     assert np.abs(sol.y).max() == 0.0
 
 
+def _monotone(stats) -> bool:
+    """The solver's recorded residuals never grow (up to rounding)."""
+    r = stats.residuals
+    return all(r[i + 1] <= r[i] * (1 + 1e-12) for i in range(len(r) - 1))
+
+
 def test_monotone_residuals(ctx8, rng):
     mats = build_matrices(ctx8)
     n = ctx8.K.shape[0]
     sysk = build_mode_system("I", mats, 2, LAM, OMEGA, rng.standard_normal((2, n)))
     _, stats = minres(sysk, build_precond_I(mats, 2, LAM, OMEGA), tol=1e-12)
-    assert stats.monotone()
+    assert _monotone(stats)
     _, stats_id = minres(sysk, None, tol=1e-10, maxiter=200)
-    assert stats_id.monotone()
+    assert _monotone(stats_id)
 
 
 def test_precond_entries_mode0(ctx2):
@@ -292,7 +298,7 @@ def test_gmres_solves_nonsymmetric_system():
     assert stats.converged and not stats.breakdown
     assert relres <= 1e-10
     assert stats.relative_residual == pytest.approx(relres, rel=1e-9)
-    assert stats.monotone()
+    assert _monotone(stats)
     assert len(stats.residuals) == stats.iterations + 1
 
 

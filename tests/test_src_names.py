@@ -7,6 +7,11 @@ module; any other attribute (`self.x`), and a string in `scripts/` or
 `perfbench/` (perfbench patches functions by name), counts for every
 module's `x`.  Grown to a fixpoint, so a helper read only by unread ones is
 caught too.
+
+A public method of a class of `src/mhbounds` is read when an attribute of
+its name is read anywhere in `src/`, `scripts/` or `perfbench/`, or a
+string there names it; dunder methods are called by the language and are
+exempt.
 """
 
 import ast
@@ -87,3 +92,28 @@ def unread_public_names(package: Path = PACKAGE, readers=("scripts", "perfbench"
 def test_every_public_src_name_has_a_reader():
     unread = unread_public_names()
     assert not unread, f"public names that only the tests read (move them to tests/): {unread}"
+
+
+def unread_public_methods(package: Path = PACKAGE, readers=("scripts", "perfbench")) -> list:
+    """`module.Class.method` of every public method of a class of `package`
+    whose name no attribute (or, outside `package`, string) read in
+    `package` or `readers` carries, sorted."""
+    methods, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= _reads(tree, path.stem, set(), ({}, {}))
+        methods += [
+            f"{path.stem}.{node.name}.{item.name}"
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+        ]
+    for folder in readers:
+        for path in sorted((package.parents[1] / folder).glob("*.py")):
+            read |= _reads(ast.parse(path.read_text(), filename=str(path)), path.stem, set(), ({}, {}), strings=True)
+    return sorted(m for m in methods if "*." + m.rsplit(".", 1)[1] not in read)
+
+
+def test_every_public_src_method_has_a_reader():
+    unread = unread_public_methods()
+    assert not unread, f"public methods that only the tests read (move them to tests/): {unread}"
