@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +34,7 @@ from .bounds import (
     mode_cost,
 )
 from .cases import CaseBind, ExampleCase, make_case
-from .femcore import FemContext, prolong
+from .femcore import FemContext, Scratch, prolong
 from .saddlesolve import SolveStats, build_precond_I, build_precond_II, minres
 from .systems import build_matrices, build_mode_system
 
@@ -154,7 +155,12 @@ class BoundsReport:
 
 
 class _Solver:
-    """Assemble-and-solve helper shared by runs and the fine reference."""
+    """Assemble-and-solve helper shared by runs and the fine reference.
+
+    Each thread that solves modes gets its own `Scratch`, which its Krylov
+    solves and bound evaluations borrow their work buffers from, mode after
+    mode; it is dropped with the solver, or when `scratches` is replaced.
+    """
 
     def __init__(self, case: ExampleCase, n: int, config: ExperimentConfig):
         self.case = case
@@ -164,6 +170,14 @@ class _Solver:
         self.mats = build_matrices(self.ctx, case.sigma, case.nu)
         self.bind = CaseBind(case, self.ctx)
         self.params = BoundParams(lam=case.lam, omega=case.omega, sigma=case.sigma, nu=case.nu)
+        self.scratches = threading.local()
+
+    def _scratch(self) -> Scratch:
+        """The calling thread's scratch."""
+        scratch = getattr(self.scratches, "scratch", None)
+        if scratch is None:
+            scratch = self.scratches.scratch = Scratch()
+        return scratch
 
     def solve_mode(self, k: int):
         """Solve mode k: to the tolerance by GMRES with A~_k^{-1}, or in paper
@@ -180,17 +194,25 @@ class _Solver:
                 surrogate_inverse=converge,
             )
         fixed = None if converge else 8
-        return minres(system, precond, tol=config.tol, maxiter=config.maxiter, fixed_iters=fixed)
+        return minres(system, precond, tol=config.tol, maxiter=config.maxiter, fixed_iters=fixed,
+                      scratch=self._scratch())
 
     def run_mode(self, k: int) -> ModeReport:
         start = time.perf_counter()
         sol, stats = self.solve_mode(k)
         bounds = evaluate_mode(
             self.case.problem, self.ctx, self.mats, self.params, sol,
-            self.bind.mode_data(k),
+            self.bind.mode_data(k), scratch=self._scratch(),
         )
         elapsed = time.perf_counter() - start
         return ModeReport(k=k, t_sec=elapsed, bounds=bounds, stats=stats, solution=sol)
+
+
+def _sine_modes_first(modes) -> list:
+    """The modes k > 0 in increasing order, then mode 0: a mode 0 solve has
+    half the unknowns of the others, so it works in scratch pages they have
+    already touched."""
+    return sorted(modes, key=lambda k: (k == 0, k))
 
 
 def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, solutions: dict,
@@ -205,24 +227,33 @@ def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, so
     """
     fine = _Solver(case, nref, config)
     costs, norms = {}, {}
-    for k, sol in solutions.items():
+    for k in _sine_modes_first(solutions):
+        sol = solutions[k]
         fine_sol, _ = fine.solve_mode(k)
-        costs[k] = mode_cost(case.problem, fine.ctx, fine.mats, case.lam, fine_sol, fine.bind.mode_data(k))
-        norms[k] = _fine_error_norms(fine.ctx, fine_sol, coarse_ctx, sol)
+        scratch = fine._scratch()
+        costs[k] = mode_cost(case.problem, fine.ctx, fine.mats, fine.params, fine_sol,
+                             fine.bind.mode_data(k), scratch=scratch)
+        norms[k] = _fine_error_norms(fine.ctx, fine_sol, coarse_ctx, sol, scratch=scratch)
     return costs, norms
 
 
-def _fine_error_norms(fine_ctx: FemContext, fine_sol, coarse_ctx: FemContext, sol):
+def _fine_error_norms(fine_ctx: FemContext, fine_sol, coarse_ctx: FemContext, sol,
+                      scratch: Scratch | None = None):
     """(||e||^2, ||grad e||^2) of the coarse state against the fine one.
 
     The coarse state is evaluated at the fine nodes; both fields vanish on
     the boundary, so the norms of their difference e are the quadratic
-    forms of the fine interior mass and stiffness stencils.
+    forms of the fine interior mass and stiffness stencils, whose products
+    are lent by `scratch` (or allocated without one).
     """
     n = fine_ctx.mesh.n
     coarse = prolong(coarse_ctx.node_grid(sol.y), n)[:, 1:-1, 1:-1]
     e = fine_sol.y - coarse.reshape(len(coarse), -1)
-    return float(np.vdot(e, fine_ctx.M(e))), float(np.vdot(e, fine_ctx.K(e)))
+    scratch = Scratch() if scratch is None else scratch
+    with scratch.lend(e.shape) as (product,):
+        l2 = float(np.vdot(e, fine_ctx.M(e, out=product, scratch=scratch)))
+        h1 = float(np.vdot(e, fine_ctx.K(e, out=product, scratch=scratch)))
+    return l2, h1
 
 
 def _overall_reference(case: ExampleCase) -> float:
@@ -245,11 +276,15 @@ def run(config: ExperimentConfig) -> BoundsReport:
 
     needed = sorted(set(config.modes) | set(range(max(config.overall) + 1)) if config.overall
                     else set(config.modes))
+    order = _sine_modes_first(needed)
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            reports = {r.k: r for r in pool.map(solver.run_mode, needed)}
+            done = {r.k: r for r in pool.map(solver.run_mode, order)}
     else:
-        reports = {k: solver.run_mode(k) for k in needed}
+        done = {k: solver.run_mode(k) for k in order}
+    reports = {k: done[k] for k in needed}
+    # a fine reference solves on its own grid, in a scratch of its own
+    solver.scratches = threading.local()
     for k, rep in reports.items():
         if not rep.stats.converged:
             outcome = "broke down" if rep.stats.breakdown else "did not converge"

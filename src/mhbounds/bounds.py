@@ -5,17 +5,22 @@ averaged-flux reconstructions, yields a fully computable upper bound
 (majorant) and lower bound (minorant) on the optimal cost, plus an upper
 bound on the control-state discretization error in a weighted H1-type norm.
 The two free majorant parameters are optimized in closed form.
+
+The per-triangle work of a mode runs over blocks of cell rows, in buffers
+lent once per mode and reused by every block, so its memory does not grow
+with the grid and a worker's modes reuse the same pages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import prod
 from typing import Optional
 
 import numpy as np
 
 from . import fluxrecon
-from .femcore import FemContext
+from .femcore import FemContext, Scratch
 from .mesh import CLASS_CORNERS
 from .systems import ModeMatrices, ModeSolution, quarter_turn
 
@@ -29,6 +34,10 @@ ALPHA_TAIL = 1e-8
 ALPHA_FLOOR = 1e-8
 ALPHA_CAP = 1e8
 BETA_CAP = 1e8
+# cells per block of the bound evaluation: the block buffers of a k > 0 mode
+# take about 60 doubles per cell (4 MB), n=128 takes two blocks and n=1024
+# 128 of them
+BOUND_CELLS = 8192
 
 
 @dataclass
@@ -105,21 +114,26 @@ class ResidualSet:
 class ModeData:
     """Per-mode data entering misfits, residuals and right-hand sides.
 
-    The cosine and sine parts are stacked on a leading axis of length P (one
-    part for mode 0, two otherwise), and the data enter through their
-    per-triangle projections (see `FemContext.project_data`).
-    Per-triangle arrays are class planes (see `femcore`).  Problem I
-    carries the vertex values of the desired state's P1 projection, y_vert
-    (P, 2, 3, n, n); problem II the RT0 projection of the desired gradient,
-    g_mean + g_div/2 (x - c) with g_mean (P, 2, 2, n, n) and g_div
-    (P, 2, n, n), and the edge-flux degrees of freedom of the same data,
-    g_flux (a GridFlux of P stacked fields), for the adjoint flux
+    The data's cosine and sine parts are combinations of J profiles: part p
+    is sum_j coef[p, j] profile_j, with `coef` (P, J) the mode's time
+    coefficients (P = 1 for mode 0, 2 otherwise).  The profiles enter
+    through their per-triangle projections (see `FemContext.project_data`),
+    stacked on a leading axis of length J and never scaled in place: the
+    row blocks of `evaluate_mode` scale the rows they read.  Per-triangle
+    arrays are class planes (see `femcore`).  Problem I carries the vertex
+    values of the desired state's P1 projection, y_vert (J, 2, 3, n, n);
+    problem II the RT0 projection of the desired gradient,
+    g_mean + g_div/2 (x - c) with g_mean (J, 2, 2, n, n) and g_div
+    (J, 2, n, n), and the edge-flux degrees of freedom of the same data,
+    g_flux (a GridFlux of J stacked fields), for the adjoint flux
     reconstruction.  `rest` is the squared quadrature norm of what the
-    projections leave over, summed over the parts: the residuals are
-    piecewise polynomials orthogonal to it, so it adds to each data term.
+    projections leave over of the mode's data, summed over the parts: the
+    residuals are piecewise polynomials orthogonal to it, so it adds to each
+    data term.
     """
 
     k: int
+    coef: np.ndarray
     rest: float = 0.0
     y_vert: Optional[np.ndarray] = None
     g_mean: Optional[np.ndarray] = None
@@ -141,39 +155,45 @@ class ModeBounds:
     misfit: float
     control_energy: float
     mixed: float
-    m1: float
     m1_extra: float
 
 
-def _p1_norm2(ctx: FemContext, grid: np.ndarray, shift=None, vert=None) -> float:
+def _p1_norm2(ctx: FemContext, grid: np.ndarray, shift=None, vert=None, work=None) -> float:
     """Exact squared L2 norm of stacked fields that are P1 per triangle.
 
-    On each triangle the field is the nodal field `grid` (P, n+1, n+1), plus
-    the per-triangle constant `shift` (P, 2, n, n), minus the per-triangle
-    vertex values `vert` (P, 2, 3, n, n); either may be absent.  Per
-    triangle the P1 mass form gives area/12 (sum a_i^2 + (sum a_i)^2),
-    summed one class and one local vertex at a time over slices of the grid.
+    On each triangle of R cell rows the field is the nodal field `grid`
+    (P, R+1, n+1), plus the per-triangle constant `shift` (P, 2, R, n), minus
+    the per-triangle vertex values `vert` (P, 2, 3, R, n); either may be
+    absent.  Per triangle the P1 mass form gives area/12 (sum a_i^2 +
+    (sum a_i)^2), summed one class and one local vertex at a time over
+    slices of the grid, in `work` (2, P, R, n) when given.
     """
-    n = ctx.mesh.n
+    rows, n = grid.shape[-2] - 1, grid.shape[-1] - 1
+    if work is None:
+        work = np.empty((2,) + grid.shape[:-2] + (rows, n))
+    a, sums = work
     total = 0.0
     for cls, corners in enumerate(CLASS_CORNERS):
-        sums = 0.0
         for i, (r, c) in enumerate(corners):
-            a = grid[..., r : r + n, c : c + n]
+            corner = grid[..., r : r + rows, c : c + n]
             if shift is not None:
-                a = a + shift[..., cls, :, :]
+                np.add(corner, shift[..., cls, :, :], out=a)
+            else:
+                np.copyto(a, corner)
             if vert is not None:
-                a = a - vert[..., cls, i, :, :]
-            a = np.ascontiguousarray(a)
+                a -= vert[..., cls, i, :, :]
             total += np.vdot(a, a)
-            sums = sums + a
+            if i:
+                sums += a
+            else:
+                np.copyto(sums, a)
         total += np.vdot(sums, sums)
     return ctx.mesh.tri_area / 12 * float(total)
 
 
 def _rt0_norm2(ctx: FemContext, const: np.ndarray, div: np.ndarray) -> float:
     """Exact squared L2 norm of tau(x) = const + div/2 (x - c) per triangle,
-    from class planes const (P, 2, 2, n, n) and div (P, 2, n, n).
+    from class planes const (P, 2, 2, R, n) and div (P, 2, R, n).
 
     The linear part has zero mean, so the cross term vanishes.
     """
@@ -182,44 +202,186 @@ def _rt0_norm2(ctx: FemContext, const: np.ndarray, div: np.ndarray) -> float:
     )
 
 
-def _state_misfit(problem: str, ctx: FemContext, y_grid, y_grad, data: ModeData) -> float:
-    """Squared data misfit of the stacked state parts, in closed form.
-
-    The state minus the data's projection is P1 (problem I) or RT0
-    (problem II) per triangle; the remainder of the projection adds its norm.
-    """
-    if problem == "I":
-        return _p1_norm2(ctx, y_grid, vert=data.y_vert) + data.rest
-    return _rt0_norm2(ctx, y_grad - data.g_mean, -data.g_div) + data.rest
-
-
-def _adjoint_mass(mats: ModeMatrices, ps: np.ndarray) -> tuple[np.ndarray, float]:
+def _adjoint_mass(mats: ModeMatrices, ps: np.ndarray, out=None, scratch=None) -> tuple[np.ndarray, float]:
     """M p of the stacked adjoint parts, (P, m), and p^T M p summed over the parts."""
-    mp = mats.M(ps)
+    mp = mats.M(ps, out=out, scratch=scratch)
     return mp, float(np.vdot(ps, mp))
 
 
-def mode_cost(problem: str, ctx: FemContext, mats: ModeMatrices, lam: float,
-              sol: ModeSolution, data: ModeData) -> float:
+def _scaled(coef: np.ndarray, profiles: np.ndarray, index, out: np.ndarray) -> np.ndarray:
+    """The mode's data parts sum_j coef[p, j] profiles[j][index], into out (P, ...)."""
+    for part, row in zip(out, coef):
+        np.multiply(row[0], profiles[0][index], out=part)
+        for c, profile in zip(row[1:], profiles[1:]):
+            part += c * profile[index]
+    return out
+
+
+def _centroid_values(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Centroid values of P1 fields on R + 1 rows of the node grid, as class
+    planes (..., 2, R, n), into out."""
+    rows, n = grid.shape[-2] - 1, grid.shape[-1] - 1
+    for cls, ((r, c), *others) in enumerate(CLASS_CORNERS):
+        plane = out[..., cls, :, :]
+        np.copyto(plane, grid[..., r : r + rows, c : c + n])
+        for r, c in others:
+            plane += grid[..., r : r + rows, c : c + n]
+    out /= 3
+    return out
+
+
+def _block_shapes(problem: str, parts: int, rows: int, read: int, n: int, misfit_only: bool) -> dict:
+    """Shapes of the buffers of a block of `rows` cell rows that reads `read`
+    cell rows (the block and its halo), for `parts` stacked parts; those
+    the misfit needs come first, and are all there is with `misfit_only`."""
+    P, R, H, N = parts, rows, read, n + 1
+    shapes = dict(y_rows=(P, H + 1, N), y_grad=(P, 2, 2, H, n))  # node rows of y, gradients
+    if problem == "I":
+        shapes.update(y_vert=(P, 2, 3, R, n))
+    else:
+        shapes.update(g_mean=(P, 2, 2, R, n), g_div=(P, 2, R, n))
+    shapes.update(
+        work=(2, P, R, n),  # P1 norm sums, products
+        centre=(P, 2, 2, R, n),  # a flux's centroid values
+    )
+    if misfit_only:
+        return shapes
+    shapes.update(
+        div=(P, 2, R, n),  # and divergences
+        p_rows=(P, H + 1, N), p_grad=(P, 2, 2, H, n),
+        horiz=(P, R + 1, n), vert=(P, R, N), diag=(P, R, n),  # a flux's edge planes
+        nodal=(P, R + 1, N), term=(P, R + 1, N),  # a nodal residual and a term of it
+    )
+    return shapes
+
+
+def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolution,
+               data: ModeData, rows: slice, buf: dict, terms: dict) -> None:
+    """Add the squared misfit over the cell rows `rows` to `terms`, and r1^2
+    ... r4^2 unless `terms` holds the misfit only, working in the block
+    buffers `buf` (see `_block_shapes`).
+
+    Both averaged fluxes are built on the block's edges from the gradients
+    of the block and of one cell row on each side of it, scaled in place.
+    """
+    mesh = ctx.mesh
+    lam, nu = params.lam, params.nu
+    kws = sol.k * params.omega * params.sigma
+    first = max(rows.start - 1, 0)
+    inner = (Ellipsis, slice(rows.start - first, rows.stop - first), slice(None))
+    here = (Ellipsis, rows, slice(None))  # the block's rows of a whole-grid plane
+    nodes = slice(rows.start - first, rows.stop - first + 1)
+    y_rows = ctx.node_grid(sol.y, first, out=buf["y_rows"])
+    y_grad = ctx.cell_gradients(y_rows, out=buf["y_grad"])
+    y_nodes = y_rows[:, nodes]
+    work = buf["work"]
+
+    # the state minus the data's projection: P1 (problem I) or RT0
+    # (problem II) per triangle
+    if problem == "I":
+        y_vert = _scaled(data.coef, data.y_vert, here, buf["y_vert"])
+        terms["misfit"] += _p1_norm2(ctx, y_nodes, vert=y_vert, work=work)
+    else:
+        g_mean = _scaled(data.coef, data.g_mean, here, buf["g_mean"])
+        g_div = _scaled(data.coef, data.g_div, here, buf["g_div"])
+        terms["misfit"] += _rt0_norm2(ctx, np.subtract(y_grad[inner], g_mean, out=buf["centre"]), g_div)
+    if len(terms) == 1:
+        return
+
+    p_rows = ctx.node_grid(sol.p, first, out=buf["p_rows"])
+    p_grad = ctx.cell_gradients(p_rows, out=buf["p_grad"])
+    p_nodes = p_rows[:, nodes]
+    flux = fluxrecon.GridFlux(buf["horiz"], buf["vert"], buf["diag"])
+
+    def form(field):
+        fluxrecon.grid_average(mesh, field, rows, out=flux)
+        return fluxrecon.grid_affine_form(ctx, flux, out=(buf["centre"], buf["div"]), work=work[0])
+
+    if problem == "II":
+        # the adjoint flux approximates the target nu grad(p) - (grad(y) - g_d)
+        p_grad *= nu
+        p_grad -= y_grad
+    # state flux tau: the average of nu grad(y)
+    y_grad *= nu
+    centre, div = form(y_grad)
+    # div(tau) + time coupling - p / lam: P1 per triangle
+    nodal = quarter_turn(y_nodes, kws, out=buf["nodal"])
+    nodal -= np.divide(p_nodes, lam, out=buf["term"])
+    terms["r1"] += _p1_norm2(ctx, nodal, shift=div, work=work)
+    centre -= y_grad[inner]
+    terms["r2"] += _rt0_norm2(ctx, centre, div)
+
+    if problem == "I":
+        p_grad *= nu
+        centre, div = form(p_grad)
+        # div(rho) + time coupling + state - data: P1 per triangle against
+        # the data's projection
+        nodal = quarter_turn(p_nodes, kws, out=buf["nodal"])
+        nodal += y_nodes
+        terms["r3"] += _p1_norm2(ctx, nodal, shift=div, vert=y_vert, work=work)
+        centre -= p_grad[inner]
+        terms["r4"] += _rt0_norm2(ctx, centre, div)
+        return
+
+    # the averaged target plus the data's edge fluxes; its exact divergence
+    # is minus the time-derivative term, so the one-sided boundary traces
+    # are corrected to match that target per triangle (interior normal
+    # continuity untouched, so still in H(div))
+    fluxrecon.grid_average(mesh, p_grad, rows, out=flux)
+    g_flux = data.g_flux
+    for plane, profiles, index in zip(
+        (flux.horiz, flux.vert, flux.diag), (g_flux.horiz, g_flux.vert, g_flux.diag),
+        (slice(rows.start, rows.stop + 1), rows, rows),
+    ):
+        plane += _scaled(data.coef, profiles, (Ellipsis, index, slice(None)),
+                         work.reshape(-1)[: plane.size].reshape(plane.shape))
+    target = quarter_turn(_centroid_values(p_nodes, out=buf["div"]), -kws, out=work.reshape(div.shape))
+    fluxrecon.grid_match_boundary_divergence(mesh, flux, target, rows)
+    centre, div = fluxrecon.grid_affine_form(ctx, flux, out=(centre, div), work=work[0])
+    terms["r3"] += _p1_norm2(ctx, quarter_turn(p_nodes, kws, out=buf["nodal"]), shift=div, work=work)
+    # rho - target - g_d: RT0 per triangle against the data's projection
+    centre -= p_grad[inner]
+    centre -= g_mean
+    terms["r4"] += _rt0_norm2(ctx, centre, np.subtract(div, g_div, out=g_div))
+
+
+def _block_terms(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolution,
+                 data: ModeData, scratch: Scratch, misfit_only: bool = False) -> dict:
+    """The squared misfit, and r1^2 ... r4^2 unless `misfit_only`, summed
+    over blocks of whole cell rows of about BOUND_CELLS cells (see
+    `_add_block`), in buffers lent by `scratch`."""
+    n = ctx.mesh.n
+    parts = len(sol.y)
+    terms = dict.fromkeys(("misfit",) if misfit_only else ("misfit", "r1", "r2", "r3", "r4"), 0.0)
+    block = max(1, min(n, BOUND_CELLS // n))
+    sizes = [(prod(s),) for s in _block_shapes(problem, parts, block, min(block + 2, n), n, misfit_only).values()]
+    with scratch.lend(*sizes) as flat:
+        for r0 in range(0, n, block):
+            rows = slice(r0, min(r0 + block, n))
+            read = min(rows.stop + 1, n) - max(r0 - 1, 0)
+            shapes = _block_shapes(problem, parts, rows.stop - r0, read, n, misfit_only)
+            buf = {name: f[: prod(s)].reshape(s) for f, (name, s) in zip(flat, shapes.items())}
+            _add_block(problem, ctx, params, sol, data, rows, buf, terms)
+    # the data's remainder is orthogonal to every piecewise polynomial
+    terms["misfit"] += data.rest
+    if not misfit_only:
+        terms["r3" if problem == "I" else "r4"] += data.rest
+    return terms
+
+
+def mode_cost(problem: str, ctx: FemContext, mats: ModeMatrices, params: BoundParams,
+              sol: ModeSolution, data: ModeData, scratch: Scratch | None = None) -> float:
     """Cost 1/2 ||misfit||^2 + p^T M p / (2 lam) of a discrete mode pair.
 
     The misfit and control-energy terms of `evaluate_mode`, without the
-    flux reconstructions; the control is u = -p / lam.
+    flux reconstructions; the control is u = -p / lam.  Buffers are lent by
+    `scratch`, or allocated without one.
     """
-    y_grid = ctx.node_grid(sol.y)
-    y_grad = ctx.cell_gradients(y_grid) if problem == "II" else None
-    misfit = _state_misfit(problem, ctx, y_grid, y_grad, data)
-    return 0.5 * misfit + _adjoint_mass(mats, sol.p)[1] / (2 * lam)
-
-
-def _centroid_values(grid: np.ndarray) -> np.ndarray:
-    """Centroid values of P1 fields on the node grid, as class planes (..., 2, n, n)."""
-    n = grid.shape[-1] - 1
-    out = np.zeros(grid.shape[:-2] + (2, n, n))
-    for cls, corners in enumerate(CLASS_CORNERS):
-        for r, c in corners:
-            out[..., cls, :, :] += grid[..., r : r + n, c : c + n]
-    return out / 3
+    scratch = Scratch() if scratch is None else scratch
+    misfit = _block_terms(problem, ctx, params, sol, data, scratch, misfit_only=True)["misfit"]
+    with scratch.lend(sol.p.shape) as (mp,):
+        p_mass = _adjoint_mass(mats, sol.p, out=mp, scratch=scratch)[1]
+    return 0.5 * misfit + p_mass / (2 * params.lam)
 
 
 def evaluate_mode(
@@ -229,6 +391,7 @@ def evaluate_mode(
     params: BoundParams,
     sol: ModeSolution,
     data: ModeData,
+    scratch: Scratch | None = None,
 ) -> ModeBounds:
     """Residuals, optimized majorant, minorant and error majorant of mode k.
 
@@ -236,57 +399,37 @@ def evaluate_mode(
     axis.  Residuals that are piecewise polynomial (P1 or RT0 per triangle)
     are integrated exactly in closed form; so are the misfit and the
     residual that contains the data, against the data's per-triangle
-    projection, plus the stored norm of the projection's remainder.  The
-    averaged fluxes are built and read by slicing the edge planes.
+    projection, plus the stored norm of the projection's remainder.
+
+    The per-triangle terms are summed over blocks of whole cell rows, about
+    BOUND_CELLS cells each (see `_add_block`).  The block buffers, and those
+    of the mass and stiffness products of the mixed term, are lent by
+    `scratch`, or allocated without one.
     """
-    k = sol.k
-    lam = params.lam
-    nu, sigma = params.nu, params.sigma
+    k, parts = sol.k, len(sol.y)
+    lam, nu = params.lam, params.nu
     cf, mu1 = C_FRIEDRICHS, params.mu1
+    kws = k * params.omega * params.sigma
+    scratch = Scratch() if scratch is None else scratch
 
-    mesh = ctx.mesh
+    terms = _block_terms(problem, ctx, params, sol, data, scratch)
+    res = ResidualSet(*(np.sqrt(terms[name]) for name in ("r1", "r2", "r3", "r4")))
+    misfit = terms["misfit"]
+
     ys, ps = sol.y, sol.p
-    y_grid, p_grid = ctx.node_grid(ys), ctx.node_grid(ps)
-    y_grad, p_grad = ctx.cell_gradients(y_grid), ctx.cell_gradients(p_grid)
-    kws = k * params.omega * sigma
-
-    tau_c, tau_div = fluxrecon.grid_affine_form(ctx, fluxrecon.grid_average(mesh, nu * y_grad))
-    r1_grid = quarter_turn(y_grid, kws)
-    r1_grid -= p_grid / lam
-    r1_sq = _p1_norm2(ctx, r1_grid, shift=tau_div)
-    r2_sq = _rt0_norm2(ctx, tau_c - nu * y_grad, tau_div)
-
-    misfit = _state_misfit(problem, ctx, y_grid, y_grad, data)
-    if problem == "I":
-        rho_c, rho_div = fluxrecon.grid_affine_form(ctx, fluxrecon.grid_average(mesh, nu * p_grad))
-        # div(rho) + time coupling + state - data: P1 per triangle against
-        # the data's projection, plus the projection's remainder
-        r3_grid = quarter_turn(p_grid, kws)
-        r3_grid += y_grid
-        r3_sq = _p1_norm2(ctx, r3_grid, shift=rho_div, vert=data.y_vert) + data.rest
-        r4_sq = _rt0_norm2(ctx, rho_c - nu * p_grad, rho_div)
-    else:
-        # adjoint flux approximates nu grad(p) - (grad(y) - g_d); its exact
-        # divergence is minus the time-derivative term, so the one-sided
-        # boundary traces are corrected to match that target per triangle
-        # (interior normal continuity untouched, so still in H(div))
-        target = nu * p_grad - y_grad
-        rho = fluxrecon.grid_average(mesh, target) + data.g_flux
-        fluxrecon.grid_match_boundary_divergence(mesh, rho, -quarter_turn(_centroid_values(p_grid), kws))
-        rho_c, rho_div = fluxrecon.grid_affine_form(ctx, rho)
-        r3_sq = _p1_norm2(ctx, quarter_turn(p_grid, kws), shift=rho_div)
-        # rho - target - g_d: RT0 per triangle against the data's
-        # projection, plus the projection's remainder
-        r4_sq = _rt0_norm2(ctx, rho_c - target - data.g_mean, rho_div - data.g_div) + data.rest
-
-    res = ResidualSet(np.sqrt(r1_sq), np.sqrt(r2_sq), np.sqrt(r3_sq), np.sqrt(r4_sq))
-
-    mp, p_mass = _adjoint_mass(mats, ps)
+    with scratch.lend(ps.shape, ps.shape) as (mp, kp):
+        mp, p_mass = _adjoint_mass(mats, ps, out=mp, scratch=scratch)
+        # bilinear pairing of state against adjoint, with the time-derivative
+        # coupling  k omega sigma (y_s . M p_c - y_c . M p_s)
+        pairing = mats.K(ps, out=kp, scratch=scratch)
+        pairing *= nu
+        if parts == 2:
+            mp *= kws
+            pairing[0] -= mp[1]
+            pairing[1] += mp[0]
+        bilin = float(np.vdot(ys, pairing))
     control_energy = p_mass / (2 * lam)
     quad = p_mass / lam
-    # bilinear pairing of state against adjoint, with the time-derivative
-    # coupling  k omega sigma (y_s . M p_c - y_c . M p_s)
-    bilin = float(np.vdot(ys, nu * mats.K(ps) + quarter_turn(mp, kws)))
     # Problem I subtracts the pairing (benchmark-calibrated orientation,
     # equal to 2/lam ||p||^2 at the discrete solution); problem II uses the
     # orientation under which the term vanishes at the discrete solution.
@@ -305,9 +448,6 @@ def evaluate_mode(
         - sta * adj / mu1
     )
 
-    m1_extra = 3 * lam / (4 * cf**2) * sta**2
-    m1 = majorant - minorant + m1_extra
-
     return ModeBounds(
         k=k,
         problem=problem,
@@ -319,8 +459,7 @@ def evaluate_mode(
         misfit=misfit,
         control_energy=control_energy,
         mixed=mixed,
-        m1=m1,
-        m1_extra=m1_extra,
+        m1_extra=3 * lam / (4 * cf**2) * sta**2,
     )
 
 

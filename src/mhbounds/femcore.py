@@ -23,6 +23,8 @@ then the cell row and column, so every operation on them is a plane slice.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -100,6 +102,44 @@ STENCIL_ROWS = 16
 SAMPLE_ROWS = 32
 
 
+class Scratch:
+    """Float64 memory that one thread lends to the steps of a mode in turn.
+
+    A mode's Krylov solve and then its bound evaluation take their buffers
+    with `lend`, which hands out views past those still lent and takes them
+    back when its `with` block ends.  The views come from a list of blocks
+    that is only ever extended: a request that does not fit in the rest of
+    a block goes to the next one, and past the last a new block is added,
+    twice as large as all the others together.  No block is replaced or
+    freed before the scratch, so every mode after the first works on pages
+    that an earlier one has already touched instead of faulting in fresh
+    ones, and a lent view stays valid until it is given back.  Lent views
+    hold whatever the last borrower left there.
+    """
+
+    def __init__(self):
+        self._blocks: list[np.ndarray] = []
+        self._at = (0, 0)  # block and offset of the first element not lent
+
+    @contextmanager
+    def lend(self, *shapes):
+        """Views of the given shapes, one after the other."""
+        start = self._at
+        try:
+            yield [self._take(prod(shape)).reshape(shape) for shape in shapes]
+        finally:
+            self._at = start
+
+    def _take(self, size: int) -> np.ndarray:
+        block, offset = self._at
+        while block < len(self._blocks) and offset + size > self._blocks[block].size:
+            block, offset = block + 1, 0
+        if block == len(self._blocks):
+            self._blocks.append(np.empty(max(size, 2 * sum(b.size for b in self._blocks))))
+        self._at = (block, offset + size)
+        return self._blocks[block][offset : offset + size]
+
+
 class Stencil:
     """An operator on the m x m interior nodes given by a constant stencil.
 
@@ -125,27 +165,44 @@ class Stencil:
             for (dr, dc), w in zip(self._offsets, self._blocks)
         )
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        """Product with stacked interior fields, (Q, m * m) -> (Q, m * m)."""
-        m, parts = self.m, len(v)
+    def __call__(self, v: np.ndarray, out: np.ndarray | None = None,
+                 scratch: Scratch | None = None) -> np.ndarray:
+        """Product with stacked interior fields, (Q, m * m) -> (Q, m * m), or
+        with their flat concatenation.
+
+        The product is written to `out` (C-contiguous, the shape of v) when
+        given; the padded grid and the stacked slices of a band are lent by
+        `scratch`, or allocated without one.
+        """
+        m = self.m
         blocks = self._blocks
         if blocks.ndim == 1:
+            parts = len(v) if v.ndim == 2 else 1
             blocks = blocks[:, None, None] * np.eye(parts)
+        else:
+            parts = self._parts
         coef = blocks.transpose(1, 0, 2).reshape(parts, -1)
-        grid = np.zeros((parts, m + 2, m + 2))
-        grid[:, 1:-1, 1:-1] = v.reshape(parts, m, m)
-        out = np.empty((parts, m, m))
-        for r0 in range(0, m, STENCIL_ROWS):
-            r1 = min(r0 + STENCIL_ROWS, m)
-            shifted = np.stack(
-                [grid[:, 1 + r0 + dr : 1 + r1 + dr, 1 + dc : 1 + dc + m] for dr, dc in self._offsets]
-            )
-            out[:, r0:r1] = (coef @ shifted.reshape(coef.shape[1], -1)).reshape(parts, r1 - r0, m)
-        return out.reshape(v.shape)
+        out = np.empty(v.shape) if out is None else out
+        product = out.reshape(parts, m * m)
+        band = min(STENCIL_ROWS, m)
+        scratch = Scratch() if scratch is None else scratch
+        with scratch.lend((parts, m + 2, m + 2), (len(self._offsets) * parts * band * m,)) as (grid, stack):
+            grid[:, [0, -1], :] = 0.0
+            grid[:, :, [0, -1]] = 0.0
+            grid[:, 1:-1, 1:-1] = v.reshape(parts, m, m)
+            for r0 in range(0, m, STENCIL_ROWS):
+                r1 = min(r0 + STENCIL_ROWS, m)
+                shifted = stack[: coef.shape[1] * (r1 - r0) * m].reshape(-1, parts, r1 - r0, m)
+                np.stack(
+                    [grid[:, 1 + r0 + dr : 1 + r1 + dr, 1 + dc : 1 + dc + m] for dr, dc in self._offsets],
+                    out=shifted,
+                )
+                np.matmul(coef, shifted.reshape(coef.shape[1], -1), out=product[:, r0 * m : r1 * m])
+        return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """Product with the flat vector of the stacked parts (one for a scalar stencil)."""
-        return self(x.reshape(self._parts, -1)).ravel()
+        return self(x)
 
 
 class FemContext:
@@ -235,29 +292,41 @@ class FemContext:
 
     # -- nodal field helpers -------------------------------------------------
 
-    def node_grid(self, v_int: np.ndarray) -> np.ndarray:
-        """Stacked interior fields (P, m) on the zero-padded node grid, (P, n+1, n+1)."""
+    def node_grid(self, v_int: np.ndarray, first: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """Stacked interior fields (P, m) on the zero-padded node grid,
+        (P, n+1, n+1), or on its rows first, first + 1, ... that `out`
+        (P, rows, n+1) holds."""
         n = self.mesh.n
         parts = v_int.shape[0]
-        grid = np.zeros((parts, n + 1, n + 1))
-        grid[:, 1:-1, 1:-1] = v_int.reshape(parts, n - 1, n - 1)
-        return grid
+        if out is None:
+            out = np.empty((parts, n + 1 - first, n + 1))
+        last = first + out.shape[-2] - 1
+        out[..., [0, -1]] = 0.0
+        if first == 0:
+            out[:, 0] = 0.0
+        if last == n:
+            out[:, -1] = 0.0
+        lo, hi = max(first, 1), min(last, n - 1)  # the rows with interior nodes
+        out[:, lo - first : hi - first + 1, 1:-1] = v_int.reshape(parts, n - 1, n - 1)[:, lo - 1 : hi]
+        return out
 
-    def cell_gradients(self, grid: np.ndarray) -> np.ndarray:
-        """Gradients of P1 fields on the node grid, (..., n+1, n+1) -> class
-        planes (..., 2, 2, n, n) (class, then component).
+    def cell_gradients(self, grid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Gradients of P1 fields on R + 1 rows of the node grid,
+        (..., R+1, n+1) -> class planes of the R cell rows between them,
+        (..., 2, 2, R, n) (class, then component), written to `out` when given.
 
         Each class gradient is a pair of node differences along the legs of
         its triangle, taken by slicing the node grid.
         """
-        n, h = self.mesh.n, self.mesh.h
+        rows, cols = grid.shape[-2] - 1, grid.shape[-1] - 1
         low, high = grid[..., :-1, :], grid[..., 1:, :]  # rows r and r + 1
-        out = np.empty(grid.shape[:-2] + (2, 2, n, n))
+        if out is None:
+            out = np.empty(grid.shape[:-2] + (2, 2, rows, cols))
         np.subtract(low[..., 1:], low[..., :-1], out=out[..., 0, 0, :, :])
         np.subtract(high[..., 1:], low[..., 1:], out=out[..., 0, 1, :, :])
         np.subtract(high[..., 1:], high[..., :-1], out=out[..., 1, 0, :, :])
         np.subtract(high[..., :-1], low[..., :-1], out=out[..., 1, 1, :, :])
-        out /= h
+        out /= self.mesh.h
         return out
 
     def _node_sums(self, planes: np.ndarray) -> np.ndarray:

@@ -29,11 +29,13 @@ the preconditioner's inverse.
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
 
+from .femcore import Scratch, Stencil
 from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_coefficients, mode_parts
 
 # Basis vectors GMRES keeps before it restarts from the true residual.  The
@@ -60,16 +62,34 @@ class SpectralPrecond:
 
     `apply` takes the per-frequency product `_inverse` of the sine
     coefficients (Q, m, m), m = n - 1 interior nodes per side, between one
-    orthonormal DST-I pair over all parts.
+    orthonormal DST-I pair over all parts.  Both transforms run in place,
+    the first on a copy of the input lent by the scratch, the second on the
+    output, so an apply allocates nothing when given both.
     """
 
     def __init__(self, parts_shape: tuple[int, int, int]):
         self._parts_shape = parts_shape
         self.dim = int(np.prod(parts_shape))
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        coef = sfft.dstn(r.reshape(self._parts_shape), type=1, norm="ortho", axes=(1, 2))
-        return sfft.dstn(self._inverse(coef), type=1, norm="ortho", axes=(1, 2)).ravel()
+    def apply(self, r: np.ndarray, out: np.ndarray | None = None,
+              scratch: Scratch | None = None) -> np.ndarray:
+        """P r, written to `out` (C-contiguous, not overlapping r) when given."""
+        out = np.empty(self.dim) if out is None else out
+        scratch = Scratch() if scratch is None else scratch
+        with scratch.lend(self._parts_shape, self._parts_shape) as (coef, work):
+            np.copyto(coef, r.reshape(self._parts_shape))
+            _dst_in_place(coef)
+            self._inverse(coef, out.reshape(self._parts_shape), work)
+            _dst_in_place(out.reshape(self._parts_shape))
+        return out
+
+
+def _dst_in_place(planes: np.ndarray) -> None:
+    """The orthonormal 2-D DST-I of each plane of (Q, m, m), over the input
+    (scipy may, but need not, transform in the input's memory)."""
+    result = sfft.dstn(planes, type=1, norm="ortho", axes=(1, 2), overwrite_x=True)
+    if not np.may_share_memory(result, planes):
+        np.copyto(planes, result)
 
 
 class BlockDiagPrecond(SpectralPrecond):
@@ -80,8 +100,8 @@ class BlockDiagPrecond(SpectralPrecond):
         super().__init__(symbol.shape)
         self.symbol = symbol
 
-    def _inverse(self, coef: np.ndarray) -> np.ndarray:
-        return coef / self.symbol
+    def _inverse(self, coef: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        np.divide(coef, self.symbol, out=out)
 
 
 class SurrogateInversePrecond(SpectralPrecond):
@@ -90,26 +110,30 @@ class SurrogateInversePrecond(SpectralPrecond):
     H = coef_K mu_K + coef_M mu_M is the surrogate operator at a frequency
     (see `_surrogate_inverse`).  `coefs` stacks coef_K over coef_M, (2Q, Q),
     and the planes are `diag` = -t / q, (m, m), and `scales` = -(mu_K, mu_M)
-    / q, (2, 1, m, m): `apply` takes one (2Q, Q) product of the sine
-    coefficients and three planes.
+    / q, (2, 1, m, m): `apply` takes one (Q, Q) product of the sine
+    coefficients per part of `coefs` and three planes.
     """
 
     def __init__(self, coefs: np.ndarray, diag: np.ndarray, scales: np.ndarray):
         super().__init__((coefs.shape[1],) + diag.shape)
         self.coefs, self.diag, self.scales = coefs, diag, scales
 
-    def _inverse(self, coef: np.ndarray) -> np.ndarray:
-        terms = (self.coefs @ coef.reshape(len(coef), -1)).reshape((2,) + coef.shape)
-        terms *= self.scales
-        out = self.diag * coef
-        out -= terms[0]
-        out -= terms[1]
-        return out
+    def _inverse(self, coef: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        parts = len(coef)
+        flat, terms = coef.reshape(parts, -1), work.reshape(parts, -1)
+        np.multiply(self.diag, coef, out=out)
+        for block, scale in zip((self.coefs[:parts], self.coefs[parts:]), self.scales):
+            np.matmul(block, flat, out=terms)
+            work *= scale
+            out -= work
 
 
 class IdentityPrecond:
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return r
+    def apply(self, r: np.ndarray, out: np.ndarray | None = None, scratch: Scratch | None = None) -> np.ndarray:
+        if out is None:
+            return r
+        np.copyto(out, r)
+        return out
 
 
 def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -216,6 +240,7 @@ def minres(
     tol: float = 1e-8,
     maxiter: int = 200,
     fixed_iters: int | None = None,
+    scratch: Scratch | None = None,
 ) -> tuple[ModeSolution, SolveStats]:
     """Solve one mode system with the Krylov method that fits `precond`.
 
@@ -225,17 +250,27 @@ def minres(
     (`minres_raw`), which stops on the residual in the preconditioner's
     norm.  Both stop after maxiter steps, or take exactly `fixed_iters`
     steps when given, and `SolveStats.relative_residual` is the ratio they
-    stop on.
+    stop on.  Their work vectors are lent by `scratch`, or allocated
+    without one.
     """
     solve = gmres_raw if isinstance(precond, SurrogateInversePrecond) else minres_raw
     x, stats = solve(
-        system.matrix, system.rhs, precond, tol=tol, maxiter=maxiter, fixed_iters=fixed_iters
+        system.matrix, system.rhs, precond, tol=tol, maxiter=maxiter, fixed_iters=fixed_iters,
+        scratch=scratch,
     )
     y, p = x.reshape(2, mode_parts(system.k), -1)
     return ModeSolution(system.k, y, p), stats
 
 
-def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None):
+def _product(A, v: np.ndarray, out: np.ndarray, scratch: Scratch) -> None:
+    """out = A v, through the lent buffers when A is a stencil."""
+    if isinstance(A, Stencil):
+        A(v, out=out, scratch=scratch)
+    else:
+        out[...] = A @ v
+
+
+def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=None):
     """Right-preconditioned GMRES with modified Gram-Schmidt and Givens rotations.
 
     x = P u minimizes ||b - A x|| over the Krylov space of A P, with
@@ -246,9 +281,14 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None):
     tol, maxiter steps are spent or exactly `fixed_iters` steps are taken.
     An invariant Krylov space (h_{j+1,j} = 0) ends the solve; it is a
     breakdown only if the residual is not small.
+
+    The basis vectors v_j and their images z_j are lent by `scratch` (or
+    allocated without one) one pair (v_j, z_j) per step, as the steps need
+    them, and kept for the next cycle; only x is new.
     """
     start = time.perf_counter()
-    x = np.zeros(b.shape[0])
+    dim = b.shape[0]
+    x = np.zeros(dim)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x, SolveStats(0, 0.0, time.perf_counter() - start, True, residuals=[0.0])
@@ -257,53 +297,68 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None):
     target = tol * bnorm
     eps = np.finfo(float).eps
     trace = [bnorm]
-    r, rnorm = b, bnorm
-    # scratch for the in-place vector updates, so no step allocates one
-    scaled = np.empty_like(x)
+    rnorm = bnorm
     itn = 0
     invariant = False
-    while itn < limit and not invariant:
-        basis = [r / rnorm]
-        preconditioned = []  # z_j = P v_j
-        # the Hessenberg matrix, reduced to upper triangular by the rotations
-        R = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
-        cs, sn = np.zeros(GMRES_RESTART), np.zeros(GMRES_RESTART)
-        g = np.zeros(GMRES_RESTART + 1)
-        g[0] = rnorm
-        j = 0
-        while j < GMRES_RESTART and itn < limit:
-            preconditioned.append(precond.apply(basis[j]))
-            w = A @ preconditioned[j]
-            wnorm = np.linalg.norm(w)
-            h = R[:, j]
-            for i, v in enumerate(basis):
-                h[i] = np.dot(v, w)
-                w -= np.multiply(v, h[i], out=scaled)
-            h[j + 1] = np.linalg.norm(w)
-            for i in range(j):
-                h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
-            invariant = h[j + 1] <= eps * wnorm
-            rho = max(np.hypot(h[j], h[j + 1]), eps * wnorm)
-            cs[j], sn[j] = h[j] / rho, h[j + 1] / rho
-            next_norm = h[j + 1]
-            h[j], h[j + 1] = rho, 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] *= cs[j]
-            j += 1
-            itn += 1
-            trace.append(float(abs(g[j])))
-            if invariant or (fixed_iters is None and abs(g[j]) <= target):
+    scratch = Scratch() if scratch is None else scratch
+    with ExitStack() as held:
+        pairs = []
+
+        def pair(j: int) -> np.ndarray:
+            """(v_j, z_j), (2, dim)."""
+            while len(pairs) <= j:
+                pairs.append(held.enter_context(scratch.lend((2, dim)))[0])
+            return pairs[j]
+
+        # `scaled` takes the in-place vector updates, so no step allocates one
+        (scaled,) = held.enter_context(scratch.lend((dim,)))
+        np.copyto(pair(0)[0], b)  # the first residual
+        while itn < limit and not invariant:
+            pair(0)[0] /= rnorm
+            # the Hessenberg matrix, reduced to upper triangular by the rotations
+            R = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+            cs, sn = np.zeros(GMRES_RESTART), np.zeros(GMRES_RESTART)
+            g = np.zeros(GMRES_RESTART + 1)
+            g[0] = rnorm
+            j = 0
+            while j < GMRES_RESTART and itn < limit:
+                v, z = pair(j)
+                precond.apply(v, out=z, scratch=scratch)
+                w = pair(j + 1)[0]
+                _product(A, z, w, scratch)
+                wnorm = np.linalg.norm(w)
+                h = R[:, j]
+                for i in range(j + 1):
+                    v = pairs[i][0]
+                    h[i] = np.dot(v, w)
+                    w -= np.multiply(v, h[i], out=scaled)
+                h[j + 1] = np.linalg.norm(w)
+                for i in range(j):
+                    h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+                invariant = h[j + 1] <= eps * wnorm
+                rho = max(np.hypot(h[j], h[j + 1]), eps * wnorm)
+                cs[j], sn[j] = h[j] / rho, h[j + 1] / rho
+                next_norm = h[j + 1]
+                h[j], h[j + 1] = rho, 0.0
+                g[j + 1] = -sn[j] * g[j]
+                g[j] *= cs[j]
+                j += 1
+                itn += 1
+                trace.append(float(abs(g[j])))
+                if invariant or (fixed_iters is None and abs(g[j]) <= target):
+                    break
+                if j < GMRES_RESTART and itn < limit:
+                    w /= next_norm
+            coef = np.linalg.solve(R[:j, :j], g[:j])
+            for (_, z), c in zip(pairs[:j], coef):
+                x += np.multiply(z, c, out=scaled)
+            # the true residual b - A x, as the next cycle's first vector
+            r = pair(0)[0]
+            _product(A, x, r, scratch)
+            np.subtract(b, r, out=r)
+            rnorm = float(np.linalg.norm(r))
+            if fixed_iters is None and rnorm <= target:
                 break
-            if j < GMRES_RESTART and itn < limit:
-                w /= next_norm
-                basis.append(w)
-        coef = np.linalg.solve(R[:j, :j], g[:j])
-        for z, c in zip(preconditioned, coef):
-            x += np.multiply(z, c, out=scaled)
-        r = b - A @ x
-        rnorm = float(np.linalg.norm(r))
-        if fixed_iters is None and rnorm <= target:
-            break
 
     relres = rnorm / bnorm
     breakdown = bool(invariant and relres > tol)
@@ -318,7 +373,10 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None):
     )
 
 
-def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None):
+def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None, scratch=None):
+    """Preconditioned MinRes (Paige and Saunders); every preconditioner apply
+    writes into one output vector, with its transforms' buffers lent by
+    `scratch` (or allocated without one)."""
     if precond is None:
         precond = IdentityPrecond()
     start = time.perf_counter()
@@ -329,9 +387,11 @@ def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None):
 
     limit = fixed_iters if fixed_iters is not None else maxiter
     eps = np.finfo(float).eps
+    scratch = Scratch() if scratch is None else scratch
+    applied = np.empty(n)  # P r2; the products A v never share it
 
     r2 = b.copy()
-    y = precond.apply(r2)
+    y = precond.apply(r2, out=applied, scratch=scratch)
     beta1_sq = float(np.dot(r2, y))
     if beta1_sq < 0:
         raise ValueError("preconditioner is not positive definite")
@@ -360,7 +420,7 @@ def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None):
         y -= (alfa / beta) * r2
         r1 = r2
         r2 = y
-        y = precond.apply(r2)
+        y = precond.apply(r2, out=applied, scratch=scratch)
         oldb = beta
         beta_sq = float(np.dot(r2, y))
         if beta_sq < 0:

@@ -25,14 +25,15 @@ def mode_parts(k: int) -> int:
     return 1 + min(k, 1)
 
 
-def quarter_turn(parts: np.ndarray, kws: float) -> np.ndarray:
-    """Time-derivative coupling of stacked (cosine, sine) parts, (P, ...) -> (P, ...).
+def quarter_turn(parts: np.ndarray, kws: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Time-derivative coupling of stacked (cosine, sine) parts, (P, ...) -> (P, ...),
+    written to `out` (which must not overlap `parts`) when given.
 
     The cosine part pairs with -(sine part) and the sine part with
     +(cosine part), both scaled by kws = k omega sigma.
     """
     sign = kws * np.array([-1.0, 1.0])[: len(parts)]
-    return sign.reshape((-1,) + (1,) * (parts.ndim - 1)) * parts[::-1]
+    return np.multiply(sign.reshape((-1,) + (1,) * (parts.ndim - 1)), parts[::-1], out=out)
 
 
 @dataclass

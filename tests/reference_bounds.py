@@ -75,12 +75,13 @@ def edge_coeffs(mesh, flux: GridFlux) -> np.ndarray:
 
 
 def project(ctx, samples: QuadratureData) -> ModeData:
-    """The ModeData of `evaluate_mode` built from quadrature samples."""
+    """The ModeData of `evaluate_mode` built from quadrature samples: one
+    profile per part, so its time coefficients are the identity."""
     if samples.y_qp is not None:
         vert, rest = project_p1(ctx, samples.y_qp)
-        return ModeData(k=samples.k, rest=float(rest.sum()), y_vert=vert)
+        return ModeData(k=samples.k, coef=np.eye(len(vert)), rest=float(rest.sum()), y_vert=vert)
     mean, div, rest = project_rt0(ctx, samples.g_qp)
-    return ModeData(k=samples.k, rest=float(rest.sum()), g_mean=mean, g_div=div,
+    return ModeData(k=samples.k, coef=np.eye(len(mean)), rest=float(rest.sum()), g_mean=mean, g_div=div,
                     g_flux=edge_planes(ctx.mesh, samples.g_edge))
 
 
@@ -242,11 +243,10 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
         - sta * adj / mu1
     )
     m1_extra = 3 * lam / (4 * cf**2) * sta**2
-    m1 = majorant - minorant + m1_extra
     return ModeBounds(
         k=k, problem=problem, minorant=minorant, majorant=majorant,
         alpha=alpha, beta=beta, residuals=res, misfit=misfit,
-        control_energy=control_energy, mixed=mixed, m1=m1, m1_extra=m1_extra,
+        control_energy=control_energy, mixed=mixed, m1_extra=m1_extra,
     )
 
 

@@ -92,7 +92,7 @@ def test_zero_data_zero_bounds():
     n = ctx.K.shape[0]
     system = build_mode_system("I", mats, 1, 1.0, 1.0, np.zeros((2, n)))
     sol = direct_solve(system)
-    data = ModeData(k=1, y_vert=np.zeros((2, 2, 3, 4, 4)))
+    data = ModeData(k=1, coef=np.ones((2, 1)), y_vert=np.zeros((1, 2, 3, 4, 4)))
     mb = evaluate_mode("I", ctx, mats, BoundParams(lam=1.0, omega=1.0), sol, data)
     assert mb.majorant == 0.0
     assert mb.minorant == 0.0
@@ -192,11 +192,29 @@ def test_paper_mode_close_to_tolerance_mode():
 
 
 def test_workers_match_sequential():
-    seq = run(ExperimentConfig(example=1, grid=8, modes=(0, 1, 2), tol=1e-11))
-    par = run(ExperimentConfig(example=1, grid=8, modes=(0, 1, 2), tol=1e-11, workers=3))
-    for a, b in zip(seq.rows, par.rows):
-        assert a.minorant == b.minorant
-        assert a.majorant == b.majorant
+    # bit-equal rows; with more modes than workers, each worker reuses its
+    # scratch from one mode to the next
+    for example, grid, modes, workers in ((1, 8, (0, 1, 2), 3), (1, 16, (0, 1, 2, 3, 4), 2),
+                                          (4, 16, (0, 1, 2, 3, 4), 2)):
+        seq = run(ExperimentConfig(example=example, grid=grid, modes=modes, tol=1e-11))
+        par = run(ExperimentConfig(example=example, grid=grid, modes=modes, tol=1e-11, workers=workers))
+        for a, b in zip(seq.rows, par.rows):
+            assert a.as_list()[2:] == b.as_list()[2:]
+
+
+def test_mode_after_another_is_bit_equal():
+    # nothing a k > 0 solve and bound evaluation leave in the scratch
+    # reaches mode 0, which run() takes after the modes with a sine part
+    config = ExperimentConfig(example=4, grid=16, modes=(3, 0), tol=1e-11)
+    rows = {row.label: row.as_list()[2:] for row in run(config).rows}
+    assert rows["k=0"] == run(dataclasses.replace(config, modes=(0,))).rows[0].as_list()[2:]
+    case = bench.make_case(4)
+    solver = bench._Solver(case, 16, config)
+    solver.run_mode(3)
+    after = solver.run_mode(0)
+    alone = bench._Solver(case, 16, config).run_mode(0)
+    assert dataclasses.asdict(after.bounds) == dataclasses.asdict(alone.bounds)
+    assert np.array_equal(after.solution.y, alone.solution.y)
 
 
 @pytest.mark.parametrize("maxiter", [0, -5])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mhbounds import fluxrecon, mesh as meshmod
+from mhbounds import bounds, fluxrecon, mesh as meshmod
 from mhbounds.bounds import (
     ALPHA_FLOOR,
     ALPHA_TAIL,
@@ -46,8 +46,11 @@ def _random_config(rng):
     return problem, n, k, lam, omega, sigma, nu
 
 
-def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0.0):
-    """Random data on an n x n grid, solved directly or by `steps` MinRes steps.
+def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0.0,
+                  surrogate_inverse=False):
+    """Random data on an n x n grid, solved directly or by `steps` Krylov steps:
+    MinRes with the paper's preconditioner, or with `surrogate_inverse` GMRES
+    with A~_k^{-1}.
 
     The data are a random P1 field (problem I) or its gradient (problem II),
     plus `noise` times a random value at every quadrature point, which
@@ -78,10 +81,10 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
     system = build_mode_system(problem, mats, k, lam, omega, np.stack(rhs))
     if steps is None:
         sol = direct_solve(system)
-    elif problem == "I":
-        sol, _ = minres(system, build_precond_I(mats, k, lam, omega), fixed_iters=steps)
     else:
-        sol, _ = minres(system, build_precond_II(mats, k, lam, omega), fixed_iters=steps)
+        build = build_precond_I if problem == "I" else build_precond_II
+        precond = build(mats, k, lam, omega, surrogate_inverse=surrogate_inverse)
+        sol, _ = minres(system, precond, fixed_iters=steps)
     return ctx, mats, params, sol, data
 
 
@@ -140,8 +143,9 @@ def test_flux_residual_grows_under_perturbation(ctx8, rng):
     base = r2(tau)
     for _ in range(20):
         delta = [rng.standard_normal(a.shape) for a in (tau.horiz, tau.vert, tau.diag)]
-        plus = r2(tau + fluxrecon.GridFlux(*delta))
-        minus = r2(tau + fluxrecon.GridFlux(*(-d for d in delta)))
+        planes = (tau.horiz, tau.vert, tau.diag)
+        plus = r2(fluxrecon.GridFlux(*(a + d for a, d in zip(planes, delta))))
+        minus = r2(fluxrecon.GridFlux(*(a - d for a, d in zip(planes, delta))))
         assert max(plus, minus) > base
 
 
@@ -167,7 +171,7 @@ def test_sandwich_random_configs():
         ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
         mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
         assert mb.minorant <= mb.majorant + 1e-9 * abs(mb.majorant)
-        assert mb.m1 >= mb.majorant - mb.minorant >= -1e-9 * abs(mb.majorant)
+        assert _m1(mb) >= mb.majorant - mb.minorant >= -1e-9 * abs(mb.majorant)
 
 
 def test_scaling_covariance():
@@ -233,21 +237,27 @@ def test_efficiency_indices_trivial():
     assert m1_index(0.0, 1.0) == 0.0
 
 
+def _m1(mb):
+    """The error majorant of a mode: its bound gap plus m1_extra."""
+    return mb.majorant - mb.minorant + mb.m1_extra
+
+
 def _assert_bounds_match(new, ref, rtol=1e-12):
-    """Every ModeBounds field of `new` equals `ref` to rtol, relative to the
-    size of the terms a field is summed from (the mixed term and the
-    minorant cancel to near zero at a converged solution)."""
+    """Every ModeBounds field of `new`, and the error majorant derived from
+    them, equals `ref` to rtol, relative to the size of the terms a value is
+    summed from (the mixed term and the minorant cancel to near zero at a
+    converged solution)."""
     assert (new.k, new.problem) == (ref.k, ref.problem)
     mixed_scale = abs(ref.mixed) + 2 * ref.control_energy
     minorant_scale = max(0.5 * ref.misfit + ref.control_energy + mixed_scale, abs(ref.majorant))
     scales = {
         "mixed": mixed_scale,
         "minorant": minorant_scale,
-        "m1": minorant_scale + abs(ref.m1),
+        "m1": minorant_scale + abs(_m1(ref)),
     }
     for name in ("minorant", "majorant", "alpha", "beta", "misfit", "control_energy",
                  "mixed", "m1", "m1_extra"):
-        a, b = getattr(new, name), getattr(ref, name)
+        a, b = (_m1(mb) if name == "m1" else getattr(mb, name) for mb in (new, ref))
         scale = max(abs(b), scales.get(name, 0.0))
         assert abs(a - b) <= rtol * scale, (name, a, b)
     for name in ("r1", "r2", "r3", "r4"):
@@ -278,6 +288,55 @@ def test_evaluate_mode_matches_quadrature_reference(problem, k, steps):
         # the noise has squared norm 0.25 per part and component, most of
         # it outside the projections
         assert projected.rest > 0.05
+
+
+@pytest.mark.parametrize("problem", ["I", "II"])
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("steps", [None, 1, 2])
+@pytest.mark.parametrize("n,rows", [(5, 8), (7, 2), (6, 2), (7, 3), (4, 1)],
+                         ids=["grid-in-one-block", "partial-last-block", "even-blocks",
+                              "three-row-blocks", "one-row-blocks"])
+def test_row_blocks_match_quadrature_reference(monkeypatch, problem, k, steps, n, rows):
+    # the same bounds whether a block holds the whole grid, the last block
+    # is partial, or every block is a single cell row, for converged
+    # solutions and GMRES iterates stopped after one or two steps
+    monkeypatch.setattr(bounds, "BOUND_CELLS", rows * n)
+    rng = np.random.default_rng([n, rows, k, steps or 0, len(problem)])
+    lam = float(10 ** rng.uniform(-3, 1))
+    omega = float(rng.uniform(0.3, 5.0))
+    sigma, nu = (float(v) for v in rng.uniform(0.5, 2.0, size=2))
+    ctx, mats, params, sol, data = _solve_random(
+        rng, problem, n, k, lam, omega, sigma, nu, steps=steps, noise=0.5, surrogate_inverse=True
+    )
+    new = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
+    _assert_bounds_match(new, evaluate_mode_reference(problem, ctx, mats, params, sol, data))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_row_blocks_match_boundary_corners_problem_II(monkeypatch, rows):
+    # problem II matches the boundary divergence of the bottom strip in the
+    # first block, of the top strip in the last and of both columns in
+    # every block; the lower corner triangle of cell (0, n-1) lies on the
+    # bottom strip and the right column, the upper one of cell (n-1, 0) on
+    # the top strip and the left column.  With a zero state and data, and
+    # an adjoint that is zero but at the two interior nodes next to those
+    # corners, the averaged adjoint flux leaves its divergence defects
+    # around the corners, where the match has to remove them.
+    n, k = 3, 2
+    monkeypatch.setattr(bounds, "BOUND_CELLS", rows * n)
+    ctx = FemContext(build_mesh(n))
+    mats = build_matrices(ctx)
+    params = _params(0.5, 1.3)
+    y = np.zeros((2, (n - 1) ** 2))
+    p = np.zeros((2, (n - 1) ** 2))
+    p[:, n - 2] = (1.0, -2.0)  # interior node next to the lower right corner
+    p[:, (n - 2) * (n - 1)] = (3.0, 0.5)  # and next to the upper left one
+    sol = ModeSolution(k, y, p)
+    shape = (2,) + quadrature_weights(ctx).shape + (2,)
+    data = QuadratureData(k=k, g_qp=np.zeros(shape), g_edge=np.zeros((2, ctx.mesh.num_edges)))
+    ref = evaluate_mode_reference("II", ctx, mats, params, sol, data)
+    assert ref.residuals.r3 > 0
+    _assert_bounds_match(evaluate_mode("II", ctx, mats, params, sol, project(ctx, data)), ref)
 
 
 @pytest.mark.parametrize("ident", [1, 4])

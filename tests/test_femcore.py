@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from mhbounds.cases import make_case
 from mhbounds.femcore import (
-    QUAD_BARY, QUAD_W, SAMPLE_ROWS, FemContext, _stencil_bands, element_matrices, p1_eval_at, prolong,
+    QUAD_BARY, QUAD_W, SAMPLE_ROWS, FemContext, Scratch, _stencil_bands, element_matrices, p1_eval_at,
+    prolong,
 )
 from mhbounds.mesh import add_cell_corners
 from mhbounds.systems import build_matrices, build_mode_system
@@ -393,3 +394,41 @@ def test_projections_leave_orthogonal_remainder(n, parts, seed, scale):
     assert np.abs((remainder * offsets * weights).sum(axis=(-2, -1))).max() <= bound * ctx.mesh.h
     assert np.allclose(rest, [ref.vec_norm2(ctx, part) for part in remainder], rtol=1e-13, atol=0)
     assert abs(_rt0_norm2(ctx, mean, div) + rest.sum() - total) <= 1e-13 * total
+
+
+def test_scratch_lends_disjoint_views_and_reuses_them():
+    scratch = Scratch()
+    with scratch.lend((3, 4), (5,)) as (a, b):
+        with scratch.lend((100,)) as (c,):  # larger than the first block
+            views = [a, b, c]
+            for i, view in enumerate(views):
+                view[...] = i
+            assert [np.all(view == i) for i, view in enumerate(views)] == [True] * 3
+            assert not any(np.shares_memory(x, y) for i, x in enumerate(views) for y in views[i + 1:])
+        blocks = list(scratch._blocks)
+    # given back, the same memory is lent again, and no block is replaced
+    with scratch.lend((3, 4)) as (again,):
+        assert np.shares_memory(again, a)
+    with scratch.lend((12,), (100,)) as (_, big):
+        assert np.shares_memory(big, c)
+    assert all(x is y for x, y in zip(scratch._blocks, blocks))
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 40])
+def test_stencil_product_into_lent_buffers(n, rng):
+    # a product written to `out` with the padded grid lent by a scratch that
+    # holds stale values equals the allocating product, for scalar and block
+    # stencils, stacked and flat
+    ctx = FemContext(ref.build_mesh(n))
+    mats = build_matrices(ctx)
+    m2 = ctx.K.shape[0]
+    system = build_mode_system("II", mats, 1, 0.1, 1.0, np.zeros((2, m2)))
+    scratch = Scratch()
+    with scratch.lend((4 * m2 + 8 * (n + 1) ** 2,)) as (stale,):
+        stale[...] = np.nan
+    for op, v in ((ctx.M, rng.standard_normal((2, m2))), (ctx.K, rng.standard_normal(m2)),
+                  (system.matrix, rng.standard_normal(4 * m2))):
+        out = np.empty_like(v)
+        assert op(v, out=out, scratch=scratch) is out
+        assert np.array_equal(out, op(v))
+        assert np.array_equal(out, op @ v)

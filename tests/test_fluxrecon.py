@@ -178,3 +178,32 @@ def _assert_planes_equal(got, expect):
     for a, b in zip((got.horiz, got.vert, got.diag), (expect.horiz, expect.vert, expect.diag)):
         assert a.shape == b.shape
         assert np.abs(a - b).max(initial=0) <= 1e-14 * max(np.abs(b).max(initial=0), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_fluxes_in_row_blocks_match_whole_grid(n, rows, rng):
+    # averaging, the boundary divergence match and the per-triangle form,
+    # block by block of cell rows, give the whole-grid planes; every
+    # boundary triangle, the two corner ones included, hits its target
+    ctx = FemContext(build_mesh(n))
+    mesh = ctx.mesh
+    field = rng.standard_normal((2, 2, 2, n, n))
+    target = rng.standard_normal((2, 2, n, n))
+    whole = fluxrecon.grid_average(mesh, field)
+    fluxrecon.grid_match_boundary_divergence(mesh, whole, target)
+    centre, div = fluxrecon.grid_affine_form(ctx, whole)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        block = slice(r0, r1)
+        read = slice(max(r0 - 1, 0), min(r1 + 1, n))  # the block and its halo
+        flux = fluxrecon.grid_average(mesh, field[..., read, :], block)
+        fluxrecon.grid_match_boundary_divergence(mesh, flux, target[..., block, :], block)
+        expect = fluxrecon.GridFlux(whole.horiz[:, r0 : r1 + 1], whole.vert[:, block], whole.diag[:, block])
+        _assert_planes_equal(flux, expect)
+        got_centre, got_div = fluxrecon.grid_affine_form(ctx, flux)
+        assert np.abs(got_centre - centre[..., block, :]).max() <= 1e-14 * np.abs(centre).max()
+        assert np.abs(got_div - div[..., block, :]).max() <= 1e-14 * np.abs(div).max()
+    corners = [(0, 0, n - 1), (1, n - 1, 0)]
+    for cls, r, c in corners + [(0, 0, 0), (1, n - 1, n - 1), (0, n // 2, n - 1), (1, n // 2, 0)]:
+        assert np.allclose(div[:, cls, r, c], target[:, cls, r, c], rtol=1e-12, atol=1e-12)
