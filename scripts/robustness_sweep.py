@@ -49,7 +49,7 @@ def main():
                         precond = build(mats, k, lam, case.omega, surrogate_inverse=surrogate)
                         sol, stats = minres(system, precond, tol=args.tol, maxiter=300)
                         x = np.concatenate([sol.y, sol.p]).ravel()
-                        residual = system.rhs - system.matrix @ x
+                        residual = system.rhs - system.matrix(x)
                         true_relres = np.linalg.norm(residual) / np.linalg.norm(system.rhs)
                         writer.writerow([
                             problem, n, k, lam, name, stats.iterations,

@@ -223,46 +223,24 @@ def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, so
     Returns (costs, norms): costs[k] is the per-mode cost of the fine
     solution, norms[k] the (||e||^2, ||grad e||^2) of the coarse state
     against it, taken right after mode k's fine solve, so no fine field
-    outlives its mode.
+    outlives its mode.  The coarse state is evaluated at the fine nodes;
+    both fields vanish on the boundary, so the norms of their difference e
+    are the quadratic forms of the fine interior mass and stiffness
+    stencils.
     """
     fine = _Solver(case, nref, config)
     costs, norms = {}, {}
     for k in _sine_modes_first(solutions):
-        sol = solutions[k]
         fine_sol, _ = fine.solve_mode(k)
         scratch = fine._scratch()
         costs[k] = mode_cost(case.problem, fine.ctx, fine.mats, fine.params, fine_sol,
                              fine.bind.mode_data(k), scratch=scratch)
-        norms[k] = _fine_error_norms(fine.ctx, fine_sol, coarse_ctx, sol, scratch=scratch)
+        coarse = prolong(coarse_ctx.node_grid(solutions[k].y), nref)[:, 1:-1, 1:-1]
+        e = fine_sol.y - coarse.reshape(len(coarse), -1)
+        with scratch.lend(e.shape) as (product,):
+            norms[k] = tuple(float(np.vdot(e, op(e, out=product, scratch=scratch)))
+                             for op in (fine.ctx.M, fine.ctx.K))
     return costs, norms
-
-
-def _fine_error_norms(fine_ctx: FemContext, fine_sol, coarse_ctx: FemContext, sol,
-                      scratch: Scratch | None = None):
-    """(||e||^2, ||grad e||^2) of the coarse state against the fine one.
-
-    The coarse state is evaluated at the fine nodes; both fields vanish on
-    the boundary, so the norms of their difference e are the quadratic
-    forms of the fine interior mass and stiffness stencils, whose products
-    are lent by `scratch` (or allocated without one).
-    """
-    n = fine_ctx.mesh.n
-    coarse = prolong(coarse_ctx.node_grid(sol.y), n)[:, 1:-1, 1:-1]
-    e = fine_sol.y - coarse.reshape(len(coarse), -1)
-    scratch = Scratch() if scratch is None else scratch
-    with scratch.lend(e.shape) as (product,):
-        l2 = float(np.vdot(e, fine_ctx.M(e, out=product, scratch=scratch)))
-        h1 = float(np.vdot(e, fine_ctx.K(e, out=product, scratch=scratch)))
-    return l2, h1
-
-
-def _overall_reference(case: ExampleCase) -> float:
-    """Exact total cost of an analytic case, by the time quadrature of the
-    case's samples."""
-    y, u = case._exact_samples
-    scale, misfit_norm2 = (1.0, 0.25) if case.problem == "I" else (case.data_scale, case.eigen_kappa * 0.25)
-    misfit = replace(y, values=y.values - scale * case._time_samples.values)
-    return 0.5 * misfit.norm2() * misfit_norm2 + 0.5 * case.lam * u.norm2() * 0.25
 
 
 def run(config: ExperimentConfig) -> BoundsReport:
@@ -312,7 +290,7 @@ def run(config: ExperimentConfig) -> BoundsReport:
     )
     if kind == "analytic":
         for k, rep in reports.items():
-            rep.reference = solver.bind.reference_cost(k)
+            rep.reference = case.reference_cost(k)
             rep.err_l2, rep.err_h1 = solver.bind.error_norms(k, rep.solution)
     elif kind == "fine":
         solutions = {k: rep.solution for k, rep in reports.items()}
@@ -360,9 +338,8 @@ def _mode_row(case, params, rep: ModeReport) -> TableRow:
 
 def _overall_row(case, params, reports, n_trunc, ref_kind) -> TableRow:
     used = [reports[k].bounds for k in range(n_trunc + 1)]
-    remainder = case.remainder(n_trunc).value
-    total = aggregate(used, params, remainder)
-    reference = _overall_reference(case) if ref_kind == "analytic" else None
+    total = aggregate(used, params, case.remainder(n_trunc))
+    reference = case.overall_reference() if ref_kind == "analytic" else None
     idx = efficiency_indices(total.minorant, total.majorant, reference)
     T = params.period
     if all(np.isfinite(reports[k].err_l2) for k in range(n_trunc + 1)):

@@ -9,7 +9,7 @@ closed-form Fourier coefficients (odd cosine modes only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -19,7 +19,7 @@ from . import fluxrecon
 from .bounds import ModeData
 from .femcore import FemContext
 from .systems import mode_parts
-from .timefourier import RemainderTerm, SampledSignal, remainder_parseval, sample_periodic
+from .timefourier import SampledSignal, sample_periodic
 
 PI = np.pi
 PI2 = PI * PI
@@ -104,7 +104,6 @@ class ExampleCase:
     problem: str
     lam: float
     omega: float
-    n_default: int
     time_factor: Callable
     analytic_modes: bool  # closed-form time coefficients (indicator data)
     spatial_scalar: Optional[Callable] = None
@@ -132,17 +131,15 @@ class ExampleCase:
             return box_mode_coefficient(k), 0.0
         return self._time_samples.mode(k)
 
-    def remainder(self, n_modes: int) -> RemainderTerm:
+    def remainder(self, n_modes: int) -> float:
         """Tail energy (T/2) sum_{k>N} ||data mode||^2."""
         if self.analytic_modes:
             # only odd cosine modes: sum_{odd k <= N} 1/k^2 against pi^2/8
             ks = np.arange(1, n_modes + 1)
             partial = float(np.sum(1.0 / ks[ks % 2 == 1] ** 2))
             tail = (4.0 / PI2) * (PI2 / 8.0 - partial)
-            value = 0.5 * self.period * tail * self.spatial_norm2
-            return RemainderTerm(value=float(value))
-        samples = self._time_samples
-        return remainder_parseval(samples.norm2(), samples.table(n_modes), n_modes, self.spatial_norm2)
+            return float(0.5 * self.period * tail * self.spatial_norm2)
+        return self._time_samples.tail(n_modes) * self.spatial_norm2
 
     @property
     def has_analytic_reference(self) -> bool:
@@ -152,56 +149,62 @@ class ExampleCase:
     def _exact_samples(self) -> tuple[SampledSignal, SampledSignal]:
         """The exact state's and control's time factors over one period,
         sampled once per case by the rule of `_time_samples`."""
+        if not self.has_analytic_reference:
+            raise ValueError(f"case {self.ident} has no analytic reference")
         return tuple(
             sample_periodic(f, self.omega, panels=256, order=12)
             for f in (self.exact_y_time, self.exact_u_time)
         )
 
-    def reference_cost(self, k: int) -> float:
-        """Exact per-mode optimal cost from the analytic solution.
+    def _cost(self, misfit2: float, control2: float) -> float:
+        """The cost 0.5 ||y - y_d||^2 + 0.5 lam ||u||^2 of the analytic
+        solution from the squared time norms of its misfit factor y - s y_d
+        and its control factor.
 
-        The state, control and data share one spatial profile, so the cost
-        is the squared misfit of the time coefficients times the profile's
-        misfit norm (for gradient tracking the squared norm of its gradient,
-        with `data_scale` mapping the data's time coefficients onto it) plus
-        the control energy.
+        The state, control and data share one spatial profile, so each
+        squared norm is the time part's times the profile's: for the misfit
+        its squared norm (for gradient tracking that of its gradient, with
+        the data scale s mapping the data's time factor onto it), for the
+        control 0.25.
         """
-        if not self.has_analytic_reference:
-            raise ValueError(f"case {self.ident} has no analytic reference")
-        if self.problem == "I":
-            misfit_norm2, scale = self.spatial_norm2, 1.0
-        else:
-            misfit_norm2, scale = self.eigen_kappa * 0.25, self.data_scale
-        y_samples, u_samples = self._exact_samples
-        y, u = np.array(y_samples.mode(k)), np.array(u_samples.mode(k))
-        misfit = y - scale * np.array(self._time_samples.mode(k))
-        return 0.5 * float(misfit @ misfit) * misfit_norm2 + 0.5 * self.lam * float(u @ u) * 0.25
+        misfit_norm2 = self.spatial_norm2 if self.problem == "I" else self.eigen_kappa * 0.25
+        return 0.5 * misfit2 * misfit_norm2 + 0.5 * self.lam * control2 * 0.25
+
+    def reference_cost(self, k: int) -> float:
+        """Exact per-mode optimal cost, from the mode pairs of the time factors."""
+        y, u = (np.array(s.mode(k)) for s in self._exact_samples)
+        misfit = y - self.data_scale * np.array(self._time_samples.mode(k))
+        return self._cost(float(misfit @ misfit), float(u @ u))
+
+    def overall_reference(self) -> float:
+        """Exact total cost, by the time quadrature of the sampled factors."""
+        y, u = self._exact_samples
+        misfit = replace(y, values=y.values - self.data_scale * self._time_samples.values)
+        return self._cost(misfit.norm2(), u.norm2())
 
     def exact_state_mode(self, k: int) -> tuple[float, float]:
         """Fourier pair of the exact state's time factor."""
-        if not self.has_analytic_reference:
-            raise ValueError(f"case {self.ident} has no analytic reference")
         return self._exact_samples[0].mode(k)
 
 
 _CASE_SPECS = {
-    1: dict(problem="I", lam=0.1, omega=1.0, n_default=8, time_factor=_g1,
+    1: dict(problem="I", lam=0.1, omega=1.0, time_factor=_g1,
             analytic_modes=False, spatial_scalar=_sin_sin, spatial_norm2=0.25,
             eigen_kappa=KAPPA, exact_y_time=_y_cubic, exact_u_time=_u_cubic),
-    2: dict(problem="I", lam=0.1, omega=1.0, n_default=10, time_factor=_g2,
+    2: dict(problem="I", lam=0.1, omega=1.0, time_factor=_g2,
             analytic_modes=False, spatial_scalar=_sin_sin, spatial_norm2=0.25,
             eigen_kappa=KAPPA, exact_y_time=_y_lin, exact_u_time=_u_lin),
-    3: dict(problem="I", lam=0.01, omega=2 * PI, n_default=11, time_factor=_box_time,
+    3: dict(problem="I", lam=0.01, omega=2 * PI, time_factor=_box_time,
             analytic_modes=True, spatial_scalar=_corner_box, spatial_norm2=0.25),
-    4: dict(problem="II", lam=0.1, omega=1.0, n_default=8, time_factor=_g4,
+    4: dict(problem="II", lam=0.1, omega=1.0, time_factor=_g4,
             analytic_modes=False, spatial_vector=_grad_sin_sin_over_pi,
             spatial_norm2=0.5, eigen_kappa=KAPPA, data_scale=1.0 / PI,
             exact_y_time=_y_cubic, exact_u_time=_u_cubic),
-    5: dict(problem="II", lam=0.1, omega=1.0, n_default=10, time_factor=_g5,
+    5: dict(problem="II", lam=0.1, omega=1.0, time_factor=_g5,
             analytic_modes=False, spatial_vector=_grad_sin_sin_over_pi,
             spatial_norm2=0.5, eigen_kappa=KAPPA, data_scale=1.0 / PI,
             exact_y_time=_y_lin, exact_u_time=_u_lin),
-    6: dict(problem="II", lam=0.01, omega=2 * PI, n_default=11, time_factor=_box_time,
+    6: dict(problem="II", lam=0.01, omega=2 * PI, time_factor=_box_time,
             analytic_modes=True, spatial_vector=_corner_box_pair, spatial_norm2=0.5),
 }
 
@@ -275,9 +278,6 @@ class CaseBind:
             return ModeData(k=k, coef=coef[:, None], rest=rest, y_vert=self.s_vert)
         return ModeData(k=k, coef=coef[:, None], rest=rest, g_mean=self.v_mean, g_div=self.v_div,
                         g_flux=self.v_flux)
-
-    def reference_cost(self, k: int) -> float:
-        return self.case.reference_cost(k)
 
     def error_norms(self, k: int, sol) -> tuple[float, float]:
         """(||e||^2, ||grad e||^2) of the state mode against the exact one.

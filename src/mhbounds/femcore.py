@@ -200,10 +200,6 @@ class Stencil:
                 np.matmul(coef, shifted.reshape(coef.shape[1], -1), out=product[:, r0 * m : r1 * m])
         return out
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Product with the flat vector of the stacked parts (one for a scalar stencil)."""
-        return self(x)
-
 
 class FemContext:
     """Cached mesh-dependent arrays shared by assembly and bound evaluation.

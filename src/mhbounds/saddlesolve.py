@@ -16,10 +16,10 @@ indefinite like A_k, and the eigenvalues of A_k A~_k^{-1} cluster around
 +1, so every tolerance-driven solve runs GMRES right-preconditioned by it
 (Saad and Schultz 1986), which gains on that cluster at every step.  The
 paper's block-diagonal preconditioners, whose Schur complements contain
-M K^{-1} M or K M^{-1} K, divide by their symbol; they are positive
-definite and reproduce its fixed-step MinRes runs.  `build_precond_I/II`
-build either kind, and `minres` picks the solver that fits the
-preconditioner.
+M K^{-1} M or K M^{-1} K, multiply by the reciprocal of their symbol; they
+are positive definite and reproduce its fixed-step MinRes runs.
+`build_precond_I/II` build either kind as one `SpectralPrecond`, and
+`minres` picks the solver from its `definite` flag.
 
 GMRES stops on the Euclidean relative residual ||b - A x|| / ||b||,
 recomputed from its iterate; MinRes measures its residual in the norm of
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as sfft
 
-from .femcore import Scratch, Stencil
+from .femcore import Scratch
 from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_coefficients, mode_parts
 
 # Basis vectors GMRES keeps before it restarts from the true residual.  The
@@ -56,31 +56,44 @@ class SolveStats:
 
 
 class SpectralPrecond:
-    """Symmetric preconditioner diagonal in the DST-I basis
-    up to a (Q, Q) matrix per frequency, Q the stacked parts of the mode
-    system in its unknown ordering.
+    """Symmetric preconditioner diagonal in the DST-I basis up to a (Q, Q)
+    matrix per frequency, Q the stacked parts of the mode system in its
+    unknown ordering.
 
-    `apply` takes the per-frequency product `_inverse` of the sine
-    coefficients (Q, m, m), m = n - 1 interior nodes per side, between one
-    orthonormal DST-I pair over all parts.  Both transforms run in place,
-    the first on a copy of the input lent by the scratch, the second on the
-    output, so an apply allocates nothing when given both.
+    `apply` takes the sine coefficients c (Q, m, m) of the input, m = n - 1
+    interior nodes per side, forms diag c - sum_i scales[i] (coefs[i] c) per
+    frequency, and transforms back, one orthonormal DST-I pair over all
+    parts.  `diag` is (Q, m, m) or one plane (m, m) for all parts, each
+    scale a plane and each coupling matrix (Q, Q).  Without coupling terms
+    it is the paper's positive definite block-diagonal kind (`definite`,
+    for MinRes).  Both transforms run in place, the first on a copy of the
+    input lent by the scratch, the second on the output, so an apply
+    allocates nothing when given both.
     """
 
-    def __init__(self, parts_shape: tuple[int, int, int]):
-        self._parts_shape = parts_shape
-        self.dim = int(np.prod(parts_shape))
+    def __init__(self, diag: np.ndarray, coefs: tuple = (), scales: tuple = ()):
+        self.diag, self.coefs, self.scales = diag, coefs, scales
+        self.definite = not coefs
+        self._parts_shape = (len(coefs[0]) if coefs else len(diag),) + diag.shape[-2:]
+        self.dim = int(np.prod(self._parts_shape))
 
     def apply(self, r: np.ndarray, out: np.ndarray | None = None,
               scratch: Scratch | None = None) -> np.ndarray:
         """P r, written to `out` (C-contiguous, not overlapping r) when given."""
         out = np.empty(self.dim) if out is None else out
         scratch = Scratch() if scratch is None else scratch
-        with scratch.lend(self._parts_shape, self._parts_shape) as (coef, work):
-            np.copyto(coef, r.reshape(self._parts_shape))
+        shape = self._parts_shape
+        with scratch.lend(shape, shape) as (coef, work):
+            np.copyto(coef, r.reshape(shape))
             _dst_in_place(coef)
-            self._inverse(coef, out.reshape(self._parts_shape), work)
-            _dst_in_place(out.reshape(self._parts_shape))
+            product = out.reshape(shape)
+            np.multiply(self.diag, coef, out=product)
+            flat, terms = coef.reshape(shape[0], -1), work.reshape(shape[0], -1)
+            for block, scale in zip(self.coefs, self.scales):
+                np.matmul(block, flat, out=terms)
+                work *= scale
+                product -= work
+            _dst_in_place(product)
         return out
 
 
@@ -90,50 +103,6 @@ def _dst_in_place(planes: np.ndarray) -> None:
     result = sfft.dstn(planes, type=1, norm="ortho", axes=(1, 2), overwrite_x=True)
     if not np.may_share_memory(result, planes):
         np.copyto(planes, result)
-
-
-class BlockDiagPrecond(SpectralPrecond):
-    """Block-diagonal preconditioner; `symbol` (Q, m, m) holds the DST-I
-    eigenvalues of its blocks, and `apply` divides by it."""
-
-    def __init__(self, symbol: np.ndarray):
-        super().__init__(symbol.shape)
-        self.symbol = symbol
-
-    def _inverse(self, coef: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-        np.divide(coef, self.symbol, out=out)
-
-
-class SurrogateInversePrecond(SpectralPrecond):
-    """A~_k^{-1} as the closed form (H - t I) / q per frequency.
-
-    H = coef_K mu_K + coef_M mu_M is the surrogate operator at a frequency
-    (see `_surrogate_inverse`).  `coefs` stacks coef_K over coef_M, (2Q, Q),
-    and the planes are `diag` = -t / q, (m, m), and `scales` = -(mu_K, mu_M)
-    / q, (2, 1, m, m): `apply` takes one (Q, Q) product of the sine
-    coefficients per part of `coefs` and three planes.
-    """
-
-    def __init__(self, coefs: np.ndarray, diag: np.ndarray, scales: np.ndarray):
-        super().__init__((coefs.shape[1],) + diag.shape)
-        self.coefs, self.diag, self.scales = coefs, diag, scales
-
-    def _inverse(self, coef: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-        parts = len(coef)
-        flat, terms = coef.reshape(parts, -1), work.reshape(parts, -1)
-        np.multiply(self.diag, coef, out=out)
-        for block, scale in zip((self.coefs[:parts], self.coefs[parts:]), self.scales):
-            np.matmul(block, flat, out=terms)
-            work *= scale
-            out -= work
-
-
-class IdentityPrecond:
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None, scratch: Scratch | None = None) -> np.ndarray:
-        if out is None:
-            return r
-        np.copyto(out, r)
-        return out
 
 
 def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -154,15 +123,23 @@ def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
     return mu_K, mu_M
 
 
-def _blocks(state: np.ndarray, adjoint: np.ndarray, k: int) -> BlockDiagPrecond:
-    """Stack the (y, p) blocks of mode k, each repeated for its P parts."""
+def _check_lam(lam: float) -> None:
+    """Every preconditioner divides by lam (or takes its square root)."""
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+
+
+def _blocks(state: np.ndarray, adjoint: np.ndarray, k: int) -> SpectralPrecond:
+    """The block-diagonal preconditioner with the symbols of the (y, p)
+    blocks of mode k, each repeated for its P parts: it multiplies by their
+    reciprocals."""
     parts = mode_parts(k)
-    return BlockDiagPrecond(np.stack([state] * parts + [adjoint] * parts))
+    return SpectralPrecond(1.0 / np.stack([state] * parts + [adjoint] * parts))
 
 
 def _surrogate_inverse(
     problem: str, mats: ModeMatrices, k: int, lam: float, omega: float
-) -> SurrogateInversePrecond:
+) -> SpectralPrecond:
     """A~_k^{-1}, the inverse of the surrogate operator of mode k.
 
     Per frequency A~_k is H = [[a, b], [conj(b), -c]] on (y, p) in complex
@@ -171,10 +148,9 @@ def _surrogate_inverse(
     q = a c + |b|^2 > 0, minus its determinant, H^2 = t H + q I, so
     H^{-1} = (H - t I) / q.  The real form of H on the cosine and sine
     parts is the mode operator's coefficient blocks with K and M replaced by
-    their symbols, and the formula holds for it unchanged.
+    their symbols, and the formula holds for it unchanged: diag = -t / q
+    and the coupling terms coef_K and coef_M with scales -(mu_K, mu_M) / q.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     mu_K, mu_M = _grid_symbols(mats)
     coef_K, coef_M = mode_coefficients(problem, mats, k, lam, omega)
 
@@ -185,8 +161,7 @@ def _surrogate_inverse(
     a, c = H(0, 0), -H(-1, -1)
     # |b|^2 is the squared norm of the first row of the (y, p) block
     q = a * c + sum(H(0, j) ** 2 for j in range(parts, 2 * parts))
-    scales = np.stack([mu_K, mu_M])[:, None] / -q
-    return SurrogateInversePrecond(np.concatenate([coef_K, coef_M]), (c - a) / q, scales)
+    return SpectralPrecond((c - a) / q, (coef_K, coef_M), (mu_K / -q, mu_M / -q))
 
 
 def build_precond_I(
@@ -195,8 +170,7 @@ def build_precond_I(
     """Problem I: the paper's diag(D_k, D_k, D_k/lam, D_k/lam) with
     D_k = sqrt(lam) nu K + k w sqrt(lam) sigma M + M, or with
     `surrogate_inverse` the inverse A~_k^{-1} of the surrogate operator."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     if surrogate_inverse:
         return _surrogate_inverse("I", mats, k, lam, omega)
     mu_K, mu_M = _grid_symbols(mats)
@@ -220,6 +194,7 @@ def build_precond_II(
     family 0: diag(K, K, S_k, S_k), S_k = nu K + M/lam + (k w sigma)^2 M K^{-1} M
     family 1: diag(R_k, R_k, M/lam, M/lam), R_k = K + (k w sigma)^2 lam M + nu^2 lam K M^{-1} K
     """
+    _check_lam(lam)
     if family not in (0, 1):
         raise ValueError("family must be 0 or 1")
     if surrogate_inverse:
@@ -236,7 +211,7 @@ def build_precond_II(
 
 def minres(
     system: ModeSystem,
-    precond=None,
+    precond: SpectralPrecond,
     tol: float = 1e-8,
     maxiter: int = 200,
     fixed_iters: int | None = None,
@@ -246,14 +221,13 @@ def minres(
 
     The surrogate inverse A~_k^{-1} is indefinite, so it preconditions
     GMRES (`gmres_raw`), which stops when ||b - A x|| <= tol ||b||; the
-    paper's positive definite preconditioners, or none, precondition MinRes
-    (`minres_raw`), which stops on the residual in the preconditioner's
-    norm.  Both stop after maxiter steps, or take exactly `fixed_iters`
+    paper's `definite` preconditioners precondition MinRes (`minres_raw`),
+    which stops on the residual in the preconditioner's norm.  Both stop after maxiter steps, or take exactly `fixed_iters`
     steps when given, and `SolveStats.relative_residual` is the ratio they
     stop on.  Their work vectors are lent by `scratch`, or allocated
     without one.
     """
-    solve = gmres_raw if isinstance(precond, SurrogateInversePrecond) else minres_raw
+    solve = minres_raw if precond.definite else gmres_raw
     x, stats = solve(
         system.matrix, system.rhs, precond, tol=tol, maxiter=maxiter, fixed_iters=fixed_iters,
         scratch=scratch,
@@ -262,19 +236,12 @@ def minres(
     return ModeSolution(system.k, y, p), stats
 
 
-def _product(A, v: np.ndarray, out: np.ndarray, scratch: Scratch) -> None:
-    """out = A v, through the lent buffers when A is a stencil."""
-    if isinstance(A, Stencil):
-        A(v, out=out, scratch=scratch)
-    else:
-        out[...] = A @ v
-
-
 def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=None):
     """Right-preconditioned GMRES with modified Gram-Schmidt and Givens rotations.
 
     x = P u minimizes ||b - A x|| over the Krylov space of A P, with
-    P = `precond.apply`.  A cycle ends when the rotated residual estimate
+    P = `precond.apply` and A called as the mode stencil is,
+    A(v, out=, scratch=).  A cycle ends when the rotated residual estimate
     drops below tol ||b|| or after GMRES_RESTART steps; x is then updated by
     sum_j y_j z_j from the products z_j = P v_j that the steps took, and the
     next cycle restarts from the true residual b - A x, until that meets
@@ -325,7 +292,7 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=No
                 v, z = pair(j)
                 precond.apply(v, out=z, scratch=scratch)
                 w = pair(j + 1)[0]
-                _product(A, z, w, scratch)
+                A(z, out=w, scratch=scratch)
                 wnorm = np.linalg.norm(w)
                 h = R[:, j]
                 for i in range(j + 1):
@@ -354,7 +321,7 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=No
                 x += np.multiply(z, c, out=scaled)
             # the true residual b - A x, as the next cycle's first vector
             r = pair(0)[0]
-            _product(A, x, r, scratch)
+            A(x, out=r, scratch=scratch)
             np.subtract(b, r, out=r)
             rnorm = float(np.linalg.norm(r))
             if fixed_iters is None and rnorm <= target:
@@ -373,12 +340,11 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=No
     )
 
 
-def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None, scratch=None):
-    """Preconditioned MinRes (Paige and Saunders); every preconditioner apply
-    writes into one output vector, with its transforms' buffers lent by
-    `scratch` (or allocated without one)."""
-    if precond is None:
-        precond = IdentityPrecond()
+def minres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=None):
+    """Preconditioned MinRes (Paige and Saunders), with A called as in
+    `gmres_raw`; the products A v and the preconditioner applies rotate
+    through kept vectors, with the buffers of A and of the transforms lent
+    by `scratch` (or allocated without one)."""
     start = time.perf_counter()
     n = b.shape[0]
     x = np.zeros(n)
@@ -389,6 +355,7 @@ def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None, scra
     eps = np.finfo(float).eps
     scratch = Scratch() if scratch is None else scratch
     applied = np.empty(n)  # P r2; the products A v never share it
+    spare = np.empty(n)  # the next product A v, then the r1 it replaces
 
     r2 = b.copy()
     y = precond.apply(r2, out=applied, scratch=scratch)
@@ -413,13 +380,12 @@ def minres_raw(A, b, precond=None, tol=1e-8, maxiter=200, fixed_iters=None, scra
     while itn < limit:
         itn += 1
         v = y / beta
-        y = A @ v
+        y = A(v, out=spare, scratch=scratch)
         if itn >= 2:
             y -= (beta / oldb) * r1
         alfa = float(np.dot(v, y))
         y -= (alfa / beta) * r2
-        r1 = r2
-        r2 = y
+        r1, r2, spare = r2, y, r1
         y = precond.apply(r2, out=applied, scratch=scratch)
         oldb = beta
         beta_sq = float(np.dot(r2, y))

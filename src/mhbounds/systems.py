@@ -57,10 +57,7 @@ def build_matrices(ctx: FemContext, sigma: float = 1.0, nu: float = 1.0) -> Mode
 class ModeSystem:
     """Operator and right-hand side of one Fourier mode, on flat stacked unknowns."""
 
-    problem: str
     k: int
-    lam: float
-    omega: float
     mats: ModeMatrices
     matrix: Stencil
     rhs: np.ndarray
@@ -119,7 +116,6 @@ def build_mode_system(
     K, M = mats.K.weights, mats.M.weights
     blocks = {o: K.get(o, 0.0) * coef_K + M.get(o, 0.0) * coef_M for o in K.keys() | M.keys()}
     return ModeSystem(
-        problem=problem, k=k, lam=lam, omega=omega, mats=mats,
-        matrix=Stencil(blocks, mats.M.m),
+        k=k, mats=mats, matrix=Stencil(blocks, mats.M.m),
         rhs=np.concatenate([rhs, np.zeros_like(rhs)]).ravel(),
     )

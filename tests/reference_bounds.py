@@ -266,9 +266,9 @@ def grid_search_alpha_beta(A, B, C, params, P: float = 0.0, points: int = 40):
 
 
 def time_mode_pair(f, omega: float, k: int, panels: int = 256, order: int = 12):
-    """(cosine, sine) Fourier coefficient pair of a time factor, from the
-    coefficient table of modes 0..max(k, 1)."""
-    return sample_periodic(f, omega, panels, order).table(max(k, 1)).mode(k)
+    """(cosine, sine) Fourier coefficient pair of a time factor, sampled anew
+    on every call."""
+    return sample_periodic(f, omega, panels, order).mode(k)
 
 
 def spacetime_cost(k, lam, omega, y_time, u_time, data_time, misfit_norm2, control_norm2,

@@ -3,12 +3,14 @@
 This is the `sp.bmat` assembly that the matrix-free block stencil of
 `systems.build_mode_system` replaced, with its separate mode-0 and mode-k
 layouts, and the sparse LU solver that was the oracle of the MinRes tests.
-The tests compare the operator and the iterative solutions against it.
+The tests compare the operator and the iterative solutions against it,
+passing the problem tag, lambda and omega the system was built with.
 `stencil_csr` assembles the interior K and M from their stencils, and
 `bands_csr` the stiffness and mass on any block of nodes (all of them
 included) from the stencil bands of the whole grid.  `scalar_mode_solve` is
 the continuous mode system for data whose spatial profile is a
-Dirichlet-Laplacian eigenfunction.
+Dirichlet-Laplacian eigenfunction.  `DenseOperator` and `DensePrecond`
+let the Krylov solvers run on small dense or sparse matrices.
 """
 
 from __future__ import annotations
@@ -60,17 +62,17 @@ def stencil_csr(op) -> sp.csr_matrix:
     return bands_csr({o: np.full((m, m), w) for o, w in op.weights.items()}, 0, m)
 
 
-def assemble(system: ModeSystem) -> sp.csr_matrix:
-    """The block matrix of the system, unknowns ordered (y_c, y_s, p_c, p_s)."""
+def assemble(system: ModeSystem, problem: str, lam: float, omega: float) -> sp.csr_matrix:
+    """The block matrix of the system of `problem` at lam and omega,
+    unknowns ordered (y_c, y_s, p_c, p_s)."""
     mats = system.mats
     K, M = stencil_csr(mats.K), stencil_csr(mats.M)
-    lead = M if system.problem == "I" else K
+    lead = M if problem == "I" else K
     Kn = mats.nu * K
     Ms = mats.sigma * M
-    lam = system.lam
     if system.k == 0:
         return sp.bmat([[lead, -Kn], [-Kn, -(1.0 / lam) * M]], format="csr")
-    kw = system.k * system.omega
+    kw = system.k * omega
     Z = None
     return sp.bmat(
         [
@@ -85,12 +87,34 @@ def assemble(system: ModeSystem) -> sp.csr_matrix:
 
 def dense(system: ModeSystem) -> np.ndarray:
     """The operator of the system as a dense matrix, column by column."""
-    return np.column_stack([system.matrix @ e for e in np.eye(system.rhs.size)])
+    return np.column_stack([system.matrix(e) for e in np.eye(system.rhs.size)])
 
 
-def direct_solve(system: ModeSystem) -> ModeSolution:
-    """Sparse LU solution of the assembled system; raises on singular systems or poor residuals."""
-    A = assemble(system)
+class DenseOperator:
+    """A dense or sparse matrix, called as the Krylov solvers call the mode stencil."""
+
+    def __init__(self, A):
+        self.A = A
+
+    def __call__(self, v, out, scratch=None):
+        out[...] = self.A @ v
+        return out
+
+
+class DensePrecond:
+    """A dense matrix, applied as the Krylov solvers apply a preconditioner."""
+
+    def __init__(self, P):
+        self.P = P
+
+    def apply(self, r, out=None, scratch=None):
+        return np.matmul(self.P, r, out=out)
+
+
+def direct_solve(system: ModeSystem, problem: str, lam: float, omega: float) -> ModeSolution:
+    """Sparse LU solution of the assembled system (see `assemble`); raises
+    on singular systems or poor residuals."""
+    A = assemble(system, problem, lam, omega)
     x = spla.factorized(A.tocsc())(system.rhs)
     resid = np.linalg.norm(A @ x - system.rhs)
     scale = np.linalg.norm(system.rhs)

@@ -16,6 +16,7 @@ from mhbounds.bench import (
     write_csv,
     write_markdown,
 )
+from mhbounds.cases import make_case
 from mhbounds.femcore import FemContext
 from mhbounds.systems import ModeSolution, mode_parts
 from reference_assembly import assemble_mass, assemble_stiffness, build_mesh, to_full
@@ -91,7 +92,7 @@ def test_zero_data_zero_bounds():
     mats = build_matrices(ctx)
     n = ctx.K.shape[0]
     system = build_mode_system("I", mats, 1, 1.0, 1.0, np.zeros((2, n)))
-    sol = direct_solve(system)
+    sol = direct_solve(system, "I", 1.0, 1.0)
     data = ModeData(k=1, coef=np.ones((2, 1)), y_vert=np.zeros((1, 2, 3, 4, 4)))
     mb = evaluate_mode("I", ctx, mats, BoundParams(lam=1.0, omega=1.0), sol, data)
     assert mb.majorant == 0.0
@@ -275,14 +276,18 @@ def _p1_at_nodes(mesh, v_full, points):
 @pytest.mark.parametrize("n,nref", [(4, 8), (4, 12), (6, 8), (5, 5)])
 @pytest.mark.parametrize("k", [0, 2])
 def test_fine_error_norms_match_all_node_quadratic_forms(n, nref, k, rng):
-    # the stencil quadratic forms of the interior difference equal e . M e
-    # and e . K e with the tests' all-node matrices and the coarse field
-    # evaluated at the fine nodes triangle by triangle
-    coarse, fine = FemContext(build_mesh(n)), FemContext(build_mesh(nref))
-    parts = mode_parts(k)
-    sol = ModeSolution(k, rng.standard_normal((parts, (n - 1) ** 2)), None)
-    fine_sol = ModeSolution(k, rng.standard_normal((parts, (nref - 1) ** 2)), None)
-    l2, h1 = bench._fine_error_norms(fine, fine_sol, coarse, sol)
+    # the error norms of the fine reference, stencil quadratic forms of the
+    # interior difference, equal e . M e and e . K e with the tests'
+    # all-node matrices and the coarse field evaluated at the fine nodes
+    # triangle by triangle; the coarse state is random
+    case = make_case(1)
+    config = ExperimentConfig(example=1, grid=n, nref=nref)
+    coarse = FemContext(build_mesh(n))
+    sol = ModeSolution(k, rng.standard_normal((mode_parts(k), (n - 1) ** 2)), None)
+    _, norms = bench.fine_grid_reference(case, nref, coarse, {k: sol}, config)
+    l2, h1 = norms[k]
+    fine_sol, _ = bench._Solver(case, nref, config).solve_mode(k)
+    fine = FemContext(build_mesh(nref))
     K_full = assemble_stiffness(fine.mesh, full=True)
     M_full = assemble_mass(fine.mesh, full=True)
     expect_l2 = expect_h1 = 0.0

@@ -26,10 +26,10 @@ def test_dense_solve(ctx2, ctx8):
     # reproduces the right-hand side
     for ctx, rhs in ((ctx2, np.array([[2.0], [-1.0]])), (ctx8, np.ones((2, 49)))):
         system = build_mode_system("I", build_matrices(ctx), 1, 0.1, 1.0, rhs)
-        sol = direct_solve(system)
+        sol = direct_solve(system, "I", 0.1, 1.0)
         x = np.concatenate([sol.y.ravel(), sol.p.ravel()])
         assert np.allclose(x, np.linalg.solve(dense(system), system.rhs), rtol=1e-12, atol=1e-14)
-        assert np.linalg.norm(system.matrix @ x - system.rhs) < 1e-10 * np.linalg.norm(system.rhs)
+        assert np.linalg.norm(system.matrix(x) - system.rhs) < 1e-10 * np.linalg.norm(system.rhs)
 
 
 def test_grid_search_zero_flux_residual():

@@ -20,7 +20,7 @@ from mhbounds.saddlesolve import (
 from mhbounds.systems import (
     ModeMatrices, ModeSystem, build_matrices, build_mode_system, mode_coefficients, mode_parts,
 )
-from reference_systems import dense, direct_solve, stencil_csr
+from reference_systems import DenseOperator, DensePrecond, dense, direct_solve, stencil_csr
 
 LAM, OMEGA = 0.1, 1.0
 
@@ -28,11 +28,11 @@ LAM, OMEGA = 0.1, 1.0
 def test_identity_precond_small_system(ctx2):
     mats = build_matrices(ctx2)
     sysk = build_mode_system("I", mats, 1, LAM, OMEGA, np.array([[2.0], [-1.0]]))
-    sol, stats = minres(sysk, None, tol=1e-12, maxiter=10)
-    ref = direct_solve(sysk)
+    x, stats = minres_raw(sysk.matrix, sysk.rhs, DensePrecond(np.eye(4)), tol=1e-12, maxiter=10)
+    ref = direct_solve(sysk, "I", LAM, OMEGA)
     assert stats.iterations <= 4  # Krylov dimension bound
     assert stats.converged
-    assert abs(sol.y[0, 0] - ref.y[0, 0]) < 1e-9
+    assert abs(x[0] - ref.y[0, 0]) < 1e-9
 
 
 def test_zero_rhs(ctx8):
@@ -56,7 +56,8 @@ def test_monotone_residuals(ctx8, rng):
     sysk = build_mode_system("I", mats, 2, LAM, OMEGA, rng.standard_normal((2, n)))
     _, stats = minres(sysk, build_precond_I(mats, 2, LAM, OMEGA), tol=1e-12)
     assert _monotone(stats)
-    _, stats_id = minres(sysk, None, tol=1e-10, maxiter=200)
+    _, stats_id = minres_raw(sysk.matrix, sysk.rhs, DensePrecond(np.eye(sysk.rhs.size)),
+                             tol=1e-10, maxiter=200)
     assert _monotone(stats_id)
 
 
@@ -145,10 +146,10 @@ def test_minres_agrees_with_direct(ctx16):
         sysk = build_mode_system("I", mats, k, case.lam, case.omega, bind.rhs(k))
         P = build_precond_I(mats, k, case.lam, case.omega)
         sol, stats = minres(sysk, P, tol=1e-10)
-        ref = direct_solve(sysk)
+        ref = direct_solve(sysk, "I", case.lam, case.omega)
         e = sol.y[0] - ref.y[0]
-        num = np.sqrt(e @ (mats.M @ e))
-        den = np.sqrt(ref.y[0] @ (mats.M @ ref.y[0]))
+        num = np.sqrt(e @ mats.M(e))
+        den = np.sqrt(ref.y[0] @ mats.M(ref.y[0]))
         assert num < 1e-8 * den
         assert stats.iterations <= 30
 
@@ -168,10 +169,9 @@ def test_direct_solve_reports_singular():
     # [[A, -A], [-A, -A]] repeats its first row
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     mats = ModeMatrices(K=A, M=A, sigma=1.0, nu=1.0)
-    bad = ModeSystem(problem="I", k=0, lam=1.0, omega=1.0, mats=mats,
-                     matrix=None, rhs=np.array([1.0, 0.0, 0.0, 0.0]))
+    bad = ModeSystem(k=0, mats=mats, matrix=None, rhs=np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(RuntimeError):
-        direct_solve(bad)
+        direct_solve(bad, "I", 1.0, 1.0)
 
 
 def test_breakdown_is_clean_termination(rng):
@@ -179,7 +179,7 @@ def test_breakdown_is_clean_termination(rng):
     D = sp.diags([1.0, 2.0, 3.0, 4.0]).tocsr()
     b = np.zeros(4)
     b[1] = 1.0
-    x, stats = minres_raw(D, b, tol=1e-14, maxiter=10)
+    x, stats = minres_raw(DenseOperator(D), b, DensePrecond(np.eye(4)), tol=1e-14, maxiter=10)
     assert stats.iterations <= 2
     assert not stats.breakdown
     assert abs(x[1] - 0.5) < 1e-12
@@ -192,7 +192,7 @@ def test_sine_transform_diagonalizes_stiffness(n, rng):
     v = rng.standard_normal(ctx.K.shape[0])
     coef = sfft.dstn(v.reshape(mu_K.shape), type=1, norm="ortho")
     Kv = sfft.dstn(mu_K * coef, type=1, norm="ortho").ravel()
-    ref = ctx.K @ v
+    ref = ctx.K(v)
     assert np.linalg.norm(Kv - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -272,17 +272,9 @@ def test_converged_solve_reports_euclidean_residual(example, k):
     case = solver.case
     system = build_mode_system(case.problem, solver.mats, k, case.lam, case.omega, solver.bind.rhs(k))
     x = np.concatenate([sol.y, sol.p]).ravel()
-    ratio = np.linalg.norm(system.rhs - system.matrix @ x) / np.linalg.norm(system.rhs)
+    ratio = np.linalg.norm(system.rhs - system.matrix(x)) / np.linalg.norm(system.rhs)
     assert stats.converged and ratio <= 2 * tol
     assert abs(ratio - stats.relative_residual) <= 1e-3 * ratio
-
-
-class _DensePrecond:
-    def __init__(self, P):
-        self.P = P
-
-    def apply(self, r, out=None, scratch=None):
-        return np.matmul(self.P, r, out=out)
 
 
 def _nonsymmetric_system(n=40):
@@ -290,12 +282,12 @@ def _nonsymmetric_system(n=40):
     A = np.diag(np.linspace(1.0, 4.0, n)) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
     # a perturbed inverse, so the preconditioned operator is near the identity
     P = np.linalg.inv(A + 0.05 * rng.standard_normal((n, n)) / np.sqrt(n))
-    return A, _DensePrecond(P), rng.standard_normal(n)
+    return A, DensePrecond(P), rng.standard_normal(n)
 
 
 def test_gmres_solves_nonsymmetric_system():
     A, P, b = _nonsymmetric_system()
-    x, stats = gmres_raw(A, b, P, tol=1e-10, maxiter=50)
+    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-10, maxiter=50)
     relres = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert stats.converged and not stats.breakdown
     assert relres <= 1e-10
@@ -306,9 +298,9 @@ def test_gmres_solves_nonsymmetric_system():
 
 def test_gmres_restarted_reaches_same_solution(monkeypatch):
     A, P, b = _nonsymmetric_system()
-    x, stats = gmres_raw(A, b, P, tol=1e-12, maxiter=50)
+    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-12, maxiter=50)
     monkeypatch.setattr(saddlesolve, "GMRES_RESTART", 2)
-    x2, stats2 = gmres_raw(A, b, P, tol=1e-12, maxiter=50)
+    x2, stats2 = gmres_raw(DenseOperator(A), b, P, tol=1e-12, maxiter=50)
     assert stats.converged and stats2.converged
     assert stats2.iterations >= stats.iterations
     assert np.linalg.norm(x2 - x) <= 1e-9 * np.linalg.norm(x)
@@ -316,11 +308,11 @@ def test_gmres_restarted_reaches_same_solution(monkeypatch):
 
 def test_gmres_fixed_steps():
     A, P, b = _nonsymmetric_system()
-    x, stats = gmres_raw(A, b, P, tol=1e-10, fixed_iters=0)
+    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-10, fixed_iters=0)
     assert stats.iterations == 0 and np.abs(x).max() == 0.0
     assert stats.relative_residual == 1.0
     for steps in (1, 3):
-        x, stats = gmres_raw(A, b, P, tol=1e-10, fixed_iters=steps)
+        x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-10, fixed_iters=steps)
         assert stats.iterations == steps and stats.converged
         relres = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         assert stats.relative_residual == pytest.approx(relres, rel=1e-12)
@@ -330,7 +322,7 @@ def test_gmres_invariant_subspace_is_convergence():
     # rhs inside a two-dimensional invariant subspace of A P = D
     D = np.diag([1.0, 2.0, 3.0, 4.0])
     b = np.array([0.0, 1.0, 1.0, 0.0])
-    x, stats = gmres_raw(D, b, _DensePrecond(np.eye(4)), tol=1e-14, maxiter=10)
+    x, stats = gmres_raw(DenseOperator(D), b, DensePrecond(np.eye(4)), tol=1e-14, maxiter=10)
     assert stats.iterations == 2
     assert stats.converged and not stats.breakdown
     assert np.abs(x - [0.0, 0.5, 1.0 / 3.0, 0.0]).max() <= 1e-14
@@ -355,7 +347,7 @@ def test_precond_II_family1_mode0_converges(rng):
     n = ctx.K.shape[0]
     sysk = build_mode_system("II", mats, 0, LAM, OMEGA, rng.standard_normal((1, n)))
     sol, stats = minres(sysk, build_precond_II(mats, 0, LAM, OMEGA, family=1), tol=1e-10, maxiter=300)
-    ref = direct_solve(sysk)
+    ref = direct_solve(sysk, "II", LAM, OMEGA)
     assert stats.converged
     assert stats.iterations <= 40
     for a, b in ((sol.y, ref.y), (sol.p, ref.p)):
@@ -406,3 +398,29 @@ def test_gmres_with_a_used_scratch_is_bit_equal(ctx8, rng):
         fresh, _ = minres(sysk, P, tol=1e-12)
         assert stats.converged
         assert np.array_equal(used.y, fresh.y) and np.array_equal(used.p, fresh.p)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.1])
+@pytest.mark.parametrize("surrogate_inverse", [False, True])
+def test_builders_reject_nonpositive_lambda(ctx8, lam, surrogate_inverse):
+    # every preconditioner divides by lambda or takes its square root, so
+    # lambda <= 0 raises instead of giving a non-finite or indefinite symbol
+    mats = build_matrices(ctx8)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="lam"):
+            build_precond_I(mats, k, lam, OMEGA, surrogate_inverse=surrogate_inverse)
+        for family in (0, 1):
+            with pytest.raises(ValueError, match="lam"):
+                build_precond_II(mats, k, lam, OMEGA, family=family, surrogate_inverse=surrogate_inverse)
+
+
+def test_definite_preconditioners_pick_minres(ctx8):
+    # the paper's block-diagonal preconditioners have no coupling terms and
+    # are definite (MinRes); the surrogate inverse couples the parts (GMRES)
+    mats = build_matrices(ctx8)
+    for k in (0, 2):
+        for family in (0, 1):
+            assert build_precond_II(mats, k, LAM, OMEGA, family=family).definite
+        assert build_precond_I(mats, k, LAM, OMEGA).definite
+        for build in (build_precond_I, build_precond_II):
+            assert not build(mats, k, LAM, OMEGA, surrogate_inverse=True).definite

@@ -60,3 +60,58 @@ def test_example2_grid64_mode0():
     # the fixture row is the finest-grid value; mode 0 is grid-converged by n=64
     assert abs(row.minorant - ref.minorant) < 0.02 * ref.minorant
     assert abs(row.majorant - ref.majorant) < 0.02 * ref.majorant
+
+
+# --paper-mode rows at n=16 (8 MinRes steps with the paper's block-diagonal
+# preconditioners), keyed by example and Schur family.  Rounding alone, such
+# as multiplying by the reciprocal symbol in place of dividing by it, moves
+# them by about 1e-13; rtol 1e-10 catches any change to the preconditioners
+# or the solver.  Columns: minorant, ieff_minorant, majorant, ieff_majorant,
+# ieff_ratio, ieff_m1.
+PAPER_MODE_ROWS = {
+    (1, 0): {
+        "k=0": [
+            111084.89760983014, 0.8763062179339366, 130307.88930029479,
+            1.0279490380480896, 1.1730477509011412, 6.77817836808724,
+        ],
+        "k=1": [
+            419574.1135430899, 0.8747419481748205, 493026.9371876708,
+            1.0278788171566187, 1.1750651941424821, 6.772230000545561,
+        ],
+        "k=2": [
+            173200.32046092502, 0.8703659773666234, 204503.41877161802,
+            1.027670257654814, 1.1807334895650794, 6.767714850510212,
+        ],
+    },
+    (4, 0): {
+        "k=0": [
+            8276.467876032353, 0.8773674070907366, 10320.985748969308,
+            1.0941015709632227, 1.2470278267928316, 4.805703330121512,
+        ],
+        "k=1": [
+            29210.24288870028, 0.8190081111014499, 39014.85844243453,
+            1.0939137219632529, 1.335656762290295, 4.804164406123936,
+        ],
+    },
+    (4, 1): {
+        "k=0": [
+            8276.463449191337, 0.8773669378125272, 10320.985408665723,
+            1.0941015348885013, 1.2470284526749345, 4.80570150338759,
+        ],
+        "k=1": [
+            29210.23410020389, 0.8190078646861819, 39014.85715777596,
+            1.093913685943498, 1.3356571201702088, 4.804162584525382,
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("example,family", sorted(PAPER_MODE_ROWS))
+def test_paper_mode_rows_pinned(example, family):
+    expect = PAPER_MODE_ROWS[example, family]
+    modes = tuple(int(label[2:]) for label in expect)
+    rep = run(ExperimentConfig(example=example, grid=16, modes=modes, paper_mode=True,
+                               precond_family=family))
+    for row in rep.rows:
+        got = [getattr(row, c) for c in COLUMNS[2:]]
+        assert got == pytest.approx(expect[row.label], rel=1e-10, abs=0), row.label

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhbounds.systems import quarter_turn
-from mhbounds.timefourier import TimeSignalCoeffs, remainder_parseval, sample_periodic
+from mhbounds.timefourier import sample_periodic
 
 coeff_arrays = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=6
@@ -20,25 +20,32 @@ def _parts(cos, sin):
     return np.array([cos[:k], sin[:k]], dtype=float)
 
 
+def _modes(samples, k_max):
+    """(cosine, sine) pairs of modes 0..k_max, (k_max + 1, 2)."""
+    return np.array([samples.mode(k) for k in range(k_max + 1)])
+
+
 def test_pure_sine_extraction():
-    got = sample_periodic(np.sin, 1.0).table(4)
-    assert abs(got.sin[0] - 1.0) < 1e-12
-    assert abs(got.c0) < 1e-12
-    assert np.abs(got.cos).max() < 1e-12
-    assert np.abs(got.sin[1:]).max() < 1e-12
+    got = _modes(sample_periodic(np.sin, 1.0), 4)
+    expect = np.zeros((5, 2))
+    expect[1, 1] = 1.0
+    assert np.abs(got - expect).max() < 1e-12
 
 
 def test_band_limited_exact():
     u = lambda t: 0.7 - 1.3 * np.cos(2 * t) + 0.4 * np.sin(5 * t)
-    got = sample_periodic(u, 1.0).table(6)
-    assert abs(got.c0 - 0.7) < 1e-12
-    assert abs(got.cos[1] + 1.3) < 1e-12
-    assert abs(got.sin[4] - 0.4) < 1e-12
+    got = _modes(sample_periodic(u, 1.0), 6)
+    expect = np.zeros((7, 2))
+    expect[0, 0], expect[2, 0], expect[5, 1] = 0.7, -1.3, 0.4
+    assert np.abs(got - expect).max() < 1e-12
 
 
 def test_rejects_negative_kmax():
+    samples = sample_periodic(np.sin, 1.0)
     with pytest.raises(ValueError):
-        sample_periodic(np.sin, 1.0).table(-1)
+        samples.mode(-1)
+    with pytest.raises(ValueError):
+        samples.tail(-1)
 
 
 def test_perp_example():
@@ -89,38 +96,35 @@ def test_parseval_for_band_limited():
     # the sampled norm over one period against Parseval of the coefficients
     u = lambda t: 0.5 + np.cos(t) + 2.0 * np.cos(3 * t) - np.sin(2 * t) + 0.5 * np.sin(3 * t)
     samples = sample_periodic(u, 1.0)
-    c = samples.table(3)
-    parseval = 2 * np.pi * (c.c0**2 + 0.5 * float(np.sum(c.cos**2 + c.sin**2)))
+    c = _modes(samples, 3)
+    parseval = 2 * np.pi * (c[0, 0] ** 2 + 0.5 * float(np.sum(c[1:] ** 2)))
     assert abs(samples.norm2() - parseval) < 1e-12 * parseval
     assert abs(samples.norm2() - 2 * np.pi * (0.25 + 0.5 * (1 + 4 + 1 + 0.25))) < 1e-12
 
 
 def test_remainder_band_limited_is_zero():
     samples = sample_periodic(lambda t: 0.5 + np.cos(t) + 2 * np.cos(2 * t) + 0.5 * np.sin(t), 1.0)
-    rem = remainder_parseval(samples.norm2(), samples.table(2), 2, spatial_norm2=0.25)
-    assert abs(rem.value) < 1e-12
+    assert abs(samples.tail(2)) < 1e-12
+    assert abs(samples.tail(1) - np.pi * 4.0) < 1e-12  # (T/2) 2^2, T = 2 pi
 
 
 def test_remainder_monotone_in_modes():
     samples = sample_periodic(lambda t: np.exp(np.cos(t)), 1.0)
-    u = samples.table(10)
-    values = [remainder_parseval(samples.norm2(), u, n, 1.0).value for n in range(6)]
+    values = [samples.tail(n) for n in range(6)]
     assert all(values[i + 1] <= values[i] + 1e-14 for i in range(5))
-
-
-def test_remainder_needs_enough_coefficients():
-    u = TimeSignalCoeffs(omega=1.0, c0=0.0, cos=np.array([1.0]), sin=np.array([0.0]))
-    with pytest.raises(ValueError):
-        remainder_parseval(1.0, u, 5, 1.0)
+    assert values[0] > values[5] > 0
 
 
 def test_sampled_mode_matches_coefficients():
+    # every mode against adaptive quadrature of its defining integral
+    from scipy.integrate import quad
+
+    omega = 1.3
     u = lambda t: np.exp(np.sin(t)) * np.cos(3 * t)  # noqa: E731
-    samples = sample_periodic(u, 1.3, panels=32, order=10)
-    table = samples.table(7)
+    samples = sample_periodic(u, omega, panels=32, order=10)
+    period = 2 * np.pi / omega
     for k in range(8):
-        assert np.allclose(samples.mode(k), table.mode(k), rtol=0, atol=1e-14)
-    with pytest.raises(ValueError):
-        samples.mode(-1)
-    with pytest.raises(ValueError):
-        samples.table(-1)
+        cos, sin = (2 / period * quad(lambda t: u(t) * f(k * omega * t), 0, period, limit=200)[0]
+                    for f in (np.cos, np.sin))
+        expect = (cos / 2, 0.0) if k == 0 else (cos, sin)
+        assert np.allclose(samples.mode(k), expect, rtol=0, atol=1e-12), k
