@@ -36,7 +36,7 @@ from .bounds import (
 from .cases import CaseBind, ExampleCase, make_case
 from .femcore import FemContext, Scratch, prolong
 from .saddlesolve import SolveStats, build_precond_I, build_precond_II, minres
-from .systems import build_matrices, build_mode_system
+from .systems import ModeSolution, build_matrices, build_mode_system
 
 COLUMNS = [
     "label",
@@ -83,10 +83,12 @@ class ExperimentConfig:
             errors.append("modes must not be empty")
         if any(k < 0 for k in self.modes):
             errors.append("modes must be nonnegative")
+        case_ok = self.example in range(1, 7)
         for name in ("lam", "omega"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0):
                 errors.append(f"{name} must be positive and finite, got {value}")
+                case_ok = False
         if not (np.isfinite(self.tol) and self.tol > 0):
             errors.append(f"tol must be positive and finite, got {self.tol}")
         if self.maxiter < 1:
@@ -95,8 +97,11 @@ class ExperimentConfig:
             errors.append("workers must be at least 1")
         if self.reference not in ("auto", "analytic", "fine", "none"):
             errors.append(f"unknown reference mode {self.reference!r}")
-        if self.reference == "analytic" and self.example in (3, 6):
-            errors.append("examples 3 and 6 have no analytic reference")
+        if self.reference == "analytic" and case_ok:
+            case = make_case(self.example, lam=self.lam, omega=self.omega)
+            if not case.has_analytic_reference:
+                errors.append(f"example {self.example} has no analytic reference at lambda "
+                              f"{case.lam:g} and omega {case.omega:g}")
         if self.reference == "fine" and self.nref is None:
             errors.append("reference='fine' needs --nref")
         if self.nref is not None and self.nref < self.grid:
@@ -110,11 +115,12 @@ class ExperimentConfig:
 
 @dataclass
 class ModeReport:
+    """The numbers a run keeps of one mode; the mode's fields die with its pass."""
+
     k: int
     t_sec: float
     bounds: ModeBounds
     stats: SolveStats
-    solution: object = None
     reference: float = np.nan
     err_l2: float = np.nan
     err_h1: float = np.nan
@@ -197,7 +203,8 @@ class _Solver:
         return minres(system, precond, tol=config.tol, maxiter=config.maxiter, fixed_iters=fixed,
                       scratch=self._scratch())
 
-    def run_mode(self, k: int) -> ModeReport:
+    def run_mode(self, k: int) -> tuple[ModeReport, ModeSolution]:
+        """Mode k's report, timed over its solve and bounds, and its solution."""
         start = time.perf_counter()
         sol, stats = self.solve_mode(k)
         bounds = evaluate_mode(
@@ -205,7 +212,7 @@ class _Solver:
             self.bind.mode_data(k), scratch=self._scratch(),
         )
         elapsed = time.perf_counter() - start
-        return ModeReport(k=k, t_sec=elapsed, bounds=bounds, stats=stats, solution=sol)
+        return ModeReport(k=k, t_sec=elapsed, bounds=bounds, stats=stats), sol
 
 
 def _sine_modes_first(modes) -> list:
@@ -215,27 +222,27 @@ def _sine_modes_first(modes) -> list:
     return sorted(modes, key=lambda k: (k == 0, k))
 
 
-def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, solutions: dict,
+def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, states: dict,
                         config: ExperimentConfig):
     """Reference costs and error norms from a finer-grid solve.
 
-    `solutions` maps each mode k to the coarse solution on `coarse_ctx`.
-    Returns (costs, norms): costs[k] is the per-mode cost of the fine
-    solution, norms[k] the (||e||^2, ||grad e||^2) of the coarse state
-    against it, taken right after mode k's fine solve, so no fine field
-    outlives its mode.  The coarse state is evaluated at the fine nodes;
-    both fields vanish on the boundary, so the norms of their difference e
-    are the quadratic forms of the fine interior mass and stiffness
-    stencils.
+    `states` maps each mode k to the stacked parts (P, m * m) of the coarse
+    state on `coarse_ctx`.  Returns (costs, norms): costs[k] is the per-mode
+    cost of the fine solution, norms[k] the (||e||^2, ||grad e||^2) of the
+    coarse state against it, taken right after mode k's fine solve, so no
+    fine field outlives its mode.  The coarse state is evaluated at the fine
+    nodes; both fields vanish on the boundary, so the norms of their
+    difference e are the quadratic forms of the fine interior mass and
+    stiffness stencils.
     """
     fine = _Solver(case, nref, config)
     costs, norms = {}, {}
-    for k in _sine_modes_first(solutions):
+    for k in _sine_modes_first(states):
         fine_sol, _ = fine.solve_mode(k)
         scratch = fine._scratch()
         costs[k] = mode_cost(case.problem, fine.ctx, fine.mats, fine.params, fine_sol,
                              fine.bind.mode_data(k), scratch=scratch)
-        coarse = prolong(coarse_ctx.node_grid(solutions[k].y), nref)[:, 1:-1, 1:-1]
+        coarse = prolong(coarse_ctx.node_grid(states[k]), nref)[:, 1:-1, 1:-1]
         e = fine_sol.y - coarse.reshape(len(coarse), -1)
         with scratch.lend(e.shape) as (product,):
             norms[k] = tuple(float(np.vdot(e, op(e, out=product, scratch=scratch)))
@@ -244,23 +251,49 @@ def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, so
 
 
 def run(config: ExperimentConfig) -> BoundsReport:
-    """Execute one experiment; see ExperimentConfig for the knobs."""
+    """Execute one experiment; see ExperimentConfig for the knobs.
+
+    The analytic reference costs are taken before the first solve, and
+    each mode's error norms in the pass that solves the mode, after its
+    timing, so no mode's fields outlive its pass and a run holds one mode's
+    fields per worker.  A fine reference solves its modes after all coarse
+    ones, from their states alone.
+    """
     errors = config.validate()
     if errors:
         raise ValueError("; ".join(errors))
     case = make_case(config.example, lam=config.lam, omega=config.omega)
+    kind = config.reference
+    if kind == "auto":
+        if case.has_analytic_reference:
+            kind = "analytic"
+        elif config.nref is not None:
+            kind = "fine"
+        else:
+            kind = "none"
+    needed = sorted(set(config.modes) | set(range(max(config.overall) + 1)) if config.overall
+                    else set(config.modes))
+    # the exact factors are sampled here, before any scratch exists
+    references = {k: case.reference_cost(k) for k in needed} if kind == "analytic" else {}
     solver = _Solver(case, config.grid, config)
     params = solver.params
 
-    needed = sorted(set(config.modes) | set(range(max(config.overall) + 1)) if config.overall
-                    else set(config.modes))
+    def one_mode(k: int):
+        """Mode k's report, and its state if a fine reference reads it."""
+        rep, sol = solver.run_mode(k)
+        if kind == "analytic":
+            rep.reference = references[k]
+            rep.err_l2, rep.err_h1 = solver.bind.error_norms(k, sol, scratch=solver._scratch())
+        # a copy of the state alone, so the adjoint dies with the solution
+        return rep, sol.y.copy() if kind == "fine" else None
+
     order = _sine_modes_first(needed)
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            done = {r.k: r for r in pool.map(solver.run_mode, order)}
+            done = dict(zip(order, pool.map(one_mode, order)))
     else:
-        done = {k: solver.run_mode(k) for k in order}
-    reports = {k: done[k] for k in needed}
+        done = {k: one_mode(k) for k in order}
+    reports = {k: done[k][0] for k in needed}
     # a fine reference solves on its own grid, in a scratch of its own
     solver.scratches = threading.local()
     for k, rep in reports.items():
@@ -273,28 +306,12 @@ def run(config: ExperimentConfig) -> BoundsReport:
             )
 
     report = BoundsReport(
-        config=config, problem=case.problem, params=params, mode_reports=reports
+        config=config, problem=case.problem, params=params, mode_reports=reports,
+        reference_kind=kind if kind in ("none", "analytic") else f"fine-grid {config.nref}",
     )
-
-    # reference quantities (excluded from the per-mode timings)
-    kind = config.reference
-    if kind == "auto":
-        if case.has_analytic_reference:
-            kind = "analytic"
-        elif config.nref is not None:
-            kind = "fine"
-        else:
-            kind = "none"
-    report.reference_kind = kind if kind == "none" else (
-        "analytic" if kind == "analytic" else f"fine-grid {config.nref}"
-    )
-    if kind == "analytic":
-        for k, rep in reports.items():
-            rep.reference = case.reference_cost(k)
-            rep.err_l2, rep.err_h1 = solver.bind.error_norms(k, rep.solution)
-    elif kind == "fine":
-        solutions = {k: rep.solution for k, rep in reports.items()}
-        costs, norms = fine_grid_reference(case, config.nref, solver.ctx, solutions, config)
+    if kind == "fine":
+        states = {k: y for k, (_, y) in done.items()}
+        costs, norms = fine_grid_reference(case, config.nref, solver.ctx, states, config)
         for k, rep in reports.items():
             rep.reference = costs[k]
             rep.err_l2, rep.err_h1 = norms[k]

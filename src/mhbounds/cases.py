@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fluxrecon
 from .bounds import ModeData
-from .femcore import FemContext
+from .femcore import FemContext, Scratch
 from .systems import mode_parts
 from .timefourier import SampledSignal, sample_periodic
 
@@ -148,13 +148,12 @@ class ExampleCase:
     @cached_property
     def _exact_samples(self) -> tuple[SampledSignal, SampledSignal]:
         """The exact state's and control's time factors over one period,
-        sampled once per case by the rule of `_time_samples`."""
+        sampled once per case at the nodes of `_time_samples`, whose node
+        and weight arrays they share."""
         if not self.has_analytic_reference:
             raise ValueError(f"case {self.ident} has no analytic reference")
-        return tuple(
-            sample_periodic(f, self.omega, panels=256, order=12)
-            for f in (self.exact_y_time, self.exact_u_time)
-        )
+        rule = self._time_samples
+        return tuple(replace(rule, values=f(rule.nodes)) for f in (self.exact_y_time, self.exact_u_time))
 
     def _cost(self, misfit2: float, control2: float) -> float:
         """The cost 0.5 ||y - y_d||^2 + 0.5 lam ||u||^2 of the analytic
@@ -212,6 +211,9 @@ _CASE_SPECS = {
 def make_case(ident: int, lam: float | None = None, omega: float | None = None) -> ExampleCase:
     """Benchmark case by id 1..6, optionally overriding lambda and omega.
 
+    The closed-form solution of cases 1, 2, 4 and 5 solves their own lambda
+    and omega only, so a case with another one has no analytic reference.
+
     Raises:
         ValueError: for an unknown id or a non-finite or non-positive
             lambda or omega.
@@ -223,6 +225,8 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
         if value is not None:
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+            if value != spec[name]:
+                spec.update(exact_y_time=None, exact_u_time=None)
             spec[name] = value
     return ExampleCase(ident=ident, **spec)
 
@@ -279,11 +283,12 @@ class CaseBind:
         return ModeData(k=k, coef=coef[:, None], rest=rest, g_mean=self.v_mean, g_div=self.v_div,
                         g_flux=self.v_flux)
 
-    def error_norms(self, k: int, sol) -> tuple[float, float]:
+    def error_norms(self, k: int, sol, scratch: Scratch) -> tuple[float, float]:
         """(||e||^2, ||grad e||^2) of the state mode against the exact one.
 
         Uses (grad S, grad v_h) = kappa (S, v_h) for the eigenfunction
-        profile, so only the profile's load vector is needed.
+        profile, so only the profile's load vector is needed.  The mass and
+        stiffness products borrow their buffers from `scratch`.
         """
         case = self.case
         if not case.has_analytic_reference:
@@ -291,6 +296,8 @@ class CaseBind:
         a = np.array(case.exact_state_mode(k))[: mode_parts(k)]
         # the exact part's profile terms: a^2 ||S||^2 - 2 a (S, y_h)
         profile = float(0.25 * a @ a - 2 * a @ (sol.y @ self.load_s))
-        l2 = profile + float(np.vdot(sol.y, self.ctx.M(sol.y)))
-        h1 = case.eigen_kappa * profile + float(np.vdot(sol.y, self.ctx.K(sol.y)))
+        with scratch.lend(sol.y.shape) as (product,):
+            l2 = profile + float(np.vdot(sol.y, self.ctx.M(sol.y, out=product, scratch=scratch)))
+            h1 = case.eigen_kappa * profile + float(
+                np.vdot(sol.y, self.ctx.K(sol.y, out=product, scratch=scratch)))
         return l2, h1

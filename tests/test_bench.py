@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from mhbounds.bench import (
 )
 from mhbounds.cases import make_case
 from mhbounds.femcore import FemContext
-from mhbounds.systems import ModeSolution, mode_parts
+from mhbounds.systems import mode_parts
 from reference_assembly import assemble_mass, assemble_stiffness, build_mesh, to_full
 from test_tables import read_csv
 
@@ -161,6 +162,8 @@ def test_cli_validation_exit_codes(capsys):
     ["--example", "3", "--grid", "8", "--reference", "analytic"],
     ["--example", "6", "--grid", "8", "--reference", "analytic"],
     ["--example", "4", "--family", "1"],
+    ["--lambda", "1.0", "--reference", "analytic"],
+    ["--example", "4", "--omega", "2", "--reference", "analytic"],
 ], ids="-".join)
 def test_cli_rejects_bad_values(args, capsys, monkeypatch):
     # nothing may be solved before the configuration is rejected
@@ -212,10 +215,73 @@ def test_mode_after_another_is_bit_equal():
     case = bench.make_case(4)
     solver = bench._Solver(case, 16, config)
     solver.run_mode(3)
-    after = solver.run_mode(0)
-    alone = bench._Solver(case, 16, config).run_mode(0)
+    after, after_sol = solver.run_mode(0)
+    alone, alone_sol = bench._Solver(case, 16, config).run_mode(0)
     assert dataclasses.asdict(after.bounds) == dataclasses.asdict(alone.bounds)
-    assert np.array_equal(after.solution.y, alone.solution.y)
+    assert np.array_equal(after_sol.y, alone_sol.y)
+
+
+def _arrays(obj):
+    """Every array reachable through the dataclass fields, lists and tuples of obj."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("example", [1, 4])
+def test_mode_reference_is_taken_from_its_solution(example, workers):
+    # each mode's analytic reference and error norms, taken in its pass,
+    # equal bit for bit those of run_mode(k)'s solution, and the report
+    # keeps numbers only: no mode field outlives its pass
+    config = ExperimentConfig(example=example, grid=16, modes=(0, 1, 2, 3), tol=1e-11, workers=workers)
+    report = run(config)
+    case = make_case(example)
+    solver = bench._Solver(case, 16, config)
+    for k, rep in report.mode_reports.items():
+        assert not list(_arrays(rep))
+        _, sol = solver.run_mode(k)
+        assert rep.reference == case.reference_cost(k)
+        assert (rep.err_l2, rep.err_h1) == solver.bind.error_norms(k, sol, solver._scratch())
+
+
+@pytest.mark.parametrize("example", [1, 4])
+def test_run_memory_does_not_grow_with_the_modes(example):
+    # a warm run() peaks at the same traced memory for nine modes as for
+    # two: it keeps less than one mode's state from one mode to the next
+    def peak(modes):
+        config = ExperimentConfig(example=example, grid=32, modes=modes, tol=1e-11)
+        run(config)
+        tracemalloc.start()
+        try:
+            run(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    state_bytes = 2 * 31**2 * 8
+    assert peak(tuple(range(9))) - peak((0, 1)) < state_bytes
+
+
+@pytest.mark.parametrize("override", [{"lam": 1.0}, {"omega": 2.0}])
+def test_overridden_parameters_have_no_analytic_reference(override):
+    # the closed-form pair solves the example's own lambda and omega only,
+    # so "auto" falls back to the fine reference, or to none
+    base = ExperimentConfig(example=1, grid=8, modes=(0,), tol=1e-11, **override)
+    none = run(base)
+    assert none.reference_kind == "none" and np.isnan(none.rows[0].ieff_minorant)
+    fine = run(dataclasses.replace(base, nref=16))
+    assert fine.reference_kind == "fine-grid 16"
+    row = fine.rows[0]
+    assert row.minorant <= fine.mode_reports[0].reference <= row.majorant
+    assert dataclasses.replace(base, reference="analytic").validate() == [
+        f"example 1 has no analytic reference at lambda {override.get('lam', 0.1):g} "
+        f"and omega {override.get('omega', 1.0):g}"]
 
 
 @pytest.mark.parametrize("maxiter", [0, -5])
@@ -283,15 +349,15 @@ def test_fine_error_norms_match_all_node_quadratic_forms(n, nref, k, rng):
     case = make_case(1)
     config = ExperimentConfig(example=1, grid=n, nref=nref)
     coarse = FemContext(build_mesh(n))
-    sol = ModeSolution(k, rng.standard_normal((mode_parts(k), (n - 1) ** 2)), None)
-    _, norms = bench.fine_grid_reference(case, nref, coarse, {k: sol}, config)
+    y = rng.standard_normal((mode_parts(k), (n - 1) ** 2))
+    _, norms = bench.fine_grid_reference(case, nref, coarse, {k: y}, config)
     l2, h1 = norms[k]
     fine_sol, _ = bench._Solver(case, nref, config).solve_mode(k)
     fine = FemContext(build_mesh(nref))
     K_full = assemble_stiffness(fine.mesh, full=True)
     M_full = assemble_mass(fine.mesh, full=True)
     expect_l2 = expect_h1 = 0.0
-    for y_fine, y_coarse in zip(fine_sol.y, sol.y):
+    for y_fine, y_coarse in zip(fine_sol.y, y):
         e = to_full(fine, y_fine) - _p1_at_nodes(coarse.mesh, to_full(coarse, y_coarse), fine.mesh.nodes)
         expect_l2 += e @ (M_full @ e)
         expect_h1 += e @ (K_full @ e)

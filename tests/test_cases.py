@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mhbounds import cases, femcore
+from mhbounds import femcore
 from mhbounds.cases import CaseBind, ExampleCase, box_mode_coefficient, make_case
 from mhbounds.femcore import FemContext
 from mhbounds import mesh as meshmod
@@ -116,6 +118,10 @@ def test_case_construction():
     case = make_case(1, lam=1.0, omega=2.0)
     assert case.lam == 1.0 and case.omega == 2.0
     assert abs(case.period - PI) < 1e-15
+    # the closed-form solution holds at the case's own lambda and omega only
+    assert not case.has_analytic_reference
+    assert make_case(4, lam=0.1, omega=1.0).has_analytic_reference
+    assert not make_case(4, omega=2.0).has_analytic_reference
     with pytest.raises(ValueError):
         make_case(3).reference_cost(0)
 
@@ -146,7 +152,7 @@ def test_error_norms_decrease(ctx8, ctx16):
         bind = CaseBind(case, ctx)
         sysk = build_mode_system("I", mats, 1, case.lam, case.omega, bind.rhs(1))
         sol = direct_solve(sysk, "I", case.lam, case.omega)
-        l2, h1 = bind.error_norms(1, sol)
+        l2, h1 = bind.error_norms(1, sol, femcore.Scratch())
         assert l2 > 0 and h1 > 0
         errs.append((l2, h1))
     assert errs[1][0] < errs[0][0] / 8  # about fourth order in the squared L2 error
@@ -183,19 +189,21 @@ def test_bind_in_row_blocks_matches_one_block(monkeypatch, ident, rows):
 
 
 @pytest.mark.parametrize("ident", [1, 2, 4, 5])
-def test_analytic_reference_from_case_samples(monkeypatch, ident):
+def test_analytic_reference_from_case_samples(ident):
     # reference_cost and exact_state_mode read the exact state, control and
     # data time factors sampled once per case, and agree with the reference
     # quadrature, which samples them again on every call
     calls = []
-    sample = cases.sample_periodic
 
-    def counted(f, *args, **kwargs):
-        calls.append(f)
-        return sample(f, *args, **kwargs)
+    def counted(f):
+        def sampled(t):
+            calls.append(f.__name__)
+            return f(t)
+        return sampled
 
-    monkeypatch.setattr(cases, "sample_periodic", counted)
     case = make_case(ident)
+    sampled_case = dataclasses.replace(case, **{
+        name: counted(getattr(case, name)) for name in ("time_factor", "exact_y_time", "exact_u_time")})
     if case.problem == "I":
         misfit_norm2, scale = case.spatial_norm2, 1.0
     else:
@@ -205,9 +213,9 @@ def test_analytic_reference_from_case_samples(monkeypatch, ident):
             k, case.lam, case.omega, case.exact_y_time, case.exact_u_time, case.time_factor,
             misfit_norm2, 0.25, data_scale=scale,
         )
-        assert abs(case.reference_cost(k) - expect) <= 1e-13 * expect, k
+        assert abs(sampled_case.reference_cost(k) - expect) <= 1e-13 * expect, k
         pair = time_mode_pair(case.exact_y_time, case.omega, k)
-        assert np.allclose(case.exact_state_mode(k), pair, rtol=0, atol=1e-14 * max(np.abs(pair).max(), 1.0)), k
-    assert sorted(f.__name__ for f in calls) == sorted(
+        assert np.allclose(sampled_case.exact_state_mode(k), pair, rtol=0, atol=1e-14 * max(np.abs(pair).max(), 1.0)), k
+    assert sorted(calls) == sorted(
         f.__name__ for f in (case.time_factor, case.exact_y_time, case.exact_u_time)
     )
