@@ -14,7 +14,7 @@ import numpy as np
 
 from mhbounds import mesh as meshmod
 from mhbounds.cases import CaseBind, make_case
-from mhbounds.femcore import FemContext
+from mhbounds.femcore import FemContext, Scratch
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import build_matrices, build_mode_system
 
@@ -34,6 +34,7 @@ def main():
     writer = csv.writer(open(args.out, "w", newline="") if args.out else sys.stdout)
     writer.writerow(["problem", "grid", "k", "lambda", "precond", "iterations", "relres", "true_relres",
                      "seconds"])
+    scratch = Scratch()
     for ident, problem in ((1, "I"), (4, "II")):
         case = make_case(ident)
         for n in args.grids:
@@ -47,9 +48,9 @@ def main():
                     build = build_precond_I if problem == "I" else build_precond_II
                     for name, surrogate in (("surrogate", True), ("paper", False)):
                         precond = build(mats, k, lam, case.omega, surrogate_inverse=surrogate)
-                        sol, stats = minres(system, precond, tol=args.tol, maxiter=300)
+                        sol, stats = minres(system, precond, tol=args.tol, maxiter=300, scratch=scratch)
                         x = np.concatenate([sol.y, sol.p]).ravel()
-                        residual = system.rhs - system.matrix(x)
+                        residual = system.rhs - system.matrix(x, out=np.empty(x.shape), scratch=scratch)
                         true_relres = np.linalg.norm(residual) / np.linalg.norm(system.rhs)
                         writer.writerow([
                             problem, n, k, lam, name, stats.iterations,

@@ -36,7 +36,7 @@ from .bounds import (
 from .cases import CaseBind, ExampleCase, make_case
 from .femcore import FemContext, Scratch, prolong
 from .saddlesolve import SolveStats, build_precond_I, build_precond_II, minres
-from .systems import ModeSolution, build_matrices, build_mode_system
+from .systems import ModeSolution, build_matrices, build_mode_system, mode_parts
 
 COLUMNS = [
     "label",
@@ -333,51 +333,39 @@ def run(config: ExperimentConfig) -> BoundsReport:
     return report
 
 
-def _mode_row(case, params, rep: ModeReport) -> TableRow:
-    b = rep.bounds
-    idx = efficiency_indices(b.minorant, b.majorant, rep.reference if np.isfinite(rep.reference) else None)
-    if np.isfinite(rep.err_l2):
-        err2 = rep.combined_err2(case.problem, params)
-        ieff_m1 = m1_index(b.m1_extra, err2)
-    else:
-        ieff_m1 = np.nan
+def _row(label, t_sec, minorant, majorant, m1_extra, reference, err2) -> TableRow:
+    """A table row with its efficiency indices; `reference` (the cost) and
+    `err2` (the weighted squared error) are None where there is none."""
+    idx = efficiency_indices(minorant, majorant, reference)
     return TableRow(
-        label=f"k={rep.k}",
-        t_sec=rep.t_sec,
-        minorant=b.minorant,
+        label=label,
+        t_sec=t_sec,
+        minorant=minorant,
         ieff_minorant=idx["ieff_minorant"],
-        majorant=b.majorant,
+        majorant=majorant,
         ieff_majorant=idx["ieff_majorant"],
         ieff_ratio=idx["ieff_ratio"],
-        ieff_m1=ieff_m1,
+        ieff_m1=m1_index(m1_extra, err2),
     )
+
+
+def _mode_row(case, params, rep: ModeReport) -> TableRow:
+    b = rep.bounds
+    reference = rep.reference if np.isfinite(rep.reference) else None
+    err2 = rep.combined_err2(case.problem, params) if np.isfinite(rep.err_l2) else None
+    return _row(f"k={rep.k}", rep.t_sec, b.minorant, b.majorant, b.m1_extra, reference, err2)
 
 
 def _overall_row(case, params, reports, n_trunc, ref_kind) -> TableRow:
-    used = [reports[k].bounds for k in range(n_trunc + 1)]
-    total = aggregate(used, params, case.remainder(n_trunc))
+    used = [reports[k] for k in range(n_trunc + 1)]
+    total = aggregate([rep.bounds for rep in used], params, case.remainder(n_trunc))
     reference = case.overall_reference() if ref_kind == "analytic" else None
-    idx = efficiency_indices(total.minorant, total.majorant, reference)
-    T = params.period
-    if all(np.isfinite(reports[k].err_l2) for k in range(n_trunc + 1)):
-        err2 = reports[0].combined_err2(case.problem, params) * T
-        err2 += 0.5 * T * sum(
-            reports[k].combined_err2(case.problem, params) for k in range(1, n_trunc + 1)
-        )
-        ieff_m1 = m1_index(total.m1_extra, err2)
-    else:
-        ieff_m1 = np.nan
-    t_total = sum(reports[k].t_sec for k in range(n_trunc + 1))
-    return TableRow(
-        label=f"overall (N={n_trunc})",
-        t_sec=t_total,
-        minorant=total.minorant,
-        ieff_minorant=idx["ieff_minorant"],
-        majorant=total.majorant,
-        ieff_majorant=idx["ieff_majorant"],
-        ieff_ratio=idx["ieff_ratio"],
-        ieff_m1=ieff_m1,
-    )
+    err2 = None
+    if all(np.isfinite(rep.err_l2) for rep in used):
+        err2 = sum(params.period / mode_parts(rep.k) * rep.combined_err2(case.problem, params)
+                   for rep in used)
+    return _row(f"overall (N={n_trunc})", sum(rep.t_sec for rep in used), total.minorant,
+                total.majorant, total.m1_extra, reference, err2)
 
 
 def _sweep_configs(config: ExperimentConfig, grids, mode: int) -> list[ExperimentConfig]:
@@ -389,7 +377,7 @@ def _errors(configs) -> list[str]:
     return list(dict.fromkeys(err for c in configs for err in c.validate()))
 
 
-def grid_sweep(config: ExperimentConfig, grids, mode: int = 0) -> list[TableRow]:
+def grid_sweep(config: ExperimentConfig, grids, mode: int) -> list[TableRow]:
     """One row per grid for a fixed mode, labelled like '64x64'.
 
     Raises:
@@ -510,6 +498,8 @@ def main(argv=None) -> int:
     if args.sweep and config.modes:
         configs = _sweep_configs(config, args.sweep, config.modes[0])
     errors = _errors(configs)
+    if args.sweep and config.overall:
+        errors.append("--overall does not apply to a grid sweep, which has one row per grid")
     if args.problem is not None:
         expected = "I" if args.example <= 3 else "II"
         if args.problem != expected:

@@ -22,7 +22,7 @@ import numpy as np
 from . import fluxrecon
 from .femcore import FemContext, Scratch
 from .mesh import CLASS_CORNERS
-from .systems import ModeMatrices, ModeSolution, quarter_turn
+from .systems import ModeMatrices, ModeSolution, mode_parts, quarter_turn
 
 # Friedrichs constant of the unit square, ||v|| <= C_F ||grad v|| on H^1_0
 C_FRIEDRICHS = 1.0 / (np.sqrt(2.0) * np.pi)
@@ -66,7 +66,7 @@ class BoundParams:
 
 
 def majorant_form(A: float, B: float, C: float, alpha: float, beta: float,
-                  params: BoundParams, P: float = 0.0) -> float:
+                  params: BoundParams, P: float) -> float:
     """Upper-bound value at explicit parameters.
 
     A = squared data misfit, B = flux residual norm, C = equation residual
@@ -158,7 +158,7 @@ class ModeBounds:
     m1_extra: float
 
 
-def _p1_norm2(ctx: FemContext, grid: np.ndarray, shift=None, vert=None, work=None) -> float:
+def _p1_norm2(ctx: FemContext, grid: np.ndarray, work: np.ndarray, shift=None, vert=None) -> float:
     """Exact squared L2 norm of stacked fields that are P1 per triangle.
 
     On each triangle of R cell rows the field is the nodal field `grid`
@@ -166,11 +166,9 @@ def _p1_norm2(ctx: FemContext, grid: np.ndarray, shift=None, vert=None, work=Non
     the per-triangle vertex values `vert` (P, 2, 3, R, n); either may be
     absent.  Per triangle the P1 mass form gives area/12 (sum a_i^2 +
     (sum a_i)^2), summed one class and one local vertex at a time over
-    slices of the grid, in `work` (2, P, R, n) when given.
+    slices of the grid, in `work` (2, P, R, n).
     """
     rows, n = grid.shape[-2] - 1, grid.shape[-1] - 1
-    if work is None:
-        work = np.empty((2,) + grid.shape[:-2] + (rows, n))
     a, sums = work
     total = 0.0
     for cls, corners in enumerate(CLASS_CORNERS):
@@ -202,7 +200,8 @@ def _rt0_norm2(ctx: FemContext, const: np.ndarray, div: np.ndarray) -> float:
     )
 
 
-def _adjoint_mass(mats: ModeMatrices, ps: np.ndarray, out=None, scratch=None) -> tuple[np.ndarray, float]:
+def _adjoint_mass(mats: ModeMatrices, ps: np.ndarray, out: np.ndarray,
+                  scratch: Scratch) -> tuple[np.ndarray, float]:
     """M p of the stacked adjoint parts, (P, m), and p^T M p summed over the parts."""
     mp = mats.M(ps, out=out, scratch=scratch)
     return mp, float(np.vdot(ps, mp))
@@ -280,7 +279,7 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     # (problem II) per triangle
     if problem == "I":
         y_vert = _scaled(data.coef, data.y_vert, here, buf["y_vert"])
-        terms["misfit"] += _p1_norm2(ctx, y_nodes, vert=y_vert, work=work)
+        terms["misfit"] += _p1_norm2(ctx, y_nodes, work, vert=y_vert)
     else:
         g_mean = _scaled(data.coef, data.g_mean, here, buf["g_mean"])
         g_div = _scaled(data.coef, data.g_div, here, buf["g_div"])
@@ -307,7 +306,7 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     # div(tau) + time coupling - p / lam: P1 per triangle
     nodal = quarter_turn(y_nodes, kws, out=buf["nodal"])
     nodal -= np.divide(p_nodes, lam, out=buf["term"])
-    terms["r1"] += _p1_norm2(ctx, nodal, shift=div, work=work)
+    terms["r1"] += _p1_norm2(ctx, nodal, work, shift=div)
     centre -= y_grad[inner]
     terms["r2"] += _rt0_norm2(ctx, centre, div)
 
@@ -318,7 +317,7 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
         # the data's projection
         nodal = quarter_turn(p_nodes, kws, out=buf["nodal"])
         nodal += y_nodes
-        terms["r3"] += _p1_norm2(ctx, nodal, shift=div, vert=y_vert, work=work)
+        terms["r3"] += _p1_norm2(ctx, nodal, work, shift=div, vert=y_vert)
         centre -= p_grad[inner]
         terms["r4"] += _rt0_norm2(ctx, centre, div)
         return
@@ -338,7 +337,7 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     target = quarter_turn(_centroid_values(p_nodes, out=buf["div"]), -kws, out=work.reshape(div.shape))
     fluxrecon.grid_match_boundary_divergence(mesh, flux, target, rows)
     centre, div = fluxrecon.grid_affine_form(ctx, flux, out=(centre, div), work=work[0])
-    terms["r3"] += _p1_norm2(ctx, quarter_turn(p_nodes, kws, out=buf["nodal"]), shift=div, work=work)
+    terms["r3"] += _p1_norm2(ctx, quarter_turn(p_nodes, kws, out=buf["nodal"]), work, shift=div)
     # rho - target - g_d: RT0 per triangle against the data's projection
     centre -= p_grad[inner]
     centre -= g_mean
@@ -370,14 +369,13 @@ def _block_terms(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSo
 
 
 def mode_cost(problem: str, ctx: FemContext, mats: ModeMatrices, params: BoundParams,
-              sol: ModeSolution, data: ModeData, scratch: Scratch | None = None) -> float:
+              sol: ModeSolution, data: ModeData, scratch: Scratch) -> float:
     """Cost 1/2 ||misfit||^2 + p^T M p / (2 lam) of a discrete mode pair.
 
     The misfit and control-energy terms of `evaluate_mode`, without the
     flux reconstructions; the control is u = -p / lam.  Buffers are lent by
-    `scratch`, or allocated without one.
+    `scratch`.
     """
-    scratch = Scratch() if scratch is None else scratch
     misfit = _block_terms(problem, ctx, params, sol, data, scratch, misfit_only=True)["misfit"]
     with scratch.lend(sol.p.shape) as (mp,):
         p_mass = _adjoint_mass(mats, sol.p, out=mp, scratch=scratch)[1]
@@ -391,7 +389,7 @@ def evaluate_mode(
     params: BoundParams,
     sol: ModeSolution,
     data: ModeData,
-    scratch: Scratch | None = None,
+    scratch: Scratch,
 ) -> ModeBounds:
     """Residuals, optimized majorant, minorant and error majorant of mode k.
 
@@ -404,13 +402,12 @@ def evaluate_mode(
     The per-triangle terms are summed over blocks of whole cell rows, about
     BOUND_CELLS cells each (see `_add_block`).  The block buffers, and those
     of the mass and stiffness products of the mixed term, are lent by
-    `scratch`, or allocated without one.
+    `scratch`.
     """
     k, parts = sol.k, len(sol.y)
     lam, nu = params.lam, params.nu
     cf, mu1 = C_FRIEDRICHS, params.mu1
     kws = k * params.omega * params.sigma
-    scratch = Scratch() if scratch is None else scratch
 
     terms = _block_terms(problem, ctx, params, sol, data, scratch)
     res = ResidualSet(*(np.sqrt(terms[name]) for name in ("r1", "r2", "r3", "r4")))
@@ -473,7 +470,8 @@ class OverallBounds:
 
 
 def aggregate(mode_bounds: list[ModeBounds], params: BoundParams, remainder: float) -> OverallBounds:
-    """Combine mode bounds: T * mode0 + (T/2) * sum of the higher modes.
+    """Combine mode bounds, mode k weighted by T / mode_parts(k): T for
+    mode 0 and T/2 for the higher modes.
 
     The remainder enters the minorant with weight 1/2 and the majorant with
     (1 + ALPHA_TAIL)/2; the error majorant aggregates without a remainder.
@@ -481,15 +479,10 @@ def aggregate(mode_bounds: list[ModeBounds], params: BoundParams, remainder: flo
     by_k = sorted(mode_bounds, key=lambda b: b.k)
     if not by_k or by_k[0].k != 0:
         raise ValueError("aggregation requires the k=0 mode")
-    T = params.period
-    b0, rest = by_k[0], by_k[1:]
-    lower = T * b0.minorant + 0.5 * T * sum(b.minorant for b in rest) + 0.5 * remainder
-    upper = (
-        T * b0.majorant
-        + 0.5 * T * sum(b.majorant for b in rest)
-        + 0.5 * (1 + ALPHA_TAIL) * remainder
-    )
-    m1_extra = T * b0.m1_extra + 0.5 * T * sum(b.m1_extra for b in rest)
+    weighted = [(params.period / mode_parts(b.k), b) for b in by_k]
+    lower = sum(w * b.minorant for w, b in weighted) + 0.5 * remainder
+    upper = sum(w * b.majorant for w, b in weighted) + 0.5 * (1 + ALPHA_TAIL) * remainder
+    m1_extra = sum(w * b.m1_extra for w, b in weighted)
     return OverallBounds(minorant=lower, majorant=upper, m1_extra=m1_extra)
 
 
@@ -500,8 +493,8 @@ def combined_norm_weights(problem: str, params: BoundParams, k: int) -> tuple[fl
     """
     c = params.lam * params.mu1**2 / (2 * C_FRIEDRICHS**2)
     if problem == "I":
-        return (0.5 + k * params.omega * c, c) if k > 0 else (0.5, c)
-    return (k * params.omega * c, 0.5 + c) if k > 0 else (0.0, 0.5 + c)
+        return 0.5 + k * params.omega * c, c
+    return k * params.omega * c, 0.5 + c
 
 
 def efficiency_indices(minorant: float, majorant: float, reference: float | None) -> dict:

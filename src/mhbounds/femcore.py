@@ -165,14 +165,12 @@ class Stencil:
             for (dr, dc), w in zip(self._offsets, self._blocks)
         )
 
-    def __call__(self, v: np.ndarray, out: np.ndarray | None = None,
-                 scratch: Scratch | None = None) -> np.ndarray:
+    def __call__(self, v: np.ndarray, out: np.ndarray, scratch: Scratch) -> np.ndarray:
         """Product with stacked interior fields, (Q, m * m) -> (Q, m * m), or
         with their flat concatenation.
 
-        The product is written to `out` (C-contiguous, the shape of v) when
-        given; the padded grid and the stacked slices of a band are lent by
-        `scratch`, or allocated without one.
+        The product is written to `out` (C-contiguous, the shape of v); the
+        padded grid and the stacked slices of a band are lent by `scratch`.
         """
         m = self.m
         blocks = self._blocks
@@ -182,10 +180,8 @@ class Stencil:
         else:
             parts = self._parts
         coef = blocks.transpose(1, 0, 2).reshape(parts, -1)
-        out = np.empty(v.shape) if out is None else out
         product = out.reshape(parts, m * m)
         band = min(STENCIL_ROWS, m)
-        scratch = Scratch() if scratch is None else scratch
         with scratch.lend((parts, m + 2, m + 2), (len(self._offsets) * parts * band * m,)) as (grid, stack):
             grid[:, [0, -1], :] = 0.0
             grid[:, :, [0, -1]] = 0.0
@@ -306,18 +302,15 @@ class FemContext:
         out[:, lo - first : hi - first + 1, 1:-1] = v_int.reshape(parts, n - 1, n - 1)[:, lo - 1 : hi]
         return out
 
-    def cell_gradients(self, grid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def cell_gradients(self, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Gradients of P1 fields on R + 1 rows of the node grid,
         (..., R+1, n+1) -> class planes of the R cell rows between them,
-        (..., 2, 2, R, n) (class, then component), written to `out` when given.
+        (..., 2, 2, R, n) (class, then component), written to `out`.
 
         Each class gradient is a pair of node differences along the legs of
         its triangle, taken by slicing the node grid.
         """
-        rows, cols = grid.shape[-2] - 1, grid.shape[-1] - 1
         low, high = grid[..., :-1, :], grid[..., 1:, :]  # rows r and r + 1
-        if out is None:
-            out = np.empty(grid.shape[:-2] + (2, 2, rows, cols))
         np.subtract(low[..., 1:], low[..., :-1], out=out[..., 0, 0, :, :])
         np.subtract(high[..., 1:], low[..., 1:], out=out[..., 0, 1, :, :])
         np.subtract(high[..., 1:], high[..., :-1], out=out[..., 1, 0, :, :])
@@ -342,9 +335,9 @@ class FemContext:
         y = origin[rows, None, None, None] + self.class_qp[..., 1]
         return x, y
 
-    def data_at_qp(self, f: Callable, rows: slice = slice(None)) -> np.ndarray:
-        """Scalar data values at the quadrature points of the cell rows `rows`
-        (all by default), (T, Q) for T triangles of those rows.
+    def data_at_qp(self, f: Callable, rows: slice) -> np.ndarray:
+        """Scalar data values at the quadrature points of the cell rows `rows`,
+        (T, Q) for T triangles of those rows.
 
         f is called on coordinate arrays that broadcast against each other,
         one row and one column of cells each.
@@ -361,9 +354,9 @@ class FemContext:
         y = origin[None, :, None] + self.class_centroids[:, 1, None, None]
         return np.stack([np.broadcast_to(v, (2, n, n)) for v in g(x, y)], axis=1)
 
-    def vector_data_at_qp(self, g: Callable, rows: slice = slice(None)) -> np.ndarray:
-        """Vector data values at the quadrature points of the cell rows `rows`
-        (all by default), (T, Q, 2)."""
+    def vector_data_at_qp(self, g: Callable, rows: slice) -> np.ndarray:
+        """Vector data values at the quadrature points of the cell rows `rows`,
+        (T, Q, 2)."""
         x, y = self._qp_axes(rows)
         shape = np.broadcast_shapes(x.shape, y.shape)
         out = np.empty(shape + (2,))

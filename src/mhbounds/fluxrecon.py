@@ -107,8 +107,7 @@ def grid_from_callable(mesh, g) -> GridFlux:
     return GridFlux(horiz, vert, h * (gx - gy))
 
 
-def grid_match_boundary_divergence(mesh, flux: GridFlux, target_div: np.ndarray,
-                                   rows: slice = slice(None)) -> None:
+def grid_match_boundary_divergence(mesh, flux: GridFlux, target_div: np.ndarray, rows: slice) -> None:
     """Adjust boundary-edge coefficients so boundary triangles hit target_div,
     given as class planes (..., 2, R, n).
 
@@ -117,7 +116,7 @@ def grid_match_boundary_divergence(mesh, flux: GridFlux, target_div: np.ndarray,
     their degrees of freedom are free to absorb it.  The defect of each
     boundary triangle is split equally among its boundary edges: two for
     the corner triangles, lower of cell (0, n-1) and upper of cell (n-1, 0).
-    `flux` and `target_div` hold the cell rows `rows` (all by default), as
+    `flux` and `target_div` hold the cell rows `rows`, as
     `grid_average` gives them: the bottom strip is matched in the block that
     holds row 0, the top strip in the one that holds row n-1, and the left
     and right columns in every block.
@@ -146,22 +145,17 @@ def grid_match_boundary_divergence(mesh, flux: GridFlux, target_div: np.ndarray,
         h[..., -1, :] -= top
 
 
-def grid_affine_form(ctx: FemContext, flux: GridFlux, out: tuple | None = None,
-                     work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def grid_affine_form(ctx: FemContext, flux: GridFlux, out: tuple,
+                     work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centroid values (..., 2, 2, R, n) and divergences (..., 2, R, n) of RT0
-    fields on R cell rows, as class planes, written to `out` = (centre, div)
-    when given; `work` (..., R, n) takes the products.
+    fields on R cell rows, as class planes, written to `out` = (centre, div);
+    `work` (..., R, n) takes the products.
 
     Inside each triangle an RT0 field is tau(x) = tau(c) + div/2 (x - c),
     so the pair determines it exactly.
     """
-    diag = flux.diag
-    lead, rows, n = diag.shape[:-2], diag.shape[-2], diag.shape[-1]
     form = CLASS_EDGE_SIGN[:, :, None] * ctx.class_rt0_form  # per unit global flux
-    if out is None:
-        out = np.empty(lead + (2, 2, rows, n)), np.empty(lead + (2, rows, n))
     centre, div = out
-    work = np.empty(diag.shape) if work is None else work
     for cls, planes in enumerate(flux.outward()):
         outs = (centre[..., cls, 0, :, :], centre[..., cls, 1, :, :], div[..., cls, :, :])
         for plane, weights in zip(outs, form[cls].T):

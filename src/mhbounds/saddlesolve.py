@@ -68,20 +68,16 @@ class SpectralPrecond:
     it is the paper's positive definite block-diagonal kind (`definite`,
     for MinRes).  Both transforms run in place, the first on a copy of the
     input lent by the scratch, the second on the output, so an apply
-    allocates nothing when given both.
+    allocates nothing.
     """
 
     def __init__(self, diag: np.ndarray, coefs: tuple = (), scales: tuple = ()):
         self.diag, self.coefs, self.scales = diag, coefs, scales
         self.definite = not coefs
         self._parts_shape = (len(coefs[0]) if coefs else len(diag),) + diag.shape[-2:]
-        self.dim = int(np.prod(self._parts_shape))
 
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None,
-              scratch: Scratch | None = None) -> np.ndarray:
-        """P r, written to `out` (C-contiguous, not overlapping r) when given."""
-        out = np.empty(self.dim) if out is None else out
-        scratch = Scratch() if scratch is None else scratch
+    def apply(self, r: np.ndarray, out: np.ndarray, scratch: Scratch) -> np.ndarray:
+        """P r, written to `out` (C-contiguous, not overlapping r)."""
         shape = self._parts_shape
         with scratch.lend(shape, shape) as (coef, work):
             np.copyto(coef, r.reshape(shape))
@@ -165,7 +161,7 @@ def _surrogate_inverse(
 
 
 def build_precond_I(
-    mats: ModeMatrices, k: int, lam: float, omega: float, surrogate_inverse: bool = False
+    mats: ModeMatrices, k: int, lam: float, omega: float, surrogate_inverse: bool
 ) -> SpectralPrecond:
     """Problem I: the paper's diag(D_k, D_k, D_k/lam, D_k/lam) with
     D_k = sqrt(lam) nu K + k w sqrt(lam) sigma M + M, or with
@@ -184,8 +180,8 @@ def build_precond_II(
     k: int,
     lam: float,
     omega: float,
+    surrogate_inverse: bool,
     family: int = 0,
-    surrogate_inverse: bool = False,
 ) -> SpectralPrecond:
     """Problem II: the paper's Schur-complement preconditioners (constant
     sigma, nu), or with `surrogate_inverse` the inverse A~_k^{-1} of the
@@ -212,31 +208,28 @@ def build_precond_II(
 def minres(
     system: ModeSystem,
     precond: SpectralPrecond,
-    tol: float = 1e-8,
-    maxiter: int = 200,
+    tol: float,
+    maxiter: int,
+    scratch: Scratch,
     fixed_iters: int | None = None,
-    scratch: Scratch | None = None,
 ) -> tuple[ModeSolution, SolveStats]:
     """Solve one mode system with the Krylov method that fits `precond`.
 
     The surrogate inverse A~_k^{-1} is indefinite, so it preconditions
     GMRES (`gmres_raw`), which stops when ||b - A x|| <= tol ||b||; the
     paper's `definite` preconditioners precondition MinRes (`minres_raw`),
-    which stops on the residual in the preconditioner's norm.  Both stop after maxiter steps, or take exactly `fixed_iters`
-    steps when given, and `SolveStats.relative_residual` is the ratio they
-    stop on.  Their work vectors are lent by `scratch`, or allocated
-    without one.
+    which stops on the residual in the preconditioner's norm.  Both stop
+    after maxiter steps, or take exactly `fixed_iters` steps when given, and
+    `SolveStats.relative_residual` is the ratio they stop on.  Their work
+    vectors are lent by `scratch`.
     """
     solve = minres_raw if precond.definite else gmres_raw
-    x, stats = solve(
-        system.matrix, system.rhs, precond, tol=tol, maxiter=maxiter, fixed_iters=fixed_iters,
-        scratch=scratch,
-    )
+    x, stats = solve(system.matrix, system.rhs, precond, tol, maxiter, fixed_iters, scratch)
     y, p = x.reshape(2, mode_parts(system.k), -1)
     return ModeSolution(system.k, y, p), stats
 
 
-def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=None):
+def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
     """Right-preconditioned GMRES with modified Gram-Schmidt and Givens rotations.
 
     x = P u minimizes ||b - A x|| over the Krylov space of A P, with
@@ -245,13 +238,14 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=No
     drops below tol ||b|| or after GMRES_RESTART steps; x is then updated by
     sum_j y_j z_j from the products z_j = P v_j that the steps took, and the
     next cycle restarts from the true residual b - A x, until that meets
-    tol, maxiter steps are spent or exactly `fixed_iters` steps are taken.
+    tol, maxiter steps are spent or exactly `fixed_iters` steps (when not
+    None) are taken.
     An invariant Krylov space (h_{j+1,j} = 0) ends the solve; it is a
     breakdown only if the residual is not small.
 
-    The basis vectors v_j and their images z_j are lent by `scratch` (or
-    allocated without one) one pair (v_j, z_j) per step, as the steps need
-    them, and kept for the next cycle; only x is new.
+    The basis vectors v_j and their images z_j are lent by `scratch`, one
+    pair (v_j, z_j) per step, as the steps need them, and kept for the next
+    cycle; only x is new.
     """
     start = time.perf_counter()
     dim = b.shape[0]
@@ -267,7 +261,6 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=No
     rnorm = bnorm
     itn = 0
     invariant = False
-    scratch = Scratch() if scratch is None else scratch
     with ExitStack() as held:
         pairs = []
 
@@ -340,11 +333,11 @@ def gmres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=No
     )
 
 
-def minres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=None):
-    """Preconditioned MinRes (Paige and Saunders), with A called as in
-    `gmres_raw`; the products A v and the preconditioner applies rotate
-    through kept vectors, with the buffers of A and of the transforms lent
-    by `scratch` (or allocated without one)."""
+def minres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
+    """Preconditioned MinRes (Paige and Saunders), with A called and the
+    steps counted as in `gmres_raw`; the products A v and the
+    preconditioner applies rotate through kept vectors, with the buffers of
+    A and of the transforms lent by `scratch`."""
     start = time.perf_counter()
     n = b.shape[0]
     x = np.zeros(n)
@@ -353,7 +346,6 @@ def minres_raw(A, b, precond, tol=1e-8, maxiter=200, fixed_iters=None, scratch=N
 
     limit = fixed_iters if fixed_iters is not None else maxiter
     eps = np.finfo(float).eps
-    scratch = Scratch() if scratch is None else scratch
     applied = np.empty(n)  # P r2; the products A v never share it
     spare = np.empty(n)  # the next product A v, then the r1 it replaces
 

@@ -78,7 +78,7 @@ class SampledSignal:
         return self.norm2() - retained
 
 
-def sample_periodic(u: Callable, omega: float, panels: int = 64, order: int = 8) -> SampledSignal:
+def sample_periodic(u: Callable, omega: float, panels: int, order: int) -> SampledSignal:
     """Samples of u over one period at the nodes of `gauss_panels`."""
     t, w = gauss_panels(0.0, 2.0 * np.pi / omega, panels, order)
     return SampledSignal(omega=omega, nodes=t, weights=w, values=u(t))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mhbounds.femcore import FemContext
+from mhbounds.femcore import FemContext, Scratch
 from reference_assembly import build_mesh
 
 
@@ -38,3 +38,9 @@ def ctx16(mesh16):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture()
+def scratch():
+    """A fresh scratch for the kernels that borrow their buffers."""
+    return Scratch()

@@ -10,7 +10,8 @@ passing the problem tag, lambda and omega the system was built with.
 included) from the stencil bands of the whole grid.  `scalar_mode_solve` is
 the continuous mode system for data whose spatial profile is a
 Dirichlet-Laplacian eigenfunction.  `DenseOperator` and `DensePrecond`
-let the Krylov solvers run on small dense or sparse matrices.
+let the Krylov solvers run on small dense or sparse matrices, and
+`fresh_apply` applies an operator into fresh buffers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mhbounds.femcore import Stencil, _stencil_bands, element_matrices
+from mhbounds.femcore import Scratch, Stencil, _stencil_bands, element_matrices
 from mhbounds.systems import ModeSolution, ModeSystem
 
 
@@ -85,9 +86,16 @@ def assemble(system: ModeSystem, problem: str, lam: float, omega: float) -> sp.c
     )
 
 
+def fresh_apply(op, v: np.ndarray) -> np.ndarray:
+    """op(v, out, scratch) into a fresh output with a fresh scratch: op is a
+    stencil (a mass, a stiffness or a mode operator) or a preconditioner's
+    `apply`."""
+    return op(v, np.empty(v.shape), Scratch())
+
+
 def dense(system: ModeSystem) -> np.ndarray:
     """The operator of the system as a dense matrix, column by column."""
-    return np.column_stack([system.matrix(e) for e in np.eye(system.rhs.size)])
+    return np.column_stack([fresh_apply(system.matrix, e) for e in np.eye(system.rhs.size)])
 
 
 class DenseOperator:
@@ -96,7 +104,7 @@ class DenseOperator:
     def __init__(self, A):
         self.A = A
 
-    def __call__(self, v, out, scratch=None):
+    def __call__(self, v, out, scratch):
         out[...] = self.A @ v
         return out
 
@@ -107,7 +115,7 @@ class DensePrecond:
     def __init__(self, P):
         self.P = P
 
-    def apply(self, r, out=None, scratch=None):
+    def apply(self, r, out, scratch):
         return np.matmul(self.P, r, out=out)
 
 

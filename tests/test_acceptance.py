@@ -17,7 +17,7 @@ from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import build_matrices, build_mode_system, mode_coefficients, mode_parts, quarter_turn
-from reference_systems import direct_solve
+from reference_systems import direct_solve, fresh_apply
 from reference_assembly import build_mesh
 from reference_bounds import edge_planes, grid_search_alpha_beta
 
@@ -142,7 +142,7 @@ def test_criterion_6_example3_indices():
 # -- criterion 7: property suite ---------------------------------------------
 
 
-def test_criterion_7a_sandwich_random():
+def test_criterion_7a_sandwich_random(scratch):
     from test_bounds import _random_config, _solve_random
     from reference_bounds import project
     from mhbounds.bounds import evaluate_mode
@@ -152,7 +152,7 @@ def test_criterion_7a_sandwich_random():
     for _ in range(200):
         problem, n, k, lam, omega, sigma, nu = _random_config(rng)
         ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
+        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
         slack = (mb.minorant - mb.majorant) / max(abs(mb.majorant), 1e-12)
         worst = max(worst, slack)
         assert mb.minorant <= mb.majorant + 1e-9 * abs(mb.majorant)
@@ -219,8 +219,9 @@ def test_criterion_7d_flux_exactness():
     # the averaged flux of the gradient of a linear field is that gradient
     x = np.arange(n + 1) * mesh.h
     w = 1.0 + 2.0 * x[None, :] - 0.5 * x[:, None]
-    grad = 1.5 * ctx.cell_gradients(w)
-    centre, div = fluxrecon.grid_affine_form(ctx, fluxrecon.grid_average(mesh, grad))
+    grad = 1.5 * ctx.cell_gradients(w, np.empty((2, 2, n, n)))
+    out = np.empty((2, 2, n, n)), np.empty((2, n, n))
+    centre, div = fluxrecon.grid_affine_form(ctx, fluxrecon.grid_average(mesh, grad), out, np.empty((n, n)))
     # tau(x) - grad w = tau(c) - grad w + div/2 (x - c) at every quadrature point
     offsets = np.moveaxis(ctx.class_qp_offsets, -1, 1)[..., None, None]  # (2, 2, Q, 1, 1)
     err = (centre - grad)[:, :, None] + 0.5 * div[:, None, None] * offsets
@@ -228,7 +229,7 @@ def test_criterion_7d_flux_exactness():
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(mesh.num_edges)
     signed = (coeffs[mesh.tri_edges] * mesh.tri_edge_sign).sum(axis=1)
-    div = fluxrecon.grid_affine_form(ctx, edge_planes(mesh, coeffs))[1]
+    div = fluxrecon.grid_affine_form(ctx, edge_planes(mesh, coeffs), out, np.empty((n, n)))[1]
     gauss = np.abs(np.moveaxis(div, 0, -1).ravel() * mesh.tri_area - signed).max()
     ok = r2 < 1e-13 and gauss < 1e-13
     assert _line("c7d RT0 exactness + Gauss identity", ok, f"r2 {r2:.2e}, gauss {gauss:.2e}")
@@ -241,14 +242,14 @@ def test_criterion_7e_closed_form_optimal():
     for _ in range(100):
         A, B, C = rng.uniform(0.001, 1000.0, size=3)
         alpha, beta = optimize_majorant_params(A, B, C, params)
-        ours = majorant_form(A, B, C, alpha, beta, params)
+        ours = majorant_form(A, B, C, alpha, beta, params, P=0.0)
         _, _, grid_best = grid_search_alpha_beta(A, B, C, params)
         worst = max(worst, (ours - grid_best) / grid_best)
         assert ours <= grid_best * (1 + 1e-10)
     _line("c7e closed form beats 40x40 grid", True, f"worst margin {worst:.2e}")
 
 
-def test_criterion_7f_minres_direct_agreement():
+def test_criterion_7f_minres_direct_agreement(scratch):
     ok = True
     worst = 0.0
     for ident in range(1, 7):
@@ -262,23 +263,23 @@ def test_criterion_7f_minres_direct_agreement():
             for k in (0, 1):
                 system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
                 if case.problem == "I":
-                    P = build_precond_I(mats, k, case.lam, case.omega)
+                    P = build_precond_I(mats, k, case.lam, case.omega, surrogate_inverse=False)
                 else:
-                    P = build_precond_II(mats, k, case.lam, case.omega)
-                sol, stats = minres(system, P, tol=1e-10, maxiter=300)
+                    P = build_precond_II(mats, k, case.lam, case.omega, surrogate_inverse=False)
+                sol, stats = minres(system, P, tol=1e-10, maxiter=300, scratch=scratch)
                 ref = direct_solve(system, case.problem, case.lam, case.omega)
                 num = den = 0.0
                 for a, b in ((sol.y[0], ref.y[0]), (sol.p[0], ref.p[0])):
                     e = a - b
-                    num += e @ mats.M(e)
-                    den += b @ mats.M(b)
+                    num += e @ fresh_apply(mats.M, e)
+                    den += b @ fresh_apply(mats.M, b)
                 rel = np.sqrt(num / den)
                 worst = max(worst, rel)
                 ok &= rel < 1e-7
     assert _line("c7f minres vs direct on all n<=64 configs", ok, f"worst {worst:.1e}")
 
 
-def test_criterion_7g_preconditioner_robustness():
+def test_criterion_7g_preconditioner_robustness(scratch):
     results = {}
     for ident, problem in ((1, "I"), (4, "II")):
         for n in (16, 32, 64, 128):
@@ -290,10 +291,10 @@ def test_criterion_7g_preconditioner_robustness():
                 for lam in (1e-2, 1e-1):
                     system = build_mode_system(problem, mats, k, lam, 1.0, rhs)
                     if problem == "I":
-                        P = build_precond_I(mats, k, lam, 1.0)
+                        P = build_precond_I(mats, k, lam, 1.0, surrogate_inverse=False)
                     else:
-                        P = build_precond_II(mats, k, lam, 1.0)
-                    _, stats = minres(system, P, tol=1e-8, maxiter=200)
+                        P = build_precond_II(mats, k, lam, 1.0, surrogate_inverse=False)
+                    _, stats = minres(system, P, tol=1e-8, maxiter=200, scratch=scratch)
                     results.setdefault((problem, k, lam), []).append(stats.iterations)
     ok = True
     worst = 0.0

@@ -81,7 +81,7 @@ def test_markdown_writer(tmp_path, small_report):
     assert "reference: analytic" in text
 
 
-def test_zero_data_zero_bounds():
+def test_zero_data_zero_bounds(scratch):
     # with vanishing data every mode solution and both bounds are zero
     import mhbounds.mesh as meshmod
     from mhbounds.bounds import BoundParams, ModeData, evaluate_mode
@@ -95,7 +95,7 @@ def test_zero_data_zero_bounds():
     system = build_mode_system("I", mats, 1, 1.0, 1.0, np.zeros((2, n)))
     sol = direct_solve(system, "I", 1.0, 1.0)
     data = ModeData(k=1, coef=np.ones((2, 1)), y_vert=np.zeros((1, 2, 3, 4, 4)))
-    mb = evaluate_mode("I", ctx, mats, BoundParams(lam=1.0, omega=1.0), sol, data)
+    mb = evaluate_mode("I", ctx, mats, BoundParams(lam=1.0, omega=1.0), sol, data, scratch=scratch)
     assert mb.majorant == 0.0
     assert mb.minorant == 0.0
 
@@ -130,7 +130,7 @@ def test_fine_reference_consistency_with_analytic():
 
 
 def test_grid_sweep_labels():
-    rows = grid_sweep(ExperimentConfig(example=1, modes=(0,), tol=1e-11), (4, 8))
+    rows = grid_sweep(ExperimentConfig(example=1, modes=(0,), tol=1e-11), (4, 8), mode=0)
     assert [r.label for r in rows] == ["4x4", "8x8"]
 
 
@@ -156,6 +156,7 @@ def test_cli_validation_exit_codes(capsys):
     ["--lambda", "0"], ["--omega", "0"], ["--omega", "-1"],
     ["--tol", "-1"], ["--workers", "0"], ["--modes", "3-1"],
     ["--sweep", "0,4"],
+    ["--sweep", "8,16", "--overall", "1"],
     ["--example", "3", "--sweep", "8,9"],
     ["--example", "3", "--grid", "8", "--nref", "9", "--modes", "1"],
     ["--example", "6", "--grid", "8", "--nref", "9"],
@@ -176,7 +177,7 @@ def test_cli_rejects_bad_values(args, capsys, monkeypatch):
 def test_grid_sweep_checks_every_grid_first(monkeypatch):
     monkeypatch.setattr(bench, "run", None)
     with pytest.raises(ValueError, match="even grid"):
-        grid_sweep(ExperimentConfig(example=3), (8, 9))
+        grid_sweep(ExperimentConfig(example=3), (8, 9), mode=0)
 
 
 def test_cli_parser_ranges():

@@ -21,7 +21,7 @@ from mhbounds.bounds import (
     optimize_majorant_params,
 )
 from mhbounds.cases import CaseBind, make_case
-from mhbounds.femcore import FemContext
+from mhbounds.femcore import FemContext, Scratch
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import ModeSolution, build_matrices, build_mode_system, mode_parts
 from reference_assembly import build_mesh, gradient_load_from_qp, load_from_qp, p1_at_qp, p1_grad, quadrature_weights
@@ -84,7 +84,7 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
     else:
         build = build_precond_I if problem == "I" else build_precond_II
         precond = build(mats, k, lam, omega, surrogate_inverse=surrogate_inverse)
-        sol, _ = minres(system, precond, fixed_iters=steps)
+        sol, _ = minres(system, precond, tol=1e-8, maxiter=200, scratch=Scratch(), fixed_iters=steps)
     return ctx, mats, params, sol, data
 
 
@@ -93,7 +93,7 @@ def test_closed_form_beats_grid_search(rng):
     for _ in range(25):
         A, B, C = rng.uniform(0.01, 100.0, size=3)
         alpha, beta = optimize_majorant_params(A, B, C, params)
-        ours = majorant_form(A, B, C, alpha, beta, params)
+        ours = majorant_form(A, B, C, alpha, beta, params, P=0.0)
         _, _, best = grid_search_alpha_beta(A, B, C, params)
         assert ours <= best * (1 + 1e-10)
 
@@ -103,8 +103,8 @@ def test_closed_form_beats_unit_parameters(rng):
     for _ in range(100):
         A, B, C = rng.uniform(0.0, 50.0, size=3)
         alpha, beta = optimize_majorant_params(A, B, C, params)
-        opt = majorant_form(A, B, C, alpha, beta, params)
-        assert opt <= majorant_form(A, B, C, 1.0, 1.0, params) + 1e-12
+        opt = majorant_form(A, B, C, alpha, beta, params, P=0.0)
+        assert opt <= majorant_form(A, B, C, 1.0, 1.0, params, P=0.0) + 1e-12
 
 
 def test_parameter_guards():
@@ -112,7 +112,7 @@ def test_parameter_guards():
     # no flux residual: the beta -> infinity limit value is attained
     alpha, beta = optimize_majorant_params(2.0, 0.0, 3.0, params)
     assert beta == BETA_CAP
-    value = majorant_form(2.0, 0.0, 3.0, alpha, beta, params)
+    value = majorant_form(2.0, 0.0, 3.0, alpha, beta, params, P=0.0)
     H = C_FRIEDRICHS**4 * 9.0 / (2 * params.mu1**2)
     limit = 1.0 + np.sqrt(2 * H * 2.0) + H
     assert abs(value - limit) < 1e-5 * limit
@@ -133,11 +133,13 @@ def test_flux_residual_grows_under_perturbation(ctx8, rng):
     # convexity: moving away from any point in at least one of the two
     # opposite directions increases the distance to the gradient field
     mesh = ctx8.mesh
-    grad = ctx8.cell_gradients(rng.standard_normal((mesh.n + 1, mesh.n + 1)))
+    n = mesh.n
+    grad = ctx8.cell_gradients(rng.standard_normal((n + 1, n + 1)), np.empty((2, 2, n, n)))
     tau = fluxrecon.grid_average(mesh, grad)
 
     def r2(flux):
-        centre, div = fluxrecon.grid_affine_form(ctx8, flux)
+        out = np.empty((2, 2, n, n)), np.empty((2, n, n))
+        centre, div = fluxrecon.grid_affine_form(ctx8, flux, out, np.empty((n, n)))
         return np.sqrt(_rt0_norm2(ctx8, centre - grad, div))
 
     base = r2(tau)
@@ -149,14 +151,14 @@ def test_flux_residual_grows_under_perturbation(ctx8, rng):
         assert max(plus, minus) > base
 
 
-def test_mixed_term_identities(rng):
+def test_mixed_term_identities(rng, scratch):
     # problem I pairing evaluates to 2/lam ||p||^2 at the discrete solution;
     # problem II pairing vanishes there
     for seed in range(5):
         local = np.random.default_rng(seed)
         problem, n, k, lam, omega, sigma, nu = _random_config(local)
         ctx, mats, params, sol, data = _solve_random(local, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
+        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
         scale = max(abs(mb.mixed), 2 * mb.control_energy, 1e-12)
         if problem == "I":
             assert abs(mb.mixed - 4 * mb.control_energy) < 1e-8 * scale
@@ -164,30 +166,30 @@ def test_mixed_term_identities(rng):
             assert abs(mb.mixed) < 1e-8 * max(scale, abs(mb.misfit))
 
 
-def test_sandwich_random_configs():
+def test_sandwich_random_configs(scratch):
     rng = np.random.default_rng(7)
     for _ in range(30):
         problem, n, k, lam, omega, sigma, nu = _random_config(rng)
         ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
+        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
         assert mb.minorant <= mb.majorant + 1e-9 * abs(mb.majorant)
         assert _m1(mb) >= mb.majorant - mb.minorant >= -1e-9 * abs(mb.majorant)
 
 
-def test_scaling_covariance():
+def test_scaling_covariance(scratch):
     rng = np.random.default_rng(3)
     problem, n, k, lam, omega, sigma, nu = "I", 5, 2, 0.3, 1.4, 1.0, 1.0
     ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu, noise=0.3)
-    base = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
+    base = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
     for s in (2.0, 10.0):
         scaled_sol = ModeSolution(k=k, y=s * sol.y, p=s * sol.p)
         scaled_data = project(ctx, QuadratureData(k=k, y_qp=s * data.y_qp))
-        mb = evaluate_mode(problem, ctx, mats, params, scaled_sol, scaled_data)
+        mb = evaluate_mode(problem, ctx, mats, params, scaled_sol, scaled_data, scratch=scratch)
         assert abs(mb.majorant - s**2 * base.majorant) < 1e-9 * s**2 * abs(base.majorant)
         assert abs(mb.minorant - s**2 * base.minorant) < 1e-9 * s**2 * abs(base.majorant)
 
 
-def test_bracketing_example1_coarse(ctx16):
+def test_bracketing_example1_coarse(ctx16, scratch):
     case = make_case(1)
     params = _params(case.lam, case.omega)
     mats = build_matrices(ctx16)
@@ -195,18 +197,18 @@ def test_bracketing_example1_coarse(ctx16):
     for k in (0, 1):
         system = build_mode_system("I", mats, k, case.lam, case.omega, bind.rhs(k))
         sol = direct_solve(system, "I", case.lam, case.omega)
-        mb = evaluate_mode("I", ctx16, mats, params, sol, bind.mode_data(k))
+        mb = evaluate_mode("I", ctx16, mats, params, sol, bind.mode_data(k), scratch=scratch)
         ref = case.reference_cost(k)
         assert mb.minorant <= ref * (1 + 1e-3)
         assert mb.majorant >= ref * (1 - 1e-3)
 
 
-def test_aggregate_shape():
+def test_aggregate_shape(scratch):
     params = _params()
     rng = np.random.default_rng(0)
     _, _, params2, sol, data = _solve_random(rng, "I", 4, 0, 0.1, 1.0, 1.0, 1.0)
     ctx, mats, params2, sol, data = _solve_random(rng, "I", 4, 0, 0.1, 1.0, 1.0, 1.0)
-    b0 = evaluate_mode("I", ctx, mats, params2, sol, project(ctx, data))
+    b0 = evaluate_mode("I", ctx, mats, params2, sol, project(ctx, data), scratch=scratch)
     total = aggregate([b0], params2, remainder=10.0)
     T = params2.period
     assert abs(total.minorant - (T * b0.minorant + 5.0)) < 1e-12 * max(1, abs(total.minorant))
@@ -215,6 +217,24 @@ def test_aggregate_shape():
     assert total.m1_extra == T * b0.m1_extra
     with pytest.raises(ValueError):
         aggregate([], params2, 0.0)
+
+
+def test_aggregate_weights_each_mode_by_its_parts(scratch):
+    # mode 0 weighs T and every higher mode T/2, whatever modes are missing
+    # between them, and a list without mode 0 is refused
+    rng = np.random.default_rng(1)
+    modes = []
+    for k in (3, 0, 1):
+        ctx, mats, params, sol, data = _solve_random(rng, "I", 4, k, 0.1, 1.0, 1.0, 1.0)
+        modes.append(evaluate_mode("I", ctx, mats, params, sol, project(ctx, data), scratch=scratch))
+    b3, b0, b1 = modes
+    T = params.period
+    total = aggregate(modes, params, remainder=10.0)
+    for name, tail in (("minorant", 5.0), ("majorant", 0.5 * (1 + ALPHA_TAIL) * 10.0), ("m1_extra", 0.0)):
+        expect = T * getattr(b0, name) + T / 2 * (getattr(b1, name) + getattr(b3, name)) + tail
+        assert abs(getattr(total, name) - expect) <= 1e-13 * abs(expect)
+    with pytest.raises(ValueError, match="k=0"):
+        aggregate([b1, b3], params, 0.0)
 
 
 def test_combined_norm_weights():
@@ -268,7 +288,7 @@ def _assert_bounds_match(new, ref, rtol=1e-12):
 @pytest.mark.parametrize("problem", ["I", "II"])
 @pytest.mark.parametrize("k", [0, 3])
 @pytest.mark.parametrize("steps", [None, 1, 2, 3])
-def test_evaluate_mode_matches_quadrature_reference(problem, k, steps):
+def test_evaluate_mode_matches_quadrature_reference(problem, k, steps, scratch):
     # converged (direct) solutions and MinRes iterates stopped early, with
     # random lambda, omega, sigma, nu and data that the projections do not
     # reproduce; the reference reads the samples the projections came from
@@ -282,7 +302,7 @@ def test_evaluate_mode_matches_quadrature_reference(problem, k, steps):
             rng, problem, n, k, lam, omega, sigma, nu, steps=steps, noise=0.5
         )
         projected = project(ctx, data)
-        new = evaluate_mode(problem, ctx, mats, params, sol, projected)
+        new = evaluate_mode(problem, ctx, mats, params, sol, projected, scratch=scratch)
         ref = evaluate_mode_reference(problem, ctx, mats, params, sol, data)
         _assert_bounds_match(new, ref)
         # the noise has squared norm 0.25 per part and component, most of
@@ -296,7 +316,7 @@ def test_evaluate_mode_matches_quadrature_reference(problem, k, steps):
 @pytest.mark.parametrize("n,rows", [(5, 8), (7, 2), (6, 2), (7, 3), (4, 1)],
                          ids=["grid-in-one-block", "partial-last-block", "even-blocks",
                               "three-row-blocks", "one-row-blocks"])
-def test_row_blocks_match_quadrature_reference(monkeypatch, problem, k, steps, n, rows):
+def test_row_blocks_match_quadrature_reference(monkeypatch, problem, k, steps, n, rows, scratch):
     # the same bounds whether a block holds the whole grid, the last block
     # is partial, or every block is a single cell row, for converged
     # solutions and GMRES iterates stopped after one or two steps
@@ -308,12 +328,12 @@ def test_row_blocks_match_quadrature_reference(monkeypatch, problem, k, steps, n
     ctx, mats, params, sol, data = _solve_random(
         rng, problem, n, k, lam, omega, sigma, nu, steps=steps, noise=0.5, surrogate_inverse=True
     )
-    new = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data))
+    new = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
     _assert_bounds_match(new, evaluate_mode_reference(problem, ctx, mats, params, sol, data))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
-def test_row_blocks_match_boundary_corners_problem_II(monkeypatch, rows):
+def test_row_blocks_match_boundary_corners_problem_II(monkeypatch, rows, scratch):
     # problem II matches the boundary divergence of the bottom strip in the
     # first block, of the top strip in the last and of both columns in
     # every block; the lower corner triangle of cell (0, n-1) lies on the
@@ -336,11 +356,11 @@ def test_row_blocks_match_boundary_corners_problem_II(monkeypatch, rows):
     data = QuadratureData(k=k, g_qp=np.zeros(shape), g_edge=np.zeros((2, ctx.mesh.num_edges)))
     ref = evaluate_mode_reference("II", ctx, mats, params, sol, data)
     assert ref.residuals.r3 > 0
-    _assert_bounds_match(evaluate_mode("II", ctx, mats, params, sol, project(ctx, data)), ref)
+    _assert_bounds_match(evaluate_mode("II", ctx, mats, params, sol, project(ctx, data), scratch=scratch), ref)
 
 
 @pytest.mark.parametrize("ident", [1, 4])
-def test_evaluate_mode_matches_reference_on_cases(ident):
+def test_evaluate_mode_matches_reference_on_cases(ident, scratch):
     case = make_case(ident)
     ctx = FemContext(build_mesh(12))
     mats = build_matrices(ctx)
@@ -350,19 +370,20 @@ def test_evaluate_mode_matches_reference_on_cases(ident):
     # the case's data at the quadrature points and its edge fluxes, which
     # CaseBind projects once and does not keep
     if case.problem == "I":
-        profile = dict(y_qp=ctx.data_at_qp(case.spatial_scalar))
+        profile = dict(y_qp=ctx.data_at_qp(case.spatial_scalar, slice(None)))
     else:
         edges = rt0_from_callable(ctx.mesh, case.spatial_vector)
-        profile = dict(g_qp=ctx.vector_data_at_qp(case.spatial_vector), g_edge=edges)
+        profile = dict(g_qp=ctx.vector_data_at_qp(case.spatial_vector, slice(None)), g_edge=edges)
     for k in (0, 1):
         system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
-        sol, _ = minres(system, build(mats, k, case.lam, case.omega), tol=1e-10)
+        precond = build(mats, k, case.lam, case.omega, surrogate_inverse=False)
+        sol, _ = minres(system, precond, tol=1e-10, maxiter=200, scratch=scratch)
         coef = np.array(case.mode_pair(k))[: mode_parts(k)]
         samples = QuadratureData(k, **{
             name: np.multiply.outer(coef, value) for name, value in profile.items()
         })
         _assert_bounds_match(
-            evaluate_mode(case.problem, ctx, mats, params, sol, bind.mode_data(k)),
+            evaluate_mode(case.problem, ctx, mats, params, sol, bind.mode_data(k), scratch=scratch),
             evaluate_mode_reference(case.problem, ctx, mats, params, sol, samples),
         )
 
@@ -385,9 +406,10 @@ def _stopped_bounds(ident, n, k, steps, surrogate_inverse=False):
     system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
     build = build_precond_I if case.problem == "I" else build_precond_II
     precond = build(mats, k, case.lam, case.omega, surrogate_inverse=surrogate_inverse)
-    sol, _ = minres(system, precond, fixed_iters=steps)
+    scratch = Scratch()
+    sol, _ = minres(system, precond, tol=1e-8, maxiter=200, scratch=scratch, fixed_iters=steps)
     mb = evaluate_mode(case.problem, ctx, mats, _params(case.lam, case.omega), sol,
-                       bind.mode_data(k))
+                       bind.mode_data(k), scratch=scratch)
     return mb, case.reference_cost(k)
 
 

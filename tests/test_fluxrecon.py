@@ -18,9 +18,16 @@ def _averaged(ctx, w_full, nu=1.0):
     return edge_coeffs(ctx.mesh, fluxrecon.grid_average(ctx.mesh, class_planes(grads, ctx.mesh.n)))
 
 
+def _affine_form(ctx, flux):
+    """`grid_affine_form` of a flux on R cell rows, into fresh buffers."""
+    lead, (rows, n) = flux.diag.shape[:-2], flux.diag.shape[-2:]
+    out = np.empty(lead + (2, 2, rows, n)), np.empty(lead + (2, rows, n))
+    return fluxrecon.grid_affine_form(ctx, flux, out, np.empty(flux.diag.shape))
+
+
 def _divergence(ctx, coeffs):
     """Per-triangle divergences (..., T) of edge coefficients (..., E), by `grid_affine_form`."""
-    return tri_scalars(fluxrecon.grid_affine_form(ctx, edge_planes(ctx.mesh, coeffs))[1])
+    return tri_scalars(_affine_form(ctx, edge_planes(ctx.mesh, coeffs))[1])
 
 
 def normal_jumps(mesh, coeffs):
@@ -94,7 +101,7 @@ def test_affine_form_matches_pointwise_evaluation(ctx8, rng):
     # point, for stacked fields
     mesh = ctx8.mesh
     coeffs = rng.standard_normal((2, mesh.num_edges))
-    centre, div = fluxrecon.grid_affine_form(ctx8, edge_planes(mesh, coeffs))
+    centre, div = _affine_form(ctx8, edge_planes(mesh, coeffs))
     centre, div = tri_rows(centre), tri_scalars(div)
     offsets = quadrature_points(mesh) - quadrature_points(mesh).mean(axis=1, keepdims=True)
     for part in range(2):
@@ -146,7 +153,7 @@ def test_grid_fluxes_match_edge_arrays(n, rng):
     grid = fluxrecon.grid_average(mesh, class_planes(fields, n))
     coeffs = np.stack([rt0_reconstruct(mesh, part) for part in fields])
     _assert_planes_equal(grid, edge_planes(mesh, coeffs))
-    centre, div = fluxrecon.grid_affine_form(ctx, grid)
+    centre, div = _affine_form(ctx, grid)
     centroids = quadrature_points(mesh)[:, :1]  # the first point of the rule
     expect_centre = np.stack([rt0_at_points(mesh, part, centroids)[:, 0] for part in coeffs])
     expect_div = np.stack([rt0_divergence(mesh, part) for part in coeffs])
@@ -163,12 +170,12 @@ def test_grid_fluxes_match_edge_arrays(n, rng):
     target = rng.standard_normal((2, 2, n, n))
     coeffs = rng.standard_normal((2, mesh.num_edges))
     grid = edge_planes(mesh, coeffs)
-    fluxrecon.grid_match_boundary_divergence(mesh, grid, target)
+    fluxrecon.grid_match_boundary_divergence(mesh, grid, target, slice(None))
     for part in range(2):
         _match_boundary_divergence(mesh, coeffs[part], tri_scalars(target[part]))
     _assert_planes_equal(grid, edge_planes(mesh, coeffs))
     # every boundary triangle, the two corner ones included, hits its target
-    div = fluxrecon.grid_affine_form(ctx, grid)[1]
+    div = _affine_form(ctx, grid)[1]
     corners = [(0, 0, n - 1), (1, n - 1, 0)]
     for cls, r, c in corners + [(0, 0, 0), (1, n - 1, n - 1), (0, n // 2, n - 1), (1, n // 2, 0)]:
         assert np.allclose(div[:, cls, r, c], target[:, cls, r, c], rtol=1e-12, atol=1e-12)
@@ -191,8 +198,8 @@ def test_fluxes_in_row_blocks_match_whole_grid(n, rows, rng):
     field = rng.standard_normal((2, 2, 2, n, n))
     target = rng.standard_normal((2, 2, n, n))
     whole = fluxrecon.grid_average(mesh, field)
-    fluxrecon.grid_match_boundary_divergence(mesh, whole, target)
-    centre, div = fluxrecon.grid_affine_form(ctx, whole)
+    fluxrecon.grid_match_boundary_divergence(mesh, whole, target, slice(None))
+    centre, div = _affine_form(ctx, whole)
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         block = slice(r0, r1)
@@ -201,7 +208,7 @@ def test_fluxes_in_row_blocks_match_whole_grid(n, rows, rng):
         fluxrecon.grid_match_boundary_divergence(mesh, flux, target[..., block, :], block)
         expect = fluxrecon.GridFlux(whole.horiz[:, r0 : r1 + 1], whole.vert[:, block], whole.diag[:, block])
         _assert_planes_equal(flux, expect)
-        got_centre, got_div = fluxrecon.grid_affine_form(ctx, flux)
+        got_centre, got_div = _affine_form(ctx, flux)
         assert np.abs(got_centre - centre[..., block, :]).max() <= 1e-14 * np.abs(centre).max()
         assert np.abs(got_div - div[..., block, :]).max() <= 1e-14 * np.abs(div).max()
     corners = [(0, 0, n - 1), (1, n - 1, 0)]

@@ -12,6 +12,9 @@ A public method of a class of `src/mhbounds` is read when an attribute of
 its name is read anywhere in `src/`, `scripts/` or `perfbench/`, or a
 string there names it; dunder methods are called by the language and are
 exempt.
+
+A parameter default of a function or method of `src/mhbounds` is read when
+a call in `src/`, `scripts/` or `perfbench/` leaves the parameter out.
 """
 
 import ast
@@ -117,3 +120,93 @@ def unread_public_methods(package: Path = PACKAGE, readers=("scripts", "perfbenc
 def test_every_public_src_method_has_a_reader():
     unread = unread_public_methods()
     assert not unread, f"public methods that only the tests read (move them to tests/): {unread}"
+
+
+# A stencil is applied as an operator, `mats.M(v, ...)` or `A(v, ...)`, and
+# such a call cannot be resolved to its class, so these are the names that
+# `Stencil.__call__` is called by.
+CALLED_AS = {"femcore.Stencil.__call__": {"K", "M", "matrix", "A", "op"}}
+
+
+def _names(node) -> set:
+    """Every name and attribute name in the expression `node`."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def _defaulted(package: Path) -> dict:
+    """{(definition, parameter): (the names a call of it goes by, the index of
+    the positional argument that passes it, or None)} of every parameter
+    with a default of a module-level function or a method of `package`.
+
+    A method is called by its name and `__init__` by its class's, and the
+    index of a method's argument does not count `self`.
+    """
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(None, node) for node in tree.body] + [
+            (cls, item) for cls in tree.body if isinstance(cls, ast.ClassDef) for item in cls.body
+        ]
+        for cls, fn in scopes:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            qualified = ".".join([path.stem] + ([cls.name] if cls else []) + [fn.name])
+            names = CALLED_AS.get(qualified, {cls.name if cls and fn.name == "__init__" else fn.name})
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first - (cls is not None)):
+                out[(qualified, arg.arg)] = (names, index)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out[(qualified, arg.arg)] = (names, None)
+    return out
+
+
+def _calls(folders) -> list:
+    """(the names the callee may go by, the call) of every call in the files
+    of `folders`: a called name, a called attribute's name, and for a name
+    bound by an assignment in the same file (`solve = a if c else b`) every
+    name in what was assigned."""
+    calls = []
+    for folder in folders:
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            aliases = {}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)
+                        and isinstance(node.value, (ast.IfExp, ast.Name, ast.Attribute))):
+                    aliases.setdefault(node.targets[0].id, set()).update(_names(node.value))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    calls.append(({node.func.id} | aliases.get(node.func.id, set()), node))
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    calls.append(({node.func.attr}, node))
+    return calls
+
+
+def _omits(call: ast.Call, parameter: str, index) -> bool:
+    """Whether `call` leaves the parameter out; one with *args or **kwargs may."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return True
+    passed = index is not None and index < len(call.args)
+    return not passed and parameter not in {kw.arg for kw in call.keywords}
+
+
+def unreached_defaults(package: Path = PACKAGE, readers=("scripts", "perfbench")) -> list:
+    """`module.definition(parameter)` of every parameter default of `package`
+    that no call in `package` or `readers` relies on, sorted; a call is
+    matched to a definition by name."""
+    calls = _calls([package] + [package.parents[1] / folder for folder in readers])
+    return sorted(
+        f"{qualified}({parameter})"
+        for (qualified, parameter), (names, index) in _defaulted(package).items()
+        if not any(names & callee and _omits(call, parameter, index) for callee, call in calls)
+    )
+
+
+def test_every_src_default_has_a_reader():
+    unreached = unreached_defaults()
+    assert not unreached, f"parameter defaults that only the tests rely on (make them required): {unreached}"

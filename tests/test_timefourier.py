@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from mhbounds.systems import quarter_turn
 from mhbounds.timefourier import sample_periodic
 
+# the composite Gauss rule of the samples: 64 panels of 8 points
+PANELS, ORDER = 64, 8
+
 coeff_arrays = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=6
 )
@@ -26,7 +29,7 @@ def _modes(samples, k_max):
 
 
 def test_pure_sine_extraction():
-    got = _modes(sample_periodic(np.sin, 1.0), 4)
+    got = _modes(sample_periodic(np.sin, 1.0, PANELS, ORDER), 4)
     expect = np.zeros((5, 2))
     expect[1, 1] = 1.0
     assert np.abs(got - expect).max() < 1e-12
@@ -34,14 +37,14 @@ def test_pure_sine_extraction():
 
 def test_band_limited_exact():
     u = lambda t: 0.7 - 1.3 * np.cos(2 * t) + 0.4 * np.sin(5 * t)
-    got = _modes(sample_periodic(u, 1.0), 6)
+    got = _modes(sample_periodic(u, 1.0, PANELS, ORDER), 6)
     expect = np.zeros((7, 2))
     expect[0, 0], expect[2, 0], expect[5, 1] = 0.7, -1.3, 0.4
     assert np.abs(got - expect).max() < 1e-12
 
 
 def test_rejects_negative_kmax():
-    samples = sample_periodic(np.sin, 1.0)
+    samples = sample_periodic(np.sin, 1.0, PANELS, ORDER)
     with pytest.raises(ValueError):
         samples.mode(-1)
     with pytest.raises(ValueError):
@@ -52,7 +55,7 @@ def test_perp_example():
     # the quarter turn of mode k, k omega sigma (c, s) -> (-s, c), gives the
     # coefficients of minus the time derivative: u = 0.3 + cos(2 t) has
     # du/dt = -2 sin(2 t)
-    derivative = sample_periodic(lambda t: -2 * np.sin(2 * t), 1.0).mode(2)
+    derivative = sample_periodic(lambda t: -2 * np.sin(2 * t), 1.0, PANELS, ORDER).mode(2)
     turned = quarter_turn(np.array([1.0, 0.0]), 2 * 1.0)
     assert np.allclose(turned, [0.0, 2.0], rtol=0, atol=0)
     assert np.allclose(turned, -np.array(derivative), rtol=0, atol=1e-12)
@@ -95,7 +98,7 @@ def test_half_derivative_identity(uc, us, vc, vs):
 def test_parseval_for_band_limited():
     # the sampled norm over one period against Parseval of the coefficients
     u = lambda t: 0.5 + np.cos(t) + 2.0 * np.cos(3 * t) - np.sin(2 * t) + 0.5 * np.sin(3 * t)
-    samples = sample_periodic(u, 1.0)
+    samples = sample_periodic(u, 1.0, PANELS, ORDER)
     c = _modes(samples, 3)
     parseval = 2 * np.pi * (c[0, 0] ** 2 + 0.5 * float(np.sum(c[1:] ** 2)))
     assert abs(samples.norm2() - parseval) < 1e-12 * parseval
@@ -103,13 +106,14 @@ def test_parseval_for_band_limited():
 
 
 def test_remainder_band_limited_is_zero():
-    samples = sample_periodic(lambda t: 0.5 + np.cos(t) + 2 * np.cos(2 * t) + 0.5 * np.sin(t), 1.0)
+    u = lambda t: 0.5 + np.cos(t) + 2 * np.cos(2 * t) + 0.5 * np.sin(t)
+    samples = sample_periodic(u, 1.0, PANELS, ORDER)
     assert abs(samples.tail(2)) < 1e-12
     assert abs(samples.tail(1) - np.pi * 4.0) < 1e-12  # (T/2) 2^2, T = 2 pi
 
 
 def test_remainder_monotone_in_modes():
-    samples = sample_periodic(lambda t: np.exp(np.cos(t)), 1.0)
+    samples = sample_periodic(lambda t: np.exp(np.cos(t)), 1.0, PANELS, ORDER)
     values = [samples.tail(n) for n in range(6)]
     assert all(values[i + 1] <= values[i] + 1e-14 for i in range(5))
     assert values[0] > values[5] > 0
