@@ -377,19 +377,27 @@ def _errors(configs) -> list[str]:
     return list(dict.fromkeys(err for c in configs for err in c.validate()))
 
 
+def _sweep_errors(config: ExperimentConfig, grids, mode: int) -> list[str]:
+    """Validation errors of a grid sweep: those of every swept grid, and
+    overall rows, which a sweep has none of."""
+    errors = _errors(_sweep_configs(config, grids, mode))
+    if config.overall:
+        errors.append("--overall does not apply to a grid sweep, which has one row per grid")
+    return errors
+
+
 def grid_sweep(config: ExperimentConfig, grids, mode: int) -> list[TableRow]:
     """One row per grid for a fixed mode, labelled like '64x64'.
 
     Raises:
         ValueError: before any solve, if the configuration of any grid is
-            invalid.
+            invalid or asks for overall rows.
     """
-    configs = _sweep_configs(config, grids, mode)
-    errors = _errors(configs)
+    errors = _sweep_errors(config, grids, mode)
     if errors:
         raise ValueError("; ".join(errors))
     rows = []
-    for cfg in configs:
+    for cfg in _sweep_configs(config, grids, mode):
         row = run(cfg).rows[0]
         row.label = f"{cfg.grid}x{cfg.grid}"
         rows.append(row)
@@ -494,12 +502,10 @@ def main(argv=None) -> int:
         out=args.out,
     )
     # a sweep replaces the grid, so every swept grid is checked instead
-    configs = [config]
     if args.sweep and config.modes:
-        configs = _sweep_configs(config, args.sweep, config.modes[0])
-    errors = _errors(configs)
-    if args.sweep and config.overall:
-        errors.append("--overall does not apply to a grid sweep, which has one row per grid")
+        errors = _sweep_errors(config, args.sweep, config.modes[0])
+    else:
+        errors = _errors([config])
     if args.problem is not None:
         expected = "I" if args.example <= 3 else "II"
         if args.problem != expected:

@@ -114,25 +114,21 @@ class ResidualSet:
 class ModeData:
     """Per-mode data entering misfits, residuals and right-hand sides.
 
-    The data's cosine and sine parts are combinations of J profiles: part p
-    is sum_j coef[p, j] profile_j, with `coef` (P, J) the mode's time
-    coefficients (P = 1 for mode 0, 2 otherwise).  The profiles enter
-    through their per-triangle projections (see `FemContext.project_data`),
-    stacked on a leading axis of length J and never scaled in place: the
-    row blocks of `evaluate_mode` scale the rows they read.  Per-triangle
-    arrays are class planes (see `femcore`).  Problem I carries the vertex
-    values of the desired state's P1 projection, y_vert (J, 2, 3, n, n);
-    problem II the RT0 projection of the desired gradient,
-    g_mean + g_div/2 (x - c) with g_mean (J, 2, 2, n, n) and g_div
-    (J, 2, n, n), and the edge-flux degrees of freedom of the same data,
-    g_flux (a GridFlux of J stacked fields), for the adjoint flux
-    reconstruction.  `rest` is the squared quadrature norm of what the
-    projections leave over of the mode's data, summed over the parts: the
-    residuals are piecewise polynomials orthogonal to it, so it adds to each
-    data term.
+    The data's cosine and sine parts are one profile scaled by the mode's
+    time coefficients `coef` (P,) (P = 1 for mode 0, 2 otherwise).  The
+    profile enters through its per-triangle projections (see
+    `FemContext.project_data`), never scaled in place: the row blocks of
+    `evaluate_mode` scale the rows they read.  Per-triangle arrays are class
+    planes (see `femcore`).  Problem I carries the vertex values of the
+    desired state's P1 projection, y_vert (2, 3, n, n); problem II the RT0
+    projection of the desired gradient, g_mean + g_div/2 (x - c) with
+    g_mean (2, 2, n, n) and g_div (2, n, n), and the edge-flux degrees of
+    freedom of the same data, g_flux, for the adjoint flux reconstruction.
+    `rest` is the squared quadrature norm of what the projections leave over
+    of the mode's data, summed over the parts: the residuals are piecewise
+    polynomials orthogonal to it, so it adds to each data term.
     """
 
-    k: int
     coef: np.ndarray
     rest: float = 0.0
     y_vert: Optional[np.ndarray] = None
@@ -207,13 +203,9 @@ def _adjoint_mass(mats: ModeMatrices, ps: np.ndarray, out: np.ndarray,
     return mp, float(np.vdot(ps, mp))
 
 
-def _scaled(coef: np.ndarray, profiles: np.ndarray, index, out: np.ndarray) -> np.ndarray:
-    """The mode's data parts sum_j coef[p, j] profiles[j][index], into out (P, ...)."""
-    for part, row in zip(out, coef):
-        np.multiply(row[0], profiles[0][index], out=part)
-        for c, profile in zip(row[1:], profiles[1:]):
-            part += c * profile[index]
-    return out
+def _scaled(coef: np.ndarray, profile: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The mode's data parts coef[p] profile, into out (P, ...)."""
+    return np.multiply(coef.reshape((-1,) + (1,) * profile.ndim), profile, out=out)
 
 
 def _centroid_values(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -278,11 +270,11 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     # the state minus the data's projection: P1 (problem I) or RT0
     # (problem II) per triangle
     if problem == "I":
-        y_vert = _scaled(data.coef, data.y_vert, here, buf["y_vert"])
+        y_vert = _scaled(data.coef, data.y_vert[here], buf["y_vert"])
         terms["misfit"] += _p1_norm2(ctx, y_nodes, work, vert=y_vert)
     else:
-        g_mean = _scaled(data.coef, data.g_mean, here, buf["g_mean"])
-        g_div = _scaled(data.coef, data.g_div, here, buf["g_div"])
+        g_mean = _scaled(data.coef, data.g_mean[here], buf["g_mean"])
+        g_div = _scaled(data.coef, data.g_div[here], buf["g_div"])
         terms["misfit"] += _rt0_norm2(ctx, np.subtract(y_grad[inner], g_mean, out=buf["centre"]), g_div)
     if len(terms) == 1:
         return
@@ -328,12 +320,11 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     # continuity untouched, so still in H(div))
     fluxrecon.grid_average(mesh, p_grad, rows, out=flux)
     g_flux = data.g_flux
-    for plane, profiles, index in zip(
-        (flux.horiz, flux.vert, flux.diag), (g_flux.horiz, g_flux.vert, g_flux.diag),
-        (slice(rows.start, rows.stop + 1), rows, rows),
+    for plane, profile in zip(
+        (flux.horiz, flux.vert, flux.diag),
+        (g_flux.horiz[rows.start : rows.stop + 1], g_flux.vert[rows], g_flux.diag[rows]),
     ):
-        plane += _scaled(data.coef, profiles, (Ellipsis, index, slice(None)),
-                         work.reshape(-1)[: plane.size].reshape(plane.shape))
+        plane += _scaled(data.coef, profile, work.reshape(-1)[: plane.size].reshape(plane.shape))
     target = quarter_turn(_centroid_values(p_nodes, out=buf["div"]), -kws, out=work.reshape(div.shape))
     fluxrecon.grid_match_boundary_divergence(mesh, flux, target, rows)
     centre, div = fluxrecon.grid_affine_form(ctx, flux, out=(centre, div), work=work[0])
@@ -404,7 +395,7 @@ def evaluate_mode(
     of the mass and stiffness products of the mixed term, are lent by
     `scratch`.
     """
-    k, parts = sol.k, len(sol.y)
+    k = sol.k
     lam, nu = params.lam, params.nu
     cf, mu1 = C_FRIEDRICHS, params.mu1
     kws = k * params.omega * params.sigma
@@ -414,16 +405,14 @@ def evaluate_mode(
     misfit = terms["misfit"]
 
     ys, ps = sol.y, sol.p
-    with scratch.lend(ps.shape, ps.shape) as (mp, kp):
+    with scratch.lend(ps.shape, ps.shape) as (mp, turn):
         mp, p_mass = _adjoint_mass(mats, ps, out=mp, scratch=scratch)
         # bilinear pairing of state against adjoint, with the time-derivative
         # coupling  k omega sigma (y_s . M p_c - y_c . M p_s)
-        pairing = mats.K(ps, out=kp, scratch=scratch)
+        quarter_turn(mp, kws, out=turn)
+        pairing = mats.K(ps, out=mp, scratch=scratch)
         pairing *= nu
-        if parts == 2:
-            mp *= kws
-            pairing[0] -= mp[1]
-            pairing[1] += mp[0]
+        pairing += turn
         bilin = float(np.vdot(ys, pairing))
     control_energy = p_mass / (2 * lam)
     quad = p_mass / lam

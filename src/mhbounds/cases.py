@@ -238,9 +238,9 @@ class CaseBind:
     The data profile is sampled at the quadrature points once, one block of
     cell rows at a time, for its load vector and its projection (P1 for a
     desired state, RT0 for a desired gradient); the samples are not kept
-    (see `FemContext.project_data`).  The projection is held unscaled, with
-    a leading profile axis of length one, and every mode's data are that
-    profile times the mode's time coefficients (see `ModeData`).
+    (see `FemContext.project_data`).  The projection is held unscaled, and
+    every mode's data are that profile times the mode's time coefficients
+    (see `ModeData`).
     """
 
     def __init__(self, case: ExampleCase, ctx: FemContext):
@@ -250,17 +250,15 @@ class CaseBind:
         if case.analytic_modes and mesh.n % 2 == 1:
             raise ValueError("indicator data requires an even grid")
         if case.problem == "I":
-            self.load_s, (vert,), self.rest = ctx.project_data(case.spatial_scalar)
-            self.s_vert = vert[None]
+            self.load_s, (self.s_vert,), self.rest = ctx.project_data(case.spatial_scalar)
         else:
-            self.gload_v, planes, self.rest = ctx.project_data(case.spatial_vector, vector=True)
-            self.v_mean, self.v_div = (plane[None] for plane in planes)
+            self.gload_v, (self.v_mean, self.v_div), self.rest = ctx.project_data(
+                case.spatial_vector, vector=True)
             if case.ident == 6:
                 field = ctx.vector_data_at_centroids(case.spatial_vector)
-                flux = fluxrecon.grid_average(mesh, field)
+                self.v_flux = fluxrecon.grid_average(mesh, field)
             else:
-                flux = fluxrecon.grid_from_callable(mesh, case.spatial_vector)
-            self.v_flux = fluxrecon.GridFlux(flux.horiz[None], flux.vert[None], flux.diag[None])
+                self.v_flux = fluxrecon.grid_from_callable(mesh, case.spatial_vector)
             # state profile quantities for the analytic error norms
             if case.has_analytic_reference:
                 self.load_s = ctx.load(_sin_sin)
@@ -279,9 +277,8 @@ class CaseBind:
         coef = self._mode_coefs(k)
         rest = float(coef @ coef) * self.rest
         if self.case.problem == "I":
-            return ModeData(k=k, coef=coef[:, None], rest=rest, y_vert=self.s_vert)
-        return ModeData(k=k, coef=coef[:, None], rest=rest, g_mean=self.v_mean, g_div=self.v_div,
-                        g_flux=self.v_flux)
+            return ModeData(coef=coef, rest=rest, y_vert=self.s_vert)
+        return ModeData(coef=coef, rest=rest, g_mean=self.v_mean, g_div=self.v_div, g_flux=self.v_flux)
 
     def error_norms(self, k: int, sol, scratch: Scratch) -> tuple[float, float]:
         """(||e||^2, ||grad e||^2) of the state mode against the exact one.

@@ -434,32 +434,23 @@ def _block_map(maps: np.ndarray) -> np.ndarray:
     return block.reshape(2, depth, 2 * samples)
 
 
-def p1_eval_at(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate P1 fields given on the node grid, (..., n+1, n+1), at the
-    points (x, y) of the unit square; x and y broadcast against each other.
-
-    Exact on mesh lines, so prolongation onto a nested refinement is exact.
-    """
-    n = grid.shape[-1] - 1
-    x = np.clip(x, 0.0, 1.0) * n
-    y = np.clip(y, 0.0, 1.0) * n
-    cx = np.minimum(x.astype(np.int64), n - 1)
-    cy = np.minimum(y.astype(np.int64), n - 1)
-    xi = x - cx
-    eta = y - cy
-    v00 = grid[..., cy, cx]
-    v10 = grid[..., cy, cx + 1]
-    v01 = grid[..., cy + 1, cx]
-    v11 = grid[..., cy + 1, cx + 1]
-    lower = v00 * (1 - xi) + v10 * (xi - eta) + v11 * eta
-    upper = v00 * (1 - eta) + v11 * xi + v01 * (eta - xi)
-    return np.where(xi >= eta, lower, upper)
-
-
 def prolong(grid: np.ndarray, n_fine: int) -> np.ndarray:
     """P1 fields on a node grid, (..., n+1, n+1), evaluated at the nodes of
     the grid with n_fine cells per side, (..., n_fine+1, n_fine+1) (exact
-    when nested).  The points are the fine grid's coordinate axes, as the
-    fine mesh places its nodes."""
-    axis = np.arange(n_fine + 1) * (1.0 / n_fine)
-    return p1_eval_at(grid, axis[None, :], axis[:, None])
+    when nested).
+
+    The fine grid's coordinate axes, as the fine mesh places its nodes, are
+    the same along rows and columns, so the corners of the coarse cell that
+    holds each fine node are gathered by two 1-D takes, rows then columns.
+    """
+    n = grid.shape[-1] - 1
+    t = np.clip(np.arange(n_fine + 1) * (1.0 / n_fine), 0.0, 1.0) * n
+    cell = np.minimum(t.astype(np.int64), n - 1)
+    frac = t - cell
+    xi, eta = frac[None, :], frac[:, None]
+    low, high = (grid.take(cell + d, axis=-2) for d in (0, 1))
+    v00, v10 = (low.take(cell + d, axis=-1) for d in (0, 1))
+    v01, v11 = (high.take(cell + d, axis=-1) for d in (0, 1))
+    lower = v00 * (1 - xi) + v10 * (xi - eta) + v11 * eta
+    upper = v00 * (1 - eta) + v11 * xi + v01 * (eta - xi)
+    return np.where(xi >= eta, lower, upper)

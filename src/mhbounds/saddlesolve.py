@@ -335,9 +335,10 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
 
 def minres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
     """Preconditioned MinRes (Paige and Saunders), with A called and the
-    steps counted as in `gmres_raw`; the products A v and the
-    preconditioner applies rotate through kept vectors, with the buffers of
-    A and of the transforms lent by `scratch`."""
+    steps counted as in `gmres_raw`.  The products A v, the preconditioner
+    applies, the direction vectors and the scaled terms of every update
+    rotate through vectors lent by `scratch`, as do the buffers of A and of
+    the transforms; only x is new."""
     start = time.perf_counter()
     n = b.shape[0]
     x = np.zeros(n)
@@ -346,68 +347,72 @@ def minres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
 
     limit = fixed_iters if fixed_iters is not None else maxiter
     eps = np.finfo(float).eps
-    applied = np.empty(n)  # P r2; the products A v never share it
-    spare = np.empty(n)  # the next product A v, then the r1 it replaces
-
-    r2 = b.copy()
-    y = precond.apply(r2, out=applied, scratch=scratch)
-    beta1_sq = float(np.dot(r2, y))
-    if beta1_sq < 0:
-        raise ValueError("preconditioner is not positive definite")
-    beta1 = np.sqrt(beta1_sq)
-    trace = [beta1]
-    if beta1 == 0.0:
-        return x, SolveStats(0, 0.0, time.perf_counter() - start, True, residuals=trace)
-
-    oldb = 0.0
-    beta = beta1
-    dbar = epsln = 0.0
-    phibar = beta1
-    cs, sn = -1.0, 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    r1 = r2.copy()
-    breakdown = False
-    itn = 0
-    while itn < limit:
-        itn += 1
-        v = y / beta
-        y = A(v, out=spare, scratch=scratch)
-        if itn >= 2:
-            y -= (beta / oldb) * r1
-        alfa = float(np.dot(v, y))
-        y -= (alfa / beta) * r2
-        r1, r2, spare = r2, y, r1
+    with scratch.lend(*[(n,)] * 8) as (applied, spare, r1, r2, v, w, w2, term):
+        # applied: P r2, which the products A v never share; spare: the next
+        # product A v, then the r1 it replaces (r1 is first read at step 2);
+        # term: a scaled vector
+        np.copyto(r2, b)
         y = precond.apply(r2, out=applied, scratch=scratch)
-        oldb = beta
-        beta_sq = float(np.dot(r2, y))
-        if beta_sq < 0:
+        beta1_sq = float(np.dot(r2, y))
+        if beta1_sq < 0:
             raise ValueError("preconditioner is not positive definite")
-        beta = np.sqrt(beta_sq)
+        beta1 = np.sqrt(beta1_sq)
+        trace = [beta1]
+        if beta1 == 0.0:
+            return x, SolveStats(0, 0.0, time.perf_counter() - start, True, residuals=trace)
 
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        gamma = max(np.sqrt(gbar * gbar + beta * beta), eps)
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
+        oldb = 0.0
+        beta = beta1
+        dbar = epsln = 0.0
+        phibar = beta1
+        cs, sn = -1.0, 0.0
+        w.fill(0.0)
+        w2.fill(0.0)
+        breakdown = False
+        itn = 0
+        while itn < limit:
+            itn += 1
+            np.divide(y, beta, out=v)
+            y = A(v, out=spare, scratch=scratch)
+            if itn >= 2:
+                y -= np.multiply(r1, beta / oldb, out=term)
+            alfa = float(np.dot(v, y))
+            y -= np.multiply(r2, alfa / beta, out=term)
+            r1, r2, spare = r2, y, r1
+            y = precond.apply(r2, out=applied, scratch=scratch)
+            oldb = beta
+            beta_sq = float(np.dot(r2, y))
+            if beta_sq < 0:
+                raise ValueError("preconditioner is not positive definite")
+            beta = np.sqrt(beta_sq)
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x += phi * w
-        trace.append(abs(phibar))
+            oldeps = epsln
+            delta = cs * dbar + sn * alfa
+            gbar = sn * dbar - cs * alfa
+            epsln = sn * beta
+            dbar = -cs * beta
+            gamma = max(np.sqrt(gbar * gbar + beta * beta), eps)
+            cs = gbar / gamma
+            sn = beta / gamma
+            phi = cs * phibar
+            phibar = sn * phibar
 
-        if fixed_iters is None and abs(phibar) <= tol * beta1:
-            break
-        if beta <= eps * beta1:
-            # Krylov space exhausted; converged if the residual is negligible
-            breakdown = abs(phibar) > tol * beta1
-            break
+            # w = (v - oldeps w1 - delta w2) / gamma, with w1 = w2 and w2 = w
+            # of the step before, into the vector w1 no longer needs
+            w1, w2 = w2, w
+            w = np.multiply(w1, oldeps, out=w1)
+            np.subtract(v, w, out=w)
+            w -= np.multiply(w2, delta, out=term)
+            w /= gamma
+            x += np.multiply(w, phi, out=term)
+            trace.append(abs(phibar))
+
+            if fixed_iters is None and abs(phibar) <= tol * beta1:
+                break
+            if beta <= eps * beta1:
+                # Krylov space exhausted; converged if the residual is negligible
+                breakdown = abs(phibar) > tol * beta1
+                break
 
     relres = float(abs(phibar) / beta1)
     converged = relres <= tol or (fixed_iters is not None and itn == fixed_iters)

@@ -210,6 +210,30 @@ def p1_grad(ctx, v_full: np.ndarray) -> np.ndarray:
     return per_class(v_full[ctx.mesh.triangles], ctx.class_grads)
 
 
+def p1_eval_at(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Evaluate P1 fields given on the node grid, (..., n+1, n+1), at the
+    points (x, y) of the unit square; x and y broadcast against each other.
+
+    Exact on mesh lines, so prolongation onto a nested refinement is exact.
+    The corners of each point's cell are gathered by one 2-D fancy index,
+    the reference for the row-then-column takes of `femcore.prolong`.
+    """
+    n = grid.shape[-1] - 1
+    x = np.clip(x, 0.0, 1.0) * n
+    y = np.clip(y, 0.0, 1.0) * n
+    cx = np.minimum(x.astype(np.int64), n - 1)
+    cy = np.minimum(y.astype(np.int64), n - 1)
+    xi = x - cx
+    eta = y - cy
+    v00 = grid[..., cy, cx]
+    v10 = grid[..., cy, cx + 1]
+    v01 = grid[..., cy + 1, cx]
+    v11 = grid[..., cy + 1, cx + 1]
+    lower = v00 * (1 - xi) + v10 * (xi - eta) + v11 * eta
+    upper = v00 * (1 - eta) + v11 * xi + v01 * (eta - xi)
+    return np.where(xi >= eta, lower, upper)
+
+
 def quadrature_weights(ctx) -> np.ndarray:
     """Per-point weights scaled by area, (T, Q) (a read-only view)."""
     mesh = ctx.mesh

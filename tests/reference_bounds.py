@@ -7,8 +7,9 @@ after the other.  The tests compare the batched exact-integral evaluation
 against it.  It is self-contained (its own edge-numbered RT0 helpers; of
 `fluxrecon` it takes only the `GridFlux` container) so that a change to
 `fluxrecon` cannot move both sides at once.  It reads the data as samples at
-the quadrature points (`QuadratureData`); `project` turns the same samples
-into the per-triangle projections that `evaluate_mode` reads.
+the quadrature points of one profile, scaled per part by the mode's time
+coefficients (`QuadratureData`); `project` turns the same samples into the
+per-triangle projections that `evaluate_mode` reads.
 
 It also holds the brute-force references of the bound parameters (a log-grid
 search) and of the exact per-mode costs (time quadrature of an analytic
@@ -35,11 +36,12 @@ from reference_systems import stencil_csr
 
 @dataclass
 class QuadratureData:
-    """Mode data as quadrature-point samples, stacked over the P parts: the
-    desired state y_qp (P, T, Q), or the desired gradient g_qp (P, T, Q, 2)
-    with its edge fluxes g_edge (P, E)."""
+    """Mode data as quadrature-point samples of one profile, part p being the
+    profile times coef[p] (coef (P,) the mode's time coefficients): the
+    desired state's profile y_qp (T, Q), or the desired gradient's g_qp
+    (T, Q, 2) with its edge fluxes g_edge (E,)."""
 
-    k: int
+    coef: np.ndarray
     y_qp: Optional[np.ndarray] = None
     g_qp: Optional[np.ndarray] = None
     g_edge: Optional[np.ndarray] = None
@@ -75,13 +77,14 @@ def edge_coeffs(mesh, flux: GridFlux) -> np.ndarray:
 
 
 def project(ctx, samples: QuadratureData) -> ModeData:
-    """The ModeData of `evaluate_mode` built from quadrature samples: one
-    profile per part, so its time coefficients are the identity."""
+    """The ModeData of `evaluate_mode` built from quadrature samples: the
+    profile's projections, with the same time coefficients."""
+    coef = samples.coef
     if samples.y_qp is not None:
         vert, rest = project_p1(ctx, samples.y_qp)
-        return ModeData(k=samples.k, coef=np.eye(len(vert)), rest=float(rest.sum()), y_vert=vert)
+        return ModeData(coef=coef, rest=float(coef @ coef * rest.sum()), y_vert=vert)
     mean, div, rest = project_rt0(ctx, samples.g_qp)
-    return ModeData(k=samples.k, coef=np.eye(len(mean)), rest=float(rest.sum()), g_mean=mean, g_div=div,
+    return ModeData(coef=coef, rest=float(coef @ coef * rest), g_mean=mean, g_div=div,
                     g_flux=edge_planes(ctx.mesh, samples.g_edge))
 
 
@@ -165,7 +168,7 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
     cf, mu1 = C_FRIEDRICHS, params.mu1
 
     def part(arr, j):
-        return None if arr is None or j >= len(arr) else arr[j]
+        return None if arr is None else data.coef[j] * arr
 
     sol_y_c, sol_p_c = sol.y[0], sol.p[0]
     sol_y_s, sol_p_s = (sol.y[1], sol.p[1]) if k > 0 else (None, None)

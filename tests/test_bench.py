@@ -94,7 +94,7 @@ def test_zero_data_zero_bounds(scratch):
     n = ctx.K.shape[0]
     system = build_mode_system("I", mats, 1, 1.0, 1.0, np.zeros((2, n)))
     sol = direct_solve(system, "I", 1.0, 1.0)
-    data = ModeData(k=1, coef=np.ones((2, 1)), y_vert=np.zeros((1, 2, 3, 4, 4)))
+    data = ModeData(coef=np.ones(2), y_vert=np.zeros((2, 3, 4, 4)))
     mb = evaluate_mode("I", ctx, mats, BoundParams(lam=1.0, omega=1.0), sol, data, scratch=scratch)
     assert mb.majorant == 0.0
     assert mb.minorant == 0.0
@@ -178,6 +178,16 @@ def test_grid_sweep_checks_every_grid_first(monkeypatch):
     monkeypatch.setattr(bench, "run", None)
     with pytest.raises(ValueError, match="even grid"):
         grid_sweep(ExperimentConfig(example=3), (8, 9), mode=0)
+
+
+def test_grid_sweep_rejects_overall_rows(monkeypatch, capsys):
+    # a sweep has one row per grid, so overall rows are refused before any
+    # solve, by the API and the command line with the same message
+    monkeypatch.setattr(bench, "run", None)
+    with pytest.raises(ValueError, match="--overall") as info:
+        grid_sweep(ExperimentConfig(example=1, overall=(1,)), (8, 16), 0)
+    assert main(["--example", "1", "--sweep", "8,16", "--overall", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def test_cli_parser_ranges():

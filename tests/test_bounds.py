@@ -52,33 +52,32 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
     MinRes with the paper's preconditioner, or with `surrogate_inverse` GMRES
     with A~_k^{-1}.
 
-    The data are a random P1 field (problem I) or its gradient (problem II),
-    plus `noise` times a random value at every quadrature point, which
-    leaves a remainder outside the per-triangle projections.  Returns the
-    quadrature samples of the data, with the right-hand side their loads.
+    The data are one random profile times a random (cosine, sine) pair, the
+    form of every case's data.  The profile is a random P1 field (problem I)
+    or its gradient (problem II), plus `noise` times a random value at every
+    quadrature point, which leaves a remainder outside the per-triangle
+    projections.  Returns the quadrature samples of the data, with the
+    right-hand side their loads.
     """
     ctx = FemContext(build_mesh(n))
     mats = build_matrices(ctx, sigma, nu)
     params = BoundParams(lam=lam, omega=omega, sigma=sigma, nu=nu)
-    parts = mode_parts(k)
-    shape = (parts,) + quadrature_weights(ctx).shape
+    coef = rng.standard_normal(2)[: mode_parts(k)]
+    shape = quadrature_weights(ctx).shape
     if problem == "I":
-        d = rng.standard_normal((2, ctx.mesh.num_nodes))[:parts]
-        y_qp = np.stack([p1_at_qp(ctx, v) for v in d])
+        y_qp = p1_at_qp(ctx, rng.standard_normal(ctx.mesh.num_nodes))
         if noise:
             y_qp += noise * rng.standard_normal(shape)
-        rhs = [load_from_qp(ctx.mesh, v) for v in y_qp]
-        data = QuadratureData(k=k, y_qp=y_qp)
+        load = load_from_qp(ctx.mesh, y_qp)
+        data = QuadratureData(coef, y_qp=y_qp)
     else:
-        w = rng.standard_normal((2, ctx.mesh.num_nodes))[:parts]
-        g = np.stack([p1_grad(ctx, v) for v in w])
-        g_qp = np.broadcast_to(g[:, :, None, :], shape + (2,)).copy()
+        g = p1_grad(ctx, rng.standard_normal(ctx.mesh.num_nodes))
+        g_qp = np.broadcast_to(g[:, None, :], shape + (2,)).copy()
         if noise:
             g_qp += noise * rng.standard_normal(shape + (2,))
-        rhs = [gradient_load_from_qp(ctx.mesh, v) for v in g_qp]
-        g_edge = np.stack([rt0_reconstruct(ctx.mesh, part) for part in g])
-        data = QuadratureData(k=k, g_qp=g_qp, g_edge=g_edge)
-    system = build_mode_system(problem, mats, k, lam, omega, np.stack(rhs))
+        load = gradient_load_from_qp(ctx.mesh, g_qp)
+        data = QuadratureData(coef, g_qp=g_qp, g_edge=rt0_reconstruct(ctx.mesh, g))
+    system = build_mode_system(problem, mats, k, lam, omega, np.multiply.outer(coef, load))
     if steps is None:
         sol = direct_solve(system, problem, lam, omega)
     else:
@@ -183,7 +182,7 @@ def test_scaling_covariance(scratch):
     base = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
     for s in (2.0, 10.0):
         scaled_sol = ModeSolution(k=k, y=s * sol.y, p=s * sol.p)
-        scaled_data = project(ctx, QuadratureData(k=k, y_qp=s * data.y_qp))
+        scaled_data = project(ctx, QuadratureData(s * data.coef, y_qp=data.y_qp))
         mb = evaluate_mode(problem, ctx, mats, params, scaled_sol, scaled_data, scratch=scratch)
         assert abs(mb.majorant - s**2 * base.majorant) < 1e-9 * s**2 * abs(base.majorant)
         assert abs(mb.minorant - s**2 * base.minorant) < 1e-9 * s**2 * abs(base.majorant)
@@ -305,9 +304,9 @@ def test_evaluate_mode_matches_quadrature_reference(problem, k, steps, scratch):
         new = evaluate_mode(problem, ctx, mats, params, sol, projected, scratch=scratch)
         ref = evaluate_mode_reference(problem, ctx, mats, params, sol, data)
         _assert_bounds_match(new, ref)
-        # the noise has squared norm 0.25 per part and component, most of
-        # it outside the projections
-        assert projected.rest > 0.05
+        # the noise has squared norm 0.25 per component, times the squared
+        # time coefficients, most of it outside the projections
+        assert projected.rest > 0.05 * float(data.coef @ data.coef)
 
 
 @pytest.mark.parametrize("problem", ["I", "II"])
@@ -352,8 +351,8 @@ def test_row_blocks_match_boundary_corners_problem_II(monkeypatch, rows, scratch
     p[:, n - 2] = (1.0, -2.0)  # interior node next to the lower right corner
     p[:, (n - 2) * (n - 1)] = (3.0, 0.5)  # and next to the upper left one
     sol = ModeSolution(k, y, p)
-    shape = (2,) + quadrature_weights(ctx).shape + (2,)
-    data = QuadratureData(k=k, g_qp=np.zeros(shape), g_edge=np.zeros((2, ctx.mesh.num_edges)))
+    shape = quadrature_weights(ctx).shape + (2,)
+    data = QuadratureData(np.ones(2), g_qp=np.zeros(shape), g_edge=np.zeros(ctx.mesh.num_edges))
     ref = evaluate_mode_reference("II", ctx, mats, params, sol, data)
     assert ref.residuals.r3 > 0
     _assert_bounds_match(evaluate_mode("II", ctx, mats, params, sol, project(ctx, data), scratch=scratch), ref)
@@ -378,10 +377,7 @@ def test_evaluate_mode_matches_reference_on_cases(ident, scratch):
         system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
         precond = build(mats, k, case.lam, case.omega, surrogate_inverse=False)
         sol, _ = minres(system, precond, tol=1e-10, maxiter=200, scratch=scratch)
-        coef = np.array(case.mode_pair(k))[: mode_parts(k)]
-        samples = QuadratureData(k, **{
-            name: np.multiply.outer(coef, value) for name, value in profile.items()
-        })
+        samples = QuadratureData(np.array(case.mode_pair(k))[: mode_parts(k)], **profile)
         _assert_bounds_match(
             evaluate_mode(case.problem, ctx, mats, params, sol, bind.mode_data(k), scratch=scratch),
             evaluate_mode_reference(case.problem, ctx, mats, params, sol, samples),

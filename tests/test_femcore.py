@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mhbounds.cases import make_case
 from mhbounds.femcore import (
-    QUAD_BARY, QUAD_W, SAMPLE_ROWS, FemContext, Scratch, _stencil_bands, element_matrices, p1_eval_at,
-    prolong,
+    QUAD_BARY, QUAD_W, SAMPLE_ROWS, FemContext, Scratch, _stencil_bands, element_matrices, prolong,
 )
 from mhbounds.mesh import add_cell_corners
 from mhbounds.systems import build_matrices, build_mode_system
@@ -194,10 +193,10 @@ def test_p1_eval_and_prolong(rng):
     v = rng.standard_normal(coarse.num_nodes)
     grid = v.reshape(5, 5)
     # exact at the coarse nodes themselves
-    assert np.allclose(p1_eval_at(grid, coarse.nodes[:, 0], coarse.nodes[:, 1]), v, atol=1e-14)
+    assert np.allclose(ref.p1_eval_at(grid, coarse.nodes[:, 0], coarse.nodes[:, 1]), v, atol=1e-14)
     # the fine grid's axes give its nodes, in the mesh's numbering
     w = prolong(grid, 8).ravel()
-    assert np.array_equal(w, p1_eval_at(grid, fine.nodes[:, 0], fine.nodes[:, 1]))
+    assert np.array_equal(w, ref.p1_eval_at(grid, fine.nodes[:, 0], fine.nodes[:, 1]))
     # nested prolongation preserves integrals of the field exactly
     (K_c, M_c), (K_f, M_f) = full_matrices(coarse), full_matrices(fine)
     ones_c = np.ones(coarse.num_nodes)
@@ -207,6 +206,12 @@ def test_p1_eval_and_prolong(rng):
     # stacked fields are prolonged one by one
     stacked = rng.standard_normal((2, 5, 5))
     assert np.array_equal(prolong(stacked, 8)[1], prolong(stacked[1], 8))
+    # the row-then-column takes gather what the 2-D fancy index does, also
+    # onto a grid that is not nested
+    for n, n_fine in ((8, 16), (8, 12), (64, 128)):
+        grid = rng.standard_normal((2, n + 1, n + 1))
+        axis = np.arange(n_fine + 1) * (1.0 / n_fine)
+        assert np.array_equal(prolong(grid, n_fine), ref.p1_eval_at(grid, axis[None, :], axis[:, None]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

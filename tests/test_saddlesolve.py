@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -412,6 +414,30 @@ def test_gmres_with_a_used_scratch_is_bit_equal(ctx8, rng):
         fresh, _ = minres(sysk, P, tol=1e-12, maxiter=200, scratch=Scratch())
         assert stats.converged
         assert np.array_equal(used.y, fresh.y) and np.array_equal(used.p, fresh.p)
+
+
+def test_warm_paper_mode_solve_allocates_its_solution_alone():
+    # the paper-mode MinRes takes its work vectors and the terms of its
+    # updates from the scratch, so a warm solve's traced peak is about one
+    # vector, the solution; the stale values the first solve left there
+    # do not move it
+    case = make_case(1)
+    ctx = FemContext(meshmod.build(128))
+    mats = build_matrices(ctx)
+    system = build_mode_system("I", mats, 1, case.lam, case.omega, CaseBind(case, ctx).rhs(1))
+    P = build_precond_I(mats, 1, case.lam, case.omega, surrogate_inverse=False)
+    scratch = Scratch()
+    minres(system, P, tol=1e-10, maxiter=300, scratch=scratch, fixed_iters=8)
+    tracemalloc.start()
+    try:
+        warm, stats = minres(system, P, tol=1e-10, maxiter=300, scratch=scratch, fixed_iters=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.iterations == 8
+    assert peak < 1.5 * system.rhs.nbytes
+    fresh, _ = minres(system, P, tol=1e-10, maxiter=300, scratch=Scratch(), fixed_iters=8)
+    assert np.array_equal(warm.y, fresh.y) and np.array_equal(warm.p, fresh.p)
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.1])
