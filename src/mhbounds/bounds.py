@@ -4,7 +4,9 @@ For every Fourier mode the discrete state/adjoint pair, together with
 averaged-flux reconstructions, yields a fully computable upper bound
 (majorant) and lower bound (minorant) on the optimal cost, plus an upper
 bound on the control-state discretization error in a weighted H1-type norm.
-The two free majorant parameters are optimized in closed form.
+
+The majorant holds for every pair of parameters alpha, beta > 0 and is taken
+at its infimum over both, which has a closed form (see `optimal_majorant`).
 
 The per-triangle work of a mode runs over blocks of cell rows, in buffers
 lent once per mode and reused by every block, so its memory does not grow
@@ -29,11 +31,6 @@ C_FRIEDRICHS = 1.0 / (np.sqrt(2.0) * np.pi)
 # weight (1 + ALPHA_TAIL) / 2 of the truncation remainder in the overall
 # majorant; its infimum is the limit ALPHA_TAIL -> 0
 ALPHA_TAIL = 1e-8
-# the optimized majorant parameters are clipped to [ALPHA_FLOOR, ALPHA_CAP]
-# and [ALPHA_FLOOR, BETA_CAP], so degenerate residuals stay finite
-ALPHA_FLOOR = 1e-8
-ALPHA_CAP = 1e8
-BETA_CAP = 1e8
 # cells per block of the bound evaluation: the block buffers of a k > 0 mode
 # take about 60 doubles per cell (4 MB), n=128 takes two blocks and n=1024
 # 128 of them
@@ -42,11 +39,7 @@ BOUND_CELLS = 8192
 
 @dataclass
 class BoundParams:
-    """Problem constants entering the bound formulas.
-
-    mu1 = min(nu, sigma)/sqrt(2); gamma = (1+a)(1+b) C_F^2 / (2 a mu1^2) > 0
-    for all positive parameter pairs.
-    """
+    """Problem constants entering the bound formulas; mu1 = min(nu, sigma)/sqrt(2)."""
 
     lam: float
     omega: float
@@ -61,43 +54,19 @@ class BoundParams:
     def period(self) -> float:
         return 2.0 * np.pi / self.omega
 
-    def gamma(self, alpha: float, beta: float) -> float:
-        return (1 + alpha) * (1 + beta) * C_FRIEDRICHS**2 / (2 * alpha * self.mu1**2)
 
+def optimal_majorant(misfit: float, sta: float, control_energy: float, params: BoundParams) -> float:
+    """The majorant at its optimal parameters.
 
-def majorant_form(A: float, B: float, C: float, alpha: float, beta: float,
-                  params: BoundParams, P: float) -> float:
-    """Upper-bound value at explicit parameters.
-
-    A = squared data misfit, B = flux residual norm, C = equation residual
-    norm, P = the control-energy term (parameter independent).
+    With the squared data misfit A, the state residual sta = C_F r1 + r2 and
+    the control energy P, the majorant at alpha, beta > 0 is
+    (1+alpha)/2 A + P + (1+alpha)(1+beta) C_F^2 / (2 alpha mu1^2)
+    (r2^2 + C_F^2 r1^2 / beta).  beta* = C_F r1 / r2 turns its residual term
+    into (1+alpha)/alpha H with H = (C_F sta / mu1)^2 / 2, and
+    alpha* = sqrt(2 H / A) leaves P + 1/2 (sqrt(A) + C_F sta / mu1)^2, the
+    infimum, which is also the limit where A, r1 or r2 is zero.
     """
-    return (1 + alpha) / 2 * A + P + params.gamma(alpha, beta) * (B**2 + C_FRIEDRICHS**2 / beta * C**2)
-
-
-def optimize_majorant_params(A: float, B: float, C: float, params: BoundParams) -> tuple[float, float]:
-    """Closed-form minimizer of the upper bound over both parameters.
-
-    beta* = C_F C / B makes the weighted residual combination collapse to
-    (B + C_F C)^2; alpha* = sqrt(2 H / A) balances the misfit against the
-    residual term H.  Degenerate inputs are clipped to ALPHA_FLOOR and the
-    caps so the evaluation stays finite.
-    """
-    cf = C_FRIEDRICHS
-    if B > 0 and C > 0:
-        beta = cf * C / B
-    else:
-        beta = BETA_CAP if B == 0 else ALPHA_FLOOR
-    beta = float(np.clip(beta, ALPHA_FLOOR, BETA_CAP))
-    H = cf**2 * (B + cf * C) ** 2 / (2 * params.mu1**2)
-    if A > 0 and H > 0:
-        alpha = np.sqrt(2 * H / A)
-    elif H == 0:
-        alpha = ALPHA_FLOOR
-    else:
-        alpha = ALPHA_CAP
-    alpha = float(np.clip(alpha, ALPHA_FLOOR, ALPHA_CAP))
-    return alpha, beta
+    return control_energy + 0.5 * (np.sqrt(misfit) + C_FRIEDRICHS / params.mu1 * sta) ** 2
 
 
 @dataclass
@@ -142,11 +111,8 @@ class ModeBounds:
     """Bound evaluation of a single mode."""
 
     k: int
-    problem: str
     minorant: float
     majorant: float
-    alpha: float
-    beta: float
     residuals: ResidualSet
     misfit: float
     control_energy: float
@@ -382,7 +348,7 @@ def evaluate_mode(
     data: ModeData,
     scratch: Scratch,
 ) -> ModeBounds:
-    """Residuals, optimized majorant, minorant and error majorant of mode k.
+    """Residuals, majorant, minorant and error majorant of mode k.
 
     The cosine and sine parts are evaluated together, stacked on a leading
     axis.  Residuals that are piecewise polynomial (P1 or RT0 per triangle)
@@ -421,9 +387,6 @@ def evaluate_mode(
     # orientation under which the term vanishes at the discrete solution.
     mixed = quad - bilin if problem == "I" else quad + bilin
 
-    alpha, beta = optimize_majorant_params(misfit, res.r2, res.r1, params)
-    majorant = majorant_form(misfit, res.r2, res.r1, alpha, beta, params, P=control_energy)
-
     adj = cf * res.r3 + res.r4
     sta = cf * res.r1 + res.r2
     minorant = (
@@ -436,11 +399,8 @@ def evaluate_mode(
 
     return ModeBounds(
         k=k,
-        problem=problem,
         minorant=minorant,
-        majorant=majorant,
-        alpha=alpha,
-        beta=beta,
+        majorant=optimal_majorant(misfit, sta, control_energy, params),
         residuals=res,
         misfit=misfit,
         control_energy=control_energy,

@@ -254,7 +254,9 @@ class CaseBind:
         else:
             self.gload_v, (self.v_mean, self.v_div), self.rest = ctx.project_data(
                 case.spatial_vector, vector=True)
-            if case.ident == 6:
+            if case.analytic_modes:
+                # indicator data jump on edges: average the flux from the
+                # centroid values
                 field = ctx.vector_data_at_centroids(case.spatial_vector)
                 self.v_flux = fluxrecon.grid_average(mesh, field)
             else:

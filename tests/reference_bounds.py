@@ -11,9 +11,10 @@ the quadrature points of one profile, scaled per part by the mode's time
 coefficients (`QuadratureData`); `project` turns the same samples into the
 per-triangle projections that `evaluate_mode` reads.
 
-It also holds the brute-force references of the bound parameters (a log-grid
-search) and of the exact per-mode costs (time quadrature of an analytic
-optimal pair).
+It also holds the majorant at explicit parameters alpha, beta, with their
+textbook minimizers, against which `bounds.optimal_majorant` is checked, the
+brute-force reference of those parameters (a log-grid search) and that of the
+exact per-mode costs (time quadrature of an analytic optimal pair).
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from mhbounds.bounds import (
-    C_FRIEDRICHS, ModeBounds, ModeData, ResidualSet, majorant_form, optimize_majorant_params,
-)
+from mhbounds.bounds import C_FRIEDRICHS, ModeBounds, ModeData, ResidualSet
 from mhbounds.fluxrecon import GridFlux
 from mhbounds.timefourier import sample_periodic
 from reference_assembly import (
@@ -233,8 +232,8 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
         quad += float(sol_p_s @ (M @ sol_p_s)) / lam
     mixed = quad - bilin if problem == "I" else quad + bilin
 
-    alpha, beta = optimize_majorant_params(misfit, res.r2, res.r1, params)
-    majorant = majorant_form(misfit, res.r2, res.r1, alpha, beta, params, P=control_energy)
+    alpha, beta = optimal_parameters(misfit, res.r1, res.r2, params)
+    majorant = majorant_form(misfit, res.r1, res.r2, alpha, beta, params, P=control_energy)
 
     adj = cf * res.r3 + res.r4
     sta = cf * res.r1 + res.r2
@@ -247,22 +246,54 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
     )
     m1_extra = 3 * lam / (4 * cf**2) * sta**2
     return ModeBounds(
-        k=k, problem=problem, minorant=minorant, majorant=majorant,
-        alpha=alpha, beta=beta, residuals=res, misfit=misfit,
+        k=k, minorant=minorant, majorant=majorant, residuals=res, misfit=misfit,
         control_energy=control_energy, mixed=mixed, m1_extra=m1_extra,
     )
 
 
-# -- brute-force references of the bound parameters and the exact costs ------
+# -- the majorant at explicit parameters, and its brute-force minimum --------
 
 
-def grid_search_alpha_beta(A, B, C, params, P: float = 0.0, points: int = 40):
-    """Minimize the parameterized upper-bound form over a log-spaced grid."""
+def _times(weight, x):
+    """weight * x, with 0 * inf = 0 * nan = 0: where a parameter's textbook
+    value is 0, inf or 0/0, the term it weights is zero."""
+    return weight * x if x else 0.0
+
+
+def _inverse(x):
+    return 1 / x if x else np.inf
+
+
+def majorant_form(A, r1, r2, alpha, beta, params, P: float = 0.0) -> float:
+    """The majorant at parameters alpha, beta in [0, inf], continued to the
+    ends of that range by its limits.
+
+    A = squared data misfit, r1 = equation residual norm, r2 = flux residual
+    norm, P = the control energy:
+    (1+alpha)/2 A + P + (1+alpha)(1+beta) C_F^2 / (2 alpha mu1^2)
+    (r2^2 + C_F^2 r1^2 / beta).
+    """
+    weight = C_FRIEDRICHS**2 / (2 * params.mu1**2)
+    residual = _times(1 + beta, r2**2) + _times(1 + _inverse(beta), C_FRIEDRICHS**2 * r1**2)
+    return P + _times((1 + alpha) / 2, A) + weight * _times(1 + _inverse(alpha), residual)
+
+
+def optimal_parameters(A, r1, r2, params) -> tuple[float, float]:
+    """The textbook minimizers of `majorant_form`: beta* = C_F r1 / r2 and
+    alpha* = sqrt(2 H / A), H = C_F^2 (C_F r1 + r2)^2 / (2 mu1^2); a zero
+    denominator gives inf, and 0/0 nan."""
+    H = C_FRIEDRICHS**2 * (C_FRIEDRICHS * r1 + r2) ** 2 / (2 * params.mu1**2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(np.float64(2 * H) / A), np.float64(C_FRIEDRICHS * r1) / r2
+
+
+def grid_search_alpha_beta(A, r1, r2, params, P: float = 0.0, points: int = 40):
+    """Minimize `majorant_form` over a log-spaced grid."""
     grid = np.logspace(-6.0, 6.0, points)
     best = (np.inf, None, None)
     for a in grid:
         for b in grid:
-            val = majorant_form(A, B, C, a, b, params, P=P)
+            val = majorant_form(A, r1, r2, a, b, params, P=P)
             if val < best[0]:
                 best = (val, a, b)
     return best[1], best[2], best[0]

@@ -12,7 +12,7 @@ import pytest
 
 from mhbounds import fluxrecon, mesh as meshmod
 from mhbounds.bench import ExperimentConfig, run
-from mhbounds.bounds import BoundParams, majorant_form, optimize_majorant_params
+from mhbounds.bounds import C_FRIEDRICHS, BoundParams, optimal_majorant
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
@@ -240,10 +240,9 @@ def test_criterion_7e_closed_form_optimal():
     rng = np.random.default_rng(9)
     worst = -np.inf
     for _ in range(100):
-        A, B, C = rng.uniform(0.001, 1000.0, size=3)
-        alpha, beta = optimize_majorant_params(A, B, C, params)
-        ours = majorant_form(A, B, C, alpha, beta, params, P=0.0)
-        _, _, grid_best = grid_search_alpha_beta(A, B, C, params)
+        A, r1, r2 = rng.uniform(0.001, 1000.0, size=3)
+        ours = optimal_majorant(A, C_FRIEDRICHS * r1 + r2, 0.0, params)
+        _, _, grid_best = grid_search_alpha_beta(A, r1, r2, params)
         worst = max(worst, (ours - grid_best) / grid_best)
         assert ours <= grid_best * (1 + 1e-10)
     _line("c7e closed form beats 40x40 grid", True, f"worst margin {worst:.2e}")

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mhbounds import bounds, fluxrecon, mesh as meshmod
+from mhbounds.bench import ExperimentConfig, run
 from mhbounds.bounds import (
-    ALPHA_FLOOR,
     ALPHA_TAIL,
-    BETA_CAP,
     C_FRIEDRICHS,
     BoundParams,
     _rt0_norm2,
@@ -17,8 +16,7 @@ from mhbounds.bounds import (
     efficiency_indices,
     evaluate_mode,
     m1_index,
-    majorant_form,
-    optimize_majorant_params,
+    optimal_majorant,
 )
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext, Scratch
@@ -26,7 +24,8 @@ from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import ModeSolution, build_matrices, build_mode_system, mode_parts
 from reference_assembly import build_mesh, gradient_load_from_qp, load_from_qp, p1_at_qp, p1_grad, quadrature_weights
 from reference_bounds import (
-    QuadratureData, evaluate_mode_reference, grid_search_alpha_beta, project, rt0_from_callable, rt0_reconstruct,
+    QuadratureData, evaluate_mode_reference, grid_search_alpha_beta, majorant_form, optimal_parameters, project,
+    rt0_from_callable, rt0_reconstruct,
 )
 from reference_systems import direct_solve
 
@@ -87,45 +86,41 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
     return ctx, mats, params, sol, data
 
 
+def _closed_form(A, r1, r2, params, P):
+    return optimal_majorant(A, C_FRIEDRICHS * r1 + r2, P, params)
+
+
 def test_closed_form_beats_grid_search(rng):
+    # the closed form lies below the explicit-parameter form at every point
+    # of the 40 x 40 log grid and at alpha = beta = 1
     params = _params()
     for _ in range(25):
-        A, B, C = rng.uniform(0.01, 100.0, size=3)
-        alpha, beta = optimize_majorant_params(A, B, C, params)
-        ours = majorant_form(A, B, C, alpha, beta, params, P=0.0)
-        _, _, best = grid_search_alpha_beta(A, B, C, params)
-        assert ours <= best * (1 + 1e-10)
+        A, r1, r2, P = rng.uniform(0.0, 100.0, size=4)
+        ours = _closed_form(A, r1, r2, params, P)
+        assert ours <= grid_search_alpha_beta(A, r1, r2, params, P)[2] * (1 + 1e-13)
+        assert ours <= majorant_form(A, r1, r2, 1.0, 1.0, params, P) * (1 + 1e-13)
 
 
-def test_closed_form_beats_unit_parameters(rng):
+def test_closed_form_attains_reference_at_optimum(rng):
+    # at the textbook minimizers alpha*, beta* the explicit form equals the
+    # closed form, over inputs spanning 16 orders of magnitude
+    for _ in range(200):
+        params = _params(nu=float(rng.uniform(0.5, 2.0)), sigma=float(rng.uniform(0.5, 2.0)))
+        A, r1, r2, P = 10 ** rng.uniform(-8, 8, size=4)
+        ref = majorant_form(A, r1, r2, *optimal_parameters(A, r1, r2, params), params, P)
+        assert abs(_closed_form(A, r1, r2, params, P) - ref) <= 1e-13 * ref
+
+
+def test_closed_form_limits():
+    # a zero misfit, flux residual or equation residual, or all three, give
+    # the explicit form's limit at its textbook parameters (inf, or 0/0),
+    # and with all three zero exactly the control energy
     params = _params()
-    for _ in range(100):
-        A, B, C = rng.uniform(0.0, 50.0, size=3)
-        alpha, beta = optimize_majorant_params(A, B, C, params)
-        opt = majorant_form(A, B, C, alpha, beta, params, P=0.0)
-        assert opt <= majorant_form(A, B, C, 1.0, 1.0, params, P=0.0) + 1e-12
-
-
-def test_parameter_guards():
-    params = _params()
-    # no flux residual: the beta -> infinity limit value is attained
-    alpha, beta = optimize_majorant_params(2.0, 0.0, 3.0, params)
-    assert beta == BETA_CAP
-    value = majorant_form(2.0, 0.0, 3.0, alpha, beta, params, P=0.0)
-    H = C_FRIEDRICHS**4 * 9.0 / (2 * params.mu1**2)
-    limit = 1.0 + np.sqrt(2 * H * 2.0) + H
-    assert abs(value - limit) < 1e-5 * limit
-    # everything zero: alpha pinned at the floor, value reduces to P
-    alpha, beta = optimize_majorant_params(0.0, 0.0, 0.0, params)
-    assert alpha == ALPHA_FLOOR
-    assert majorant_form(0.0, 0.0, 0.0, alpha, beta, params, P=7.0) == 7.0
-
-
-def test_gamma_positive(rng):
-    params = _params()
-    for _ in range(50):
-        a, b = 10 ** rng.uniform(-6, 6, size=2)
-        assert params.gamma(a, b) > 0
+    for A, r1, r2 in ((0.0, 3.0, 2.0), (2.0, 3.0, 0.0), (2.0, 0.0, 3.0), (0.0, 3.0, 0.0), (0.0, 0.0, 0.0)):
+        ours = _closed_form(A, r1, r2, params, P=7.0)
+        ref = majorant_form(A, r1, r2, *optimal_parameters(A, r1, r2, params), params, P=7.0)
+        assert np.isfinite(ours) and abs(ours - ref) <= 1e-15 * ref, (A, r1, r2)
+    assert _closed_form(0.0, 0.0, 0.0, params, P=7.0) == 7.0
 
 
 def test_flux_residual_grows_under_perturbation(ctx8, rng):
@@ -266,7 +261,7 @@ def _assert_bounds_match(new, ref, rtol=1e-12):
     them, equals `ref` to rtol, relative to the size of the terms a value is
     summed from (the mixed term and the minorant cancel to near zero at a
     converged solution)."""
-    assert (new.k, new.problem) == (ref.k, ref.problem)
+    assert new.k == ref.k
     mixed_scale = abs(ref.mixed) + 2 * ref.control_energy
     minorant_scale = max(0.5 * ref.misfit + ref.control_energy + mixed_scale, abs(ref.majorant))
     scales = {
@@ -274,8 +269,7 @@ def _assert_bounds_match(new, ref, rtol=1e-12):
         "minorant": minorant_scale,
         "m1": minorant_scale + abs(_m1(ref)),
     }
-    for name in ("minorant", "majorant", "alpha", "beta", "misfit", "control_energy",
-                 "mixed", "m1", "m1_extra"):
+    for name in ("minorant", "majorant", "misfit", "control_energy", "mixed", "m1", "m1_extra"):
         a, b = (_m1(mb) if name == "m1" else getattr(mb, name) for mb in (new, ref))
         scale = max(abs(b), scales.get(name, 0.0))
         assert abs(a - b) <= rtol * scale, (name, a, b)
@@ -450,3 +444,18 @@ def test_sandwich_problem_II_after_one_step():
     # (about 5.2e3) lies below the analytic optimal cost (about 9.4e3)
     mb, exact = _stopped_bounds(4, 32, 0, 1)
     assert mb.minorant <= exact <= mb.majorant
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: aggregate adds half the truncation remainder to the "
+    "overall minorant, but the tail modes' optimal cost is only known to lie "
+    "between 0 and half the remainder",
+)
+@pytest.mark.parametrize("ident", [4, 5])
+def test_overall_minorant_below_optimal_cost_at_small_truncation(ident):
+    # at n=32 the overall minorant of example 4 is 1.37 (N=0) and 1.09 (N=1)
+    # times the analytic optimal cost, that of example 5 1.33 and 1.04
+    rep = run(ExperimentConfig(example=ident, grid=32, modes=(0, 1), overall=(0, 1)))
+    exact = make_case(ident).overall_reference()
+    assert all(row.minorant <= exact for row in rep.overall_rows)

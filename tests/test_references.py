@@ -34,20 +34,20 @@ def test_dense_solve(ctx2, ctx8):
 
 def test_grid_search_zero_flux_residual():
     params = BoundParams(lam=0.1, omega=1.0)
-    A, B, C = 2.0, 0.0, 3.0
-    alpha, beta, value = grid_search_alpha_beta(A, B, C, params)
+    A, r1, r2 = 2.0, 3.0, 0.0
+    alpha, beta, value = grid_search_alpha_beta(A, r1, r2, params)
     assert beta == 1e6  # at the grid maximum
     # at the returned alpha, the beta -> infinity limit of the form
     limit = (1 + alpha) / 2 * A + (1 + alpha) / (2 * alpha * params.mu1**2) * (
         C_FRIEDRICHS**2
-    ) ** 2 * C**2
+    ) ** 2 * r1**2
     assert abs(value - limit) < 1e-6 * limit
 
 
 def test_grid_search_argmin_scaling_invariance():
     params = BoundParams(lam=0.1, omega=1.0)
-    a1, b1, _ = grid_search_alpha_beta(2.0, 1.0, 3.0, params)
-    a2, b2, _ = grid_search_alpha_beta(2.0 * 25, 5.0, 15.0, params)
+    a1, b1, _ = grid_search_alpha_beta(2.0, 3.0, 1.0, params)
+    a2, b2, _ = grid_search_alpha_beta(2.0 * 25, 15.0, 5.0, params)
     assert a1 == a2 and b1 == b2
 
 
