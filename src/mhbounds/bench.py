@@ -73,8 +73,8 @@ class ExperimentConfig:
         errors = []
         if self.example not in range(1, 7):
             errors.append(f"example must be 1..6, got {self.example}")
-        if self.grid < 1:
-            errors.append("grid must be positive")
+        if self.grid < 2:
+            errors.append(f"grid must be at least 2, got {self.grid}: a smaller grid has no interior node")
         if self.example in (3, 6) and self.grid % 2:
             errors.append("examples 3 and 6 need an even grid")
         if self.example in (3, 6) and self.nref is not None and self.nref % 2:

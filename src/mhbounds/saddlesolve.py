@@ -39,9 +39,10 @@ from .femcore import Scratch
 from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_coefficients, mode_parts
 
 # Basis vectors GMRES keeps before it restarts from the true residual.  The
-# basis and its preconditioned images are its largest memory, at most
-# 1.1 GB for a k > 0 mode at n=1024; no solve measured so far (random data,
-# lambda down to 1e-4) takes more than 14 steps, so none restarts.
+# basis and its preconditioned images are its largest memory: a full cycle
+# holds 17 basis vectors and 16 images, 33 vectors of 33.5 MB or 1.1 GB for
+# a k > 0 mode at n=1024; no solve measured so far (random data, lambda
+# down to 1e-4) takes more than 14 steps, so none restarts.
 GMRES_RESTART = 16
 
 
@@ -67,8 +68,9 @@ class SpectralPrecond:
     scale a plane and each coupling matrix (Q, Q).  Without coupling terms
     it is the paper's positive definite block-diagonal kind (`definite`,
     for MinRes).  Both transforms run in place, the first on a copy of the
-    input lent by the scratch, the second on the output, so an apply
-    allocates nothing.
+    input lent by the scratch, the second on the output, and only the
+    coupling terms take a second lent vector, so an apply allocates
+    nothing.
     """
 
     def __init__(self, diag: np.ndarray, coefs: tuple = (), scales: tuple = ()):
@@ -79,16 +81,18 @@ class SpectralPrecond:
     def apply(self, r: np.ndarray, out: np.ndarray, scratch: Scratch) -> np.ndarray:
         """P r, written to `out` (C-contiguous, not overlapping r)."""
         shape = self._parts_shape
-        with scratch.lend(shape, shape) as (coef, work):
+        with scratch.lend(shape) as (coef,):
             np.copyto(coef, r.reshape(shape))
             _dst_in_place(coef)
             product = out.reshape(shape)
             np.multiply(self.diag, coef, out=product)
-            flat, terms = coef.reshape(shape[0], -1), work.reshape(shape[0], -1)
-            for block, scale in zip(self.coefs, self.scales):
-                np.matmul(block, flat, out=terms)
-                work *= scale
-                product -= work
+            if self.coefs:
+                with scratch.lend(shape) as (work,):
+                    flat, terms = coef.reshape(shape[0], -1), work.reshape(shape[0], -1)
+                    for block, scale in zip(self.coefs, self.scales):
+                        np.matmul(block, flat, out=terms)
+                        work *= scale
+                        product -= work
             _dst_in_place(product)
         return out
 
@@ -243,9 +247,12 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
     An invariant Krylov space (h_{j+1,j} = 0) ends the solve; it is a
     breakdown only if the residual is not small.
 
-    The basis vectors v_j and their images z_j are lent by `scratch`, one
-    pair (v_j, z_j) per step, as the steps need them, and kept for the next
-    cycle; only x is new.
+    Every work vector is lent by `scratch` only while it is live: step j
+    lends z_j as it applies the preconditioner and v_{j+1} as the product
+    that becomes it, both kept for the next cycle, and the vector taking
+    the scaled terms of the Gram-Schmidt and x updates is lent around them
+    alone.  So an s-step cycle holds v_0..v_s and z_0..z_{s-1}, and only x
+    is new.
     """
     start = time.perf_counter()
     dim = b.shape[0]
@@ -262,19 +269,18 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
     itn = 0
     invariant = False
     with ExitStack() as held:
-        pairs = []
+        basis, images = [], []
 
-        def pair(j: int) -> np.ndarray:
-            """(v_j, z_j), (2, dim)."""
-            while len(pairs) <= j:
-                pairs.append(held.enter_context(scratch.lend((2, dim)))[0])
-            return pairs[j]
+        def held_vector(vectors: list, j: int) -> np.ndarray:
+            """vectors[j], lent for the rest of the solve the first time a step
+            needs it."""
+            if j == len(vectors):
+                vectors.append(held.enter_context(scratch.lend((dim,)))[0])
+            return vectors[j]
 
-        # `scaled` takes the in-place vector updates, so no step allocates one
-        (scaled,) = held.enter_context(scratch.lend((dim,)))
-        np.copyto(pair(0)[0], b)  # the first residual
+        np.copyto(held_vector(basis, 0), b)  # the first residual
         while itn < limit and not invariant:
-            pair(0)[0] /= rnorm
+            basis[0] /= rnorm
             # the Hessenberg matrix, reduced to upper triangular by the rotations
             R = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
             cs, sn = np.zeros(GMRES_RESTART), np.zeros(GMRES_RESTART)
@@ -282,16 +288,17 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
             g[0] = rnorm
             j = 0
             while j < GMRES_RESTART and itn < limit:
-                v, z = pair(j)
-                precond.apply(v, out=z, scratch=scratch)
-                w = pair(j + 1)[0]
+                z = held_vector(images, j)
+                precond.apply(basis[j], out=z, scratch=scratch)
+                w = held_vector(basis, j + 1)
                 A(z, out=w, scratch=scratch)
                 wnorm = np.linalg.norm(w)
                 h = R[:, j]
-                for i in range(j + 1):
-                    v = pairs[i][0]
-                    h[i] = np.dot(v, w)
-                    w -= np.multiply(v, h[i], out=scaled)
+                # `scaled` takes the in-place updates, so no step allocates one
+                with scratch.lend((dim,)) as (scaled,):
+                    for i, v in enumerate(basis[: j + 1]):
+                        h[i] = np.dot(v, w)
+                        w -= np.multiply(v, h[i], out=scaled)
                 h[j + 1] = np.linalg.norm(w)
                 for i in range(j):
                     h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
@@ -310,10 +317,11 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
                 if j < GMRES_RESTART and itn < limit:
                     w /= next_norm
             coef = np.linalg.solve(R[:j, :j], g[:j])
-            for (_, z), c in zip(pairs[:j], coef):
-                x += np.multiply(z, c, out=scaled)
+            with scratch.lend((dim,)) as (scaled,):
+                for z, c in zip(images[:j], coef):
+                    x += np.multiply(z, c, out=scaled)
             # the true residual b - A x, as the next cycle's first vector
-            r = pair(0)[0]
+            r = basis[0]
             A(x, out=r, scratch=scratch)
             np.subtract(b, r, out=r)
             rnorm = float(np.linalg.norm(r))

@@ -412,6 +412,9 @@ def _stopped_bounds(ident, n, k, steps, surrogate_inverse=False):
     steps=st.integers(0, 8),
     surrogate_inverse=st.booleans(),
 )
+# the zero iterate on the smallest grid with an interior node
+@example(ident=1, n=2, k=0, steps=0, surrogate_inverse=False)
+@example(ident=2, n=2, k=0, steps=0, surrogate_inverse=False)
 def test_sandwich_any_iterate_problem_I(ident, n, k, steps, surrogate_inverse):
     mb, exact = _stopped_bounds(ident, n, k, steps, surrogate_inverse)
     assert mb.minorant <= exact <= mb.majorant

@@ -1,4 +1,7 @@
 import tracemalloc
+from contextlib import contextmanager
+from math import prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import scipy.sparse as sp
 
 from mhbounds import mesh as meshmod
 from mhbounds import saddlesolve
-from mhbounds.bench import ExperimentConfig, _Solver, run
+from mhbounds.bench import ExperimentConfig, _Solver, main, run
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext, Scratch
 from mhbounds.saddlesolve import (
@@ -370,12 +373,26 @@ def test_precond_II_family1_mode0_converges(rng, scratch):
 
 
 @pytest.mark.parametrize("example", [1, 4])
-@pytest.mark.parametrize("grid", [1, 2])
+@pytest.mark.parametrize("grid", [2, 3])
 def test_run_on_tiny_grids(example, grid):
     rep = run(ExperimentConfig(example=example, grid=grid, modes=(0, 1)))
     assert len(rep.rows) == 2
     for row in rep.rows:
         assert np.isfinite(row.minorant) and np.isfinite(row.majorant)
+
+
+@pytest.mark.parametrize("example", [1, 4])
+def test_grid_one_is_rejected(example, capsys):
+    # a 1x1 grid has no interior node, so y = p = 0 and the quadrature of
+    # the data alone sets the bounds (for example 1 a minorant above J*):
+    # the configuration, run and the command line refuse it alike
+    config = ExperimentConfig(example=example, grid=1, modes=(0, 1))
+    message = "grid must be at least 2, got 1: a smaller grid has no interior node"
+    assert config.validate() == [message]
+    with pytest.raises(ValueError, match=message):
+        run(config)
+    assert main(["--example", str(example), "--grid", "1", "--modes", "0,1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -416,28 +433,110 @@ def test_gmres_with_a_used_scratch_is_bit_equal(ctx8, rng):
         assert np.array_equal(used.y, fresh.y) and np.array_equal(used.p, fresh.p)
 
 
+class RecordingScratch(Scratch):
+    """A scratch that counts the floats it has lent and the most lent at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.lent = self.peak = 0
+
+    @contextmanager
+    def lend(self, *shapes):
+        size = sum(prod(shape) for shape in shapes)
+        with super().lend(*shapes) as views:
+            self.lent += size
+            self.peak = max(self.peak, self.lent)
+            try:
+                yield views
+            finally:
+                self.lent -= size
+
+
+def _example1_mode1(n: int, surrogate_inverse: bool):
+    """Example 1's mode 1 system on an n x n grid, and its preconditioner."""
+    case = make_case(1)
+    ctx = FemContext(meshmod.build(n))
+    mats = build_matrices(ctx)
+    system = build_mode_system("I", mats, 1, case.lam, case.omega, CaseBind(case, ctx).rhs(1))
+    return system, build_precond_I(mats, 1, case.lam, case.omega, surrogate_inverse=surrogate_inverse)
+
+
+def test_gmres_lends_each_vector_while_it_is_live():
+    # an s-step cycle holds v_0..v_s and z_0..z_{s-1}; step j lends z_j for
+    # its apply, and the scaled updates and the transients of one apply or
+    # one stencil product come and go on top
+    system, P = _example1_mode1(32, surrogate_inverse=True)
+    dim = system.rhs.size
+    one_apply, one_product = RecordingScratch(), RecordingScratch()
+    P.apply(system.rhs, out=np.empty(dim), scratch=one_apply)
+    system.matrix(system.rhs, out=np.empty(dim), scratch=one_product)
+    assert one_apply.peak == 2 * dim
+    held_at_apply, images, held_at_product = [], set(), []
+
+    def apply(r, out, scratch):
+        held_at_apply.append(scratch.lent)
+        images.add(out.ctypes.data)
+        return P.apply(r, out=out, scratch=scratch)
+
+    def product(v, out, scratch):
+        held_at_product.append(scratch.lent)
+        return system.matrix(v, out=out, scratch=scratch)
+
+    scratch = RecordingScratch()
+    x, stats = gmres_raw(product, system.rhs, SimpleNamespace(apply=apply), 1e-10, 200, None, scratch)
+    s = stats.iterations
+    assert stats.converged and s >= 2
+    assert len(images) == s
+    assert held_at_apply == [(2 * j + 2) * dim for j in range(s)]
+    # the last product is the true residual, after the x update
+    assert held_at_product[-1] == (2 * s + 1) * dim
+    assert scratch.peak <= (2 * s + 1) * dim + max(one_apply.peak, one_product.peak)
+    assert scratch.lent == 0
+    fresh, _ = gmres_raw(system.matrix, system.rhs, P, 1e-10, 200, None, Scratch())
+    assert np.array_equal(x, fresh)
+
+
+def test_definite_apply_lends_one_vector():
+    # the paper's block-diagonal preconditioners have no coupling terms to
+    # gather, so an apply lends the transform's copy of its input alone
+    system, P = _example1_mode1(32, surrogate_inverse=False)
+    scratch = RecordingScratch()
+    P.apply(system.rhs, out=np.empty(system.rhs.size), scratch=scratch)
+    assert scratch.peak == system.rhs.size
+
+
+def _assert_warm_solve_allocates_its_solution_alone(surrogate_inverse, fixed_iters):
+    """A second solve of example 1's mode 1 at n=128 in the scratch of the
+    first traces less than 1.5 vectors, and equals a fresh-scratch solve
+    bit for bit."""
+    system, P = _example1_mode1(128, surrogate_inverse)
+    scratch = Scratch()
+    minres(system, P, tol=1e-10, maxiter=300, scratch=scratch, fixed_iters=fixed_iters)
+    tracemalloc.start()
+    try:
+        warm, stats = minres(system, P, tol=1e-10, maxiter=300, scratch=scratch, fixed_iters=fixed_iters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.converged
+    assert peak < 1.5 * system.rhs.nbytes
+    fresh, _ = minres(system, P, tol=1e-10, maxiter=300, scratch=Scratch(), fixed_iters=fixed_iters)
+    assert np.array_equal(warm.y, fresh.y) and np.array_equal(warm.p, fresh.p)
+    return stats
+
+
 def test_warm_paper_mode_solve_allocates_its_solution_alone():
     # the paper-mode MinRes takes its work vectors and the terms of its
     # updates from the scratch, so a warm solve's traced peak is about one
     # vector, the solution; the stale values the first solve left there
     # do not move it
-    case = make_case(1)
-    ctx = FemContext(meshmod.build(128))
-    mats = build_matrices(ctx)
-    system = build_mode_system("I", mats, 1, case.lam, case.omega, CaseBind(case, ctx).rhs(1))
-    P = build_precond_I(mats, 1, case.lam, case.omega, surrogate_inverse=False)
-    scratch = Scratch()
-    minres(system, P, tol=1e-10, maxiter=300, scratch=scratch, fixed_iters=8)
-    tracemalloc.start()
-    try:
-        warm, stats = minres(system, P, tol=1e-10, maxiter=300, scratch=scratch, fixed_iters=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    stats = _assert_warm_solve_allocates_its_solution_alone(surrogate_inverse=False, fixed_iters=8)
     assert stats.iterations == 8
-    assert peak < 1.5 * system.rhs.nbytes
-    fresh, _ = minres(system, P, tol=1e-10, maxiter=300, scratch=Scratch(), fixed_iters=8)
-    assert np.array_equal(warm.y, fresh.y) and np.array_equal(warm.p, fresh.p)
+
+
+def test_warm_gmres_solve_allocates_its_solution_alone():
+    # so do the GMRES basis, its images and the scaled updates
+    _assert_warm_solve_allocates_its_solution_alone(surrogate_inverse=True, fixed_iters=None)
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.1])
