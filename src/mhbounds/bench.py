@@ -67,7 +67,6 @@ class ExperimentConfig:
     nref: int | None = None
     reference: str = "auto"  # auto | analytic | fine | none
     workers: int = 1
-    out: str | None = None
 
     def validate(self) -> list[str]:
         errors = []
@@ -324,12 +323,6 @@ def run(config: ExperimentConfig) -> BoundsReport:
         report.overall_rows.append(
             _overall_row(case, params, reports, n_trunc, kind)
         )
-    if config.out:
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        stem = f"example{config.example}_n{config.grid}"
-        write_csv(report, out / f"{stem}.csv")
-        write_markdown(report, out / f"{stem}.md")
     return report
 
 
@@ -369,7 +362,7 @@ def _overall_row(case, params, reports, n_trunc, ref_kind) -> TableRow:
 
 
 def _sweep_configs(config: ExperimentConfig, grids, mode: int) -> list[ExperimentConfig]:
-    return [replace(config, grid=n, modes=(mode,), overall=(), out=None) for n in grids]
+    return [replace(config, grid=n, modes=(mode,), overall=()) for n in grids]
 
 
 def _errors(configs) -> list[str]:
@@ -499,7 +492,6 @@ def main(argv=None) -> int:
         nref=args.nref,
         reference=args.reference,
         workers=args.workers,
-        out=args.out,
     )
     # a sweep replaces the grid, so every swept grid is checked instead
     if args.sweep and config.modes:
@@ -514,18 +506,23 @@ def main(argv=None) -> int:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)
         return 2
+    out = Path(args.out) if args.out else None
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
     try:
         if args.sweep:
             rows = grid_sweep(config, args.sweep, mode=config.modes[0])
-            if args.out:
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
+            if out:
                 write_csv(rows, out / f"example{args.example}_sweep.csv")
             for row in rows:
                 print(row.label, f"min={row.minorant:.4e}", f"maj={row.majorant:.4e}",
                       f"ratio={row.ieff_ratio:.3f}")
         else:
             report = run(config)
+            if out:
+                stem = f"example{args.example}_n{args.grid}"
+                write_csv(report, out / f"{stem}.csv")
+                write_markdown(report, out / f"{stem}.md")
             for row in report.all_rows:
                 print(row.label, f"min={row.minorant:.4e}", f"maj={row.majorant:.4e}",
                       f"ratio={row.ieff_ratio:.3f}",

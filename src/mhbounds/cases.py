@@ -98,7 +98,9 @@ def box_mode_coefficient(k: int) -> float:
 
 @dataclass(frozen=True)
 class ExampleCase:
-    """One benchmark data set with its parameters and reference machinery."""
+    """One benchmark data set with its parameters and reference machinery;
+    its data are time_factor(t) times `profile`(x, y), which returns the pair
+    of components of a desired gradient for problem II."""
 
     ident: int
     problem: str
@@ -106,8 +108,7 @@ class ExampleCase:
     omega: float
     time_factor: Callable
     analytic_modes: bool  # closed-form time coefficients (indicator data)
-    spatial_scalar: Optional[Callable] = None
-    spatial_vector: Optional[Callable] = None
+    profile: Callable
     spatial_norm2: float = 0.25
     eigen_kappa: Optional[float] = None
     data_scale: float = 1.0  # coefficient of grad(profile) per unit time coefficient
@@ -188,23 +189,23 @@ class ExampleCase:
 
 _CASE_SPECS = {
     1: dict(problem="I", lam=0.1, omega=1.0, time_factor=_g1,
-            analytic_modes=False, spatial_scalar=_sin_sin, spatial_norm2=0.25,
+            analytic_modes=False, profile=_sin_sin, spatial_norm2=0.25,
             eigen_kappa=KAPPA, exact_y_time=_y_cubic, exact_u_time=_u_cubic),
     2: dict(problem="I", lam=0.1, omega=1.0, time_factor=_g2,
-            analytic_modes=False, spatial_scalar=_sin_sin, spatial_norm2=0.25,
+            analytic_modes=False, profile=_sin_sin, spatial_norm2=0.25,
             eigen_kappa=KAPPA, exact_y_time=_y_lin, exact_u_time=_u_lin),
     3: dict(problem="I", lam=0.01, omega=2 * PI, time_factor=_box_time,
-            analytic_modes=True, spatial_scalar=_corner_box, spatial_norm2=0.25),
+            analytic_modes=True, profile=_corner_box, spatial_norm2=0.25),
     4: dict(problem="II", lam=0.1, omega=1.0, time_factor=_g4,
-            analytic_modes=False, spatial_vector=_grad_sin_sin_over_pi,
+            analytic_modes=False, profile=_grad_sin_sin_over_pi,
             spatial_norm2=0.5, eigen_kappa=KAPPA, data_scale=1.0 / PI,
             exact_y_time=_y_cubic, exact_u_time=_u_cubic),
     5: dict(problem="II", lam=0.1, omega=1.0, time_factor=_g5,
-            analytic_modes=False, spatial_vector=_grad_sin_sin_over_pi,
+            analytic_modes=False, profile=_grad_sin_sin_over_pi,
             spatial_norm2=0.5, eigen_kappa=KAPPA, data_scale=1.0 / PI,
             exact_y_time=_y_lin, exact_u_time=_u_lin),
     6: dict(problem="II", lam=0.01, omega=2 * PI, time_factor=_box_time,
-            analytic_modes=True, spatial_vector=_corner_box_pair, spatial_norm2=0.5),
+            analytic_modes=True, profile=_corner_box_pair, spatial_norm2=0.5),
 }
 
 
@@ -236,11 +237,13 @@ class CaseBind:
     data projections, and analytic-reference error norms.
 
     The data profile is sampled at the quadrature points once, one block of
-    cell rows at a time, for its load vector and its projection (P1 for a
-    desired state, RT0 for a desired gradient); the samples are not kept
-    (see `FemContext.project_data`).  The projection is held unscaled, and
-    every mode's data are that profile times the mode's time coefficients
-    (see `ModeData`).
+    cell rows at a time, for its load vector `load`, its projection (P1
+    vertex values for a desired state; RT0 mean, divergence and edge flux
+    for a desired gradient) as the `ModeData` fields in `planes`, and the
+    squared norm `rest` of what the projection leaves over; the samples are
+    not kept (see `FemContext.project_data`).  Every mode's data are that
+    profile times the mode's time coefficients.  `state_load` is the load
+    of the exact state's profile, which the analytic error norms read.
     """
 
     def __init__(self, case: ExampleCase, ctx: FemContext):
@@ -249,21 +252,17 @@ class CaseBind:
         mesh = ctx.mesh
         if case.analytic_modes and mesh.n % 2 == 1:
             raise ValueError("indicator data requires an even grid")
-        if case.problem == "I":
-            self.load_s, (self.s_vert,), self.rest = ctx.project_data(case.spatial_scalar)
-        else:
-            self.gload_v, (self.v_mean, self.v_div), self.rest = ctx.project_data(
-                case.spatial_vector, vector=True)
-            if case.analytic_modes:
-                # indicator data jump on edges: average the flux from the
-                # centroid values
-                field = ctx.vector_data_at_centroids(case.spatial_vector)
-                self.v_flux = fluxrecon.grid_average(mesh, field)
-            else:
-                self.v_flux = fluxrecon.grid_from_callable(mesh, case.spatial_vector)
-            # state profile quantities for the analytic error norms
-            if case.has_analytic_reference:
-                self.load_s = ctx.load(_sin_sin)
+        vector = case.problem == "II"
+        self.load, planes, self.rest = ctx.project_data(case.profile, vector=vector)
+        self.planes = dict(zip(("g_mean", "g_div") if vector else ("y_vert",), planes))
+        self.state_load = self.load
+        if vector:
+            # indicator data jump only on the mesh lines of an even grid, so
+            # each triangle's mean is its centroid value
+            self.planes["g_flux"] = (fluxrecon.grid_average(mesh, planes[0]) if case.analytic_modes
+                                     else fluxrecon.grid_from_callable(mesh, case.profile))
+            # the exact state's profile is sin(pi x) sin(pi y)
+            self.state_load = ctx.load(_sin_sin) if case.has_analytic_reference else None
 
     def _mode_coefs(self, k: int) -> np.ndarray:
         """The (cosine, sine) time coefficients of the data, one per part, (P,)."""
@@ -271,16 +270,12 @@ class CaseBind:
 
     def rhs(self, k: int) -> np.ndarray:
         """Stacked data load vectors of mode k, (P, m)."""
-        base = self.load_s if self.case.problem == "I" else self.gload_v
-        return self._mode_coefs(k)[:, None] * base
+        return self._mode_coefs(k)[:, None] * self.load
 
     def mode_data(self, k: int) -> ModeData:
         """The mode's time coefficients with the unscaled profile projection."""
         coef = self._mode_coefs(k)
-        rest = float(coef @ coef) * self.rest
-        if self.case.problem == "I":
-            return ModeData(coef=coef, rest=rest, y_vert=self.s_vert)
-        return ModeData(coef=coef, rest=rest, g_mean=self.v_mean, g_div=self.v_div, g_flux=self.v_flux)
+        return ModeData(coef=coef, rest=float(coef @ coef) * self.rest, **self.planes)
 
     def error_norms(self, k: int, sol, scratch: Scratch) -> tuple[float, float]:
         """(||e||^2, ||grad e||^2) of the state mode against the exact one.
@@ -294,7 +289,7 @@ class CaseBind:
             raise ValueError("no analytic reference")
         a = np.array(case.exact_state_mode(k))[: mode_parts(k)]
         # the exact part's profile terms: a^2 ||S||^2 - 2 a (S, y_h)
-        profile = float(0.25 * a @ a - 2 * a @ (sol.y @ self.load_s))
+        profile = float(0.25 * a @ a - 2 * a @ (sol.y @ self.state_load))
         with scratch.lend(sol.y.shape) as (product,):
             l2 = profile + float(np.vdot(sol.y, self.ctx.M(sol.y, out=product, scratch=scratch)))
             h1 = case.eigen_kappa * profile + float(

@@ -3,22 +3,24 @@
 The stiffness and mass matrices are the 5-point and 7-point stencils of
 the two constant element matrices, applied to interior fields by slicing
 the node grid; no matrix is assembled.  Load vectors are summed onto the
-node grid by slicing.  Data are sampled one block of cell rows at a time,
-and one product with a class-constant matrix maps a block's samples to
-their load terms, per-triangle projection and remainder.  Loads and
-data-bearing norms use a 7-point rule that is exact for polynomials of
-total degree 5 (so squares of the piecewise-quadratic integrands appearing
-in the bound evaluation are integrated exactly).
+node grid by slicing.  One sampler, `data_at_qp`, evaluates scalar and
+vector data alike, one block of cell rows at a time, and one product with
+a class-constant matrix maps a block's samples to their load terms,
+per-triangle projection and remainder.  Loads and data-bearing norms use
+a 7-point rule that is exact for polynomials of total degree 5 (so
+squares of the piecewise-quadratic integrands appearing in the bound
+evaluation are integrated exactly).
 
 Homogeneous Dirichlet conditions are imposed by restriction to interior
 nodes.  Every per-triangle array is laid out by the cell numbering, and
 every coordinate is a cell origin plus a point of the class triangle.
 
 Per-triangle arrays come in two layouts.  Quadrature-point samples follow
-the triangle numbering, (..., T, Q).  The bound evaluation holds its
-per-triangle fields as class planes, (..., 2, n, n) for one value and
-(..., 2, K, n, n) for K values per triangle: the orientation class first,
-then the cell row and column, so every operation on them is a plane slice.
+the triangle numbering, (T, Q) for scalar data and (T, Q, 2) for vector
+data.  The bound evaluation holds its per-triangle fields as class planes,
+(..., 2, n, n) for one value and (..., 2, K, n, n) for K values per
+triangle: the orientation class first, then the cell row and column, so
+every operation on them is a plane slice.
 """
 
 from __future__ import annotations
@@ -212,8 +214,6 @@ class FemContext:
         class_rt0_form: centroid value (c - P_i) / (2 A) and divergence
             1 / A of the RT0 basis function with unit outward flux through
             the edge opposite local vertex i, per class, (2, 3, 3).
-        class_centroids: centroids of the class triangles of cell (0, 0),
-            (2, 2).
         class_qp: quadrature points of the class triangles of cell (0, 0),
             (2, Q, 2).
         class_qp_offsets: quadrature points minus the centroid, (2, Q, 2).
@@ -228,7 +228,6 @@ class FemContext:
         corners = h * unit
         self.class_grads, area = _class_geometry(corners)
         centroid = corners.mean(axis=1, keepdims=True)
-        self.class_centroids = centroid[:, 0]
         area = area[:, None, None]
         self.class_rt0_form = np.concatenate(
             [(centroid - corners) / (2 * area), np.broadcast_to(1 / area, (2, 3, 1))], axis=-1
@@ -326,45 +325,26 @@ class FemContext:
 
     # -- data at the quadrature points -----------------------------------------
 
-    def _qp_axes(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """x (1, n, 2, Q) and y (R, 1, 2, Q) of the quadrature points in the
-        cell rows `rows`: the cell origins (c h, r h) plus the class points,
-        broadcasting to (R, n, 2, Q)."""
+    def data_at_qp(self, f: Callable, rows: slice) -> np.ndarray:
+        """Data values at the quadrature points of the cell rows `rows`: (T, Q)
+        for T triangles of those rows, or (T, Q, 2) when f returns a pair.
+
+        f is called on coordinates x (1, n, 2, Q) and y (R, 1, 2, Q): the
+        cell origins (c h, r h) of one row and one column of cells plus the
+        class points, broadcasting to (R, n, 2, Q).
+        """
         origin = np.arange(self.mesh.n) * self.mesh.h
         x = origin[None, :, None, None] + self.class_qp[..., 0]
         y = origin[rows, None, None, None] + self.class_qp[..., 1]
-        return x, y
-
-    def data_at_qp(self, f: Callable, rows: slice) -> np.ndarray:
-        """Scalar data values at the quadrature points of the cell rows `rows`,
-        (T, Q) for T triangles of those rows.
-
-        f is called on coordinate arrays that broadcast against each other,
-        one row and one column of cells each.
-        """
-        x, y = self._qp_axes(rows)
-        return np.broadcast_to(f(x, y), np.broadcast_shapes(x.shape, y.shape)).reshape(-1, len(QUAD_W))
-
-    def vector_data_at_centroids(self, g: Callable) -> np.ndarray:
-        """Vector data values at the triangle centroids, as class planes
-        (2, 2, n, n) (class, then component); g is called as in `data_at_qp`."""
-        n = self.mesh.n
-        origin = np.arange(n) * self.mesh.h
-        x = origin[None, None, :] + self.class_centroids[:, 0, None, None]
-        y = origin[None, :, None] + self.class_centroids[:, 1, None, None]
-        return np.stack([np.broadcast_to(v, (2, n, n)) for v in g(x, y)], axis=1)
-
-    def vector_data_at_qp(self, g: Callable, rows: slice) -> np.ndarray:
-        """Vector data values at the quadrature points of the cell rows `rows`,
-        (T, Q, 2)."""
-        x, y = self._qp_axes(rows)
         shape = np.broadcast_shapes(x.shape, y.shape)
-        out = np.empty(shape + (2,))
-        for d, values in enumerate(g(x, y)):
-            out[..., d] = values
-        return out.reshape(-1, len(QUAD_W), 2)
+        values = f(x, y)
+        if isinstance(values, tuple):
+            values = np.stack([np.broadcast_to(v, shape) for v in values], axis=-1)
+        else:
+            values = np.broadcast_to(values, shape)
+        return values.reshape((-1,) + values.shape[3:])
 
-    def project_data(self, f: Callable, vector: bool = False):
+    def project_data(self, f: Callable, vector: bool):
         """Load vector and per-triangle projection of data f, whose samples are not kept.
 
         Returns (load, planes, rest).  For scalar data, load holds
@@ -385,7 +365,7 @@ class FemContext:
         weights = np.repeat(QUAD_W, 2 if vector else 1)  # of the remainder's columns
         loads = np.empty((2, 3, n, n))
         planes, rest = [], 0.0
-        for rows, out in self._mapped_samples(f, maps, vector):
+        for rows, out in self._mapped_samples(f, maps):
             loads[:, :, rows] = out[:, :3]
             if not planes:
                 planes = [np.empty(out[:, part].shape[:-2] + (n, n)) for part in parts]
@@ -404,7 +384,7 @@ class FemContext:
             loads[:, :, rows] = out
         return self._node_sums(loads)
 
-    def _mapped_samples(self, f: Callable, maps: np.ndarray, vector: bool = False):
+    def _mapped_samples(self, f: Callable, maps: np.ndarray):
         """(rows, the class maps applied to the samples of f) for each block of
         SAMPLE_ROWS cell rows, in order, as class planes (2, D, R, n).
 
@@ -413,12 +393,11 @@ class FemContext:
         to one buffer, so it is valid only until the next one is produced.
         """
         n = self.mesh.n
-        sample = self.vector_data_at_qp if vector else self.data_at_qp
         cols = maps.reshape(-1, maps.shape[-1])
         buffer = np.empty(len(cols) * min(SAMPLE_ROWS, n) * n)
         for start in range(0, n, SAMPLE_ROWS):
             rows = slice(start, min(start + SAMPLE_ROWS, n))
-            pairs = sample(f, rows).reshape(-1, cols.shape[1])
+            pairs = self.data_at_qp(f, rows).reshape(-1, cols.shape[1])
             out = buffer[: len(cols) * len(pairs)].reshape(len(cols), len(pairs))
             np.matmul(cols, pairs.T, out=out)
             yield rows, out.reshape(2, -1, rows.stop - start, n)

@@ -16,7 +16,8 @@ on all-node vectors and per-quadrature-point samples, the layouts the
 reference evaluations use; the run path never forms either.  So do the
 per-triangle load terms and P1 / RT0 projections of whole sample arrays,
 each its own pass over the samples, against which the fused class-map
-product of `FemContext.project_data` is checked.
+product of `FemContext.project_data` is checked, and the centroid values
+of vector data, whose edge average is the indicator data's flux.
 """
 
 from __future__ import annotations
@@ -284,6 +285,13 @@ def l2_norm_squared(ctx, field) -> float:
 
 
 # -- per-triangle load terms and projections of samples ----------------------
+
+
+def vector_at_centroids(mesh, g) -> np.ndarray:
+    """Vector data g(x, y) at the triangle centroids, as class planes
+    (2, 2, n, n) (class, then component)."""
+    x, y = mesh.nodes[mesh.triangles].mean(axis=1).T
+    return class_planes(np.column_stack(g(x, y)), mesh.n)
 
 
 def per_class(values: np.ndarray, maps: np.ndarray) -> np.ndarray:

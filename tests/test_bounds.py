@@ -363,10 +363,10 @@ def test_evaluate_mode_matches_reference_on_cases(ident, scratch):
     # the case's data at the quadrature points and its edge fluxes, which
     # CaseBind projects once and does not keep
     if case.problem == "I":
-        profile = dict(y_qp=ctx.data_at_qp(case.spatial_scalar, slice(None)))
+        profile = dict(y_qp=ctx.data_at_qp(case.profile, slice(None)))
     else:
-        edges = rt0_from_callable(ctx.mesh, case.spatial_vector)
-        profile = dict(g_qp=ctx.vector_data_at_qp(case.spatial_vector, slice(None)), g_edge=edges)
+        edges = rt0_from_callable(ctx.mesh, case.profile)
+        profile = dict(g_qp=ctx.data_at_qp(case.profile, slice(None)), g_edge=edges)
     for k in (0, 1):
         system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
         precond = build(mats, k, case.lam, case.omega, surrogate_inverse=False)

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mhbounds import femcore
+from mhbounds import femcore, fluxrecon
 from mhbounds.cases import CaseBind, ExampleCase, box_mode_coefficient, make_case
 from mhbounds.femcore import FemContext
 from mhbounds import mesh as meshmod
+from reference_assembly import build_mesh, vector_at_centroids
 from reference_bounds import spacetime_cost, time_mode_pair
 from reference_systems import scalar_mode_solve
 
@@ -51,7 +52,7 @@ def test_indicator_coefficients():
 def test_gradient_case_components_match_indicator():
     case = make_case(6)
     assert case.mode_pair(2) == (0.0, 0.0)
-    spatial = case.spatial_vector
+    spatial = case.profile
     x = np.array([0.7, 0.2])
     y = np.array([0.8, 0.8])
     gx, gy = spatial(x, y)
@@ -181,11 +182,24 @@ def test_bind_in_row_blocks_matches_one_block(monkeypatch, ident, rows):
     whole = CaseBind(case, ctx)
     monkeypatch.setattr(femcore, "SAMPLE_ROWS", rows)
     blocked = CaseBind(case, ctx)
-    names = ("load_s", "s_vert") if case.problem == "I" else ("gload_v", "v_mean", "v_div")
-    for name in names:
-        a, b = getattr(whole, name), getattr(blocked, name)
+    for name in ("load", "y_vert") if case.problem == "I" else ("load", "g_mean", "g_div"):
+        a, b = (bind.load if name == "load" else bind.planes[name] for bind in (whole, blocked))
         assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max(), name
     assert abs(whole.rest - blocked.rest) <= 1e-14 * whole.rest
+
+
+@pytest.mark.parametrize("n", [2, 8, 40, 70])
+def test_indicator_flux_averages_centroid_values(n):
+    # example 6's data jump only on the mesh lines of an even grid, so each
+    # triangle's projected mean, which the flux averages, is its centroid
+    # value; 40 and 70 end in a partial block of sampled cell rows
+    assert 40 % femcore.SAMPLE_ROWS and 70 % femcore.SAMPLE_ROWS
+    case = make_case(6)
+    mesh = meshmod.build(n)
+    flux = CaseBind(case, FemContext(mesh)).planes["g_flux"]
+    expect = fluxrecon.grid_average(mesh, vector_at_centroids(build_mesh(n), case.profile))
+    for plane in ("horiz", "vert", "diag"):
+        assert np.array_equal(getattr(flux, plane), getattr(expect, plane)), plane
 
 
 @pytest.mark.parametrize("ident", [1, 2, 4, 5])

@@ -257,7 +257,7 @@ def test_class_maps_match_per_triangle_geometry(n, rng):
     every = slice(None)
     points = np.stack([ctx.data_at_qp(lambda x, y: x, every), ctx.data_at_qp(lambda x, y: y, every)], axis=-1)
     assert np.allclose(points, qp, rtol=0, atol=1e-15)
-    assert np.allclose(ctx.vector_data_at_qp(lambda x, y: (x, y), every), qp, rtol=0, atol=1e-15)
+    assert np.allclose(ctx.data_at_qp(lambda x, y: (x, y), every), qp, rtol=0, atol=1e-15)
     assert np.allclose(qp - centroid, ctx.class_qp_offsets[cls], rtol=0, atol=1e-14)
     assert np.allclose((centroid - corners) / (2 * area[:, None, None]),
                        ctx.class_rt0_form[cls, :, :2], rtol=0, atol=1e-12 * n)
@@ -320,7 +320,7 @@ def _assert_projection_matches_reference(ctx, f, vector):
     mesh = ctx.mesh
     load, planes, rest = ctx.project_data(f, vector)
     if vector:
-        vectors = ctx.vector_data_at_qp(f, slice(None))
+        vectors = ctx.data_at_qp(f, slice(None))
         mean, div = planes
         expect_mean, expect_div, expect_rest = ref.project_rt0(ctx, vectors)
         _assert_close(load, ref.gradient_load_from_qp(mesh, vectors), 1e-12)
@@ -359,9 +359,7 @@ def test_fused_projection_of_example_data(n, example):
     # the indicator data of examples 3 and 6 change only across mesh lines,
     # so their projections are exact: rest and divergence are rounding
     case = make_case(example)
-    vector = case.problem == "II"
-    f = case.spatial_vector if vector else case.spatial_scalar
-    _assert_projection_matches_reference(FemContext(ref.build_mesh(n)), f, vector)
+    _assert_projection_matches_reference(FemContext(ref.build_mesh(n)), case.profile, case.problem == "II")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -377,7 +375,8 @@ def test_projections_leave_orthogonal_remainder(n, parts, seed, scale):
     rng = np.random.default_rng(seed)
     values = scale * rng.standard_normal((parts,) + ref.quadrature_weights(ctx).shape)
     vert, rest = (np.stack(a) for a in zip(*(
-        (vert, rest) for _, (vert,), rest in (ctx.project_data(_sampled(ctx, part)) for part in values)
+        (vert, rest)
+        for _, (vert,), rest in (ctx.project_data(_sampled(ctx, part), vector=False) for part in values)
     )))
     remainder = values - tri_rows(vert) @ QUAD_BARY.T
     moments = (remainder * ref.quadrature_weights(ctx)) @ QUAD_BARY

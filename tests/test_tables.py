@@ -118,8 +118,8 @@ def test_paper_mode_rows_pinned(example, family):
         assert got == pytest.approx(expect[row.label], rel=1e-10, abs=0), row.label
 
 
-# Converged rows at n=16 with the default solver settings: examples 1 and 4
-# with their analytic reference, modes 0-2 and the overall row N=2;
+# Converged rows at n=16 with the default solver settings: examples 1, 2, 4
+# and 5 with their analytic reference, modes 0-2 and the overall row N=2;
 # examples 3 and 6 with the fine reference nref=32, modes 0 and 1.  The
 # minorant of example 6 is negative at n=16, so its ratio is nan.  Columns
 # as in PAPER_MODE_ROWS; rtol 1e-9 leaves room for GMRES rounding only.
@@ -140,6 +140,24 @@ DEFAULT_ROWS = {
         "overall (N=2)": [
             2809339.287137036, 0.8857876635258182, 3259221.3434920376,
             1.0276359541133868, 1.1601380290429324, 6.772904405805245,
+        ],
+    },
+    2: {
+        "k=0": [
+            311665.3876223644, 0.8763056602418449, 365598.38198742166,
+            1.0279483838578434, 1.1730477509116484, 6.837923679030765,
+        ],
+        "k=1": [
+            995637.3990515273, 0.8747412540928389, 1169938.8536436844,
+            1.0278780015928781, 1.1750651941743067, 6.796295967080595,
+        ],
+        "k=2": [
+            247729.70818508885, 0.870363236219775, 292502.7628324858,
+            1.0276670211547576, 1.1807334896384134, 6.649117383380402,
+        ],
+        "overall (N=2)": [
+            6216057.549422518, 0.8819682988149471, 7243171.419521551,
+            1.0277008415879203, 1.1652355792932536, 6.7901323756739735,
         ],
     },
     3: {
@@ -168,6 +186,24 @@ DEFAULT_ROWS = {
         "overall (N=2)": [
             203438.75270617468, 0.863361425788039, 264925.67665657314,
             1.1243020657742058, 1.3022380108631695, 4.804357825138354,
+        ],
+    },
+    5: {
+        "k=0": [
+            23147.11007624295, 0.8773622824436438, 28865.09039308607,
+            1.0940951810745723, 1.2470278275779996, 4.829944378431123,
+        ],
+        "k=1": [
+            69204.20213462276, 0.8190021468001318, 92433.06062334368,
+            1.0939057564533523, 1.3356567632054177, 4.814377648256172,
+        ],
+        "k=2": [
+            15009.63212312682, 0.7086727085901147, 23156.500823391383,
+            1.0933232757048656, 1.5427760409738411, 4.760901209674615,
+        ],
+        "overall (N=2)": [
+            448309.83493947255, 0.8561497547186746, 582806.7192740246,
+            1.1130021937221581, 1.3000087748525766, 4.812380820955002,
         ],
     },
     6: {
