@@ -82,12 +82,10 @@ class ExperimentConfig:
             errors.append("modes must not be empty")
         if any(k < 0 for k in self.modes):
             errors.append("modes must be nonnegative")
-        case_ok = self.example in range(1, 7)
         for name in ("lam", "omega"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0):
                 errors.append(f"{name} must be positive and finite, got {value}")
-                case_ok = False
         if not (np.isfinite(self.tol) and self.tol > 0):
             errors.append(f"tol must be positive and finite, got {self.tol}")
         if self.maxiter < 1:
@@ -96,11 +94,9 @@ class ExperimentConfig:
             errors.append("workers must be at least 1")
         if self.reference not in ("auto", "analytic", "fine", "none"):
             errors.append(f"unknown reference mode {self.reference!r}")
-        if self.reference == "analytic" and case_ok:
-            case = make_case(self.example, lam=self.lam, omega=self.omega)
-            if not case.has_analytic_reference:
-                errors.append(f"example {self.example} has no analytic reference at lambda "
-                              f"{case.lam:g} and omega {case.omega:g}")
+        if (self.reference == "analytic" and self.example in range(1, 7)
+                and not make_case(self.example).has_analytic_reference):
+            errors.append(f"example {self.example} has no analytic reference")
         if self.reference == "fine" and self.nref is None:
             errors.append("reference='fine' needs --nref")
         if self.nref is not None and self.nref < self.grid:
@@ -252,11 +248,11 @@ def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, st
 def run(config: ExperimentConfig) -> BoundsReport:
     """Execute one experiment; see ExperimentConfig for the knobs.
 
-    The analytic reference costs are taken before the first solve, and
-    each mode's error norms in the pass that solves the mode, after its
-    timing, so no mode's fields outlive its pass and a run holds one mode's
-    fields per worker.  A fine reference solves its modes after all coarse
-    ones, from their states alone.
+    Each mode's analytic reference cost and error norms are taken in the
+    pass that solves the mode, after its timing, so no mode's fields
+    outlive its pass and a run holds one mode's fields per worker.  A fine
+    reference solves its modes after all coarse ones, from their states
+    alone.
     """
     errors = config.validate()
     if errors:
@@ -272,8 +268,6 @@ def run(config: ExperimentConfig) -> BoundsReport:
             kind = "none"
     needed = sorted(set(config.modes) | set(range(max(config.overall) + 1)) if config.overall
                     else set(config.modes))
-    # the exact factors are sampled here, before any scratch exists
-    references = {k: case.reference_cost(k) for k in needed} if kind == "analytic" else {}
     solver = _Solver(case, config.grid, config)
     params = solver.params
 
@@ -281,7 +275,7 @@ def run(config: ExperimentConfig) -> BoundsReport:
         """Mode k's report, and its state if a fine reference reads it."""
         rep, sol = solver.run_mode(k)
         if kind == "analytic":
-            rep.reference = references[k]
+            rep.reference = case.reference_cost(k)
             rep.err_l2, rep.err_h1 = solver.bind.error_norms(k, sol, scratch=solver._scratch())
         # a copy of the state alone, so the adjoint dies with the solution
         return rep, sol.y.copy() if kind == "fine" else None
@@ -502,11 +496,13 @@ def main(argv=None) -> int:
         expected = "I" if args.example <= 3 else "II"
         if args.problem != expected:
             errors.append(f"example {args.example} is problem {expected}")
+    out = Path(args.out) if args.out else None
+    if out and any(p.is_file() for p in (out, *out.parents)):
+        errors.append(f"--out {out} is a file or lies under one, not a directory")
     if errors:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)
         return 2
-    out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
     try:

@@ -5,11 +5,14 @@ Cases 1-3 track a desired state (problem I), cases 4-6 a desired gradient
 cases 1/2/4/5 are analytic in time with the eigenfunction
 sin(pi x) sin(pi y) in space, cases 3/6 carry indicator-function data with
 closed-form Fourier coefficients (odd cosine modes only).
+On the eigenfunction each Fourier mode is one scalar Tikhonov problem, so
+cases 1/2/4/5 have exact references in closed form at any lambda and omega
+(`ExampleCase.gain`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -25,6 +28,9 @@ PI = np.pi
 PI2 = PI * PI
 PI4 = PI2 * PI2
 KAPPA = 2.0 * PI2  # first Dirichlet-Laplacian eigenvalue on the unit square
+# Panels of the time sampler: a mode up to this index has at most one period
+# per panel, which the panel's 12-point Gauss rule integrates to rounding.
+TIME_PANELS = 256
 
 
 def _sin_sin(x, y):
@@ -67,23 +73,6 @@ def _g5(t):
     return -np.exp(t) * (0.1 * np.cos(t) - (PI2 + 0.2 * PI4) * np.sin(t)) / PI
 
 
-def _y_cubic(t):
-    return np.exp(t) * np.sin(t) ** 3
-
-
-def _u_cubic(t):
-    s, c = np.sin(t), np.cos(t)
-    return np.exp(t) * ((1 + 2 * PI2) * s**3 + 3 * s * s * c)
-
-
-def _y_lin(t):
-    return np.exp(t) * np.sin(t)
-
-
-def _u_lin(t):
-    return np.exp(t) * ((1 + 2 * PI2) * np.sin(t) + np.cos(t))
-
-
 def box_mode_coefficient(k: int) -> float:
     """Cosine coefficient of the on-off time factor (period 1, on [1/4, 3/4]).
 
@@ -112,8 +101,6 @@ class ExampleCase:
     spatial_norm2: float = 0.25
     eigen_kappa: Optional[float] = None
     data_scale: float = 1.0  # coefficient of grad(profile) per unit time coefficient
-    exact_y_time: Optional[Callable] = None
-    exact_u_time: Optional[Callable] = None
     sigma: float = 1.0
     nu: float = 1.0
 
@@ -124,7 +111,7 @@ class ExampleCase:
     @cached_property
     def _time_samples(self) -> SampledSignal:
         """The time factor over one period, sampled once per case."""
-        return sample_periodic(self.time_factor, self.omega, panels=256, order=12)
+        return sample_periodic(self.time_factor, self.omega, panels=TIME_PANELS, order=12)
 
     def mode_pair(self, k: int) -> tuple[float, float]:
         """(cosine, sine) coefficients of mode k of the time factor alone."""
@@ -144,66 +131,71 @@ class ExampleCase:
 
     @property
     def has_analytic_reference(self) -> bool:
-        return self.exact_y_time is not None
+        """The data lie on one Dirichlet eigenfunction (see `gain`)."""
+        return self.eigen_kappa is not None
 
-    @cached_property
-    def _exact_samples(self) -> tuple[SampledSignal, SampledSignal]:
-        """The exact state's and control's time factors over one period,
-        sampled once per case at the nodes of `_time_samples`, whose node
-        and weight arrays they share."""
+    def gain(self, k: int) -> float:
+        """G_k = 1 / ((k omega sigma)^2 + (nu kappa)^2), times kappa for
+        problem II, elementwise for an array of k.  Mode k on the eigenfunction
+        is min 0.5 |y - d|^2 + 0.5 lam |y|^2 / G_k over the tracked state's pair
+        y (its gradient's for problem II), d the data's, solved by
+        y = G_k / (lam + G_k) d at the cost 0.5 |d|^2 lam / (lam + G_k).
+
+        Raises:
+            ValueError: for a case without an eigenfunction profile.
+        """
         if not self.has_analytic_reference:
             raise ValueError(f"case {self.ident} has no analytic reference")
-        rule = self._time_samples
-        return tuple(replace(rule, values=f(rule.nodes)) for f in (self.exact_y_time, self.exact_u_time))
-
-    def _cost(self, misfit2: float, control2: float) -> float:
-        """The cost 0.5 ||y - y_d||^2 + 0.5 lam ||u||^2 of the analytic
-        solution from the squared time norms of its misfit factor y - s y_d
-        and its control factor.
-
-        The state, control and data share one spatial profile, so each
-        squared norm is the time part's times the profile's: for the misfit
-        its squared norm (for gradient tracking that of its gradient, with
-        the data scale s mapping the data's time factor onto it), for the
-        control 0.25.
-        """
-        misfit_norm2 = self.spatial_norm2 if self.problem == "I" else self.eigen_kappa * 0.25
-        return 0.5 * misfit2 * misfit_norm2 + 0.5 * self.lam * control2 * 0.25
+        kappa = self.eigen_kappa
+        gain = 1.0 / ((k * self.omega * self.sigma) ** 2 + (self.nu * kappa) ** 2)
+        return gain if self.problem == "I" else kappa * gain
 
     def reference_cost(self, k: int) -> float:
-        """Exact per-mode optimal cost, from the mode pairs of the time factors."""
-        y, u = (np.array(s.mode(k)) for s in self._exact_samples)
-        misfit = y - self.data_scale * np.array(self._time_samples.mode(k))
-        return self._cost(float(misfit @ misfit), float(u @ u))
-
-    def overall_reference(self) -> float:
-        """Exact total cost, by the time quadrature of the sampled factors."""
-        y, u = self._exact_samples
-        misfit = replace(y, values=y.values - self.data_scale * self._time_samples.values)
-        return self._cost(misfit.norm2(), u.norm2())
+        """Exact optimal cost of mode k, 0.5 |d_k|^2 ||profile||^2 lam / (lam + G_k)."""
+        d = np.array(self.mode_pair(k))
+        return 0.5 * float(d @ d) * self.spatial_norm2 * self.lam / (self.lam + self.gain(k))
 
     def exact_state_mode(self, k: int) -> tuple[float, float]:
-        """Fourier pair of the exact state's time factor."""
-        return self._exact_samples[0].mode(k)
+        """Fourier pair of the exact state's time factor, the data's pair
+        mapped onto the state's profile and kept by G_k / (lam + G_k)."""
+        gain = self.gain(k)
+        c, s = self.mode_pair(k)
+        keep = self.data_scale * gain / (self.lam + gain)
+        return keep * c, keep * s
+
+    def overall_reference(self) -> float:
+        """Exact total cost 0.5 ||profile||^2 (||g||_T^2 - sum_k w_k |d_k|^2
+        G_k / (lam + G_k)), w_k |d_k|^2 the Parseval energy of mode k.  The
+        sum ends at the first K whose remaining terms, at most
+        G_{K+1} / (lam + G_{K+1}) tail(K), are below the rounding of
+        ||g||_T^2, or at K = TIME_PANELS; the result exceeds the optimum by
+        at most that bound times 0.5 ||profile||^2."""
+        signal = self._time_samples
+        total = signal.norm2()
+        energy = signal.energies(TIME_PANELS)
+        gain = self.gain(np.arange(TIME_PANELS + 2))
+        keep = gain / (self.lam + gain)
+        rest = keep[1:] * (total - np.cumsum(energy))  # the bound after each K
+        below = np.flatnonzero(rest <= np.finfo(float).eps * total)
+        last = below[0] if below.size else TIME_PANELS
+        return 0.5 * self.spatial_norm2 * (total - float(energy[: last + 1] @ keep[: last + 1]))
 
 
 _CASE_SPECS = {
     1: dict(problem="I", lam=0.1, omega=1.0, time_factor=_g1,
             analytic_modes=False, profile=_sin_sin, spatial_norm2=0.25,
-            eigen_kappa=KAPPA, exact_y_time=_y_cubic, exact_u_time=_u_cubic),
+            eigen_kappa=KAPPA),
     2: dict(problem="I", lam=0.1, omega=1.0, time_factor=_g2,
             analytic_modes=False, profile=_sin_sin, spatial_norm2=0.25,
-            eigen_kappa=KAPPA, exact_y_time=_y_lin, exact_u_time=_u_lin),
+            eigen_kappa=KAPPA),
     3: dict(problem="I", lam=0.01, omega=2 * PI, time_factor=_box_time,
             analytic_modes=True, profile=_corner_box, spatial_norm2=0.25),
     4: dict(problem="II", lam=0.1, omega=1.0, time_factor=_g4,
             analytic_modes=False, profile=_grad_sin_sin_over_pi,
-            spatial_norm2=0.5, eigen_kappa=KAPPA, data_scale=1.0 / PI,
-            exact_y_time=_y_cubic, exact_u_time=_u_cubic),
+            spatial_norm2=0.5, eigen_kappa=KAPPA, data_scale=1.0 / PI),
     5: dict(problem="II", lam=0.1, omega=1.0, time_factor=_g5,
             analytic_modes=False, profile=_grad_sin_sin_over_pi,
-            spatial_norm2=0.5, eigen_kappa=KAPPA, data_scale=1.0 / PI,
-            exact_y_time=_y_lin, exact_u_time=_u_lin),
+            spatial_norm2=0.5, eigen_kappa=KAPPA, data_scale=1.0 / PI),
     6: dict(problem="II", lam=0.01, omega=2 * PI, time_factor=_box_time,
             analytic_modes=True, profile=_corner_box_pair, spatial_norm2=0.5),
 }
@@ -211,9 +203,6 @@ _CASE_SPECS = {
 
 def make_case(ident: int, lam: float | None = None, omega: float | None = None) -> ExampleCase:
     """Benchmark case by id 1..6, optionally overriding lambda and omega.
-
-    The closed-form solution of cases 1, 2, 4 and 5 solves their own lambda
-    and omega only, so a case with another one has no analytic reference.
 
     Raises:
         ValueError: for an unknown id or a non-finite or non-positive
@@ -226,8 +215,6 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
         if value is not None:
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-            if value != spec[name]:
-                spec.update(exact_y_time=None, exact_u_time=None)
             spec[name] = value
     return ExampleCase(ident=ident, **spec)
 
@@ -285,8 +272,6 @@ class CaseBind:
         stiffness products borrow their buffers from `scratch`.
         """
         case = self.case
-        if not case.has_analytic_reference:
-            raise ValueError("no analytic reference")
         a = np.array(case.exact_state_mode(k))[: mode_parts(k)]
         # the exact part's profile terms: a^2 ||S||^2 - 2 a (S, y_h)
         profile = float(0.25 * a @ a - 2 * a @ (sol.y @ self.state_load))

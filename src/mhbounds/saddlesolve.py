@@ -371,6 +371,7 @@ def minres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
 
         oldb = 0.0
         beta = beta1
+        tnorm = 0.0  # the largest entry of the Lanczos matrix so far, of A's scale
         dbar = epsln = 0.0
         phibar = beta1
         cs, sn = -1.0, 0.0
@@ -393,6 +394,7 @@ def minres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
             if beta_sq < 0:
                 raise ValueError("preconditioner is not positive definite")
             beta = np.sqrt(beta_sq)
+            tnorm = max(tnorm, abs(alfa), beta)
 
             oldeps = epsln
             delta = cs * dbar + sn * alfa
@@ -417,7 +419,7 @@ def minres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
 
             if fixed_iters is None and abs(phibar) <= tol * beta1:
                 break
-            if beta <= eps * beta1:
+            if beta <= eps * tnorm:
                 # Krylov space exhausted; converged if the residual is negligible
                 breakdown = abs(phibar) > tol * beta1
                 break

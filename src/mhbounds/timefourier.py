@@ -62,6 +62,21 @@ class SampledSignal:
         """Integral of the squared signal over one period."""
         return float(np.dot(self.weights, self.values**2))
 
+    def energies(self, n_modes: int) -> np.ndarray:
+        """Parseval energies T c0^2 and (T/2) (cos_k^2 + sin_k^2) of modes
+        0..n_modes; e^{i k omega t} is stepped by one complex product per
+        mode, far cheaper than evaluating it, at about k rounding units."""
+        weighted = self.weights * self.values
+        step = np.exp(1j * self.omega * self.nodes)
+        phase = np.ones_like(step)
+        sums = np.empty(n_modes + 1, dtype=complex)
+        for k in range(n_modes + 1):
+            sums[k] = weighted @ phase
+            phase *= step
+        energy = (2.0 / self.period) * np.abs(sums) ** 2
+        energy[0] *= 0.5
+        return energy
+
     def tail(self, n_modes: int) -> float:
         """The energy of the modes above n_modes: the squared norm over one
         period minus that of modes 0..n_modes by Parseval, T c0^2 for mode 0

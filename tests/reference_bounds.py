@@ -14,7 +14,9 @@ per-triangle projections that `evaluate_mode` reads.
 It also holds the majorant at explicit parameters alpha, beta, with their
 textbook minimizers, against which `bounds.optimal_majorant` is checked, the
 brute-force reference of those parameters (a log-grid search) and that of the
-exact per-mode costs (time quadrature of an analytic optimal pair).
+exact per-mode costs (time quadrature of an analytic optimal pair).  The
+optimal pair of examples 1 and 4 at their own lambda = 0.1 and omega = 1,
+`y_cubic` and `u_cubic`, is that independent time-domain oracle.
 """
 
 from __future__ import annotations
@@ -320,3 +322,14 @@ def spacetime_cost(k, lam, omega, y_time, u_time, data_time, misfit_norm2, contr
     misfit = (yc - data_scale * dc) ** 2 + (ys - data_scale * ds) ** 2
     energy = uc**2 + us**2
     return 0.5 * misfit * misfit_norm2 + 0.5 * lam * energy * control_norm2
+
+
+def y_cubic(t):
+    """Time factor of the optimal state of examples 1 and 4, e^t sin^3 t."""
+    return np.exp(t) * np.sin(t) ** 3
+
+
+def u_cubic(t):
+    """Time factor of their optimal control, y' + 2 pi^2 y."""
+    s, c = np.sin(t), np.cos(t)
+    return np.exp(t) * ((1 + 2 * np.pi**2) * s**3 + 3 * s * s * c)

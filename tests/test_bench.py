@@ -163,8 +163,6 @@ def test_cli_validation_exit_codes(capsys):
     ["--example", "3", "--grid", "8", "--reference", "analytic"],
     ["--example", "6", "--grid", "8", "--reference", "analytic"],
     ["--example", "4", "--family", "1"],
-    ["--lambda", "1.0", "--reference", "analytic"],
-    ["--example", "4", "--omega", "2", "--reference", "analytic"],
 ], ids="-".join)
 def test_cli_rejects_bad_values(args, capsys, monkeypatch):
     # nothing may be solved before the configuration is rejected
@@ -172,6 +170,30 @@ def test_cli_rejects_bad_values(args, capsys, monkeypatch):
     assert main(["--example", "1", "--grid", "4"] + args) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_cli_rejects_output_path_under_a_file(sub, tmp_path, capsys, monkeypatch):
+    # an --out that names an existing file, or a path below one, is a
+    # configuration error, reported before any solve
+    monkeypatch.setattr(bench, "run", None)
+    target = tmp_path / "table.csv"
+    target.write_text("kept\n")
+    assert main(["--example", "1", "--grid", "4", "--out", str(target / sub)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out")
+    assert target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--lambda", "1.0", "--reference", "analytic"],
+    ["--example", "4", "--omega", "2", "--reference", "analytic"],
+], ids="-".join)
+def test_cli_analytic_reference_at_overridden_parameters(args, capsys):
+    # the closed-form reference holds at any lambda and omega
+    assert main(["--example", "1", "--grid", "4"] + args) == 0
+    out = capsys.readouterr().out
+    assert "ieff-=n/a" not in out and "ieff-=" in out
 
 
 def test_grid_sweep_checks_every_grid_first(monkeypatch):
@@ -280,19 +302,18 @@ def test_run_memory_does_not_grow_with_the_modes(example):
 
 
 @pytest.mark.parametrize("override", [{"lam": 1.0}, {"omega": 2.0}])
-def test_overridden_parameters_have_no_analytic_reference(override):
-    # the closed-form pair solves the example's own lambda and omega only,
-    # so "auto" falls back to the fine reference, or to none
+def test_overridden_parameters_have_analytic_reference(override):
+    # "auto" picks the closed form at any lambda and omega, which the fine
+    # reference approaches and the bounds enclose
     base = ExperimentConfig(example=1, grid=8, modes=(0,), tol=1e-11, **override)
-    none = run(base)
-    assert none.reference_kind == "none" and np.isnan(none.rows[0].ieff_minorant)
-    fine = run(dataclasses.replace(base, nref=16))
-    assert fine.reference_kind == "fine-grid 16"
-    row = fine.rows[0]
-    assert row.minorant <= fine.mode_reports[0].reference <= row.majorant
-    assert dataclasses.replace(base, reference="analytic").validate() == [
-        f"example 1 has no analytic reference at lambda {override.get('lam', 0.1):g} "
-        f"and omega {override.get('omega', 1.0):g}"]
+    assert base.validate() == [] and dataclasses.replace(base, reference="analytic").validate() == []
+    analytic = run(base)
+    assert analytic.reference_kind == "analytic"
+    row, exact = analytic.rows[0], analytic.mode_reports[0].reference
+    assert exact == make_case(1, **override).reference_cost(0)
+    assert row.minorant <= exact <= row.majorant
+    fine = run(dataclasses.replace(base, nref=32, reference="fine"))
+    assert abs(fine.mode_reports[0].reference - exact) < 1e-2 * exact
 
 
 @pytest.mark.parametrize("maxiter", [0, -5])

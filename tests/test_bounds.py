@@ -379,31 +379,37 @@ def test_evaluate_mode_matches_reference_on_cases(ident, scratch):
 
 
 @lru_cache(maxsize=8)
-def _case_grid(ident, n):
-    case = make_case(ident)
+def _case_grid(ident, n, lam=None, omega=None):
+    case = make_case(ident, lam=lam, omega=omega)
     ctx = FemContext(meshmod.build(n))
     return case, ctx, build_matrices(ctx), CaseBind(case, ctx)
 
 
-def _stopped_bounds(ident, n, k, steps, surrogate_inverse=False):
-    """Bounds of mode k after exactly `steps` Krylov steps from zero, with J*.
+def _stopped_bounds(ident, n, k, steps, surrogate_inverse=False, lam=None, omega=None):
+    """Bounds of mode k after exactly `steps` Krylov steps from zero, or
+    for steps None of the solve run to tolerance 1e-10, with J*.
 
     The steps are MinRes preconditioned by the paper's block-diagonal
     preconditioner, or with `surrogate_inverse` the solver's GMRES
-    preconditioned by A~_k^{-1}.
+    preconditioned by A~_k^{-1}.  `lam` and `omega` override the case's own.
     """
-    case, ctx, mats, bind = _case_grid(ident, n)
+    case, ctx, mats, bind = _case_grid(ident, n, lam, omega)
     system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
     build = build_precond_I if case.problem == "I" else build_precond_II
     precond = build(mats, k, case.lam, case.omega, surrogate_inverse=surrogate_inverse)
     scratch = Scratch()
-    sol, _ = minres(system, precond, tol=1e-8, maxiter=200, scratch=scratch, fixed_iters=steps)
+    tol = 1e-8 if steps is not None else 1e-10
+    sol, stats = minres(system, precond, tol=tol, maxiter=200, scratch=scratch, fixed_iters=steps)
+    assert steps is not None or stats.converged
     mb = evaluate_mode(case.problem, ctx, mats, _params(case.lam, case.omega), sol,
                        bind.mode_data(k), scratch=scratch)
     return mb, case.reference_cost(k)
 
 
-# The analytic optimal cost J* holds only at each case's own lambda and omega.
+_LAMBDAS = st.floats(1e-4, 10.0)
+_OMEGAS = st.floats(0.1, 100.0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     ident=st.sampled_from([1, 2]),
@@ -462,3 +468,50 @@ def test_overall_minorant_below_optimal_cost_at_small_truncation(ident):
     rep = run(ExperimentConfig(example=ident, grid=32, modes=(0, 1), overall=(0, 1)))
     exact = make_case(ident).overall_reference()
     assert all(row.minorant <= exact for row in rep.overall_rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ident=st.sampled_from([1, 2, 4, 5]),
+    lam=_LAMBDAS,
+    omega=_OMEGAS,
+    n=st.integers(2, 32),
+    k=st.integers(0, 8),
+)
+def test_sandwich_converged_over_lambda_and_omega(ident, lam, omega, n, k):
+    # the closed-form J* holds at any lambda and omega, and the bounds of
+    # the converged solve enclose it for both problems
+    mb, exact = _stopped_bounds(ident, n, k, None, surrogate_inverse=True, lam=lam, omega=omega)
+    assert mb.minorant <= exact <= mb.majorant
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ident=st.sampled_from([1, 2]),
+    lam=_LAMBDAS,
+    omega=_OMEGAS,
+    n=st.integers(2, 32),
+    k=st.integers(0, 8),
+    steps=st.integers(0, 8),
+)
+def test_sandwich_any_minres_iterate_problem_I_over_lambda_and_omega(ident, lam, omega, n, k, steps):
+    mb, exact = _stopped_bounds(ident, n, k, steps, lam=lam, omega=omega)
+    assert mb.minorant <= exact <= mb.majorant
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ident=st.sampled_from([4, 5]),
+    lam=_LAMBDAS,
+    omega=_OMEGAS,
+    n=st.integers(2, 32),
+    k=st.integers(0, 8),
+    steps=st.integers(0, 8),
+    surrogate_inverse=st.booleans(),
+)
+def test_sandwich_any_iterate_problem_II_over_lambda_and_omega(ident, lam, omega, n, k, steps,
+                                                                surrogate_inverse):
+    # one step of the paper's MinRes is the known defect above
+    assume(surrogate_inverse or steps != 1)
+    mb, exact = _stopped_bounds(ident, n, k, steps, surrogate_inverse, lam=lam, omega=omega)
+    assert mb.minorant <= exact <= mb.majorant

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mhbounds import femcore, fluxrecon
-from mhbounds.cases import CaseBind, ExampleCase, box_mode_coefficient, make_case
+from mhbounds.cases import TIME_PANELS, CaseBind, box_mode_coefficient, make_case
 from mhbounds.femcore import FemContext
 from mhbounds import mesh as meshmod
+from mhbounds.timefourier import sample_periodic
 from reference_assembly import build_mesh, vector_at_centroids
-from reference_bounds import spacetime_cost, time_mode_pair
+from reference_bounds import spacetime_cost, time_mode_pair, u_cubic, y_cubic
 from reference_systems import scalar_mode_solve
 
 PI = np.pi
@@ -61,14 +63,15 @@ def test_gradient_case_components_match_indicator():
 
 
 def test_exact_states_satisfy_control_relation():
-    # u = dy/dt + 2 pi^2 y for states with the eigenfunction profile
-    for ident in (1, 2, 4, 5):
-        case = make_case(ident)
-        t = np.linspace(0.1, 6.0, 40)
-        h = 1e-6
-        dy = (case.exact_y_time(t + h) - case.exact_y_time(t - h)) / (2 * h)
-        u = dy + 2 * PI**2 * case.exact_y_time(t)
-        assert np.abs(u - case.exact_u_time(t)).max() < 1e-4 * np.abs(u).max()
+    # the oracle pair of examples 1 and 4 is 2 pi-periodic with a periodic
+    # derivative, and u = dy/dt + 2 pi^2 y for the eigenfunction profile
+    t = np.linspace(0.1, 6.0, 40)
+    h = 1e-6
+    dy = (y_cubic(t + h) - y_cubic(t - h)) / (2 * h)
+    u = dy + 2 * PI**2 * y_cubic(t)
+    assert np.abs(u - u_cubic(t)).max() < 1e-4 * np.abs(u).max()
+    for f in (y_cubic, u_cubic):
+        assert abs(f(0.0)) == 0.0 and abs(f(2 * PI)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -82,12 +85,14 @@ def test_exact_states_satisfy_control_relation():
     ],
 )
 def test_reference_costs_frozen(ident, k, expected):
-    # frozen from the independent time-quadrature oracle
+    # frozen from the time-quadrature reference; that of examples 2 and 5,
+    # whose exact pair was not time-periodic, lies 6.4e-7 and 5.8e-6 above
+    # the closed form
     assert abs(make_case(ident).reference_cost(k) - expected) < 1e-5 * expected
 
 
 def test_reference_routes_agree():
-    # exact-state projection versus the continuous mode solve from the data
+    # the closed form versus the continuous mode solve from the data
     for ident in (1, 2, 4, 5):
         case = make_case(ident)
         kappa = case.eigen_kappa
@@ -105,12 +110,59 @@ def test_reference_routes_agree():
                 misfit = ((a_c - c / PI) ** 2 + (a_s - s / PI) ** 2) * (kappa * 0.25)
             via_solve = 0.5 * misfit + (b_c**2 + b_s**2) * 0.25 / (2 * case.lam)
             via_state = case.reference_cost(k)
-            # the closed-form pair is admissible but its adjoint is not
-            # time-periodic, so its cost sits a squared-distance above the
-            # true optimum of the mode system
-            assert via_solve <= via_state + 1e-9 * via_state
-            tol = 1e-9 if ident in (1, 4) else 5e-4  # cases 2/5 are not time-periodic
-            assert abs(via_solve - via_state) < tol * max(via_state, 1e-12)
+            assert abs(via_solve - via_state) < 1e-9 * max(via_state, 1e-12)
+
+
+def _scalar_optimum(case, k):
+    """(cost, state pair) of mode k from the 4 x 4 mode system on the
+    eigenfunction, for the data sampled anew."""
+    lead = 1.0 if case.problem == "I" else case.eigen_kappa
+    d = case.data_scale * np.array(time_mode_pair(case.time_factor, case.omega, k))
+    a_c, a_s, b_c, b_s = scalar_mode_solve(case.problem, k, case.lam, case.omega, case.sigma, case.nu,
+                                           case.eigen_kappa, *d)
+    a = np.array([a_c, a_s])
+    # the control is the adjoint over lambda; both profiles have squared norm 1/4
+    cost = 0.5 * lead * 0.25 * float((a - d) @ (a - d)) + 0.25 * (b_c**2 + b_s**2) / (2 * case.lam)
+    return cost, a
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    ident=st.sampled_from([1, 2, 4, 5]),
+    lam=st.floats(1e-4, 10.0),
+    omega=st.floats(0.1, 100.0),
+    k=st.integers(0, 8),
+)
+def test_closed_form_is_the_scalar_mode_optimum(ident, lam, omega, k):
+    # at any lambda and omega the per-mode cost and state are the optimum
+    # of the scalar mode system
+    case = make_case(ident, lam=lam, omega=omega)
+    cost, state = _scalar_optimum(case, k)
+    assert abs(case.reference_cost(k) - cost) <= 1e-12 * cost
+    scale = case.data_scale * np.abs(case.mode_pair(k)).max()
+    assert np.abs(np.array(case.exact_state_mode(k)) - state).max() <= 1e-12 * scale
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    ident=st.sampled_from([1, 2, 4, 5]),
+    lam=st.floats(1e-4, 10.0),
+    omega=st.floats(0.1, 100.0),
+)
+def test_overall_reference_within_its_tail_bound(ident, lam, omega):
+    # the total is the sum of the scalar optima over modes 0..K, K =
+    # TIME_PANELS, plus the tail modes' optimal cost, which lies between
+    # lam / (lam + G_{K+1}) and 1 times the data's tail energy, for
+    # 0.5 ||profile||^2 per unit
+    case = make_case(ident, lam=lam, omega=omega)
+    K = TIME_PANELS
+    signal = sample_periodic(case.time_factor, case.omega, panels=K, order=12)
+    head = sum((1.0 if k == 0 else 0.5) * case.period * _scalar_optimum(case, k)[0] for k in range(K + 1))
+    tail = 0.5 * case.spatial_norm2 * signal.tail(K)
+    gain = case.gain(K + 1)
+    lower, upper = head + lam / (lam + gain) * tail, head + tail
+    total = case.overall_reference()
+    assert lower * (1 - 1e-12) <= total <= upper * (1 + 1e-12)
 
 
 def test_case_construction():
@@ -119,12 +171,13 @@ def test_case_construction():
     case = make_case(1, lam=1.0, omega=2.0)
     assert case.lam == 1.0 and case.omega == 2.0
     assert abs(case.period - PI) < 1e-15
-    # the closed-form solution holds at the case's own lambda and omega only
-    assert not case.has_analytic_reference
-    assert make_case(4, lam=0.1, omega=1.0).has_analytic_reference
-    assert not make_case(4, omega=2.0).has_analytic_reference
-    with pytest.raises(ValueError):
-        make_case(3).reference_cost(0)
+    # the closed form holds at any lambda and omega of an eigenfunction case
+    assert case.has_analytic_reference
+    assert make_case(4, omega=2.0).has_analytic_reference
+    for ident in (3, 6):
+        assert not make_case(ident).has_analytic_reference
+        with pytest.raises(ValueError):
+            make_case(ident).reference_cost(0)
 
 
 @pytest.mark.parametrize("name", ["lam", "omega"])
@@ -204,32 +257,40 @@ def test_indicator_flux_averages_centroid_values(n):
 
 @pytest.mark.parametrize("ident", [1, 2, 4, 5])
 def test_analytic_reference_from_case_samples(ident):
-    # reference_cost and exact_state_mode read the exact state, control and
-    # data time factors sampled once per case, and agree with the reference
-    # quadrature, which samples them again on every call
+    # reference_cost, exact_state_mode and overall_reference read the time
+    # factor sampled once per case, and equal the scalar optimum for the
+    # time factor sampled anew
     calls = []
 
-    def counted(f):
-        def sampled(t):
-            calls.append(f.__name__)
-            return f(t)
-        return sampled
+    def counted(t):
+        calls.append(t.size)
+        return case.time_factor(t)
 
     case = make_case(ident)
-    sampled_case = dataclasses.replace(case, **{
-        name: counted(getattr(case, name)) for name in ("time_factor", "exact_y_time", "exact_u_time")})
-    if case.problem == "I":
-        misfit_norm2, scale = case.spatial_norm2, 1.0
-    else:
-        misfit_norm2, scale = case.eigen_kappa * 0.25, case.data_scale
+    sampled_case = dataclasses.replace(case, time_factor=counted)
     for k in range(9):
-        expect = spacetime_cost(
-            k, case.lam, case.omega, case.exact_y_time, case.exact_u_time, case.time_factor,
-            misfit_norm2, 0.25, data_scale=scale,
-        )
-        assert abs(sampled_case.reference_cost(k) - expect) <= 1e-13 * expect, k
-        pair = time_mode_pair(case.exact_y_time, case.omega, k)
-        assert np.allclose(sampled_case.exact_state_mode(k), pair, rtol=0, atol=1e-14 * max(np.abs(pair).max(), 1.0)), k
-    assert sorted(calls) == sorted(
-        f.__name__ for f in (case.time_factor, case.exact_y_time, case.exact_u_time)
-    )
+        cost, state = _scalar_optimum(case, k)
+        assert abs(sampled_case.reference_cost(k) - cost) <= 1e-13 * cost, k
+        assert np.allclose(sampled_case.exact_state_mode(k), state, rtol=0, atol=1e-14 * np.abs(state).max()), k
+    sampled_case.overall_reference()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ident", [1, 4])
+def test_closed_form_matches_time_domain_oracle(ident):
+    # at their own lambda and omega the optimal pair of examples 1 and 4 is
+    # (y_cubic, u_cubic) times the eigenfunction: their per-mode costs and
+    # states, and the total over one period, by time quadrature
+    case = make_case(ident)
+    misfit_norm2 = case.spatial_norm2 if case.problem == "I" else case.eigen_kappa * 0.25
+    for k in range(9):
+        expect = spacetime_cost(k, case.lam, case.omega, y_cubic, u_cubic, case.time_factor,
+                                misfit_norm2, 0.25, data_scale=case.data_scale)
+        assert abs(case.reference_cost(k) - expect) <= 1e-14 * expect, k
+        pair = time_mode_pair(y_cubic, case.omega, k)
+        assert np.allclose(case.exact_state_mode(k), pair, rtol=0, atol=1e-14 * max(np.abs(pair).max(), 1.0)), k
+    y, u, g = (sample_periodic(f, case.omega, panels=TIME_PANELS, order=12)
+               for f in (y_cubic, u_cubic, case.time_factor))
+    misfit = dataclasses.replace(y, values=y.values - case.data_scale * g.values)
+    expect = 0.5 * misfit.norm2() * misfit_norm2 + 0.5 * case.lam * u.norm2() * 0.25
+    assert abs(case.overall_reference() - expect) <= 1e-13 * expect

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 import scipy.fft as sfft
 import scipy.linalg
 import scipy.sparse as sp
@@ -174,6 +175,34 @@ def test_paper_mode_runs_fixed_iterations(ctx16, scratch):
     _, stats = minres(sysk, P, tol=1e-8, maxiter=200, scratch=scratch, fixed_iters=8)
     assert stats.iterations == 8
     assert stats.converged
+
+
+@pytest.fixture(scope="module")
+def example1_mode1(ctx16):
+    """Example 1's mode 1 system at n=16 with the paper's preconditioner
+    (MinRes) and the surrogate inverse (GMRES)."""
+    case = make_case(1)
+    mats = build_matrices(ctx16)
+    system = build_mode_system("I", mats, 1, case.lam, case.omega, CaseBind(case, ctx16).rhs(1))
+    return system, [build_precond_I(mats, 1, case.lam, case.omega, surrogate_inverse=inverse)
+                    for inverse in (False, True)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(s=st.integers(-20, 20))
+@example(s=10)
+@example(s=17)
+def test_solvers_are_scale_free(example1_mode1, s):
+    # scaling the right-hand side by 10^s scales the solution and moves
+    # neither solver's step count nor its stopping tests; a MinRes breakdown
+    # test on the data's scale stops after 1-2 steps at 1e10 and 1e17
+    system, preconds = example1_mode1
+    for precond, solve in zip(preconds, (minres_raw, gmres_raw)):
+        x0, stats0 = solve(system.matrix, system.rhs, precond, 1e-10, 200, None, Scratch())
+        x, stats = solve(system.matrix, system.rhs * 10.0**s, precond, 1e-10, 200, None, Scratch())
+        assert stats.converged and not stats.breakdown
+        assert stats.iterations == stats0.iterations
+        assert np.abs(x / 10.0**s - x0).max() <= 1e-12 * np.abs(x0).max()
 
 
 def test_direct_solve_reports_singular():

@@ -144,20 +144,20 @@ DEFAULT_ROWS = {
     },
     2: {
         "k=0": [
-            311665.3876223644, 0.8763056602418449, 365598.38198742166,
-            1.0279483838578434, 1.1730477509116484, 6.837923679030765,
+            311665.3876223644, 0.8763062179282687, 365598.38198742166,
+            1.0279490380506484, 1.1730477509116484, 6.778178368713855,
         ],
         "k=1": [
-            995637.3990515273, 0.8747412540928389, 1169938.8536436844,
-            1.0278780015928781, 1.1750651941743067, 6.796295967080595,
+            995637.3990515273, 0.8747419481578018, 1169938.8536436844,
+            1.0278788171644586, 1.1750651941743067, 6.772230002469563,
         ],
         "k=2": [
-            247729.70818508885, 0.870363236219775, 292502.7628324858,
-            1.0276670211547576, 1.1807334896384134, 6.649117383380402,
+            247729.70818508885, 0.8703659773280723, 292502.7628324858,
+            1.0276702576731231, 1.1807334896384134, 6.767714855034184,
         ],
         "overall (N=2)": [
-            6216057.549422518, 0.8819682988149471, 7243171.419521551,
-            1.0277008415879203, 1.1652355792932536, 6.7901323756739735,
+            6216057.549422518, 0.8819794758138733, 7243171.419521551,
+            1.0277138654247389, 1.1652355792932536, 6.773626810522332,
         ],
     },
     3: {
@@ -190,20 +190,20 @@ DEFAULT_ROWS = {
     },
     5: {
         "k=0": [
-            23147.11007624295, 0.8773622824436438, 28865.09039308607,
-            1.0940951810745723, 1.2470278275779996, 4.829944378431123,
+            23147.11007624295, 0.8773674067686182, 28865.09039308607,
+            1.094101571250413, 1.2470278275779996, 4.8057033454839,
         ],
         "k=1": [
-            69204.20213462276, 0.8190021468001318, 92433.06062334368,
-            1.0939057564533523, 1.3356567632054177, 4.814377648256172,
+            69204.20213462276, 0.819008110757949, 92433.06062334368,
+            1.0939137222539463, 1.3356567632054177, 4.8041644217665205,
         ],
         "k=2": [
-            15009.63212312682, 0.7086727085901147, 23156.500823391383,
-            1.0933232757048656, 1.5427760409738411, 4.760901209674615,
+            15009.63212312682, 0.7086931927265278, 23156.500823391383,
+            1.0933548781397437, 1.5427760409738411, 4.803083491011171,
         ],
         "overall (N=2)": [
-            448309.83493947255, 0.8561497547186746, 582806.7192740246,
-            1.1130021937221581, 1.3000087748525766, 4.812380820955002,
+            448309.83493947255, 0.8562702621112447, 582806.7192740246,
+            1.1131588543899338, 1.3000087748525766, 4.804536244408011,
         ],
     },
     6: {
