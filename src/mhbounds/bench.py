@@ -103,6 +103,9 @@ class ExperimentConfig:
             errors.append("nref must not be below the grid")
         if self.precond_family not in (0, 1):
             errors.append("precond family must be 0 or 1")
+        elif self.precond_family == 1 and self.example in range(1, 4):
+            errors.append(f"precond family 1 is one of problem II's preconditioners, and example "
+                          f"{self.example} is problem I")
         elif self.precond_family == 1 and not self.paper_mode:
             errors.append("precond family 1 needs paper mode (it picks among the paper's preconditioners)")
         return errors
@@ -313,10 +316,10 @@ def run(config: ExperimentConfig) -> BoundsReport:
         rep = reports[k]
         report.rows.append(_mode_row(case, params, rep))
 
+    # the exact total cost, taken once for all overall rows
+    exact_total = case.overall_reference() if config.overall and kind == "analytic" else None
     for n_trunc in config.overall:
-        report.overall_rows.append(
-            _overall_row(case, params, reports, n_trunc, kind)
-        )
+        report.overall_rows.append(_overall_row(case, params, reports, n_trunc, exact_total))
     return report
 
 
@@ -343,10 +346,11 @@ def _mode_row(case, params, rep: ModeReport) -> TableRow:
     return _row(f"k={rep.k}", rep.t_sec, b.minorant, b.majorant, b.m1_extra, reference, err2)
 
 
-def _overall_row(case, params, reports, n_trunc, ref_kind) -> TableRow:
+def _overall_row(case, params, reports, n_trunc, reference) -> TableRow:
+    """The overall row of modes 0..n_trunc; `reference` is the exact total
+    cost, or None."""
     used = [reports[k] for k in range(n_trunc + 1)]
     total = aggregate([rep.bounds for rep in used], params, case.remainder(n_trunc))
-    reference = case.overall_reference() if ref_kind == "analytic" else None
     err2 = None
     if all(np.isfinite(rep.err_l2) for rep in used):
         err2 = sum(params.period / mode_parts(rep.k) * rep.combined_err2(case.problem, params)

@@ -4,9 +4,10 @@ Every preconditioner is diagonal in the 2-D type-I sine basis of the
 interior grid up to a symmetric (2P, 2P) matrix per frequency, so it is
 applied by one fast sine transform pair (the fast Poisson solver of Buzbee,
 Golub and Nielson) around a small per-frequency product; no factorization
-is built.  The stiffness matrix K is diagonal in that basis exactly (it is
-the 5-point stencil on this mesh), the mass matrix M through a spectrally
-equivalent tensor-product surrogate M~.
+is built, and each transform is two passes of numpy real FFTs over
+zero-padded rows.  The stiffness matrix K is diagonal in that basis exactly
+(it is the 5-point stencil on this mesh), the mass matrix M through a
+spectrally equivalent tensor-product surrogate M~.
 
 With M replaced by M~, the mode operator becomes the surrogate operator
 A~_k.  In the complex form z = cosine part + i sine part, A~_k is one
@@ -33,7 +34,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .femcore import Scratch
 from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_coefficients, mode_parts
@@ -44,6 +44,11 @@ from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_coefficients, 
 # a k > 0 mode at n=1024; no solve measured so far (random data, lambda
 # down to 1e-4) takes more than 14 steps, so none restarts.
 GMRES_RESTART = 16
+
+# floats of zero-padded rows per block of a sine transform pass (256 kB):
+# a block and its spectra stay in cache, and they are all the memory a
+# transform takes beside the half-transformed planes
+SINE_BLOCK = 1 << 15
 
 
 @dataclass
@@ -65,12 +70,15 @@ class SpectralPrecond:
     interior nodes per side, forms diag c - sum_i scales[i] (coefs[i] c) per
     frequency, and transforms back, one orthonormal DST-I pair over all
     parts.  `diag` is (Q, m, m) or one plane (m, m) for all parts, each
-    scale a plane and each coupling matrix (Q, Q).  Without coupling terms
-    it is the paper's positive definite block-diagonal kind (`definite`,
-    for MinRes).  Both transforms run in place, the first on a copy of the
-    input lent by the scratch, the second on the output, and only the
-    coupling terms take a second lent vector, so an apply allocates
-    nothing.
+    scale a plane and each coupling matrix (Q, Q).  Every plane is
+    symmetric in its two frequencies, so it multiplies the transposed
+    coefficients `_dst` gives as they are, and the second transform
+    restores the orientation.  Without coupling terms it is the paper's
+    positive definite block-diagonal kind (`definite`, for MinRes).  The
+    scratch lends one vector, which takes the half-transformed planes of
+    both transforms and holds c between them, and one block of padded rows
+    and their spectra; only the coupling terms take a second lent vector,
+    so an apply allocates nothing.
     """
 
     def __init__(self, diag: np.ndarray, coefs: tuple = (), scales: tuple = ()):
@@ -81,9 +89,8 @@ class SpectralPrecond:
     def apply(self, r: np.ndarray, out: np.ndarray, scratch: Scratch) -> np.ndarray:
         """P r, written to `out` (C-contiguous, not overlapping r)."""
         shape = self._parts_shape
-        with scratch.lend(shape) as (coef,):
-            np.copyto(coef, r.reshape(shape))
-            _dst_in_place(coef)
+        with scratch.lend(shape, *_sine_blocks(shape)) as (coef, *blocks):
+            _dst(r.reshape(shape), coef, coef, blocks)
             product = out.reshape(shape)
             np.multiply(self.diag, coef, out=product)
             if self.coefs:
@@ -93,16 +100,59 @@ class SpectralPrecond:
                         np.matmul(block, flat, out=terms)
                         work *= scale
                         product -= work
-            _dst_in_place(product)
+            _dst(product, product, coef, blocks)
         return out
 
 
-def _dst_in_place(planes: np.ndarray) -> None:
-    """The orthonormal 2-D DST-I of each plane of (Q, m, m), over the input
-    (scipy may, but need not, transform in the input's memory)."""
-    result = sfft.dstn(planes, type=1, norm="ortho", axes=(1, 2), overwrite_x=True)
-    if not np.may_share_memory(result, planes):
-        np.copyto(planes, result)
+def _sine_blocks(shape: tuple) -> tuple:
+    """The shapes of the block of padded rows (2m + 2 floats each) and of
+    their spectra (as float pairs) that `_dst` of planes `shape` (Q, m, m)
+    works through: as many whole planes as fit in SINE_BLOCK floats, or as
+    many rows of one plane, at least one."""
+    parts, m, _ = shape
+    rows = max(SINE_BLOCK // (2 * m + 2), 1)
+    planes = min(parts, max(rows // m, 1))
+    rows = min(rows, m)
+    return (planes, rows, 2 * m + 2), (planes, rows, 2 * m + 4)
+
+
+def _dst(planes: np.ndarray, out: np.ndarray, half: np.ndarray, blocks: tuple) -> None:
+    """The orthonormal 2-D DST-I of each plane of (Q, m, m), transposed,
+    written to `out`.
+
+    A pass copies each block of rows to x_1..x_m of zero-padded rows
+    x_0..x_{2m+1}; the imaginary parts of entries 1..m of their real FFT are
+    minus the rows' DST-I.  The first pass writes them transposed into
+    `half`, the second transforms the rows of `half` into `out` and scales
+    them by 2 / (m + 1), so the two signs cancel.  `blocks` are views of
+    the `_sine_blocks` shapes; `half` must not overlap `planes`, `out` may
+    be either.
+    """
+    m = planes.shape[-1]
+    pad, spec = blocks[0], blocks[1].view(complex)
+    pad[..., 0] = 0.0
+    pad[..., m + 1 :] = 0.0
+    _sine_pass(planes, half, pad, spec, None)
+    _sine_pass(half, out, pad, spec, 2.0 / (m + 1))
+
+
+def _sine_pass(src: np.ndarray, dest: np.ndarray, pad: np.ndarray, spec: np.ndarray, scale) -> None:
+    """Minus the DST-I of every row of `src`, written transposed plane by
+    plane into `dest` if `scale` is None, else times `scale` into the same
+    rows of `dest`."""
+    m = src.shape[-1]
+    planes, rows = pad.shape[:2]
+    for q in range(0, len(src), planes):
+        for r in range(0, m, rows):
+            x = src[q : q + planes, r : r + rows]
+            padded, spectra = pad[: len(x), : x.shape[1]], spec[: len(x), : x.shape[1]]
+            padded[..., 1 : m + 1] = x
+            np.fft.rfft(padded, out=spectra)
+            coefs = spectra.imag[..., 1 : m + 1]
+            if scale is None:
+                dest[q : q + planes, :, r : r + rows] = coefs.transpose(0, 2, 1)
+            else:
+                np.multiply(coefs, scale, out=dest[q : q + planes, r : r + rows])
 
 
 def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -112,14 +162,15 @@ def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
     5-point stencil, so mu_K is exact.  The 7-point mass stencil couples
     each node to one diagonal pair only; averaging it with the other
     diagonal pair gives M~ = h^2/12 (6 + 2 cos a + 2 cos b + 2 cos a cos b),
-    spectrally equivalent to M.
+    spectrally equivalent to M.  Both are formed from the sum and product
+    of the two cosines, so every plane equals its transpose exactly.
     """
     m = mats.K.m
     h = 1.0 / (m + 1)
     c = np.cos(np.pi * np.arange(1, m + 1) * h)
-    ca, cb = c[:, None], c[None, :]
-    mu_K = 4.0 - 2.0 * ca - 2.0 * cb
-    mu_M = h * h / 12.0 * (6.0 + 2.0 * ca + 2.0 * cb + 2.0 * ca * cb)
+    c_sum, c_prod = c[:, None] + c[None, :], c[:, None] * c[None, :]
+    mu_K = 4.0 - 2.0 * c_sum
+    mu_M = h * h / 12.0 * (6.0 + 2.0 * c_sum + 2.0 * c_prod)
     return mu_K, mu_M
 
 

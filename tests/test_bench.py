@@ -1,5 +1,9 @@
 import dataclasses
 import filecmp
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,7 +21,7 @@ from mhbounds.bench import (
     write_csv,
     write_markdown,
 )
-from mhbounds.cases import make_case
+from mhbounds.cases import ExampleCase, make_case
 from mhbounds.femcore import FemContext
 from mhbounds.systems import mode_parts
 from reference_assembly import assemble_mass, assemble_stiffness, build_mesh, to_full
@@ -163,6 +167,7 @@ def test_cli_validation_exit_codes(capsys):
     ["--example", "3", "--grid", "8", "--reference", "analytic"],
     ["--example", "6", "--grid", "8", "--reference", "analytic"],
     ["--example", "4", "--family", "1"],
+    ["--paper-mode", "--family", "1"],
 ], ids="-".join)
 def test_cli_rejects_bad_values(args, capsys, monkeypatch):
     # nothing may be solved before the configuration is rejected
@@ -344,7 +349,7 @@ def test_unconverged_mode_warns():
 def test_run_path_reads_only_the_node_grid():
     # a mesh holds n and h only, so runs, analytic and fine-grid references
     # (nested and not) work on the node grid; and no module of the package
-    # imports scipy.sparse, so no all-node matrix is assembled either
+    # imports scipy, so no all-node matrix is assembled either
     assert tuple(f.name for f in dataclasses.fields(meshmod.UniformMesh)) == ("n", "h")
     for example, nref in ((1, None), (4, None), (6, 16), (3, 16), (3, 12)):
         overall = (1,) if nref is None else ()
@@ -352,7 +357,39 @@ def test_run_path_reads_only_the_node_grid():
         assert all(np.isfinite(row.majorant) for row in report.all_rows)
         assert all(np.isfinite(rep.err_l2) for rep in report.mode_reports.values())
     package = Path(bench.__file__).parent
-    assert not [p.name for p in package.glob("*.py") if "scipy.sparse" in p.read_text()]
+    imports = re.compile(r"^\s*(from|import)\s+scipy\b", re.MULTILINE)
+    assert not [p.name for p in package.glob("*.py") if imports.search(p.read_text())]
+
+
+def test_command_line_run_loads_no_scipy():
+    # numpy is the package's only dependency: a run from the command line
+    # leaves no scipy module loaded
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['mhbounds', '--example', '4', '--grid', '8', '--modes', '0,1']\n"
+        "try:\n"
+        "    runpy.run_module('mhbounds', run_name='__main__')\n"
+        "except SystemExit as done:\n"
+        "    code = done.code\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(bench.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert "k=1 min=" in done.stdout
+
+
+def test_overall_rows_share_one_exact_total(monkeypatch):
+    # the exact total cost sums hundreds of sampled Fourier modes; a run
+    # takes it once, however many overall rows it has
+    calls = []
+    exact = ExampleCase.overall_reference
+    monkeypatch.setattr(ExampleCase, "overall_reference", lambda case: calls.append(1) or exact(case))
+    report = run(ExperimentConfig(example=1, grid=4, modes=(0, 1), overall=(0, 1)))
+    assert len(report.overall_rows) == 2 and len(calls) == 1
+    assert all(np.isfinite(row.ieff_minorant) for row in report.overall_rows)
 
 
 def _p1_at_nodes(mesh, v_full, points):

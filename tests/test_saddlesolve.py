@@ -16,7 +16,9 @@ from mhbounds.bench import ExperimentConfig, _Solver, main, run
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext, Scratch
 from mhbounds.saddlesolve import (
+    _dst,
     _grid_symbols,
+    _sine_blocks,
     build_precond_I,
     build_precond_II,
     gmres_raw,
@@ -235,6 +237,45 @@ def test_sine_transform_diagonalizes_stiffness(n, rng):
     Kv = sfft.dstn(mu_K * coef, type=1, norm="ortho").ravel()
     ref = fresh_apply(ctx.K, v)
     assert np.linalg.norm(Kv - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("block", ["default", "5 rows", "3 planes"])
+@pytest.mark.parametrize("m", [1, 2, 3, 31, 64, 127])
+def test_sine_transform_matches_scipy(m, block, rng, monkeypatch):
+    # the numpy-only transform is scipy's orthonormal 2-D DST-I of every
+    # plane, transposed, in place and out of place, also where its blocks
+    # split the planes or the rows of one plane unevenly; and it is its
+    # own inverse
+    if block != "default":
+        rows = 5 if block == "5 rows" else 3 * m
+        monkeypatch.setattr(saddlesolve, "SINE_BLOCK", rows * (2 * m + 2))
+    for parts in (1, 2, 4):
+        x = rng.standard_normal((parts, m, m))
+        expect = sfft.dstn(x, type=1, norm="ortho", axes=(1, 2)).transpose(0, 2, 1)
+        with Scratch().lend(x.shape, *_sine_blocks(x.shape)) as (half, *blocks):
+            out = np.empty_like(x)
+            _dst(x, out, half, blocks)
+            assert np.abs(out - expect).max() <= 1e-14 * np.abs(expect).max()
+            twice = x.copy()
+            _dst(twice, twice, half, blocks)
+            assert np.array_equal(twice, out)
+            _dst(twice, twice, half, blocks)
+            assert np.abs(twice - x).max() <= 1e-14 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_symbol_planes_are_symmetric(ctx8, k):
+    # apply multiplies the transposed sine coefficients by the symbols as
+    # they are, so every plane of every preconditioner equals its transpose
+    mats = build_matrices(ctx8, sigma=1.5, nu=0.7)
+    for surrogate_inverse in (False, True):
+        for P in (
+            build_precond_I(mats, k, LAM, OMEGA, surrogate_inverse=surrogate_inverse),
+            *(build_precond_II(mats, k, LAM, OMEGA, surrogate_inverse=surrogate_inverse, family=f)
+              for f in (0, 1)),
+        ):
+            planes = [*P.diag.reshape(-1, *P.diag.shape[-2:]), *P.scales]
+            assert planes and all(np.array_equal(plane, plane.T) for plane in planes)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
@@ -499,7 +540,7 @@ def test_gmres_lends_each_vector_while_it_is_live():
     one_apply, one_product = RecordingScratch(), RecordingScratch()
     P.apply(system.rhs, out=np.empty(dim), scratch=one_apply)
     system.matrix(system.rhs, out=np.empty(dim), scratch=one_product)
-    assert one_apply.peak == 2 * dim
+    assert one_apply.peak == 2 * dim + _sine_block_size(P)
     held_at_apply, images, held_at_product = [], set(), []
 
     def apply(r, out, scratch):
@@ -525,13 +566,19 @@ def test_gmres_lends_each_vector_while_it_is_live():
     assert np.array_equal(x, fresh)
 
 
+def _sine_block_size(P) -> int:
+    """Floats in the block of padded rows and spectra of P's transforms."""
+    return sum(prod(shape) for shape in _sine_blocks(P._parts_shape))
+
+
 def test_definite_apply_lends_one_vector():
     # the paper's block-diagonal preconditioners have no coupling terms to
-    # gather, so an apply lends the transform's copy of its input alone
+    # gather, so an apply lends the transforms' half-transformed planes and
+    # one block of their padded rows alone
     system, P = _example1_mode1(32, surrogate_inverse=False)
     scratch = RecordingScratch()
     P.apply(system.rhs, out=np.empty(system.rhs.size), scratch=scratch)
-    assert scratch.peak == system.rhs.size
+    assert scratch.peak == system.rhs.size + _sine_block_size(P)
 
 
 def _assert_warm_solve_allocates_its_solution_alone(surrogate_inverse, fixed_iters):
