@@ -10,15 +10,13 @@ one worker.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,6 +35,9 @@ from .cases import CaseBind, ExampleCase, make_case
 from .femcore import FemContext, Scratch, prolong
 from .saddlesolve import SolveStats, build_precond_I, build_precond_II, minres
 from .systems import ModeSolution, build_matrices, build_mode_system, mode_parts
+
+if TYPE_CHECKING:
+    import argparse
 
 COLUMNS = [
     "label",
@@ -285,6 +286,9 @@ def run(config: ExperimentConfig) -> BoundsReport:
 
     order = _sine_modes_first(needed)
     if config.workers > 1:
+        # imported here: a one-worker run does without it and what it loads
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             done = dict(zip(order, pool.map(one_mode, order)))
     else:
@@ -399,6 +403,8 @@ def grid_sweep(config: ExperimentConfig, grids, mode: int) -> list[TableRow]:
 
 
 def write_csv(report_or_rows, path) -> None:
+    import csv
+
     rows = report_or_rows.all_rows if isinstance(report_or_rows, BoundsReport) else report_or_rows
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -443,6 +449,8 @@ def _parse_int_list(text: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="mhbounds",
         description="two-sided cost bounds for the time-periodic benchmark problems",

@@ -223,12 +223,13 @@ class CaseBind:
     """A case attached to a discretization: right-hand sides, per-triangle
     data projections, and analytic-reference error norms.
 
-    The data profile is sampled at the quadrature points once, one block of
-    cell rows at a time, for its load vector `load`, its projection (P1
-    vertex values for a desired state; RT0 mean, divergence and edge flux
-    for a desired gradient) as the `ModeData` fields in `planes`, and the
-    squared norm `rest` of what the projection leaves over; the samples are
-    not kept (see `FemContext.project_data`).  Every mode's data are that
+    The data profile is sampled at the quadrature points once, in one
+    streaming pass over blocks of cell rows, for its load vector `load`,
+    summed onto the node grid block by block, its projection (P1 vertex
+    values for a desired state; RT0 mean, divergence and edge flux for a
+    desired gradient) as the `ModeData` fields in `planes`, and the squared
+    norm `rest` of what the projection leaves over; the samples are not
+    kept (see `FemContext.project_data`).  Every mode's data are that
     profile times the mode's time coefficients.  `state_load` is the load
     of the exact state's profile, which the analytic error norms read.
     """

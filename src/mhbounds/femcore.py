@@ -2,25 +2,25 @@
 
 The stiffness and mass matrices are the 5-point and 7-point stencils of
 the two constant element matrices, applied to interior fields by slicing
-the node grid; no matrix is assembled.  Load vectors are summed onto the
-node grid by slicing.  One sampler, `data_at_qp`, evaluates scalar and
-vector data alike, one block of cell rows at a time, and one product with
-a class-constant matrix maps a block's samples to their load terms,
-per-triangle projection and remainder.  Loads and data-bearing norms use
-a 7-point rule that is exact for polynomials of total degree 5 (so
-squares of the piecewise-quadratic integrands appearing in the bound
+the node grid; no matrix is assembled.  Data are bound in one streaming
+pass over blocks of cell rows: scalar and vector data alike are sampled
+at a block's quadrature points, one product per class with a
+class-constant matrix maps the samples to their load terms, per-triangle
+projection and remainder, and the load terms are summed onto the node
+grid by slicing before the next block is sampled.  Loads and data-bearing
+norms use a 7-point rule that is exact for polynomials of total degree 5
+(so squares of the piecewise-quadratic integrands appearing in the bound
 evaluation are integrated exactly).
 
 Homogeneous Dirichlet conditions are imposed by restriction to interior
 nodes.  Every per-triangle array is laid out by the cell numbering, and
 every coordinate is a cell origin plus a point of the class triangle.
 
-Per-triangle arrays come in two layouts.  Quadrature-point samples follow
-the triangle numbering, (T, Q) for scalar data and (T, Q, 2) for vector
-data.  The bound evaluation holds its per-triangle fields as class planes,
-(..., 2, n, n) for one value and (..., 2, K, n, n) for K values per
-triangle: the orientation class first, then the cell row and column, so
-every operation on them is a plane slice.
+Every per-triangle array is held as class planes: (..., 2, n, n) for one
+value and (..., 2, K, n, n) for K values per triangle, the orientation
+class first, then the cell row and column, so every operation on them is
+a plane slice.  Samples at the Q quadrature points of a block of R cell
+rows are the class planes (2, Q, R, n).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import CLASS_CORNERS, add_cell_corners
+from .mesh import CLASS_CORNERS
 
 # 7-point degree-5 rule on the reference triangle, barycentric coordinates
 # and weights normalized to sum to 1.
@@ -98,10 +98,12 @@ def element_matrices(mesh) -> tuple[np.ndarray, np.ndarray]:
 # of one band stay in cache, and the temporaries stay small on large grids
 STENCIL_ROWS = 16
 
-# cell rows per block when data are sampled and projected without keeping
-# the samples: one block of samples and its image under the class maps is
-# alive at a time, which bounds the set-up's transient memory on large grids
-SAMPLE_ROWS = 32
+# cell rows per block when data are sampled, mapped and summed onto the
+# node grid without keeping the samples: one block of samples and its image
+# under the class maps is alive at a time, which bounds the set-up's
+# transient memory on large grids (8 rows set up faster than 16 or 32 from
+# n = 128 to 1024, and fault in the fewest pages)
+SAMPLE_ROWS = 8
 
 
 class Scratch:
@@ -235,9 +237,7 @@ class FemContext:
         self.class_qp = QUAD_BARY @ corners
         self.class_qp_offsets = self.class_qp - centroid
         self.offset_moment = float(QUAD_W @ np.sum(self.class_qp_offsets[0] ** 2, axis=1))
-        self._scalar_map, self._vector_map = (
-            _block_map(maps) for maps in self._sample_maps()
-        )
+        self._scalar_map, self._vector_map = self._sample_maps()
 
         # the centre node of a 2 x 2 cell grid touches all six triangles
         # around it, as every interior node does
@@ -248,22 +248,24 @@ class FemContext:
 
     def _sample_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """The linear maps from one triangle's quadrature samples to what
-        `project_data` keeps of them, per class.
+        `project_data` keeps of them, per class: scalar (2, 3 + 3 + Q, Q) and
+        vector (2, 3 + 2 + 1 + 2Q, 2Q), whose columns take the samples of
+        the x components, then those of the y components.
 
-        Scalar (2, Q, 3 + 3 + Q): the load terms A sum_q w_q f_q lambda_i(x_q),
-        the P1 vertex values 12 / A (m - sum(m) / 4) of the moments
+        Scalar rows: the load terms A sum_q w_q f_q lambda_i(x_q), the P1
+        vertex values 12 / A (m - sum(m) / 4) of the moments
         m_i = A sum_q w_q f_q lambda_i(x_q), and the remainder f_q minus the
-        projection at x_q.  Vector (2, 2Q, 3 + 2 + 1 + 2Q), samples ordered
-        (point, component): the gradient load terms A sum_q w_q g_q . grad
-        lambda_i, the mean sum_q w_q g_q, the divergence 2 b of the slope
-        b = sum_q w_q g_q . (x_q - c) / offset_moment, and the remainder
-        g_q - mean - b (x_q - c).
+        projection at x_q.  Vector rows: the gradient load terms
+        A sum_q w_q g_q . grad lambda_i, the mean sum_q w_q g_q, the
+        divergence 2 b of the slope b = sum_q w_q g_q . (x_q - c) /
+        offset_moment, and the remainder g_q - mean - b (x_q - c), ordered
+        (point, component).
         """
         points, area = len(QUAD_W), self.mesh.tri_area
         weight = QUAD_W[:, None]
         bary = weight * QUAD_BARY
         vert = 12 * (bary - weight / 4)
-        scalar = np.hstack([area * bary, vert, np.eye(points) - vert @ QUAD_BARY.T])
+        scalar = np.hstack([area * bary, vert, np.eye(points) - vert @ QUAD_BARY.T]).T
 
         offsets = self.class_qp_offsets.reshape(2, 2 * points)
         mean = (weight[..., None] * np.eye(2)).reshape(2 * points, 2)
@@ -279,7 +281,9 @@ class FemContext:
             ],
             axis=-1,
         )
-        return np.broadcast_to(scalar, (2,) + scalar.shape), vector
+        # the samples' columns go from (point, component) to (component, point)
+        vector = vector.reshape(2, points, 2, -1).transpose(0, 3, 2, 1).reshape(2, -1, 2 * points)
+        return np.stack([scalar, scalar]), np.ascontiguousarray(vector)
 
     # -- nodal field helpers -------------------------------------------------
 
@@ -317,32 +321,7 @@ class FemContext:
         out /= self.mesh.h
         return out
 
-    def _node_sums(self, planes: np.ndarray) -> np.ndarray:
-        """Sum per-triangle vertex contributions, class planes (2, 3, n, n),
-        onto the interior nodes."""
-        cells = np.moveaxis(planes, (0, 1), (-2, -1))
-        return add_cell_corners(cells, self.mesh.n)[1:-1, 1:-1].ravel()
-
     # -- data at the quadrature points -----------------------------------------
-
-    def data_at_qp(self, f: Callable, rows: slice) -> np.ndarray:
-        """Data values at the quadrature points of the cell rows `rows`: (T, Q)
-        for T triangles of those rows, or (T, Q, 2) when f returns a pair.
-
-        f is called on coordinates x (1, n, 2, Q) and y (R, 1, 2, Q): the
-        cell origins (c h, r h) of one row and one column of cells plus the
-        class points, broadcasting to (R, n, 2, Q).
-        """
-        origin = np.arange(self.mesh.n) * self.mesh.h
-        x = origin[None, :, None, None] + self.class_qp[..., 0]
-        y = origin[rows, None, None, None] + self.class_qp[..., 1]
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        values = f(x, y)
-        if isinstance(values, tuple):
-            values = np.stack([np.broadcast_to(v, shape) for v in values], axis=-1)
-        else:
-            values = np.broadcast_to(values, shape)
-        return values.reshape((-1,) + values.shape[3:])
 
     def project_data(self, f: Callable, vector: bool):
         """Load vector and per-triangle projection of data f, whose samples are not kept.
@@ -354,63 +333,81 @@ class FemContext:
         planes = [mean (2, 2, n, n), divergence (2, n, n)] of the RT0
         projection mean + div/2 (x - c), the tau(c) + div/2 (x - c) form of
         `fluxrecon`.  rest is the squared quadrature norm of what the
-        projection leaves over, summed from its values at the quadrature
-        points.  Each block of SAMPLE_ROWS cell rows of samples gives all of
-        it in one product with the class maps (see `_sample_maps`).
+        projection leaves over, sum_q w_q (r_q . r_q) over its values r_q
+        at the quadrature points.  Each block of cell rows gives all of it
+        from one product per class with the class maps (see `_sample_maps`
+        and `_mapped_blocks`).
         """
         n = self.mesh.n
         maps = self._vector_map if vector else self._scalar_map
-        # columns of the maps: 3 load terms, 3 plane values, the remainder
+        # rows of the maps: 3 load terms, 3 plane values, the remainder
         parts = (slice(3, 5), 5) if vector else (slice(3, 6),)
-        weights = np.repeat(QUAD_W, 2 if vector else 1)  # of the remainder's columns
-        loads = np.empty((2, 3, n, n))
-        planes, rest = [], 0.0
-        for rows, out in self._mapped_samples(f, maps):
-            loads[:, :, rows] = out[:, :3]
-            if not planes:
-                planes = [np.empty(out[:, part].shape[:-2] + (n, n)) for part in parts]
+        shapes = ((2, 2, n, n), (2, n, n)) if vector else ((2, 3, n, n),)
+        planes = [np.empty(shape) for shape in shapes]
+        weights = np.repeat(QUAD_W, 2 if vector else 1)  # of the remainder's rows
+        nodes, rest = np.zeros((n + 1, n + 1)), 0.0
+        for rows, out in self._mapped_blocks(f, maps, nodes):
             for plane, part in zip(planes, parts):
                 plane[..., rows, :] = out[:, part]
-            resid = out[:, 6:]
-            np.square(resid, out=resid)
-            rest += float(weights @ resid.sum(axis=(-2, -1)).sum(axis=0))
-        return self._node_sums(loads), planes, self.mesh.tri_area * rest
+            resid = out[:, 6:].reshape(2, len(weights), -1)
+            rest += float(weights @ np.einsum("cqt,cqt->q", resid, resid))
+        return nodes[1:-1, 1:-1].ravel(), planes, self.mesh.tri_area * rest
 
     def load(self, f: Callable) -> np.ndarray:
-        """Load vector (f, phi_i) by quadrature: the load columns of the scalar class maps."""
+        """Load vector (f, phi_i) by quadrature: the load rows of the scalar class maps."""
         n = self.mesh.n
-        loads = np.empty((2, 3, n, n))
-        for rows, out in self._mapped_samples(f, self._scalar_map[:, :3]):
-            loads[:, :, rows] = out
-        return self._node_sums(loads)
+        nodes = np.zeros((n + 1, n + 1))
+        for _ in self._mapped_blocks(f, self._scalar_map[:, :3], nodes):
+            pass
+        return nodes[1:-1, 1:-1].ravel()
 
-    def _mapped_samples(self, f: Callable, maps: np.ndarray):
+    def _mapped_blocks(self, f: Callable, maps: np.ndarray, nodes: np.ndarray):
         """(rows, the class maps applied to the samples of f) for each block of
-        SAMPLE_ROWS cell rows, in order, as class planes (2, D, R, n).
+        SAMPLE_ROWS cell rows, in order, as class planes (2, D, R, n), with
+        the first three rows, the load terms of the local vertices, added to
+        the node grid `nodes` (n+1, n+1) as each block is mapped.
 
-        `maps` (2, D, 2S) is the transposed block-diagonal class map of the
-        S samples of a lower and an upper triangle.  Every block is written
-        to one buffer, so it is valid only until the next one is produced.
+        f is called on coordinates x (2, Q, 1, n) and y (2, Q, R, 1): the
+        cell origins (c h, r h) of one row and one column of cells plus the
+        points of the class triangles, broadcasting to the class planes
+        (2, Q, R, n) of its values, or of each of its pair of values for
+        vector data.  `maps` (2, D, PQ) are the class maps of the P = 1 or 2
+        components' samples.  The samples are copied into one buffer and
+        their image written to another, both reused by every block, so a
+        block is valid only until the next one is produced.
         """
-        n = self.mesh.n
-        cols = maps.reshape(-1, maps.shape[-1])
-        buffer = np.empty(len(cols) * min(SAMPLE_ROWS, n) * n)
+        n, h = self.mesh.n, self.mesh.h
+        depth, width = maps.shape[1:]
+        points = len(QUAD_W)
+        parts = width // points
+        origin = np.arange(n) * h
+        x = origin + self.class_qp[..., 0, None, None]
+        size = min(SAMPLE_ROWS, n) * n
+        image, samples = np.empty(2 * depth * size), np.empty(2 * width * size)
         for start in range(0, n, SAMPLE_ROWS):
-            rows = slice(start, min(start + SAMPLE_ROWS, n))
-            pairs = self.data_at_qp(f, rows).reshape(-1, cols.shape[1])
-            out = buffer[: len(cols) * len(pairs)].reshape(len(cols), len(pairs))
-            np.matmul(cols, pairs.T, out=out)
-            yield rows, out.reshape(2, -1, rows.stop - start, n)
+            stop = min(start + SAMPLE_ROWS, n)
+            cells = (stop - start) * n
+            y = origin[start:stop, None] + self.class_qp[..., 1, None, None]
+            values = f(x, y)
+            block = samples[: 2 * width * cells].reshape(2, parts, points, stop - start, n)
+            for part in range(parts):
+                block[:, part] = values[part] if parts > 1 else values
+            del values  # f's own arrays go before the next block is sampled
+            out = image[: 2 * depth * cells].reshape(2, depth, cells)
+            for cls in range(2):
+                np.matmul(maps[cls], block[cls].reshape(width, cells), out=out[cls])
+            out = out.reshape(2, depth, stop - start, n)
+            _add_to_corners(nodes, out[:, :3], start)
+            yield slice(start, stop), out
 
 
-def _block_map(maps: np.ndarray) -> np.ndarray:
-    """Per-class maps (2, S, D) of one triangle's samples as the transposed
-    block-diagonal map (2, D, 2S) of a lower and an upper triangle's."""
-    samples, depth = maps.shape[1:]
-    block = np.zeros((2, depth, 2, samples))
-    block[0, :, 0] = maps[0].T
-    block[1, :, 1] = maps[1].T
-    return block.reshape(2, depth, 2 * samples)
+def _add_to_corners(nodes: np.ndarray, terms: np.ndarray, start: int) -> None:
+    """Add per-vertex terms of the triangles of cell rows start, start + 1,
+    ..., class planes (2, 3, R, n), to the node grid `nodes` (n+1, n+1)."""
+    rows, n = terms.shape[-2:]
+    for cls, corners in enumerate(CLASS_CORNERS):
+        for local, (r, c) in enumerate(corners):
+            nodes[start + r : start + rows + r, c : c + n] += terms[cls, local]
 
 
 def prolong(grid: np.ndarray, n_fine: int) -> np.ndarray:

@@ -43,20 +43,6 @@ class UniformMesh:
         return 0.5 * self.h * self.h
 
 
-def add_cell_corners(values: np.ndarray, n: int) -> np.ndarray:
-    """Sum per-vertex triangle values onto the node grid,
-    (..., n, n, 2, 3) -> (..., n+1, n+1).
-
-    Axes -4 and -3 of `values` are the cell row and column, axis -2 the
-    class and axis -1 the local vertex of `CLASS_CORNERS`.
-    """
-    out = np.zeros(values.shape[:-4] + (n + 1, n + 1))
-    for cls, corners in enumerate(CLASS_CORNERS):
-        for local, (r, c) in enumerate(corners):
-            out[..., r : r + n, c : c + n] += values[..., cls, local]
-    return out
-
-
 def build(n: int) -> UniformMesh:
     """The uniform mesh with n cells per side.
 

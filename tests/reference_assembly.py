@@ -11,13 +11,15 @@ against it.  A `build_mesh` mesh also carries `n`, `h` and `tri_area`, all
 that `FemContext` reads, so a context can be built on it.
 
 The nodal-field helpers below (zero extension, interpolation, values and
-gradients by `triangles` gathers, and the 7-point quadrature norms) work
-on all-node vectors and per-quadrature-point samples, the layouts the
+gradients by `triangles` gathers, the triangle-order sampler `data_at_qp`
+and the 7-point quadrature norms) work on all-node vectors and
+per-quadrature-point samples in the triangle numbering, the layouts the
 reference evaluations use; the run path never forms either.  So do the
 per-triangle load terms and P1 / RT0 projections of whole sample arrays,
-each its own pass over the samples, against which the fused class-map
-product of `FemContext.project_data` is checked, and the centroid values
-of vector data, whose edge average is the indicator data's flux.
+each its own pass over the samples, and the sum of per-triangle vertex
+values onto the node grid, against which the streaming pass of
+`FemContext.project_data` is checked, and the centroid values of vector
+data, whose edge average is the indicator data's flux.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import scipy.sparse as sp
 from types import SimpleNamespace
 
 from mhbounds.femcore import QUAD_BARY, QUAD_W
+from mhbounds.mesh import CLASS_CORNERS
 
 
 def build_mesh(n: int) -> SimpleNamespace:
@@ -235,6 +238,26 @@ def p1_eval_at(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(xi >= eta, lower, upper)
 
 
+def data_at_qp(ctx, f) -> np.ndarray:
+    """Data values at the quadrature points in the triangle numbering: (T, Q),
+    or (T, Q, 2) when f returns a pair.
+
+    f is called on coordinates x (1, n, 2, Q) and y (n, 1, 2, Q): the cell
+    origins (c h, r h) of one row and one column of cells plus the class
+    points, broadcasting to (n, n, 2, Q).
+    """
+    origin = np.arange(ctx.mesh.n) * ctx.mesh.h
+    x = origin[None, :, None, None] + ctx.class_qp[..., 0]
+    y = origin[:, None, None, None] + ctx.class_qp[..., 1]
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    values = f(x, y)
+    if isinstance(values, tuple):
+        values = np.stack([np.broadcast_to(v, shape) for v in values], axis=-1)
+    else:
+        values = np.broadcast_to(values, shape)
+    return values.reshape((-1,) + values.shape[3:])
+
+
 def quadrature_weights(ctx) -> np.ndarray:
     """Per-point weights scaled by area, (T, Q) (a read-only view)."""
     mesh = ctx.mesh
@@ -292,6 +315,20 @@ def vector_at_centroids(mesh, g) -> np.ndarray:
     (2, 2, n, n) (class, then component)."""
     x, y = mesh.nodes[mesh.triangles].mean(axis=1).T
     return class_planes(np.column_stack(g(x, y)), mesh.n)
+
+
+def add_cell_corners(values: np.ndarray, n: int) -> np.ndarray:
+    """Sum per-vertex triangle values onto the node grid,
+    (..., n, n, 2, 3) -> (..., n+1, n+1).
+
+    Axes -4 and -3 of `values` are the cell row and column, axis -2 the
+    class and axis -1 the local vertex of `CLASS_CORNERS`.
+    """
+    out = np.zeros(values.shape[:-4] + (n + 1, n + 1))
+    for cls, corners in enumerate(CLASS_CORNERS):
+        for local, (r, c) in enumerate(corners):
+            out[..., r : r + n, c : c + n] += values[..., cls, local]
+    return out
 
 
 def per_class(values: np.ndarray, maps: np.ndarray) -> np.ndarray:

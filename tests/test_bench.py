@@ -381,6 +381,24 @@ def test_command_line_run_loads_no_scipy():
     assert "k=1 min=" in done.stdout
 
 
+def test_one_worker_run_loads_no_thread_pool():
+    # a one-worker library run imports neither the thread pool nor the
+    # logging it pulls in, nor the command line's argparse or the tables'
+    # csv
+    script = (
+        "import sys\n"
+        "from mhbounds import bench\n"
+        "report = bench.run(bench.ExperimentConfig(example=1, grid=8))\n"
+        "print(len(report.rows), sorted(m for m in ('logging', 'concurrent.futures', 'argparse', 'csv')"
+        " if m in sys.modules))\n"
+    )
+    src = str(Path(bench.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "1 []"
+
+
 def test_overall_rows_share_one_exact_total(monkeypatch):
     # the exact total cost sums hundreds of sampled Fourier modes; a run
     # takes it once, however many overall rows it has

@@ -22,7 +22,9 @@ from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext, Scratch
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import ModeSolution, build_matrices, build_mode_system, mode_parts
-from reference_assembly import build_mesh, gradient_load_from_qp, load_from_qp, p1_at_qp, p1_grad, quadrature_weights
+from reference_assembly import (
+    build_mesh, data_at_qp, gradient_load_from_qp, load_from_qp, p1_at_qp, p1_grad, quadrature_weights,
+)
 from reference_bounds import (
     QuadratureData, evaluate_mode_reference, grid_search_alpha_beta, majorant_form, optimal_parameters, project,
     rt0_from_callable, rt0_reconstruct,
@@ -363,10 +365,10 @@ def test_evaluate_mode_matches_reference_on_cases(ident, scratch):
     # the case's data at the quadrature points and its edge fluxes, which
     # CaseBind projects once and does not keep
     if case.problem == "I":
-        profile = dict(y_qp=ctx.data_at_qp(case.profile, slice(None)))
+        profile = dict(y_qp=data_at_qp(ctx, case.profile))
     else:
         edges = rt0_from_callable(ctx.mesh, case.profile)
-        profile = dict(g_qp=ctx.data_at_qp(case.profile, slice(None)), g_edge=edges)
+        profile = dict(g_qp=data_at_qp(ctx, case.profile), g_edge=edges)
     for k in (0, 1):
         system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
         precond = build(mats, k, case.lam, case.omega, surrogate_inverse=False)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,25 +229,60 @@ def test_mode_pair_matches_coefficient_table(ident):
 @pytest.mark.parametrize("ident", [1, 4, 6])
 @pytest.mark.parametrize("rows", [1, 5])
 def test_bind_in_row_blocks_matches_one_block(monkeypatch, ident, rows):
-    # loads, projections and remainder do not depend on how many cell rows
-    # are sampled at a time
+    # loads, projections and remainder, and a load of `ctx.load`, do not
+    # depend on how many cell rows are sampled at a time
+    def f(x, y):
+        return np.exp(x) * np.cos(3 * y)
+
     ctx = FemContext(meshmod.build(12))
     case = make_case(ident)
-    whole = CaseBind(case, ctx)
+    whole, whole_load = CaseBind(case, ctx), ctx.load(f)
     monkeypatch.setattr(femcore, "SAMPLE_ROWS", rows)
-    blocked = CaseBind(case, ctx)
+    blocked, blocked_load = CaseBind(case, ctx), ctx.load(f)
+    assert np.abs(whole_load - blocked_load).max() <= 1e-14 * np.abs(whole_load).max()
     for name in ("load", "y_vert") if case.problem == "I" else ("load", "g_mean", "g_div"):
         a, b = (bind.load if name == "load" else bind.planes[name] for bind in (whole, blocked))
         assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max(), name
     assert abs(whole.rest - blocked.rest) <= 1e-14 * whole.rest
 
 
+@pytest.mark.parametrize("ident", [1, 4, 6])
+def test_binding_transient_memory_stays_bounded(ident):
+    # besides what it keeps (load, projection planes, flux, state load),
+    # CaseBind holds one block's sample and image buffers while it binds,
+    # and within a margin f's values of one block with their temporaries,
+    # the node grid the loads are summed on and 64 KiB of small arrays; no
+    # (2, 3, n, n) per-triangle array fits in that margin
+    n = 128
+    case, mesh = make_case(ident), meshmod.build(n)
+    tracemalloc.start()
+    try:
+        bind = CaseBind(case, FemContext(mesh))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = [bind.load] + [bind.planes[name] for name in ("y_vert", "g_mean", "g_div") if name in bind.planes]
+    if "g_flux" in bind.planes:
+        flux = bind.planes["g_flux"]
+        arrays += [flux.horiz, flux.vert, flux.diag]
+    if bind.state_load is not None and bind.state_load is not bind.load:
+        arrays.append(bind.state_load)
+    kept = sum(a.nbytes for a in arrays)
+    maps = bind.ctx._vector_map if case.problem == "II" else bind.ctx._scalar_map
+    cells = femcore.SAMPLE_ROWS * n
+    block = 2 * sum(maps.shape[1:]) * cells * 8  # image (2, D, R n) and samples (2, PQ, R n)
+    values = 2 * len(femcore.QUAD_W) * cells * 8  # one (2, Q, R, n) array
+    margin = 2 * values + (n + 1) ** 2 * 8 + 64 * 1024
+    assert margin < 2 * 3 * n * n * 8
+    assert peak <= kept + block + margin, (peak, kept, block, margin)
+
+
 @pytest.mark.parametrize("n", [2, 8, 40, 70])
 def test_indicator_flux_averages_centroid_values(n):
     # example 6's data jump only on the mesh lines of an even grid, so each
     # triangle's projected mean, which the flux averages, is its centroid
-    # value; 40 and 70 end in a partial block of sampled cell rows
-    assert 40 % femcore.SAMPLE_ROWS and 70 % femcore.SAMPLE_ROWS
+    # value; 70 ends in a partial block of sampled cell rows
+    assert 70 % femcore.SAMPLE_ROWS
     case = make_case(6)
     mesh = meshmod.build(n)
     flux = CaseBind(case, FemContext(mesh)).planes["g_flux"]

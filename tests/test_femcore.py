@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from mhbounds.cases import make_case
 from mhbounds.femcore import (
-    QUAD_BARY, QUAD_W, SAMPLE_ROWS, FemContext, Scratch, _stencil_bands, element_matrices, prolong,
+    QUAD_BARY, QUAD_W, SAMPLE_ROWS, FemContext, Scratch, _add_to_corners, _stencil_bands, element_matrices,
+    prolong,
 )
-from mhbounds.mesh import add_cell_corners
 from mhbounds.systems import build_matrices, build_mode_system
 import reference_assembly as ref
 from reference_bounds import tri_rows, tri_scalars
@@ -101,17 +101,24 @@ def test_load_vectors(ctx2, ctx16):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
 def test_sliced_loads_match_add_at(n, rng):
+    # per-triangle load terms added onto the node grid in place, in blocks
+    # of 1, 3 and 16 cell rows, against np.add.at over the triangles
     mesh = ref.build_mesh(n)
     ctx = FemContext(mesh)
     values = rng.standard_normal(ref.quadrature_weights(ctx).shape)
     vectors = rng.standard_normal(ref.quadrature_weights(ctx).shape + (2,))
-    for got, expect in [
-        (ctx._node_sums(ref.class_planes(ref.load_terms(ctx, values), n)), ref.load_from_qp(mesh, values)),
-        (ctx._node_sums(ref.class_planes(ref.gradient_load_terms(ctx, vectors), n)),
-         ref.gradient_load_from_qp(mesh, vectors)),
+    for terms, expect in [
+        (ref.load_terms(ctx, values), ref.load_from_qp(mesh, values)),
+        (ref.gradient_load_terms(ctx, vectors), ref.gradient_load_from_qp(mesh, vectors)),
     ]:
-        assert got.shape == expect.shape
-        assert np.abs(got - expect).max(initial=0) <= 1e-14 * np.abs(expect).max(initial=0)
+        planes = ref.class_planes(terms, n)
+        for rows in (1, 3, 16):
+            nodes = np.zeros((n + 1, n + 1))
+            for start in range(0, n, rows):
+                _add_to_corners(nodes, planes[..., start : start + rows, :], start)
+            got = nodes[1:-1, 1:-1].ravel()
+            assert got.shape == expect.shape
+            assert np.abs(got - expect).max(initial=0) <= 1e-14 * np.abs(expect).max(initial=0)
 
 
 def test_rayleigh_quotient_eigenfunction():
@@ -228,7 +235,7 @@ def test_node_grid_corners_match_triangle_gather(n, rng):
     expect = np.zeros((2, mesh.num_nodes))
     for part in range(2):
         np.add.at(expect[part], mesh.triangles, values[part])
-    got = add_cell_corners(values.reshape(2, n, n, 2, 3), n).reshape(expect.shape)
+    got = ref.add_cell_corners(values.reshape(2, n, n, 2, 3), n).reshape(expect.shape)
     assert np.allclose(got, expect, rtol=1e-15, atol=1e-15)
 
 
@@ -254,10 +261,16 @@ def test_class_maps_match_per_triangle_geometry(n, rng):
     assert np.allclose(grads, ctx.class_grads[cls], rtol=0, atol=1e-12 * n)
     assert np.allclose(area, mesh.tri_area, rtol=1e-14, atol=0)
     assert np.allclose(ref.quadrature_weights(ctx), area[:, None] * QUAD_W, rtol=1e-14, atol=0)
-    every = slice(None)
-    points = np.stack([ctx.data_at_qp(lambda x, y: x, every), ctx.data_at_qp(lambda x, y: y, every)], axis=-1)
+    # the data are sampled at the class planes (2, Q, R, n) of the points
+    # of each block of cell rows
+    blocks = []
+    ctx.load(lambda x, y: blocks.append(np.broadcast_arrays(x, y)) or x)
+    points = np.stack([np.concatenate(axis, axis=-2) for axis in zip(*blocks)], axis=-1)
+    expect = np.moveaxis(ref.class_planes(np.moveaxis(qp, -1, 0), n), 0, -1)
+    assert np.allclose(points, expect, rtol=0, atol=1e-15)
+    points = np.stack([ref.data_at_qp(ctx, lambda x, y: x), ref.data_at_qp(ctx, lambda x, y: y)], axis=-1)
     assert np.allclose(points, qp, rtol=0, atol=1e-15)
-    assert np.allclose(ctx.data_at_qp(lambda x, y: (x, y), every), qp, rtol=0, atol=1e-15)
+    assert np.allclose(ref.data_at_qp(ctx, lambda x, y: (x, y)), qp, rtol=0, atol=1e-15)
     assert np.allclose(qp - centroid, ctx.class_qp_offsets[cls], rtol=0, atol=1e-14)
     assert np.allclose((centroid - corners) / (2 * area[:, None, None]),
                        ctx.class_rt0_form[cls, :, :2], rtol=0, atol=1e-12 * n)
@@ -293,14 +306,15 @@ def test_exact_p1_norm_matches_mass_matrix(ctx8, rng):
 
 
 def _sampled(ctx, values):
-    """A data callable that returns the given samples, (T, Q) or (T, Q, 2),
-    at the quadrature points `FemContext` asks for, one block of cell rows
-    at a time; the row of a point is that of its cell origin."""
+    """A data callable that returns the given samples, (T, Q) or (T, Q, 2)
+    in the triangle numbering, at the quadrature points `FemContext` asks
+    for, one block of cell rows at a time, as class planes (2, Q, R, n);
+    the row of a point is that of its cell origin."""
     n, h = ctx.mesh.n, ctx.mesh.h
-    cells = values.reshape((n, n, 2, len(QUAD_W)) + values.shape[2:])
+    planes = np.moveaxis(values.reshape((n, n, 2, len(QUAD_W)) + values.shape[2:]), (0, 1), (2, 3))
 
     def f(x, y):
-        block = cells[np.floor(y[:, 0, 0, 0] / h).astype(int)]
+        block = planes[:, :, np.floor(y[0, 0, :, 0] / h).astype(int)]
         return block if block.ndim == 4 else (block[..., 0], block[..., 1])
 
     return f
@@ -312,15 +326,15 @@ def _assert_close(got, expect, rtol, scale=None):
     assert np.abs(got - expect).max(initial=0) <= rtol * scale
 
 
-def _assert_projection_matches_reference(ctx, f, vector):
-    """`project_data` of data f against the separate passes of the reference:
-    the load vector and the planes to 1e-12 of their size, rest to 1e-10 of
-    itself above the rounding floor of the samples' norm, where the
-    projection is exact."""
+def _assert_projection_matches_reference(ctx, f, vector, samples):
+    """`project_data` of data f against the separate passes of the reference
+    over its samples in the triangle numbering: the load vector and the
+    planes to 1e-12 of their size, rest to 1e-10 of itself above the
+    rounding floor of the samples' norm, where the projection is exact."""
     mesh = ctx.mesh
     load, planes, rest = ctx.project_data(f, vector)
     if vector:
-        vectors = ctx.data_at_qp(f, slice(None))
+        vectors = samples
         mean, div = planes
         expect_mean, expect_div, expect_rest = ref.project_rt0(ctx, vectors)
         _assert_close(load, ref.gradient_load_from_qp(mesh, vectors), 1e-12)
@@ -330,7 +344,7 @@ def _assert_projection_matches_reference(ctx, f, vector):
         _assert_close(div, expect_div, 1e-12, scale)
         floor = ref.vec_norm2(ctx, vectors)
     else:
-        values = ctx.data_at_qp(f, slice(None))
+        values = samples
         expect_vert, expect_rest = ref.project_p1(ctx, values)
         expect_load = ref.load_from_qp(mesh, values)
         _assert_close(load, expect_load, 1e-12)
@@ -344,13 +358,13 @@ def _assert_projection_matches_reference(ctx, f, vector):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.sampled_from([1, 2, 5, 40, 70]), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
 def test_fused_projection_matches_reference(n, seed, scale):
-    # n = 40 and 70 end in a partial block of cell rows
-    assert 40 % SAMPLE_ROWS and 70 % SAMPLE_ROWS
+    # n = 70 ends in a partial block of cell rows
+    assert 70 % SAMPLE_ROWS
     ctx = FemContext(ref.build_mesh(n))
     rng = np.random.default_rng(seed)
     shape = ref.quadrature_weights(ctx).shape
     for vector, values in [(False, rng.standard_normal(shape)), (True, rng.standard_normal(shape + (2,)))]:
-        _assert_projection_matches_reference(ctx, _sampled(ctx, scale * values), vector)
+        _assert_projection_matches_reference(ctx, _sampled(ctx, scale * values), vector, scale * values)
 
 
 @pytest.mark.parametrize("n", [40, 70])
@@ -359,7 +373,8 @@ def test_fused_projection_of_example_data(n, example):
     # the indicator data of examples 3 and 6 change only across mesh lines,
     # so their projections are exact: rest and divergence are rounding
     case = make_case(example)
-    _assert_projection_matches_reference(FemContext(ref.build_mesh(n)), case.profile, case.problem == "II")
+    ctx = FemContext(ref.build_mesh(n))
+    _assert_projection_matches_reference(ctx, case.profile, case.problem == "II", ref.data_at_qp(ctx, case.profile))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
