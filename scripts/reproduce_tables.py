@@ -49,7 +49,7 @@ def main():
     nref = 512 if full else 128
     for example in (3, 6):
         rep = run(ExperimentConfig(
-            example=example, grid=big, modes=(0, 1, 3, 5), nref=nref, reference="fine",
+            example=example, grid=big, modes=(0, 1, 3, 5), nref=nref,
         ))
         write_csv(rep, out / f"example{example}_modes_n{big}.csv")
         write_markdown(rep, out / f"example{example}_modes_n{big}.md")

@@ -65,8 +65,7 @@ class ExperimentConfig:
     maxiter: int = 300
     paper_mode: bool = False
     precond_family: int = 0
-    nref: int | None = None
-    reference: str = "auto"  # auto | analytic | fine | none
+    nref: int | None = None  # a fine reference grid; without one, the analytic reference if any
     workers: int = 1
 
     def validate(self) -> list[str]:
@@ -83,23 +82,19 @@ class ExperimentConfig:
             errors.append("modes must not be empty")
         if any(k < 0 for k in self.modes):
             errors.append("modes must be nonnegative")
-        for name in ("lam", "omega"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0):
-                errors.append(f"{name} must be positive and finite, got {value}")
+        if any(n < 0 for n in self.overall):
+            errors.append("overall truncation indices must be nonnegative")
+        if self.example in range(1, 7):
+            try:  # lambda and omega, and the data's norm over the period they give
+                make_case(self.example, lam=self.lam, omega=self.omega)
+            except ValueError as exc:
+                errors.append(str(exc))
         if not (np.isfinite(self.tol) and self.tol > 0):
             errors.append(f"tol must be positive and finite, got {self.tol}")
         if self.maxiter < 1:
             errors.append(f"maxiter must be at least 1, got {self.maxiter}")
         if self.workers < 1:
             errors.append("workers must be at least 1")
-        if self.reference not in ("auto", "analytic", "fine", "none"):
-            errors.append(f"unknown reference mode {self.reference!r}")
-        if (self.reference == "analytic" and self.example in range(1, 7)
-                and not make_case(self.example).has_analytic_reference):
-            errors.append(f"example {self.example} has no analytic reference")
-        if self.reference == "fine" and self.nref is None:
-            errors.append("reference='fine' needs --nref")
         if self.nref is not None and self.nref < self.grid:
             errors.append("nref must not be below the grid")
         if self.precond_family not in (0, 1):
@@ -262,14 +257,8 @@ def run(config: ExperimentConfig) -> BoundsReport:
     if errors:
         raise ValueError("; ".join(errors))
     case = make_case(config.example, lam=config.lam, omega=config.omega)
-    kind = config.reference
-    if kind == "auto":
-        if case.has_analytic_reference:
-            kind = "analytic"
-        elif config.nref is not None:
-            kind = "fine"
-        else:
-            kind = "none"
+    kind = ("fine" if config.nref is not None else "analytic" if case.has_analytic_reference
+            else "none")
     needed = sorted(set(config.modes) | set(range(max(config.overall) + 1)) if config.overall
                     else set(config.modes))
     solver = _Solver(case, config.grid, config)
@@ -475,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=int, default=0, choices=[0, 1],
                    help="Schur preconditioner family of the paper's problem II "
                         "runs; needs --paper-mode")
-    p.add_argument("--nref", type=int, default=None, help="fine reference grid")
-    p.add_argument("--reference", default="auto",
-                   choices=["auto", "analytic", "fine", "none"])
+    p.add_argument("--nref", type=int, default=None,
+                   help="fine reference grid; without it examples 1, 2, 4 and 5 take the exact "
+                        "reference and examples 3 and 6 none")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output directory for tables")
     return p
@@ -496,7 +485,6 @@ def main(argv=None) -> int:
         paper_mode=args.paper_mode,
         precond_family=args.family,
         nref=args.nref,
-        reference=args.reference,
         workers=args.workers,
     )
     # a sweep replaces the grid, so every swept grid is checked instead

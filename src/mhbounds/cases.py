@@ -5,9 +5,11 @@ Cases 1-3 track a desired state (problem I), cases 4-6 a desired gradient
 cases 1/2/4/5 are analytic in time with the eigenfunction
 sin(pi x) sin(pi y) in space, cases 3/6 carry indicator-function data with
 closed-form Fourier coefficients (odd cosine modes only).
-On the eigenfunction each Fourier mode is one scalar Tikhonov problem, so
-cases 1/2/4/5 have exact references in closed form at any lambda and omega
-(`ExampleCase.gain`).
+The time factors of cases 1/2/4/5 are e^t times a trig polynomial of degree
+at most 3, so each of their Fourier coefficients and their norm over one
+period is a short sum in closed form.  On the eigenfunction each Fourier mode
+is one scalar Tikhonov problem, so these cases have exact references in closed
+form at any lambda and omega (`ExampleCase.gain`).
 """
 
 from __future__ import annotations
@@ -22,15 +24,18 @@ from . import fluxrecon
 from .bounds import ModeData
 from .femcore import FemContext, Scratch
 from .systems import mode_parts
-from .timefourier import SampledSignal, sample_periodic
 
 PI = np.pi
 PI2 = PI * PI
 PI4 = PI2 * PI2
 KAPPA = 2.0 * PI2  # first Dirichlet-Laplacian eigenvalue on the unit square
-# Panels of the time sampler: a mode up to this index has at most one period
-# per panel, which the panel's 12-point Gauss rule integrates to rounding.
-TIME_PANELS = 256
+TRIG = np.arange(-3, 4)  # the frequencies a of the time factors' e^t e^{i a t} terms
+# The exact total cost sums its modes in chunks of SUM_CHUNK, up to SUM_MODES
+# modes; at lambda = 1e-4, omega = 0.1 example 5 needs about 2^17 of them for
+# a rest below 1e-8 of the total.
+SUM_CHUNK = 256
+SUM_MODES = 2**17
+TAYLOR_TERMS = 32  # of the time factors' Taylor series on periods below 1
 
 
 def _sin_sin(x, y):
@@ -73,6 +78,13 @@ def _g5(t):
     return -np.exp(t) * (0.1 * np.cos(t) - (PI2 + 0.2 * PI4) * np.sin(t)) / PI
 
 
+def _exact_dot(floats: list, ints: list) -> float:
+    """sum_i floats_i ints_i in exact integer arithmetic, rounded once."""
+    ratios = [x.as_integer_ratio() for x in floats]
+    scale = max(d for _, d in ratios)  # a power of two, as every denominator is
+    return sum(n * (scale // d) * m for (n, d), m in zip(ratios, ints)) / scale
+
+
 def box_mode_coefficient(k: int) -> float:
     """Cosine coefficient of the on-off time factor (period 1, on [1/4, 3/4]).
 
@@ -96,10 +108,9 @@ class ExampleCase:
     lam: float
     omega: float
     time_factor: Callable
-    analytic_modes: bool  # closed-form time coefficients (indicator data)
     profile: Callable
     spatial_norm2: float = 0.25
-    eigen_kappa: Optional[float] = None
+    eigen_kappa: Optional[float] = None  # None for the indicator data of cases 3 and 6
     data_scale: float = 1.0  # coefficient of grad(profile) per unit time coefficient
     sigma: float = 1.0
     nu: float = 1.0
@@ -109,25 +120,106 @@ class ExampleCase:
         return 2.0 * PI / self.omega
 
     @cached_property
-    def _time_samples(self) -> SampledSignal:
-        """The time factor over one period, sampled once per case."""
-        return sample_periodic(self.time_factor, self.omega, panels=TIME_PANELS, order=12)
+    def _samples(self) -> np.ndarray:
+        """p(t) = time_factor(t) e^{-t} at t = 2 pi j / 8, j = 0..7."""
+        t = 2.0 * PI * np.arange(8) / 8
+        return self.time_factor(t) * np.exp(-t)
+
+    @cached_property
+    def _trig_coefs(self) -> np.ndarray:
+        """c_a of p(t) = sum_a c_a e^{i a t}, a in TRIG; of degree at most 3,
+        p has no frequency that the eight samples alias."""
+        c = np.fft.fft(self._samples) / 8
+        return np.concatenate([c[5:], c[:4]])
+
+    @cached_property
+    def _taylor(self) -> np.ndarray:
+        """g's Taylor coefficients at 0, sum_a c_a alpha_a^m / m! with
+        alpha_a = 1 + i a, m < TAYLOR_TERMS; the first is the sample p(0), as
+        the sum of the c_a is off by their rounding, all of g's size on a
+        short period where g vanishes at 0 (examples 1 and 4)."""
+        m = np.arange(TAYLOR_TERMS)
+        taylor = (1.0 + 1j * TRIG) ** m[:, None] @ self._trig_coefs / np.cumprod(np.maximum(m, 1.0))
+        taylor[0] = self._samples[0]
+        return taylor
+
+    @cached_property
+    def _numerator(self) -> np.ndarray:
+        """Coefficients of N(nu) = sum_a w_a prod_{b != a} (alpha_b - i nu),
+        w_a = c_a expm1(alpha_a T), lowest first, each summed exactly from
+        the floats w_a: mode k's coefficient (1/T) sum_a w_a / (alpha_a - i nu)
+        at nu = k omega (as e^{-i nu T} = 1) is (1/T) N(nu) / prod_a
+        (alpha_a - i nu), and where g joins smoothly across the period's end
+        the top coefficients cancel that a high mode's terms would."""
+        x = TRIG / self.omega  # e^{i a T} with the whole turns of a T taken off
+        w = self._trig_coefs * np.expm1(self.period + 2j * PI * (x - np.round(x)))
+        # -prod_{b != a} (nu - (b - i)), of Gaussian integers exact in floats
+        polys = -np.array([np.polynomial.polynomial.polyfromroots(np.delete(TRIG - 1j, i))
+                           for i in range(TRIG.size)])
+        real, imag = (np.rint(part).astype(int).T.tolist() for part in (polys.real, polys.imag))
+        parts = w.real.tolist() + w.imag.tolist()
+        return np.array([complex(_exact_dot(parts, r + [-v for v in i]), _exact_dot(parts, i + r))
+                         for r, i in zip(real, imag)])
+
+    def _coefficients(self, ks) -> np.ndarray:
+        """Complex coefficients (1/T) int_0^T g(t) e^{-i k omega t} dt of modes
+        ks: N / prod from `_numerator`, or below T = 1, where N's terms cancel
+        as g does near 0, sum_m a_m T^m J_m(k) from `_taylor`, with J_m(k) =
+        int_0^1 s^m e^{-2 pi i k s} ds = 1 / (m + 1) for k = 0 and else
+        (m J_{m-1} - 1) / (2 pi i k) from J_0 = 0; its rounding grows by
+        m / (2 pi k) a step, T^m / m! falls faster."""
+        k = np.asarray(ks, dtype=float)[..., None]
+        if self.period >= 1.0:
+            nu = k * self.omega
+            denominator = np.prod(1.0 + 1j * (TRIG - nu), axis=-1)
+            return np.polynomial.polynomial.polyval(nu[..., 0], self._numerator) / denominator / self.period
+        turn = 2j * PI * np.where(k == 0, 1.0, k)
+        moments = [np.where(k == 0, 1.0 + 0j, 0.0)]
+        for m in range(1, TAYLOR_TERMS):
+            moments.append(np.where(k == 0, 1.0 / (m + 1), (m * moments[-1] - 1.0) / turn))
+        return np.concatenate(moments, axis=-1) @ (self._taylor * self.period ** np.arange(TAYLOR_TERMS))
+
+    def _energies(self, ks: np.ndarray) -> np.ndarray:
+        """Parseval energies T |g_0|^2 and 2 T |g_k|^2 of modes ks."""
+        return np.where(ks > 0, 2.0, 1.0) * self.period * np.abs(self._coefficients(ks)) ** 2
+
+    @cached_property
+    def time_norm2(self) -> float:
+        """||g||_T^2 = sum_{a,b} c_a conj(c_b) expm1(z T) / z, z = 2 + i (a - b),
+        not finite where e^{2T} overflows; below T = 1, where the terms cancel
+        as g does near 0, the integral of the square of g's Taylor series."""
+        c, T = self._trig_coefs, self.period
+        if T < 1.0:
+            powers = np.add.outer(np.arange(TAYLOR_TERMS), np.arange(TAYLOR_TERMS)) + 1
+            return float(np.real(self._taylor @ (T**powers / powers) @ self._taylor.conj()))
+        z = 2.0 + 1j * np.subtract.outer(TRIG, TRIG)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.real(c @ (np.expm1(z * T) / z) @ c.conj()))
 
     def mode_pair(self, k: int) -> tuple[float, float]:
-        """(cosine, sine) coefficients of mode k of the time factor alone."""
-        if self.analytic_modes:
+        """(cosine, sine) coefficients of mode k of the time factor alone,
+        2 (Re, -Im) of its complex coefficient, and (mean, 0) for mode 0."""
+        if not self.has_analytic_reference:
             return box_mode_coefficient(k), 0.0
-        return self._time_samples.mode(k)
+        g = self._coefficients(k)
+        return (float(g.real), 0.0) if k == 0 else (2.0 * float(g.real), -2.0 * float(g.imag))
 
     def remainder(self, n_modes: int) -> float:
-        """Tail energy (T/2) sum_{k>N} ||data mode||^2."""
-        if self.analytic_modes:
+        """Tail energy (T/2) sum_{k>N} ||data mode||^2.
+
+        Raises:
+            ValueError: if n_modes < 0.
+        """
+        if n_modes < 0:
+            raise ValueError("mode index must be nonnegative")
+        if not self.has_analytic_reference:
             # only odd cosine modes: sum_{odd k <= N} 1/k^2 against pi^2/8
             ks = np.arange(1, n_modes + 1)
             partial = float(np.sum(1.0 / ks[ks % 2 == 1] ** 2))
             tail = (4.0 / PI2) * (PI2 / 8.0 - partial)
             return float(0.5 * self.period * tail * self.spatial_norm2)
-        return self._time_samples.tail(n_modes) * self.spatial_norm2
+        retained = float(np.sum(self._energies(np.arange(n_modes + 1))))
+        return (self.time_norm2 - retained) * self.spatial_norm2
 
     @property
     def has_analytic_reference(self) -> bool:
@@ -165,39 +257,42 @@ class ExampleCase:
 
     def overall_reference(self) -> float:
         """Exact total cost 0.5 ||profile||^2 (||g||_T^2 - sum_k w_k |d_k|^2
-        G_k / (lam + G_k)), w_k |d_k|^2 the Parseval energy of mode k.  The
-        sum ends at the first K whose remaining terms, at most
-        G_{K+1} / (lam + G_{K+1}) tail(K), are below the rounding of
-        ||g||_T^2, or at K = TIME_PANELS; the result exceeds the optimum by
-        at most that bound times 0.5 ||profile||^2."""
-        signal = self._time_samples
-        total = signal.norm2()
-        energy = signal.energies(TIME_PANELS)
-        gain = self.gain(np.arange(TIME_PANELS + 2))
-        keep = gain / (self.lam + gain)
-        rest = keep[1:] * (total - np.cumsum(energy))  # the bound after each K
-        below = np.flatnonzero(rest <= np.finfo(float).eps * total)
-        last = below[0] if below.size else TIME_PANELS
-        return 0.5 * self.spatial_norm2 * (total - float(energy[: last + 1] @ keep[: last + 1]))
+        G_k / (lam + G_k)), w_k |d_k|^2 the Parseval energy of mode k, summed
+        SUM_CHUNK modes at a time up to the first K whose rest, at most
+        G_{K+1} / (lam + G_{K+1}) tail(K), is below the rounding of
+        ||g||_T^2, or up to K = SUM_MODES - 1.  It exceeds the optimum by at
+        most that rest times 0.5 ||profile||^2: about 1e-16 of the total at
+        each case's own lambda and omega, and below 1e-8 of it for examples
+        1, 2, 4 and 5 at lambda = 1e-4, omega = 0.1."""
+        total = tail = self.time_norm2
+        retained = 0.0
+        for start in range(0, SUM_MODES, SUM_CHUNK):
+            ks = np.arange(start, start + SUM_CHUNK + 1)
+            energy, gain = self._energies(ks[:-1]), self.gain(ks)
+            keep = gain / (self.lam + gain)
+            rest = keep[1:] * (tail - np.cumsum(energy))  # the bound after each K
+            below = np.flatnonzero(rest <= np.finfo(float).eps * total)
+            last = below[0] + 1 if below.size else SUM_CHUNK
+            retained += float(energy[:last] @ keep[:last])
+            if below.size:
+                break
+            tail -= float(np.sum(energy))
+        return 0.5 * self.spatial_norm2 * (total - retained)
 
 
 _CASE_SPECS = {
-    1: dict(problem="I", lam=0.1, omega=1.0, time_factor=_g1,
-            analytic_modes=False, profile=_sin_sin, spatial_norm2=0.25,
-            eigen_kappa=KAPPA),
-    2: dict(problem="I", lam=0.1, omega=1.0, time_factor=_g2,
-            analytic_modes=False, profile=_sin_sin, spatial_norm2=0.25,
-            eigen_kappa=KAPPA),
-    3: dict(problem="I", lam=0.01, omega=2 * PI, time_factor=_box_time,
-            analytic_modes=True, profile=_corner_box, spatial_norm2=0.25),
-    4: dict(problem="II", lam=0.1, omega=1.0, time_factor=_g4,
-            analytic_modes=False, profile=_grad_sin_sin_over_pi,
+    1: dict(problem="I", lam=0.1, omega=1.0, time_factor=_g1, profile=_sin_sin,
+            spatial_norm2=0.25, eigen_kappa=KAPPA),
+    2: dict(problem="I", lam=0.1, omega=1.0, time_factor=_g2, profile=_sin_sin,
+            spatial_norm2=0.25, eigen_kappa=KAPPA),
+    3: dict(problem="I", lam=0.01, omega=2 * PI, time_factor=_box_time, profile=_corner_box,
+            spatial_norm2=0.25),
+    4: dict(problem="II", lam=0.1, omega=1.0, time_factor=_g4, profile=_grad_sin_sin_over_pi,
             spatial_norm2=0.5, eigen_kappa=KAPPA, data_scale=1.0 / PI),
-    5: dict(problem="II", lam=0.1, omega=1.0, time_factor=_g5,
-            analytic_modes=False, profile=_grad_sin_sin_over_pi,
+    5: dict(problem="II", lam=0.1, omega=1.0, time_factor=_g5, profile=_grad_sin_sin_over_pi,
             spatial_norm2=0.5, eigen_kappa=KAPPA, data_scale=1.0 / PI),
-    6: dict(problem="II", lam=0.01, omega=2 * PI, time_factor=_box_time,
-            analytic_modes=True, profile=_corner_box_pair, spatial_norm2=0.5),
+    6: dict(problem="II", lam=0.01, omega=2 * PI, time_factor=_box_time, profile=_corner_box_pair,
+            spatial_norm2=0.5),
 }
 
 
@@ -205,8 +300,9 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
     """Benchmark case by id 1..6, optionally overriding lambda and omega.
 
     Raises:
-        ValueError: for an unknown id or a non-finite or non-positive
-            lambda or omega.
+        ValueError: for an unknown id, a non-finite or non-positive lambda
+            or omega, or an omega whose period 2 pi / omega is so long that
+            the time factor's squared norm over it overflows.
     """
     if ident not in _CASE_SPECS:
         raise ValueError(f"unknown example id {ident}")
@@ -216,7 +312,11 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
             spec[name] = value
-    return ExampleCase(ident=ident, **spec)
+    case = ExampleCase(ident=ident, **spec)
+    if case.has_analytic_reference and not np.isfinite(case.time_norm2):
+        raise ValueError(f"omega = {case.omega:g} is too small: the time factor of example {ident} "
+                         f"overflows over its period {case.period:g}")
+    return case
 
 
 class CaseBind:
@@ -238,7 +338,8 @@ class CaseBind:
         self.case = case
         self.ctx = ctx
         mesh = ctx.mesh
-        if case.analytic_modes and mesh.n % 2 == 1:
+        analytic = case.has_analytic_reference
+        if not analytic and mesh.n % 2 == 1:
             raise ValueError("indicator data requires an even grid")
         vector = case.problem == "II"
         self.load, planes, self.rest = ctx.project_data(case.profile, vector=vector)
@@ -247,10 +348,10 @@ class CaseBind:
         if vector:
             # indicator data jump only on the mesh lines of an even grid, so
             # each triangle's mean is its centroid value
-            self.planes["g_flux"] = (fluxrecon.grid_average(mesh, planes[0]) if case.analytic_modes
-                                     else fluxrecon.grid_from_callable(mesh, case.profile))
+            self.planes["g_flux"] = (fluxrecon.grid_from_callable(mesh, case.profile) if analytic
+                                     else fluxrecon.grid_average(mesh, planes[0]))
             # the exact state's profile is sin(pi x) sin(pi y)
-            self.state_load = ctx.load(_sin_sin) if case.has_analytic_reference else None
+            self.state_load = ctx.load(_sin_sin) if analytic else None
 
     def _mode_coefs(self, k: int) -> np.ndarray:
         """The (cosine, sine) time coefficients of the data, one per part, (P,)."""

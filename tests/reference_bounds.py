@@ -16,19 +16,21 @@ textbook minimizers, against which `bounds.optimal_majorant` is checked, the
 brute-force reference of those parameters (a log-grid search) and that of the
 exact per-mode costs (time quadrature of an analytic optimal pair).  The
 optimal pair of examples 1 and 4 at their own lambda = 0.1 and omega = 1,
-`y_cubic` and `u_cubic`, is that independent time-domain oracle.
+`y_cubic` and `u_cubic`, is that independent time-domain oracle.  The time
+quadrature is a composite Gauss sampler (`sample_periodic`): the Fourier
+coefficients, norms and tails of a periodic signal, from samples at the nodes
+of many panels, against which the closed forms of `cases` are checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from mhbounds.bounds import C_FRIEDRICHS, ModeBounds, ModeData, ResidualSet
 from mhbounds.fluxrecon import GridFlux
-from mhbounds.timefourier import sample_periodic
 from reference_assembly import (
     norm2, p1_at_qp, p1_grad, project_p1, project_rt0, quadrature_points, to_full, vec_norm2,
 )
@@ -299,6 +301,80 @@ def grid_search_alpha_beta(A, r1, r2, params, P: float = 0.0, points: int = 40):
             if val < best[0]:
                 best = (val, a, b)
     return best[1], best[2], best[0]
+
+
+def gauss_panels(a: float, b: float, panels: int, order: int):
+    """Composite Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+@dataclass(frozen=True)
+class SampledSignal:
+    """One period of a T-periodic signal at the nodes of a composite Gauss
+    rule; every Fourier coefficient is one weighted sum over the samples."""
+
+    omega: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
+
+    @property
+    def period(self) -> float:
+        return 2.0 * np.pi / self.omega
+
+    def _sums(self, ks: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The mean and the cosine and sine coefficients of modes ks."""
+        period = self.period
+        c0 = float(np.dot(self.weights, self.values)) / period
+        phases = np.multiply.outer(ks, self.nodes) * self.omega
+        cos = (2.0 / period) * (np.cos(phases) * self.values) @ self.weights
+        sin = (2.0 / period) * (np.sin(phases) * self.values) @ self.weights
+        return c0, cos, sin
+
+    def mode(self, k: int) -> tuple[float, float]:
+        """(cosine, sine) pair of mode k alone; mode 0 returns (mean, 0).
+
+        Raises:
+            ValueError: if k < 0.
+        """
+        if k < 0:
+            raise ValueError("mode index must be nonnegative")
+        c0, cos, sin = self._sums(np.arange(k, k + 1) if k else np.arange(0))
+        return (c0, 0.0) if k == 0 else (float(cos[0]), float(sin[0]))
+
+    def norm2(self) -> float:
+        """Integral of the squared signal over one period."""
+        return float(np.dot(self.weights, self.values**2))
+
+    def tail(self, n_modes: int) -> float:
+        """The energy of the modes above n_modes: the squared norm over one
+        period minus that of modes 0..n_modes by Parseval, T c0^2 for mode 0
+        and (T/2) (cos_k^2 + sin_k^2) for the others.
+
+        Raises:
+            ValueError: if n_modes < 0.
+        """
+        if n_modes < 0:
+            raise ValueError("mode index must be nonnegative")
+        period = self.period
+        c0, cos, sin = self._sums(np.arange(1, n_modes + 1))
+        retained = period * c0**2 + 0.5 * period * float(np.sum(cos**2 + sin**2))
+        return self.norm2() - retained
+
+
+def sample_periodic(u: Callable, omega: float, panels: int, order: int) -> SampledSignal:
+    """Samples of u over one period at the nodes of `gauss_panels`.  A mode
+    up to index `panels` has at most one period per panel, which a 12-point
+    Gauss rule integrates to about 1e-12 of the signal's size; at half a
+    period per panel, to rounding."""
+    t, w = gauss_panels(0.0, 2.0 * np.pi / omega, panels, order)
+    return SampledSignal(omega=omega, nodes=t, weights=w, values=u(t))
 
 
 def time_mode_pair(f, omega: float, k: int, panels: int = 256, order: int = 12):

@@ -116,13 +116,11 @@ def test_criterion_5_example5_overall():
 
 def test_criterion_6_example3_indices():
     try:
-        rep = run(ExperimentConfig(example=3, grid=256, modes=(0, 1), nref=512,
-                                   reference="fine"))
+        rep = run(ExperimentConfig(example=3, grid=256, modes=(0, 1), nref=512))
         downgraded = False
     except MemoryError:
         print("criterion 6 downgraded to n=128 / nref=256 (memory)")
-        rep = run(ExperimentConfig(example=3, grid=128, modes=(0, 1), nref=256,
-                                   reference="fine"))
+        rep = run(ExperimentConfig(example=3, grid=128, modes=(0, 1), nref=256))
         downgraded = True
     k0, k1 = rep.rows
     if not downgraded:
@@ -254,7 +252,7 @@ def test_criterion_7f_minres_direct_agreement(scratch):
     for ident in range(1, 7):
         case = make_case(ident)
         for n in (16, 32, 64):
-            if case.analytic_modes and n % 2:
+            if not case.has_analytic_reference and n % 2:
                 continue
             ctx = FemContext(meshmod.build(n))
             mats = build_matrices(ctx)

@@ -107,13 +107,12 @@ def test_zero_data_zero_bounds(scratch):
 def test_validation_errors():
     assert ExperimentConfig(example=9).validate()
     assert ExperimentConfig(example=3, grid=33).validate()
-    assert ExperimentConfig(example=1, reference="fine").validate()
     assert ExperimentConfig(example=1, nref=32, grid=64).validate()
     assert not ExperimentConfig(example=1, nref=64, grid=64).validate()  # degenerate ok
 
 
 def test_degenerate_fine_reference_reports_na():
-    rep = run(ExperimentConfig(example=3, grid=8, modes=(0,), nref=8, reference="fine", tol=1e-11))
+    rep = run(ExperimentConfig(example=3, grid=8, modes=(0,), nref=8, tol=1e-11))
     row = rep.rows[0]
     assert np.isnan(row.ieff_m1)  # zero discretization error, index not applicable
     assert np.isfinite(row.minorant)
@@ -122,8 +121,8 @@ def test_degenerate_fine_reference_reports_na():
 def test_fine_reference_consistency_with_analytic():
     base = ExperimentConfig(example=1, grid=8, modes=(0,), tol=1e-11)
     analytic = run(base)
-    fine32 = run(ExperimentConfig(example=1, grid=8, modes=(0,), nref=32, reference="fine", tol=1e-11))
-    fine64 = run(ExperimentConfig(example=1, grid=8, modes=(0,), nref=64, reference="fine", tol=1e-11))
+    fine32 = run(ExperimentConfig(example=1, grid=8, modes=(0,), nref=32, tol=1e-11))
+    fine64 = run(ExperimentConfig(example=1, grid=8, modes=(0,), nref=64, tol=1e-11))
     r_a = analytic.rows[0]
     r_32 = fine32.rows[0]
     r_64 = fine64.rows[0]
@@ -164,8 +163,7 @@ def test_cli_validation_exit_codes(capsys):
     ["--example", "3", "--sweep", "8,9"],
     ["--example", "3", "--grid", "8", "--nref", "9", "--modes", "1"],
     ["--example", "6", "--grid", "8", "--nref", "9"],
-    ["--example", "3", "--grid", "8", "--reference", "analytic"],
-    ["--example", "6", "--grid", "8", "--reference", "analytic"],
+    ["--omega", "0.001"],
     ["--example", "4", "--family", "1"],
     ["--paper-mode", "--family", "1"],
 ], ids="-".join)
@@ -191,8 +189,8 @@ def test_cli_rejects_output_path_under_a_file(sub, tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("args", [
-    ["--lambda", "1.0", "--reference", "analytic"],
-    ["--example", "4", "--omega", "2", "--reference", "analytic"],
+    ["--lambda", "1.0"],
+    ["--example", "4", "--omega", "2"],
 ], ids="-".join)
 def test_cli_analytic_reference_at_overridden_parameters(args, capsys):
     # the closed-form reference holds at any lambda and omega
@@ -308,16 +306,16 @@ def test_run_memory_does_not_grow_with_the_modes(example):
 
 @pytest.mark.parametrize("override", [{"lam": 1.0}, {"omega": 2.0}])
 def test_overridden_parameters_have_analytic_reference(override):
-    # "auto" picks the closed form at any lambda and omega, which the fine
-    # reference approaches and the bounds enclose
+    # without a fine grid the reference is the closed form, at any lambda and
+    # omega, which the fine reference approaches and the bounds enclose
     base = ExperimentConfig(example=1, grid=8, modes=(0,), tol=1e-11, **override)
-    assert base.validate() == [] and dataclasses.replace(base, reference="analytic").validate() == []
+    assert base.validate() == []
     analytic = run(base)
     assert analytic.reference_kind == "analytic"
     row, exact = analytic.rows[0], analytic.mode_reports[0].reference
     assert exact == make_case(1, **override).reference_cost(0)
     assert row.minorant <= exact <= row.majorant
-    fine = run(dataclasses.replace(base, nref=32, reference="fine"))
+    fine = run(dataclasses.replace(base, nref=32))
     assert abs(fine.mode_reports[0].reference - exact) < 1e-2 * exact
 
 
@@ -329,6 +327,30 @@ def test_run_rejects_maxiter_below_one(maxiter):
     with pytest.raises(ValueError, match="maxiter"):
         run(config)
     assert not ExperimentConfig(example=1, grid=8, maxiter=1).validate()
+
+
+def test_run_rejects_negative_overall_index_before_any_solve(monkeypatch):
+    config = ExperimentConfig(example=1, grid=8, overall=(-1,))
+    assert config.validate() == ["overall truncation indices must be nonnegative"]
+    monkeypatch.setattr(bench, "_Solver", None)
+    with pytest.raises(ValueError, match="overall"):
+        run(config)
+
+
+@pytest.mark.parametrize("example", [1, 2, 4, 5])
+def test_validate_rejects_overflowing_time_data(example):
+    # e^t over the period 2 pi / omega = 6283 overflows, which would fill
+    # every row with nan
+    errors = ExperimentConfig(example=example, grid=4, omega=0.001).validate()
+    assert len(errors) == 1 and "omega = 0.001 is too small" in errors[0]
+
+
+def test_nref_gives_a_fine_reference_for_every_example(tmp_path, capsys):
+    # a fine grid, where given, is the reference also of the cases that
+    # have a closed form
+    assert main(["--example", "1", "--grid", "8", "--nref", "16", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert "reference: fine-grid 16" in (tmp_path / "example1_n8.md").read_text()
 
 
 def test_unconverged_mode_warns():

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhbounds import femcore, fluxrecon
-from mhbounds.cases import TIME_PANELS, CaseBind, box_mode_coefficient, make_case
+from mhbounds.cases import SUM_MODES, TRIG, CaseBind, box_mode_coefficient, make_case
 from mhbounds.femcore import FemContext
 from mhbounds import mesh as meshmod
-from mhbounds.timefourier import sample_periodic
 from reference_assembly import build_mesh, vector_at_centroids
-from reference_bounds import spacetime_cost, time_mode_pair, u_cubic, y_cubic
+from reference_bounds import sample_periodic, spacetime_cost, time_mode_pair, u_cubic, y_cubic
 from reference_systems import scalar_mode_solve
 
 PI = np.pi
+# panels of the time-quadrature oracle: at most one period of a mode up to
+# this index per panel
+ORACLE_PANELS = 256
 
 
 @pytest.mark.parametrize(
@@ -144,6 +146,15 @@ def test_closed_form_is_the_scalar_mode_optimum(ident, lam, omega, k):
     assert np.abs(np.array(case.exact_state_mode(k)) - state).max() <= 1e-12 * scale
 
 
+def _bracket(case, head, tail, K):
+    """Bounds on the total cost from the scalar optima `head` of modes 0..K
+    and the data's tail energy past K: the tail modes cost between
+    lam / (lam + G_{K+1}) and 1 times their energy, for 0.5 ||profile||^2
+    per unit."""
+    tail = 0.5 * case.spatial_norm2 * tail
+    return head + case.lam / (case.lam + case.gain(K + 1)) * tail, head + tail
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(
     ident=st.sampled_from([1, 2, 4, 5]),
@@ -151,17 +162,30 @@ def test_closed_form_is_the_scalar_mode_optimum(ident, lam, omega, k):
     omega=st.floats(0.1, 100.0),
 )
 def test_overall_reference_within_its_tail_bound(ident, lam, omega):
-    # the total is the sum of the scalar optima over modes 0..K, K =
-    # TIME_PANELS, plus the tail modes' optimal cost, which lies between
-    # lam / (lam + G_{K+1}) and 1 times the data's tail energy, for
-    # 0.5 ||profile||^2 per unit
+    # the bracket at K = ORACLE_PANELS, its head and tail from the
+    # time-quadrature oracle
     case = make_case(ident, lam=lam, omega=omega)
-    K = TIME_PANELS
+    K = ORACLE_PANELS
     signal = sample_periodic(case.time_factor, case.omega, panels=K, order=12)
     head = sum((1.0 if k == 0 else 0.5) * case.period * _scalar_optimum(case, k)[0] for k in range(K + 1))
-    tail = 0.5 * case.spatial_norm2 * signal.tail(K)
-    gain = case.gain(K + 1)
-    lower, upper = head + lam / (lam + gain) * tail, head + tail
+    lower, upper = _bracket(case, head, signal.tail(K), K)
+    total = case.overall_reference()
+    assert lower * (1 - 1e-12) <= total <= upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("ident", [1, 2, 4, 5])
+def test_overall_reference_to_1e8_at_small_lambda_and_omega(ident):
+    # at lambda = 1e-4, omega = 0.1 the gain decays slowly in k, and the
+    # bracket at K = 256 is up to 2.5e-2 wide; at the K where the sum stops at
+    # the latest it is below 1e-8, from the closed-form mode energies that
+    # test_mode_pair_matches_oracle checks, and holds the total
+    case = make_case(ident, lam=1e-4, omega=0.1)
+    K = SUM_MODES - 1
+    energy = case._energies(np.arange(K + 1))
+    gain = case.gain(np.arange(K + 1))
+    head = 0.5 * case.spatial_norm2 * float(energy @ (case.lam / (case.lam + gain)))
+    lower, upper = _bracket(case, head, case.time_norm2 - float(energy.sum()), K)
+    assert upper - lower <= 1e-8 * lower
     total = case.overall_reference()
     assert lower * (1 - 1e-12) <= total <= upper * (1 + 1e-12)
 
@@ -186,6 +210,21 @@ def test_case_construction():
 def test_make_case_rejects_bad_parameters(name, value):
     with pytest.raises(ValueError, match=name):
         make_case(1, **{name: value})
+
+
+@pytest.mark.parametrize("ident", [1, 2, 4, 5])
+def test_make_case_rejects_overflowing_time_data(ident):
+    # e^t over the period 2 pi / omega: its squared norm overflows above
+    # T = 355, so omega = 0.001 is refused and omega = 0.02 kept
+    with pytest.raises(ValueError, match="omega = 0.001 is too small"):
+        make_case(ident, omega=0.001)
+    assert np.isfinite(make_case(ident, omega=0.02).time_norm2)
+
+
+def test_remainder_rejects_negative_index():
+    for ident in (1, 3):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_case(ident).remainder(-1)
 
 
 def test_bind_rejects_odd_grid_for_indicator_cases():
@@ -216,8 +255,8 @@ def test_error_norms_decrease(ctx8, ctx16):
 
 @pytest.mark.parametrize("ident", [1, 2, 4, 5])
 def test_mode_pair_matches_coefficient_table(ident):
-    # mode_pair(k) is the quadrature of mode k alone, from the time factor
-    # sampled once per case; it equals mode k of a fresh sampling
+    # the closed-form mode_pair(k) against the time-quadrature oracle at the
+    # case's own omega
     case = make_case(ident)
     table = np.array([time_mode_pair(case.time_factor, case.omega, k) for k in range(10)])
     scale = np.abs(table).max()
@@ -294,8 +333,8 @@ def test_indicator_flux_averages_centroid_values(n):
 @pytest.mark.parametrize("ident", [1, 2, 4, 5])
 def test_analytic_reference_from_case_samples(ident):
     # reference_cost, exact_state_mode and overall_reference read the time
-    # factor sampled once per case, and equal the scalar optimum for the
-    # time factor sampled anew
+    # factor evaluated once per case, and equal the scalar optimum for the
+    # time factor sampled anew by the oracle
     calls = []
 
     def counted(t):
@@ -325,8 +364,57 @@ def test_closed_form_matches_time_domain_oracle(ident):
         assert abs(case.reference_cost(k) - expect) <= 1e-14 * expect, k
         pair = time_mode_pair(y_cubic, case.omega, k)
         assert np.allclose(case.exact_state_mode(k), pair, rtol=0, atol=1e-14 * max(np.abs(pair).max(), 1.0)), k
-    y, u, g = (sample_periodic(f, case.omega, panels=TIME_PANELS, order=12)
+    y, u, g = (sample_periodic(f, case.omega, panels=ORACLE_PANELS, order=12)
                for f in (y_cubic, u_cubic, case.time_factor))
     misfit = dataclasses.replace(y, values=y.values - case.data_scale * g.values)
     expect = 0.5 * misfit.norm2() * misfit_norm2 + 0.5 * case.lam * u.norm2() * 0.25
     assert abs(case.overall_reference() - expect) <= 1e-13 * expect
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    ident=st.sampled_from([1, 2, 4, 5]),
+    omega=st.floats(0.1, 100.0),
+    k=st.integers(0, ORACLE_PANELS),
+)
+def test_mode_pair_matches_oracle(ident, omega, k):
+    # the closed-form coefficients and norm against the time-quadrature
+    # oracle, with half a period of mode 256 per panel, on the scale of the
+    # time factor's root mean square
+    _assert_matches_oracle(make_case(ident, omega=omega), k)
+
+
+@pytest.mark.parametrize("omega", [1e3, 1e8, 1e50])
+@pytest.mark.parametrize("ident", [1, 4])
+def test_short_periods_keep_their_digits(ident, omega):
+    # examples 1 and 4 vanish at t = 0, where the eight-point coefficients'
+    # sum is off by their rounding; on a short period that would be all of
+    # the time factor, but the Taylor series starts from the sample there
+    case = make_case(ident, omega=omega)
+    for k in range(4):
+        _assert_matches_oracle(case, k)
+
+
+def _assert_matches_oracle(case, k):
+    signal = sample_periodic(case.time_factor, case.omega, panels=2 * ORACLE_PANELS, order=12)
+    rms = np.sqrt(signal.norm2() / signal.period)
+    assert np.abs(np.array(case.mode_pair(k)) - signal.mode(k)).max() <= 1e-13 * rms
+    assert abs(case.time_norm2 - signal.norm2()) <= 1e-13 * signal.norm2()
+
+
+@pytest.mark.parametrize("ident", [1, 2, 4, 5])
+def test_trig_coefficients_reproduce_the_time_factor(ident):
+    # the eight samples give every coefficient only if time_factor(t) e^{-t}
+    # is a trig polynomial of degree at most 3; at random t the series
+    # reproduces it to rounding, and a factor of degree 4 fails
+    rng = np.random.default_rng(ident)
+    t = rng.uniform(0.0, 20.0, 200)
+
+    def series(case):
+        return np.real(np.exp(1j * np.multiply.outer(t, TRIG)) @ case._trig_coefs)
+
+    case = make_case(ident)
+    expect = case.time_factor(t) * np.exp(-t)
+    assert np.abs(series(case) - expect).max() <= 1e-14 * np.abs(expect).max()
+    quartic = dataclasses.replace(case, time_factor=lambda t: np.exp(t) * np.sin(t) ** 4)
+    assert np.abs(series(quartic) - np.sin(t) ** 4).max() > 0.1

@@ -338,7 +338,7 @@ def test_abs_precond_is_inverse_absolute_value(n, problem, k):
 def test_abs_precond_robust_at_small_lambda():
     # example 3 (lambda = 0.01) at n=64, k=1 took 22 steps of MinRes with
     # the paper's block-diagonal preconditioner and 8 with |A~_k|^{-1}
-    rep = run(ExperimentConfig(example=3, grid=64, modes=(1,), reference="none"))
+    rep = run(ExperimentConfig(example=3, grid=64, modes=(1,)))
     stats = rep.mode_reports[1].stats
     assert stats.converged and stats.iterations <= 4
 

@@ -1,5 +1,6 @@
-"""Sampled Fourier coefficients, norms and truncation remainders, and the
-quarter turn that the mode systems use for the time derivative."""
+"""The time-quadrature oracle's sampled Fourier coefficients, norms and
+truncation remainders, and the quarter turn that the mode systems use for the
+time derivative."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhbounds.systems import quarter_turn
-from mhbounds.timefourier import sample_periodic
+from reference_bounds import sample_periodic
 
 # the composite Gauss rule of the samples: 64 panels of 8 points
 PANELS, ORDER = 64, 8
