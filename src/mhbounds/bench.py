@@ -4,8 +4,9 @@ two-sided bounds and efficiency indices, and emit tables.
 Output tables carry one row per Fourier mode (mode sweep) or one row per
 grid (grid sweep), plus optional "overall (N=...)" aggregation rows, in the
 column layout  label,t_sec,minorant,ieff_minorant,majorant,ieff_majorant,
-ieff_ratio,ieff_m1.  Runs are deterministic for a fixed configuration with
-one worker.
+ieff_ratio,ieff_m1.  A run's table values are the same, bit for bit, for
+any number of workers: the seed modes are solved one after the other, and
+every later mode reads only them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 import threading
 import time
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -33,7 +35,7 @@ from .bounds import (
 )
 from .cases import CaseBind, ExampleCase, make_case
 from .femcore import FemContext, Scratch, prolong
-from .saddlesolve import SolveStats, build_precond_I, build_precond_II, minres
+from .saddlesolve import SeedStart, SolveStats, build_precond_I, build_precond_II, minres
 from .systems import ModeSolution, build_matrices, build_mode_system, mode_parts
 
 if TYPE_CHECKING:
@@ -179,8 +181,10 @@ class _Solver:
             scratch = self.scratches.scratch = Scratch()
         return scratch
 
-    def solve_mode(self, k: int):
-        """Solve mode k: to the tolerance by GMRES with A~_k^{-1}, or in paper
+    def solve_mode(self, k: int, start):
+        """Solve mode k: to the tolerance by GMRES with A~_k^{-1}, from the
+        iterate start(k, the data's time coefficients) where `start` (a
+        `SeedStart`) is given and gives one, else from zero; or in paper
         mode by exactly 8 MinRes steps with the paper's block-diagonal
         preconditioner."""
         case, config = self.case, self.config
@@ -194,19 +198,75 @@ class _Solver:
                 surrogate_inverse=converge,
             )
         fixed = None if converge else 8
+        x0 = start(k, self.bind.mode_coefs(k)) if start is not None else None
         return minres(system, precond, tol=config.tol, maxiter=config.maxiter, fixed_iters=fixed,
-                      scratch=self._scratch())
+                      scratch=self._scratch(), start=x0)
 
-    def run_mode(self, k: int) -> tuple[ModeReport, ModeSolution]:
+    def run_mode(self, k: int, start) -> tuple[ModeReport, ModeSolution]:
         """Mode k's report, timed over its solve and bounds, and its solution."""
-        start = time.perf_counter()
-        sol, stats = self.solve_mode(k)
+        start_time = time.perf_counter()
+        sol, stats = self.solve_mode(k, start)
         bounds = evaluate_mode(
             self.case.problem, self.ctx, self.mats, self.params, sol,
             self.bind.mode_data(k), scratch=self._scratch(),
         )
-        elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start_time
         return ModeReport(k=k, t_sec=elapsed, bounds=bounds, stats=stats), sol
+
+    def solve_modes(self, modes, one_mode, workers: int = 1) -> tuple[dict, dict]:
+        """one_mode(k, start) for each of `modes`, as {k: the first of the
+        (result, solution) pair it returns}, and {k: the seconds taken to
+        build a start from seed k}.
+
+        The modes run in `_sine_modes_first` order.  With more than two modes
+        and a tolerance to meet, the first two are the seeds: the first is
+        solved from zero, the second from the `SeedStart` of the first, and
+        every later mode from that of both, unless it cannot start the first
+        later mode with data.  As a seed's pass ends, its fields are copied
+        into rows lent from this thread's scratch, after the rows the start
+        kept of the seed before.  A started seed takes fewer GMRES steps, and
+        so fewer lent vectors, which leaves room for the first seed's rows.
+        The seeds are solved by this thread and a later mode reads only
+        them, so no row depends on `workers`.
+        """
+        order = _sine_modes_first(modes)
+        recycle = len(order) > 2 and not self.config.paper_mode
+        seeds, later = (order[:2], order[2:]) if recycle else ([], order)
+        results, built = {}, {}
+        with ExitStack() as held:
+            start, scratch, case = None, self._scratch(), self.case
+            for k in seeds:
+                results[k], sol = one_mode(k, start)
+                if start is None:
+                    # room for every seed's parts of each field, in pages the
+                    # first pass touched
+                    shape = (sum(mode_parts(seed) for seed in seeds), sol.y.shape[1])
+                    rows = held.enter_context(scratch.lend(shape, shape))
+                    ranks = [0, 0]
+                fields = [field[: rank + len(sol.y)] for field, rank in zip(rows, ranks)]
+                fields[0][ranks[0] :], fields[1][ranks[1] :] = sol.y, sol.p
+                del sol
+                began = time.perf_counter()
+                start = SeedStart(case.problem, self.mats, case.lam, case.omega, self.bind.load,
+                                  fields, scratch)
+                ranks = [len(basis) for basis in start.bases]
+                if k == seeds[-1]:
+                    # seeds that cannot start the first later mode with data
+                    # are too far from the later modes (as for indicator
+                    # data), which then start from zero without a fit each
+                    probe = next((m for m in later if np.any(self.bind.mode_coefs(m))), None)
+                    if probe is None or start.fit(probe) is None:
+                        start = None
+                built[k] = time.perf_counter() - began
+            if workers > 1:
+                # imported here: a one-worker run does without it and what it loads
+                from concurrent.futures import ThreadPoolExecutor
+
+                pool = held.enter_context(ThreadPoolExecutor(max_workers=workers))
+                results.update(zip(later, pool.map(lambda k: one_mode(k, start)[0], later)))
+            else:
+                results.update((k, one_mode(k, start)[0]) for k in later)
+        return results, built
 
 
 def _sine_modes_first(modes) -> list:
@@ -224,34 +284,39 @@ def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, st
     state on `coarse_ctx`.  Returns (costs, norms): costs[k] is the per-mode
     cost of the fine solution, norms[k] the (||e||^2, ||grad e||^2) of the
     coarse state against it, taken right after mode k's fine solve, so no
-    fine field outlives its mode.  The coarse state is evaluated at the fine
-    nodes; both fields vanish on the boundary, so the norms of their
-    difference e are the quadratic forms of the fine interior mass and
-    stiffness stencils.
+    fine field but the seeds' outlives its mode (the fine modes are solved
+    by `_Solver.solve_modes`, as a run's are).  The coarse state is
+    evaluated at the fine nodes; both fields vanish on the boundary, so the
+    norms of their difference e are the quadratic forms of the fine interior
+    mass and stiffness stencils.
     """
     fine = _Solver(case, nref, config)
-    costs, norms = {}, {}
-    for k in _sine_modes_first(states):
-        fine_sol, _ = fine.solve_mode(k)
+
+    def one_mode(k, start):
+        fine_sol, _ = fine.solve_mode(k, start)
         scratch = fine._scratch()
-        costs[k] = mode_cost(case.problem, fine.ctx, fine.mats, fine.params, fine_sol,
-                             fine.bind.mode_data(k), scratch=scratch)
+        cost = mode_cost(case.problem, fine.ctx, fine.mats, fine.params, fine_sol,
+                         fine.bind.mode_data(k), scratch=scratch)
         coarse = prolong(coarse_ctx.node_grid(states[k]), nref)[:, 1:-1, 1:-1]
         e = fine_sol.y - coarse.reshape(len(coarse), -1)
         with scratch.lend(e.shape) as (product,):
-            norms[k] = tuple(float(np.vdot(e, op(e, out=product, scratch=scratch)))
-                             for op in (fine.ctx.M, fine.ctx.K))
-    return costs, norms
+            norms = tuple(float(np.vdot(e, op(e, out=product, scratch=scratch)))
+                          for op in (fine.ctx.M, fine.ctx.K))
+        return (cost, norms), fine_sol
+
+    done, _ = fine.solve_modes(states, one_mode)
+    return {k: cost for k, (cost, _) in done.items()}, {k: norms for k, (_, norms) in done.items()}
 
 
 def run(config: ExperimentConfig) -> BoundsReport:
     """Execute one experiment; see ExperimentConfig for the knobs.
 
     Each mode's analytic reference cost and error norms are taken in the
-    pass that solves the mode, after its timing, so no mode's fields
-    outlive its pass and a run holds one mode's fields per worker.  A fine
-    reference solves its modes after all coarse ones, from their states
-    alone.
+    pass that solves the mode, after its timing, so no mode's fields but
+    the two seeds' (see `_Solver.solve_modes`) outlive its pass, and a run
+    holds one mode's fields per worker plus the seeds' in the scratch.  The
+    seeds' times include building the starts from them.  A fine reference
+    solves its modes after all coarse ones, from their states alone.
     """
     errors = config.validate()
     if errors:
@@ -264,25 +329,20 @@ def run(config: ExperimentConfig) -> BoundsReport:
     solver = _Solver(case, config.grid, config)
     params = solver.params
 
-    def one_mode(k: int):
-        """Mode k's report, and its state if a fine reference reads it."""
-        rep, sol = solver.run_mode(k)
+    def one_mode(k: int, start):
+        """Mode k's report, with its state if a fine reference reads it, and
+        its solution."""
+        rep, sol = solver.run_mode(k, start)
         if kind == "analytic":
             rep.reference = case.reference_cost(k)
             rep.err_l2, rep.err_h1 = solver.bind.error_norms(k, sol, scratch=solver._scratch())
         # a copy of the state alone, so the adjoint dies with the solution
-        return rep, sol.y.copy() if kind == "fine" else None
+        return (rep, sol.y.copy() if kind == "fine" else None), sol
 
-    order = _sine_modes_first(needed)
-    if config.workers > 1:
-        # imported here: a one-worker run does without it and what it loads
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            done = dict(zip(order, pool.map(one_mode, order)))
-    else:
-        done = {k: one_mode(k) for k in order}
+    done, built = solver.solve_modes(needed, one_mode, config.workers)
     reports = {k: done[k][0] for k in needed}
+    for k, seconds in built.items():
+        reports[k].t_sec += seconds
     # a fine reference solves on its own grid, in a scratch of its own
     solver.scratches = threading.local()
     for k, rep in reports.items():

@@ -36,6 +36,10 @@ TRIG = np.arange(-3, 4)  # the frequencies a of the time factors' e^t e^{i a t} 
 SUM_CHUNK = 256
 SUM_MODES = 2**17
 TAYLOR_TERMS = 32  # of the time factors' Taylor series on periods below 1
+# The bound terms are the data's squared norm over the period times factors
+# up to about 1 / lambda (the minorant's adjoint residual term), summed over
+# a few modes; a case keeps them this far below the largest float.
+DATA_NORM_CAP = 1e290
 
 
 def _sin_sin(x, y):
@@ -196,6 +200,13 @@ class ExampleCase:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.real(c @ (np.expm1(z * T) / z) @ c.conj()))
 
+    @property
+    def data_norm2(self) -> float:
+        """The data's squared norm over one period, ||g||_T^2 ||profile||^2;
+        the on-off factor of cases 3 and 6 is on for half of it."""
+        time = self.time_norm2 if self.has_analytic_reference else 0.5 * self.period
+        return time * self.spatial_norm2
+
     def mode_pair(self, k: int) -> tuple[float, float]:
         """(cosine, sine) coefficients of mode k of the time factor alone,
         2 (Re, -Im) of its complex coefficient, and (mean, 0) for mode 0."""
@@ -302,7 +313,8 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
     Raises:
         ValueError: for an unknown id, a non-finite or non-positive lambda
             or omega, or an omega whose period 2 pi / omega is so long that
-            the time factor's squared norm over it overflows.
+            the data's squared norm over it, times max(1, 1 / lambda), is
+            above DATA_NORM_CAP (or overflows), so the bounds could overflow.
     """
     if ident not in _CASE_SPECS:
         raise ValueError(f"unknown example id {ident}")
@@ -313,9 +325,10 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
                 raise ValueError(f"{name} must be positive and finite, got {value}")
             spec[name] = value
     case = ExampleCase(ident=ident, **spec)
-    if case.has_analytic_reference and not np.isfinite(case.time_norm2):
-        raise ValueError(f"omega = {case.omega:g} is too small: the time factor of example {ident} "
-                         f"overflows over its period {case.period:g}")
+    if not case.data_norm2 * max(1.0, 1.0 / case.lam) <= DATA_NORM_CAP:
+        raise ValueError(f"omega = {case.omega:g} is too small for lambda = {case.lam:g}: the data of "
+                         f"example {ident} reach a squared norm of {case.data_norm2:.3g} over the period "
+                         f"{case.period:g}, which leaves the bounds too little room below overflow")
     return case
 
 
@@ -353,17 +366,17 @@ class CaseBind:
             # the exact state's profile is sin(pi x) sin(pi y)
             self.state_load = ctx.load(_sin_sin) if analytic else None
 
-    def _mode_coefs(self, k: int) -> np.ndarray:
+    def mode_coefs(self, k: int) -> np.ndarray:
         """The (cosine, sine) time coefficients of the data, one per part, (P,)."""
         return np.array(self.case.mode_pair(k))[: mode_parts(k)]
 
     def rhs(self, k: int) -> np.ndarray:
         """Stacked data load vectors of mode k, (P, m)."""
-        return self._mode_coefs(k)[:, None] * self.load
+        return self.mode_coefs(k)[:, None] * self.load
 
     def mode_data(self, k: int) -> ModeData:
         """The mode's time coefficients with the unscaled profile projection."""
-        coef = self._mode_coefs(k)
+        coef = self.mode_coefs(k)
         return ModeData(coef=coef, rest=float(coef @ coef) * self.rest, **self.planes)
 
     def error_norms(self, k: int, sol, scratch: Scratch) -> tuple[float, float]:

@@ -50,6 +50,16 @@ GMRES_RESTART = 16
 # transform takes beside the half-transformed planes
 SINE_BLOCK = 1 << 15
 
+# A later mode starts from the seeds' combination only where that leaves at
+# most this relative residual: a start costs an operator product and a small
+# least-squares fit, and the weaker starts of indicator data (2e-2 to 4e-1
+# for example 3 at n = 64) save no GMRES step over its 82 modes.
+START_CUT = 1e-2
+
+# a row whose part outside the rows before it is below this share of its
+# norm is rounding noise (or zero), and Gram-Schmidt drops it
+ORTHO_DROP = 1e-12
+
 
 @dataclass
 class SolveStats:
@@ -59,6 +69,7 @@ class SolveStats:
     converged: bool
     breakdown: bool = False
     residuals: list = field(default_factory=list)
+    start_residual: float = 1.0  # of the starting iterate; 1 from zero, 0 for b = 0
 
 
 class SpectralPrecond:
@@ -267,6 +278,7 @@ def minres(
     maxiter: int,
     scratch: Scratch,
     fixed_iters: int | None = None,
+    start: np.ndarray | None = None,
 ) -> tuple[ModeSolution, SolveStats]:
     """Solve one mode system with the Krylov method that fits `precond`.
 
@@ -276,21 +288,163 @@ def minres(
     which stops on the residual in the preconditioner's norm.  Both stop
     after maxiter steps, or take exactly `fixed_iters` steps when given, and
     `SolveStats.relative_residual` is the ratio they stop on.  Their work
-    vectors are lent by `scratch`.
+    vectors are lent by `scratch`.  GMRES starts from `start` (flat stacked
+    unknowns, updated in place into the solution) when given, MinRes always
+    from zero.
     """
-    solve = minres_raw if precond.definite else gmres_raw
-    x, stats = solve(system.matrix, system.rhs, precond, tol, maxiter, fixed_iters, scratch)
+    args = (system.matrix, system.rhs, precond, tol, maxiter, fixed_iters, scratch)
+    if not precond.definite:
+        x, stats = gmres_raw(*args, start)
+    elif start is None:
+        x, stats = minres_raw(*args)
+    else:
+        raise ValueError("only a GMRES solve takes a starting iterate")
     y, p = x.reshape(2, mode_parts(system.k), -1)
     return ModeSolution(system.k, y, p), stats
 
 
-def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
+class SeedStart:
+    """Starting iterates for later modes from the solutions of seed modes.
+
+    Every mode has the same K and M, its operator is affine in
+    kws = k omega sigma, and its right-hand side is the data's pair
+    d = cosine + i sine coefficient times one load l.  In the complex form
+    z = cosine part + i sine part the quarter turn is multiplication by
+    i kws, so A_k is complex linear, and each equation of it applies K and
+    M to each field with a complex coefficient (real for k = 0).  Mode k
+    starts from x0 = (U_y a, U_p b): `fields` holds the rows of the seeds'
+    state parts and of their adjoint parts, which are orthonormalized in
+    place, kept rows first, into the `bases` U_y and U_p, and the complex
+    coefficients a and b (real for k = 0) minimize ||b_k - A_k x0||.
+
+    The residual of x0 is a combination F^T c of the rows
+    F = (K U_y, M U_y, K U_p, M U_p, l), with c linear in (a, b) and d.
+    Orthonormalizing F's rows gives F = C Q, so its norm is ||C^T c||, and a
+    mode solves a dense least-squares problem of at most 68 rows and 16
+    real unknowns, affine in k, for d = 1, and scales its minimizer by d.
+    Every factorization here is Gram-Schmidt's, so no LAPACK routine but
+    the small solves GMRES already makes is run.  The transient F is lent
+    by `scratch`.
+    """
+
+    def __init__(self, problem: str, mats: ModeMatrices, lam: float, omega: float,
+                 load: np.ndarray, fields: list, scratch: Scratch):
+        self._size = load.size
+        with scratch.lend(load.shape) as (term,):
+            self.bases = [rows[: len(_orthonormalize(rows, term)[0])] for rows in fields]
+            ranks = [len(u) for u in self.bases]
+            depth = 2 * sum(ranks) + 1
+            with scratch.lend((depth, load.size)) as (images,):
+                at = 0
+                for basis in self.bases:
+                    for op in (mats.K, mats.M):
+                        if len(basis):
+                            op(basis, out=images[at : at + len(basis)], scratch=scratch)
+                        at += len(basis)
+                images[at] = load
+                R = _orthonormalize(images, term)[1].T  # F^T c = Q^T R c
+        # the (equation, field) couplings: each block's cosine entries, the
+        # same for every mode, and its sine rows' at k = 1, the quarter turn
+        # i kws per unit k; R T takes (a, b) to each equation's residual
+        coefs = mode_coefficients(problem, mats, 1, lam, omega)
+        products = []
+        for couplings in ([c[::2, ::2] for c in coefs], [c[1::2, ::2] for c in coefs]):
+            T = np.zeros((2, depth, sum(ranks)))
+            row = col = 0
+            for field, rank in enumerate(ranks):
+                diag = np.arange(rank)
+                for op, coupling in enumerate(couplings):
+                    T[:, row + op * rank + diag, col + diag] = coupling[:, field, None]
+                row, col = row + 2 * rank, col + rank
+            products.append(R @ T)
+        self._real, self._turn = products
+        self._target = R[:, -1]  # the load's, in the first equation
+
+    def fit(self, k: int) -> np.ndarray | None:
+        """The coefficients (Re z, Im z), or z for k = 0, of mode k's start
+        for the data pair d = 1, or None without seed rows or where they
+        would leave a relative residual above START_CUT."""
+        real, turn = self._real, self._turn
+        if not real.shape[-1]:
+            return None
+        if k:
+            # the real and imaginary parts of each equation over (Re z, Im z)
+            equations, rows, unknowns = real.shape
+            lhs = np.empty((equations, 2, rows, 2, unknowns))
+            lhs[:, 0, :, 0] = lhs[:, 1, :, 1] = real
+            lhs[:, 1, :, 0] = k * turn
+            lhs[:, 0, :, 1] = -k * turn
+            lhs = lhs.reshape(-1, 2 * unknowns)
+        else:
+            lhs = real.reshape(-1, real.shape[-1])
+        rhs = np.zeros(len(lhs))
+        rhs[: len(self._target)] = self._target
+        columns = np.ascontiguousarray(lhs.T)
+        kept, C = _orthonormalize(columns, np.empty(len(rhs)))
+        q = columns[: len(kept)]
+        projection = q @ rhs
+        if not np.linalg.norm(rhs - projection @ q) <= START_CUT * np.linalg.norm(rhs):
+            return None
+        z = np.zeros(len(columns))
+        z[kept] = np.linalg.solve(C[kept].T, projection)
+        return z
+
+    def __call__(self, k: int, coefs: np.ndarray) -> np.ndarray | None:
+        """Mode k's start (flat stacked unknowns, a new array) for data
+        coefficients `coefs` (P,), or None for zero data or where `fit`
+        gives none."""
+        z = self.fit(k) if np.any(coefs) else None
+        if z is None:
+            return None
+        # times d: the cosine and sine parts of (Re z + i Im z) d, or z d for k = 0
+        if k:
+            z = np.array([[coefs[0], -coefs[1]], [coefs[1], coefs[0]]]) @ z.reshape(2, -1)
+        else:
+            z = coefs[:, None] * z
+        x = np.empty((2, len(z), self._size))
+        col = 0
+        for out, basis in zip(x, self.bases):
+            np.matmul(z[:, col : col + len(basis)], basis, out=out)
+            col += len(basis)
+        return x.reshape(-1)
+
+
+def _orthonormalize(rows: np.ndarray, term: np.ndarray) -> tuple[list, np.ndarray]:
+    """Orthonormalize the rows of `rows` (n, m) in place by classical
+    Gram-Schmidt run twice, moving the kept rows to the front: a row whose
+    part outside the rows kept before it is at most ORTHO_DROP of its norm
+    is dropped.  Returns the indices of the kept rows and the coefficients
+    C (n, r) with each row as it was equal to C's row times the r kept ones,
+    but for the dropped parts; `term` (m,) takes the projections."""
+    kept = []
+    C = np.zeros((len(rows), len(rows)))
+    for i in range(len(rows)):
+        v = rows[len(kept)]
+        if i > len(kept):
+            v[:] = rows[i]
+        size = np.sqrt(v @ v)
+        basis = rows[: len(kept)]
+        for _ in range(2):
+            c = basis @ v
+            C[i, : len(kept)] += c
+            v -= np.matmul(c, basis, out=term)
+        norm = np.sqrt(v @ v)
+        if norm > ORTHO_DROP * size:
+            v /= norm
+            C[i, len(kept)] = norm
+            kept.append(i)
+    return kept, C[:, : len(kept)]
+
+
+def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch, x0=None):
     """Right-preconditioned GMRES with modified Gram-Schmidt and Givens rotations.
 
-    x = P u minimizes ||b - A x|| over the Krylov space of A P, with
-    P = `precond.apply` and A called as the mode stencil is,
-    A(v, out=, scratch=).  A cycle ends when the rotated residual estimate
-    drops below tol ||b|| or after GMRES_RESTART steps; x is then updated by
+    x = x0 + P u minimizes ||b - A x|| over the Krylov space of A P and
+    r0 = b - A x0, with P = `precond.apply` and A called as the mode stencil
+    is, A(v, out=, scratch=); x0 is zero when not given, and otherwise
+    updated in place into x.  A start that already meets tol takes no step
+    (unless `fixed_iters` asks for some).  A cycle ends when the rotated
+    residual estimate drops below tol ||b|| or after GMRES_RESTART steps; x is then updated by
     sum_j y_j z_j from the products z_j = P v_j that the steps took, and the
     next cycle restarts from the true residual b - A x, until that meets
     tol, maxiter steps are spent or exactly `fixed_iters` steps (when not
@@ -307,16 +461,14 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
     """
     start = time.perf_counter()
     dim = b.shape[0]
-    x = np.zeros(dim)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return x, SolveStats(0, 0.0, time.perf_counter() - start, True, residuals=[0.0])
+        return np.zeros(dim), SolveStats(0, 0.0, time.perf_counter() - start, True, residuals=[0.0],
+                                         start_residual=0.0)
 
     limit = fixed_iters if fixed_iters is not None else maxiter
     target = tol * bnorm
     eps = np.finfo(float).eps
-    trace = [bnorm]
-    rnorm = bnorm
     itn = 0
     invariant = False
     with ExitStack() as held:
@@ -329,8 +481,21 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
                 vectors.append(held.enter_context(scratch.lend((dim,)))[0])
             return vectors[j]
 
-        np.copyto(held_vector(basis, 0), b)  # the first residual
-        while itn < limit and not invariant:
+        # the first residual
+        if x0 is None:
+            x = np.zeros(dim)
+            np.copyto(held_vector(basis, 0), b)
+            rnorm = bnorm
+        else:
+            x = x0
+            r = held_vector(basis, 0)
+            A(x, out=r, scratch=scratch)
+            np.subtract(b, r, out=r)
+            rnorm = float(np.linalg.norm(r))
+        trace = [rnorm]
+        start_residual = rnorm / bnorm
+        met = fixed_iters is None and rnorm <= target
+        while itn < limit and not invariant and not met:
             basis[0] /= rnorm
             # the Hessenberg matrix, reduced to upper triangular by the rotations
             R = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
@@ -376,8 +541,7 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
             A(x, out=r, scratch=scratch)
             np.subtract(b, r, out=r)
             rnorm = float(np.linalg.norm(r))
-            if fixed_iters is None and rnorm <= target:
-                break
+            met = fixed_iters is None and rnorm <= target
 
     relres = rnorm / bnorm
     breakdown = bool(invariant and relres > tol)
@@ -389,6 +553,7 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
         converged=bool(converged and not breakdown),
         breakdown=breakdown,
         residuals=trace,
+        start_residual=start_residual,
     )
 
 
@@ -402,7 +567,7 @@ def minres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
     n = b.shape[0]
     x = np.zeros(n)
     if n == 0:
-        return x, SolveStats(0, 0.0, 0.0, True, residuals=[0.0])
+        return x, SolveStats(0, 0.0, 0.0, True, residuals=[0.0], start_residual=0.0)
 
     limit = fixed_iters if fixed_iters is not None else maxiter
     eps = np.finfo(float).eps
@@ -418,7 +583,8 @@ def minres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
         beta1 = np.sqrt(beta1_sq)
         trace = [beta1]
         if beta1 == 0.0:
-            return x, SolveStats(0, 0.0, time.perf_counter() - start, True, residuals=trace)
+            return x, SolveStats(0, 0.0, time.perf_counter() - start, True, residuals=trace,
+                                 start_residual=0.0)
 
         oldb = 0.0
         beta = beta1

@@ -164,6 +164,9 @@ def test_cli_validation_exit_codes(capsys):
     ["--example", "3", "--grid", "8", "--nref", "9", "--modes", "1"],
     ["--example", "6", "--grid", "8", "--nref", "9"],
     ["--omega", "0.001"],
+    ["--example", "4", "--omega", "0.0178"],
+    ["--omega", "0.0179", "--modes", "0,1", "--overall", "1"],
+    ["--lambda", "1e-300"],
     ["--example", "4", "--family", "1"],
     ["--paper-mode", "--family", "1"],
 ], ids="-".join)
@@ -250,11 +253,60 @@ def test_mode_after_another_is_bit_equal():
     assert rows["k=0"] == run(dataclasses.replace(config, modes=(0,))).rows[0].as_list()[2:]
     case = bench.make_case(4)
     solver = bench._Solver(case, 16, config)
-    solver.run_mode(3)
-    after, after_sol = solver.run_mode(0)
-    alone, alone_sol = bench._Solver(case, 16, config).run_mode(0)
+    solver.run_mode(3, None)
+    after, after_sol = solver.run_mode(0, None)
+    alone, alone_sol = bench._Solver(case, 16, config).run_mode(0, None)
     assert dataclasses.asdict(after.bounds) == dataclasses.asdict(alone.bounds)
     assert np.array_equal(after_sol.y, alone_sol.y)
+
+
+@pytest.mark.parametrize("example", range(1, 7))
+def test_seeded_rows_match_solo_runs(example):
+    # mode 2 starts from the seed 1, modes 3, 4, 5 and 0 from the seeds 1
+    # and 2; every row stays within 1e-9 of a run of its mode alone, which
+    # starts from zero
+    nref = 32 if example in (3, 6) else None
+    config = ExperimentConfig(example=example, grid=16, modes=tuple(range(6)), nref=nref)
+    rows = run(config).rows
+    for k, row in zip(range(6), rows):
+        solo = run(dataclasses.replace(config, modes=(k,))).rows[0]
+        assert row.label == solo.label == f"k={k}"
+        assert np.allclose(row.as_list()[2:], solo.as_list()[2:], rtol=1e-9, atol=0, equal_nan=True)
+
+
+@pytest.mark.parametrize("example", [1, 4])
+def test_modes_after_the_seeds_take_at_most_one_step(example):
+    # the first seed starts from zero, the second from the first, and every
+    # later mode from both
+    report = run(ExperimentConfig(example=example, grid=64, modes=tuple(range(9))))
+    stats = {k: rep.stats for k, rep in report.mode_reports.items()}
+    assert stats[1].start_residual == 1.0 and stats[1].iterations >= 2
+    assert stats[2].start_residual < 1e-6 and stats[2].iterations <= 1
+    for k in (0, *range(3, 9)):
+        assert stats[k].start_residual < 1e-8 and stats[k].iterations <= 1 and stats[k].converged
+
+
+@pytest.mark.parametrize("example", [3, 6])
+def test_seeds_that_start_no_later_mode_leave_them_from_zero(example):
+    # the seeds of indicator data leave the first later mode with data more
+    # than START_CUT of its residual, so every later mode starts from zero
+    # and its row equals that of a run of its mode alone bit for bit
+    config = ExperimentConfig(example=example, grid=16, modes=tuple(range(8)))
+    report = run(config)
+    for k, rep in report.mode_reports.items():
+        assert rep.stats.start_residual == (1.0 if k % 2 or k == 0 else 0.0)
+    for k, row in zip(config.modes, report.rows):
+        assert row.as_list()[2:] == run(dataclasses.replace(config, modes=(k,))).rows[0].as_list()[2:]
+
+
+def test_paper_mode_rows_do_not_depend_on_the_other_modes():
+    # paper mode takes its fixed MinRes steps from zero, however many modes
+    # a run has
+    config = ExperimentConfig(example=4, grid=16, modes=(0, 1, 2, 3), paper_mode=True)
+    report = run(config)
+    assert all(rep.stats.start_residual == 1.0 for rep in report.mode_reports.values())
+    for k, row in zip(config.modes, report.rows):
+        assert row.as_list()[2:] == run(dataclasses.replace(config, modes=(k,))).rows[0].as_list()[2:]
 
 
 def _arrays(obj):
@@ -273,17 +325,27 @@ def _arrays(obj):
 @pytest.mark.parametrize("example", [1, 4])
 def test_mode_reference_is_taken_from_its_solution(example, workers):
     # each mode's analytic reference and error norms, taken in its pass,
-    # equal bit for bit those of run_mode(k)'s solution, and the report
-    # keeps numbers only: no mode field outlives its pass
+    # equal bit for bit those of the solution run_mode(k) gets from run()'s
+    # own start (mode 2 from the seed 1, modes 3 and 0 from the seeds 1 and
+    # 2), and the report keeps numbers only: no mode field outlives its pass
     config = ExperimentConfig(example=example, grid=16, modes=(0, 1, 2, 3), tol=1e-11, workers=workers)
     report = run(config)
     case = make_case(example)
     solver = bench._Solver(case, 16, config)
+    norms, started = {}, {}
+
+    def one_mode(k, start):
+        rep, sol = solver.run_mode(k, start)
+        norms[k] = solver.bind.error_norms(k, sol, solver._scratch())
+        started[k] = start is not None
+        return rep, sol
+
+    solver.solve_modes(config.modes, one_mode)
+    assert started == {0: True, 1: False, 2: True, 3: True}
     for k, rep in report.mode_reports.items():
         assert not list(_arrays(rep))
-        _, sol = solver.run_mode(k)
         assert rep.reference == case.reference_cost(k)
-        assert (rep.err_l2, rep.err_h1) == solver.bind.error_norms(k, sol, solver._scratch())
+        assert (rep.err_l2, rep.err_h1) == norms[k]
 
 
 @pytest.mark.parametrize("example", [1, 4])
@@ -343,6 +405,29 @@ def test_validate_rejects_overflowing_time_data(example):
     # every row with nan
     errors = ExperimentConfig(example=example, grid=4, omega=0.001).validate()
     assert len(errors) == 1 and "omega = 0.001 is too small" in errors[0]
+
+
+@pytest.mark.parametrize("example", range(1, 7))
+def test_accepted_omega_keeps_the_bounds_finite(example):
+    # the smallest omega that make_case accepts on a geometric grid, at the
+    # example's lambda and at 1e-8: every row's bounds are finite and far
+    # below the float limit
+    for lam in (None, 1e-8):
+        omegas = np.geomspace(1e-3, 1.0, 350) if example not in (3, 6) else np.geomspace(1e-292, 1e-280, 30)
+        accepted = []
+        for omega in omegas:
+            try:
+                make_case(example, lam=lam, omega=omega)
+            except ValueError as exc:
+                assert "is too small" in str(exc)
+                continue
+            accepted.append(omega)
+        assert accepted and accepted[0] > omegas[0]
+        nref = 8 if example in (3, 6) else None
+        report = run(ExperimentConfig(example=example, grid=4, modes=(0, 1, 2), overall=(2,), lam=lam,
+                                      omega=accepted[0], nref=nref))
+        for row in report.all_rows:
+            assert max(abs(row.minorant), abs(row.majorant)) < 1e300
 
 
 def test_nref_gives_a_fine_reference_for_every_example(tmp_path, capsys):
@@ -461,7 +546,7 @@ def test_fine_error_norms_match_all_node_quadratic_forms(n, nref, k, rng):
     y = rng.standard_normal((mode_parts(k), (n - 1) ** 2))
     _, norms = bench.fine_grid_reference(case, nref, coarse, {k: y}, config)
     l2, h1 = norms[k]
-    fine_sol, _ = bench._Solver(case, nref, config).solve_mode(k)
+    fine_sol, _ = bench._Solver(case, nref, config).solve_mode(k, None)
     fine = FemContext(build_mesh(nref))
     K_full = assemble_stiffness(fine.mesh, full=True)
     M_full = assemble_mass(fine.mesh, full=True)

@@ -418,3 +418,13 @@ def test_trig_coefficients_reproduce_the_time_factor(ident):
     assert np.abs(series(case) - expect).max() <= 1e-14 * np.abs(expect).max()
     quartic = dataclasses.replace(case, time_factor=lambda t: np.exp(t) * np.sin(t) ** 4)
     assert np.abs(series(quartic) - np.sin(t) ** 4).max() > 0.1
+
+
+@pytest.mark.parametrize("ident", range(1, 7))
+def test_data_norm_is_the_energy_of_all_modes(ident):
+    # ||data||_T^2, which make_case keeps below overflow, is mode 0's energy
+    # plus the tail energy of every mode above it
+    case = make_case(ident)
+    mean = case.mode_pair(0)[0]
+    total = case.remainder(0) + case.period * mean**2 * case.spatial_norm2
+    assert case.data_norm2 == pytest.approx(total, rel=1e-12)

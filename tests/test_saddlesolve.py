@@ -349,7 +349,7 @@ def test_converged_solve_reports_euclidean_residual(example, k):
     # ||b - A x|| / ||b|| recomputed with the mode stencil from the solution
     tol = 1e-10
     solver = _Solver(make_case(example), 32, ExperimentConfig(example=example, grid=32, tol=tol))
-    sol, stats = solver.solve_mode(k)
+    sol, stats = solver.solve_mode(k, None)
     case = solver.case
     system = build_mode_system(case.problem, solver.mats, k, case.lam, case.omega, solver.bind.rhs(k))
     x = np.concatenate([sol.y, sol.p]).ravel()
@@ -639,3 +639,135 @@ def test_definite_preconditioners_pick_minres(ctx8):
         assert build_precond_I(mats, k, LAM, OMEGA, surrogate_inverse=False).definite
         for build in (build_precond_I, build_precond_II):
             assert not build(mats, k, LAM, OMEGA, surrogate_inverse=True).definite
+
+
+# -- starts from the seed modes ------------------------------------------------
+
+
+def test_gmres_from_exact_solution_takes_no_step(scratch):
+    # a start that already meets the tolerance is returned as it is
+    A, P, b = _nonsymmetric_system()
+    exact = np.linalg.solve(A, b)
+    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-10, maxiter=50, fixed_iters=None,
+                         scratch=scratch, x0=exact.copy())
+    assert stats.iterations == 0 and stats.converged
+    assert np.array_equal(x, exact)
+    relres = np.linalg.norm(b - A @ exact) / np.linalg.norm(b)
+    assert stats.start_residual == stats.relative_residual == pytest.approx(relres, rel=1e-9)
+    assert stats.residuals == [pytest.approx(relres * np.linalg.norm(b), rel=1e-12)]
+
+
+def _seed_rows(solver, seeds) -> np.ndarray:
+    """The states' and adjoints' parts of the seed modes' solutions from zero,
+    (2, S, m * m), as `_Solver.solve_modes` copies them."""
+    sols = [solver.solve_mode(k, None)[0] for k in seeds]
+    return np.stack([np.concatenate([s.y for s in sols]), np.concatenate([s.p for s in sols])])
+
+
+def _seed_start(solver, rows) -> saddlesolve.SeedStart:
+    case = solver.case
+    return saddlesolve.SeedStart(case.problem, solver.mats, case.lam, case.omega, solver.bind.load,
+                                 list(rows), Scratch())
+
+
+def _mode_system(solver, k):
+    case = solver.case
+    return build_mode_system(case.problem, solver.mats, k, case.lam, case.omega, solver.bind.rhs(k))
+
+
+def test_start_residual_of_zero_exact_and_seeded_starts():
+    # start_residual is that of the starting iterate; iterations counts the
+    # steps taken from it
+    solver = _Solver(make_case(1), 32, ExperimentConfig(example=1, grid=32, tol=1e-10))
+    start = _seed_start(solver, _seed_rows(solver, (1, 2)))
+    system = _mode_system(solver, 5)
+    precond = build_precond_I(solver.mats, 5, solver.case.lam, solver.case.omega, surrogate_inverse=True)
+    bnorm = np.linalg.norm(system.rhs)
+    zero, zero_stats = minres(system, precond, tol=1e-10, maxiter=50, scratch=Scratch())
+    assert zero_stats.start_residual == 1.0 and zero_stats.iterations >= 2
+    x0 = start(5, solver.bind.mode_coefs(5))
+    seeded_residual = np.linalg.norm(system.rhs - fresh_apply(system.matrix, x0)) / bnorm
+    seeded, seeded_stats = minres(system, precond, tol=1e-10, maxiter=50, scratch=Scratch(), start=x0)
+    assert seeded_stats.start_residual == pytest.approx(seeded_residual, rel=1e-6)
+    assert seeded_residual < 1e-6 and seeded_stats.iterations == 1
+    assert seeded_stats.converged and seeded_stats.relative_residual <= 1e-10
+    exact = np.concatenate([seeded.y, seeded.p]).ravel()
+    _, exact_stats = minres(system, precond, tol=1e-10, maxiter=50, scratch=Scratch(), start=exact.copy())
+    assert exact_stats.iterations == 0
+    assert exact_stats.start_residual == exact_stats.relative_residual == seeded_stats.relative_residual
+    # paper mode's MinRes takes no start
+    with pytest.raises(ValueError, match="GMRES"):
+        minres(system, build_precond_I(solver.mats, 5, solver.case.lam, solver.case.omega, False),
+               tol=1e-10, maxiter=50, scratch=Scratch(), start=x0)
+
+
+def _dense_start_residual(solver, start, k) -> float:
+    """||b - A x|| / ||b|| of the x that a dense QR least-squares fit finds
+    over the span of `start`'s basis rows, each in every part of its field."""
+    system = _mode_system(solver, k)
+    parts, m2 = mode_parts(k), solver.mats.M.shape[0]
+    columns = []
+    for field, basis in enumerate(start.bases):
+        for part in range(parts):
+            for u in basis:
+                column = np.zeros((2, parts, m2))
+                column[field, part] = u
+                columns.append(column.ravel())
+    image = np.array([fresh_apply(system.matrix, c) for c in columns]).T
+    q, r = np.linalg.qr(image)
+    coef = np.linalg.solve(r, q.T @ system.rhs)
+    x = np.array(columns).T @ coef
+    return np.linalg.norm(system.rhs - fresh_apply(system.matrix, x)) / np.linalg.norm(system.rhs)
+
+
+@pytest.mark.parametrize("draw", range(6))
+def test_seed_start_is_a_least_squares_fit(draw, monkeypatch):
+    # the start built from the R factor of the seeds' products leaves at
+    # most twice the residual of a dense QR fit over the same rows, plus
+    # 1e-13 ||b||: from seed solutions (residuals down to 1e-12) and from
+    # random seed fields, for both problems at random lambda and omega
+    monkeypatch.setattr(saddlesolve, "START_CUT", np.inf)
+    rng = np.random.default_rng(draw)
+    example = (1, 4, 2, 5, 3, 6)[draw]
+    lam, omega = 10.0 ** rng.uniform(-3, 1), 10.0 ** rng.uniform(-0.5, 1)
+    solver = _Solver(make_case(example, lam=lam, omega=omega), 16,
+                     ExperimentConfig(example=example, grid=16, lam=lam, omega=omega))
+    seeds = sorted(rng.choice(np.arange(1, 6), size=2, replace=False))
+    rows = _seed_rows(solver, seeds)
+    for fields in (rows, rng.standard_normal(rows.shape)):
+        start = _seed_start(solver, fields.copy())
+        for k in (0, 1, 6, 9):
+            coefs = solver.bind.mode_coefs(k)
+            if not np.any(coefs):
+                assert start(k, coefs) is None
+                continue
+            system = _mode_system(solver, k)
+            x0 = start(k, coefs)
+            assert x0 is not None and x0.shape == system.rhs.shape
+            residual = np.linalg.norm(system.rhs - fresh_apply(system.matrix, x0)) / np.linalg.norm(system.rhs)
+            assert residual <= 2 * _dense_start_residual(solver, start, k) + 1e-13
+
+
+def test_seed_start_drops_zero_seeds():
+    # indicator data vanish at even k > 0, so a seed k = 2 is zero and adds
+    # no basis row; without any seed row a start is None
+    solver = _Solver(make_case(3), 16, ExperimentConfig(example=3, grid=16))
+    start = _seed_start(solver, _seed_rows(solver, (1, 2)))
+    assert [len(u) for u in start.bases] == [2, 2]
+    for u in start.bases:
+        assert np.allclose(u @ u.T, np.eye(len(u)), rtol=0, atol=1e-14)
+    empty = _seed_start(solver, _seed_rows(solver, (2, 4)))
+    assert [len(u) for u in empty.bases] == [0, 0]
+    assert empty(1, solver.bind.mode_coefs(1)) is None
+
+
+def test_start_cut_leaves_weak_starts_at_zero(monkeypatch):
+    # a start whose residual would exceed START_CUT is not used
+    solver = _Solver(make_case(3), 16, ExperimentConfig(example=3, grid=16))
+    start = _seed_start(solver, _seed_rows(solver, (1, 3)))
+    monkeypatch.setattr(saddlesolve, "START_CUT", np.inf)
+    x0 = start(5, solver.bind.mode_coefs(5))
+    system = _mode_system(solver, 5)
+    residual = np.linalg.norm(system.rhs - fresh_apply(system.matrix, x0)) / np.linalg.norm(system.rhs)
+    monkeypatch.setattr(saddlesolve, "START_CUT", 0.5 * residual)
+    assert start(5, solver.bind.mode_coefs(5)) is None
