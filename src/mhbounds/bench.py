@@ -299,9 +299,9 @@ def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, st
                          fine.bind.mode_data(k), scratch=scratch)
         coarse = prolong(coarse_ctx.node_grid(states[k]), nref)[:, 1:-1, 1:-1]
         e = fine_sol.y - coarse.reshape(len(coarse), -1)
-        with scratch.lend(e.shape) as (product,):
-            norms = tuple(float(np.vdot(e, op(e, out=product, scratch=scratch)))
-                          for op in (fine.ctx.M, fine.ctx.K))
+        with scratch.lend((2,) + e.shape) as (products,):
+            ke, me = fine.ctx.KM(e, out=products, scratch=scratch)
+            norms = float(np.vdot(e, me)), float(np.vdot(e, ke))
         return (cost, norms), fine_sol
 
     done, _ = fine.solve_modes(states, one_mode)
@@ -552,6 +552,8 @@ def main(argv=None) -> int:
         errors = _sweep_errors(config, args.sweep, config.modes[0])
     else:
         errors = _errors([config])
+    if args.sweep == ():
+        errors.append("--sweep names no grid")
     if args.problem is not None:
         expected = "I" if args.example <= 3 else "II"
         if args.problem != expected:
@@ -564,7 +566,11 @@ def main(argv=None) -> int:
             print(f"error: {err}", file=sys.stderr)
         return 2
     if out:
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: --out {out} cannot be created: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     try:
         if args.sweep:
             rows = grid_sweep(config, args.sweep, mode=config.modes[0])
@@ -583,7 +589,7 @@ def main(argv=None) -> int:
                 print(row.label, f"min={row.minorant:.4e}", f"maj={row.majorant:.4e}",
                       f"ratio={row.ieff_ratio:.3f}",
                       f"ieff-={row.ieff_minorant:.3f}" if np.isfinite(row.ieff_minorant) else "ieff-=n/a")
-    except (ValueError, RuntimeError, MemoryError) as exc:
+    except (ValueError, RuntimeError, MemoryError, OSError) as exc:  # OSError: a table write
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

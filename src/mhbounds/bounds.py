@@ -10,7 +10,13 @@ at its infimum over both, which has a closed form (see `optimal_majorant`).
 
 The per-triangle work of a mode runs over blocks of cell rows, in buffers
 lent once per mode and reused by every block, so its memory does not grow
-with the grid and a worker's modes reuse the same pages.
+with the grid and a worker's modes reuse the same pages.  An averaged flux
+tau = avg(nu grad u) enters the residuals through tau - nu grad u per
+triangle and its divergence, both of which come from the jumps of the
+normal gradient across the edges, second differences of four nodes, and
+the signed sum of the outward edge fluxes (see `fluxrecon`); the flux
+itself is never formed on the edges, except for problem II's adjoint flux,
+which adds the data's edge fluxes and the boundary match.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ C_FRIEDRICHS = 1.0 / (np.sqrt(2.0) * np.pi)
 # majorant; its infimum is the limit ALPHA_TAIL -> 0
 ALPHA_TAIL = 1e-8
 # cells per block of the bound evaluation: the block buffers of a k > 0 mode
-# take about 60 doubles per cell (4 MB), n=128 takes two blocks and n=1024
-# 128 of them
+# take about 46 (problem I) or 56 (problem II) doubles per cell (3-3.7 MB),
+# n=128 takes two blocks and n=1024 128 of them
 BOUND_CELLS = 8192
 
 
@@ -162,13 +168,6 @@ def _rt0_norm2(ctx: FemContext, const: np.ndarray, div: np.ndarray) -> float:
     )
 
 
-def _adjoint_mass(mats: ModeMatrices, ps: np.ndarray, out: np.ndarray,
-                  scratch: Scratch) -> tuple[np.ndarray, float]:
-    """M p of the stacked adjoint parts, (P, m), and p^T M p summed over the parts."""
-    mp = mats.M(ps, out=out, scratch=scratch)
-    return mp, float(np.vdot(ps, mp))
-
-
 def _scaled(coef: np.ndarray, profile: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The mode's data parts coef[p] profile, into out (P, ...)."""
     return np.multiply(coef.reshape((-1,) + (1,) * profile.ndim), profile, out=out)
@@ -192,7 +191,7 @@ def _block_shapes(problem: str, parts: int, rows: int, read: int, n: int, misfit
     cell rows (the block and its halo), for `parts` stacked parts; those
     the misfit needs come first, and are all there is with `misfit_only`."""
     P, R, H, N = parts, rows, read, n + 1
-    shapes = dict(y_rows=(P, H + 1, N), y_grad=(P, 2, 2, H, n))  # node rows of y, gradients
+    shapes = dict(y_rows=(P, H + 1, N))  # node rows of y
     if problem == "I":
         shapes.update(y_vert=(P, 2, 3, R, n))
     else:
@@ -205,10 +204,14 @@ def _block_shapes(problem: str, parts: int, rows: int, read: int, n: int, misfit
         return shapes
     shapes.update(
         div=(P, 2, R, n),  # and divergences
-        p_rows=(P, H + 1, N), p_grad=(P, 2, 2, H, n),
+        p_rows=(P, H + 1, N),
         horiz=(P, R + 1, n), vert=(P, R, N), diag=(P, R, n),  # a flux's edge planes
+        dx=(P, R + 1, n), dy=(P, H, N),  # node differences along rows and columns
         nodal=(P, R + 1, N), term=(P, R + 1, N),  # a nodal residual and a term of it
     )
+    if problem == "II":
+        # node rows and gradients of the adjoint flux's target
+        shapes.update(w_rows=(P, H + 1, N), w_grad=(P, 2, 2, H, n))
     return shapes
 
 
@@ -218,8 +221,14 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     ... r4^2 unless `terms` holds the misfit only, working in the block
     buffers `buf` (see `_block_shapes`).
 
-    Both averaged fluxes are built on the block's edges from the gradients
-    of the block and of one cell row on each side of it, scaled in place.
+    An averaged flux avg(nu grad u) enters r2 and (problem I) r4 only
+    through its difference from nu grad u per triangle, and r1 and r3
+    through its divergence, which is that difference's: both come from the
+    jumps of the normal gradient across the block's edges (see `fluxrecon`),
+    second differences of the node rows of the block and of one cell row on
+    each side of it.  Problem II's adjoint flux also carries the data's edge
+    fluxes and the boundary match, so it is built on its edges from the
+    gradients of those rows.
     """
     mesh = ctx.mesh
     lam, nu = params.lam, params.nu
@@ -229,7 +238,6 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     here = (Ellipsis, rows, slice(None))  # the block's rows of a whole-grid plane
     nodes = slice(rows.start - first, rows.stop - first + 1)
     y_rows = ctx.node_grid(sol.y, first, out=buf["y_rows"])
-    y_grad = ctx.cell_gradients(y_rows, out=buf["y_grad"])
     y_nodes = y_rows[:, nodes]
     work = buf["work"]
 
@@ -241,62 +249,62 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     else:
         g_mean = _scaled(data.coef, data.g_mean[here], buf["g_mean"])
         g_div = _scaled(data.coef, data.g_div[here], buf["g_div"])
-        terms["misfit"] += _rt0_norm2(ctx, np.subtract(y_grad[inner], g_mean, out=buf["centre"]), g_div)
+        y_grad = ctx.cell_gradients(y_nodes, out=buf["centre"])
+        terms["misfit"] += _rt0_norm2(ctx, np.subtract(y_grad, g_mean, out=y_grad), g_div)
     if len(terms) == 1:
         return
 
     p_rows = ctx.node_grid(sol.p, first, out=buf["p_rows"])
-    p_grad = ctx.cell_gradients(p_rows, out=buf["p_grad"])
     p_nodes = p_rows[:, nodes]
     flux = fluxrecon.GridFlux(buf["horiz"], buf["vert"], buf["diag"])
 
-    def form(field):
-        fluxrecon.grid_average(mesh, field, rows, out=flux)
-        return fluxrecon.grid_affine_form(ctx, flux, out=(buf["centre"], buf["div"]), work=work[0])
+    def correction(grid):
+        """The form of avg(nu grad u) - nu grad u per triangle of the P1
+        fields u on the node rows `grid`."""
+        fluxrecon.grid_jumps(grid, rows, out=flux, work=(buf["dx"], buf["dy"]))
+        return fluxrecon.grid_affine_form(mesh, flux, (buf["centre"], buf["div"]),
+                                          signs=fluxrecon.JUMP_SIGN, scale=0.5 * nu)
 
-    if problem == "II":
-        # the adjoint flux approximates the target nu grad(p) - (grad(y) - g_d)
-        p_grad *= nu
-        p_grad -= y_grad
     # state flux tau: the average of nu grad(y)
-    y_grad *= nu
-    centre, div = form(y_grad)
+    centre, div = correction(y_rows)
     # div(tau) + time coupling - p / lam: P1 per triangle
     nodal = quarter_turn(y_nodes, kws, out=buf["nodal"])
     nodal -= np.divide(p_nodes, lam, out=buf["term"])
     terms["r1"] += _p1_norm2(ctx, nodal, work, shift=div)
-    centre -= y_grad[inner]
     terms["r2"] += _rt0_norm2(ctx, centre, div)
 
     if problem == "I":
-        p_grad *= nu
-        centre, div = form(p_grad)
+        # adjoint flux rho: the average of nu grad(p)
+        centre, div = correction(p_rows)
         # div(rho) + time coupling + state - data: P1 per triangle against
         # the data's projection
         nodal = quarter_turn(p_nodes, kws, out=buf["nodal"])
         nodal += y_nodes
         terms["r3"] += _p1_norm2(ctx, nodal, work, shift=div, vert=y_vert)
-        centre -= p_grad[inner]
         terms["r4"] += _rt0_norm2(ctx, centre, div)
         return
 
-    # the averaged target plus the data's edge fluxes; its exact divergence
-    # is minus the time-derivative term, so the one-sided boundary traces
-    # are corrected to match that target per triangle (interior normal
-    # continuity untouched, so still in H(div))
-    fluxrecon.grid_average(mesh, p_grad, rows, out=flux)
+    # the adjoint flux approximates the target grad(w) + g_d, w = nu p - y:
+    # the average of grad(w) plus the data's edge fluxes; its exact
+    # divergence is minus the time-derivative term, so the one-sided
+    # boundary traces are corrected to match that target per triangle
+    # (interior normal continuity untouched, so still in H(div))
+    w_rows = np.multiply(p_rows, nu, out=buf["w_rows"])
+    w_rows -= y_rows
+    w_grad = ctx.cell_gradients(w_rows, out=buf["w_grad"])
+    fluxrecon.grid_average(mesh, w_grad, rows, out=flux)
     g_flux = data.g_flux
     for plane, profile in zip(
         (flux.horiz, flux.vert, flux.diag),
         (g_flux.horiz[rows.start : rows.stop + 1], g_flux.vert[rows], g_flux.diag[rows]),
     ):
         plane += _scaled(data.coef, profile, work.reshape(-1)[: plane.size].reshape(plane.shape))
-    target = quarter_turn(_centroid_values(p_nodes, out=buf["div"]), -kws, out=work.reshape(div.shape))
+    target = quarter_turn(_centroid_values(p_nodes, out=div), -kws, out=work.reshape(div.shape))
     fluxrecon.grid_match_boundary_divergence(mesh, flux, target, rows)
-    centre, div = fluxrecon.grid_affine_form(ctx, flux, out=(centre, div), work=work[0])
+    centre, div = fluxrecon.grid_affine_form(mesh, flux, (centre, div))
     terms["r3"] += _p1_norm2(ctx, quarter_turn(p_nodes, kws, out=buf["nodal"]), work, shift=div)
     # rho - target - g_d: RT0 per triangle against the data's projection
-    centre -= p_grad[inner]
+    centre -= w_grad[inner]
     centre -= g_mean
     terms["r4"] += _rt0_norm2(ctx, centre, np.subtract(div, g_div, out=g_div))
 
@@ -335,7 +343,7 @@ def mode_cost(problem: str, ctx: FemContext, mats: ModeMatrices, params: BoundPa
     """
     misfit = _block_terms(problem, ctx, params, sol, data, scratch, misfit_only=True)["misfit"]
     with scratch.lend(sol.p.shape) as (mp,):
-        p_mass = _adjoint_mass(mats, sol.p, out=mp, scratch=scratch)[1]
+        p_mass = float(np.vdot(sol.p, mats.M(sol.p, out=mp, scratch=scratch)))
     return 0.5 * misfit + p_mass / (2 * params.lam)
 
 
@@ -358,8 +366,8 @@ def evaluate_mode(
 
     The per-triangle terms are summed over blocks of whole cell rows, about
     BOUND_CELLS cells each (see `_add_block`).  The block buffers, and those
-    of the mass and stiffness products of the mixed term, are lent by
-    `scratch`.
+    of the mixed term's stiffness and mass products, taken in one pass, are
+    lent by `scratch`.
     """
     k = sol.k
     lam, nu = params.lam, params.nu
@@ -371,14 +379,14 @@ def evaluate_mode(
     misfit = terms["misfit"]
 
     ys, ps = sol.y, sol.p
-    with scratch.lend(ps.shape, ps.shape) as (mp, turn):
-        mp, p_mass = _adjoint_mass(mats, ps, out=mp, scratch=scratch)
+    with scratch.lend((2,) + ps.shape, ps.shape) as (products, pairing):
+        kp, mp = mats.KM(ps, out=products, scratch=scratch)
+        p_mass = float(np.vdot(ps, mp))
         # bilinear pairing of state against adjoint, with the time-derivative
         # coupling  k omega sigma (y_s . M p_c - y_c . M p_s)
-        quarter_turn(mp, kws, out=turn)
-        pairing = mats.K(ps, out=mp, scratch=scratch)
-        pairing *= nu
-        pairing += turn
+        quarter_turn(mp, kws, out=pairing)
+        kp *= nu
+        pairing += kp
         bilin = float(np.vdot(ys, pairing))
     control_energy = p_mass / (2 * lam)
     quad = p_mass / lam

@@ -350,6 +350,7 @@ class CaseBind:
     def __init__(self, case: ExampleCase, ctx: FemContext):
         self.case = case
         self.ctx = ctx
+        self._last_coefs = None  # (k, mode_coefs(k)) of the last mode asked
         mesh = ctx.mesh
         analytic = case.has_analytic_reference
         if not analytic and mesh.n % 2 == 1:
@@ -367,8 +368,17 @@ class CaseBind:
             self.state_load = ctx.load(_sin_sin) if analytic else None
 
     def mode_coefs(self, k: int) -> np.ndarray:
-        """The (cosine, sine) time coefficients of the data, one per part, (P,)."""
-        return np.array(self.case.mode_pair(k))[: mode_parts(k)]
+        """The (cosine, sine) time coefficients of the data, one per part, (P,).
+
+        The last mode's are kept, so the right-hand side, the start and the
+        bound data of a mode's pass take them from one closed-form sum.  The
+        (k, coefficients) pair is read and replaced whole, so a worker whose
+        mode another replaced recomputes its own.
+        """
+        last = self._last_coefs
+        if last is None or last[0] != k:
+            last = self._last_coefs = k, np.array(self.case.mode_pair(k))[: mode_parts(k)]
+        return last[1]
 
     def rhs(self, k: int) -> np.ndarray:
         """Stacked data load vectors of mode k, (P, m)."""
@@ -383,15 +393,14 @@ class CaseBind:
         """(||e||^2, ||grad e||^2) of the state mode against the exact one.
 
         Uses (grad S, grad v_h) = kappa (S, v_h) for the eigenfunction
-        profile, so only the profile's load vector is needed.  The mass and
-        stiffness products borrow their buffers from `scratch`.
+        profile, so only the profile's load vector is needed.  The stiffness
+        and mass products, taken in one pass, borrow their buffers from
+        `scratch`.
         """
         case = self.case
         a = np.array(case.exact_state_mode(k))[: mode_parts(k)]
         # the exact part's profile terms: a^2 ||S||^2 - 2 a (S, y_h)
         profile = float(0.25 * a @ a - 2 * a @ (sol.y @ self.state_load))
-        with scratch.lend(sol.y.shape) as (product,):
-            l2 = profile + float(np.vdot(sol.y, self.ctx.M(sol.y, out=product, scratch=scratch)))
-            h1 = case.eigen_kappa * profile + float(
-                np.vdot(sol.y, self.ctx.K(sol.y, out=product, scratch=scratch)))
-        return l2, h1
+        with scratch.lend((2,) + sol.y.shape) as (products,):
+            ky, my = self.ctx.KM(sol.y, out=products, scratch=scratch)
+            return profile + float(np.vdot(sol.y, my)), case.eigen_kappa * profile + float(np.vdot(sol.y, ky))

@@ -2,7 +2,10 @@
 
 The stiffness and mass matrices are the 5-point and 7-point stencils of
 the two constant element matrices, applied to interior fields by slicing
-the node grid; no matrix is assembled.  Data are bound in one streaming
+the node grid; no matrix is assembled.  Where both are applied to the same
+stacked fields, one pass over the seven shifted slices of the padded grid
+gives both products, by one (2, 7) coefficient over the slices of all
+parts (`FemContext.KM`).  Data are bound in one streaming
 pass over blocks of cell rows: scalar and vector data alike are sampled
 at a block's quadrature points, one product per class with a
 class-constant matrix maps the samples to their load terms, per-triangle
@@ -149,42 +152,47 @@ class Stencil:
 
     `weights` maps an offset (dr, dc) to the weight that couples node (r, c)
     with node (r + dr, c + dc): a scalar, applied to each part of a stacked
-    field alike, or a (Q, Q) block coupling the Q parts.  The boundary nodes
-    are the zero padding of the node grid, so a product is the sum of the
-    shifted slices of one padded grid times their weights, taken as one
-    matrix product per band of rows.  `shape` is that of the matrix acting
-    on the flat stacked parts, and `nnz` counts the entries the assembled
-    matrix would store.
+    field alike; a vector of L scalars, the weights of L such stencils
+    applied in one pass; or a (Q, Q) block coupling the Q parts.  The
+    boundary nodes are the zero padding of the node grid, so a product is
+    the sum of the shifted slices of one padded grid times their weights,
+    taken as one matrix product per band of rows: with scalar weights an
+    (L, offsets) coefficient over the slices of all parts at once, with
+    blocks a (Q, offsets Q) one.  `shape` is that of the matrix acting on
+    one flat part (scalar weights) or on the flat stacked parts (blocks),
+    and `nnz` counts the entries the assembled matrices would store.
     """
 
     def __init__(self, weights: dict, m: int):
         self.m = m
         self.weights = weights
         self._offsets = sorted(weights)
-        self._blocks = np.array([weights[o] for o in self._offsets])
-        self._parts = 1 if self._blocks.ndim == 1 else self._blocks.shape[1]
+        blocks = np.array([weights[o] for o in self._offsets], dtype=float)
+        self._coupled = blocks.ndim == 3
+        self._parts = blocks.shape[1] if self._coupled else 1
+        self._coef = (blocks.transpose(1, 0, 2).reshape(self._parts, -1) if self._coupled
+                      else blocks.reshape(len(blocks), -1).T)
         self.shape = (self._parts * m * m,) * 2
         self.nnz = sum(
             np.count_nonzero(w) * max(m - abs(dr), 0) * max(m - abs(dc), 0)
-            for (dr, dc), w in zip(self._offsets, self._blocks)
+            for (dr, dc), w in zip(self._offsets, blocks)
         )
 
     def __call__(self, v: np.ndarray, out: np.ndarray, scratch: Scratch) -> np.ndarray:
-        """Product with stacked interior fields, (Q, m * m) -> (Q, m * m), or
-        with their flat concatenation.
+        """Product with stacked interior fields v, (Q, m * m), or with their
+        flat concatenation, written to `out` (C-contiguous): the shape of v,
+        or (L, Q, m * m) for vector weights, the L products in order.
 
-        The product is written to `out` (C-contiguous, the shape of v); the
-        padded grid and the stacked slices of a band are lent by `scratch`.
+        The padded grid and the stacked slices of a band are lent by
+        `scratch`.
         """
         m = self.m
-        blocks = self._blocks
-        if blocks.ndim == 1:
-            parts = len(v) if v.ndim == 2 else 1
-            blocks = blocks[:, None, None] * np.eye(parts)
-        else:
-            parts = self._parts
-        coef = blocks.transpose(1, 0, 2).reshape(parts, -1)
-        product = out.reshape(parts, m * m)
+        coef = self._coef
+        parts = self._parts if self._coupled else len(v) if v.ndim == 2 else 1
+        # the coupled product's rows are the parts; a scalar product's are
+        # the L stencils, per part
+        product = (out.reshape(parts, m * m) if self._coupled
+                   else out.reshape(len(coef), parts, m * m).transpose(1, 0, 2))
         band = min(STENCIL_ROWS, m)
         with scratch.lend((parts, m + 2, m + 2), (len(self._offsets) * parts * band * m,)) as (grid, stack):
             grid[:, [0, -1], :] = 0.0
@@ -192,12 +200,16 @@ class Stencil:
             grid[:, 1:-1, 1:-1] = v.reshape(parts, m, m)
             for r0 in range(0, m, STENCIL_ROWS):
                 r1 = min(r0 + STENCIL_ROWS, m)
-                shifted = stack[: coef.shape[1] * (r1 - r0) * m].reshape(-1, parts, r1 - r0, m)
+                shifted = stack[: len(self._offsets) * parts * (r1 - r0) * m].reshape(-1, parts, r1 - r0, m)
                 np.stack(
                     [grid[:, 1 + r0 + dr : 1 + r1 + dr, 1 + dc : 1 + dc + m] for dr, dc in self._offsets],
                     out=shifted,
                 )
-                np.matmul(coef, shifted.reshape(coef.shape[1], -1), out=product[:, r0 * m : r1 * m])
+                if self._coupled:
+                    np.matmul(coef, shifted.reshape(coef.shape[1], -1), out=product[:, r0 * m : r1 * m])
+                else:
+                    columns = shifted.reshape(len(self._offsets), parts, -1).transpose(1, 0, 2)
+                    np.matmul(coef, columns, out=product[..., r0 * m : r1 * m])
         return out
 
 
@@ -212,10 +224,10 @@ class FemContext:
         mesh: the underlying UniformMesh.
         K, M: unit-coefficient stiffness/mass on interior nodes, as stencils
             applied by grid slicing.
+        KM: both as one stencil of vector weights, whose product with
+            stacked fields (Q, m * m) is (2, Q, m * m), K's then M's, from
+            one pass over the shifted slices.
         class_grads: P1 basis gradients per class, (2, 3, 2).
-        class_rt0_form: centroid value (c - P_i) / (2 A) and divergence
-            1 / A of the RT0 basis function with unit outward flux through
-            the edge opposite local vertex i, per class, (2, 3, 3).
         class_qp: quadrature points of the class triangles of cell (0, 0),
             (2, Q, 2).
         class_qp_offsets: quadrature points minus the centroid, (2, Q, 2).
@@ -228,12 +240,8 @@ class FemContext:
         # class triangles of cell (0, 0), as (x, y) = h (column, row)
         unit = np.array(CLASS_CORNERS, dtype=float)[..., ::-1]
         corners = h * unit
-        self.class_grads, area = _class_geometry(corners)
+        self.class_grads, _ = _class_geometry(corners)
         centroid = corners.mean(axis=1, keepdims=True)
-        area = area[:, None, None]
-        self.class_rt0_form = np.concatenate(
-            [(centroid - corners) / (2 * area), np.broadcast_to(1 / area, (2, 3, 1))], axis=-1
-        )
         self.class_qp = QUAD_BARY @ corners
         self.class_qp_offsets = self.class_qp - centroid
         self.offset_moment = float(QUAD_W @ np.sum(self.class_qp_offsets[0] ** 2, axis=1))
@@ -241,10 +249,9 @@ class FemContext:
 
         # the centre node of a 2 x 2 cell grid touches all six triangles
         # around it, as every interior node does
-        self.K, self.M = (
-            Stencil({o: band[1, 1] for o, band in _stencil_bands(a, 2).items()}, n - 1)
-            for a in element_matrices(mesh)
-        )
+        K, M = ({o: band[1, 1] for o, band in _stencil_bands(a, 2).items()} for a in element_matrices(mesh))
+        self.K, self.M = Stencil(K, n - 1), Stencil(M, n - 1)
+        self.KM = Stencil({o: (K.get(o, 0.0), M.get(o, 0.0)) for o in K.keys() | M.keys()}, n - 1)
 
     def _sample_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """The linear maps from one triangle's quadrature samples to what

@@ -12,6 +12,15 @@ boundary divergence match, the per-triangle form) is a sum of plane slices.
 Each of them also works on a block of cell rows, the planes of the edges
 of those rows, and writes into given buffers, so the bound evaluation can
 run block by block.
+
+The per-triangle form of an RT0 field is the signed sum of its outward edge
+fluxes (`grid_affine_form`).  The edge average tau of nu grad(u), u P1,
+needs no edge degrees of freedom of its own: on each triangle T, tau minus
+the constant nu grad(u_T) is the RT0 field whose outward flux through an
+interior edge is nu/2 times the jump of the normal gradient across it,
+(grad u' - grad u_T) . n |e| with u' the other side's, and 0 through a
+boundary edge.  Each jump is a second difference of four nodes
+(`grid_jumps`), the same seen from either side.
 """
 
 from __future__ import annotations
@@ -20,8 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .femcore import FemContext
 from .mesh import CLASS_EDGE_SIGN
+
+# the signs that turn the planes of `grid_jumps` into outward fluxes: a jump
+# is outward on both sides of its edge
+JUMP_SIGN = np.ones((2, 3))
+
+# (i, s) per class, x then y component: the centroid value of an RT0 field
+# on a class triangle is s (3 phi_i - S) / (3 h) for its outward edge fluxes
+# phi and their sum S, i the vertex off the line of the other two along the
+# component (lower triangle (v00, v10, v11), upper (v00, v11, v01))
+_CENTRE_EDGES = (((0, 1.0), (2, -1.0)), ((1, -1.0), (0, 1.0)))
 
 
 @dataclass
@@ -145,21 +163,67 @@ def grid_match_boundary_divergence(mesh, flux: GridFlux, target_div: np.ndarray,
         h[..., -1, :] -= top
 
 
-def grid_affine_form(ctx: FemContext, flux: GridFlux, out: tuple,
-                     work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centroid values (..., 2, 2, R, n) and divergences (..., 2, R, n) of RT0
-    fields on R cell rows, as class planes, written to `out` = (centre, div);
-    `work` (..., R, n) takes the products.
+def grid_jumps(grid: np.ndarray, rows: slice, out: GridFlux, work: tuple) -> GridFlux:
+    """Jumps of the normal gradient of stacked P1 fields across the edges of
+    the cell rows `rows`, times the edge length, on GridFlux planes written
+    to `out`: (grad u' - grad u) . n |e| with n pointing out of u, for the
+    triangles u and u' on the two sides of an interior edge, and 0 on a
+    boundary edge.
 
-    Inside each triangle an RT0 field is tau(x) = tau(c) + div/2 (x - c),
-    so the pair determines it exactly.
+    `grid` (..., H+1, n+1) holds the node rows of the block and of one cell
+    row on each side where the mesh has one; `work` = (dx, dy) takes the
+    node differences along the block's node rows (..., R+1, n) and along the
+    columns of all of them (..., H, n+1).  With them the jumps are second
+    differences of four nodes: u[r+1,c+1] - u[r,c+1] - u[r,c] + u[r-1,c]
+    across horizontal edge (r, c), u[r+1,c+1] - u[r+1,c] - u[r,c] + u[r,c-1]
+    across vertical edge (r, c), and 2 (u[r+1,c] + u[r,c+1] - u[r+1,c+1] -
+    u[r,c]) across diagonal edge (r, c).  The planes are outward fluxes on
+    both sides (`JUMP_SIGN`).
     """
-    form = CLASS_EDGE_SIGN[:, :, None] * ctx.class_rt0_form  # per unit global flux
+    n = grid.shape[-1] - 1
+    r0, r1, _ = rows.indices(n)
+    first = max(r0 - 1, 0)  # the node row grid[..., 0, :] holds
+    dx, dy = work
+    block = grid[..., r0 - first : r1 - first + 1, :]
+    np.subtract(block[..., 1:], block[..., :-1], out=dx)
+    np.subtract(grid[..., 1:, :], grid[..., :-1, :], out=dy)
+    horiz, vert, diag = out.horiz, out.vert, out.diag
+    lo, hi = max(r0, 1), min(r1, n - 1)  # the block's interior edge rows
+    horiz[..., : lo - r0, :] = 0.0
+    horiz[..., hi - r0 + 1 :, :] = 0.0
+    np.subtract(dy[..., lo - first : hi - first + 1, 1:], dy[..., lo - first - 1 : hi - first, :-1],
+                out=horiz[..., lo - r0 : hi - r0 + 1, :])
+    vert[..., [0, -1]] = 0.0
+    np.subtract(dx[..., 1:, 1:], dx[..., :-1, :-1], out=vert[..., 1:-1])
+    np.subtract(dx[..., :-1, :], dx[..., 1:, :], out=diag)
+    diag *= 2.0
+    return out
+
+
+def grid_affine_form(mesh, flux: GridFlux, out: tuple, signs: np.ndarray = CLASS_EDGE_SIGN,
+                     scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid values (..., 2, 2, R, n) and divergences (..., 2, R, n) of RT0
+    fields on R cell rows, as class planes, written to `out` = (centre, div).
+
+    The outward flux phi_i of a field through the edge opposite local vertex
+    i is `scale` times the sign signs[class, i] (+-1) times its plane in
+    `flux.outward()`: the global edge signs for degrees of freedom, the
+    `JUMP_SIGN` for jumps.  With S the sum of the phi_i, div = S / A, and
+    the centroid value sum_i phi_i (c - P_i) / (2 A) has the components
+    +-(3 phi_i - S) / (3 h) (see `_CENTRE_EDGES`).  Inside each triangle an
+    RT0 field is tau(x) = tau(c) + div/2 (x - c), so the pair determines it
+    exactly.
+    """
     centre, div = out
-    for cls, planes in enumerate(flux.outward()):
-        outs = (centre[..., cls, 0, :, :], centre[..., cls, 1, :, :], div[..., cls, :, :])
-        for plane, weights in zip(outs, form[cls].T):
-            np.multiply(weights[0], planes[0], out=plane)
-            for weight, edge in zip(weights[1:], planes[1:]):
-                plane += np.multiply(weight, edge, out=work)
+    for cls, (planes, sign) in enumerate(zip(flux.outward(), signs)):
+        total = div[..., cls, :, :]
+        np.multiply(planes[0], sign[0], out=total)
+        for plane, s in zip(planes[1:], sign[1:]):
+            (np.add if s > 0 else np.subtract)(total, plane, out=total)
+        for axis, (i, s) in enumerate(_CENTRE_EDGES[cls]):
+            value = centre[..., cls, axis, :, :]
+            np.multiply(planes[i], 3 * s * sign[i], out=value)
+            (np.subtract if s > 0 else np.add)(value, total, out=value)
+    centre *= scale / (3 * mesh.h)
+    div *= scale / mesh.tri_area
     return centre, div

@@ -337,10 +337,10 @@ class SeedStart:
             with scratch.lend((depth, load.size)) as (images,):
                 at = 0
                 for basis in self.bases:
-                    for op in (mats.K, mats.M):
-                        if len(basis):
-                            op(basis, out=images[at : at + len(basis)], scratch=scratch)
-                        at += len(basis)
+                    if len(basis):
+                        products = images[at : at + 2 * len(basis)].reshape((2,) + basis.shape)
+                        mats.KM(basis, out=products, scratch=scratch)
+                    at += 2 * len(basis)
                 images[at] = load
                 R = _orthonormalize(images, term)[1].T  # F^T c = Q^T R c
         # the (equation, field) couplings: each block's cosine entries, the

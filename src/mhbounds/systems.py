@@ -38,11 +38,13 @@ def quarter_turn(parts: np.ndarray, kws: float, out: np.ndarray | None = None) -
 
 @dataclass
 class ModeMatrices:
-    """Interior-node stiffness K and mass M, as stencils, with the constant
-    coefficients sigma and nu."""
+    """Interior-node stiffness K and mass M, as stencils, both as the one
+    stencil KM that applies them in one pass (see `FemContext`), and the
+    constant coefficients sigma and nu."""
 
     K: Stencil
     M: Stencil
+    KM: Stencil
     sigma: float
     nu: float
 
@@ -50,7 +52,7 @@ class ModeMatrices:
 def build_matrices(ctx: FemContext, sigma: float = 1.0, nu: float = 1.0) -> ModeMatrices:
     if sigma <= 0 or nu <= 0:
         raise ValueError("coefficients must be positive constants")
-    return ModeMatrices(K=ctx.K, M=ctx.M, sigma=sigma, nu=nu)
+    return ModeMatrices(K=ctx.K, M=ctx.M, KM=ctx.KM, sigma=sigma, nu=nu)
 
 
 @dataclass
@@ -85,11 +87,16 @@ def mode_coefficients(
         raise ValueError(f"unknown problem tag {problem!r}")
     if k < 0:
         raise ValueError("mode index must be nonnegative")
-    eye = np.eye(mode_parts(k))
-    turn = quarter_turn(eye, k * omega * mats.sigma)
-    lead_K, lead_M = (0.0, 1.0) if problem == "I" else (1.0, 0.0)
-    coef_K = np.block([[lead_K * eye, -mats.nu * eye], [-mats.nu * eye, 0 * eye]])
-    coef_M = np.block([[lead_M * eye, -turn], [turn, -eye / lam]])
+    parts = mode_parts(k)
+    diag = np.arange(parts)
+    coef_K, coef_M = np.zeros((2, 2 * parts, 2 * parts))
+    coef_K[diag, diag], coef_M[diag, diag] = (0.0, 1.0) if problem == "I" else (1.0, 0.0)
+    coef_K[diag, parts + diag] = coef_K[parts + diag, diag] = -mats.nu
+    coef_M[parts + diag, parts + diag] = -1.0 / lam
+    # the time coupling: J M on the state in the adjoint's rows, -J M on the
+    # adjoint in the state's
+    coef_M[parts:, :parts] = turn = quarter_turn(np.eye(parts), k * omega * mats.sigma)
+    coef_M[:parts, parts:] = -turn
     return coef_K, coef_M
 
 

@@ -159,6 +159,7 @@ def test_cli_validation_exit_codes(capsys):
     ["--lambda", "0"], ["--omega", "0"], ["--omega", "-1"],
     ["--tol", "-1"], ["--workers", "0"], ["--modes", "3-1"],
     ["--sweep", "0,4"],
+    ["--sweep", ""],
     ["--sweep", "8,16", "--overall", "1"],
     ["--example", "3", "--sweep", "8,9"],
     ["--example", "3", "--grid", "8", "--nref", "9", "--modes", "1"],
@@ -189,6 +190,40 @@ def test_cli_rejects_output_path_under_a_file(sub, tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: --out")
     assert target.read_text() == "kept\n"
+
+
+def test_cli_out_that_cannot_be_created(tmp_path, capsys, monkeypatch):
+    # an --out whose directory cannot be made (as under /proc, or without
+    # permission, which root bypasses) is a configuration error, reported
+    # in one line before any solve
+    monkeypatch.setattr(bench, "run", None)
+
+    def refuse(self, *args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    assert main(["--example", "1", "--grid", "4", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out") and "No such file" in err[0]
+
+
+@pytest.mark.parametrize("writer", ["write_csv", "write_markdown"])
+@pytest.mark.parametrize("sweep", [False, True])
+def test_cli_table_write_error(writer, sweep, tmp_path, capsys, monkeypatch):
+    # a table that cannot be written (a full disk, a lost permission) ends
+    # the run with one line and exit 1, not a traceback
+    def fail(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(bench, writer, fail)
+    args = ["--sweep", "4,8"] if sweep else ["--grid", "4"]
+    code = main(["--example", "1", "--out", str(tmp_path)] + args)
+    err = capsys.readouterr().err.strip().splitlines()
+    if sweep and writer == "write_markdown":  # a sweep writes its CSV alone
+        assert code == 0 and not err
+        return
+    assert code == 1
+    assert len(err) == 1 and err[0] == "error: [Errno 28] No space left on device"
 
 
 @pytest.mark.parametrize("args", [

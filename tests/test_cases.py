@@ -1,5 +1,8 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -428,3 +431,28 @@ def test_data_norm_is_the_energy_of_all_modes(ident):
     mean = case.mode_pair(0)[0]
     total = case.remainder(0) + case.period * mean**2 * case.spatial_norm2
     assert case.data_norm2 == pytest.approx(total, rel=1e-12)
+
+
+def test_mode_coefs_shared_by_worker_threads():
+    # the last mode's coefficients are one bind's state, read and replaced
+    # by every worker thread: under frequent thread switches, each call
+    # still returns its own mode's, and equal repeated calls give the same
+    case = make_case(2)
+    bind = CaseBind(case, FemContext(build_mesh(4)))
+    expect = {k: np.array(case.mode_pair(k))[: 1 + min(k, 1)] for k in range(6)}
+    assert bind.mode_coefs(3) is bind.mode_coefs(3)
+    barrier = threading.Barrier(4, timeout=30)
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        barrier.wait()
+        return all(np.array_equal(bind.mode_coefs(int(k)), expect[int(k)]) for k in rng.integers(0, 6, 2000))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [future.result(timeout=60) for future in [pool.submit(worker, s) for s in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 4

@@ -5,6 +5,7 @@ import pytest
 
 from mhbounds import fluxrecon
 from mhbounds.femcore import FemContext
+from mhbounds.mesh import CLASS_CORNERS, CLASS_EDGE_SIGN
 from reference_assembly import build_mesh, class_planes, interpolate, p1_grad, quadrature_points, vec_norm2
 from reference_bounds import (
     _match_boundary_divergence, edge_coeffs, edge_planes, rt0_at_points, rt0_divergence, rt0_from_callable,
@@ -22,7 +23,7 @@ def _affine_form(ctx, flux):
     """`grid_affine_form` of a flux on R cell rows, into fresh buffers."""
     lead, (rows, n) = flux.diag.shape[:-2], flux.diag.shape[-2:]
     out = np.empty(lead + (2, 2, rows, n)), np.empty(lead + (2, rows, n))
-    return fluxrecon.grid_affine_form(ctx, flux, out, np.empty(flux.diag.shape))
+    return fluxrecon.grid_affine_form(ctx.mesh, flux, out)
 
 
 def _divergence(ctx, coeffs):
@@ -214,3 +215,60 @@ def test_fluxes_in_row_blocks_match_whole_grid(n, rows, rng):
     corners = [(0, 0, n - 1), (1, n - 1, 0)]
     for cls, r, c in corners + [(0, 0, 0), (1, n - 1, n - 1), (0, n // 2, n - 1), (1, n // 2, 0)]:
         assert np.allclose(div[:, cls, r, c], target[:, cls, r, c], rtol=1e-12, atol=1e-12)
+
+
+def _affine_form_by_basis(mesh, flux):
+    """The per-triangle form (centre, div) of RT0 fields on R cell rows, a
+    sum over the RT0 basis functions: the one with unit outward flux through
+    the edge opposite local vertex i has centroid value (c - P_i) / (2 A)
+    and divergence 1 / A."""
+    corners = mesh.h * np.array(CLASS_CORNERS, dtype=float)[..., ::-1]  # (x, y) = h (column, row)
+    basis = (corners.mean(axis=1, keepdims=True) - corners) / (2 * mesh.tri_area)
+    lead, (rows, n) = flux.diag.shape[:-2], flux.diag.shape[-2:]
+    centre, div = np.zeros(lead + (2, 2, rows, n)), np.zeros(lead + (2, rows, n))
+    for cls, planes in enumerate(flux.outward()):
+        for plane, sign, value in zip(planes, CLASS_EDGE_SIGN[cls], basis[cls]):
+            centre[..., cls, 0, :, :] += sign * value[0] * plane
+            centre[..., cls, 1, :, :] += sign * value[1] * plane
+            div[..., cls, :, :] += sign / mesh.tri_area * plane
+    return centre, div
+
+
+def _average_chain(ctx, grid, rows, nu):
+    """The form of avg(nu grad u) - nu grad u per triangle of the cell rows
+    `rows`, the way the jump form replaced: the gradients of the node rows
+    `grid` (the block's and one cell row's on each side), their edge
+    average, its form by the basis, minus the block's gradients."""
+    n = ctx.mesh.n
+    first = max(rows.start - 1, 0)
+    grads = nu * ctx.cell_gradients(grid, np.empty(grid.shape[:-2] + (2, 2, grid.shape[-2] - 1, n)))
+    centre, div = _affine_form_by_basis(ctx.mesh, fluxrecon.grid_average(ctx.mesh, grads, rows))
+    return centre - grads[..., rows.start - first : rows.stop - first, :], div
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+@pytest.mark.parametrize("parts", [1, 2])
+def test_jump_form_matches_average_chain(n, parts):
+    # tau - nu grad u from the normal-gradient jumps against the average ->
+    # form -> subtract chain, on every block of every block height 1..n
+    # that the bound evaluation's row blocks can take (BOUND_CELLS // n
+    # rows), for random node fields, boundary nodes included
+    rng = np.random.default_rng([n, parts])
+    ctx = FemContext(build_mesh(n))
+    nu = float(rng.uniform(0.5, 2.0))
+    u = rng.standard_normal((parts, n + 1, n + 1))
+    for height in range(1, n + 1):
+        for r0 in range(0, n, height):
+            rows = slice(r0, min(r0 + height, n))
+            block, first, last = rows.stop - r0, max(r0 - 1, 0), min(rows.stop + 1, n)
+            grid = u[:, first : last + 1]
+            jumps = fluxrecon.GridFlux(np.full((parts, block + 1, n), np.nan), np.full((parts, block, n + 1), np.nan),
+                                       np.full((parts, block, n), np.nan))
+            work = np.empty((parts, block + 1, n)), np.empty((parts, last - first, n + 1))
+            fluxrecon.grid_jumps(grid, rows, out=jumps, work=work)
+            out = np.empty((parts, 2, 2, block, n)), np.empty((parts, 2, block, n))
+            centre, div = fluxrecon.grid_affine_form(ctx.mesh, jumps, out, signs=fluxrecon.JUMP_SIGN, scale=0.5 * nu)
+            expect_centre, expect_div = _average_chain(ctx, grid, rows, nu)
+            assert np.abs(centre - expect_centre).max() <= 1e-13 * np.abs(expect_centre).max()
+            assert np.abs(div - expect_div).max() <= 1e-13 * np.abs(expect_div).max()
+

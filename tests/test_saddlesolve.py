@@ -210,7 +210,7 @@ def test_solvers_are_scale_free(example1_mode1, s):
 def test_direct_solve_reports_singular():
     # [[A, -A], [-A, -A]] repeats its first row
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    mats = ModeMatrices(K=A, M=A, sigma=1.0, nu=1.0)
+    mats = ModeMatrices(K=A, M=A, KM=None, sigma=1.0, nu=1.0)
     bad = ModeSystem(k=0, mats=mats, matrix=None, rhs=np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(RuntimeError):
         direct_solve(bad, "I", 1.0, 1.0)

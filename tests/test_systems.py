@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 
 from mhbounds import mesh as meshmod
 from mhbounds.femcore import FemContext
-from mhbounds.systems import build_matrices, build_mode_system, mode_parts
+from mhbounds.systems import build_matrices, build_mode_system, mode_coefficients, mode_parts, quarter_turn
 from reference_systems import assemble, dense, direct_solve, fresh_apply, stencil_csr
 
 LAM, OMEGA = 0.1, 1.0
@@ -12,6 +12,28 @@ LAM, OMEGA = 0.1, 1.0
 
 def _mats(ctx, sigma=1.0, nu=1.0):
     return build_matrices(ctx, sigma, nu)
+
+
+def _coefficients_by_blocks(problem, mats, k, lam, omega):
+    """The (2P, 2P) coefficients of K and M as np.block assembles them from
+    (P, P) blocks: [[lead_K, -nu], [-nu, 0]] and [[lead_M, -J], [J, -1/lam]],
+    J the quarter turn."""
+    eye = np.eye(mode_parts(k))
+    turn = quarter_turn(eye, k * omega * mats.sigma)
+    lead_K, lead_M = (0.0, 1.0) if problem == "I" else (1.0, 0.0)
+    coef_K = np.block([[lead_K * eye, -mats.nu * eye], [-mats.nu * eye, 0 * eye]])
+    coef_M = np.block([[lead_M * eye, -turn], [turn, -eye / lam]])
+    return coef_K, coef_M
+
+
+@pytest.mark.parametrize("problem", ["I", "II"])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_mode_coefficients_match_block_form(ctx2, problem, k):
+    mats = _mats(ctx2, sigma=1.7, nu=0.6)
+    for got, expect in zip(mode_coefficients(problem, mats, k, 0.03, 2.5),
+                           _coefficients_by_blocks(problem, mats, k, 0.03, 2.5)):
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
 
 
 def test_mode0_block_layout(ctx2):
