@@ -31,7 +31,6 @@ from .bounds import (
     efficiency_indices,
     evaluate_mode,
     m1_index,
-    mode_cost,
 )
 from .cases import CaseBind, ExampleCase, make_case
 from .femcore import FemContext, Scratch, prolong
@@ -281,31 +280,45 @@ def fine_grid_reference(case: ExampleCase, nref: int, coarse_ctx: FemContext, st
     """Reference costs and error norms from a finer-grid solve.
 
     `states` maps each mode k to the stacked parts (P, m * m) of the coarse
-    state on `coarse_ctx`.  Returns (costs, norms): costs[k] is the per-mode
-    cost of the fine solution, norms[k] the (||e||^2, ||grad e||^2) of the
-    coarse state against it, taken right after mode k's fine solve, so no
-    fine field but the seeds' outlives its mode (the fine modes are solved
-    by `_Solver.solve_modes`, as a run's are).  The coarse state is
-    evaluated at the fine nodes; both fields vanish on the boundary, so the
-    norms of their difference e are the quadratic forms of the fine interior
-    mass and stiffness stencils.
+    state on `coarse_ctx`.  Returns (costs, norms): costs[k] is the cost of
+    the fine discrete optimum (`CaseBind.optimal_cost`), norms[k] the
+    (||e||^2, ||grad e||^2) of the coarse state against it, taken right
+    after mode k's fine solve, so no fine field but the seeds' outlives its
+    mode (the fine modes are solved by `_Solver.solve_modes`, as a run's
+    are).  The cost holds at the optimum only, so the fine modes are solved
+    to the tolerance also in paper mode, and a fine solve that stops short
+    warns.  The coarse state is evaluated at the fine nodes; both fields
+    vanish on the boundary, so the norms of their difference e are the
+    quadratic forms of the fine interior mass and stiffness stencils.
     """
-    fine = _Solver(case, nref, config)
+    fine = _Solver(case, nref, replace(config, paper_mode=False))
 
     def one_mode(k, start):
-        fine_sol, _ = fine.solve_mode(k, start)
+        fine_sol, stats = fine.solve_mode(k, start)
         scratch = fine._scratch()
-        cost = mode_cost(case.problem, fine.ctx, fine.mats, fine.params, fine_sol,
-                         fine.bind.mode_data(k), scratch=scratch)
         coarse = prolong(coarse_ctx.node_grid(states[k]), nref)[:, 1:-1, 1:-1]
         e = fine_sol.y - coarse.reshape(len(coarse), -1)
         with scratch.lend((2,) + e.shape) as (products,):
             ke, me = fine.ctx.KM(e, out=products, scratch=scratch)
             norms = float(np.vdot(e, me)), float(np.vdot(e, ke))
-        return (cost, norms), fine_sol
+        return (fine.bind.optimal_cost(k, fine_sol.y), norms, stats), fine_sol
 
     done, _ = fine.solve_modes(states, one_mode)
-    return {k: cost for k, (cost, _) in done.items()}, {k: norms for k, (_, norms) in done.items()}
+    for k, (_, _, stats) in sorted(done.items()):
+        # the warning points at the caller of `run`, as a coarse mode's does
+        _warn_stopped_short(f"example {config.example}, reference grid {nref}, mode k={k}", stats,
+                            stacklevel=4)
+    return {k: cost for k, (cost, _, _) in done.items()}, {k: norms for k, (_, norms, _) in done.items()}
+
+
+def _warn_stopped_short(where: str, stats: SolveStats, stacklevel: int = 3) -> None:
+    """One RuntimeWarning, '<where>: the solve did not converge' or 'broke
+    down' with the relative residual, for a solve that stopped short; by
+    default it points at the caller's caller."""
+    if not stats.converged:
+        outcome = "broke down" if stats.breakdown else "did not converge"
+        warnings.warn(f"{where}: the solve {outcome} (relative residual {stats.relative_residual:.3e})",
+                      RuntimeWarning, stacklevel=stacklevel)
 
 
 def run(config: ExperimentConfig) -> BoundsReport:
@@ -346,13 +359,7 @@ def run(config: ExperimentConfig) -> BoundsReport:
     # a fine reference solves on its own grid, in a scratch of its own
     solver.scratches = threading.local()
     for k, rep in reports.items():
-        if not rep.stats.converged:
-            outcome = "broke down" if rep.stats.breakdown else "did not converge"
-            warnings.warn(
-                f"example {config.example}, grid {config.grid}, mode k={k}: the solve {outcome} "
-                f"(relative residual {rep.stats.relative_residual:.3e})",
-                RuntimeWarning, stacklevel=2,
-            )
+        _warn_stopped_short(f"example {config.example}, grid {config.grid}, mode k={k}", rep.stats)
 
     report = BoundsReport(
         config=config, problem=case.problem, params=params, mode_reports=reports,
@@ -518,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-10,
                    help="stop each mode's solve when ||b - A x|| <= tol ||b|| "
-                        "(not read with --paper-mode)")
+                        "(with --paper-mode, read by the --nref fine solves alone)")
     p.add_argument("--paper-mode", action="store_true",
                    help="run exactly 8 MinRes steps instead of a tolerance")
     p.add_argument("--family", type=int, default=0, choices=[0, 1],

@@ -186,40 +186,32 @@ def _centroid_values(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_shapes(problem: str, parts: int, rows: int, read: int, n: int, misfit_only: bool) -> dict:
+def _block_shapes(problem: str, parts: int, rows: int, read: int, n: int) -> dict:
     """Shapes of the buffers of a block of `rows` cell rows that reads `read`
-    cell rows (the block and its halo), for `parts` stacked parts; those
-    the misfit needs come first, and are all there is with `misfit_only`."""
+    cell rows (the block and its halo), for `parts` stacked parts."""
     P, R, H, N = parts, rows, read, n + 1
-    shapes = dict(y_rows=(P, H + 1, N))  # node rows of y
-    if problem == "I":
-        shapes.update(y_vert=(P, 2, 3, R, n))
-    else:
-        shapes.update(g_mean=(P, 2, 2, R, n), g_div=(P, 2, R, n))
-    shapes.update(
+    shapes = dict(
+        y_rows=(P, H + 1, N), p_rows=(P, H + 1, N),  # node rows of y and p
         work=(2, P, R, n),  # P1 norm sums, products
-        centre=(P, 2, 2, R, n),  # a flux's centroid values
-    )
-    if misfit_only:
-        return shapes
-    shapes.update(
-        div=(P, 2, R, n),  # and divergences
-        p_rows=(P, H + 1, N),
+        centre=(P, 2, 2, R, n), div=(P, 2, R, n),  # a flux's centroid values and divergences
         horiz=(P, R + 1, n), vert=(P, R, N), diag=(P, R, n),  # a flux's edge planes
         dx=(P, R + 1, n), dy=(P, H, N),  # node differences along rows and columns
         nodal=(P, R + 1, N), term=(P, R + 1, N),  # a nodal residual and a term of it
     )
-    if problem == "II":
-        # node rows and gradients of the adjoint flux's target
-        shapes.update(w_rows=(P, H + 1, N), w_grad=(P, 2, 2, H, n))
+    if problem == "I":
+        shapes.update(y_vert=(P, 2, 3, R, n))
+    else:
+        # the data's projection, and the node rows and gradients of the
+        # adjoint flux's target
+        shapes.update(g_mean=(P, 2, 2, R, n), g_div=(P, 2, R, n),
+                      w_rows=(P, H + 1, N), w_grad=(P, 2, 2, H, n))
     return shapes
 
 
 def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolution,
                data: ModeData, rows: slice, buf: dict, terms: dict) -> None:
-    """Add the squared misfit over the cell rows `rows` to `terms`, and r1^2
-    ... r4^2 unless `terms` holds the misfit only, working in the block
-    buffers `buf` (see `_block_shapes`).
+    """Add the squared misfit and r1^2 ... r4^2 over the cell rows `rows` to
+    `terms`, working in the block buffers `buf` (see `_block_shapes`).
 
     An averaged flux avg(nu grad u) enters r2 and (problem I) r4 only
     through its difference from nu grad u per triangle, and r1 and r3
@@ -251,8 +243,6 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
         g_div = _scaled(data.coef, data.g_div[here], buf["g_div"])
         y_grad = ctx.cell_gradients(y_nodes, out=buf["centre"])
         terms["misfit"] += _rt0_norm2(ctx, np.subtract(y_grad, g_mean, out=y_grad), g_div)
-    if len(terms) == 1:
-        return
 
     p_rows = ctx.node_grid(sol.p, first, out=buf["p_rows"])
     p_nodes = p_rows[:, nodes]
@@ -310,41 +300,26 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
 
 
 def _block_terms(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolution,
-                 data: ModeData, scratch: Scratch, misfit_only: bool = False) -> dict:
-    """The squared misfit, and r1^2 ... r4^2 unless `misfit_only`, summed
-    over blocks of whole cell rows of about BOUND_CELLS cells (see
-    `_add_block`), in buffers lent by `scratch`."""
+                 data: ModeData, scratch: Scratch) -> dict:
+    """The squared misfit and r1^2 ... r4^2, summed over blocks of whole
+    cell rows of about BOUND_CELLS cells (see `_add_block`), in buffers lent
+    by `scratch`."""
     n = ctx.mesh.n
     parts = len(sol.y)
-    terms = dict.fromkeys(("misfit",) if misfit_only else ("misfit", "r1", "r2", "r3", "r4"), 0.0)
+    terms = dict.fromkeys(("misfit", "r1", "r2", "r3", "r4"), 0.0)
     block = max(1, min(n, BOUND_CELLS // n))
-    sizes = [(prod(s),) for s in _block_shapes(problem, parts, block, min(block + 2, n), n, misfit_only).values()]
+    sizes = [(prod(s),) for s in _block_shapes(problem, parts, block, min(block + 2, n), n).values()]
     with scratch.lend(*sizes) as flat:
         for r0 in range(0, n, block):
             rows = slice(r0, min(r0 + block, n))
             read = min(rows.stop + 1, n) - max(r0 - 1, 0)
-            shapes = _block_shapes(problem, parts, rows.stop - r0, read, n, misfit_only)
+            shapes = _block_shapes(problem, parts, rows.stop - r0, read, n)
             buf = {name: f[: prod(s)].reshape(s) for f, (name, s) in zip(flat, shapes.items())}
             _add_block(problem, ctx, params, sol, data, rows, buf, terms)
     # the data's remainder is orthogonal to every piecewise polynomial
     terms["misfit"] += data.rest
-    if not misfit_only:
-        terms["r3" if problem == "I" else "r4"] += data.rest
+    terms["r3" if problem == "I" else "r4"] += data.rest
     return terms
-
-
-def mode_cost(problem: str, ctx: FemContext, mats: ModeMatrices, params: BoundParams,
-              sol: ModeSolution, data: ModeData, scratch: Scratch) -> float:
-    """Cost 1/2 ||misfit||^2 + p^T M p / (2 lam) of a discrete mode pair.
-
-    The misfit and control-energy terms of `evaluate_mode`, without the
-    flux reconstructions; the control is u = -p / lam.  Buffers are lent by
-    `scratch`.
-    """
-    misfit = _block_terms(problem, ctx, params, sol, data, scratch, misfit_only=True)["misfit"]
-    with scratch.lend(sol.p.shape) as (mp,):
-        p_mass = float(np.vdot(sol.p, mats.M(sol.p, out=mp, scratch=scratch)))
-    return 0.5 * misfit + p_mass / (2 * params.lam)
 
 
 def evaluate_mode(

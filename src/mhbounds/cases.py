@@ -350,7 +350,6 @@ class CaseBind:
     def __init__(self, case: ExampleCase, ctx: FemContext):
         self.case = case
         self.ctx = ctx
-        self._last_coefs = None  # (k, mode_coefs(k)) of the last mode asked
         mesh = ctx.mesh
         analytic = case.has_analytic_reference
         if not analytic and mesh.n % 2 == 1:
@@ -368,17 +367,8 @@ class CaseBind:
             self.state_load = ctx.load(_sin_sin) if analytic else None
 
     def mode_coefs(self, k: int) -> np.ndarray:
-        """The (cosine, sine) time coefficients of the data, one per part, (P,).
-
-        The last mode's are kept, so the right-hand side, the start and the
-        bound data of a mode's pass take them from one closed-form sum.  The
-        (k, coefficients) pair is read and replaced whole, so a worker whose
-        mode another replaced recomputes its own.
-        """
-        last = self._last_coefs
-        if last is None or last[0] != k:
-            last = self._last_coefs = k, np.array(self.case.mode_pair(k))[: mode_parts(k)]
-        return last[1]
+        """The (cosine, sine) time coefficients of the data, one per part, (P,)."""
+        return np.array(self.case.mode_pair(k))[: mode_parts(k)]
 
     def rhs(self, k: int) -> np.ndarray:
         """Stacked data load vectors of mode k, (P, m)."""
@@ -388,6 +378,22 @@ class CaseBind:
         """The mode's time coefficients with the unscaled profile projection."""
         coef = self.mode_coefs(k)
         return ModeData(coef=coef, rest=float(coef @ coef) * self.rest, **self.planes)
+
+    def optimal_cost(self, k: int, y: np.ndarray) -> float:
+        """Cost of mode k at the discrete optimum with the state parts y (P, m),
+        0.5 (||d_k||^2 - (d_k, y)) with the data's load for (d_k, y).
+
+        At the optimum, the adjoint row of the mode system gives
+        y . (nu K + time coupling) p = -p . M p / lam, which turns the state
+        row into y . L y = y . b - p . M p / lam (L the mass or stiffness
+        matrix the misfit reads, b the load); the misfit is exactly
+        y . L y - 2 y . b + ||d_k||^2 (the quadrature is exact on products of
+        P1 fields, and the projections are orthogonal in it), so the cost
+        0.5 misfit + p . M p / (2 lam) is this.  ||d_k||^2 is the quadrature
+        norm, equal to |c_k|^2 ||profile||^2 to rounding on every grid.
+        """
+        coef = self.mode_coefs(k)
+        return 0.5 * float(coef @ coef * self.case.spatial_norm2 - coef @ (y @ self.load))
 
     def error_norms(self, k: int, sol, scratch: Scratch) -> tuple[float, float]:
         """(||e||^2, ||grad e||^2) of the state mode against the exact one.

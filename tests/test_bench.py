@@ -488,6 +488,56 @@ def test_unconverged_mode_warns():
     assert all(np.isfinite(row.majorant) for row in report.rows)
 
 
+def test_unconverged_fine_solve_warns():
+    # a fine reference solve stopped short warns as a coarse one does,
+    # naming the reference grid; in paper mode the coarse mode takes its 8
+    # steps and only the fine solve, held to the tolerance, warns
+    config = ExperimentConfig(example=3, grid=8, modes=(0,), nref=16, maxiter=1)
+    for paper_mode, expect in ((False, ["grid 8", "reference grid 16"]), (True, ["reference grid 16"])):
+        with pytest.warns(RuntimeWarning) as record:
+            run(dataclasses.replace(config, paper_mode=paper_mode))
+        messages = [str(w.message) for w in record]
+        assert len(messages) == len(expect)
+        for message, where in zip(messages, expect):
+            assert message.startswith(f"example 3, {where}, mode k=0: the solve did not converge "
+                                      "(relative residual ")
+        assert all(w.filename == __file__ for w in record)
+
+
+@pytest.mark.parametrize("example", range(1, 7))
+def test_fine_cost_is_the_optimal_cost_of_the_fine_solution(example):
+    # the fine reference's cost 0.5 (||d_k||^2 - (d_k, y_h)) is the cost
+    # 0.5 misfit + p M p / (2 lam) of the bound evaluation, on the same
+    # fine solution, and the one fine_grid_reference returns
+    case = make_case(example)
+    config = ExperimentConfig(example=example, grid=8)
+    solver = bench._Solver(case, 8, config)
+    for k in (0, 1, 3):
+        sol, stats = solver.solve_mode(k, None)
+        assert stats.converged
+        b = bench.evaluate_mode(case.problem, solver.ctx, solver.mats, solver.params, sol,
+                                solver.bind.mode_data(k), scratch=solver._scratch())
+        expect = 0.5 * b.misfit + b.control_energy
+        cost = solver.bind.optimal_cost(k, sol.y)
+        assert abs(cost - expect) <= 1e-10 * expect
+        costs, _ = bench.fine_grid_reference(case, 8, solver.ctx, {k: sol.y}, config)
+        assert costs[k] == cost
+
+
+@pytest.mark.parametrize("example,family", [(3, 0), (6, 1)])
+def test_paper_mode_fine_reference_is_the_converged_one(example, family):
+    # the fine cost holds at the optimum only, so paper mode solves the
+    # fine modes to the tolerance too: its references are the default
+    # run's, bit for bit
+    config = ExperimentConfig(example=example, grid=8, modes=(0, 1, 3), nref=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        default = run(config)
+        paper = run(dataclasses.replace(config, paper_mode=True, precond_family=family))
+    for k, rep in default.mode_reports.items():
+        assert paper.mode_reports[k].reference == rep.reference
+
+
 def test_run_path_reads_only_the_node_grid():
     # a mesh holds n and h only, so runs, analytic and fine-grid references
     # (nested and not) work on the node grid; and no module of the package
