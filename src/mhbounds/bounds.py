@@ -15,8 +15,9 @@ tau = avg(nu grad u) enters the residuals through tau - nu grad u per
 triangle and its divergence, both of which come from the jumps of the
 normal gradient across the edges, second differences of four nodes, and
 the signed sum of the outward edge fluxes (see `fluxrecon`); the flux
-itself is never formed on the edges, except for problem II's adjoint flux,
-which adds the data's edge fluxes and the boundary match.
+itself is never formed on the edges.  Problem II's adjoint flux adds to
+that form the form of the data's edge fluxes, and on the boundary strip the
+fluxes through the boundary edges that match its divergence.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ C_FRIEDRICHS = 1.0 / (np.sqrt(2.0) * np.pi)
 # majorant; its infimum is the limit ALPHA_TAIL -> 0
 ALPHA_TAIL = 1e-8
 # cells per block of the bound evaluation: the block buffers of a k > 0 mode
-# take about 46 (problem I) or 56 (problem II) doubles per cell (3-3.7 MB),
+# take about 46 (problem I) or 54 (problem II) doubles per cell (3-3.5 MB),
 # n=128 takes two blocks and n=1024 128 of them
 BOUND_CELLS = 8192
 
@@ -98,7 +99,8 @@ class ModeData:
     desired state's P1 projection, y_vert (2, 3, n, n); problem II the RT0
     projection of the desired gradient, g_mean + g_div/2 (x - c) with
     g_mean (2, 2, n, n) and g_div (2, n, n), and the edge-flux degrees of
-    freedom of the same data, g_flux, for the adjoint flux reconstruction.
+    freedom of the same data, g_flux, whose per-triangle form the adjoint
+    flux adds.
     `rest` is the squared quadrature norm of what the projections leave over
     of the mode's data, summed over the parts: the residuals are piecewise
     polynomials orthogonal to it, so it adds to each data term.
@@ -173,19 +175,6 @@ def _scaled(coef: np.ndarray, profile: np.ndarray, out: np.ndarray) -> np.ndarra
     return np.multiply(coef.reshape((-1,) + (1,) * profile.ndim), profile, out=out)
 
 
-def _centroid_values(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Centroid values of P1 fields on R + 1 rows of the node grid, as class
-    planes (..., 2, R, n), into out."""
-    rows, n = grid.shape[-2] - 1, grid.shape[-1] - 1
-    for cls, ((r, c), *others) in enumerate(CLASS_CORNERS):
-        plane = out[..., cls, :, :]
-        np.copyto(plane, grid[..., r : r + rows, c : c + n])
-        for r, c in others:
-            plane += grid[..., r : r + rows, c : c + n]
-    out /= 3
-    return out
-
-
 def _block_shapes(problem: str, parts: int, rows: int, read: int, n: int) -> dict:
     """Shapes of the buffers of a block of `rows` cell rows that reads `read`
     cell rows (the block and its halo), for `parts` stacked parts."""
@@ -201,10 +190,10 @@ def _block_shapes(problem: str, parts: int, rows: int, read: int, n: int) -> dic
     if problem == "I":
         shapes.update(y_vert=(P, 2, 3, R, n))
     else:
-        # the data's projection, and the node rows and gradients of the
-        # adjoint flux's target
-        shapes.update(g_mean=(P, 2, 2, R, n), g_div=(P, 2, R, n),
-                      w_rows=(P, H + 1, N), w_grad=(P, 2, 2, H, n))
+        # the data's projection, the node rows of the adjoint flux's
+        # potential and the form of the data's edge fluxes
+        shapes.update(g_mean=(P, 2, 2, R, n), g_div=(P, 2, R, n), w_rows=(P, H + 1, N),
+                      edge_centre=(2, 2, R, n), edge_div=(2, R, n))
     return shapes
 
 
@@ -213,14 +202,13 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     """Add the squared misfit and r1^2 ... r4^2 over the cell rows `rows` to
     `terms`, working in the block buffers `buf` (see `_block_shapes`).
 
-    An averaged flux avg(nu grad u) enters r2 and (problem I) r4 only
-    through its difference from nu grad u per triangle, and r1 and r3
-    through its divergence, which is that difference's: both come from the
-    jumps of the normal gradient across the block's edges (see `fluxrecon`),
-    second differences of the node rows of the block and of one cell row on
-    each side of it.  Problem II's adjoint flux also carries the data's edge
-    fluxes and the boundary match, so it is built on its edges from the
-    gradients of those rows.
+    An averaged flux avg(nu grad u) enters r2 and r4 only through its
+    difference from nu grad u per triangle, and r1 and r3 through its
+    divergence, which is that difference's: both come from the jumps of the
+    normal gradient across the block's edges (see `fluxrecon`), second
+    differences of the node rows of the block and of one cell row on each
+    side of it.  Problem II's adjoint flux adds the form of the data's edge
+    fluxes and the boundary match to it.
     """
     mesh = ctx.mesh
     lam, nu = params.lam, params.nu
@@ -231,32 +219,20 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     nodes = slice(rows.start - first, rows.stop - first + 1)
     y_rows = ctx.node_grid(sol.y, first, out=buf["y_rows"])
     y_nodes = y_rows[:, nodes]
-    work = buf["work"]
-
-    # the state minus the data's projection: P1 (problem I) or RT0
-    # (problem II) per triangle
-    if problem == "I":
-        y_vert = _scaled(data.coef, data.y_vert[here], buf["y_vert"])
-        terms["misfit"] += _p1_norm2(ctx, y_nodes, work, vert=y_vert)
-    else:
-        g_mean = _scaled(data.coef, data.g_mean[here], buf["g_mean"])
-        g_div = _scaled(data.coef, data.g_div[here], buf["g_div"])
-        y_grad = ctx.cell_gradients(y_nodes, out=buf["centre"])
-        terms["misfit"] += _rt0_norm2(ctx, np.subtract(y_grad, g_mean, out=y_grad), g_div)
-
     p_rows = ctx.node_grid(sol.p, first, out=buf["p_rows"])
     p_nodes = p_rows[:, nodes]
+    work = buf["work"]
     flux = fluxrecon.GridFlux(buf["horiz"], buf["vert"], buf["diag"])
 
-    def correction(grid):
-        """The form of avg(nu grad u) - nu grad u per triangle of the P1
-        fields u on the node rows `grid`."""
+    def correction(grid, scale):
+        """The form of avg(grad u) - grad u per triangle of the P1 fields u
+        on the node rows `grid`, times `scale`."""
         fluxrecon.grid_jumps(grid, rows, out=flux, work=(buf["dx"], buf["dy"]))
         return fluxrecon.grid_affine_form(mesh, flux, (buf["centre"], buf["div"]),
-                                          signs=fluxrecon.JUMP_SIGN, scale=0.5 * nu)
+                                          signs=fluxrecon.JUMP_SIGN, scale=0.5 * scale)
 
     # state flux tau: the average of nu grad(y)
-    centre, div = correction(y_rows)
+    centre, div = correction(y_rows, nu)
     # div(tau) + time coupling - p / lam: P1 per triangle
     nodal = quarter_turn(y_nodes, kws, out=buf["nodal"])
     nodal -= np.divide(p_nodes, lam, out=buf["term"])
@@ -264,8 +240,11 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     terms["r2"] += _rt0_norm2(ctx, centre, div)
 
     if problem == "I":
+        # the state minus the data's projection: P1 per triangle
+        y_vert = _scaled(data.coef, data.y_vert[here], buf["y_vert"])
+        terms["misfit"] += _p1_norm2(ctx, y_nodes, work, vert=y_vert)
         # adjoint flux rho: the average of nu grad(p)
-        centre, div = correction(p_rows)
+        centre, div = correction(p_rows, nu)
         # div(rho) + time coupling + state - data: P1 per triangle against
         # the data's projection
         nodal = quarter_turn(p_nodes, kws, out=buf["nodal"])
@@ -274,28 +253,38 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
         terms["r4"] += _rt0_norm2(ctx, centre, div)
         return
 
-    # the adjoint flux approximates the target grad(w) + g_d, w = nu p - y:
-    # the average of grad(w) plus the data's edge fluxes; its exact
-    # divergence is minus the time-derivative term, so the one-sided
-    # boundary traces are corrected to match that target per triangle
-    # (interior normal continuity untouched, so still in H(div))
+    # grad(y) minus the data's projection: RT0 per triangle, the gradients
+    # from the node differences the state's jumps left, those along the
+    # legs of each class triangle
+    g_mean = _scaled(data.coef, data.g_mean[here], buf["g_mean"])
+    g_div = _scaled(data.coef, data.g_div[here], buf["g_div"])
+    dx, dy = buf["dx"], buf["dy"][inner]
+    for (cls, axis), diff in zip(np.ndindex(2, 2), (dx[:, :-1], dy[..., 1:], dx[:, 1:], dy[..., :-1])):
+        np.divide(diff, mesh.h, out=centre[:, cls, axis])
+    terms["misfit"] += _rt0_norm2(ctx, np.subtract(centre, g_mean, out=centre), g_div)
+
+    # the adjoint flux rho approximates the target grad(w) + g_d,
+    # w = nu p - y: the average of grad(w) plus the data's edge fluxes, so
+    # rho - grad(w) per triangle is half the jumps' form of w plus the form
+    # of the data's fluxes on the block's edges; its exact divergence is
+    # minus the time-derivative term, so the boundary fluxes are matched to
+    # that per boundary triangle (interior normal continuity untouched, so
+    # still in H(div)).  The match reads only the divergence, so `centre`
+    # holds rho - grad(w) - g_mean from the start.
     w_rows = np.multiply(p_rows, nu, out=buf["w_rows"])
     w_rows -= y_rows
-    w_grad = ctx.cell_gradients(w_rows, out=buf["w_grad"])
-    fluxrecon.grid_average(mesh, w_grad, rows, out=flux)
-    g_flux = data.g_flux
-    for plane, profile in zip(
-        (flux.horiz, flux.vert, flux.diag),
-        (g_flux.horiz[rows.start : rows.stop + 1], g_flux.vert[rows], g_flux.diag[rows]),
-    ):
-        plane += _scaled(data.coef, profile, work.reshape(-1)[: plane.size].reshape(plane.shape))
-    target = quarter_turn(_centroid_values(p_nodes, out=div), -kws, out=work.reshape(div.shape))
-    fluxrecon.grid_match_boundary_divergence(mesh, flux, target, rows)
-    centre, div = fluxrecon.grid_affine_form(mesh, flux, (centre, div))
-    terms["r3"] += _p1_norm2(ctx, quarter_turn(p_nodes, kws, out=buf["nodal"]), work, shift=div)
-    # rho - target - g_d: RT0 per triangle against the data's projection
-    centre -= w_grad[inner]
+    centre, div = correction(w_rows, 1.0)
+    g = data.g_flux
+    g_rows = fluxrecon.GridFlux(g.horiz[rows.start : rows.stop + 1], g.vert[rows], g.diag[rows])
+    edge_centre, edge_div = fluxrecon.grid_affine_form(mesh, g_rows, (buf["edge_centre"], buf["edge_div"]))
     centre -= g_mean
+    centre += _scaled(data.coef, edge_centre, g_mean)
+    div += _scaled(data.coef, edge_div, work.reshape(div.shape))
+    nodal = quarter_turn(p_nodes, kws, out=buf["nodal"])
+    fluxrecon.grid_match_boundary(mesh, (centre, div), nodal, rows)
+    # div(rho) + time coupling: P1 per triangle
+    terms["r3"] += _p1_norm2(ctx, nodal, work, shift=div)
+    # rho - target - g_d: RT0 per triangle against the data's projection
     terms["r4"] += _rt0_norm2(ctx, centre, np.subtract(div, g_div, out=g_div))
 
 

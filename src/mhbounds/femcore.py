@@ -312,22 +312,6 @@ class FemContext:
         out[:, lo - first : hi - first + 1, 1:-1] = v_int.reshape(parts, n - 1, n - 1)[:, lo - 1 : hi]
         return out
 
-    def cell_gradients(self, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Gradients of P1 fields on R + 1 rows of the node grid,
-        (..., R+1, n+1) -> class planes of the R cell rows between them,
-        (..., 2, 2, R, n) (class, then component), written to `out`.
-
-        Each class gradient is a pair of node differences along the legs of
-        its triangle, taken by slicing the node grid.
-        """
-        low, high = grid[..., :-1, :], grid[..., 1:, :]  # rows r and r + 1
-        np.subtract(low[..., 1:], low[..., :-1], out=out[..., 0, 0, :, :])
-        np.subtract(high[..., 1:], low[..., 1:], out=out[..., 0, 1, :, :])
-        np.subtract(high[..., 1:], high[..., :-1], out=out[..., 1, 0, :, :])
-        np.subtract(high[..., :-1], low[..., :-1], out=out[..., 1, 1, :, :])
-        out /= self.mesh.h
-        return out
-
     # -- data at the quadrature points -----------------------------------------
 
     def project_data(self, f: Callable, vector: bool):

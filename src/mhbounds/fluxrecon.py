@@ -7,11 +7,12 @@ across interior edges by construction, the field is linear per triangle,
 and its divergence is constant per triangle.
 
 `GridFlux` holds the degrees of freedom on three planes, one per edge kind
-of the uniform mesh, and every per-mode operation on it (averaging, the
-boundary divergence match, the per-triangle form) is a sum of plane slices.
-Each of them also works on a block of cell rows, the planes of the edges
-of those rows, and writes into given buffers, so the bound evaluation can
-run block by block.
+of the uniform mesh.  The data's edge fluxes are formed on them once per
+bind (`grid_from_callable`, or `grid_average` of per-triangle constants);
+every per-mode operation (the jumps, the per-triangle form and the
+boundary divergence match) is a sum of plane slices on a block of cell
+rows, written into given buffers, so the bound evaluation can run block
+by block.
 
 The per-triangle form of an RT0 field is the signed sum of its outward edge
 fluxes (`grid_affine_form`).  The edge average tau of nu grad(u), u P1,
@@ -20,7 +21,9 @@ the constant nu grad(u_T) is the RT0 field whose outward flux through an
 interior edge is nu/2 times the jump of the normal gradient across it,
 (grad u' - grad u_T) . n |e| with u' the other side's, and 0 through a
 boundary edge.  Each jump is a second difference of four nodes
-(`grid_jumps`), the same seen from either side.
+(`grid_jumps`), the same seen from either side.  A boundary edge has one
+triangle, so fluxes added through it move that triangle's form alone
+(`grid_match_boundary`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CLASS_EDGE_SIGN
+from .mesh import CLASS_CORNERS, CLASS_EDGE_SIGN
 
 # the signs that turn the planes of `grid_jumps` into outward fluxes: a jump
 # is outward on both sides of its edge
@@ -65,48 +68,24 @@ class GridFlux:
         return (v[..., :, 1:], d, h[..., :-1, :]), (h[..., 1:, :], v[..., :, :-1], d)
 
 
-def grid_average(mesh, field: np.ndarray, rows: slice = slice(None), out: GridFlux | None = None) -> GridFlux:
+def grid_average(mesh, field: np.ndarray) -> GridFlux:
     """Edge-average per-triangle constant vector fields, given as class planes
-    (..., 2, 2, H, n) (class, then component), -> GridFlux.
+    (..., 2, 2, n, n) (class, then component), -> GridFlux.
 
     Interior edges take the mean of the two one-sided normal traces,
-    boundary edges the single trace.  The result holds the edges of the cell
-    rows `rows` (all by default), R of them: horizontal planes (..., R+1, n),
-    the others (..., R, n+1) and (..., R, n), written to `out` when given.
-    `field` covers those rows and one more on each side where the mesh has
-    one, since a horizontal edge averages across two cell rows.
+    boundary edges the single trace.
     """
-    n, h = mesh.n, mesh.h
-    r0, r1, _ = rows.indices(n)
-    count, below = r1 - r0, min(r0, 1)  # block rows, halo rows below them
-    lead = field.shape[:-4]
-    if out is None:
-        out = GridFlux(np.empty(lead + (count + 1, n)), np.empty(lead + (count, n + 1)),
-                       np.empty(lead + (count, n)))
-    horiz, vert, diag = out.horiz, out.vert, out.diag
-    fx, fy = field[..., 0, :, :], field[..., 1, :, :]  # (..., class, H, n)
-    half = 0.5 * h
-    # horizontal edge e of the block is the bottom of the lower triangle of
-    # field row below + e and the top of the upper triangle of the row under it
-    lo, hi = int(r0 == 0), count + int(r1 < n)
-    inner = horiz[..., lo:hi, :]
-    np.add(fy[..., 0, below + lo : below + hi, :], fy[..., 1, below + lo - 1 : below + hi - 1, :], out=inner)
-    inner *= -half
-    if r0 == 0:
-        np.multiply(-h, fy[..., 0, 0, :], out=horiz[..., 0, :])
-    if r1 == n:
-        np.multiply(-h, fy[..., 1, below + count - 1, :], out=horiz[..., count, :])
-    # a vertical edge is the right side of a lower and the left of an upper triangle
-    fx, fy = fx[..., below : below + count, :], fy[..., below : below + count, :]
-    np.multiply(h, fx[..., 1, :, 0], out=vert[..., 0])
-    np.add(fx[..., 0, :, :-1], fx[..., 1, :, 1:], out=vert[..., 1:-1])
-    vert[..., 1:-1] *= half
-    np.multiply(h, fx[..., 0, :, -1], out=vert[..., -1])
-    np.subtract(fx[..., 0, :, :], fy[..., 0, :, :], out=diag)
-    diag += fx[..., 1, :, :]
-    diag -= fy[..., 1, :, :]
-    diag *= half
-    return out
+    half = 0.5 * mesh.h
+    fx, fy = field[..., 0, :, :], field[..., 1, :, :]  # (..., class, n, n)
+    # a horizontal edge is the bottom of a lower triangle and the top of the
+    # upper one below it, a vertical edge the right side of a lower and the
+    # left of an upper triangle
+    horiz = np.concatenate([2 * fy[..., 0, :1, :], fy[..., 0, 1:, :] + fy[..., 1, :-1, :],
+                            2 * fy[..., 1, -1:, :]], axis=-2)
+    vert = np.concatenate([2 * fx[..., 1, :, :1], fx[..., 0, :, :-1] + fx[..., 1, :, 1:],
+                           2 * fx[..., 0, :, -1:]], axis=-1)
+    diag = fx[..., 0, :, :] - fy[..., 0, :, :] + fx[..., 1, :, :] - fy[..., 1, :, :]
+    return GridFlux(-half * horiz, half * vert, half * diag)
 
 
 def grid_from_callable(mesh, g) -> GridFlux:
@@ -123,44 +102,6 @@ def grid_from_callable(mesh, g) -> GridFlux:
     vert = h * at(line[None, :], mid[:, None])[0]
     gx, gy = at(mid[None, :], mid[:, None])
     return GridFlux(horiz, vert, h * (gx - gy))
-
-
-def grid_match_boundary_divergence(mesh, flux: GridFlux, target_div: np.ndarray, rows: slice) -> None:
-    """Adjust boundary-edge coefficients so boundary triangles hit target_div,
-    given as class planes (..., 2, R, n).
-
-    One-sided edge averaging leaves an O(1) divergence defect on the
-    boundary strip; since boundary edges carry no continuity constraint,
-    their degrees of freedom are free to absorb it.  The defect of each
-    boundary triangle is split equally among its boundary edges: two for
-    the corner triangles, lower of cell (0, n-1) and upper of cell (n-1, 0).
-    `flux` and `target_div` hold the cell rows `rows`, as
-    `grid_average` gives them: the bottom strip is matched in the block that
-    holds row 0, the top strip in the one that holds row n-1, and the left
-    and right columns in every block.
-    """
-    n, area = mesh.n, mesh.tri_area
-    r0, r1, _ = rows.indices(n)
-    h, v, d = flux.horiz, flux.vert, flux.diag
-    lower, upper = target_div[..., 0, :, :], target_div[..., 1, :, :]
-    # shares of the column rows and along a strip; a corner triangle's is 2
-    ends = np.ones(n)
-    ends[-1] = 2.0
-    starts = ends[::-1]
-    # area times the defect of each strip: target minus the outward edge sum,
-    # all taken before any edge moves, since a corner sits on two strips
-    right = (area * lower[..., :, -1] - (v[..., :, -1] - d[..., :, -1] + h[..., :-1, -1])) / starts[r0:r1]
-    left = (area * upper[..., :, 0] - (d[..., :, 0] - h[..., 1:, 0] - v[..., :, 0])) / ends[r0:r1]
-    if r0 == 0:
-        bottom = (area * lower[..., 0, :] - (v[..., 0, 1:] - d[..., 0, :] + h[..., 0, :])) / ends
-    if r1 == n:
-        top = (area * upper[..., -1, :] - (d[..., -1, :] - h[..., -1, :] - v[..., -1, :-1])) / starts
-    v[..., :, -1] += right
-    v[..., :, 0] -= left
-    if r0 == 0:
-        h[..., 0, :] += bottom
-    if r1 == n:
-        h[..., -1, :] -= top
 
 
 def grid_jumps(grid: np.ndarray, rows: slice, out: GridFlux, work: tuple) -> GridFlux:
@@ -227,3 +168,51 @@ def grid_affine_form(mesh, flux: GridFlux, out: tuple, signs: np.ndarray = CLASS
     centre *= scale / (3 * mesh.h)
     div *= scale / mesh.tri_area
     return centre, div
+
+
+def grid_match_boundary(mesh, form: tuple, source: np.ndarray, rows: slice) -> None:
+    """Add outward fluxes through the boundary edges to RT0 fields on the
+    cell rows `rows`, given by their per-triangle form `form` = (centre,
+    div) (see `grid_affine_form`), in place, so that the divergence of every
+    boundary triangle becomes its target: minus the centroid value there of
+    the P1 fields `source` on the block's node rows (..., R+1, n+1).
+
+    One-sided edge averaging leaves an O(1) divergence defect on the
+    boundary strip; since boundary edges carry no continuity constraint,
+    their fluxes are free to absorb it, and as each has one triangle,
+    nothing else moves.  The defect A (target - div) of each boundary
+    triangle, all taken before any edge moves, is split equally among its
+    boundary edges: two for the corner triangles, lower of cell (0, n-1) and
+    upper of cell (n-1, 0).  A share s through the edge opposite local
+    vertex i moves the divergence by s / A and the centroid value by
+    s (3 [i = j] - 1) / (3 h) along each component of `_CENTRE_EDGES`: by
+    s / (3 h) times (2, 1) on a right, (-1, -2) on a bottom, (-2, -1) on a
+    left and (1, 2) on a top edge.  The bottom strip is matched in the block
+    that holds cell row 0, the top strip in the one that holds row n-1, and
+    the left and right columns in every block.
+    """
+    centre, div = form
+    n, area = mesh.n, mesh.tri_area
+    r0, r1, _ = rows.indices(n)
+    # (class, first cell row and column, rows and columns, local vertex
+    # opposite the boundary edge) of the right and left columns, and of the
+    # bottom and top rows where the block holds them
+    strips = [(0, 0, n - 1, r1 - r0, 1, 0), (1, 0, 0, r1 - r0, 1, 1)]
+    if r0 == 0:
+        strips.append((0, 0, 0, 1, n, 2))
+    if r1 == n:
+        strips.append((1, r1 - r0 - 1, 0, 1, n, 0))
+    moves = []
+    for cls, r, c, height, width, i in strips:
+        cells = (slice(r, r + height), slice(c, c + width))
+        centroid = sum(source[..., r + dr : r + dr + height, c + dc : c + dc + width]
+                       for dr, dc in CLASS_CORNERS[cls]) / 3
+        share = area * (-centroid - div[(..., cls) + cells])
+        row, col = ((0, n - 1), (n - 1, 0))[cls]  # the class's corner cell
+        if r <= row - r0 < r + height and c <= col < c + width:
+            share[..., row - r0 - r, col - c] /= 2
+        moves.append((cls, cells, i, share))
+    for cls, cells, i, share in moves:
+        div[(..., cls) + cells] += share / area
+        for axis, (j, s) in enumerate(_CENTRE_EDGES[cls]):
+            centre[(..., cls, axis) + cells] += s * (3 * (i == j) - 1) / (3 * mesh.h) * share

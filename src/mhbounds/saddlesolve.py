@@ -172,16 +172,18 @@ def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
     On the uniform right-triangle mesh the interior stiffness matrix is the
     5-point stencil, so mu_K is exact.  The 7-point mass stencil couples
     each node to one diagonal pair only; averaging it with the other
-    diagonal pair gives M~ = h^2/12 (6 + 2 cos a + 2 cos b + 2 cos a cos b),
-    spectrally equivalent to M.  Both are formed from the sum and product
-    of the two cosines, so every plane equals its transpose exactly.
+    diagonal pair gives M~ = h^2/12 (6 + 2 cos a + 2 cos b + 2 cos a cos b)
+    = h^2/6 ((1 + cos a)(1 + cos b) + 2), spectrally equivalent to M.  Both
+    are an outer sum or product of one vector with itself, so every plane
+    equals its transpose exactly.
     """
     m = mats.K.m
     h = 1.0 / (m + 1)
     c = np.cos(np.pi * np.arange(1, m + 1) * h)
-    c_sum, c_prod = c[:, None] + c[None, :], c[:, None] * c[None, :]
-    mu_K = 4.0 - 2.0 * c_sum
-    mu_M = h * h / 12.0 * (6.0 + 2.0 * c_sum + 2.0 * c_prod)
+    mu_K = np.add.outer(2.0 - 2.0 * c, 2.0 - 2.0 * c)
+    mu_M = np.multiply.outer(1.0 + c, 1.0 + c)
+    mu_M += 2.0
+    mu_M *= h * h / 6.0
     return mu_K, mu_M
 
 

@@ -11,7 +11,7 @@ against it.  A `build_mesh` mesh also carries `n`, `h` and `tri_area`, all
 that `FemContext` reads, so a context can be built on it.
 
 The nodal-field helpers below (zero extension, interpolation, values and
-gradients by `triangles` gathers, the triangle-order sampler `data_at_qp`
+gradients by `triangles` gathers, gradients by node-grid slices, the triangle-order sampler `data_at_qp`
 and the 7-point quadrature norms) work on all-node vectors and
 per-quadrature-point samples in the triangle numbering, the layouts the
 reference evaluations use; the run path never forms either.  So do the
@@ -212,6 +212,24 @@ def p1_at_qp(ctx, v_full: np.ndarray) -> np.ndarray:
 def p1_grad(ctx, v_full: np.ndarray) -> np.ndarray:
     """Piecewise-constant gradient of a P1 field by the class maps, (T, 2)."""
     return per_class(v_full[ctx.mesh.triangles], ctx.class_grads)
+
+
+def cell_gradients(mesh, grid: np.ndarray) -> np.ndarray:
+    """Gradients of P1 fields on R + 1 rows of the node grid,
+    (..., R+1, n+1) -> class planes of the R cell rows between them,
+    (..., 2, 2, R, n) (class, then component).
+
+    Each class gradient is a pair of node differences along the legs of
+    its triangle, taken by slicing the node grid.
+    """
+    low, high = grid[..., :-1, :], grid[..., 1:, :]  # rows r and r + 1
+    out = np.empty(grid.shape[:-2] + (2, 2, grid.shape[-2] - 1, grid.shape[-1] - 1))
+    np.subtract(low[..., 1:], low[..., :-1], out=out[..., 0, 0, :, :])
+    np.subtract(high[..., 1:], low[..., 1:], out=out[..., 0, 1, :, :])
+    np.subtract(high[..., 1:], high[..., :-1], out=out[..., 1, 0, :, :])
+    np.subtract(high[..., :-1], low[..., :-1], out=out[..., 1, 1, :, :])
+    out /= mesh.h
+    return out
 
 
 def p1_eval_at(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -11,6 +11,11 @@ the quadrature points of one profile, scaled per part by the mode's time
 coefficients (`QuadratureData`); `project` turns the same samples into the
 per-triangle projections that `evaluate_mode` reads.
 
+The edge-plane path of problem II's adjoint flux, an average of the
+gradients over a block of cell rows and a match of the boundary-edge
+planes (`grid_average_rows`, `grid_match_boundary_divergence`), is kept
+here as the oracle of the per-triangle form that replaced it.
+
 It also holds the majorant at explicit parameters alpha, beta, with their
 textbook minimizers, against which `bounds.optimal_majorant` is checked, the
 brute-force reference of those parameters (a log-grid search) and that of the
@@ -156,6 +161,84 @@ def _match_boundary_divergence(mesh, coeffs, target_div):
             if tri_bnd[t, local]:
                 e = mesh.tri_edges[t, local]
                 coeffs[e] += mesh.tri_edge_sign[t, local] * d
+
+
+# -- the edge-plane path of problem II's adjoint flux --------------------------
+
+
+def grid_average_rows(mesh, field: np.ndarray, rows: slice) -> GridFlux:
+    """Edge-average per-triangle constant vector fields, class planes
+    (..., 2, 2, H, n), on the edges of the cell rows `rows`, R of them:
+    horizontal planes (..., R+1, n), the others (..., R, n+1) and (..., R, n).
+
+    `field` covers those rows and one more on each side where the mesh has
+    one, since a horizontal edge averages across two cell rows.  Interior
+    edges take the mean of the two one-sided normal traces, boundary edges
+    the single trace.
+    """
+    n, h = mesh.n, mesh.h
+    r0, r1, _ = rows.indices(n)
+    count, below = r1 - r0, min(r0, 1)  # block rows, halo rows below them
+    lead = field.shape[:-4]
+    horiz, vert, diag = np.empty(lead + (count + 1, n)), np.empty(lead + (count, n + 1)), np.empty(lead + (count, n))
+    fx, fy = field[..., 0, :, :], field[..., 1, :, :]  # (..., class, H, n)
+    half = 0.5 * h
+    # horizontal edge e of the block is the bottom of the lower triangle of
+    # field row below + e and the top of the upper triangle of the row under it
+    lo, hi = int(r0 == 0), count + int(r1 < n)
+    inner = horiz[..., lo:hi, :]
+    np.add(fy[..., 0, below + lo : below + hi, :], fy[..., 1, below + lo - 1 : below + hi - 1, :], out=inner)
+    inner *= -half
+    if r0 == 0:
+        np.multiply(-h, fy[..., 0, 0, :], out=horiz[..., 0, :])
+    if r1 == n:
+        np.multiply(-h, fy[..., 1, below + count - 1, :], out=horiz[..., count, :])
+    # a vertical edge is the right side of a lower and the left of an upper triangle
+    fx, fy = fx[..., below : below + count, :], fy[..., below : below + count, :]
+    np.multiply(h, fx[..., 1, :, 0], out=vert[..., 0])
+    np.add(fx[..., 0, :, :-1], fx[..., 1, :, 1:], out=vert[..., 1:-1])
+    vert[..., 1:-1] *= half
+    np.multiply(h, fx[..., 0, :, -1], out=vert[..., -1])
+    np.subtract(fx[..., 0, :, :], fy[..., 0, :, :], out=diag)
+    diag += fx[..., 1, :, :]
+    diag -= fy[..., 1, :, :]
+    diag *= half
+    return GridFlux(horiz, vert, diag)
+
+
+def grid_match_boundary_divergence(mesh, flux: GridFlux, target_div: np.ndarray, rows: slice) -> None:
+    """Adjust the boundary-edge planes of `flux`, on the cell rows `rows` as
+    `grid_average_rows` gives them, so that boundary triangles hit
+    target_div, class planes (..., 2, R, n).
+
+    The defect of each boundary triangle, all taken before any edge moves,
+    is split equally among its boundary edges: two for the corner
+    triangles, lower of cell (0, n-1) and upper of cell (n-1, 0).  The
+    bottom strip is matched in the block that holds row 0, the top strip in
+    the one that holds row n-1, and the left and right columns in every
+    block.
+    """
+    n, area = mesh.n, mesh.tri_area
+    r0, r1, _ = rows.indices(n)
+    h, v, d = flux.horiz, flux.vert, flux.diag
+    lower, upper = target_div[..., 0, :, :], target_div[..., 1, :, :]
+    # shares of the column rows and along a strip; a corner triangle's is 2
+    ends = np.ones(n)
+    ends[-1] = 2.0
+    starts = ends[::-1]
+    # area times the defect of each strip: target minus the outward edge sum
+    right = (area * lower[..., :, -1] - (v[..., :, -1] - d[..., :, -1] + h[..., :-1, -1])) / starts[r0:r1]
+    left = (area * upper[..., :, 0] - (d[..., :, 0] - h[..., 1:, 0] - v[..., :, 0])) / ends[r0:r1]
+    if r0 == 0:
+        bottom = (area * lower[..., 0, :] - (v[..., 0, 1:] - d[..., 0, :] + h[..., 0, :])) / ends
+    if r1 == n:
+        top = (area * upper[..., -1, :] - (d[..., -1, :] - h[..., -1, :] - v[..., -1, :-1])) / starts
+    v[..., :, -1] += right
+    v[..., :, 0] -= left
+    if r0 == 0:
+        h[..., 0, :] += bottom
+    if r1 == n:
+        h[..., -1, :] -= top
 
 
 def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds:

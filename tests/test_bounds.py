@@ -23,7 +23,8 @@ from mhbounds.femcore import FemContext, Scratch
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
 from mhbounds.systems import ModeSolution, build_matrices, build_mode_system, mode_parts
 from reference_assembly import (
-    build_mesh, data_at_qp, gradient_load_from_qp, load_from_qp, p1_at_qp, p1_grad, quadrature_weights,
+    build_mesh, cell_gradients, data_at_qp, gradient_load_from_qp, load_from_qp, p1_at_qp, p1_grad,
+    quadrature_weights,
 )
 from reference_bounds import (
     QuadratureData, evaluate_mode_reference, grid_search_alpha_beta, majorant_form, optimal_parameters, project,
@@ -130,7 +131,7 @@ def test_flux_residual_grows_under_perturbation(ctx8, rng):
     # opposite directions increases the distance to the gradient field
     mesh = ctx8.mesh
     n = mesh.n
-    grad = ctx8.cell_gradients(rng.standard_normal((n + 1, n + 1)), np.empty((2, 2, n, n)))
+    grad = cell_gradients(mesh, rng.standard_normal((n + 1, n + 1)))
     tau = fluxrecon.grid_average(mesh, grad)
 
     def r2(flux):
@@ -352,6 +353,32 @@ def test_row_blocks_match_boundary_corners_problem_II(monkeypatch, rows, scratch
     ref = evaluate_mode_reference("II", ctx, mats, params, sol, data)
     assert ref.residuals.r3 > 0
     _assert_bounds_match(evaluate_mode("II", ctx, mats, params, sol, project(ctx, data), scratch=scratch), ref)
+
+
+@pytest.mark.parametrize("ident,n", [(4, 7), (4, 16), (5, 7), (5, 16), (6, 8), (6, 16)])
+@pytest.mark.parametrize("k", [0, 3])
+def test_problem_II_block_terms_do_not_depend_on_the_block_height(monkeypatch, ident, n, k):
+    # the squared misfit and r1 ... r4 of problem II, whose adjoint flux is
+    # matched on the boundary strip block by block, from blocks of 1, 2 and
+    # 3 cell rows equal those from one block; an odd n puts both corner
+    # triangles and a one-row last block on the strip match
+    case = make_case(ident)
+    ctx = FemContext(meshmod.build(n))
+    data = CaseBind(case, ctx).mode_data(k)
+    rng = np.random.default_rng([ident, n, k])
+    y, p = rng.standard_normal((2, mode_parts(k), (n - 1) ** 2))
+    sol = ModeSolution(k, y, p)
+    params = _params(case.lam, case.omega)
+
+    def terms(rows):
+        monkeypatch.setattr(bounds, "BOUND_CELLS", rows * n)
+        return bounds._block_terms("II", ctx, params, sol, data, Scratch())
+
+    whole = terms(n)
+    for rows in (1, 2, 3):
+        got = terms(rows)
+        for name, value in whole.items():
+            assert abs(got[name] - value) <= 1e-13 * abs(value), (rows, name, got[name], value)
 
 
 @pytest.mark.parametrize("ident", [1, 4])

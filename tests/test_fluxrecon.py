@@ -6,10 +6,13 @@ import pytest
 from mhbounds import fluxrecon
 from mhbounds.femcore import FemContext
 from mhbounds.mesh import CLASS_CORNERS, CLASS_EDGE_SIGN
-from reference_assembly import build_mesh, class_planes, interpolate, p1_grad, quadrature_points, vec_norm2
+from mhbounds.systems import quarter_turn
+from reference_assembly import (
+    build_mesh, cell_gradients, class_planes, interpolate, p1_grad, quadrature_points, vec_norm2,
+)
 from reference_bounds import (
-    _match_boundary_divergence, edge_coeffs, edge_planes, rt0_at_points, rt0_divergence, rt0_from_callable,
-    rt0_reconstruct, tri_rows, tri_scalars,
+    _match_boundary_divergence, edge_coeffs, edge_planes, grid_average_rows, grid_match_boundary_divergence,
+    rt0_at_points, rt0_divergence, rt0_from_callable, rt0_reconstruct, tri_rows, tri_scalars,
 )
 
 
@@ -24,6 +27,14 @@ def _affine_form(ctx, flux):
     lead, (rows, n) = flux.diag.shape[:-2], flux.diag.shape[-2:]
     out = np.empty(lead + (2, 2, rows, n)), np.empty(lead + (2, rows, n))
     return fluxrecon.grid_affine_form(ctx.mesh, flux, out)
+
+
+def _centroid_values(grid):
+    """Centroid values of P1 fields on R + 1 rows of the node grid,
+    (..., R+1, n+1), as class planes (..., 2, R, n)."""
+    rows, n = grid.shape[-2] - 1, grid.shape[-1] - 1
+    return np.stack([sum(grid[..., r : r + rows, c : c + n] for r, c in corners) / 3
+                     for corners in CLASS_CORNERS], axis=-3)
 
 
 def _divergence(ctx, coeffs):
@@ -168,15 +179,27 @@ def test_grid_fluxes_match_edge_arrays(n, rng):
     constant = fluxrecon.grid_from_callable(mesh, lambda x, y: (2.0, -1.0))
     _assert_planes_equal(constant, edge_planes(mesh, rt0_from_callable(mesh, lambda x, y: (2.0, -1.0))))
 
-    target = rng.standard_normal((2, 2, n, n))
+    # the boundary match of the form against the edge-numbered match of
+    # the degrees of freedom, to minus the centroid values of P1 fields
     coeffs = rng.standard_normal((2, mesh.num_edges))
-    grid = edge_planes(mesh, coeffs)
-    fluxrecon.grid_match_boundary_divergence(mesh, grid, target, slice(None))
+    source = rng.standard_normal((2, n + 1, n + 1))
+    target = -source.reshape(2, -1)[:, mesh.triangles].mean(axis=-1)
+    centre, div = _affine_form(ctx, edge_planes(mesh, coeffs))
+    fluxrecon.grid_match_boundary(mesh, (centre, div), source, slice(None))
     for part in range(2):
-        _match_boundary_divergence(mesh, coeffs[part], tri_scalars(target[part]))
-    _assert_planes_equal(grid, edge_planes(mesh, coeffs))
+        _match_boundary_divergence(mesh, coeffs[part], target[part])
+    expect_centre = np.stack([rt0_at_points(mesh, part, centroids)[:, 0] for part in coeffs])
+    expect_div = np.stack([rt0_divergence(mesh, part) for part in coeffs])
+    assert np.abs(tri_rows(centre) - expect_centre).max() <= 1e-13 * np.abs(expect_centre).max()
+    assert np.abs(tri_scalars(div) - expect_div).max() <= 1e-13 * np.abs(expect_div).max()
     # every boundary triangle, the two corner ones included, hits its target
-    div = _affine_form(ctx, grid)[1]
+    _assert_boundary_hits(div, -_centroid_values(source))
+
+
+def _assert_boundary_hits(div, target):
+    """Every boundary triangle of class planes (..., 2, n, n), the two
+    corner ones included, has its target divergence."""
+    n = div.shape[-1]
     corners = [(0, 0, n - 1), (1, n - 1, 0)]
     for cls, r, c in corners + [(0, 0, 0), (1, n - 1, n - 1), (0, n // 2, n - 1), (1, n // 2, 0)]:
         assert np.allclose(div[:, cls, r, c], target[:, cls, r, c], rtol=1e-12, atol=1e-12)
@@ -191,30 +214,29 @@ def _assert_planes_equal(got, expect):
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_fluxes_in_row_blocks_match_whole_grid(n, rows, rng):
-    # averaging, the boundary divergence match and the per-triangle form,
-    # block by block of cell rows, give the whole-grid planes; every
-    # boundary triangle, the two corner ones included, hits its target
+    # the oracle's block average gives the whole-grid average's planes, and
+    # the boundary match of the form, block by block of cell rows, the
+    # whole-grid one, on which every boundary triangle, the two corner ones
+    # included, hits its target
     ctx = FemContext(build_mesh(n))
     mesh = ctx.mesh
     field = rng.standard_normal((2, 2, 2, n, n))
-    target = rng.standard_normal((2, 2, n, n))
+    source = rng.standard_normal((2, n + 1, n + 1))
     whole = fluxrecon.grid_average(mesh, field)
-    fluxrecon.grid_match_boundary_divergence(mesh, whole, target, slice(None))
     centre, div = _affine_form(ctx, whole)
+    fluxrecon.grid_match_boundary(mesh, (centre, div), source, slice(None))
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         block = slice(r0, r1)
         read = slice(max(r0 - 1, 0), min(r1 + 1, n))  # the block and its halo
-        flux = fluxrecon.grid_average(mesh, field[..., read, :], block)
-        fluxrecon.grid_match_boundary_divergence(mesh, flux, target[..., block, :], block)
+        flux = grid_average_rows(mesh, field[..., read, :], block)
         expect = fluxrecon.GridFlux(whole.horiz[:, r0 : r1 + 1], whole.vert[:, block], whole.diag[:, block])
         _assert_planes_equal(flux, expect)
         got_centre, got_div = _affine_form(ctx, flux)
+        fluxrecon.grid_match_boundary(mesh, (got_centre, got_div), source[:, r0 : r1 + 1], block)
         assert np.abs(got_centre - centre[..., block, :]).max() <= 1e-14 * np.abs(centre).max()
         assert np.abs(got_div - div[..., block, :]).max() <= 1e-14 * np.abs(div).max()
-    corners = [(0, 0, n - 1), (1, n - 1, 0)]
-    for cls, r, c in corners + [(0, 0, 0), (1, n - 1, n - 1), (0, n // 2, n - 1), (1, n // 2, 0)]:
-        assert np.allclose(div[:, cls, r, c], target[:, cls, r, c], rtol=1e-12, atol=1e-12)
+    _assert_boundary_hits(div, -_centroid_values(source))
 
 
 def _affine_form_by_basis(mesh, flux):
@@ -241,8 +263,8 @@ def _average_chain(ctx, grid, rows, nu):
     average, its form by the basis, minus the block's gradients."""
     n = ctx.mesh.n
     first = max(rows.start - 1, 0)
-    grads = nu * ctx.cell_gradients(grid, np.empty(grid.shape[:-2] + (2, 2, grid.shape[-2] - 1, n)))
-    centre, div = _affine_form_by_basis(ctx.mesh, fluxrecon.grid_average(ctx.mesh, grads, rows))
+    grads = nu * cell_gradients(ctx.mesh, grid)
+    centre, div = _affine_form_by_basis(ctx.mesh, grid_average_rows(ctx.mesh, grads, rows))
     return centre - grads[..., rows.start - first : rows.stop - first, :], div
 
 
@@ -272,3 +294,47 @@ def test_jump_form_matches_average_chain(n, parts):
             assert np.abs(centre - expect_centre).max() <= 1e-13 * np.abs(expect_centre).max()
             assert np.abs(div - expect_div).max() <= 1e-13 * np.abs(expect_div).max()
 
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+@pytest.mark.parametrize("parts", [1, 2])
+def test_adjoint_flux_form_matches_edge_chain(n, parts):
+    # problem II's adjoint flux rho, the average of grad(w) plus data edge
+    # fluxes with its boundary fluxes matched to a divergence of -J p at
+    # each boundary triangle's centroid: rho - grad(w) per triangle from
+    # half the jumps' form, the data's form and the strip match, against the
+    # edge-plane chain it replaced (gradients, their average, plus the data
+    # fluxes, the match of the boundary-edge planes, the form, minus the
+    # gradients), on every block of every block height 1..n, for random
+    # node fields w and p and random data fluxes
+    rng = np.random.default_rng([n, parts, 2])
+    ctx = FemContext(build_mesh(n))
+    mesh = ctx.mesh
+    kws = float(rng.uniform(0.5, 5.0))
+    w, p = rng.standard_normal((2, parts, n + 1, n + 1))
+    data = edge_planes(mesh, rng.standard_normal((parts, mesh.num_edges)))
+    data_centre, data_div = _affine_form(ctx, data)
+    for height in range(1, n + 1):
+        for r0 in range(0, n, height):
+            rows = slice(r0, min(r0 + height, n))
+            block, first, last = rows.stop - r0, max(r0 - 1, 0), min(rows.stop + 1, n)
+            grid, nodes = w[:, first : last + 1], p[:, r0 : rows.stop + 1]
+            jumps = fluxrecon.GridFlux(np.empty((parts, block + 1, n)), np.empty((parts, block, n + 1)),
+                                       np.empty((parts, block, n)))
+            work = np.empty((parts, block + 1, n)), np.empty((parts, last - first, n + 1))
+            fluxrecon.grid_jumps(grid, rows, out=jumps, work=work)
+            out = np.empty((parts, 2, 2, block, n)), np.empty((parts, 2, block, n))
+            centre, div = fluxrecon.grid_affine_form(mesh, jumps, out, signs=fluxrecon.JUMP_SIGN, scale=0.5)
+            centre += data_centre[..., rows, :]
+            div += data_div[..., rows, :]
+            fluxrecon.grid_match_boundary(mesh, (centre, div), quarter_turn(nodes, kws), rows)
+
+            grads = cell_gradients(mesh, grid)
+            flux = grid_average_rows(mesh, grads, rows)
+            for plane, extra in zip((flux.horiz, flux.vert, flux.diag),
+                                    (data.horiz[:, r0 : rows.stop + 1], data.vert[:, rows], data.diag[:, rows])):
+                plane += extra
+            grid_match_boundary_divergence(mesh, flux, quarter_turn(_centroid_values(nodes), -kws), rows)
+            expect_centre, expect_div = _affine_form(ctx, flux)
+            expect_centre -= grads[..., r0 - first : rows.stop - first, :]
+            assert np.abs(centre - expect_centre).max() <= 1e-13 * np.abs(expect_centre).max()
+            assert np.abs(div - expect_div).max() <= 1e-13 * np.abs(expect_div).max()

@@ -278,6 +278,31 @@ def test_symbol_planes_are_symmetric(ctx8, k):
             assert planes and all(np.array_equal(plane, plane.T) for plane in planes)
 
 
+@pytest.mark.parametrize("n", [5, 64])
+def test_grid_symbols_are_symmetric(n):
+    # the symbols, outer sums and products of one cosine vector, and every
+    # plane of the preconditioners built from them equal their transposes
+    # bit for bit, and the symbols are 4 - 2 (cos a + cos b) and
+    # h^2/12 (6 + 2 cos a + 2 cos b + 2 cos a cos b)
+    mats = build_matrices(FemContext(meshmod.build(n)), sigma=1.5, nu=0.7)
+    mu_K, mu_M = _grid_symbols(mats)
+    planes = [mu_K, mu_M]
+    for k in (0, 2):
+        for surrogate_inverse in (False, True):
+            for P in (
+                build_precond_I(mats, k, LAM, OMEGA, surrogate_inverse=surrogate_inverse),
+                *(build_precond_II(mats, k, LAM, OMEGA, surrogate_inverse=surrogate_inverse, family=f)
+                  for f in (0, 1)),
+            ):
+                planes += [*P.diag.reshape(-1, *P.diag.shape[-2:]), *P.scales]
+    assert all(np.array_equal(plane, plane.T) for plane in planes)
+    c = np.cos(np.pi * np.arange(1, n) / n)
+    a, b = c[:, None], c[None, :]
+    assert np.abs(mu_K - (4.0 - 2.0 * (a + b))).max() <= 1e-15 * 8
+    expect = (6.0 + 2.0 * a + 2.0 * b + 2.0 * a * b) / (12.0 * n * n)
+    assert np.abs(mu_M - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
 def test_mass_surrogate_spectrally_equivalent(n):
     ctx = FemContext(meshmod.build(n))
