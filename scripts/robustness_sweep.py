@@ -16,7 +16,7 @@ from mhbounds import mesh as meshmod
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext, Scratch
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
-from mhbounds.systems import build_matrices, build_mode_system
+from mhbounds.systems import ProblemParams, build_matrices, build_mode_system
 
 
 def main():
@@ -35,8 +35,9 @@ def main():
     writer.writerow(["problem", "grid", "k", "lambda", "precond", "iterations", "relres", "true_relres",
                      "seconds"])
     scratch = Scratch()
-    for ident, problem in ((1, "I"), (4, "II")):
+    for ident in (1, 4):
         case = make_case(ident)
+        problem = case.problem
         for n in args.grids:
             ctx = FemContext(meshmod.build(n))
             mats = build_matrices(ctx)
@@ -44,10 +45,11 @@ def main():
             for k in args.modes:
                 rhs = bind.rhs(k)
                 for lam in args.lambdas:
-                    system = build_mode_system(problem, mats, k, lam, case.omega, rhs)
+                    params = ProblemParams(problem, lam, case.omega)
+                    system = build_mode_system(params, mats, k, rhs)
                     build = build_precond_I if problem == "I" else build_precond_II
                     for name, surrogate in (("surrogate", True), ("paper", False)):
-                        precond = build(mats, k, lam, case.omega, surrogate_inverse=surrogate)
+                        precond = build(params, mats, k, surrogate_inverse=surrogate)
                         sol, stats = minres(system, precond, tol=args.tol, maxiter=300, scratch=scratch)
                         x = np.concatenate([sol.y, sol.p]).ravel()
                         residual = system.rhs - system.matrix(x, out=np.empty(x.shape), scratch=scratch)

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import mesh as meshmod
 from .bounds import (
-    BoundParams,
     ModeBounds,
     aggregate,
     combined_norm_weights,
@@ -35,7 +34,7 @@ from .bounds import (
 from .cases import CaseBind, ExampleCase, make_case
 from .femcore import FemContext, Scratch, prolong
 from .saddlesolve import SeedStart, SolveStats, build_precond_I, build_precond_II, minres
-from .systems import ModeSolution, build_matrices, build_mode_system, mode_parts
+from .systems import ModeSolution, ProblemParams, build_matrices, build_mode_system, mode_parts
 
 if TYPE_CHECKING:
     import argparse
@@ -71,25 +70,32 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         errors = []
+        case = None
         if self.example not in range(1, 7):
             errors.append(f"example must be 1..6, got {self.example}")
+        else:
+            try:  # lambda and omega, and the data's norm over the period they give
+                case = make_case(self.example, lam=self.lam, omega=self.omega)
+            except ValueError as exc:
+                errors.append(str(exc))
         if self.grid < 2:
             errors.append(f"grid must be at least 2, got {self.grid}: a smaller grid has no interior node")
-        if self.example in (3, 6) and self.grid % 2:
-            errors.append("examples 3 and 6 need an even grid")
-        if self.example in (3, 6) and self.nref is not None and self.nref % 2:
-            errors.append("examples 3 and 6 need an even reference grid")
+        if case is not None and not case.has_analytic_reference:
+            # indicator data jump on the middle mesh lines
+            if self.grid % 2:
+                errors.append("examples 3 and 6 need an even grid")
+            if self.nref is not None and self.nref % 2:
+                errors.append("examples 3 and 6 need an even reference grid")
         if not self.modes:
             errors.append("modes must not be empty")
         if any(k < 0 for k in self.modes):
             errors.append("modes must be nonnegative")
+        if len(set(self.modes)) < len(self.modes):
+            errors.append("modes must not repeat")
         if any(n < 0 for n in self.overall):
             errors.append("overall truncation indices must be nonnegative")
-        if self.example in range(1, 7):
-            try:  # lambda and omega, and the data's norm over the period they give
-                make_case(self.example, lam=self.lam, omega=self.omega)
-            except ValueError as exc:
-                errors.append(str(exc))
+        if len(set(self.overall)) < len(self.overall):
+            errors.append("overall truncation indices must not repeat")
         if not (np.isfinite(self.tol) and self.tol > 0):
             errors.append(f"tol must be positive and finite, got {self.tol}")
         if self.maxiter < 1:
@@ -100,7 +106,7 @@ class ExperimentConfig:
             errors.append("nref must not be below the grid")
         if self.precond_family not in (0, 1):
             errors.append("precond family must be 0 or 1")
-        elif self.precond_family == 1 and self.example in range(1, 4):
+        elif self.precond_family == 1 and case is not None and case.problem == "I":
             errors.append(f"precond family 1 is one of problem II's preconditioners, and example "
                           f"{self.example} is problem I")
         elif self.precond_family == 1 and not self.paper_mode:
@@ -120,8 +126,8 @@ class ModeReport:
     err_l2: float = np.nan
     err_h1: float = np.nan
 
-    def combined_err2(self, problem: str, params: BoundParams) -> float:
-        w_l2, w_h1 = combined_norm_weights(problem, params, self.k)
+    def combined_err2(self, params: ProblemParams, mu1: float) -> float:
+        w_l2, w_h1 = combined_norm_weights(params, mu1, self.k)
         return w_l2 * self.err_l2 + w_h1 * self.err_h1
 
 
@@ -143,12 +149,11 @@ class TableRow:
 @dataclass
 class BoundsReport:
     config: ExperimentConfig
-    problem: str
-    params: BoundParams
+    params: ProblemParams
     mode_reports: dict
+    reference_kind: str
     rows: list = field(default_factory=list)
     overall_rows: list = field(default_factory=list)
-    reference_kind: str = "none"
 
     @property
     def all_rows(self):
@@ -170,7 +175,7 @@ class _Solver:
         self.ctx = FemContext(self.mesh)
         self.mats = build_matrices(self.ctx, case.sigma, case.nu)
         self.bind = CaseBind(case, self.ctx)
-        self.params = BoundParams(lam=case.lam, omega=case.omega, sigma=case.sigma, nu=case.nu)
+        self.params = case.params
         self.scratches = threading.local()
 
     def _scratch(self) -> Scratch:
@@ -186,16 +191,14 @@ class _Solver:
         `SeedStart`) is given and gives one, else from zero; or in paper
         mode by exactly 8 MinRes steps with the paper's block-diagonal
         preconditioner."""
-        case, config = self.case, self.config
-        system = build_mode_system(case.problem, self.mats, k, case.lam, case.omega, self.bind.rhs(k))
+        params, config = self.params, self.config
+        system = build_mode_system(params, self.mats, k, self.bind.rhs(k))
         converge = not config.paper_mode
-        if case.problem == "I":
-            precond = build_precond_I(self.mats, k, case.lam, case.omega, surrogate_inverse=converge)
+        if params.problem == "I":
+            precond = build_precond_I(params, self.mats, k, surrogate_inverse=converge)
         else:
-            precond = build_precond_II(
-                self.mats, k, case.lam, case.omega, family=config.precond_family,
-                surrogate_inverse=converge,
-            )
+            precond = build_precond_II(params, self.mats, k, family=config.precond_family,
+                                       surrogate_inverse=converge)
         fixed = None if converge else 8
         x0 = start(k, self.bind.mode_coefs(k)) if start is not None else None
         return minres(system, precond, tol=config.tol, maxiter=config.maxiter, fixed_iters=fixed,
@@ -205,10 +208,8 @@ class _Solver:
         """Mode k's report, timed over its solve and bounds, and its solution."""
         start_time = time.perf_counter()
         sol, stats = self.solve_mode(k, start)
-        bounds = evaluate_mode(
-            self.case.problem, self.ctx, self.mats, self.params, sol,
-            self.bind.mode_data(k), scratch=self._scratch(),
-        )
+        bounds = evaluate_mode(self.params, self.mats, self.ctx, sol, self.bind.mode_data(k),
+                               scratch=self._scratch())
         elapsed = time.perf_counter() - start_time
         return ModeReport(k=k, t_sec=elapsed, bounds=bounds, stats=stats), sol
 
@@ -233,7 +234,7 @@ class _Solver:
         seeds, later = (order[:2], order[2:]) if recycle else ([], order)
         results, built = {}, {}
         with ExitStack() as held:
-            start, scratch, case = None, self._scratch(), self.case
+            start, scratch = None, self._scratch()
             for k in seeds:
                 results[k], sol = one_mode(k, start)
                 if start is None:
@@ -246,8 +247,7 @@ class _Solver:
                 fields[0][ranks[0] :], fields[1][ranks[1] :] = sol.y, sol.p
                 del sol
                 began = time.perf_counter()
-                start = SeedStart(case.problem, self.mats, case.lam, case.omega, self.bind.load,
-                                  fields, scratch)
+                start = SeedStart(self.params, self.mats, self.bind.load, fields, scratch)
                 ranks = [len(basis) for basis in start.bases]
                 if k == seeds[-1]:
                     # seeds that cannot start the first later mode with data
@@ -340,7 +340,7 @@ def run(config: ExperimentConfig) -> BoundsReport:
     needed = sorted(set(config.modes) | set(range(max(config.overall) + 1)) if config.overall
                     else set(config.modes))
     solver = _Solver(case, config.grid, config)
-    params = solver.params
+    params, mu1 = solver.params, solver.mats.mu1
 
     def one_mode(k: int, start):
         """Mode k's report, with its state if a fine reference reads it, and
@@ -362,7 +362,7 @@ def run(config: ExperimentConfig) -> BoundsReport:
         _warn_stopped_short(f"example {config.example}, grid {config.grid}, mode k={k}", rep.stats)
 
     report = BoundsReport(
-        config=config, problem=case.problem, params=params, mode_reports=reports,
+        config=config, params=params, mode_reports=reports,
         reference_kind=kind if kind in ("none", "analytic") else f"fine-grid {config.nref}",
     )
     if kind == "fine":
@@ -374,12 +374,12 @@ def run(config: ExperimentConfig) -> BoundsReport:
 
     for k in sorted(config.modes):
         rep = reports[k]
-        report.rows.append(_mode_row(case, params, rep))
+        report.rows.append(_mode_row(params, mu1, rep))
 
     # the exact total cost, taken once for all overall rows
     exact_total = case.overall_reference() if config.overall and kind == "analytic" else None
     for n_trunc in config.overall:
-        report.overall_rows.append(_overall_row(case, params, reports, n_trunc, exact_total))
+        report.overall_rows.append(_overall_row(case, mu1, reports, n_trunc, exact_total))
     return report
 
 
@@ -399,22 +399,22 @@ def _row(label, t_sec, minorant, majorant, m1_extra, reference, err2) -> TableRo
     )
 
 
-def _mode_row(case, params, rep: ModeReport) -> TableRow:
+def _mode_row(params, mu1, rep: ModeReport) -> TableRow:
     b = rep.bounds
     reference = rep.reference if np.isfinite(rep.reference) else None
-    err2 = rep.combined_err2(case.problem, params) if np.isfinite(rep.err_l2) else None
+    err2 = rep.combined_err2(params, mu1) if np.isfinite(rep.err_l2) else None
     return _row(f"k={rep.k}", rep.t_sec, b.minorant, b.majorant, b.m1_extra, reference, err2)
 
 
-def _overall_row(case, params, reports, n_trunc, reference) -> TableRow:
+def _overall_row(case, mu1, reports, n_trunc, reference) -> TableRow:
     """The overall row of modes 0..n_trunc; `reference` is the exact total
     cost, or None."""
+    params = case.params
     used = [reports[k] for k in range(n_trunc + 1)]
     total = aggregate([rep.bounds for rep in used], params, case.remainder(n_trunc))
     err2 = None
     if all(np.isfinite(rep.err_l2) for rep in used):
-        err2 = sum(params.period / mode_parts(rep.k) * rep.combined_err2(case.problem, params)
-                   for rep in used)
+        err2 = sum(params.period / mode_parts(rep.k) * rep.combined_err2(params, mu1) for rep in used)
     return _row(f"overall (N={n_trunc})", sum(rep.t_sec for rep in used), total.minorant,
                 total.majorant, total.m1_extra, reference, err2)
 
@@ -432,6 +432,8 @@ def _sweep_errors(config: ExperimentConfig, grids, mode: int) -> list[str]:
     """Validation errors of a grid sweep: those of every swept grid, and
     overall rows, which a sweep has none of."""
     errors = _errors(_sweep_configs(config, grids, mode))
+    if len(set(grids)) < len(grids):
+        errors.append("sweep grids must not repeat")
     if config.overall:
         errors.append("--overall does not apply to a grid sweep, which has one row per grid")
     return errors
@@ -471,7 +473,7 @@ def write_csv(report_or_rows, path) -> None:
 
 def write_markdown(report: BoundsReport, path) -> None:
     lines = [
-        f"# example {report.config.example} (problem {report.problem}), "
+        f"# example {report.config.example} (problem {report.params.problem}), "
         f"grid {report.config.grid}x{report.config.grid}",
         "",
         f"reference: {report.reference_kind}",
@@ -561,8 +563,8 @@ def main(argv=None) -> int:
         errors = _errors([config])
     if args.sweep == ():
         errors.append("--sweep names no grid")
-    if args.problem is not None:
-        expected = "I" if args.example <= 3 else "II"
+    if args.problem is not None and not errors:
+        expected = make_case(args.example).problem
         if args.problem != expected:
             errors.append(f"example {args.example} is problem {expected}")
     out = Path(args.out) if args.out else None

@@ -31,7 +31,7 @@ import numpy as np
 from . import fluxrecon
 from .femcore import FemContext, Scratch
 from .mesh import CLASS_CORNERS
-from .systems import ModeMatrices, ModeSolution, mode_parts, quarter_turn
+from .systems import ModeMatrices, ModeSolution, ProblemParams, mode_parts, quarter_turn
 
 # Friedrichs constant of the unit square, ||v|| <= C_F ||grad v|| on H^1_0
 C_FRIEDRICHS = 1.0 / (np.sqrt(2.0) * np.pi)
@@ -44,25 +44,7 @@ ALPHA_TAIL = 1e-8
 BOUND_CELLS = 8192
 
 
-@dataclass
-class BoundParams:
-    """Problem constants entering the bound formulas; mu1 = min(nu, sigma)/sqrt(2)."""
-
-    lam: float
-    omega: float
-    sigma: float = 1.0
-    nu: float = 1.0
-
-    @property
-    def mu1(self) -> float:
-        return min(self.nu, self.sigma) / np.sqrt(2.0)
-
-    @property
-    def period(self) -> float:
-        return 2.0 * np.pi / self.omega
-
-
-def optimal_majorant(misfit: float, sta: float, control_energy: float, params: BoundParams) -> float:
+def optimal_majorant(misfit: float, sta: float, control_energy: float, mu1: float) -> float:
     """The majorant at its optimal parameters.
 
     With the squared data misfit A, the state residual sta = C_F r1 + r2 and
@@ -73,7 +55,7 @@ def optimal_majorant(misfit: float, sta: float, control_energy: float, params: B
     alpha* = sqrt(2 H / A) leaves P + 1/2 (sqrt(A) + C_F sta / mu1)^2, the
     infimum, which is also the limit where A, r1 or r2 is zero.
     """
-    return control_energy + 0.5 * (np.sqrt(misfit) + C_FRIEDRICHS / params.mu1 * sta) ** 2
+    return control_energy + 0.5 * (np.sqrt(misfit) + C_FRIEDRICHS / mu1 * sta) ** 2
 
 
 @dataclass
@@ -197,7 +179,7 @@ def _block_shapes(problem: str, parts: int, rows: int, read: int, n: int) -> dic
     return shapes
 
 
-def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolution,
+def _add_block(params: ProblemParams, mats: ModeMatrices, ctx: FemContext, sol: ModeSolution,
                data: ModeData, rows: slice, buf: dict, terms: dict) -> None:
     """Add the squared misfit and r1^2 ... r4^2 over the cell rows `rows` to
     `terms`, working in the block buffers `buf` (see `_block_shapes`).
@@ -211,8 +193,8 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     fluxes and the boundary match to it.
     """
     mesh = ctx.mesh
-    lam, nu = params.lam, params.nu
-    kws = sol.k * params.omega * params.sigma
+    lam, nu = params.lam, mats.nu
+    kws = sol.k * params.omega * mats.sigma
     first = max(rows.start - 1, 0)
     inner = (Ellipsis, slice(rows.start - first, rows.stop - first), slice(None))
     here = (Ellipsis, rows, slice(None))  # the block's rows of a whole-grid plane
@@ -239,7 +221,7 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     terms["r1"] += _p1_norm2(ctx, nodal, work, shift=div)
     terms["r2"] += _rt0_norm2(ctx, centre, div)
 
-    if problem == "I":
+    if params.problem == "I":
         # the state minus the data's projection: P1 per triangle
         y_vert = _scaled(data.coef, data.y_vert[here], buf["y_vert"])
         terms["misfit"] += _p1_norm2(ctx, y_nodes, work, vert=y_vert)
@@ -288,7 +270,7 @@ def _add_block(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolu
     terms["r4"] += _rt0_norm2(ctx, centre, np.subtract(div, g_div, out=g_div))
 
 
-def _block_terms(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSolution,
+def _block_terms(params: ProblemParams, mats: ModeMatrices, ctx: FemContext, sol: ModeSolution,
                  data: ModeData, scratch: Scratch) -> dict:
     """The squared misfit and r1^2 ... r4^2, summed over blocks of whole
     cell rows of about BOUND_CELLS cells (see `_add_block`), in buffers lent
@@ -297,25 +279,24 @@ def _block_terms(problem: str, ctx: FemContext, params: BoundParams, sol: ModeSo
     parts = len(sol.y)
     terms = dict.fromkeys(("misfit", "r1", "r2", "r3", "r4"), 0.0)
     block = max(1, min(n, BOUND_CELLS // n))
-    sizes = [(prod(s),) for s in _block_shapes(problem, parts, block, min(block + 2, n), n).values()]
+    sizes = [(prod(s),) for s in _block_shapes(params.problem, parts, block, min(block + 2, n), n).values()]
     with scratch.lend(*sizes) as flat:
         for r0 in range(0, n, block):
             rows = slice(r0, min(r0 + block, n))
             read = min(rows.stop + 1, n) - max(r0 - 1, 0)
-            shapes = _block_shapes(problem, parts, rows.stop - r0, read, n)
+            shapes = _block_shapes(params.problem, parts, rows.stop - r0, read, n)
             buf = {name: f[: prod(s)].reshape(s) for f, (name, s) in zip(flat, shapes.items())}
-            _add_block(problem, ctx, params, sol, data, rows, buf, terms)
+            _add_block(params, mats, ctx, sol, data, rows, buf, terms)
     # the data's remainder is orthogonal to every piecewise polynomial
     terms["misfit"] += data.rest
-    terms["r3" if problem == "I" else "r4"] += data.rest
+    terms["r3" if params.problem == "I" else "r4"] += data.rest
     return terms
 
 
 def evaluate_mode(
-    problem: str,
-    ctx: FemContext,
+    params: ProblemParams,
     mats: ModeMatrices,
-    params: BoundParams,
+    ctx: FemContext,
     sol: ModeSolution,
     data: ModeData,
     scratch: Scratch,
@@ -334,11 +315,11 @@ def evaluate_mode(
     lent by `scratch`.
     """
     k = sol.k
-    lam, nu = params.lam, params.nu
-    cf, mu1 = C_FRIEDRICHS, params.mu1
-    kws = k * params.omega * params.sigma
+    lam, nu = params.lam, mats.nu
+    cf, mu1 = C_FRIEDRICHS, mats.mu1
+    kws = k * params.omega * mats.sigma
 
-    terms = _block_terms(problem, ctx, params, sol, data, scratch)
+    terms = _block_terms(params, mats, ctx, sol, data, scratch)
     res = ResidualSet(*(np.sqrt(terms[name]) for name in ("r1", "r2", "r3", "r4")))
     misfit = terms["misfit"]
 
@@ -357,7 +338,7 @@ def evaluate_mode(
     # Problem I subtracts the pairing (benchmark-calibrated orientation,
     # equal to 2/lam ||p||^2 at the discrete solution); problem II uses the
     # orientation under which the term vanishes at the discrete solution.
-    mixed = quad - bilin if problem == "I" else quad + bilin
+    mixed = quad - bilin if params.problem == "I" else quad + bilin
 
     adj = cf * res.r3 + res.r4
     sta = cf * res.r1 + res.r2
@@ -372,7 +353,7 @@ def evaluate_mode(
     return ModeBounds(
         k=k,
         minorant=minorant,
-        majorant=optimal_majorant(misfit, sta, control_energy, params),
+        majorant=optimal_majorant(misfit, sta, control_energy, mu1),
         residuals=res,
         misfit=misfit,
         control_energy=control_energy,
@@ -390,7 +371,7 @@ class OverallBounds:
     m1_extra: float
 
 
-def aggregate(mode_bounds: list[ModeBounds], params: BoundParams, remainder: float) -> OverallBounds:
+def aggregate(mode_bounds: list[ModeBounds], params: ProblemParams, remainder: float) -> OverallBounds:
     """Combine mode bounds, mode k weighted by T / mode_parts(k): T for
     mode 0 and T/2 for the higher modes.
 
@@ -407,13 +388,14 @@ def aggregate(mode_bounds: list[ModeBounds], params: BoundParams, remainder: flo
     return OverallBounds(minorant=lower, majorant=upper, m1_extra=m1_extra)
 
 
-def combined_norm_weights(problem: str, params: BoundParams, k: int) -> tuple[float, float]:
-    """(w_l2, w_h1) of the weighted error norm of mode k.
+def combined_norm_weights(params: ProblemParams, mu1: float, k: int) -> tuple[float, float]:
+    """(w_l2, w_h1) of the weighted error norm of mode k, with the
+    coercivity constant mu1 (see `ModeMatrices`).
 
     The squared mode error norm is w_l2 ||e_k||^2 + w_h1 ||grad e_k||^2.
     """
-    c = params.lam * params.mu1**2 / (2 * C_FRIEDRICHS**2)
-    if problem == "I":
+    c = params.lam * mu1**2 / (2 * C_FRIEDRICHS**2)
+    if params.problem == "I":
         return 0.5 + k * params.omega * c, c
     return k * params.omega * c, 0.5 + c
 

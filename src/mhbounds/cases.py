@@ -23,7 +23,7 @@ import numpy as np
 from . import fluxrecon
 from .bounds import ModeData
 from .femcore import FemContext, Scratch
-from .systems import mode_parts
+from .systems import ProblemParams, mode_parts
 
 PI = np.pi
 PI2 = PI * PI
@@ -118,6 +118,11 @@ class ExampleCase:
     data_scale: float = 1.0  # coefficient of grad(profile) per unit time coefficient
     sigma: float = 1.0
     nu: float = 1.0
+
+    @property
+    def params(self) -> ProblemParams:
+        """The cost's constants (see `ProblemParams`, which checks them)."""
+        return ProblemParams(self.problem, self.lam, self.omega)
 
     @property
     def period(self) -> float:
@@ -319,13 +324,10 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
     if ident not in _CASE_SPECS:
         raise ValueError(f"unknown example id {ident}")
     spec = dict(_CASE_SPECS[ident])
-    for name, value in (("lam", lam), ("omega", omega)):
-        if value is not None:
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-            spec[name] = value
+    spec.update((name, value) for name, value in (("lam", lam), ("omega", omega)) if value is not None)
     case = ExampleCase(ident=ident, **spec)
-    if not case.data_norm2 * max(1.0, 1.0 / case.lam) <= DATA_NORM_CAP:
+    params = case.params  # checks lambda and omega before the data's norm reads them
+    if not max(1.0, 1.0 / params.lam) * case.data_norm2 <= DATA_NORM_CAP:
         raise ValueError(f"omega = {case.omega:g} is too small for lambda = {case.lam:g}: the data of "
                          f"example {ident} reach a squared norm of {case.data_norm2:.3g} over the period "
                          f"{case.period:g}, which leaves the bounds too little room below overflow")

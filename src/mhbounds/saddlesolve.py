@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .femcore import Scratch
-from .systems import ModeMatrices, ModeSolution, ModeSystem, mode_coefficients, mode_parts
+from .systems import ModeMatrices, ModeSolution, ModeSystem, ProblemParams, mode_coefficients, mode_parts
 
 # Basis vectors GMRES keeps before it restarts from the true residual.  The
 # basis and its preconditioned images are its largest memory: a full cycle
@@ -67,8 +67,8 @@ class SolveStats:
     relative_residual: float
     wall_time: float
     converged: bool
+    residuals: list
     breakdown: bool = False
-    residuals: list = field(default_factory=list)
     start_residual: float = 1.0  # of the starting iterate; 1 from zero, 0 for b = 0
 
 
@@ -187,12 +187,6 @@ def _grid_symbols(mats: ModeMatrices) -> tuple[np.ndarray, np.ndarray]:
     return mu_K, mu_M
 
 
-def _check_lam(lam: float) -> None:
-    """Every preconditioner divides by lam (or takes its square root)."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-
-
 def _blocks(state: np.ndarray, adjoint: np.ndarray, k: int) -> SpectralPrecond:
     """The block-diagonal preconditioner with the symbols of the (y, p)
     blocks of mode k, each repeated for its P parts: it multiplies by their
@@ -201,9 +195,7 @@ def _blocks(state: np.ndarray, adjoint: np.ndarray, k: int) -> SpectralPrecond:
     return SpectralPrecond(1.0 / np.stack([state] * parts + [adjoint] * parts))
 
 
-def _surrogate_inverse(
-    problem: str, mats: ModeMatrices, k: int, lam: float, omega: float
-) -> SpectralPrecond:
+def _surrogate_inverse(params: ProblemParams, mats: ModeMatrices, k: int) -> SpectralPrecond:
     """A~_k^{-1}, the inverse of the surrogate operator of mode k.
 
     Per frequency A~_k is H = [[a, b], [conj(b), -c]] on (y, p) in complex
@@ -216,7 +208,7 @@ def _surrogate_inverse(
     and the coupling terms coef_K and coef_M with scales -(mu_K, mu_M) / q.
     """
     mu_K, mu_M = _grid_symbols(mats)
-    coef_K, coef_M = mode_coefficients(problem, mats, k, lam, omega)
+    coef_K, coef_M = mode_coefficients(params, mats, k)
 
     def H(i, j):
         return coef_K[i, j] * mu_K + coef_M[i, j] * mu_M
@@ -228,28 +220,21 @@ def _surrogate_inverse(
     return SpectralPrecond((c - a) / q, (coef_K, coef_M), (mu_K / -q, mu_M / -q))
 
 
-def build_precond_I(
-    mats: ModeMatrices, k: int, lam: float, omega: float, surrogate_inverse: bool
-) -> SpectralPrecond:
+def build_precond_I(params: ProblemParams, mats: ModeMatrices, k: int, surrogate_inverse: bool) -> SpectralPrecond:
     """Problem I: the paper's diag(D_k, D_k, D_k/lam, D_k/lam) with
     D_k = sqrt(lam) nu K + k w sqrt(lam) sigma M + M, or with
     `surrogate_inverse` the inverse A~_k^{-1} of the surrogate operator."""
-    _check_lam(lam)
     if surrogate_inverse:
-        return _surrogate_inverse("I", mats, k, lam, omega)
+        return _surrogate_inverse(params, mats, k)
     mu_K, mu_M = _grid_symbols(mats)
+    lam = params.lam
     sq = np.sqrt(lam)
-    D = sq * mats.nu * mu_K + (k * omega * sq * mats.sigma + 1.0) * mu_M
+    D = sq * mats.nu * mu_K + (k * params.omega * sq * mats.sigma + 1.0) * mu_M
     return _blocks(D, D / lam, k)
 
 
 def build_precond_II(
-    mats: ModeMatrices,
-    k: int,
-    lam: float,
-    omega: float,
-    surrogate_inverse: bool,
-    family: int = 0,
+    params: ProblemParams, mats: ModeMatrices, k: int, surrogate_inverse: bool, family: int = 0
 ) -> SpectralPrecond:
     """Problem II: the paper's Schur-complement preconditioners (constant
     sigma, nu), or with `surrogate_inverse` the inverse A~_k^{-1} of the
@@ -258,14 +243,13 @@ def build_precond_II(
     family 0: diag(K, K, S_k, S_k), S_k = nu K + M/lam + (k w sigma)^2 M K^{-1} M
     family 1: diag(R_k, R_k, M/lam, M/lam), R_k = K + (k w sigma)^2 lam M + nu^2 lam K M^{-1} K
     """
-    _check_lam(lam)
     if family not in (0, 1):
         raise ValueError("family must be 0 or 1")
     if surrogate_inverse:
-        return _surrogate_inverse("II", mats, k, lam, omega)
+        return _surrogate_inverse(params, mats, k)
     mu_K, mu_M = _grid_symbols(mats)
-    nu = mats.nu
-    kws = k * omega * mats.sigma
+    lam, nu = params.lam, mats.nu
+    kws = k * params.omega * mats.sigma
     if family == 0:
         S = nu * mu_K + mu_M / lam + kws**2 * mu_M**2 / mu_K
         return _blocks(mu_K, S, k)
@@ -288,19 +272,22 @@ def minres(
     GMRES (`gmres_raw`), which stops when ||b - A x|| <= tol ||b||; the
     paper's `definite` preconditioners precondition MinRes (`minres_raw`),
     which stops on the residual in the preconditioner's norm.  Both stop
-    after maxiter steps, or take exactly `fixed_iters` steps when given, and
+    after maxiter steps; MinRes alone takes exactly `fixed_iters` steps when
+    given (s GMRES steps are maxiter = s at tol = 0), and
     `SolveStats.relative_residual` is the ratio they stop on.  Their work
     vectors are lent by `scratch`.  GMRES starts from `start` (flat stacked
     unknowns, updated in place into the solution) when given, MinRes always
     from zero.
     """
-    args = (system.matrix, system.rhs, precond, tol, maxiter, fixed_iters, scratch)
-    if not precond.definite:
-        x, stats = gmres_raw(*args, start)
-    elif start is None:
-        x, stats = minres_raw(*args)
+    args = (system.matrix, system.rhs, precond, tol, maxiter)
+    if precond.definite:
+        if start is not None:
+            raise ValueError("only a GMRES solve takes a starting iterate")
+        x, stats = minres_raw(*args, fixed_iters, scratch)
+    elif fixed_iters is None:
+        x, stats = gmres_raw(*args, scratch, start)
     else:
-        raise ValueError("only a GMRES solve takes a starting iterate")
+        raise ValueError("only a MinRes solve takes a fixed step count")
     y, p = x.reshape(2, mode_parts(system.k), -1)
     return ModeSolution(system.k, y, p), stats
 
@@ -329,8 +316,8 @@ class SeedStart:
     by `scratch`.
     """
 
-    def __init__(self, problem: str, mats: ModeMatrices, lam: float, omega: float,
-                 load: np.ndarray, fields: list, scratch: Scratch):
+    def __init__(self, params: ProblemParams, mats: ModeMatrices, load: np.ndarray, fields: list,
+                 scratch: Scratch):
         self._size = load.size
         with scratch.lend(load.shape) as (term,):
             self.bases = [rows[: len(_orthonormalize(rows, term)[0])] for rows in fields]
@@ -348,7 +335,7 @@ class SeedStart:
         # the (equation, field) couplings: each block's cosine entries, the
         # same for every mode, and its sine rows' at k = 1, the quarter turn
         # i kws per unit k; R T takes (a, b) to each equation's residual
-        coefs = mode_coefficients(problem, mats, 1, lam, omega)
+        coefs = mode_coefficients(params, mats, 1)
         products = []
         for couplings in ([c[::2, ::2] for c in coefs], [c[1::2, ::2] for c in coefs]):
             T = np.zeros((2, depth, sum(ranks)))
@@ -438,19 +425,18 @@ def _orthonormalize(rows: np.ndarray, term: np.ndarray) -> tuple[list, np.ndarra
     return kept, C[:, : len(kept)]
 
 
-def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch, x0=None):
+def gmres_raw(A, b, precond, tol, maxiter, scratch, x0=None):
     """Right-preconditioned GMRES with modified Gram-Schmidt and Givens rotations.
 
     x = x0 + P u minimizes ||b - A x|| over the Krylov space of A P and
     r0 = b - A x0, with P = `precond.apply` and A called as the mode stencil
     is, A(v, out=, scratch=); x0 is zero when not given, and otherwise
-    updated in place into x.  A start that already meets tol takes no step
-    (unless `fixed_iters` asks for some).  A cycle ends when the rotated
-    residual estimate drops below tol ||b|| or after GMRES_RESTART steps; x is then updated by
-    sum_j y_j z_j from the products z_j = P v_j that the steps took, and the
-    next cycle restarts from the true residual b - A x, until that meets
-    tol, maxiter steps are spent or exactly `fixed_iters` steps (when not
-    None) are taken.
+    updated in place into x.  A start that already meets tol takes no step.
+    A cycle ends when the rotated residual estimate drops below tol ||b|| or
+    after GMRES_RESTART steps; x is then updated by sum_j y_j z_j from the
+    products z_j = P v_j that the steps took, and the next cycle restarts
+    from the true residual b - A x, until that meets tol or maxiter steps
+    are spent; tol = 0 takes all maxiter steps but at an exact solution.
     An invariant Krylov space (h_{j+1,j} = 0) ends the solve; it is a
     breakdown only if the residual is not small.
 
@@ -468,7 +454,6 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch, x0=None):
         return np.zeros(dim), SolveStats(0, 0.0, time.perf_counter() - start, True, residuals=[0.0],
                                          start_residual=0.0)
 
-    limit = fixed_iters if fixed_iters is not None else maxiter
     target = tol * bnorm
     eps = np.finfo(float).eps
     itn = 0
@@ -496,8 +481,8 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch, x0=None):
             rnorm = float(np.linalg.norm(r))
         trace = [rnorm]
         start_residual = rnorm / bnorm
-        met = fixed_iters is None and rnorm <= target
-        while itn < limit and not invariant and not met:
+        met = rnorm <= target
+        while itn < maxiter and not invariant and not met:
             basis[0] /= rnorm
             # the Hessenberg matrix, reduced to upper triangular by the rotations
             R = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
@@ -505,7 +490,7 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch, x0=None):
             g = np.zeros(GMRES_RESTART + 1)
             g[0] = rnorm
             j = 0
-            while j < GMRES_RESTART and itn < limit:
+            while j < GMRES_RESTART and itn < maxiter:
                 z = held_vector(images, j)
                 precond.apply(basis[j], out=z, scratch=scratch)
                 w = held_vector(basis, j + 1)
@@ -530,9 +515,9 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch, x0=None):
                 j += 1
                 itn += 1
                 trace.append(float(abs(g[j])))
-                if invariant or (fixed_iters is None and abs(g[j]) <= target):
+                if invariant or abs(g[j]) <= target:
                     break
-                if j < GMRES_RESTART and itn < limit:
+                if j < GMRES_RESTART and itn < maxiter:
                     w /= next_norm
             coef = np.linalg.solve(R[:j, :j], g[:j])
             with scratch.lend((dim,)) as (scaled,):
@@ -543,16 +528,15 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch, x0=None):
             A(x, out=r, scratch=scratch)
             np.subtract(b, r, out=r)
             rnorm = float(np.linalg.norm(r))
-            met = fixed_iters is None and rnorm <= target
+            met = rnorm <= target
 
     relres = rnorm / bnorm
     breakdown = bool(invariant and relres > tol)
-    converged = relres <= tol or (fixed_iters is not None and itn == fixed_iters)
     return x, SolveStats(
         iterations=itn,
         relative_residual=relres,
         wall_time=time.perf_counter() - start,
-        converged=bool(converged and not breakdown),
+        converged=bool(relres <= tol and not breakdown),
         breakdown=breakdown,
         residuals=trace,
         start_residual=start_residual,
@@ -561,10 +545,11 @@ def gmres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch, x0=None):
 
 def minres_raw(A, b, precond, tol, maxiter, fixed_iters, scratch):
     """Preconditioned MinRes (Paige and Saunders), with A called and the
-    steps counted as in `gmres_raw`.  The products A v, the preconditioner
-    applies, the direction vectors and the scaled terms of every update
-    rotate through vectors lent by `scratch`, as do the buffers of A and of
-    the transforms; only x is new."""
+    steps counted as in `gmres_raw`; it takes exactly `fixed_iters` steps
+    when that is not None.  The products A v, the preconditioner applies,
+    the direction vectors and the scaled terms of every update rotate
+    through vectors lent by `scratch`, as do the buffers of A and of the
+    transforms; only x is new."""
     start = time.perf_counter()
     n = b.shape[0]
     x = np.zeros(n)

@@ -12,12 +12,37 @@ control never appears as an unknown; it is recovered as u = -p / lambda.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from .femcore import FemContext, Stencil
 
 PROBLEMS = ("I", "II")
+
+
+@dataclass(frozen=True)
+class ProblemParams:
+    """The constants of a cost functional: its problem tag, "I" (a desired
+    state) or "II" (a desired gradient), its control weight lam and the
+    frequency omega of its period.  The PDE's sigma and nu are the
+    `ModeMatrices`'."""
+
+    problem: str
+    lam: float
+    omega: float
+
+    def __post_init__(self):
+        if self.problem not in PROBLEMS:
+            raise ValueError(f"unknown problem tag {self.problem!r}")
+        for name in ("lam", "omega"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
+    @property
+    def period(self) -> float:
+        return 2.0 * np.pi / self.omega
 
 
 def mode_parts(k: int) -> int:
@@ -48,10 +73,15 @@ class ModeMatrices:
     sigma: float
     nu: float
 
+    @property
+    def mu1(self) -> float:
+        """min(nu, sigma) / sqrt(2), the coercivity constant of the bounds."""
+        return min(self.nu, self.sigma) / np.sqrt(2.0)
+
 
 def build_matrices(ctx: FemContext, sigma: float = 1.0, nu: float = 1.0) -> ModeMatrices:
-    if sigma <= 0 or nu <= 0:
-        raise ValueError("coefficients must be positive constants")
+    if not all(math.isfinite(c) and c > 0 for c in (sigma, nu)):
+        raise ValueError("coefficients must be positive and finite constants")
     return ModeMatrices(K=ctx.K, M=ctx.M, KM=ctx.KM, sigma=sigma, nu=nu)
 
 
@@ -75,39 +105,28 @@ class ModeSolution:
     p: np.ndarray
 
 
-def mode_coefficients(
-    problem: str, mats: ModeMatrices, k: int, lam: float, omega: float
-) -> tuple[np.ndarray, np.ndarray]:
+def mode_coefficients(params: ProblemParams, mats: ModeMatrices, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The (2P, 2P) coefficients of K and of M in the operator of mode k.
 
     The operator is K (x) coef_K + M (x) coef_M on the stacked (y, p) x
     (cosine, sine) unknowns.
     """
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem tag {problem!r}")
     if k < 0:
         raise ValueError("mode index must be nonnegative")
     parts = mode_parts(k)
     diag = np.arange(parts)
     coef_K, coef_M = np.zeros((2, 2 * parts, 2 * parts))
-    coef_K[diag, diag], coef_M[diag, diag] = (0.0, 1.0) if problem == "I" else (1.0, 0.0)
+    coef_K[diag, diag], coef_M[diag, diag] = (0.0, 1.0) if params.problem == "I" else (1.0, 0.0)
     coef_K[diag, parts + diag] = coef_K[parts + diag, diag] = -mats.nu
-    coef_M[parts + diag, parts + diag] = -1.0 / lam
+    coef_M[parts + diag, parts + diag] = -1.0 / params.lam
     # the time coupling: J M on the state in the adjoint's rows, -J M on the
     # adjoint in the state's
-    coef_M[parts:, :parts] = turn = quarter_turn(np.eye(parts), k * omega * mats.sigma)
+    coef_M[parts:, :parts] = turn = quarter_turn(np.eye(parts), k * params.omega * mats.sigma)
     coef_M[:parts, parts:] = -turn
     return coef_K, coef_M
 
 
-def build_mode_system(
-    problem: str,
-    mats: ModeMatrices,
-    k: int,
-    lam: float,
-    omega: float,
-    rhs: np.ndarray,
-) -> ModeSystem:
+def build_mode_system(params: ProblemParams, mats: ModeMatrices, k: int, rhs: np.ndarray) -> ModeSystem:
     """The operator and right-hand side of mode k.
 
     The operator is the stencil of K and M with (2P, 2P) blocks as weights:
@@ -116,7 +135,7 @@ def build_mode_system(
     data load vectors (P, m * m): (data, phi_i) for problem I,
     (data, grad phi_i) for problem II.
     """
-    coef_K, coef_M = mode_coefficients(problem, mats, k, lam, omega)
+    coef_K, coef_M = mode_coefficients(params, mats, k)
     parts = mode_parts(k)
     if rhs.shape != (parts, mats.M.shape[0]):
         raise ValueError(f"mode {k} needs a right-hand side of shape {(parts, mats.M.shape[0])}")

@@ -241,24 +241,24 @@ def grid_match_boundary_divergence(mesh, flux: GridFlux, target_div: np.ndarray,
         h[..., -1, :] -= top
 
 
-def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds:
+def evaluate_mode_reference(params, mats, ctx, sol, data) -> ModeBounds:
     """Residuals, majorant, minorant and error majorant by 7-point quadrature,
     from the quadrature samples `data` (a QuadratureData)."""
     mesh = ctx.mesh
     points = quadrature_points(mesh)
     K, M = stencil_csr(mats.K), stencil_csr(mats.M)
     k = sol.k
-    lam = params.lam
+    problem, lam = params.problem, params.lam
     kw = k * params.omega
-    nu, sigma = params.nu, params.sigma
-    cf, mu1 = C_FRIEDRICHS, params.mu1
+    nu, sigma = mats.nu, mats.sigma
+    cf, mu1 = C_FRIEDRICHS, mats.mu1
 
     def part(arr, j):
         return None if arr is None else data.coef[j] * arr
 
     sol_y_c, sol_p_c = sol.y[0], sol.p[0]
     sol_y_s, sol_p_s = (sol.y[1], sol.p[1]) if k > 0 else (None, None)
-    Kn, Ms = mats.nu * K, mats.sigma * M
+    Kn, Ms = nu * K, sigma * M
     y_c, p_c = to_full(ctx, sol_y_c), to_full(ctx, sol_p_c)
     y_s = to_full(ctx, sol_y_s) if sol_y_s is not None else None
     p_s = to_full(ctx, sol_p_s) if sol_p_s is not None else None
@@ -319,8 +319,8 @@ def evaluate_mode_reference(problem, ctx, mats, params, sol, data) -> ModeBounds
         quad += float(sol_p_s @ (M @ sol_p_s)) / lam
     mixed = quad - bilin if problem == "I" else quad + bilin
 
-    alpha, beta = optimal_parameters(misfit, res.r1, res.r2, params)
-    majorant = majorant_form(misfit, res.r1, res.r2, alpha, beta, params, P=control_energy)
+    alpha, beta = optimal_parameters(misfit, res.r1, res.r2, mu1)
+    majorant = majorant_form(misfit, res.r1, res.r2, alpha, beta, mu1, P=control_energy)
 
     adj = cf * res.r3 + res.r4
     sta = cf * res.r1 + res.r2
@@ -351,7 +351,7 @@ def _inverse(x):
     return 1 / x if x else np.inf
 
 
-def majorant_form(A, r1, r2, alpha, beta, params, P: float = 0.0) -> float:
+def majorant_form(A, r1, r2, alpha, beta, mu1, P: float = 0.0) -> float:
     """The majorant at parameters alpha, beta in [0, inf], continued to the
     ends of that range by its limits.
 
@@ -360,27 +360,27 @@ def majorant_form(A, r1, r2, alpha, beta, params, P: float = 0.0) -> float:
     (1+alpha)/2 A + P + (1+alpha)(1+beta) C_F^2 / (2 alpha mu1^2)
     (r2^2 + C_F^2 r1^2 / beta).
     """
-    weight = C_FRIEDRICHS**2 / (2 * params.mu1**2)
+    weight = C_FRIEDRICHS**2 / (2 * mu1**2)
     residual = _times(1 + beta, r2**2) + _times(1 + _inverse(beta), C_FRIEDRICHS**2 * r1**2)
     return P + _times((1 + alpha) / 2, A) + weight * _times(1 + _inverse(alpha), residual)
 
 
-def optimal_parameters(A, r1, r2, params) -> tuple[float, float]:
+def optimal_parameters(A, r1, r2, mu1) -> tuple[float, float]:
     """The textbook minimizers of `majorant_form`: beta* = C_F r1 / r2 and
     alpha* = sqrt(2 H / A), H = C_F^2 (C_F r1 + r2)^2 / (2 mu1^2); a zero
     denominator gives inf, and 0/0 nan."""
-    H = C_FRIEDRICHS**2 * (C_FRIEDRICHS * r1 + r2) ** 2 / (2 * params.mu1**2)
+    H = C_FRIEDRICHS**2 * (C_FRIEDRICHS * r1 + r2) ** 2 / (2 * mu1**2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.sqrt(np.float64(2 * H) / A), np.float64(C_FRIEDRICHS * r1) / r2
 
 
-def grid_search_alpha_beta(A, r1, r2, params, P: float = 0.0, points: int = 40):
+def grid_search_alpha_beta(A, r1, r2, mu1, P: float = 0.0, points: int = 40):
     """Minimize `majorant_form` over a log-spaced grid."""
     grid = np.logspace(-6.0, 6.0, points)
     best = (np.inf, None, None)
     for a in grid:
         for b in grid:
-            val = majorant_form(A, r1, r2, a, b, params, P=P)
+            val = majorant_form(A, r1, r2, a, b, mu1, P=P)
             if val < best[0]:
                 best = (val, a, b)
     return best[1], best[2], best[0]

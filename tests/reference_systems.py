@@ -4,7 +4,7 @@ This is the `sp.bmat` assembly that the matrix-free block stencil of
 `systems.build_mode_system` replaced, with its separate mode-0 and mode-k
 layouts, and the sparse LU solver that was the oracle of the MinRes tests.
 The tests compare the operator and the iterative solutions against it,
-passing the problem tag, lambda and omega the system was built with.
+passing the `ProblemParams` the system was built with.
 `stencil_csr` assembles the interior K and M from their stencils, and
 `bands_csr` the stiffness and mass on any block of nodes (all of them
 included) from the stencil bands of the whole grid.  `scalar_mode_solve` is
@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mhbounds.femcore import Scratch, Stencil, _stencil_bands, element_matrices
-from mhbounds.systems import ModeSolution, ModeSystem
+from mhbounds.systems import ModeSolution, ModeSystem, ProblemParams
 
 
 def bands_csr(bands: dict, lo: int, hi: int) -> sp.csr_matrix:
@@ -63,17 +63,17 @@ def stencil_csr(op) -> sp.csr_matrix:
     return bands_csr({o: np.full((m, m), w) for o, w in op.weights.items()}, 0, m)
 
 
-def assemble(system: ModeSystem, problem: str, lam: float, omega: float) -> sp.csr_matrix:
-    """The block matrix of the system of `problem` at lam and omega,
-    unknowns ordered (y_c, y_s, p_c, p_s)."""
-    mats = system.mats
+def assemble(system: ModeSystem, params: ProblemParams) -> sp.csr_matrix:
+    """The block matrix of the system built with `params`, unknowns ordered
+    (y_c, y_s, p_c, p_s)."""
+    mats, lam = system.mats, params.lam
     K, M = stencil_csr(mats.K), stencil_csr(mats.M)
-    lead = M if problem == "I" else K
+    lead = M if params.problem == "I" else K
     Kn = mats.nu * K
     Ms = mats.sigma * M
     if system.k == 0:
         return sp.bmat([[lead, -Kn], [-Kn, -(1.0 / lam) * M]], format="csr")
-    kw = system.k * omega
+    kw = system.k * params.omega
     Z = None
     return sp.bmat(
         [
@@ -119,10 +119,10 @@ class DensePrecond:
         return np.matmul(self.P, r, out=out)
 
 
-def direct_solve(system: ModeSystem, problem: str, lam: float, omega: float) -> ModeSolution:
+def direct_solve(system: ModeSystem, params: ProblemParams) -> ModeSolution:
     """Sparse LU solution of the assembled system (see `assemble`); raises
     on singular systems or poor residuals."""
-    A = assemble(system, problem, lam, omega)
+    A = assemble(system, params)
     x = spla.factorized(A.tocsc())(system.rhs)
     resid = np.linalg.norm(A @ x - system.rhs)
     scale = np.linalg.norm(system.rhs)

@@ -12,11 +12,13 @@ import pytest
 
 from mhbounds import fluxrecon, mesh as meshmod
 from mhbounds.bench import ExperimentConfig, run
-from mhbounds.bounds import C_FRIEDRICHS, BoundParams, optimal_majorant
+from mhbounds.bounds import C_FRIEDRICHS, optimal_majorant
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
-from mhbounds.systems import build_matrices, build_mode_system, mode_coefficients, mode_parts, quarter_turn
+from mhbounds.systems import (
+    ProblemParams, build_matrices, build_mode_system, mode_coefficients, mode_parts, quarter_turn,
+)
 from reference_systems import direct_solve, fresh_apply
 from reference_assembly import build_mesh, cell_gradients
 from reference_bounds import edge_planes, grid_search_alpha_beta
@@ -150,7 +152,7 @@ def test_criterion_7a_sandwich_random(scratch):
     for _ in range(200):
         problem, n, k, lam, omega, sigma, nu = _random_config(rng)
         ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
+        mb = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
         slack = (mb.minorant - mb.majorant) / max(abs(mb.majorant), 1e-12)
         worst = max(worst, slack)
         assert mb.minorant <= mb.majorant + 1e-9 * abs(mb.majorant)
@@ -196,7 +198,8 @@ def test_criterion_7c_fourier_identities():
         scale = max(kws, 1.0) ** 2 * np.vdot(u, u)
         checks = [np.vdot(ju, u) / scale, np.abs(quarter_turn(ju, kws) + kws**2 * u).max() / scale]
         for problem in ("I", "II"):
-            coef_K, coef_M = mode_coefficients(problem, build_matrices(ctx, sigma, nu), k, lam, omega)
+            params = ProblemParams(problem, lam, omega)
+            coef_K, coef_M = mode_coefficients(params, build_matrices(ctx, sigma, nu), k)
             # the M coefficients of the state-adjoint coupling are -J
             coupling = coef_M[:parts, parts:]
             checks += [
@@ -234,13 +237,13 @@ def test_criterion_7d_flux_exactness():
 
 
 def test_criterion_7e_closed_form_optimal():
-    params = BoundParams(lam=0.1, omega=1.0)
+    mu1 = 1.0 / np.sqrt(2.0)  # min(nu, sigma) / sqrt(2) at sigma = nu = 1
     rng = np.random.default_rng(9)
     worst = -np.inf
     for _ in range(100):
         A, r1, r2 = rng.uniform(0.001, 1000.0, size=3)
-        ours = optimal_majorant(A, C_FRIEDRICHS * r1 + r2, 0.0, params)
-        _, _, grid_best = grid_search_alpha_beta(A, r1, r2, params)
+        ours = optimal_majorant(A, C_FRIEDRICHS * r1 + r2, 0.0, mu1)
+        _, _, grid_best = grid_search_alpha_beta(A, r1, r2, mu1)
         worst = max(worst, (ours - grid_best) / grid_best)
         assert ours <= grid_best * (1 + 1e-10)
     _line("c7e closed form beats 40x40 grid", True, f"worst margin {worst:.2e}")
@@ -258,13 +261,11 @@ def test_criterion_7f_minres_direct_agreement(scratch):
             mats = build_matrices(ctx)
             bind = CaseBind(case, ctx)
             for k in (0, 1):
-                system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
-                if case.problem == "I":
-                    P = build_precond_I(mats, k, case.lam, case.omega, surrogate_inverse=False)
-                else:
-                    P = build_precond_II(mats, k, case.lam, case.omega, surrogate_inverse=False)
+                system = build_mode_system(case.params, mats, k, bind.rhs(k))
+                build = build_precond_I if case.problem == "I" else build_precond_II
+                P = build(case.params, mats, k, surrogate_inverse=False)
                 sol, stats = minres(system, P, tol=1e-10, maxiter=300, scratch=scratch)
-                ref = direct_solve(system, case.problem, case.lam, case.omega)
+                ref = direct_solve(system, case.params)
                 num = den = 0.0
                 for a, b in ((sol.y[0], ref.y[0]), (sol.p[0], ref.p[0])):
                     e = a - b
@@ -286,11 +287,10 @@ def test_criterion_7g_preconditioner_robustness(scratch):
             for k in (0, 1, 4, 8):
                 rhs = bind.rhs(k)
                 for lam in (1e-2, 1e-1):
-                    system = build_mode_system(problem, mats, k, lam, 1.0, rhs)
-                    if problem == "I":
-                        P = build_precond_I(mats, k, lam, 1.0, surrogate_inverse=False)
-                    else:
-                        P = build_precond_II(mats, k, lam, 1.0, surrogate_inverse=False)
+                    params = ProblemParams(problem, lam, 1.0)
+                    system = build_mode_system(params, mats, k, rhs)
+                    build = build_precond_I if problem == "I" else build_precond_II
+                    P = build(params, mats, k, surrogate_inverse=False)
                     _, stats = minres(system, P, tol=1e-8, maxiter=200, scratch=scratch)
                     results.setdefault((problem, k, lam), []).append(stats.iterations)
     ok = True

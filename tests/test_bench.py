@@ -34,7 +34,7 @@ def small_report():
 
 
 def test_report_shape(small_report):
-    assert small_report.problem == "I"
+    assert small_report.params.problem == "I"
     assert [r.label for r in small_report.rows] == ["k=0", "k=1"]
     assert small_report.overall_rows[0].label == "overall (N=1)"
     assert small_report.reference_kind == "analytic"
@@ -88,18 +88,19 @@ def test_markdown_writer(tmp_path, small_report):
 def test_zero_data_zero_bounds(scratch):
     # with vanishing data every mode solution and both bounds are zero
     import mhbounds.mesh as meshmod
-    from mhbounds.bounds import BoundParams, ModeData, evaluate_mode
+    from mhbounds.bounds import ModeData, evaluate_mode
     from mhbounds.femcore import FemContext
-    from mhbounds.systems import build_matrices, build_mode_system
+    from mhbounds.systems import ProblemParams, build_matrices, build_mode_system
     from reference_systems import direct_solve
 
     ctx = FemContext(meshmod.build(4))
     mats = build_matrices(ctx)
     n = ctx.K.shape[0]
-    system = build_mode_system("I", mats, 1, 1.0, 1.0, np.zeros((2, n)))
-    sol = direct_solve(system, "I", 1.0, 1.0)
+    params = ProblemParams("I", 1.0, 1.0)
+    system = build_mode_system(params, mats, 1, np.zeros((2, n)))
+    sol = direct_solve(system, params)
     data = ModeData(coef=np.ones(2), y_vert=np.zeros((2, 3, 4, 4)))
-    mb = evaluate_mode("I", ctx, mats, BoundParams(lam=1.0, omega=1.0), sol, data, scratch=scratch)
+    mb = evaluate_mode(params, mats, ctx, sol, data, scratch=scratch)
     assert mb.majorant == 0.0
     assert mb.minorant == 0.0
 
@@ -109,6 +110,16 @@ def test_validation_errors():
     assert ExperimentConfig(example=3, grid=33).validate()
     assert ExperimentConfig(example=1, nref=32, grid=64).validate()
     assert not ExperimentConfig(example=1, nref=64, grid=64).validate()  # degenerate ok
+
+
+def test_repeated_entries_are_rejected(monkeypatch):
+    # a repeated mode, truncation index or sweep grid would be solved twice
+    assert ExperimentConfig(example=1, modes=(0, 1, 0)).validate() == ["modes must not repeat"]
+    assert ExperimentConfig(example=1, overall=(1, 1)).validate() == [
+        "overall truncation indices must not repeat"]
+    monkeypatch.setattr(bench, "run", None)
+    with pytest.raises(ValueError, match="sweep grids must not repeat"):
+        bench.grid_sweep(ExperimentConfig(example=1), (8, 16, 8), 0)
 
 
 def test_degenerate_fine_reference_reports_na():
@@ -170,6 +181,9 @@ def test_cli_validation_exit_codes(capsys):
     ["--lambda", "1e-300"],
     ["--example", "4", "--family", "1"],
     ["--paper-mode", "--family", "1"],
+    ["--modes", "0,0,1"],
+    ["--modes", "0", "--overall", "1,1"],
+    ["--sweep", "4,4"],
 ], ids="-".join)
 def test_cli_rejects_bad_values(args, capsys, monkeypatch):
     # nothing may be solved before the configuration is rejected
@@ -515,8 +529,8 @@ def test_fine_cost_is_the_optimal_cost_of_the_fine_solution(example):
     for k in (0, 1, 3):
         sol, stats = solver.solve_mode(k, None)
         assert stats.converged
-        b = bench.evaluate_mode(case.problem, solver.ctx, solver.mats, solver.params, sol,
-                                solver.bind.mode_data(k), scratch=solver._scratch())
+        b = bench.evaluate_mode(solver.params, solver.mats, solver.ctx, sol, solver.bind.mode_data(k),
+                                scratch=solver._scratch())
         expect = 0.5 * b.misfit + b.control_energy
         cost = solver.bind.optimal_cost(k, sol.y)
         assert abs(cost - expect) <= 1e-10 * expect

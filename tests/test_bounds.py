@@ -9,7 +9,6 @@ from mhbounds.bench import ExperimentConfig, run
 from mhbounds.bounds import (
     ALPHA_TAIL,
     C_FRIEDRICHS,
-    BoundParams,
     _rt0_norm2,
     aggregate,
     combined_norm_weights,
@@ -21,7 +20,7 @@ from mhbounds.bounds import (
 from mhbounds.cases import CaseBind, make_case
 from mhbounds.femcore import FemContext, Scratch
 from mhbounds.saddlesolve import build_precond_I, build_precond_II, minres
-from mhbounds.systems import ModeSolution, build_matrices, build_mode_system, mode_parts
+from mhbounds.systems import ModeSolution, ProblemParams, build_matrices, build_mode_system, mode_parts
 from reference_assembly import (
     build_mesh, cell_gradients, data_at_qp, gradient_load_from_qp, load_from_qp, p1_at_qp, p1_grad,
     quadrature_weights,
@@ -33,8 +32,14 @@ from reference_bounds import (
 from reference_systems import direct_solve
 
 
-def _params(lam=0.1, omega=1.0, **kw):
-    return BoundParams(lam=lam, omega=omega, **kw)
+# the coercivity constant min(nu, sigma) / sqrt(2) at sigma = nu = 1
+MU1 = 1.0 / np.sqrt(2.0)
+
+
+def _steps(steps, surrogate_inverse):
+    """`minres` keywords for exactly `steps` Krylov steps: MinRes takes a
+    fixed step count, GMRES that many steps toward tol = 0."""
+    return dict(tol=0.0, maxiter=steps) if surrogate_inverse else dict(tol=1e-8, maxiter=200, fixed_iters=steps)
 
 
 def _random_config(rng):
@@ -63,7 +68,7 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
     """
     ctx = FemContext(build_mesh(n))
     mats = build_matrices(ctx, sigma, nu)
-    params = BoundParams(lam=lam, omega=omega, sigma=sigma, nu=nu)
+    params = ProblemParams(problem, lam, omega)
     coef = rng.standard_normal(2)[: mode_parts(k)]
     shape = quadrature_weights(ctx).shape
     if problem == "I":
@@ -79,51 +84,49 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
             g_qp += noise * rng.standard_normal(shape + (2,))
         load = gradient_load_from_qp(ctx.mesh, g_qp)
         data = QuadratureData(coef, g_qp=g_qp, g_edge=rt0_reconstruct(ctx.mesh, g))
-    system = build_mode_system(problem, mats, k, lam, omega, np.multiply.outer(coef, load))
+    system = build_mode_system(params, mats, k, np.multiply.outer(coef, load))
     if steps is None:
-        sol = direct_solve(system, problem, lam, omega)
+        sol = direct_solve(system, params)
     else:
         build = build_precond_I if problem == "I" else build_precond_II
-        precond = build(mats, k, lam, omega, surrogate_inverse=surrogate_inverse)
-        sol, _ = minres(system, precond, tol=1e-8, maxiter=200, scratch=Scratch(), fixed_iters=steps)
+        precond = build(params, mats, k, surrogate_inverse=surrogate_inverse)
+        sol, _ = minres(system, precond, scratch=Scratch(), **_steps(steps, surrogate_inverse))
     return ctx, mats, params, sol, data
 
 
-def _closed_form(A, r1, r2, params, P):
-    return optimal_majorant(A, C_FRIEDRICHS * r1 + r2, P, params)
+def _closed_form(A, r1, r2, mu1, P):
+    return optimal_majorant(A, C_FRIEDRICHS * r1 + r2, P, mu1)
 
 
 def test_closed_form_beats_grid_search(rng):
     # the closed form lies below the explicit-parameter form at every point
     # of the 40 x 40 log grid and at alpha = beta = 1
-    params = _params()
     for _ in range(25):
         A, r1, r2, P = rng.uniform(0.0, 100.0, size=4)
-        ours = _closed_form(A, r1, r2, params, P)
-        assert ours <= grid_search_alpha_beta(A, r1, r2, params, P)[2] * (1 + 1e-13)
-        assert ours <= majorant_form(A, r1, r2, 1.0, 1.0, params, P) * (1 + 1e-13)
+        ours = _closed_form(A, r1, r2, MU1, P)
+        assert ours <= grid_search_alpha_beta(A, r1, r2, MU1, P)[2] * (1 + 1e-13)
+        assert ours <= majorant_form(A, r1, r2, 1.0, 1.0, MU1, P) * (1 + 1e-13)
 
 
 def test_closed_form_attains_reference_at_optimum(rng):
     # at the textbook minimizers alpha*, beta* the explicit form equals the
     # closed form, over inputs spanning 16 orders of magnitude
     for _ in range(200):
-        params = _params(nu=float(rng.uniform(0.5, 2.0)), sigma=float(rng.uniform(0.5, 2.0)))
+        mu1 = float(rng.uniform(0.5, 2.0, size=2).min()) / np.sqrt(2.0)  # min(nu, sigma) / sqrt(2)
         A, r1, r2, P = 10 ** rng.uniform(-8, 8, size=4)
-        ref = majorant_form(A, r1, r2, *optimal_parameters(A, r1, r2, params), params, P)
-        assert abs(_closed_form(A, r1, r2, params, P) - ref) <= 1e-13 * ref
+        ref = majorant_form(A, r1, r2, *optimal_parameters(A, r1, r2, mu1), mu1, P)
+        assert abs(_closed_form(A, r1, r2, mu1, P) - ref) <= 1e-13 * ref
 
 
 def test_closed_form_limits():
     # a zero misfit, flux residual or equation residual, or all three, give
     # the explicit form's limit at its textbook parameters (inf, or 0/0),
     # and with all three zero exactly the control energy
-    params = _params()
     for A, r1, r2 in ((0.0, 3.0, 2.0), (2.0, 3.0, 0.0), (2.0, 0.0, 3.0), (0.0, 3.0, 0.0), (0.0, 0.0, 0.0)):
-        ours = _closed_form(A, r1, r2, params, P=7.0)
-        ref = majorant_form(A, r1, r2, *optimal_parameters(A, r1, r2, params), params, P=7.0)
+        ours = _closed_form(A, r1, r2, MU1, P=7.0)
+        ref = majorant_form(A, r1, r2, *optimal_parameters(A, r1, r2, MU1), MU1, P=7.0)
         assert np.isfinite(ours) and abs(ours - ref) <= 1e-15 * ref, (A, r1, r2)
-    assert _closed_form(0.0, 0.0, 0.0, params, P=7.0) == 7.0
+    assert _closed_form(0.0, 0.0, 0.0, MU1, P=7.0) == 7.0
 
 
 def test_flux_residual_grows_under_perturbation(ctx8, rng):
@@ -155,7 +158,7 @@ def test_mixed_term_identities(rng, scratch):
         local = np.random.default_rng(seed)
         problem, n, k, lam, omega, sigma, nu = _random_config(local)
         ctx, mats, params, sol, data = _solve_random(local, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
+        mb = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
         scale = max(abs(mb.mixed), 2 * mb.control_energy, 1e-12)
         if problem == "I":
             assert abs(mb.mixed - 4 * mb.control_energy) < 1e-8 * scale
@@ -168,7 +171,7 @@ def test_sandwich_random_configs(scratch):
     for _ in range(30):
         problem, n, k, lam, omega, sigma, nu = _random_config(rng)
         ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
+        mb = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
         assert mb.minorant <= mb.majorant + 1e-9 * abs(mb.majorant)
         assert _m1(mb) >= mb.majorant - mb.minorant >= -1e-9 * abs(mb.majorant)
 
@@ -177,43 +180,41 @@ def test_scaling_covariance(scratch):
     rng = np.random.default_rng(3)
     problem, n, k, lam, omega, sigma, nu = "I", 5, 2, 0.3, 1.4, 1.0, 1.0
     ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu, noise=0.3)
-    base = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
+    base = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
     for s in (2.0, 10.0):
         scaled_sol = ModeSolution(k=k, y=s * sol.y, p=s * sol.p)
         scaled_data = project(ctx, QuadratureData(s * data.coef, y_qp=data.y_qp))
-        mb = evaluate_mode(problem, ctx, mats, params, scaled_sol, scaled_data, scratch=scratch)
+        mb = evaluate_mode(params, mats, ctx, scaled_sol, scaled_data, scratch=scratch)
         assert abs(mb.majorant - s**2 * base.majorant) < 1e-9 * s**2 * abs(base.majorant)
         assert abs(mb.minorant - s**2 * base.minorant) < 1e-9 * s**2 * abs(base.majorant)
 
 
 def test_bracketing_example1_coarse(ctx16, scratch):
     case = make_case(1)
-    params = _params(case.lam, case.omega)
+    params = case.params
     mats = build_matrices(ctx16)
     bind = CaseBind(case, ctx16)
     for k in (0, 1):
-        system = build_mode_system("I", mats, k, case.lam, case.omega, bind.rhs(k))
-        sol = direct_solve(system, "I", case.lam, case.omega)
-        mb = evaluate_mode("I", ctx16, mats, params, sol, bind.mode_data(k), scratch=scratch)
+        system = build_mode_system(params, mats, k, bind.rhs(k))
+        sol = direct_solve(system, params)
+        mb = evaluate_mode(params, mats, ctx16, sol, bind.mode_data(k), scratch=scratch)
         ref = case.reference_cost(k)
         assert mb.minorant <= ref * (1 + 1e-3)
         assert mb.majorant >= ref * (1 - 1e-3)
 
 
 def test_aggregate_shape(scratch):
-    params = _params()
     rng = np.random.default_rng(0)
-    _, _, params2, sol, data = _solve_random(rng, "I", 4, 0, 0.1, 1.0, 1.0, 1.0)
-    ctx, mats, params2, sol, data = _solve_random(rng, "I", 4, 0, 0.1, 1.0, 1.0, 1.0)
-    b0 = evaluate_mode("I", ctx, mats, params2, sol, project(ctx, data), scratch=scratch)
-    total = aggregate([b0], params2, remainder=10.0)
-    T = params2.period
+    ctx, mats, params, sol, data = _solve_random(rng, "I", 4, 0, 0.1, 1.0, 1.0, 1.0)
+    b0 = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
+    total = aggregate([b0], params, remainder=10.0)
+    T = params.period
     assert abs(total.minorant - (T * b0.minorant + 5.0)) < 1e-12 * max(1, abs(total.minorant))
     expected_tail = 0.5 * (1 + ALPHA_TAIL) * 10.0
     assert abs(total.majorant - (T * b0.majorant + expected_tail)) < 1e-12 * max(1, abs(total.majorant))
     assert total.m1_extra == T * b0.m1_extra
     with pytest.raises(ValueError):
-        aggregate([], params2, 0.0)
+        aggregate([], params, 0.0)
 
 
 def test_aggregate_weights_each_mode_by_its_parts(scratch):
@@ -223,7 +224,7 @@ def test_aggregate_weights_each_mode_by_its_parts(scratch):
     modes = []
     for k in (3, 0, 1):
         ctx, mats, params, sol, data = _solve_random(rng, "I", 4, k, 0.1, 1.0, 1.0, 1.0)
-        modes.append(evaluate_mode("I", ctx, mats, params, sol, project(ctx, data), scratch=scratch))
+        modes.append(evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch))
     b3, b0, b1 = modes
     T = params.period
     total = aggregate(modes, params, remainder=10.0)
@@ -235,12 +236,12 @@ def test_aggregate_weights_each_mode_by_its_parts(scratch):
 
 
 def test_combined_norm_weights():
-    params = _params(lam=0.1, omega=1.0)
-    c = 0.1 * params.mu1**2 / (2 * C_FRIEDRICHS**2)
-    assert combined_norm_weights("I", params, 0) == (0.5, c)
-    assert combined_norm_weights("I", params, 3) == (0.5 + 3 * c, c)
-    assert combined_norm_weights("II", params, 0) == (0.0, 0.5 + c)
-    assert combined_norm_weights("II", params, 3) == (3 * c, 0.5 + c)
+    c = 0.1 * MU1**2 / (2 * C_FRIEDRICHS**2)
+    one, two = ProblemParams("I", 0.1, 1.0), ProblemParams("II", 0.1, 1.0)
+    assert combined_norm_weights(one, MU1, 0) == (0.5, c)
+    assert combined_norm_weights(one, MU1, 3) == (0.5 + 3 * c, c)
+    assert combined_norm_weights(two, MU1, 0) == (0.0, 0.5 + c)
+    assert combined_norm_weights(two, MU1, 3) == (3 * c, 0.5 + c)
 
 
 def test_efficiency_indices_trivial():
@@ -298,8 +299,8 @@ def test_evaluate_mode_matches_quadrature_reference(problem, k, steps, scratch):
             rng, problem, n, k, lam, omega, sigma, nu, steps=steps, noise=0.5
         )
         projected = project(ctx, data)
-        new = evaluate_mode(problem, ctx, mats, params, sol, projected, scratch=scratch)
-        ref = evaluate_mode_reference(problem, ctx, mats, params, sol, data)
+        new = evaluate_mode(params, mats, ctx, sol, projected, scratch=scratch)
+        ref = evaluate_mode_reference(params, mats, ctx, sol, data)
         _assert_bounds_match(new, ref)
         # the noise has squared norm 0.25 per component, times the squared
         # time coefficients, most of it outside the projections
@@ -324,8 +325,8 @@ def test_row_blocks_match_quadrature_reference(monkeypatch, problem, k, steps, n
     ctx, mats, params, sol, data = _solve_random(
         rng, problem, n, k, lam, omega, sigma, nu, steps=steps, noise=0.5, surrogate_inverse=True
     )
-    new = evaluate_mode(problem, ctx, mats, params, sol, project(ctx, data), scratch=scratch)
-    _assert_bounds_match(new, evaluate_mode_reference(problem, ctx, mats, params, sol, data))
+    new = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
+    _assert_bounds_match(new, evaluate_mode_reference(params, mats, ctx, sol, data))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -342,7 +343,7 @@ def test_row_blocks_match_boundary_corners_problem_II(monkeypatch, rows, scratch
     monkeypatch.setattr(bounds, "BOUND_CELLS", rows * n)
     ctx = FemContext(build_mesh(n))
     mats = build_matrices(ctx)
-    params = _params(0.5, 1.3)
+    params = ProblemParams("II", 0.5, 1.3)
     y = np.zeros((2, (n - 1) ** 2))
     p = np.zeros((2, (n - 1) ** 2))
     p[:, n - 2] = (1.0, -2.0)  # interior node next to the lower right corner
@@ -350,9 +351,9 @@ def test_row_blocks_match_boundary_corners_problem_II(monkeypatch, rows, scratch
     sol = ModeSolution(k, y, p)
     shape = quadrature_weights(ctx).shape + (2,)
     data = QuadratureData(np.ones(2), g_qp=np.zeros(shape), g_edge=np.zeros(ctx.mesh.num_edges))
-    ref = evaluate_mode_reference("II", ctx, mats, params, sol, data)
+    ref = evaluate_mode_reference(params, mats, ctx, sol, data)
     assert ref.residuals.r3 > 0
-    _assert_bounds_match(evaluate_mode("II", ctx, mats, params, sol, project(ctx, data), scratch=scratch), ref)
+    _assert_bounds_match(evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch), ref)
 
 
 @pytest.mark.parametrize("ident,n", [(4, 7), (4, 16), (5, 7), (5, 16), (6, 8), (6, 16)])
@@ -368,11 +369,11 @@ def test_problem_II_block_terms_do_not_depend_on_the_block_height(monkeypatch, i
     rng = np.random.default_rng([ident, n, k])
     y, p = rng.standard_normal((2, mode_parts(k), (n - 1) ** 2))
     sol = ModeSolution(k, y, p)
-    params = _params(case.lam, case.omega)
+    mats = build_matrices(ctx)
 
     def terms(rows):
         monkeypatch.setattr(bounds, "BOUND_CELLS", rows * n)
-        return bounds._block_terms("II", ctx, params, sol, data, Scratch())
+        return bounds._block_terms(case.params, mats, ctx, sol, data, Scratch())
 
     whole = terms(n)
     for rows in (1, 2, 3):
@@ -387,7 +388,7 @@ def test_evaluate_mode_matches_reference_on_cases(ident, scratch):
     ctx = FemContext(build_mesh(12))
     mats = build_matrices(ctx)
     bind = CaseBind(case, ctx)
-    params = _params(case.lam, case.omega)
+    params = case.params
     build = build_precond_I if case.problem == "I" else build_precond_II
     # the case's data at the quadrature points and its edge fluxes, which
     # CaseBind projects once and does not keep
@@ -397,13 +398,13 @@ def test_evaluate_mode_matches_reference_on_cases(ident, scratch):
         edges = rt0_from_callable(ctx.mesh, case.profile)
         profile = dict(g_qp=data_at_qp(ctx, case.profile), g_edge=edges)
     for k in (0, 1):
-        system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
-        precond = build(mats, k, case.lam, case.omega, surrogate_inverse=False)
+        system = build_mode_system(params, mats, k, bind.rhs(k))
+        precond = build(params, mats, k, surrogate_inverse=False)
         sol, _ = minres(system, precond, tol=1e-10, maxiter=200, scratch=scratch)
         samples = QuadratureData(np.array(case.mode_pair(k))[: mode_parts(k)], **profile)
         _assert_bounds_match(
-            evaluate_mode(case.problem, ctx, mats, params, sol, bind.mode_data(k), scratch=scratch),
-            evaluate_mode_reference(case.problem, ctx, mats, params, sol, samples),
+            evaluate_mode(params, mats, ctx, sol, bind.mode_data(k), scratch=scratch),
+            evaluate_mode_reference(params, mats, ctx, sol, samples),
         )
 
 
@@ -423,15 +424,15 @@ def _stopped_bounds(ident, n, k, steps, surrogate_inverse=False, lam=None, omega
     preconditioned by A~_k^{-1}.  `lam` and `omega` override the case's own.
     """
     case, ctx, mats, bind = _case_grid(ident, n, lam, omega)
-    system = build_mode_system(case.problem, mats, k, case.lam, case.omega, bind.rhs(k))
+    params = case.params
+    system = build_mode_system(params, mats, k, bind.rhs(k))
     build = build_precond_I if case.problem == "I" else build_precond_II
-    precond = build(mats, k, case.lam, case.omega, surrogate_inverse=surrogate_inverse)
+    precond = build(params, mats, k, surrogate_inverse=surrogate_inverse)
     scratch = Scratch()
-    tol = 1e-8 if steps is not None else 1e-10
-    sol, stats = minres(system, precond, tol=tol, maxiter=200, scratch=scratch, fixed_iters=steps)
+    steps_kw = dict(tol=1e-10, maxiter=200) if steps is None else _steps(steps, surrogate_inverse)
+    sol, stats = minres(system, precond, scratch=scratch, **steps_kw)
     assert steps is not None or stats.converged
-    mb = evaluate_mode(case.problem, ctx, mats, _params(case.lam, case.omega), sol,
-                       bind.mode_data(k), scratch=scratch)
+    mb = evaluate_mode(params, mats, ctx, sol, bind.mode_data(k), scratch=scratch)
     return mb, case.reference_cost(k)
 
 

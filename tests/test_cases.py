@@ -244,8 +244,8 @@ def test_error_norms_decrease(ctx8, ctx16):
     for ctx in (ctx8, ctx16):
         mats = build_matrices(ctx)
         bind = CaseBind(case, ctx)
-        sysk = build_mode_system("I", mats, 1, case.lam, case.omega, bind.rhs(1))
-        sol = direct_solve(sysk, "I", case.lam, case.omega)
+        sysk = build_mode_system(case.params, mats, 1, bind.rhs(1))
+        sol = direct_solve(sysk, case.params)
         l2, h1 = bind.error_norms(1, sol, femcore.Scratch())
         assert l2 > 0 and h1 > 0
         errs.append((l2, h1))

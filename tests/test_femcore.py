@@ -7,7 +7,7 @@ from mhbounds.femcore import (
     QUAD_BARY, QUAD_W, SAMPLE_ROWS, FemContext, Scratch, _add_to_corners, _stencil_bands, element_matrices,
     prolong,
 )
-from mhbounds.systems import build_matrices, build_mode_system
+from mhbounds.systems import ProblemParams, build_matrices, build_mode_system
 import reference_assembly as ref
 from reference_bounds import tri_rows, tri_scalars
 from reference_systems import bands_csr, fresh_apply, full_matrices, stencil_csr
@@ -25,7 +25,7 @@ def test_coefficient_scaling(ctx8, rng):
     mats = build_matrices(ctx8, sigma=3.0, nu=2.0)
     n = ctx8.K.shape[0]
     p = rng.standard_normal(n)
-    system = build_mode_system("II", mats, 1, 0.1, 1.0, np.zeros((2, n)))
+    system = build_mode_system(ProblemParams("II", 0.1, 1.0), mats, 1, np.zeros((2, n)))
     x = np.concatenate([np.zeros(2 * n), p, np.zeros(n)])
     y_c, y_s = fresh_apply(system.matrix, x)[: 2 * n].reshape(2, n)
     Kp, Mp = fresh_apply(ctx8.K, p), fresh_apply(ctx8.M, p)
@@ -463,7 +463,7 @@ def test_stencil_product_into_lent_buffers(n, rng):
     ctx = FemContext(ref.build_mesh(n))
     mats = build_matrices(ctx)
     m2 = ctx.K.shape[0]
-    system = build_mode_system("II", mats, 1, 0.1, 1.0, np.zeros((2, m2)))
+    system = build_mode_system(ProblemParams("II", 0.1, 1.0), mats, 1, np.zeros((2, m2)))
     scratch = Scratch()
     with scratch.lend((4 * m2 + 8 * (n + 1) ** 2,)) as (stale,):
         stale[...] = np.nan

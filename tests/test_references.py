@@ -4,9 +4,9 @@ mode solve and the time quadrature of the exact costs."""
 
 import numpy as np
 
-from mhbounds.bounds import C_FRIEDRICHS, BoundParams
+from mhbounds.bounds import C_FRIEDRICHS
 from mhbounds.femcore import element_matrices
-from mhbounds.systems import build_matrices, build_mode_system
+from mhbounds.systems import ProblemParams, build_matrices, build_mode_system
 from reference_assembly import build_mesh
 from reference_bounds import grid_search_alpha_beta, spacetime_cost
 from reference_systems import dense, direct_solve, fresh_apply, scalar_mode_solve
@@ -24,30 +24,31 @@ def test_element_matrices_basics():
 def test_dense_solve(ctx2, ctx8):
     # the direct solve of a mode system agrees with a dense solve and
     # reproduces the right-hand side
+    params = ProblemParams("I", 0.1, 1.0)
     for ctx, rhs in ((ctx2, np.array([[2.0], [-1.0]])), (ctx8, np.ones((2, 49)))):
-        system = build_mode_system("I", build_matrices(ctx), 1, 0.1, 1.0, rhs)
-        sol = direct_solve(system, "I", 0.1, 1.0)
+        system = build_mode_system(params, build_matrices(ctx), 1, rhs)
+        sol = direct_solve(system, params)
         x = np.concatenate([sol.y.ravel(), sol.p.ravel()])
         assert np.allclose(x, np.linalg.solve(dense(system), system.rhs), rtol=1e-12, atol=1e-14)
         assert np.linalg.norm(fresh_apply(system.matrix, x) - system.rhs) < 1e-10 * np.linalg.norm(system.rhs)
 
 
 def test_grid_search_zero_flux_residual():
-    params = BoundParams(lam=0.1, omega=1.0)
+    mu1 = 1.0 / np.sqrt(2.0)
     A, r1, r2 = 2.0, 3.0, 0.0
-    alpha, beta, value = grid_search_alpha_beta(A, r1, r2, params)
+    alpha, beta, value = grid_search_alpha_beta(A, r1, r2, mu1)
     assert beta == 1e6  # at the grid maximum
     # at the returned alpha, the beta -> infinity limit of the form
-    limit = (1 + alpha) / 2 * A + (1 + alpha) / (2 * alpha * params.mu1**2) * (
+    limit = (1 + alpha) / 2 * A + (1 + alpha) / (2 * alpha * mu1**2) * (
         C_FRIEDRICHS**2
     ) ** 2 * r1**2
     assert abs(value - limit) < 1e-6 * limit
 
 
 def test_grid_search_argmin_scaling_invariance():
-    params = BoundParams(lam=0.1, omega=1.0)
-    a1, b1, _ = grid_search_alpha_beta(2.0, 3.0, 1.0, params)
-    a2, b2, _ = grid_search_alpha_beta(2.0 * 25, 15.0, 5.0, params)
+    mu1 = 1.0 / np.sqrt(2.0)
+    a1, b1, _ = grid_search_alpha_beta(2.0, 3.0, 1.0, mu1)
+    a2, b2, _ = grid_search_alpha_beta(2.0 * 25, 15.0, 5.0, mu1)
     assert a1 == a2 and b1 == b2
 
 

@@ -1,5 +1,6 @@
 import tracemalloc
 from contextlib import contextmanager
+from functools import partial
 from math import prod
 from types import SimpleNamespace
 
@@ -26,19 +27,20 @@ from mhbounds.saddlesolve import (
     minres_raw,
 )
 from mhbounds.systems import (
-    ModeMatrices, ModeSystem, build_matrices, build_mode_system, mode_coefficients, mode_parts,
+    ModeMatrices, ModeSystem, ProblemParams, build_matrices, build_mode_system, mode_coefficients, mode_parts,
 )
 from reference_systems import DenseOperator, DensePrecond, dense, direct_solve, fresh_apply, stencil_csr
 
 LAM, OMEGA = 0.1, 1.0
+PARAMS = {problem: ProblemParams(problem, LAM, OMEGA) for problem in ("I", "II")}
 
 
 def test_identity_precond_small_system(ctx2, scratch):
     mats = build_matrices(ctx2)
-    sysk = build_mode_system("I", mats, 1, LAM, OMEGA, np.array([[2.0], [-1.0]]))
+    sysk = build_mode_system(PARAMS["I"], mats, 1, np.array([[2.0], [-1.0]]))
     x, stats = minres_raw(sysk.matrix, sysk.rhs, DensePrecond(np.eye(4)), tol=1e-12, maxiter=10,
                           fixed_iters=None, scratch=scratch)
-    ref = direct_solve(sysk, "I", LAM, OMEGA)
+    ref = direct_solve(sysk, PARAMS["I"])
     assert stats.iterations <= 4  # Krylov dimension bound
     assert stats.converged
     assert abs(x[0] - ref.y[0, 0]) < 1e-9
@@ -47,8 +49,8 @@ def test_identity_precond_small_system(ctx2, scratch):
 def test_zero_rhs(ctx8, scratch):
     mats = build_matrices(ctx8)
     n = ctx8.K.shape[0]
-    sysk = build_mode_system("I", mats, 1, LAM, OMEGA, np.zeros((2, n)))
-    P = build_precond_I(mats, 1, LAM, OMEGA, surrogate_inverse=False)
+    sysk = build_mode_system(PARAMS["I"], mats, 1, np.zeros((2, n)))
+    P = build_precond_I(PARAMS["I"], mats, 1, surrogate_inverse=False)
     sol, stats = minres(sysk, P, tol=1e-8, maxiter=200, scratch=scratch)
     assert stats.iterations == 0
     assert np.abs(sol.y).max() == 0.0
@@ -63,8 +65,8 @@ def _monotone(stats) -> bool:
 def test_monotone_residuals(ctx8, rng, scratch):
     mats = build_matrices(ctx8)
     n = ctx8.K.shape[0]
-    sysk = build_mode_system("I", mats, 2, LAM, OMEGA, rng.standard_normal((2, n)))
-    P = build_precond_I(mats, 2, LAM, OMEGA, surrogate_inverse=False)
+    sysk = build_mode_system(PARAMS["I"], mats, 2, rng.standard_normal((2, n)))
+    P = build_precond_I(PARAMS["I"], mats, 2, surrogate_inverse=False)
     _, stats = minres(sysk, P, tol=1e-12, maxiter=200, scratch=scratch)
     assert _monotone(stats)
     _, stats_id = minres_raw(sysk.matrix, sysk.rhs, DensePrecond(np.eye(sysk.rhs.size)),
@@ -75,7 +77,7 @@ def test_monotone_residuals(ctx8, rng, scratch):
 def test_precond_entries_mode0(ctx2):
     # D0 = M + sqrt(lam) K at lam=1 on the one-interior-node grid
     mats = build_matrices(ctx2)
-    P = build_precond_I(mats, 0, 1.0, OMEGA, surrogate_inverse=False)
+    P = build_precond_I(ProblemParams("I", 1.0, OMEGA), mats, 0, surrogate_inverse=False)
     out = fresh_apply(P.apply, np.array([1.0, 0.0]))
     assert abs(out[0] - 1.0 / 4.125) < 1e-14
     # adjoint block is D0/lam
@@ -94,15 +96,15 @@ def test_precond_II_blocks_scalar(ctx2):
         return 1.0 / fresh_apply(P.apply, e)[i]
 
     # family 0, k=0: diag(K, nu K + M/lam)
-    P0 = build_precond_II(mats, 0, LAM, OMEGA, family=0, surrogate_inverse=False)
+    P0 = build_precond_II(PARAMS["II"], mats, 0, family=0, surrogate_inverse=False)
     assert abs(block(P0, 0) - 4.0) < 1e-14
     assert abs(block(P0, 1) - (4.0 + 0.125 / LAM)) < 1e-14
     # family 0, k=1 Schur block: nu K + M/lam + (k w s)^2 M K^-1 M
-    P1 = build_precond_II(mats, 1, LAM, OMEGA, family=0, surrogate_inverse=False)
+    P1 = build_precond_II(PARAMS["II"], mats, 1, family=0, surrogate_inverse=False)
     d = 4.0 + 0.125 / LAM + OMEGA**2 * 0.125 * 0.25 * 0.125
     assert abs(block(P1, 2) - d) < 1e-13
     # family 1, k=1 leading block: K + (k w s)^2 lam M + nu^2 lam K M^-1 K
-    P2 = build_precond_II(mats, 1, LAM, OMEGA, family=1, surrogate_inverse=False)
+    P2 = build_precond_II(PARAMS["II"], mats, 1, family=1, surrogate_inverse=False)
     r = 4.0 + OMEGA**2 * LAM * 0.125 + LAM * 4.0 * 8.0 * 4.0
     assert abs(block(P2, 0) - r) < 1e-12
 
@@ -111,9 +113,9 @@ def test_precond_positive_definite(ctx8, rng):
     mats = build_matrices(ctx8)
     size = 2 * mode_parts(2) * ctx8.K.shape[0]
     for P in (
-        build_precond_I(mats, 2, LAM, OMEGA, surrogate_inverse=False),
-        build_precond_II(mats, 2, LAM, OMEGA, family=0, surrogate_inverse=False),
-        build_precond_II(mats, 2, LAM, OMEGA, family=1, surrogate_inverse=False),
+        build_precond_I(PARAMS["I"], mats, 2, surrogate_inverse=False),
+        build_precond_II(PARAMS["II"], mats, 2, family=0, surrogate_inverse=False),
+        build_precond_II(PARAMS["II"], mats, 2, family=1, surrogate_inverse=False),
     ):
         for _ in range(100):
             v = rng.standard_normal(size)
@@ -141,8 +143,9 @@ def test_preconditioned_spectrum_uniform_in_lambda(rng):
     n = ctx.K.shape[0]
     spreads = []
     for lam in (1e-4, 1e-2, 1.0):
-        sysk = build_mode_system("I", mats, 1, lam, OMEGA, np.zeros((2, n)))
-        P = build_precond_I(mats, 1, lam, OMEGA, surrogate_inverse=False)
+        params = ProblemParams("I", lam, OMEGA)
+        sysk = build_mode_system(params, mats, 1, np.zeros((2, n)))
+        P = build_precond_I(params, mats, 1, surrogate_inverse=False)
         P_dense = np.linalg.inv(_dense_apply(P, sysk.rhs.size))
         theta = scipy.linalg.eigh(dense(sysk), (P_dense + P_dense.T) / 2, eigvals_only=True)
         mags = np.abs(theta)
@@ -157,10 +160,10 @@ def test_minres_agrees_with_direct(ctx16, scratch):
     mats = build_matrices(ctx16)
     bind = CaseBind(case, ctx16)
     for k in (0, 1, 4, 8):
-        sysk = build_mode_system("I", mats, k, case.lam, case.omega, bind.rhs(k))
-        P = build_precond_I(mats, k, case.lam, case.omega, surrogate_inverse=False)
+        sysk = build_mode_system(case.params, mats, k, bind.rhs(k))
+        P = build_precond_I(case.params, mats, k, surrogate_inverse=False)
         sol, stats = minres(sysk, P, tol=1e-10, maxiter=200, scratch=scratch)
-        ref = direct_solve(sysk, "I", case.lam, case.omega)
+        ref = direct_solve(sysk, case.params)
         e = sol.y[0] - ref.y[0]
         num = np.sqrt(e @ fresh_apply(mats.M, e))
         den = np.sqrt(ref.y[0] @ fresh_apply(mats.M, ref.y[0]))
@@ -172,8 +175,8 @@ def test_paper_mode_runs_fixed_iterations(ctx16, scratch):
     case = make_case(1)
     mats = build_matrices(ctx16)
     bind = CaseBind(case, ctx16)
-    sysk = build_mode_system("I", mats, 1, case.lam, case.omega, bind.rhs(1))
-    P = build_precond_I(mats, 1, case.lam, case.omega, surrogate_inverse=False)
+    sysk = build_mode_system(case.params, mats, 1, bind.rhs(1))
+    P = build_precond_I(case.params, mats, 1, surrogate_inverse=False)
     _, stats = minres(sysk, P, tol=1e-8, maxiter=200, scratch=scratch, fixed_iters=8)
     assert stats.iterations == 8
     assert stats.converged
@@ -185,8 +188,8 @@ def example1_mode1(ctx16):
     (MinRes) and the surrogate inverse (GMRES)."""
     case = make_case(1)
     mats = build_matrices(ctx16)
-    system = build_mode_system("I", mats, 1, case.lam, case.omega, CaseBind(case, ctx16).rhs(1))
-    return system, [build_precond_I(mats, 1, case.lam, case.omega, surrogate_inverse=inverse)
+    system = build_mode_system(case.params, mats, 1, CaseBind(case, ctx16).rhs(1))
+    return system, [build_precond_I(case.params, mats, 1, surrogate_inverse=inverse)
                     for inverse in (False, True)]
 
 
@@ -199,9 +202,9 @@ def test_solvers_are_scale_free(example1_mode1, s):
     # neither solver's step count nor its stopping tests; a MinRes breakdown
     # test on the data's scale stops after 1-2 steps at 1e10 and 1e17
     system, preconds = example1_mode1
-    for precond, solve in zip(preconds, (minres_raw, gmres_raw)):
-        x0, stats0 = solve(system.matrix, system.rhs, precond, 1e-10, 200, None, Scratch())
-        x, stats = solve(system.matrix, system.rhs * 10.0**s, precond, 1e-10, 200, None, Scratch())
+    for precond, solve in zip(preconds, (partial(minres_raw, fixed_iters=None), gmres_raw)):
+        x0, stats0 = solve(system.matrix, system.rhs, precond, 1e-10, 200, scratch=Scratch())
+        x, stats = solve(system.matrix, system.rhs * 10.0**s, precond, 1e-10, 200, scratch=Scratch())
         assert stats.converged and not stats.breakdown
         assert stats.iterations == stats0.iterations
         assert np.abs(x / 10.0**s - x0).max() <= 1e-12 * np.abs(x0).max()
@@ -213,7 +216,7 @@ def test_direct_solve_reports_singular():
     mats = ModeMatrices(K=A, M=A, KM=None, sigma=1.0, nu=1.0)
     bad = ModeSystem(k=0, mats=mats, matrix=None, rhs=np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(RuntimeError):
-        direct_solve(bad, "I", 1.0, 1.0)
+        direct_solve(bad, ProblemParams("I", 1.0, 1.0))
 
 
 def test_breakdown_is_clean_termination(rng, scratch):
@@ -270,8 +273,8 @@ def test_symbol_planes_are_symmetric(ctx8, k):
     mats = build_matrices(ctx8, sigma=1.5, nu=0.7)
     for surrogate_inverse in (False, True):
         for P in (
-            build_precond_I(mats, k, LAM, OMEGA, surrogate_inverse=surrogate_inverse),
-            *(build_precond_II(mats, k, LAM, OMEGA, surrogate_inverse=surrogate_inverse, family=f)
+            build_precond_I(PARAMS["I"], mats, k, surrogate_inverse=surrogate_inverse),
+            *(build_precond_II(PARAMS["II"], mats, k, surrogate_inverse=surrogate_inverse, family=f)
               for f in (0, 1)),
         ):
             planes = [*P.diag.reshape(-1, *P.diag.shape[-2:]), *P.scales]
@@ -290,8 +293,8 @@ def test_grid_symbols_are_symmetric(n):
     for k in (0, 2):
         for surrogate_inverse in (False, True):
             for P in (
-                build_precond_I(mats, k, LAM, OMEGA, surrogate_inverse=surrogate_inverse),
-                *(build_precond_II(mats, k, LAM, OMEGA, surrogate_inverse=surrogate_inverse, family=f)
+                build_precond_I(PARAMS["I"], mats, k, surrogate_inverse=surrogate_inverse),
+                *(build_precond_II(PARAMS["II"], mats, k, surrogate_inverse=surrogate_inverse, family=f)
                   for f in (0, 1)),
             ):
                 planes += [*P.diag.reshape(-1, *P.diag.shape[-2:]), *P.scales]
@@ -330,9 +333,9 @@ def test_precond_apply_inverts_matvec(ctx8, rng, k):
     S_k = nu * K + Mt / LAM + kws**2 * Mt @ K_inv @ Mt
     R_k = K + kws**2 * LAM * Mt + nu**2 * LAM * K @ Mt_inv @ K
     for P, state, adjoint in (
-        (build_precond_I(mats, k, LAM, OMEGA, surrogate_inverse=False), D, D / LAM),
-        (build_precond_II(mats, k, LAM, OMEGA, family=0, surrogate_inverse=False), K, S_k),
-        (build_precond_II(mats, k, LAM, OMEGA, family=1, surrogate_inverse=False), R_k, Mt / LAM),
+        (build_precond_I(PARAMS["I"], mats, k, surrogate_inverse=False), D, D / LAM),
+        (build_precond_II(PARAMS["II"], mats, k, family=0, surrogate_inverse=False), K, S_k),
+        (build_precond_II(PARAMS["II"], mats, k, family=1, surrogate_inverse=False), R_k, Mt / LAM),
     ):
         matvec = scipy.linalg.block_diag(*[state] * parts, *[adjoint] * parts)
         v = rng.standard_normal(2 * parts * m * m)
@@ -350,10 +353,11 @@ def test_abs_precond_is_inverse_absolute_value(n, problem, k):
     mats = build_matrices(FemContext(meshmod.build(n)), *rng.uniform(0.5, 2.0, size=2))
     S = _sine_basis(n - 1)
     mu_K, mu_M = _grid_symbols(mats)
-    coef_K, coef_M = mode_coefficients(problem, mats, k, lam, omega)
+    params = ProblemParams(problem, lam, omega)
+    coef_K, coef_M = mode_coefficients(params, mats, k)
     A = np.kron(coef_K, S @ np.diag(mu_K.ravel()) @ S) + np.kron(coef_M, S @ np.diag(mu_M.ravel()) @ S)
     build = build_precond_I if problem == "I" else build_precond_II
-    G = _dense_apply(build(mats, k, lam, omega, surrogate_inverse=True), len(A))
+    G = _dense_apply(build(params, mats, k, surrogate_inverse=True), len(A))
     assert np.abs(G @ A - np.eye(len(A))).max() <= 1e-12
     expect = np.linalg.inv(A)
     assert np.abs(G - expect).max() <= 1e-12 * np.abs(expect).max()
@@ -375,8 +379,7 @@ def test_converged_solve_reports_euclidean_residual(example, k):
     tol = 1e-10
     solver = _Solver(make_case(example), 32, ExperimentConfig(example=example, grid=32, tol=tol))
     sol, stats = solver.solve_mode(k, None)
-    case = solver.case
-    system = build_mode_system(case.problem, solver.mats, k, case.lam, case.omega, solver.bind.rhs(k))
+    system = build_mode_system(solver.params, solver.mats, k, solver.bind.rhs(k))
     x = np.concatenate([sol.y, sol.p]).ravel()
     ratio = np.linalg.norm(system.rhs - fresh_apply(system.matrix, x)) / np.linalg.norm(system.rhs)
     assert stats.converged and ratio <= 2 * tol
@@ -393,8 +396,7 @@ def _nonsymmetric_system(n=40):
 
 def test_gmres_solves_nonsymmetric_system(scratch):
     A, P, b = _nonsymmetric_system()
-    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-10, maxiter=50, fixed_iters=None,
-                         scratch=scratch)
+    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-10, maxiter=50, scratch=scratch)
     relres = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert stats.converged and not stats.breakdown
     assert relres <= 1e-10
@@ -405,25 +407,23 @@ def test_gmres_solves_nonsymmetric_system(scratch):
 
 def test_gmres_restarted_reaches_same_solution(monkeypatch, scratch):
     A, P, b = _nonsymmetric_system()
-    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-12, maxiter=50, fixed_iters=None,
-                         scratch=scratch)
+    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-12, maxiter=50, scratch=scratch)
     monkeypatch.setattr(saddlesolve, "GMRES_RESTART", 2)
-    x2, stats2 = gmres_raw(DenseOperator(A), b, P, tol=1e-12, maxiter=50, fixed_iters=None,
-                           scratch=scratch)
+    x2, stats2 = gmres_raw(DenseOperator(A), b, P, tol=1e-12, maxiter=50, scratch=scratch)
     assert stats.converged and stats2.converged
     assert stats2.iterations >= stats.iterations
     assert np.linalg.norm(x2 - x) <= 1e-9 * np.linalg.norm(x)
 
 
 def test_gmres_fixed_steps(scratch):
+    # maxiter = s toward tol = 0 gives the s-step iterate, unconverged
     A, P, b = _nonsymmetric_system()
-    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-10, maxiter=200, fixed_iters=0, scratch=scratch)
+    x, stats = gmres_raw(DenseOperator(A), b, P, tol=0.0, maxiter=0, scratch=scratch)
     assert stats.iterations == 0 and np.abs(x).max() == 0.0
     assert stats.relative_residual == 1.0
     for steps in (1, 3):
-        x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-10, maxiter=200, fixed_iters=steps,
-                             scratch=scratch)
-        assert stats.iterations == steps and stats.converged
+        x, stats = gmres_raw(DenseOperator(A), b, P, tol=0.0, maxiter=steps, scratch=scratch)
+        assert stats.iterations == steps and not stats.converged
         relres = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         assert stats.relative_residual == pytest.approx(relres, rel=1e-12)
 
@@ -432,8 +432,7 @@ def test_gmres_invariant_subspace_is_convergence(scratch):
     # rhs inside a two-dimensional invariant subspace of A P = D
     D = np.diag([1.0, 2.0, 3.0, 4.0])
     b = np.array([0.0, 1.0, 1.0, 0.0])
-    x, stats = gmres_raw(DenseOperator(D), b, DensePrecond(np.eye(4)), tol=1e-14, maxiter=10,
-                         fixed_iters=None, scratch=scratch)
+    x, stats = gmres_raw(DenseOperator(D), b, DensePrecond(np.eye(4)), tol=1e-14, maxiter=10, scratch=scratch)
     assert stats.iterations == 2
     assert stats.converged and not stats.breakdown
     assert np.abs(x - [0.0, 0.5, 1.0 / 3.0, 0.0]).max() <= 1e-14
@@ -442,11 +441,11 @@ def test_gmres_invariant_subspace_is_convergence(scratch):
 def test_stats_flags_are_python_bools(ctx8, rng, scratch):
     mats = build_matrices(ctx8)
     n = ctx8.K.shape[0]
-    sysk = build_mode_system("I", mats, 1, LAM, OMEGA, rng.standard_normal((2, n)))
+    sysk = build_mode_system(PARAMS["I"], mats, 1, rng.standard_normal((2, n)))
     for surrogate_inverse in (True, False):
-        P = build_precond_I(mats, 1, LAM, OMEGA, surrogate_inverse=surrogate_inverse)
-        for kwargs in (dict(tol=1e-10, maxiter=200), dict(tol=1e-8, maxiter=1),
-                       dict(tol=1e-8, maxiter=200, fixed_iters=2)):
+        P = build_precond_I(PARAMS["I"], mats, 1, surrogate_inverse=surrogate_inverse)
+        steps = dict(tol=0.0, maxiter=2) if surrogate_inverse else dict(tol=1e-8, maxiter=200, fixed_iters=2)
+        for kwargs in (dict(tol=1e-10, maxiter=200), dict(tol=1e-8, maxiter=1), steps):
             _, stats = minres(sysk, P, scratch=scratch, **kwargs)
             assert type(stats.converged) is bool and type(stats.breakdown) is bool
             assert type(stats.relative_residual) is float
@@ -457,10 +456,10 @@ def test_precond_II_family1_mode0_converges(rng, scratch):
     ctx = FemContext(meshmod.build(16))
     mats = build_matrices(ctx)
     n = ctx.K.shape[0]
-    sysk = build_mode_system("II", mats, 0, LAM, OMEGA, rng.standard_normal((1, n)))
-    P = build_precond_II(mats, 0, LAM, OMEGA, family=1, surrogate_inverse=False)
+    sysk = build_mode_system(PARAMS["II"], mats, 0, rng.standard_normal((1, n)))
+    P = build_precond_II(PARAMS["II"], mats, 0, family=1, surrogate_inverse=False)
     sol, stats = minres(sysk, P, tol=1e-10, maxiter=300, scratch=scratch)
-    ref = direct_solve(sysk, "II", LAM, OMEGA)
+    ref = direct_solve(sysk, PARAMS["II"])
     assert stats.converged
     assert stats.iterations <= 40
     for a, b in ((sol.y, ref.y), (sol.p, ref.p)):
@@ -498,10 +497,10 @@ def test_precond_apply_in_place(ctx8, rng, k):
     size = 2 * mode_parts(k) * ctx8.K.shape[0]
     scratch = Scratch()
     for P in (
-        build_precond_I(mats, k, LAM, OMEGA, surrogate_inverse=False),
-        build_precond_I(mats, k, LAM, OMEGA, surrogate_inverse=True),
-        build_precond_II(mats, k, LAM, OMEGA, family=1, surrogate_inverse=False),
-        build_precond_II(mats, k, LAM, OMEGA, surrogate_inverse=True),
+        build_precond_I(PARAMS["I"], mats, k, surrogate_inverse=False),
+        build_precond_I(PARAMS["I"], mats, k, surrogate_inverse=True),
+        build_precond_II(PARAMS["II"], mats, k, family=1, surrogate_inverse=False),
+        build_precond_II(PARAMS["II"], mats, k, surrogate_inverse=True),
     ):
         with scratch.lend((3 * size,)) as (stale,):
             stale[...] = np.nan
@@ -520,8 +519,8 @@ def test_gmres_with_a_used_scratch_is_bit_equal(ctx8, rng):
     n = ctx8.K.shape[0]
     scratch = Scratch()
     for k in (3, 0, 1):
-        sysk = build_mode_system("I", mats, k, LAM, OMEGA, rng.standard_normal((mode_parts(k), n)))
-        P = build_precond_I(mats, k, LAM, OMEGA, surrogate_inverse=True)
+        sysk = build_mode_system(PARAMS["I"], mats, k, rng.standard_normal((mode_parts(k), n)))
+        P = build_precond_I(PARAMS["I"], mats, k, surrogate_inverse=True)
         used, stats = minres(sysk, P, tol=1e-12, maxiter=200, scratch=scratch)
         fresh, _ = minres(sysk, P, tol=1e-12, maxiter=200, scratch=Scratch())
         assert stats.converged
@@ -552,8 +551,8 @@ def _example1_mode1(n: int, surrogate_inverse: bool):
     case = make_case(1)
     ctx = FemContext(meshmod.build(n))
     mats = build_matrices(ctx)
-    system = build_mode_system("I", mats, 1, case.lam, case.omega, CaseBind(case, ctx).rhs(1))
-    return system, build_precond_I(mats, 1, case.lam, case.omega, surrogate_inverse=surrogate_inverse)
+    system = build_mode_system(case.params, mats, 1, CaseBind(case, ctx).rhs(1))
+    return system, build_precond_I(case.params, mats, 1, surrogate_inverse=surrogate_inverse)
 
 
 def test_gmres_lends_each_vector_while_it_is_live():
@@ -578,7 +577,7 @@ def test_gmres_lends_each_vector_while_it_is_live():
         return system.matrix(v, out=out, scratch=scratch)
 
     scratch = RecordingScratch()
-    x, stats = gmres_raw(product, system.rhs, SimpleNamespace(apply=apply), 1e-10, 200, None, scratch)
+    x, stats = gmres_raw(product, system.rhs, SimpleNamespace(apply=apply), 1e-10, 200, scratch)
     s = stats.iterations
     assert stats.converged and s >= 2
     assert len(images) == s
@@ -587,7 +586,7 @@ def test_gmres_lends_each_vector_while_it_is_live():
     assert held_at_product[-1] == (2 * s + 1) * dim
     assert scratch.peak <= (2 * s + 1) * dim + max(one_apply.peak, one_product.peak)
     assert scratch.lent == 0
-    fresh, _ = gmres_raw(system.matrix, system.rhs, P, 1e-10, 200, None, Scratch())
+    fresh, _ = gmres_raw(system.matrix, system.rhs, P, 1e-10, 200, Scratch())
     assert np.array_equal(x, fresh)
 
 
@@ -644,14 +643,16 @@ def test_warm_gmres_solve_allocates_its_solution_alone():
 @pytest.mark.parametrize("surrogate_inverse", [False, True])
 def test_builders_reject_nonpositive_lambda(ctx8, lam, surrogate_inverse):
     # every preconditioner divides by lambda or takes its square root, so
-    # lambda <= 0 raises instead of giving a non-finite or indefinite symbol
+    # lambda <= 0 raises, in the ProblemParams that the builders take,
+    # instead of giving a non-finite or indefinite symbol
     mats = build_matrices(ctx8)
     for k in (0, 1):
         with pytest.raises(ValueError, match="lam"):
-            build_precond_I(mats, k, lam, OMEGA, surrogate_inverse=surrogate_inverse)
+            build_precond_I(ProblemParams("I", lam, OMEGA), mats, k, surrogate_inverse=surrogate_inverse)
         for family in (0, 1):
             with pytest.raises(ValueError, match="lam"):
-                build_precond_II(mats, k, lam, OMEGA, surrogate_inverse=surrogate_inverse, family=family)
+                build_precond_II(ProblemParams("II", lam, OMEGA), mats, k, surrogate_inverse=surrogate_inverse,
+                                 family=family)
 
 
 def test_definite_preconditioners_pick_minres(ctx8):
@@ -660,10 +661,10 @@ def test_definite_preconditioners_pick_minres(ctx8):
     mats = build_matrices(ctx8)
     for k in (0, 2):
         for family in (0, 1):
-            assert build_precond_II(mats, k, LAM, OMEGA, family=family, surrogate_inverse=False).definite
-        assert build_precond_I(mats, k, LAM, OMEGA, surrogate_inverse=False).definite
-        for build in (build_precond_I, build_precond_II):
-            assert not build(mats, k, LAM, OMEGA, surrogate_inverse=True).definite
+            assert build_precond_II(PARAMS["II"], mats, k, family=family, surrogate_inverse=False).definite
+        assert build_precond_I(PARAMS["I"], mats, k, surrogate_inverse=False).definite
+        for problem, build in (("I", build_precond_I), ("II", build_precond_II)):
+            assert not build(PARAMS[problem], mats, k, surrogate_inverse=True).definite
 
 
 # -- starts from the seed modes ------------------------------------------------
@@ -673,8 +674,7 @@ def test_gmres_from_exact_solution_takes_no_step(scratch):
     # a start that already meets the tolerance is returned as it is
     A, P, b = _nonsymmetric_system()
     exact = np.linalg.solve(A, b)
-    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-10, maxiter=50, fixed_iters=None,
-                         scratch=scratch, x0=exact.copy())
+    x, stats = gmres_raw(DenseOperator(A), b, P, tol=1e-10, maxiter=50, scratch=scratch, x0=exact.copy())
     assert stats.iterations == 0 and stats.converged
     assert np.array_equal(x, exact)
     relres = np.linalg.norm(b - A @ exact) / np.linalg.norm(b)
@@ -690,14 +690,11 @@ def _seed_rows(solver, seeds) -> np.ndarray:
 
 
 def _seed_start(solver, rows) -> saddlesolve.SeedStart:
-    case = solver.case
-    return saddlesolve.SeedStart(case.problem, solver.mats, case.lam, case.omega, solver.bind.load,
-                                 list(rows), Scratch())
+    return saddlesolve.SeedStart(solver.params, solver.mats, solver.bind.load, list(rows), Scratch())
 
 
 def _mode_system(solver, k):
-    case = solver.case
-    return build_mode_system(case.problem, solver.mats, k, case.lam, case.omega, solver.bind.rhs(k))
+    return build_mode_system(solver.params, solver.mats, k, solver.bind.rhs(k))
 
 
 def test_start_residual_of_zero_exact_and_seeded_starts():
@@ -706,7 +703,7 @@ def test_start_residual_of_zero_exact_and_seeded_starts():
     solver = _Solver(make_case(1), 32, ExperimentConfig(example=1, grid=32, tol=1e-10))
     start = _seed_start(solver, _seed_rows(solver, (1, 2)))
     system = _mode_system(solver, 5)
-    precond = build_precond_I(solver.mats, 5, solver.case.lam, solver.case.omega, surrogate_inverse=True)
+    precond = build_precond_I(solver.params, solver.mats, 5, surrogate_inverse=True)
     bnorm = np.linalg.norm(system.rhs)
     zero, zero_stats = minres(system, precond, tol=1e-10, maxiter=50, scratch=Scratch())
     assert zero_stats.start_residual == 1.0 and zero_stats.iterations >= 2
@@ -720,10 +717,12 @@ def test_start_residual_of_zero_exact_and_seeded_starts():
     _, exact_stats = minres(system, precond, tol=1e-10, maxiter=50, scratch=Scratch(), start=exact.copy())
     assert exact_stats.iterations == 0
     assert exact_stats.start_residual == exact_stats.relative_residual == seeded_stats.relative_residual
-    # paper mode's MinRes takes no start
+    # paper mode's MinRes takes no start, and GMRES no fixed step count
     with pytest.raises(ValueError, match="GMRES"):
-        minres(system, build_precond_I(solver.mats, 5, solver.case.lam, solver.case.omega, False),
+        minres(system, build_precond_I(solver.params, solver.mats, 5, False),
                tol=1e-10, maxiter=50, scratch=Scratch(), start=x0)
+    with pytest.raises(ValueError, match="MinRes"):
+        minres(system, precond, tol=1e-10, maxiter=50, scratch=Scratch(), fixed_iters=3)
 
 
 def _dense_start_residual(solver, start, k) -> float:

@@ -13,8 +13,9 @@ its name is read anywhere in `src/`, `scripts/` or `perfbench/`, or a
 string there names it; dunder methods are called by the language and are
 exempt.
 
-A parameter default of a function or method of `src/mhbounds` is read when
-a call in `src/`, `scripts/` or `perfbench/` leaves the parameter out.
+A parameter default of a function or method of `src/mhbounds`, or a field
+default of one of its dataclasses, is read when a call in `src/`,
+`scripts/` or `perfbench/` leaves the parameter or field out.
 """
 
 import ast
@@ -137,10 +138,12 @@ def _names(node) -> set:
 def _defaulted(package: Path) -> dict:
     """{(definition, parameter): (the names a call of it goes by, the index of
     the positional argument that passes it, or None)} of every parameter
-    with a default of a module-level function or a method of `package`.
+    with a default of a module-level function or a method of `package`, and
+    of every field with a default of a module-level dataclass.
 
-    A method is called by its name and `__init__` by its class's, and the
-    index of a method's argument does not count `self`.
+    A method is called by its name and `__init__` and a dataclass by their
+    class's, the index of a method's argument does not count `self`, and
+    that of a dataclass field is its place among the class's fields.
     """
     out = {}
     for path in sorted(package.glob("*.py")):
@@ -161,6 +164,12 @@ def _defaulted(package: Path) -> dict:
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
                     out[(qualified, arg.arg)] = (names, None)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and any("dataclass" in _names(d) for d in cls.decorator_list):
+                fields = [item for item in cls.body if isinstance(item, ast.AnnAssign)]
+                for index, item in enumerate(fields):
+                    if item.value is not None:
+                        out[(f"{path.stem}.{cls.name}", item.target.id)] = ({cls.name}, index)
     return out
 
 
@@ -210,3 +219,17 @@ def unreached_defaults(package: Path = PACKAGE, readers=("scripts", "perfbench")
 def test_every_src_default_has_a_reader():
     unreached = unreached_defaults()
     assert not unreached, f"parameter defaults that only the tests rely on (make them required): {unreached}"
+
+
+def test_dataclass_field_defaults_are_checked(tmp_path):
+    # a field default is read where a call leaves the field out, passed
+    # neither by keyword nor at its place among the fields
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 1\n    z: list = field(default_factory=list)\n\n\n"
+        "@dataclass\nclass B:\n    x: int = 0\n\n\n"
+        "def use():\n    return A(0, 2), B(x=1)\n"
+    )
+    assert unreached_defaults(package, readers=()) == ["mod.A(y)", "mod.B(x)"]
