@@ -30,6 +30,7 @@ from .bounds import (
     efficiency_indices,
     evaluate_mode,
     m1_index,
+    mode_bounds,
 )
 from .cases import CaseBind, ExampleCase, make_case
 from .femcore import FemContext, Scratch, prolong
@@ -208,8 +209,9 @@ class _Solver:
         """Mode k's report, timed over its solve and bounds, and its solution."""
         start_time = time.perf_counter()
         sol, stats = self.solve_mode(k, start)
-        bounds = evaluate_mode(self.params, self.mats, self.ctx, sol, self.bind.mode_data(k),
-                               scratch=self._scratch())
+        terms = evaluate_mode(self.params, self.mats, self.ctx, sol, self.bind.mode_data(k),
+                              scratch=self._scratch())
+        bounds = mode_bounds(terms, self.params, self.mats.mu1)
         elapsed = time.perf_counter() - start_time
         return ModeReport(k=k, t_sec=elapsed, bounds=bounds, stats=stats), sol
 

@@ -4,6 +4,8 @@ For every Fourier mode the discrete state/adjoint pair, together with
 averaged-flux reconstructions, yields a fully computable upper bound
 (majorant) and lower bound (minorant) on the optimal cost, plus an upper
 bound on the control-state discretization error in a weighted H1-type norm.
+`evaluate_mode` computes a mode's terms, a `ModeTerms` of floats, and
+`mode_bounds`, the one home of the bound formulas, turns them into bounds.
 
 The majorant holds for every pair of parameters alpha, beta > 0 and is taken
 at its infimum over both, which has a closed form (see `optimal_majorant`).
@@ -59,16 +61,6 @@ def optimal_majorant(misfit: float, sta: float, control_energy: float, mu1: floa
 
 
 @dataclass
-class ResidualSet:
-    """L2 norms (cos/sin parts combined) of the four bound residuals."""
-
-    r1: float
-    r2: float
-    r3: float
-    r4: float
-
-
-@dataclass
 class ModeData:
     """Per-mode data entering misfits, residuals and right-hand sides.
 
@@ -96,17 +88,29 @@ class ModeData:
     g_flux: Optional[fluxrecon.GridFlux] = None
 
 
+@dataclass(frozen=True)
+class ModeTerms:
+    """What mode k's bounds are formed from, cosine and sine parts combined:
+    the squared data misfit, the norms r1 ... r4 of the residuals,
+    p_mass = ||p||_M^2 and bilin = <y, nu K p + J M p>, J the quarter turn."""
+
+    k: int
+    misfit: float
+    r1: float
+    r2: float
+    r3: float
+    r4: float
+    p_mass: float
+    bilin: float
+
+
 @dataclass
 class ModeBounds:
-    """Bound evaluation of a single mode."""
+    """Minorant, majorant and error-majorant excess of a single mode."""
 
     k: int
     minorant: float
     majorant: float
-    residuals: ResidualSet
-    misfit: float
-    control_energy: float
-    mixed: float
     m1_extra: float
 
 
@@ -300,8 +304,8 @@ def evaluate_mode(
     sol: ModeSolution,
     data: ModeData,
     scratch: Scratch,
-) -> ModeBounds:
-    """Residuals, majorant, minorant and error majorant of mode k.
+) -> ModeTerms:
+    """The bound terms of mode k (see `ModeTerms`).
 
     The cosine and sine parts are evaluated together, stacked on a leading
     axis.  Residuals that are piecewise polynomial (P1 or RT0 per triangle)
@@ -311,18 +315,11 @@ def evaluate_mode(
 
     The per-triangle terms are summed over blocks of whole cell rows, about
     BOUND_CELLS cells each (see `_add_block`).  The block buffers, and those
-    of the mixed term's stiffness and mass products, taken in one pass, are
+    of the pairing's stiffness and mass products, taken in one pass, are
     lent by `scratch`.
     """
-    k = sol.k
-    lam, nu = params.lam, mats.nu
-    cf, mu1 = C_FRIEDRICHS, mats.mu1
-    kws = k * params.omega * mats.sigma
-
+    kws = sol.k * params.omega * mats.sigma
     terms = _block_terms(params, mats, ctx, sol, data, scratch)
-    res = ResidualSet(*(np.sqrt(terms[name]) for name in ("r1", "r2", "r3", "r4")))
-    misfit = terms["misfit"]
-
     ys, ps = sol.y, sol.p
     with scratch.lend((2,) + ps.shape, ps.shape) as (products, pairing):
         kp, mp = mats.KM(ps, out=products, scratch=scratch)
@@ -330,36 +327,31 @@ def evaluate_mode(
         # bilinear pairing of state against adjoint, with the time-derivative
         # coupling  k omega sigma (y_s . M p_c - y_c . M p_s)
         quarter_turn(mp, kws, out=pairing)
-        kp *= nu
+        kp *= mats.nu
         pairing += kp
         bilin = float(np.vdot(ys, pairing))
-    control_energy = p_mass / (2 * lam)
-    quad = p_mass / lam
+    residuals = (np.sqrt(terms[name]) for name in ("r1", "r2", "r3", "r4"))
+    return ModeTerms(sol.k, terms["misfit"], *residuals, p_mass=p_mass, bilin=bilin)
+
+
+def mode_bounds(terms: ModeTerms, params: ProblemParams, mu1: float) -> ModeBounds:
+    """Minorant, majorant and error-majorant excess of a mode from its
+    terms, with the coercivity constant mu1 (see `ModeMatrices`): the one
+    place the bound formulas live."""
+    lam, cf = params.lam, C_FRIEDRICHS
+    control_energy = terms.p_mass / (2 * lam)
+    quad = terms.p_mass / lam
     # Problem I subtracts the pairing (benchmark-calibrated orientation,
     # equal to 2/lam ||p||^2 at the discrete solution); problem II uses the
     # orientation under which the term vanishes at the discrete solution.
-    mixed = quad - bilin if params.problem == "I" else quad + bilin
+    mixed = quad - terms.bilin if params.problem == "I" else quad + terms.bilin
 
-    adj = cf * res.r3 + res.r4
-    sta = cf * res.r1 + res.r2
-    minorant = (
-        0.5 * misfit
-        + control_energy
-        - mixed
-        - cf**2 / (mu1**2 * lam) * adj**2
-        - sta * adj / mu1
-    )
-
-    return ModeBounds(
-        k=k,
-        minorant=minorant,
-        majorant=optimal_majorant(misfit, sta, control_energy, mu1),
-        residuals=res,
-        misfit=misfit,
-        control_energy=control_energy,
-        mixed=mixed,
-        m1_extra=3 * lam / (4 * cf**2) * sta**2,
-    )
+    adj = cf * terms.r3 + terms.r4
+    sta = cf * terms.r1 + terms.r2
+    minorant = (0.5 * terms.misfit + control_energy - mixed
+                - cf**2 / (mu1**2 * lam) * adj**2 - sta * adj / mu1)
+    majorant = optimal_majorant(terms.misfit, sta, control_energy, mu1)
+    return ModeBounds(terms.k, minorant, majorant, m1_extra=3 * lam / (4 * cf**2) * sta**2)
 
 
 @dataclass
@@ -371,14 +363,14 @@ class OverallBounds:
     m1_extra: float
 
 
-def aggregate(mode_bounds: list[ModeBounds], params: ProblemParams, remainder: float) -> OverallBounds:
+def aggregate(modes: list[ModeBounds], params: ProblemParams, remainder: float) -> OverallBounds:
     """Combine mode bounds, mode k weighted by T / mode_parts(k): T for
     mode 0 and T/2 for the higher modes.
 
     The remainder enters the minorant with weight 1/2 and the majorant with
     (1 + ALPHA_TAIL)/2; the error majorant aggregates without a remainder.
     """
-    by_k = sorted(mode_bounds, key=lambda b: b.k)
+    by_k = sorted(modes, key=lambda b: b.k)
     if not by_k or by_k[0].k != 0:
         raise ValueError("aggregation requires the k=0 mode")
     weighted = [(params.period / mode_parts(b.k), b) for b in by_k]

@@ -119,14 +119,10 @@ class ExampleCase:
     sigma: float = 1.0
     nu: float = 1.0
 
-    @property
+    @cached_property
     def params(self) -> ProblemParams:
         """The cost's constants (see `ProblemParams`, which checks them)."""
         return ProblemParams(self.problem, self.lam, self.omega)
-
-    @property
-    def period(self) -> float:
-        return 2.0 * PI / self.omega
 
     @cached_property
     def _samples(self) -> np.ndarray:
@@ -161,7 +157,7 @@ class ExampleCase:
         (alpha_a - i nu), and where g joins smoothly across the period's end
         the top coefficients cancel that a high mode's terms would."""
         x = TRIG / self.omega  # e^{i a T} with the whole turns of a T taken off
-        w = self._trig_coefs * np.expm1(self.period + 2j * PI * (x - np.round(x)))
+        w = self._trig_coefs * np.expm1(self.params.period + 2j * PI * (x - np.round(x)))
         # -prod_{b != a} (nu - (b - i)), of Gaussian integers exact in floats
         polys = -np.array([np.polynomial.polynomial.polyfromroots(np.delete(TRIG - 1j, i))
                            for i in range(TRIG.size)])
@@ -178,26 +174,27 @@ class ExampleCase:
         (m J_{m-1} - 1) / (2 pi i k) from J_0 = 0; its rounding grows by
         m / (2 pi k) a step, T^m / m! falls faster."""
         k = np.asarray(ks, dtype=float)[..., None]
-        if self.period >= 1.0:
+        T = self.params.period
+        if T >= 1.0:
             nu = k * self.omega
             denominator = np.prod(1.0 + 1j * (TRIG - nu), axis=-1)
-            return np.polynomial.polynomial.polyval(nu[..., 0], self._numerator) / denominator / self.period
+            return np.polynomial.polynomial.polyval(nu[..., 0], self._numerator) / denominator / T
         turn = 2j * PI * np.where(k == 0, 1.0, k)
         moments = [np.where(k == 0, 1.0 + 0j, 0.0)]
         for m in range(1, TAYLOR_TERMS):
             moments.append(np.where(k == 0, 1.0 / (m + 1), (m * moments[-1] - 1.0) / turn))
-        return np.concatenate(moments, axis=-1) @ (self._taylor * self.period ** np.arange(TAYLOR_TERMS))
+        return np.concatenate(moments, axis=-1) @ (self._taylor * T ** np.arange(TAYLOR_TERMS))
 
     def _energies(self, ks: np.ndarray) -> np.ndarray:
         """Parseval energies T |g_0|^2 and 2 T |g_k|^2 of modes ks."""
-        return np.where(ks > 0, 2.0, 1.0) * self.period * np.abs(self._coefficients(ks)) ** 2
+        return np.where(ks > 0, 2.0, 1.0) * self.params.period * np.abs(self._coefficients(ks)) ** 2
 
     @cached_property
     def time_norm2(self) -> float:
         """||g||_T^2 = sum_{a,b} c_a conj(c_b) expm1(z T) / z, z = 2 + i (a - b),
         not finite where e^{2T} overflows; below T = 1, where the terms cancel
         as g does near 0, the integral of the square of g's Taylor series."""
-        c, T = self._trig_coefs, self.period
+        c, T = self._trig_coefs, self.params.period
         if T < 1.0:
             powers = np.add.outer(np.arange(TAYLOR_TERMS), np.arange(TAYLOR_TERMS)) + 1
             return float(np.real(self._taylor @ (T**powers / powers) @ self._taylor.conj()))
@@ -209,7 +206,7 @@ class ExampleCase:
     def data_norm2(self) -> float:
         """The data's squared norm over one period, ||g||_T^2 ||profile||^2;
         the on-off factor of cases 3 and 6 is on for half of it."""
-        time = self.time_norm2 if self.has_analytic_reference else 0.5 * self.period
+        time = self.time_norm2 if self.has_analytic_reference else 0.5 * self.params.period
         return time * self.spatial_norm2
 
     def mode_pair(self, k: int) -> tuple[float, float]:
@@ -233,7 +230,7 @@ class ExampleCase:
             ks = np.arange(1, n_modes + 1)
             partial = float(np.sum(1.0 / ks[ks % 2 == 1] ** 2))
             tail = (4.0 / PI2) * (PI2 / 8.0 - partial)
-            return float(0.5 * self.period * tail * self.spatial_norm2)
+            return float(0.5 * self.params.period * tail * self.spatial_norm2)
         retained = float(np.sum(self._energies(np.arange(n_modes + 1))))
         return (self.time_norm2 - retained) * self.spatial_norm2
 
@@ -317,9 +314,10 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
 
     Raises:
         ValueError: for an unknown id, a non-finite or non-positive lambda
-            or omega, or an omega whose period 2 pi / omega is so long that
-            the data's squared norm over it, times max(1, 1 / lambda), is
-            above DATA_NORM_CAP (or overflows), so the bounds could overflow.
+            or omega, or a pair for which the data's squared norm over the
+            period 2 pi / omega, times max(1, 1 / lambda), is above
+            DATA_NORM_CAP (or overflows), so the bounds could overflow; the
+            message names lambda where the norm alone is within the cap.
     """
     if ident not in _CASE_SPECS:
         raise ValueError(f"unknown example id {ident}")
@@ -327,10 +325,15 @@ def make_case(ident: int, lam: float | None = None, omega: float | None = None) 
     spec.update((name, value) for name, value in (("lam", lam), ("omega", omega)) if value is not None)
     case = ExampleCase(ident=ident, **spec)
     params = case.params  # checks lambda and omega before the data's norm reads them
-    if not max(1.0, 1.0 / params.lam) * case.data_norm2 <= DATA_NORM_CAP:
-        raise ValueError(f"omega = {case.omega:g} is too small for lambda = {case.lam:g}: the data of "
-                         f"example {ident} reach a squared norm of {case.data_norm2:.3g} over the period "
-                         f"{case.period:g}, which leaves the bounds too little room below overflow")
+    norm2 = case.data_norm2
+    if not max(1.0, 1.0 / params.lam) * norm2 <= DATA_NORM_CAP:
+        # the norm alone within the cap leaves 1 / lambda at fault
+        names = (f"lambda = {params.lam:g}", f"omega = {params.omega:g}")
+        small, other = names if norm2 <= DATA_NORM_CAP else names[::-1]
+        size = f"is {norm2:.3g}" if np.isfinite(norm2) else "overflows"
+        raise ValueError(f"{small} is too small for {other}: the squared norm of the data of example "
+                         f"{ident} over the period {params.period:g} {size}, which leaves the bounds "
+                         "too little room below overflow")
     return case
 
 

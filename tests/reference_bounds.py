@@ -4,9 +4,11 @@ This is the loop-over-parts evaluation that `bounds.evaluate_mode` replaced:
 every residual is sampled at the 7 quadrature points of every triangle and
 integrated by the degree-5 rule, with the cosine and sine parts handled one
 after the other.  The tests compare the batched exact-integral evaluation
-against it.  It is self-contained (its own edge-numbered RT0 helpers; of
-`fluxrecon` it takes only the `GridFlux` container) so that a change to
-`fluxrecon` cannot move both sides at once.  It reads the data as samples at
+against it term by term; both return a `ModeTerms`, so the bound formulas
+(`bounds.mode_bounds`) are not repeated here.  It is self-contained (its
+own edge-numbered RT0 helpers; of `fluxrecon` it takes only the `GridFlux`
+container) so that a change to `fluxrecon` cannot move both sides at once.
+It reads the data as samples at
 the quadrature points of one profile, scaled per part by the mode's time
 coefficients (`QuadratureData`); `project` turns the same samples into the
 per-triangle projections that `evaluate_mode` reads.
@@ -34,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from mhbounds.bounds import C_FRIEDRICHS, ModeBounds, ModeData, ResidualSet
+from mhbounds.bounds import C_FRIEDRICHS, ModeData, ModeTerms
 from mhbounds.fluxrecon import GridFlux
 from reference_assembly import (
     norm2, p1_at_qp, p1_grad, project_p1, project_rt0, quadrature_points, to_full, vec_norm2,
@@ -241,9 +243,9 @@ def grid_match_boundary_divergence(mesh, flux: GridFlux, target_div: np.ndarray,
         h[..., -1, :] -= top
 
 
-def evaluate_mode_reference(params, mats, ctx, sol, data) -> ModeBounds:
-    """Residuals, majorant, minorant and error majorant by 7-point quadrature,
-    from the quadrature samples `data` (a QuadratureData)."""
+def evaluate_mode_reference(params, mats, ctx, sol, data) -> ModeTerms:
+    """The bound terms of `bounds.evaluate_mode` by 7-point quadrature, from
+    the quadrature samples `data` (a QuadratureData)."""
     mesh = ctx.mesh
     points = quadrature_points(mesh)
     K, M = stencil_csr(mats.K), stencil_csr(mats.M)
@@ -251,7 +253,6 @@ def evaluate_mode_reference(params, mats, ctx, sol, data) -> ModeBounds:
     problem, lam = params.problem, params.lam
     kw = k * params.omega
     nu, sigma = mats.nu, mats.sigma
-    cf, mu1 = C_FRIEDRICHS, mats.mu1
 
     def part(arr, j):
         return None if arr is None else data.coef[j] * arr
@@ -302,40 +303,14 @@ def evaluate_mode_reference(params, mats, ctx, sol, data) -> ModeBounds:
         r3_sq += norm2(ctx, r3_vals)
         r4_sq += vec_norm2(ctx, r4_vals)
 
-    res = ResidualSet(np.sqrt(r1_sq), np.sqrt(r2_sq), np.sqrt(r3_sq), np.sqrt(r4_sq))
-
-    control_energy = float(sol_p_c @ (M @ sol_p_c)) / (2 * lam)
-    if k > 0:
-        control_energy += float(sol_p_s @ (M @ sol_p_s)) / (2 * lam)
-
+    p_mass = float(sol_p_c @ (M @ sol_p_c))
     bilin = float(sol_y_c @ (Kn @ sol_p_c))
-    quad = float(sol_p_c @ (M @ sol_p_c)) / lam
     if k > 0:
+        p_mass += float(sol_p_s @ (M @ sol_p_s))
         bilin += float(sol_y_s @ (Kn @ sol_p_s))
-        bilin += kw * (
-            float(sol_y_s @ (Ms @ sol_p_c))
-            - float(sol_y_c @ (Ms @ sol_p_s))
-        )
-        quad += float(sol_p_s @ (M @ sol_p_s)) / lam
-    mixed = quad - bilin if problem == "I" else quad + bilin
-
-    alpha, beta = optimal_parameters(misfit, res.r1, res.r2, mu1)
-    majorant = majorant_form(misfit, res.r1, res.r2, alpha, beta, mu1, P=control_energy)
-
-    adj = cf * res.r3 + res.r4
-    sta = cf * res.r1 + res.r2
-    minorant = (
-        0.5 * misfit
-        + control_energy
-        - mixed
-        - cf**2 / (mu1**2 * lam) * adj**2
-        - sta * adj / mu1
-    )
-    m1_extra = 3 * lam / (4 * cf**2) * sta**2
-    return ModeBounds(
-        k=k, minorant=minorant, majorant=majorant, residuals=res, misfit=misfit,
-        control_energy=control_energy, mixed=mixed, m1_extra=m1_extra,
-    )
+        bilin += kw * (float(sol_y_s @ (Ms @ sol_p_c)) - float(sol_y_c @ (Ms @ sol_p_s)))
+    residuals = np.sqrt([r1_sq, r2_sq, r3_sq, r4_sq])
+    return ModeTerms(k, misfit, *residuals, p_mass=p_mass, bilin=bilin)
 
 
 # -- the majorant at explicit parameters, and its brute-force minimum --------

@@ -143,16 +143,15 @@ def test_criterion_6_example3_indices():
 
 
 def test_criterion_7a_sandwich_random(scratch):
-    from test_bounds import _random_config, _solve_random
+    from test_bounds import _bounds, _random_config, _solve_random
     from reference_bounds import project
-    from mhbounds.bounds import evaluate_mode
 
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(200):
         problem, n, k, lam, omega, sigma, nu = _random_config(rng)
         ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
+        mb = _bounds(params, mats, ctx, sol, project(ctx, data), scratch)
         slack = (mb.minorant - mb.majorant) / max(abs(mb.majorant), 1e-12)
         worst = max(worst, slack)
         assert mb.minorant <= mb.majorant + 1e-9 * abs(mb.majorant)

@@ -88,7 +88,7 @@ def test_markdown_writer(tmp_path, small_report):
 def test_zero_data_zero_bounds(scratch):
     # with vanishing data every mode solution and both bounds are zero
     import mhbounds.mesh as meshmod
-    from mhbounds.bounds import ModeData, evaluate_mode
+    from mhbounds.bounds import ModeData, evaluate_mode, mode_bounds
     from mhbounds.femcore import FemContext
     from mhbounds.systems import ProblemParams, build_matrices, build_mode_system
     from reference_systems import direct_solve
@@ -100,7 +100,7 @@ def test_zero_data_zero_bounds(scratch):
     system = build_mode_system(params, mats, 1, np.zeros((2, n)))
     sol = direct_solve(system, params)
     data = ModeData(coef=np.ones(2), y_vert=np.zeros((2, 3, 4, 4)))
-    mb = evaluate_mode(params, mats, ctx, sol, data, scratch=scratch)
+    mb = mode_bounds(evaluate_mode(params, mats, ctx, sol, data, scratch=scratch), params, mats.mu1)
     assert mb.majorant == 0.0
     assert mb.minorant == 0.0
 
@@ -531,7 +531,7 @@ def test_fine_cost_is_the_optimal_cost_of_the_fine_solution(example):
         assert stats.converged
         b = bench.evaluate_mode(solver.params, solver.mats, solver.ctx, sol, solver.bind.mode_data(k),
                                 scratch=solver._scratch())
-        expect = 0.5 * b.misfit + b.control_energy
+        expect = 0.5 * b.misfit + b.p_mass / (2 * case.lam)
         cost = solver.bind.optimal_cost(k, sol.y)
         assert abs(cost - expect) <= 1e-10 * expect
         costs, _ = bench.fine_grid_reference(case, 8, solver.ctx, {k: sol.y}, config)

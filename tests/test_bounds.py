@@ -13,8 +13,10 @@ from mhbounds.bounds import (
     aggregate,
     combined_norm_weights,
     efficiency_indices,
+    ModeTerms,
     evaluate_mode,
     m1_index,
+    mode_bounds,
     optimal_majorant,
 )
 from mhbounds.cases import CaseBind, make_case
@@ -94,6 +96,11 @@ def _solve_random(rng, problem, n, k, lam, omega, sigma, nu, steps=None, noise=0
     return ctx, mats, params, sol, data
 
 
+def _bounds(params, mats, ctx, sol, data, scratch):
+    """The mode's bounds, from the terms `evaluate_mode` gives."""
+    return mode_bounds(evaluate_mode(params, mats, ctx, sol, data, scratch=scratch), params, mats.mu1)
+
+
 def _closed_form(A, r1, r2, mu1, P):
     return optimal_majorant(A, C_FRIEDRICHS * r1 + r2, P, mu1)
 
@@ -152,18 +159,30 @@ def test_flux_residual_grows_under_perturbation(ctx8, rng):
 
 
 def test_mixed_term_identities(rng, scratch):
-    # problem I pairing evaluates to 2/lam ||p||^2 at the discrete solution;
-    # problem II pairing vanishes there
+    # at the discrete solution the adjoint row gives bilin = -||p||_M^2 / lam,
+    # so problem I's mixed term is 2/lam ||p||^2 and problem II's vanishes
     for seed in range(5):
         local = np.random.default_rng(seed)
         problem, n, k, lam, omega, sigma, nu = _random_config(local)
         ctx, mats, params, sol, data = _solve_random(local, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
-        scale = max(abs(mb.mixed), 2 * mb.control_energy, 1e-12)
-        if problem == "I":
-            assert abs(mb.mixed - 4 * mb.control_energy) < 1e-8 * scale
-        else:
-            assert abs(mb.mixed) < 1e-8 * max(scale, abs(mb.misfit))
+        terms = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
+        quad = terms.p_mass / lam
+        assert abs(terms.bilin + quad) < 1e-8 * max(abs(terms.bilin), quad, 1e-12)
+
+
+@pytest.mark.parametrize("problem", ["I", "II"])
+def test_mode_bounds_on_hand_set_terms(problem):
+    # with r1 ... r4 = 0 the majorant is misfit/2 + P and the minorant
+    # misfit/2 + P - (p_mass / lam -+ bilin), P = p_mass / (2 lam), the sign
+    # - for problem I and + for problem II; a nonzero r1 raises the majorant
+    params = ProblemParams(problem, 0.5, 1.0)
+    terms = ModeTerms(2, misfit=4.0, r1=0.0, r2=0.0, r3=0.0, r4=0.0, p_mass=2.0, bilin=0.75)
+    mb = mode_bounds(terms, params, MU1)
+    mixed = 4.0 - 0.75 if problem == "I" else 4.0 + 0.75
+    assert (mb.k, mb.majorant, mb.m1_extra) == (2, 2.0 + 2.0, 0.0)
+    assert mb.minorant == 2.0 + 2.0 - mixed
+    raised = mode_bounds(ModeTerms(2, 4.0, 0.1, 0.0, 0.0, 0.0, 2.0, 0.75), params, MU1)
+    assert raised.majorant > mb.majorant and raised.m1_extra > 0
 
 
 def test_sandwich_random_configs(scratch):
@@ -171,7 +190,7 @@ def test_sandwich_random_configs(scratch):
     for _ in range(30):
         problem, n, k, lam, omega, sigma, nu = _random_config(rng)
         ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu)
-        mb = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
+        mb = _bounds(params, mats, ctx, sol, project(ctx, data), scratch)
         assert mb.minorant <= mb.majorant + 1e-9 * abs(mb.majorant)
         assert _m1(mb) >= mb.majorant - mb.minorant >= -1e-9 * abs(mb.majorant)
 
@@ -180,11 +199,11 @@ def test_scaling_covariance(scratch):
     rng = np.random.default_rng(3)
     problem, n, k, lam, omega, sigma, nu = "I", 5, 2, 0.3, 1.4, 1.0, 1.0
     ctx, mats, params, sol, data = _solve_random(rng, problem, n, k, lam, omega, sigma, nu, noise=0.3)
-    base = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
+    base = _bounds(params, mats, ctx, sol, project(ctx, data), scratch)
     for s in (2.0, 10.0):
         scaled_sol = ModeSolution(k=k, y=s * sol.y, p=s * sol.p)
         scaled_data = project(ctx, QuadratureData(s * data.coef, y_qp=data.y_qp))
-        mb = evaluate_mode(params, mats, ctx, scaled_sol, scaled_data, scratch=scratch)
+        mb = _bounds(params, mats, ctx, scaled_sol, scaled_data, scratch)
         assert abs(mb.majorant - s**2 * base.majorant) < 1e-9 * s**2 * abs(base.majorant)
         assert abs(mb.minorant - s**2 * base.minorant) < 1e-9 * s**2 * abs(base.majorant)
 
@@ -197,7 +216,7 @@ def test_bracketing_example1_coarse(ctx16, scratch):
     for k in (0, 1):
         system = build_mode_system(params, mats, k, bind.rhs(k))
         sol = direct_solve(system, params)
-        mb = evaluate_mode(params, mats, ctx16, sol, bind.mode_data(k), scratch=scratch)
+        mb = _bounds(params, mats, ctx16, sol, bind.mode_data(k), scratch)
         ref = case.reference_cost(k)
         assert mb.minorant <= ref * (1 + 1e-3)
         assert mb.majorant >= ref * (1 - 1e-3)
@@ -206,7 +225,7 @@ def test_bracketing_example1_coarse(ctx16, scratch):
 def test_aggregate_shape(scratch):
     rng = np.random.default_rng(0)
     ctx, mats, params, sol, data = _solve_random(rng, "I", 4, 0, 0.1, 1.0, 1.0, 1.0)
-    b0 = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
+    b0 = _bounds(params, mats, ctx, sol, project(ctx, data), scratch)
     total = aggregate([b0], params, remainder=10.0)
     T = params.period
     assert abs(total.minorant - (T * b0.minorant + 5.0)) < 1e-12 * max(1, abs(total.minorant))
@@ -224,7 +243,7 @@ def test_aggregate_weights_each_mode_by_its_parts(scratch):
     modes = []
     for k in (3, 0, 1):
         ctx, mats, params, sol, data = _solve_random(rng, "I", 4, k, 0.1, 1.0, 1.0, 1.0)
-        modes.append(evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch))
+        modes.append(_bounds(params, mats, ctx, sol, project(ctx, data), scratch))
     b3, b0, b1 = modes
     T = params.period
     total = aggregate(modes, params, remainder=10.0)
@@ -260,26 +279,14 @@ def _m1(mb):
     return mb.majorant - mb.minorant + mb.m1_extra
 
 
-def _assert_bounds_match(new, ref, rtol=1e-12):
-    """Every ModeBounds field of `new`, and the error majorant derived from
-    them, equals `ref` to rtol, relative to the size of the terms a value is
-    summed from (the mixed term and the minorant cancel to near zero at a
-    converged solution)."""
+def _assert_terms_match(new, ref, lam, rtol=1e-12):
+    """Every ModeTerms field of `new` equals `ref` to rtol; the pairing
+    relative to ||p||_M^2 / lam too, as its terms cancel."""
     assert new.k == ref.k
-    mixed_scale = abs(ref.mixed) + 2 * ref.control_energy
-    minorant_scale = max(0.5 * ref.misfit + ref.control_energy + mixed_scale, abs(ref.majorant))
-    scales = {
-        "mixed": mixed_scale,
-        "minorant": minorant_scale,
-        "m1": minorant_scale + abs(_m1(ref)),
-    }
-    for name in ("minorant", "majorant", "misfit", "control_energy", "mixed", "m1", "m1_extra"):
-        a, b = (_m1(mb) if name == "m1" else getattr(mb, name) for mb in (new, ref))
-        scale = max(abs(b), scales.get(name, 0.0))
+    for name in ("misfit", "r1", "r2", "r3", "r4", "p_mass", "bilin"):
+        a, b = getattr(new, name), getattr(ref, name)
+        scale = max(abs(b), ref.p_mass / lam) if name == "bilin" else abs(b)
         assert abs(a - b) <= rtol * scale, (name, a, b)
-    for name in ("r1", "r2", "r3", "r4"):
-        a, b = getattr(new.residuals, name), getattr(ref.residuals, name)
-        assert abs(a - b) <= rtol * abs(b), (name, a, b)
 
 
 @pytest.mark.parametrize("problem", ["I", "II"])
@@ -301,7 +308,7 @@ def test_evaluate_mode_matches_quadrature_reference(problem, k, steps, scratch):
         projected = project(ctx, data)
         new = evaluate_mode(params, mats, ctx, sol, projected, scratch=scratch)
         ref = evaluate_mode_reference(params, mats, ctx, sol, data)
-        _assert_bounds_match(new, ref)
+        _assert_terms_match(new, ref, lam)
         # the noise has squared norm 0.25 per component, times the squared
         # time coefficients, most of it outside the projections
         assert projected.rest > 0.05 * float(data.coef @ data.coef)
@@ -326,7 +333,7 @@ def test_row_blocks_match_quadrature_reference(monkeypatch, problem, k, steps, n
         rng, problem, n, k, lam, omega, sigma, nu, steps=steps, noise=0.5, surrogate_inverse=True
     )
     new = evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch)
-    _assert_bounds_match(new, evaluate_mode_reference(params, mats, ctx, sol, data))
+    _assert_terms_match(new, evaluate_mode_reference(params, mats, ctx, sol, data), lam)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -352,8 +359,9 @@ def test_row_blocks_match_boundary_corners_problem_II(monkeypatch, rows, scratch
     shape = quadrature_weights(ctx).shape + (2,)
     data = QuadratureData(np.ones(2), g_qp=np.zeros(shape), g_edge=np.zeros(ctx.mesh.num_edges))
     ref = evaluate_mode_reference(params, mats, ctx, sol, data)
-    assert ref.residuals.r3 > 0
-    _assert_bounds_match(evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch), ref)
+    assert ref.r3 > 0
+    _assert_terms_match(evaluate_mode(params, mats, ctx, sol, project(ctx, data), scratch=scratch), ref,
+                        params.lam)
 
 
 @pytest.mark.parametrize("ident,n", [(4, 7), (4, 16), (5, 7), (5, 16), (6, 8), (6, 16)])
@@ -402,9 +410,9 @@ def test_evaluate_mode_matches_reference_on_cases(ident, scratch):
         precond = build(params, mats, k, surrogate_inverse=False)
         sol, _ = minres(system, precond, tol=1e-10, maxiter=200, scratch=scratch)
         samples = QuadratureData(np.array(case.mode_pair(k))[: mode_parts(k)], **profile)
-        _assert_bounds_match(
+        _assert_terms_match(
             evaluate_mode(params, mats, ctx, sol, bind.mode_data(k), scratch=scratch),
-            evaluate_mode_reference(params, mats, ctx, sol, samples),
+            evaluate_mode_reference(params, mats, ctx, sol, samples), params.lam,
         )
 
 
@@ -432,8 +440,7 @@ def _stopped_bounds(ident, n, k, steps, surrogate_inverse=False, lam=None, omega
     steps_kw = dict(tol=1e-10, maxiter=200) if steps is None else _steps(steps, surrogate_inverse)
     sol, stats = minres(system, precond, scratch=scratch, **steps_kw)
     assert steps is not None or stats.converged
-    mb = evaluate_mode(params, mats, ctx, sol, bind.mode_data(k), scratch=scratch)
-    return mb, case.reference_cost(k)
+    return _bounds(params, mats, ctx, sol, bind.mode_data(k), scratch), case.reference_cost(k)
 
 
 _LAMBDAS = st.floats(1e-4, 10.0)

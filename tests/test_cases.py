@@ -167,7 +167,8 @@ def test_overall_reference_within_its_tail_bound(ident, lam, omega):
     case = make_case(ident, lam=lam, omega=omega)
     K = ORACLE_PANELS
     signal = sample_periodic(case.time_factor, case.omega, panels=K, order=12)
-    head = sum((1.0 if k == 0 else 0.5) * case.period * _scalar_optimum(case, k)[0] for k in range(K + 1))
+    T = case.params.period
+    head = sum((1.0 if k == 0 else 0.5) * T * _scalar_optimum(case, k)[0] for k in range(K + 1))
     lower, upper = _bracket(case, head, signal.tail(K), K)
     total = case.overall_reference()
     assert lower * (1 - 1e-12) <= total <= upper * (1 + 1e-12)
@@ -195,7 +196,7 @@ def test_case_construction():
         make_case(7)
     case = make_case(1, lam=1.0, omega=2.0)
     assert case.lam == 1.0 and case.omega == 2.0
-    assert abs(case.period - PI) < 1e-15
+    assert abs(case.params.period - PI) < 1e-15
     # the closed form holds at any lambda and omega of an eigenfunction case
     assert case.has_analytic_reference
     assert make_case(4, omega=2.0).has_analytic_reference
@@ -219,6 +220,16 @@ def test_make_case_rejects_overflowing_time_data(ident):
     with pytest.raises(ValueError, match="omega = 0.001 is too small"):
         make_case(ident, omega=0.001)
     assert np.isfinite(make_case(ident, omega=0.02).time_norm2)
+
+
+def test_make_case_names_the_parameter_at_fault():
+    # a data norm within the cap leaves 1 / lambda at fault; one that
+    # overflows is said to, not printed as nan
+    with pytest.raises(ValueError, match="lambda = 1e-300 is too small for omega = 6.28319: .* is 0.125,"):
+        make_case(3, lam=1e-300)
+    with pytest.raises(ValueError, match="omega = 0.001 is too small") as exc:
+        make_case(1, omega=0.001)
+    assert "nan" not in str(exc.value) and "overflows" in str(exc.value)
 
 
 def test_remainder_rejects_negative_index():
@@ -426,7 +437,7 @@ def test_data_norm_is_the_energy_of_all_modes(ident):
     # plus the tail energy of every mode above it
     case = make_case(ident)
     mean = case.mode_pair(0)[0]
-    total = case.remainder(0) + case.period * mean**2 * case.spatial_norm2
+    total = case.remainder(0) + case.params.period * mean**2 * case.spatial_norm2
     assert case.data_norm2 == pytest.approx(total, rel=1e-12)
 
 
